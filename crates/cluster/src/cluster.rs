@@ -12,6 +12,7 @@ use crate::gres::GresKind;
 use crate::ids::{AllocationId, NodeId, PartitionId};
 use crate::node::{Node, NodeShape, NodeState};
 use crate::partition::Partition;
+use crate::slot::Slot;
 use hpcqc_simcore::stats::BusyTracker;
 use hpcqc_simcore::time::SimTime;
 use std::collections::{BTreeMap, BTreeSet};
@@ -111,6 +112,7 @@ impl ClusterBuilder {
         let mut node_partition = Vec::new();
         let mut node_busy = Vec::new();
         let mut gres_busy = BTreeMap::new();
+        let mut slots = Vec::new();
 
         for (idx, (name, count, shape, gres)) in self.partitions.into_iter().enumerate() {
             let pid = PartitionId::new(idx as u32);
@@ -128,8 +130,12 @@ impl ClusterBuilder {
             free.push(ids.iter().copied().collect::<BTreeSet<_>>());
             // A node-less partition still needs a non-zero tracker capacity.
             node_busy.push(BusyTracker::new(start, f64::from(count.max(1))));
+            if count > 0 {
+                slots.push(Slot::nodes(pid, count));
+            }
             let mut part = Partition::new(pid, name, ids);
-            for (kind, n) in gres {
+            for (pool, (kind, n)) in gres.into_iter().enumerate() {
+                slots.push(Slot::gres(pid, pool, n));
                 gres_busy.insert(
                     (pid, kind.clone()),
                     BusyTracker::new(start, f64::from(n.max(1))),
@@ -151,6 +157,7 @@ impl ClusterBuilder {
             start,
             node_busy,
             gres_busy,
+            slots,
         }
     }
 }
@@ -172,6 +179,7 @@ pub struct Cluster {
     start: SimTime,
     node_busy: Vec<BusyTracker>,
     gres_busy: BTreeMap<(PartitionId, GresKind), BusyTracker>,
+    slots: Vec<Slot>,
 }
 
 impl Cluster {
@@ -243,6 +251,63 @@ impl Cluster {
                 partition: partition.to_string(),
                 kind: kind.clone(),
             })
+    }
+
+    /// The resource slots, numbered when the cluster was built: partition
+    /// by partition in the order they were added, first the partition's
+    /// nodes (only if it has any), then each of its gres pools.
+    pub fn slots(&self) -> &[Slot] {
+        &self.slots
+    }
+
+    /// The slot of a partition's nodes; `None` for an unknown partition
+    /// or one without nodes.
+    pub fn node_slot(&self, partition: &str) -> Option<usize> {
+        let pid = self.pid(partition).ok()?;
+        self.slots
+            .iter()
+            .position(|s| s.partition() == pid && !s.is_gres())
+    }
+
+    /// The slot of a partition's gres pool of `kind`; `None` for an
+    /// unknown partition or a kind the partition lacks.
+    pub fn gres_slot(&self, partition: &str, kind: &GresKind) -> Option<usize> {
+        let pid = self.pid(partition).ok()?;
+        let pool = self.partitions[pid.raw() as usize]
+            .gres_pools()
+            .iter()
+            .position(|p| p.kind() == kind)?;
+        self.slots
+            .iter()
+            .position(|s| s.partition() == pid && s.pool() == Some(pool))
+    }
+
+    /// Units of `slot` free right now: schedulable unallocated nodes, or
+    /// unallocated gres units. 0 for a slot the cluster does not have.
+    pub fn slot_free(&self, slot: usize) -> u32 {
+        let Some(s) = self.slots.get(slot) else {
+            return 0;
+        };
+        let pidx = s.partition().raw() as usize;
+        match s.pool() {
+            None => self.free[pidx].len() as u32,
+            Some(pool) => self.partitions[pidx]
+                .gres_pools()
+                .get(pool)
+                .map_or(0, |p| p.available()),
+        }
+    }
+
+    /// A slot's name for messages: `classical nodes`, `quantum qpu`.
+    pub fn slot_label(&self, slot: usize) -> String {
+        let Some(s) = self.slots.get(slot) else {
+            return format!("slot {slot}");
+        };
+        let part = &self.partitions[s.partition().raw() as usize];
+        match s.pool().and_then(|pool| part.gres_pools().get(pool)) {
+            None => format!("{} nodes", part.name()),
+            Some(pool) => format!("{} {}", part.name(), pool.kind()),
+        }
     }
 
     /// Checks whether `request` could be granted right now, without granting.
@@ -860,6 +925,34 @@ mod tests {
             .group(GroupRequest::nodes("classical", 4));
         assert!(c.allocate(&ok, SimTime::ZERO).is_ok());
         c.check_invariants().unwrap();
+    }
+
+    #[test]
+    fn slots_number_node_and_gres_pools_at_build() {
+        let mut c = ClusterBuilder::new()
+            .partition("classical", 4)
+            .partition_with_gres("quantum", 0, GresKind::qpu(), 2)
+            .gres(GresKind::new("shots"), 8)
+            .build(SimTime::ZERO);
+        assert_eq!(c.slots().len(), 3, "a node-less partition has no node slot");
+        assert_eq!(c.node_slot("classical"), Some(0));
+        assert_eq!(c.node_slot("quantum"), None);
+        assert_eq!(c.node_slot("gpu"), None);
+        assert_eq!(c.gres_slot("quantum", &GresKind::qpu()), Some(1));
+        assert_eq!(c.gres_slot("quantum", &GresKind::new("shots")), Some(2));
+        assert_eq!(c.gres_slot("classical", &GresKind::qpu()), None);
+        let capacities: Vec<u32> = c.slots().iter().map(|s| s.capacity()).collect();
+        assert_eq!(capacities, vec![4, 2, 8]);
+        assert_eq!(c.slot_label(0), "classical nodes");
+        assert_eq!(c.slot_label(1), "quantum qpu");
+
+        let req = AllocRequest::new()
+            .group(GroupRequest::nodes("classical", 3))
+            .group(GroupRequest::gres("quantum", GresKind::qpu(), 1));
+        c.allocate(&req, SimTime::ZERO).unwrap();
+        c.fail_node(NodeId::new(3)).unwrap();
+        let free: Vec<u32> = (0..4).map(|s| c.slot_free(s)).collect();
+        assert_eq!(free, vec![0, 1, 8, 0], "slot 3 does not exist");
     }
 
     #[test]

@@ -53,6 +53,7 @@ pub mod gres;
 pub mod ids;
 pub mod node;
 pub mod partition;
+pub mod slot;
 
 pub use alloc::{AllocRequest, AllocatedGroup, Allocation, GroupRequest};
 pub use cluster::{Cluster, ClusterBuilder};
@@ -61,3 +62,4 @@ pub use gres::{GresKind, GresPool};
 pub use ids::{AllocationId, NodeId, PartitionId};
 pub use node::{Node, NodeShape, NodeState};
 pub use partition::Partition;
+pub use slot::Slot;

@@ -1,8 +1,15 @@
 //! Resource demand vectors and the free-capacity timeline ([`Profile`])
 //! that backfilling plans against.
 //!
-//! A [`Demand`] is the flattened resource footprint of an allocation
-//! request: nodes per partition plus gres units per `(partition, kind)`.
+//! A [`Demand`] is a flat vector of units over a cluster's resource
+//! [slots](hpcqc_cluster::Slot): slot `i` counts nodes of one partition or
+//! units of one gres pool, in the order [`Cluster::slots`] numbers them
+//! when the cluster is built. The same type holds a job's footprint
+//! ([`Demand::resolve`], once per job at submit), the machine's free and
+//! total capacity ([`Demand::free_of`], [`Demand::capacity_of`]), and each
+//! segment of a [`Profile`]. It is `Copy` and heap-free: at most
+//! [`MAX_SLOTS`] slots, and slots past the last one a cluster has are 0.
+//!
 //! A [`Profile`] is a piecewise-constant map `time → free Demand`,
 //! constructed from the cluster's current free capacity plus the expected
 //! release times of running jobs; reservations carve capacity out of it.
@@ -11,14 +18,16 @@ use hpcqc_cluster::alloc::AllocRequest;
 use hpcqc_cluster::cluster::Cluster;
 use hpcqc_cluster::gres::GresKind;
 use hpcqc_simcore::time::{SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
 
-/// A flattened resource footprint.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+/// The number of resource slots a [`Demand`] holds. A cluster's slots
+/// past this many cannot be planned for: [`Demand::resolve`] rejects a
+/// request that needs one.
+pub const MAX_SLOTS: usize = 16;
+
+/// A flat resource vector: units per cluster resource slot.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Demand {
-    nodes: BTreeMap<String, u32>,
-    gres: BTreeMap<(String, GresKind), u32>,
+    units: [u32; MAX_SLOTS],
 }
 
 impl Demand {
@@ -27,93 +36,152 @@ impl Demand {
         Demand::default()
     }
 
-    /// Builds the footprint of an allocation request.
+    /// A demand with the given units in slots `0..units.len()`; units past
+    /// [`MAX_SLOTS`] are dropped.
+    pub fn from_units(units: &[u32]) -> Self {
+        let mut d = Demand::new();
+        for (slot, n) in d.units.iter_mut().zip(units) {
+            *slot = *n;
+        }
+        d
+    }
+
+    /// The footprint of a request on its own resources: the request's
+    /// node partitions and `(partition, gres kind)` pools are numbered in
+    /// order of first appearance. Such a demand compares only with demands
+    /// numbered the same way; to plan against a machine, use
+    /// [`Demand::resolve`]. Resources past [`MAX_SLOTS`] are dropped.
     pub fn of_request(request: &AllocRequest) -> Self {
+        let amounts = request.groups().iter().flat_map(|g| {
+            let part = g.partition.as_str();
+            std::iter::once(((part, None), g.nodes))
+                .chain(g.gres.iter().map(move |(kind, n)| ((part, Some(kind)), *n)))
+        });
+        let mut keys: [Option<(&str, Option<&GresKind>)>; MAX_SLOTS] = [None; MAX_SLOTS];
+        let mut d = Demand::new();
+        for (key, n) in amounts.filter(|(_, n)| *n > 0) {
+            let slot = match keys.iter().position(|k| *k == Some(key)) {
+                Some(slot) => slot,
+                None => match keys.iter().position(Option::is_none) {
+                    Some(slot) => {
+                        keys[slot] = Some(key);
+                        slot
+                    }
+                    None => continue,
+                },
+            };
+            d.add_units(slot, n);
+        }
+        d
+    }
+
+    /// Resolves a request's partition and gres names to `cluster`'s slots
+    /// and sums its groups into one footprint.
+    ///
+    /// # Errors
+    ///
+    /// A reason the request can never start on `cluster`: it asks for
+    /// nothing, names a partition or gres pool the cluster lacks (even
+    /// with a zero count), asks for nodes of a partition without any, or
+    /// needs a slot past [`MAX_SLOTS`]. Amounts above the machine's total
+    /// are not checked here (see [`Demand::capacity_of`]).
+    pub fn resolve(request: &AllocRequest, cluster: &Cluster) -> Result<Self, String> {
+        let beyond = |slot: usize| {
+            format!(
+                "{} lies beyond the {MAX_SLOTS} resource slots the scheduler tracks",
+                cluster.slot_label(slot)
+            )
+        };
         let mut d = Demand::new();
         for g in request.groups() {
+            if cluster.partition(&g.partition).is_none() {
+                return Err(format!("no partition `{}`", g.partition));
+            }
             if g.nodes > 0 {
-                *d.nodes.entry(g.partition.clone()).or_default() += g.nodes;
+                let slot = cluster.node_slot(&g.partition).ok_or_else(|| {
+                    format!(
+                        "demand exceeds total machine capacity: {} nodes requested {}, total 0",
+                        g.partition, g.nodes
+                    )
+                })?;
+                d.add_units(slot, g.nodes).ok_or_else(|| beyond(slot))?;
             }
             for (kind, n) in &g.gres {
+                let slot = cluster
+                    .gres_slot(&g.partition, kind)
+                    .ok_or_else(|| format!("partition `{}` has no `{kind}` gres", g.partition))?;
                 if *n > 0 {
-                    *d.gres
-                        .entry((g.partition.clone(), kind.clone()))
-                        .or_default() += n;
+                    d.add_units(slot, *n).ok_or_else(|| beyond(slot))?;
                 }
             }
         }
-        d
+        if d.is_empty() {
+            return Err("the request asks for no resources".to_string());
+        }
+        Ok(d)
+    }
+
+    /// Adds `n` units to `slot`; `None` if the slot is past [`MAX_SLOTS`].
+    fn add_units(&mut self, slot: usize, n: u32) -> Option<()> {
+        let units = self.units.get_mut(slot)?;
+        *units = units.saturating_add(n);
+        Some(())
     }
 
     /// The currently free capacity of a cluster, as a demand vector.
     pub fn free_of(cluster: &Cluster) -> Self {
         let mut d = Demand::new();
-        for part in cluster.partitions() {
-            // The partition name came from this cluster's own iterator, so
-            // the lookup cannot miss; degrade to 0 free rather than panic.
-            let free = cluster.free_nodes(part.name()).unwrap_or(0);
-            if part.node_count() > 0 {
-                d.nodes.insert(part.name().to_string(), free);
-            }
-            for pool in part.gres_pools() {
-                d.gres.insert(
-                    (part.name().to_string(), pool.kind().clone()),
-                    pool.available(),
-                );
-            }
+        for (slot, units) in d.units.iter_mut().enumerate().take(cluster.slots().len()) {
+            *units = cluster.slot_free(slot);
         }
         d
     }
 
-    /// Node demand on a partition.
-    pub fn nodes_in(&self, partition: &str) -> u32 {
-        self.nodes.get(partition).copied().unwrap_or(0)
+    /// The total capacity of a cluster (failed nodes included), as a
+    /// demand vector.
+    pub fn capacity_of(cluster: &Cluster) -> Self {
+        let mut d = Demand::new();
+        for (units, slot) in d.units.iter_mut().zip(cluster.slots()) {
+            *units = slot.capacity();
+        }
+        d
     }
 
-    /// Gres demand on a `(partition, kind)`.
-    pub fn gres_in(&self, partition: &str, kind: &GresKind) -> u32 {
-        self.gres
-            .get(&(partition.to_string(), kind.clone()))
-            .copied()
-            .unwrap_or(0)
+    /// Units in `slot`; 0 past [`MAX_SLOTS`].
+    pub fn get(&self, slot: usize) -> u32 {
+        self.units.get(slot).copied().unwrap_or(0)
     }
 
     /// `true` if this demand asks for nothing.
     pub fn is_empty(&self) -> bool {
-        self.nodes.values().all(|n| *n == 0) && self.gres.values().all(|n| *n == 0)
+        self.units.iter().all(|n| *n == 0)
     }
 
     /// Component-wise: does `self` (a free vector) cover `other` (a demand)?
     pub fn covers(&self, other: &Demand) -> bool {
-        other
-            .nodes
+        self.first_short(other).is_none()
+    }
+
+    /// The first slot in which `self` (a free vector) falls short of
+    /// `other` (a demand), if any.
+    pub(crate) fn first_short(&self, other: &Demand) -> Option<usize> {
+        self.units
             .iter()
-            .all(|(k, need)| self.nodes.get(k).copied().unwrap_or(0) >= *need)
-            && other
-                .gres
-                .iter()
-                .all(|(k, need)| self.gres.get(k).copied().unwrap_or(0) >= *need)
+            .zip(&other.units)
+            .position(|(have, need)| have < need)
     }
 
     /// Component-wise saturating subtraction (`self -= other`).
     pub fn subtract(&mut self, other: &Demand) {
-        for (k, v) in &other.nodes {
-            let e = self.nodes.entry(k.clone()).or_default();
-            *e = e.saturating_sub(*v);
-        }
-        for (k, v) in &other.gres {
-            let e = self.gres.entry(k.clone()).or_default();
-            *e = e.saturating_sub(*v);
+        for (a, b) in self.units.iter_mut().zip(&other.units) {
+            *a = a.saturating_sub(*b);
         }
     }
 
     /// Component-wise addition (`self += other`).
     pub fn add(&mut self, other: &Demand) {
-        for (k, v) in &other.nodes {
-            *self.nodes.entry(k.clone()).or_default() += v;
-        }
-        for (k, v) in &other.gres {
-            *self.gres.entry(k.clone()).or_default() += v;
+        for (a, b) in self.units.iter_mut().zip(&other.units) {
+            *a += b;
         }
     }
 }
@@ -141,17 +209,19 @@ impl Profile {
         let mut events: Vec<(SimTime, &Demand)> =
             releases.iter().map(|(t, d)| ((*t).max(now), d)).collect();
         events.sort_by_key(|(t, _)| *t);
-        let mut times = vec![now];
-        let mut free = vec![current_free.clone()];
+        let mut times = Vec::with_capacity(events.len() + 1);
+        let mut free = Vec::with_capacity(events.len() + 1);
+        times.push(now);
+        free.push(current_free);
         for (t, d) in events {
             current_free.add(d);
             if times.last() == Some(&t) {
                 if let Some(slot) = free.last_mut() {
-                    *slot = current_free.clone();
+                    *slot = current_free;
                 }
             } else {
                 times.push(t);
-                free.push(current_free.clone());
+                free.push(current_free);
             }
         }
         Profile { times, free }
@@ -164,35 +234,28 @@ impl Profile {
 
     /// The free capacity at instant `t`.
     pub fn free_at(&self, t: SimTime) -> &Demand {
-        // Last segment whose start ≤ t; profile starts at `now` so earlier
-        // queries clamp to the first segment.
-        let idx = match self.times.binary_search(&t) {
+        &self.free[self.segment_at(t)]
+    }
+
+    /// Index of the segment containing `t`; the profile starts at `now`,
+    /// so earlier instants clamp to the first segment.
+    fn segment_at(&self, t: SimTime) -> usize {
+        match self.times.binary_search(&t) {
             Ok(i) => i,
             Err(0) => 0,
             Err(i) => i - 1,
-        };
-        &self.free[idx]
+        }
     }
 
     /// `true` if `demand` fits everywhere in `[start, start + duration)`.
     pub fn fits(&self, demand: &Demand, start: SimTime, duration: SimDuration) -> bool {
         let end = start.saturating_add(duration);
-        let mut idx = match self.times.binary_search(&start) {
-            Ok(i) => i,
-            Err(0) => 0,
-            Err(i) => i - 1,
-        };
-        while idx < self.times.len() {
-            if self.times[idx] >= end {
-                break;
-            }
-            let seg_end = self.times.get(idx + 1).copied().unwrap_or(SimTime::MAX);
-            if seg_end > start && !self.free[idx].covers(demand) {
-                return false;
-            }
-            idx += 1;
-        }
-        true
+        let first = self.segment_at(start);
+        self.times[first..]
+            .iter()
+            .zip(&self.free[first..])
+            .take_while(|(t, _)| **t < end)
+            .all(|(_, free)| free.covers(demand))
     }
 
     /// Earliest instant ≥ `from` at which `demand` fits for `duration`.
@@ -226,7 +289,7 @@ impl Profile {
         if end < SimTime::MAX {
             self.split_at(end);
         }
-        for i in 0..self.times.len() {
+        for (i, free) in self.free.iter_mut().enumerate() {
             let seg_start = self.times[i];
             if seg_start >= end {
                 break;
@@ -235,7 +298,7 @@ impl Profile {
             if seg_end <= start {
                 continue;
             }
-            self.free[i].subtract(demand);
+            free.subtract(demand);
         }
     }
 
@@ -245,7 +308,7 @@ impl Profile {
             Err(0) => {} // before profile start: nothing to split
             Err(i) => {
                 self.times.insert(i, t);
-                let prev = self.free[i - 1].clone();
+                let prev = self.free[i - 1];
                 self.free.insert(i, prev);
             }
         }
@@ -258,23 +321,85 @@ mod tests {
     use hpcqc_cluster::alloc::GroupRequest;
     use hpcqc_cluster::cluster::ClusterBuilder;
 
+    /// `nodes` units in slot 0 (the `classical` nodes of [`machine`]).
     fn demand(nodes: u32) -> Demand {
-        Demand::of_request(&AllocRequest::new().group(GroupRequest::nodes("classical", nodes)))
+        Demand::from_units(&[nodes])
     }
 
     fn free(nodes: u32) -> Demand {
         demand(nodes)
     }
 
+    fn machine() -> Cluster {
+        ClusterBuilder::new()
+            .partition("classical", 8)
+            .partition_with_gres("quantum", 1, GresKind::qpu(), 2)
+            .build(SimTime::ZERO)
+    }
+
     #[test]
     fn demand_of_listing1() {
+        let c = machine();
+        let req = AllocRequest::new()
+            .group(GroupRequest::nodes("classical", 8))
+            .group(GroupRequest::gres("quantum", GresKind::qpu(), 1));
+        let d = Demand::resolve(&req, &c).unwrap();
+        let qpu = c.gres_slot("quantum", &GresKind::qpu()).unwrap();
+        assert_eq!(d.get(c.node_slot("classical").unwrap()), 8);
+        assert_eq!(d.get(c.node_slot("quantum").unwrap()), 0);
+        assert_eq!(d.get(qpu), 1);
+        assert!(!d.is_empty());
+        assert!(Demand::capacity_of(&c).covers(&d));
+    }
+
+    #[test]
+    fn resolve_sums_groups_on_one_partition() {
+        let c = machine();
+        let req = AllocRequest::new()
+            .group(GroupRequest::nodes("classical", 3))
+            .group(GroupRequest::nodes("classical", 4));
+        assert_eq!(Demand::resolve(&req, &c).unwrap(), demand(7));
+    }
+
+    #[test]
+    fn resolve_rejects_what_the_machine_lacks() {
+        let c = machine();
+        let reason = |req: AllocRequest| Demand::resolve(&req, &c).unwrap_err();
+        assert!(reason(AllocRequest::new()).contains("no resources"));
+        assert!(reason(AllocRequest::new().group(GroupRequest::nodes("gpu", 0))).contains("`gpu`"));
+        assert!(reason(AllocRequest::new().group(GroupRequest::gres(
+            "quantum",
+            GresKind::new("fpga"),
+            0
+        )))
+        .contains("no `fpga` gres"));
+    }
+
+    #[test]
+    fn resolve_rejects_slots_past_the_vector() {
+        let mut b = ClusterBuilder::new();
+        for i in 0..=MAX_SLOTS {
+            b = b.partition(format!("p{i}"), 1);
+        }
+        let c = b.build(SimTime::ZERO);
+        let last = format!("p{MAX_SLOTS}");
+        let req = AllocRequest::new().group(GroupRequest::nodes(last.as_str(), 1));
+        assert!(Demand::resolve(&req, &c)
+            .unwrap_err()
+            .contains("beyond the 16 resource slots"));
+        // The slots the vector holds still plan normally.
+        let first = AllocRequest::new().group(GroupRequest::nodes("p0", 1));
+        assert_eq!(Demand::resolve(&first, &c).unwrap(), demand(1));
+        assert_eq!(Demand::free_of(&c), Demand::from_units(&[1; MAX_SLOTS]));
+    }
+
+    #[test]
+    fn of_request_numbers_the_requests_own_resources() {
         let req = AllocRequest::new()
             .group(GroupRequest::nodes("classical", 10))
-            .group(GroupRequest::gres("quantum", GresKind::qpu(), 1));
-        let d = Demand::of_request(&req);
-        assert_eq!(d.nodes_in("classical"), 10);
-        assert_eq!(d.gres_in("quantum", &GresKind::qpu()), 1);
-        assert!(!d.is_empty());
+            .group(GroupRequest::gres("quantum", GresKind::qpu(), 1))
+            .group(GroupRequest::nodes("classical", 2));
+        assert_eq!(Demand::of_request(&req), Demand::from_units(&[12, 1]));
     }
 
     #[test]
@@ -283,27 +408,28 @@ mod tests {
         let b = demand(4);
         assert!(a.covers(&b));
         a.subtract(&b);
-        assert_eq!(a.nodes_in("classical"), 6);
+        assert_eq!(a.get(0), 6);
         assert!(!a.covers(&demand(7)));
+        assert_eq!(a.first_short(&demand(7)), Some(0));
         a.add(&b);
-        assert_eq!(a.nodes_in("classical"), 10);
+        assert_eq!(a.get(0), 10);
+        assert_eq!(a.get(MAX_SLOTS), 0);
     }
 
     #[test]
     fn free_of_cluster_reflects_state() {
-        let mut c = ClusterBuilder::new()
-            .partition("classical", 8)
-            .partition_with_gres("quantum", 1, GresKind::qpu(), 2)
-            .build(SimTime::ZERO);
+        let mut c = machine();
+        let qpu = c.gres_slot("quantum", &GresKind::qpu()).unwrap();
         let d = Demand::free_of(&c);
-        assert_eq!(d.nodes_in("classical"), 8);
-        assert_eq!(d.gres_in("quantum", &GresKind::qpu()), 2);
+        assert_eq!(d.get(0), 8);
+        assert_eq!(d.get(qpu), 2);
         c.allocate(
             &AllocRequest::new().group(GroupRequest::nodes("classical", 3)),
             SimTime::ZERO,
         )
         .unwrap();
-        assert_eq!(Demand::free_of(&c).nodes_in("classical"), 5);
+        assert_eq!(Demand::free_of(&c).get(0), 5);
+        assert_eq!(Demand::capacity_of(&c).get(0), 8);
     }
 
     #[test]
@@ -318,9 +444,9 @@ mod tests {
             ],
         );
         assert_eq!(p.segments(), 3);
-        assert_eq!(p.free_at(SimTime::from_secs(5)).nodes_in("classical"), 2);
-        assert_eq!(p.free_at(SimTime::from_secs(10)).nodes_in("classical"), 5);
-        assert_eq!(p.free_at(SimTime::from_secs(25)).nodes_in("classical"), 10);
+        assert_eq!(p.free_at(SimTime::from_secs(5)).get(0), 2);
+        assert_eq!(p.free_at(SimTime::from_secs(10)).get(0), 5);
+        assert_eq!(p.free_at(SimTime::from_secs(25)).get(0), 10);
     }
 
     #[test]
@@ -386,7 +512,7 @@ mod tests {
     fn past_releases_clamped_to_now() {
         let now = SimTime::from_secs(100);
         let p = Profile::build(now, free(1), &[(SimTime::from_secs(50), free(9))]);
-        assert_eq!(p.free_at(now).nodes_in("classical"), 10);
+        assert_eq!(p.free_at(now).get(0), 10);
     }
 
     #[test]

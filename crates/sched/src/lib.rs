@@ -4,8 +4,9 @@
 //! within: a SLURM-like batch scheduler with priority queues, heterogeneous
 //! (multi-partition) co-allocation, and a pluggable queue-policy API.
 //!
-//! * [`demand`] — flattened resource vectors and the free-capacity
-//!   [`Profile`] timeline backfill planning runs on;
+//! * [`demand`] — dense resource vectors over the cluster's slots
+//!   (resolved once per job at submit) and the free-capacity [`Profile`]
+//!   timeline backfill planning runs on;
 //! * [`priority`] — multifactor priority (age, size, QoS, decayed
 //!   fairshare);
 //! * [`policy`] — the open [`QueuePolicy`] trait, its [`SchedCtx`]
@@ -57,7 +58,7 @@ pub mod priority;
 pub mod probe;
 pub mod scheduler;
 
-pub use demand::{Demand, Profile};
+pub use demand::{Demand, Profile, MAX_SLOTS};
 pub use policy::{
     sort_by_score, sort_multifactor, Discipline, HoldReason, ParsePolicyError, PolicySpec,
     QueuePolicy, SchedCtx, Verdict, ALL_HOLD_REASONS, POLICY_FORMS,

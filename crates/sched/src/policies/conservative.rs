@@ -40,14 +40,14 @@ impl QueuePolicy for ConservativeBackfill {
             profile.reserve(demand, slot, job.walltime);
             // Fits the live machine but not the reservation timeline →
             // an earlier job's reservation is what the job waits on.
-            Verdict::Hold(match ctx.hold_reason(&job.request) {
+            Verdict::Hold(match ctx.hold_reason(demand) {
                 HoldReason::PolicyHold => HoldReason::HeadShadow,
                 reason => reason,
             })
-        } else if ctx.can_allocate(&job.request) {
+        } else if ctx.can_start(demand) {
             Verdict::Start
         } else {
-            Verdict::Hold(ctx.hold_reason(&job.request))
+            Verdict::Hold(ctx.hold_reason(demand))
         }
     }
 }

@@ -35,17 +35,17 @@ impl QueuePolicy for Fcfs {
 
     fn admit(
         &mut self,
-        job: &PendingJob,
-        _demand: &Demand,
+        _job: &PendingJob,
+        demand: &Demand,
         _profile: &mut Profile,
         ctx: &SchedCtx<'_>,
     ) -> Verdict {
-        if !self.blocked && ctx.can_allocate(&job.request) {
+        if !self.blocked && ctx.can_start(demand) {
             Verdict::Start
         } else {
             // `hold_reason` reads `policy-hold` exactly when the machine
             // would fit the job — i.e. pure head-of-line blocking.
-            Verdict::Hold(ctx.hold_reason(&job.request))
+            Verdict::Hold(ctx.hold_reason(demand))
         }
     }
 

@@ -33,7 +33,7 @@ pub use quantum::QuantumAware;
 /// Shared EASY-style admission: before the head blocks, anything the
 /// live cluster can place starts; afterwards a job may only backfill —
 /// start now without delaying the head's reservation already carved into
-/// the profile.
+/// the profile, i.e. fit the profile over its whole walltime from now.
 pub(crate) fn easy_admit(
     head_blocked: bool,
     job: &PendingJob,
@@ -41,19 +41,13 @@ pub(crate) fn easy_admit(
     profile: &mut Profile,
     ctx: &SchedCtx<'_>,
 ) -> Verdict {
-    let can_start = if head_blocked {
-        profile.find_slot(demand, job.walltime, ctx.now()) == ctx.now()
-            && ctx.can_allocate(&job.request)
-    } else {
-        ctx.can_allocate(&job.request)
-    };
-    if can_start {
+    if ctx.can_start(demand) && (!head_blocked || profile.fits(demand, ctx.now(), job.walltime)) {
         Verdict::Start
     } else {
         // Name the binding cause: a live resource shortage when there is
         // one; otherwise the machine would fit the job right now and only
         // the head's shadow reservation stands in the way.
-        Verdict::Hold(match ctx.hold_reason(&job.request) {
+        Verdict::Hold(match ctx.hold_reason(demand) {
             HoldReason::PolicyHold if head_blocked => HoldReason::HeadShadow,
             reason => reason,
         })

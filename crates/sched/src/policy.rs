@@ -40,17 +40,19 @@
 //!
 //!     fn admit(
 //!         &mut self,
-//!         job: &PendingJob,
-//!         _demand: &Demand,
+//!         _job: &PendingJob,
+//!         demand: &Demand,
 //!         _profile: &mut Profile,
 //!         ctx: &SchedCtx<'_>,
 //!     ) -> Verdict {
-//!         if ctx.can_allocate(&job.request) {
+//!         // `demand` is the job's footprint per resource slot, resolved
+//!         // against the cluster once, when the job was submitted.
+//!         if ctx.can_start(demand) {
 //!             Verdict::Start
 //!         } else {
 //!             // `hold_reason` names the binding shortage for the
 //!             // attribution layer (insufficient nodes, QPU tokens, …).
-//!             Verdict::Hold(ctx.hold_reason(&job.request))
+//!             Verdict::Hold(ctx.hold_reason(demand))
 //!         }
 //!     }
 //! }
@@ -81,9 +83,7 @@ use crate::demand::{Demand, Profile};
 use crate::policies;
 use crate::priority::{PriorityCalculator, PriorityWeights};
 use crate::scheduler::PendingJob;
-use hpcqc_cluster::alloc::{AllocRequest, GroupRequest};
 use hpcqc_cluster::cluster::Cluster;
-use hpcqc_cluster::error::ClusterError;
 use hpcqc_cluster::gres::GresKind;
 use hpcqc_simcore::time::SimTime;
 use serde::{Deserialize, Serialize, Value};
@@ -185,18 +185,23 @@ pub struct SchedCtx<'a> {
     now: SimTime,
     cluster: &'a Cluster,
     priority: &'a PriorityCalculator,
+    free: &'a Demand,
 }
 
 impl<'a> SchedCtx<'a> {
+    /// `free` is the cluster's free capacity ([`Demand::free_of`]), which
+    /// the scheduler keeps current as the cycle allocates.
     pub(crate) fn new(
         now: SimTime,
         cluster: &'a Cluster,
         priority: &'a PriorityCalculator,
+        free: &'a Demand,
     ) -> Self {
         SchedCtx {
             now,
             cluster,
             priority,
+            free,
         }
     }
 
@@ -222,54 +227,34 @@ impl<'a> SchedCtx<'a> {
         )
     }
 
-    /// `true` if the live cluster can satisfy `request` right now.
-    pub fn can_allocate(&self, request: &AllocRequest) -> bool {
-        self.cluster.can_allocate(request).is_ok()
+    /// `true` if the live cluster can place `demand` right now.
+    pub fn can_start(&self, demand: &Demand) -> bool {
+        self.free.covers(demand)
     }
 
-    /// Classifies why `request` is not running right now: the binding
+    /// Classifies why `demand` is not running right now: the binding
     /// resource shortage, or [`HoldReason::PolicyHold`] when the live
-    /// cluster could satisfy it (the hold is the policy's own doing).
+    /// cluster could place it (the hold is the policy's own doing).
     /// Purely read-only — calling it cannot perturb a scheduling cycle.
     ///
-    /// When *both* the node pool and the request's gres tokens are
-    /// exhausted, the gres wins the blame: even a cluster with infinite
-    /// free nodes would still hold the job, so the token is the binding
-    /// constraint. (Nodes recycle every few minutes as batch jobs drain;
-    /// a co-scheduled QPU token is pinned for a whole hybrid campaign —
-    /// attributing the scarcer, slower-recycling resource is what makes
-    /// the wait ledger actionable.)
-    pub fn hold_reason(&self, request: &AllocRequest) -> HoldReason {
-        match self.cluster.can_allocate(request) {
-            Ok(()) => HoldReason::PolicyHold,
-            Err(ClusterError::InsufficientNodes { .. }) => {
-                if self.gres_also_blocked(request) {
-                    HoldReason::InsufficientGres
-                } else {
-                    HoldReason::InsufficientNodes
+    /// When *both* nodes and the demand's gres tokens are short, the gres
+    /// wins the blame: even a cluster with infinite free nodes would still
+    /// hold the job, so the token is the binding constraint. (Nodes
+    /// recycle every few minutes as batch jobs drain; a co-scheduled QPU
+    /// token is pinned for a whole hybrid campaign — attributing the
+    /// scarcer, slower-recycling resource is what makes the wait ledger
+    /// actionable.)
+    pub fn hold_reason(&self, demand: &Demand) -> HoldReason {
+        let mut reason = HoldReason::PolicyHold;
+        for (slot, info) in self.cluster.slots().iter().enumerate() {
+            if self.free.get(slot) < demand.get(slot) {
+                if info.is_gres() {
+                    return HoldReason::InsufficientGres;
                 }
-            }
-            Err(ClusterError::InsufficientGres { .. } | ClusterError::NoSuchGres { .. }) => {
-                HoldReason::InsufficientGres
-            }
-            Err(_) => HoldReason::PolicyHold,
-        }
-    }
-
-    /// `true` if the gres-only residue of `request` (every group's token
-    /// demands, with the node demands dropped) cannot be satisfied either.
-    fn gres_also_blocked(&self, request: &AllocRequest) -> bool {
-        let mut residue = AllocRequest::new();
-        for group in request.groups() {
-            if group.gres.iter().any(|(_, n)| *n > 0) {
-                residue = residue.group(GroupRequest {
-                    partition: group.partition.clone(),
-                    nodes: 0,
-                    gres: group.gres.clone(),
-                });
+                reason = HoldReason::InsufficientNodes;
             }
         }
-        !residue.is_empty() && self.cluster.can_allocate(&residue).is_err()
+        reason
     }
 
     /// Total free units of a gres kind across every partition (e.g. idle
@@ -305,7 +290,8 @@ pub trait QueuePolicy: fmt::Debug + Send {
     fn order(&mut self, queue: &mut [PendingJob], ctx: &SchedCtx<'_>);
 
     /// Decides whether `job` (the next in order) may start now. `demand`
-    /// is the job's flattened footprint; `profile` is the cycle's
+    /// is the job's footprint per cluster resource slot, resolved when it
+    /// was submitted; `profile` is the cycle's
     /// free-capacity timeline, already carrying every reservation made
     /// earlier in the cycle (a policy may carve further reservations).
     fn admit(

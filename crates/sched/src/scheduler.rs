@@ -29,12 +29,18 @@ use std::fmt;
 /// Why the scheduler rejected a submission.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SchedError {
-    /// The request exceeds the machine's total capacity and can never run.
+    /// The request can never run on the machine: it asks for nothing,
+    /// names a resource the machine lacks, or exceeds its total capacity.
     ImpossibleRequest {
         /// The offending job.
         job: JobId,
         /// Human-readable shortfall description.
         reason: String,
+    },
+    /// A job with this id is already queued.
+    DuplicateJob {
+        /// The offending job.
+        job: JobId,
     },
     /// Walltime must be positive.
     ZeroWalltime {
@@ -50,6 +56,7 @@ impl fmt::Display for SchedError {
                 write!(f, "{job} can never be satisfied: {reason}")
             }
             SchedError::ZeroWalltime { job } => write!(f, "{job} has zero walltime"),
+            SchedError::DuplicateJob { job } => write!(f, "{job} is already queued"),
         }
     }
 }
@@ -107,6 +114,8 @@ pub struct BatchScheduler {
     spec: Option<PolicySpec>,
     priority: PriorityCalculator,
     pending: Vec<PendingJob>,
+    /// Each queued job's footprint, resolved at submit.
+    demands: BTreeMap<JobId, Demand>,
     running: BTreeMap<AllocationId, Running>,
     total_started: u64,
     total_finished: u64,
@@ -139,6 +148,7 @@ impl BatchScheduler {
             spec,
             priority,
             pending: Vec::new(),
+            demands: BTreeMap::new(),
             running: BTreeMap::new(),
             total_started: 0,
             total_finished: 0,
@@ -213,51 +223,51 @@ impl BatchScheduler {
         let releases: Vec<(SimTime, Demand)> = self
             .running
             .values()
-            .map(|r| (r.expected_end, r.demand.clone()))
+            .map(|r| (r.expected_end, r.demand))
             .collect();
         Profile::build(now, Demand::free_of(cluster), &releases)
     }
 
-    /// Enqueues a job.
+    /// Enqueues a job, resolving its request against `cluster` — the
+    /// machine every later cycle must plan on.
     ///
     /// # Errors
     ///
-    /// [`SchedError::ImpossibleRequest`] if the request exceeds the
-    /// machine's total capacity (it would block the queue forever);
-    /// [`SchedError::ZeroWalltime`] for a zero walltime.
+    /// [`SchedError::ImpossibleRequest`] if the request can never start
+    /// (see [`Demand::resolve`]) or exceeds the machine's total capacity:
+    /// it would block the queue forever; [`SchedError::ZeroWalltime`] for
+    /// a zero walltime; [`SchedError::DuplicateJob`] if a job with the
+    /// same id is already queued.
     pub fn submit(&mut self, job: PendingJob, cluster: &Cluster) -> Result<(), SchedError> {
         if job.walltime.is_zero() {
             return Err(SchedError::ZeroWalltime { job: job.id });
         }
-        let mut capacity = Demand::new();
-        for part in cluster.partitions() {
-            let whole = AllocRequest::new().group(hpcqc_cluster::alloc::GroupRequest {
-                partition: part.name().to_string(),
-                nodes: part.node_count() as u32,
-                gres: part
-                    .gres_pools()
-                    .iter()
-                    .map(|p| (p.kind().clone(), p.capacity()))
-                    .collect(),
-            });
-            capacity.add(&Demand::of_request(&whole));
+        if self.demands.contains_key(&job.id) {
+            return Err(SchedError::DuplicateJob { job: job.id });
         }
-        let need = Demand::of_request(&job.request);
-        if !capacity.covers(&need) {
-            return Err(SchedError::ImpossibleRequest {
-                job: job.id,
-                reason: "demand exceeds total machine capacity".to_string(),
-            });
+        let impossible = |reason| SchedError::ImpossibleRequest {
+            job: job.id,
+            reason,
+        };
+        let demand = Demand::resolve(&job.request, cluster).map_err(impossible)?;
+        let capacity = Demand::capacity_of(cluster);
+        if let Some(slot) = capacity.first_short(&demand) {
+            return Err(impossible(format!(
+                "demand exceeds total machine capacity: {} requested {}, total {}",
+                cluster.slot_label(slot),
+                demand.get(slot),
+                capacity.get(slot)
+            )));
         }
+        self.demands.insert(job.id, demand);
         self.pending.push(job);
         Ok(())
     }
 
     /// Removes a queued job. Returns `true` if it was still pending.
     pub fn cancel(&mut self, job: JobId) -> bool {
-        let before = self.pending.len();
         self.pending.retain(|p| p.id != job);
-        self.pending.len() != before
+        self.demands.remove(&job).is_some()
     }
 
     /// Notifies the scheduler that the job backing `alloc` finished at
@@ -295,26 +305,30 @@ impl BatchScheduler {
         }
         probe.cycle_start(now, self.pending.len());
         probe.phase_start(CyclePhase::Order);
+        // The live free vector: the cluster's free capacity, less what
+        // each start of this cycle allocates.
+        let mut free = Demand::free_of(cluster);
         self.policy
-            .begin_cycle(&SchedCtx::new(now, cluster, &self.priority));
+            .begin_cycle(&SchedCtx::new(now, cluster, &self.priority, &free));
         self.policy.order(
             &mut self.pending,
-            &SchedCtx::new(now, cluster, &self.priority),
+            &SchedCtx::new(now, cluster, &self.priority, &free),
         );
         let mut profile = self.availability_profile(cluster, now);
         probe.phase_end(CyclePhase::Order);
 
         let mut started = Vec::new();
-        let mut still_pending: Vec<PendingJob> = Vec::new();
+        let mut still_pending: Vec<PendingJob> = Vec::with_capacity(self.pending.len());
 
         for job in std::mem::take(&mut self.pending) {
-            let demand = Demand::of_request(&job.request);
+            // Every queued job got its entry at submit.
+            let demand = self.demands.get(&job.id).copied().unwrap_or_default();
             probe.phase_start(CyclePhase::Admit);
             let verdict = self.policy.admit(
                 &job,
                 &demand,
                 &mut profile,
-                &SchedCtx::new(now, cluster, &self.priority),
+                &SchedCtx::new(now, cluster, &self.priority, &free),
             );
             probe.phase_end(CyclePhase::Admit);
             match verdict {
@@ -324,6 +338,8 @@ impl BatchScheduler {
                     probe.phase_end(CyclePhase::Allocate);
                     match granted {
                         Ok(alloc) => {
+                            free.subtract(&demand);
+                            self.demands.remove(&job.id);
                             profile.reserve(&demand, now, job.walltime);
                             self.running.insert(
                                 alloc,
@@ -356,7 +372,7 @@ impl BatchScheduler {
                 &job,
                 &demand,
                 &mut profile,
-                &SchedCtx::new(now, cluster, &self.priority),
+                &SchedCtx::new(now, cluster, &self.priority, &free),
             );
             still_pending.push(job);
         }
@@ -369,7 +385,8 @@ impl BatchScheduler {
         job.request.total_nodes()
     }
 
-    /// Maps a live-allocation failure onto the same causes
+    /// Maps a live-allocation failure (a policy started a job the live
+    /// cluster cannot place) onto the same causes
     /// [`SchedCtx::hold_reason`] reports, so the ledger downstream never
     /// sees an unlabeled hold.
     fn classify(err: &ClusterError) -> HoldReason {
@@ -481,13 +498,68 @@ mod tests {
         assert_eq!(s.total_started(), 2);
     }
 
-    #[test]
-    fn impossible_request_rejected_at_submit() {
+    /// Submits `request` to an empty EASY scheduler on `cluster(10)` and
+    /// returns the rejection reason.
+    fn rejection(request: AllocRequest) -> String {
         let c = cluster(10);
         let mut s = BatchScheduler::new(PolicySpec::easy());
-        let err = s.submit(job(0, 11, 100, 0), &c).unwrap_err();
-        assert!(matches!(err, SchedError::ImpossibleRequest { .. }));
+        let mut j = job(0, 1, 100, 0);
+        j.request = request;
+        let err = s.submit(j, &c).unwrap_err();
         assert_eq!(s.pending_len(), 0);
+        match err {
+            SchedError::ImpossibleRequest { reason, .. } => reason,
+            other => panic!("expected ImpossibleRequest, got {other}"),
+        }
+    }
+
+    #[test]
+    fn impossible_request_rejected_at_submit() {
+        let classical = AllocRequest::new().group(GroupRequest::nodes("classical", 11));
+        assert_eq!(
+            rejection(classical),
+            "demand exceeds total machine capacity: classical nodes requested 11, total 10"
+        );
+        let qpus = AllocRequest::new().group(GroupRequest::gres("quantum", GresKind::qpu(), 2));
+        assert_eq!(
+            rejection(qpus),
+            "demand exceeds total machine capacity: quantum qpu requested 2, total 1"
+        );
+    }
+
+    #[test]
+    fn empty_request_rejected_at_submit() {
+        assert!(rejection(AllocRequest::new()).contains("asks for no resources"));
+        let zero = AllocRequest::new().group(GroupRequest::nodes("classical", 0));
+        assert!(rejection(zero).contains("asks for no resources"));
+    }
+
+    #[test]
+    fn unknown_partition_rejected_at_submit() {
+        let request = AllocRequest::new()
+            .group(GroupRequest::nodes("classical", 1))
+            .group(GroupRequest::nodes("gpu", 0));
+        assert_eq!(rejection(request), "no partition `gpu`");
+    }
+
+    #[test]
+    fn missing_gres_kind_rejected_at_submit() {
+        let request = AllocRequest::new()
+            .group(GroupRequest::nodes("classical", 1))
+            .group(GroupRequest::gres("quantum", GresKind::new("fpga"), 0));
+        assert_eq!(rejection(request), "partition `quantum` has no `fpga` gres");
+    }
+
+    #[test]
+    fn duplicate_queued_id_rejected() {
+        let c = cluster(10);
+        let mut s = BatchScheduler::new(PolicySpec::fcfs());
+        s.submit(job(0, 1, 100, 0), &c).unwrap();
+        let err = s.submit(job(0, 2, 100, 1), &c).unwrap_err();
+        assert_eq!(err, SchedError::DuplicateJob { job: JobId::new(0) });
+        // Once the first copy leaves the queue, the id is free again.
+        assert!(s.cancel(JobId::new(0)));
+        s.submit(job(0, 2, 100, 1), &c).unwrap();
     }
 
     #[test]
@@ -679,7 +751,8 @@ mod tests {
         s.submit(job(0, 6, 100, 0), &c).unwrap();
         assert_eq!(s.try_schedule(&mut c, SimTime::ZERO).len(), 1);
         let p = s.availability_profile(&c, SimTime::ZERO);
-        assert_eq!(p.free_at(SimTime::from_secs(50)).nodes_in("classical"), 4);
-        assert_eq!(p.free_at(SimTime::from_secs(100)).nodes_in("classical"), 10);
+        let classical = c.node_slot("classical").unwrap();
+        assert_eq!(p.free_at(SimTime::from_secs(50)).get(classical), 4);
+        assert_eq!(p.free_at(SimTime::from_secs(100)).get(classical), 10);
     }
 }

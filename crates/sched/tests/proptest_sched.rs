@@ -101,11 +101,10 @@ fn shadow_of(
     head: &PendingJob,
     now: SimTime,
 ) -> SimTime {
-    sched.availability_profile(cluster, now).find_slot(
-        &Demand::of_request(&head.request),
-        head.walltime,
-        now,
-    )
+    let demand = Demand::resolve(&head.request, cluster).expect("head fits the machine");
+    sched
+        .availability_profile(cluster, now)
+        .find_slot(&demand, head.walltime, now)
 }
 
 /// Conservative planning replay: in the given queue order, find each
@@ -127,7 +126,7 @@ fn conservative_plan(
     let mut profile = sched.availability_profile(cluster, now);
     let mut plan = Vec::with_capacity(queue.len());
     for job in &queue {
-        let demand = Demand::of_request(&job.request);
+        let demand = Demand::resolve(&job.request, cluster).expect("queued jobs resolve");
         let slot = profile.find_slot(&demand, job.walltime, now);
         if slot != SimTime::MAX {
             profile.reserve(&demand, slot, job.walltime);
