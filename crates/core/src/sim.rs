@@ -1270,13 +1270,23 @@ impl<'o> SimState<'o> {
         }
     }
 
-    /// One scheduling cycle: start whatever the policy admits.
+    /// One scheduling cycle: start whatever the policy admits. Runs after
+    /// every event, but skips the planning pass (and the hold diff, which
+    /// would find no change) while the scheduler is settled: no job was
+    /// submitted, cancelled or started since a cycle that found no queued
+    /// demand fitting the free vector, and the free vector is unchanged.
+    /// Such a cycle would start nothing and re-report the same holds; see
+    /// [`BatchScheduler::is_settled`] for the proof.
     fn cycle(
         &mut self,
         driver: &mut dyn StrategyDriver,
         now: SimTime,
         probe: &mut dyn CycleProbe,
     ) -> Result<(), SimError> {
+        if self.scheduler.is_settled(&self.cluster) {
+            probe.cycle_skipped(now, self.scheduler.pending_len());
+            return Ok(());
+        }
         loop {
             let started = self
                 .scheduler
@@ -1308,13 +1318,8 @@ impl<'o> SimState<'o> {
     /// the scheduler's per-cycle hold ledger and never feeds anything
     /// back into scheduling state.
     fn emit_hold_changes(&mut self, now: SimTime) {
-        let holds: Vec<(u64, HoldReason)> = self
-            .scheduler
-            .last_holds()
-            .iter()
-            .map(|(qid, reason)| (qid.raw(), *reason))
-            .collect();
-        for (qid, reason) in holds {
+        for &(qid, reason) in self.scheduler.last_holds() {
+            let qid = qid.raw();
             if self.held_reasons.get(&qid) == Some(&reason) {
                 continue;
             }
@@ -2945,6 +2950,41 @@ mod tests {
             stock.stats.mean_turnaround_secs(),
             custom.stats.mean_turnaround_secs()
         );
+    }
+
+    #[test]
+    fn settled_cycles_are_skipped_on_a_burst() {
+        /// Counts skipped planning cycles.
+        #[derive(Debug, Default)]
+        struct Counter {
+            skipped: usize,
+        }
+        impl CycleProbe for Counter {
+            fn cycle_skipped(&mut self, _now: SimTime, _queue_depth: usize) {
+                self.skipped += 1;
+            }
+        }
+
+        // Eight 8-node jobs at once on 16 nodes: two run while six wait,
+        // and every phase event of the running pair finds the queue
+        // settled.
+        let w = Workload::from_jobs(
+            (0..8)
+                .map(|i| hybrid_job(&format!("h{i}"), 8, 3, 0))
+                .collect(),
+        );
+        let sc = scenario(Strategy::CoSchedule);
+        let mut counter = Counter::default();
+        let out = FacilitySim::run_streamed_probed(
+            &sc,
+            &mut SliceSource::from(&w),
+            driver_for(&sc.strategy),
+            &mut [],
+            &mut counter,
+        )
+        .unwrap();
+        assert_eq!(out.stats.len(), 8);
+        assert!(counter.skipped > 0, "no settled cycle was skipped");
     }
 
     #[test]

@@ -4,11 +4,12 @@
 //! *outside*: it is told when a cycle begins (and how deep the queue is),
 //! when each internal phase — queue ordering, admission decisions, live
 //! cluster allocation — starts and stops, and how the cycle ended (jobs
-//! started vs held). The scheduler itself never reads a clock; a probe
-//! that wants wall-clock timings takes them in its own crate (see
-//! `hpcqc-trace`'s `SchedProfiler`), so the deterministic core stays free
-//! of wall time and the no-op default ([`NoProbe`]) costs two virtual
-//! calls per queued job.
+//! started vs held). The simulation loop also reports each cycle it skips
+//! because the scheduler is settled. The scheduler itself never reads a
+//! clock; a probe that wants wall-clock timings takes them in its own
+//! crate (see `hpcqc-trace`'s `SchedProfiler`), so the deterministic core
+//! stays free of wall time and the no-op default ([`NoProbe`]) costs two
+//! virtual calls per queued job.
 //!
 //! [`BatchScheduler::try_schedule`]: crate::scheduler::BatchScheduler::try_schedule
 
@@ -63,6 +64,15 @@ pub trait CycleProbe: std::fmt::Debug {
     fn cycle_end(&mut self, started: usize, held: usize) {
         let _ = (started, held);
     }
+
+    /// The caller skipped the cycle at sim time `now` because the
+    /// scheduler was settled (see
+    /// [`BatchScheduler::is_settled`](crate::scheduler::BatchScheduler::is_settled)):
+    /// `queue_depth` jobs stay queued with their last holds. No other hook
+    /// fires for a skipped cycle.
+    fn cycle_skipped(&mut self, now: SimTime, queue_depth: usize) {
+        let _ = (now, queue_depth);
+    }
 }
 
 /// The do-nothing probe behind the unprofiled
@@ -90,5 +100,6 @@ mod tests {
         p.phase_start(CyclePhase::Order);
         p.phase_end(CyclePhase::Order);
         p.cycle_end(1, 2);
+        p.cycle_skipped(SimTime::ZERO, 2);
     }
 }

@@ -120,6 +120,10 @@ pub struct BatchScheduler {
     total_started: u64,
     total_finished: u64,
     last_holds: Vec<(JobId, HoldReason)>,
+    /// The free vector of the last full cycle, if that cycle proved the
+    /// queue settled (see [`BatchScheduler::is_settled`]). Cleared by
+    /// every submit, cancel and start.
+    settled_free: Option<Demand>,
 }
 
 impl BatchScheduler {
@@ -153,6 +157,7 @@ impl BatchScheduler {
             total_started: 0,
             total_finished: 0,
             last_holds: Vec::new(),
+            settled_free: None,
         }
     }
 
@@ -181,6 +186,10 @@ impl BatchScheduler {
     /// Why each job still queued after the last scheduling cycle was held,
     /// in the order the policy considered them. Empty between cycles with
     /// nothing pending. Reading this never affects scheduling decisions.
+    ///
+    /// While the scheduler [`is_settled`](BatchScheduler::is_settled),
+    /// this is also exactly the set of holds a cycle run now would
+    /// report, though possibly in a different order.
     pub fn last_holds(&self) -> &[(JobId, HoldReason)] {
         &self.last_holds
     }
@@ -261,13 +270,51 @@ impl BatchScheduler {
         }
         self.demands.insert(job.id, demand);
         self.pending.push(job);
+        self.settled_free = None;
         Ok(())
     }
 
     /// Removes a queued job. Returns `true` if it was still pending.
     pub fn cancel(&mut self, job: JobId) -> bool {
         self.pending.retain(|p| p.id != job);
+        self.settled_free = None;
         self.demands.remove(&job).is_some()
+    }
+
+    /// `true` if a scheduling cycle run now on `cluster` would start
+    /// nothing and report the same holds as
+    /// [`last_holds`](BatchScheduler::last_holds), so the caller may skip
+    /// it. It holds when the last full cycle ran a built-in policy,
+    /// started nothing and found no queued demand covered by the free
+    /// vector; when no job was submitted, cancelled or started since; and
+    /// when `cluster`'s free vector equals that cycle's.
+    ///
+    /// Why skipping is exact: no queued demand fits the live free vector
+    /// `F`, and the cycle changes `F` only at a start. None of the five
+    /// built-ins can then return [`Verdict::Start`]:
+    ///
+    /// * FCFS, EASY, priority backfill and quantum-aware all start only
+    ///   when [`SchedCtx::can_start`] holds, i.e. `F` covers the demand;
+    /// * conservative backfill either finds its slot after `now` (a hold)
+    ///   or needs `can_start` too.
+    ///
+    /// So every job is held with [`SchedCtx::hold_reason`] (conservative,
+    /// EASY and its variants relabel only `PolicyHold`, which
+    /// `hold_reason` returns only for a demand that fits). That reason is
+    /// `InsufficientNodes` or `InsufficientGres` and depends only on `F`,
+    /// the demand and the cluster's fixed slot layout. The queued set is
+    /// unchanged since the settled cycle, so the holds are the same.
+    ///
+    /// Time alone only reorders the queue: the age term, fairshare decay
+    /// in [`PriorityCalculator::usage_of`], priority-backfill escalation
+    /// and quantum-aware's idle-QPU boost (a function of free capacity).
+    /// A skipped reorder leaves no trace: the next full cycle sorts from
+    /// scratch on the total key `(score, submit, id)`, and policies reset
+    /// their per-cycle state in [`QueuePolicy::begin_cycle`]. A custom
+    /// policy may do neither, so a [`BatchScheduler::custom`] scheduler is
+    /// never settled.
+    pub fn is_settled(&self, cluster: &Cluster) -> bool {
+        self.settled_free == Some(Demand::free_of(cluster))
     }
 
     /// Notifies the scheduler that the job backing `alloc` finished at
@@ -300,6 +347,7 @@ impl BatchScheduler {
         probe: &mut dyn CycleProbe,
     ) -> Vec<StartedJob> {
         self.last_holds.clear();
+        self.settled_free = None;
         if self.pending.is_empty() {
             return Vec::new();
         }
@@ -319,10 +367,13 @@ impl BatchScheduler {
 
         let mut started = Vec::new();
         let mut still_pending: Vec<PendingJob> = Vec::with_capacity(self.pending.len());
+        // Whether some queued demand fitted the free vector at its admit.
+        let mut any_fits = false;
 
         for job in std::mem::take(&mut self.pending) {
             // Every queued job got its entry at submit.
             let demand = self.demands.get(&job.id).copied().unwrap_or_default();
+            any_fits = any_fits || free.covers(&demand);
             probe.phase_start(CyclePhase::Admit);
             let verdict = self.policy.admit(
                 &job,
@@ -377,6 +428,11 @@ impl BatchScheduler {
             still_pending.push(job);
         }
         self.pending = still_pending;
+        // No start and no fit: the queue is stuck until the free vector or
+        // the queue changes (see `is_settled`).
+        if self.spec.is_some() && started.is_empty() && !any_fits {
+            self.settled_free = Some(free);
+        }
         probe.cycle_end(started.len(), self.pending.len());
         started
     }
@@ -741,6 +797,121 @@ mod tests {
             s.last_holds(),
             &[(JobId::new(0), HoldReason::PolicyHold)],
             "the cycle records why the job was held"
+        );
+    }
+
+    /// FCFS on `cluster(10)` running job 0 on 8 nodes, with job 1 (all 10
+    /// nodes) held behind it: settled after the second cycle.
+    fn settled_fcfs() -> (Cluster, BatchScheduler, AllocationId) {
+        let mut c = cluster(10);
+        let mut s = BatchScheduler::new(PolicySpec::fcfs());
+        let first = PendingJob {
+            qos_boost: 10.0,
+            ..job(0, 8, 100, 0)
+        };
+        s.submit(first, &c).unwrap();
+        s.submit(job(1, 10, 100, 1), &c).unwrap();
+        let started = s.try_schedule(&mut c, SimTime::ZERO);
+        assert_eq!(started.len(), 1);
+        assert_eq!(started[0].job, JobId::new(0));
+        assert!(!s.is_settled(&c), "a cycle that starts a job never settles");
+        assert!(s.try_schedule(&mut c, SimTime::from_secs(1)).is_empty());
+        assert!(s.is_settled(&c));
+        (c, s, started[0].alloc)
+    }
+
+    #[test]
+    fn submit_and_cancel_clear_settled() {
+        let (mut c, mut s, _) = settled_fcfs();
+        s.submit(job(2, 4, 100, 2), &c).unwrap();
+        assert!(!s.is_settled(&c), "a new job may fit");
+        assert!(s.try_schedule(&mut c, SimTime::from_secs(2)).is_empty());
+        assert!(s.is_settled(&c), "4 nodes do not fit the 2 free");
+        assert!(s.cancel(JobId::new(2)));
+        assert!(!s.is_settled(&c));
+    }
+
+    #[test]
+    fn release_clears_settled() {
+        let (mut c, mut s, alloc) = settled_fcfs();
+        c.release(alloc, SimTime::from_secs(100)).unwrap();
+        assert!(!s.is_settled(&c), "the free vector grew");
+        assert_eq!(s.try_schedule(&mut c, SimTime::from_secs(100)).len(), 1);
+    }
+
+    #[test]
+    fn node_failure_and_repair_clear_settled() {
+        let (mut c, mut s, alloc) = settled_fcfs();
+        let busy: Vec<_> = c.allocation(alloc).unwrap().node_ids().collect();
+        let idle = (0..10)
+            .map(hpcqc_cluster::ids::NodeId::new)
+            .find(|n| !busy.contains(n))
+            .unwrap();
+        assert_eq!(c.fail_node(idle).unwrap(), None);
+        assert_eq!(c.free_nodes("classical").unwrap(), 1);
+        assert!(!s.is_settled(&c), "a failure shrank the free vector");
+        assert!(s.try_schedule(&mut c, SimTime::from_secs(2)).is_empty());
+        assert!(s.is_settled(&c));
+        c.restore_node(idle).unwrap();
+        assert!(!s.is_settled(&c), "a repair grew the free vector");
+    }
+
+    #[test]
+    fn held_fitting_job_is_not_settled() {
+        let mut c = cluster(10);
+        let mut s = BatchScheduler::new(PolicySpec::easy());
+        // QoS boosts fix the order: 0, 1, 2.
+        let boosted = |id, nodes, walltime_s, qos_boost| PendingJob {
+            qos_boost,
+            ..job(id, nodes, walltime_s, id)
+        };
+        s.submit(boosted(0, 6, 100, 100.0), &c).unwrap(); // runs until t=100
+        s.submit(boosted(1, 8, 1_000, 50.0), &c).unwrap(); // head, reserved from t=100
+        s.submit(boosted(2, 4, 1_000, 0.0), &c).unwrap(); // fits now, would delay the head
+        assert_eq!(s.try_schedule(&mut c, SimTime::ZERO).len(), 1);
+        assert!(s.try_schedule(&mut c, SimTime::from_secs(1)).is_empty());
+        assert_eq!(
+            s.last_holds(),
+            &[
+                (JobId::new(1), HoldReason::InsufficientNodes),
+                (JobId::new(2), HoldReason::HeadShadow)
+            ]
+        );
+        assert!(!s.is_settled(&c), "job 2 fits the free vector");
+    }
+
+    #[test]
+    fn custom_scheduler_is_never_settled() {
+        #[derive(Debug)]
+        struct HoldAll;
+        impl QueuePolicy for HoldAll {
+            fn name(&self) -> &str {
+                "hold-all"
+            }
+            fn order(&mut self, _queue: &mut [PendingJob], _ctx: &SchedCtx<'_>) {}
+            fn admit(
+                &mut self,
+                _job: &PendingJob,
+                demand: &Demand,
+                _profile: &mut Profile,
+                ctx: &SchedCtx<'_>,
+            ) -> Verdict {
+                Verdict::Hold(ctx.hold_reason(demand))
+            }
+        }
+        let mut c = cluster(10);
+        let everything = AllocRequest::new().group(GroupRequest::nodes("classical", 10));
+        c.allocate(&everything, SimTime::ZERO).unwrap();
+        let mut s = BatchScheduler::custom(Box::new(HoldAll));
+        s.submit(job(0, 1, 100, 0), &c).unwrap();
+        assert!(s.try_schedule(&mut c, SimTime::ZERO).is_empty());
+        assert_eq!(
+            s.last_holds(),
+            &[(JobId::new(0), HoldReason::InsufficientNodes)]
+        );
+        assert!(
+            !s.is_settled(&c),
+            "nothing fits, but the policy is not a built-in"
         );
     }
 

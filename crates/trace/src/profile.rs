@@ -47,6 +47,7 @@ const PHASES: [CyclePhase; 3] = [CyclePhase::Order, CyclePhase::Admit, CyclePhas
 #[derive(Debug, Default)]
 pub struct SchedProfiler {
     cycles: u64,
+    skipped: u64,
     cycle_begun: Option<Instant>,
     phase_begun: Option<Instant>,
     phase_ns: [u64; 3],
@@ -64,10 +65,17 @@ impl SchedProfiler {
         SchedProfiler::default()
     }
 
-    /// Planning cycles observed (cycles with an empty queue are skipped
-    /// by the scheduler and never reach the probe).
+    /// Planning cycles run with a non-empty queue. Cycles with an empty
+    /// queue never reach the probe; cycles skipped as settled are counted
+    /// apart, by [`skipped`](SchedProfiler::skipped).
     pub fn cycles(&self) -> u64 {
         self.cycles
+    }
+
+    /// Cycles the simulation loop skipped because the scheduler was
+    /// settled (nothing could start and no hold could change).
+    pub fn skipped(&self) -> u64 {
+        self.skipped
     }
 
     /// Total jobs started across all observed cycles.
@@ -112,10 +120,11 @@ impl SchedProfiler {
         }
         let cycles = self.cycles as f64;
         format!(
-            "scheduler profile: {} planning cycles, {:.3} ms wall \
+            "scheduler profile: {} planning cycles ({} skipped as settled), {:.3} ms wall \
              (mean {:.2} us/cycle, max {:.2} us)\n\
              queue depth mean {:.1} max {}; jobs started {}, held per cycle mean {:.1}\n{}",
             self.cycles,
+            self.skipped,
             self.cycle_ns_total as f64 / 1e6,
             self.cycle_ns_total as f64 / 1e3 / cycles,
             self.cycle_ns_max as f64 / 1e3,
@@ -155,6 +164,10 @@ impl CycleProbe for SchedProfiler {
             self.cycle_ns_max = self.cycle_ns_max.max(ns);
         }
     }
+
+    fn cycle_skipped(&mut self, _now: SimTime, _queue_depth: usize) {
+        self.skipped += 1;
+    }
 }
 
 #[cfg(test)]
@@ -172,7 +185,12 @@ mod tests {
         p.cycle_end(2, 3);
         p.cycle_start(SimTime::from_secs(60), 3);
         p.cycle_end(0, 3);
+        p.cycle_skipped(SimTime::from_secs(90), 3);
         assert_eq!(p.cycles(), 2);
+        assert_eq!(p.skipped(), 1);
+        assert!(p
+            .summary()
+            .contains("2 planning cycles (1 skipped as settled)"));
         assert_eq!(p.jobs_started(), 2);
         assert_eq!(p.queue_depth_max, 5);
         assert!(p.total_ns() > 0);
