@@ -8,6 +8,7 @@ use hpcqc_qpu::technology::Technology;
 use hpcqc_sched::PolicySpec;
 use hpcqc_simcore::time::SimDuration;
 use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
 use std::fmt;
 
 /// How requested walltimes are enforced.
@@ -104,11 +105,11 @@ pub struct Scenario {
     /// Optional random node failures (none by default).
     pub node_failures: Option<FailureModel>,
     /// Optional heterogeneous QPU fleet. When set it supersedes
-    /// [`Scenario::devices`]: the simulator builds the named devices and
-    /// routes every kernel through the fleet's
-    /// [`RoutePolicy`](hpcqc_fleet::RoutePolicy). `None` keeps the legacy
-    /// single-technology-list path, which is byte-identical to wrapping
-    /// the list via [`FleetSpec::from_legacy`].
+    /// [`Scenario::devices`]; `None` means the fleet
+    /// [`FleetSpec::from_legacy`] builds from the device list. Either way
+    /// the simulator builds the named devices and routes every kernel
+    /// through the fleet's [`RoutePolicy`](hpcqc_fleet::RoutePolicy) (see
+    /// [`Scenario::machine`]).
     pub fleet: Option<FleetSpec>,
     /// Optional dependability plan: node/device fault processes,
     /// calibration drift, transient kernel errors and the recovery policy
@@ -127,30 +128,32 @@ impl Scenario {
         }
     }
 
-    /// How many QPU devices the simulator will build: the fleet's device
-    /// count when a fleet is set, the legacy technology list's otherwise.
-    pub fn device_count(&self) -> usize {
-        self.fleet
-            .as_ref()
-            .map_or(self.devices.len(), |f| f.devices.len())
+    /// The machine the simulator runs: [`Scenario::fleet`] when set,
+    /// otherwise [`FleetSpec::from_legacy`] over [`Scenario::devices`]
+    /// (one `qpu{i}` device per entry, routed pin-first).
+    pub fn machine(&self) -> Cow<'_, FleetSpec> {
+        match &self.fleet {
+            Some(fleet) => Cow::Borrowed(fleet),
+            None => Cow::Owned(FleetSpec::from_legacy(&self.devices)),
+        }
     }
 
-    /// The label of device `index` (`qpu{i}` on the legacy path, the
-    /// fleet device's name otherwise; `qpu{i}` for an out-of-range
-    /// index).
+    /// How many QPU devices the simulator will build.
+    pub fn device_count(&self) -> usize {
+        self.machine().devices.len()
+    }
+
+    /// The label of device `index` (`qpu{i}` for an out-of-range index).
     pub fn device_label(&self, index: usize) -> String {
-        self.fleet
-            .as_ref()
-            .and_then(|f| f.devices.get(index))
+        self.machine()
+            .devices
+            .get(index)
             .map_or_else(|| format!("qpu{index}"), |d| d.name.clone())
     }
 
     /// The technology of device `index` (`None` when out of range).
     pub fn device_technology(&self, index: usize) -> Option<Technology> {
-        match &self.fleet {
-            Some(f) => f.devices.get(index).map(|d| d.technology),
-            None => self.devices.get(index).copied(),
-        }
+        self.machine().devices.get(index).map(|d| d.technology)
     }
 }
 

@@ -297,11 +297,9 @@ pub(crate) struct SimState<'o> {
     cluster: Cluster,
     scheduler: BatchScheduler,
     devices: Vec<QpuDevice>,
-    /// The routing layer, when the scenario carries a [`FleetSpec`]
-    /// (`None` = legacy single-access-mode path).
-    ///
-    /// [`FleetSpec`]: hpcqc_fleet::FleetSpec
-    fleet: Option<QpuFleet>,
+    /// The routing layer over `devices`, built from
+    /// [`Scenario::machine`].
+    fleet: QpuFleet,
     events: EventQueue<Event>,
     /// Live jobs only, keyed by raw [`JobId`]: inserted when pulled from
     /// the source, removed at finalization. Never iterated (determinism).
@@ -491,61 +489,39 @@ impl<'o> FacilitySim<'o> {
         driver: Box<dyn StrategyDriver>,
         extras: &'o mut [&'o mut dyn SimObserver],
     ) -> Self {
-        let gres_units = driver.gres_per_device() * scenario.device_count() as u32;
+        let machine = scenario.machine().into_owned();
+        let gres_units = driver.gres_per_device() * machine.devices.len() as u32;
         let cluster = ClusterBuilder::new()
             .partition("classical", scenario.classical_nodes)
             .partition_with_gres("quantum", 0, GresKind::qpu(), gres_units)
             .build(SimTime::ZERO);
         let root = SimRng::seed_from(scenario.seed);
-        // Device construction must fork the root RNG identically on both
-        // paths (`fork_indexed("device", i)`): a legacy device list
-        // wrapped via `FleetSpec::from_legacy` then yields bit-identical
-        // devices, which the byte-identity tests lock in.
-        let devices: Vec<QpuDevice> = match &scenario.fleet {
-            Some(fleet) => fleet
-                .devices
-                .iter()
-                .enumerate()
-                .map(|(i, d)| {
-                    let mut dev = QpuDevice::new(
-                        d.name.clone(),
-                        d.technology,
-                        root.fork_indexed("device", i as u64),
-                    );
-                    if let Some(qubits) = d.qubits {
-                        dev = dev.with_qubits(qubits);
-                    }
-                    if !d.calibration.unwrap_or(scenario.device_calibration) {
-                        dev = dev.with_calibration(None);
-                    }
-                    dev
-                })
-                .collect(),
-            None => scenario
-                .devices
-                .iter()
-                .enumerate()
-                .map(|(i, &tech)| {
-                    let dev = QpuDevice::new(
-                        format!("qpu{i}"),
-                        tech,
-                        root.fork_indexed("device", i as u64),
-                    );
-                    if scenario.device_calibration {
-                        dev
-                    } else {
-                        dev.with_calibration(None)
-                    }
-                })
-                .collect(),
-        };
-        let fleet = scenario.fleet.clone().map(QpuFleet::new);
+        let devices: Vec<QpuDevice> = machine
+            .devices
+            .iter()
+            .enumerate()
+            .map(|(i, d)| {
+                let mut dev = QpuDevice::new(
+                    d.name.clone(),
+                    d.technology,
+                    root.fork_indexed("device", i as u64),
+                );
+                if let Some(qubits) = d.qubits {
+                    dev = dev.with_qubits(qubits);
+                }
+                if !d.calibration.unwrap_or(scenario.device_calibration) {
+                    dev = dev.with_calibration(None);
+                }
+                dev
+            })
+            .collect();
+        let fleet = QpuFleet::new(machine);
         let mut events = EventQueue::new();
         let scheduler = BatchScheduler::new(scenario.policy);
         let waste_obs = WasteObserver::new(
             SimTime::ZERO,
             f64::from(scenario.classical_nodes),
-            scenario.device_count() as f64,
+            devices.len() as f64,
         );
         let gantt_obs = scenario.record_gantt.then(GanttObserver::new);
         let mut failure_rng = root.fork("failures");
@@ -971,16 +947,14 @@ impl<'o> SimState<'o> {
             *counter = counter.saturating_sub(1);
         }
         let injected = *counter > 0;
-        let spec_down = self
-            .scenario
-            .fleet
-            .as_ref()
-            .and_then(|f| f.devices.get(device))
-            .and_then(|d| d.down)
-            .unwrap_or(false);
-        if let Some(fleet) = &mut self.fleet {
-            fleet.set_down(device, spec_down || injected);
-        }
+        let spec_down = self.spec_down(device);
+        self.fleet.set_down(device, spec_down || injected);
+    }
+
+    /// `true` when the machine description takes `device` out of service
+    /// for the whole run.
+    fn spec_down(&self, device: usize) -> bool {
+        self.fleet.spec().devices.get(device).and_then(|d| d.down) == Some(true)
     }
 
     /// A QPU outage: the device leaves service, in-flight kernels on it
@@ -1347,10 +1321,9 @@ impl<'o> SimState<'o> {
         qid
     }
 
-    /// Devices with enough qubits for every kernel of the job — and, when
-    /// a fleet is present, in service with a shot capacity covering the
-    /// job's largest kernel. Jobs without quantum phases are compatible
-    /// with all devices.
+    /// Devices with enough qubits for every kernel of the job, in service
+    /// and with a shot capacity covering the job's largest kernel. Jobs
+    /// without quantum phases are compatible with all devices.
     fn eligible_devices(&self, job: JobId) -> Vec<usize> {
         let spec = &self.live(job).spec;
         let need = spec.kernels().map(Kernel::qubits).max().unwrap_or(0);
@@ -1360,9 +1333,8 @@ impl<'o> SimState<'o> {
             .enumerate()
             .filter(|(i, d)| {
                 d.qubits() >= need
-                    && self.fleet.as_ref().is_none_or(|f| {
-                        !f.is_down(*i) && f.shot_capacity(*i).is_none_or(|cap| shots <= cap)
-                    })
+                    && !self.fleet.is_down(*i)
+                    && self.fleet.shot_capacity(*i).is_none_or(|cap| shots <= cap)
             })
             .map(|(i, _)| i)
             .collect()
@@ -1387,26 +1359,17 @@ impl<'o> SimState<'o> {
             // are not *permanently* out (spec'd down); dispatch parks until
             // one returns to service.
             if self.fault_plan().is_some() {
-                let fallback: Vec<usize> =
-                    self.devices
-                        .iter()
-                        .enumerate()
-                        .filter(|(i, d)| {
-                            let spec_down = self
-                                .scenario
-                                .fleet
-                                .as_ref()
-                                .and_then(|f| f.devices.get(*i))
-                                .and_then(|fd| fd.down)
-                                .unwrap_or(false);
-                            d.qubits() >= need
-                                && !spec_down
-                                && self.fleet.as_ref().is_none_or(|f| {
-                                    f.shot_capacity(*i).is_none_or(|cap| shots <= cap)
-                                })
-                        })
-                        .map(|(i, _)| i)
-                        .collect();
+                let fallback: Vec<usize> = self
+                    .devices
+                    .iter()
+                    .enumerate()
+                    .filter(|(i, d)| {
+                        d.qubits() >= need
+                            && !self.spec_down(*i)
+                            && self.fleet.shot_capacity(*i).is_none_or(|cap| shots <= cap)
+                    })
+                    .map(|(i, _)| i)
+                    .collect();
                 if !fallback.is_empty() {
                     return Ok(fallback[unit as usize % fallback.len()]);
                 }
@@ -1784,101 +1747,57 @@ impl<'o> SimState<'o> {
         // device that ran the failed attempt — or wait until it returns.
         if self.live(job).kernel_attempts > 0 && !self.recovery().failover_enabled() {
             if let Some(prev) = self.live(job).last_exec_device {
-                let up = !self.device_injected_down(prev)
-                    && self.fleet.as_ref().is_none_or(|f| f.serves(prev, kernel));
-                if up {
+                if self.fleet.serves(prev, kernel) {
                     return self.dispatch_kernel(job, kernel, prev, now);
                 }
                 return self.park_for_recovery(job, now);
             }
         }
-        // Whether a *capable* device is merely transiently out of service
-        // (fault-injected outage or recalibration). Distinguishes "park
-        // and retry" from genuinely fatal routing failures.
-        let transient_down = self.devices.iter().enumerate().any(|(i, d)| {
-            d.qubits() >= kernel.qubits() && self.device_down.get(i).copied().unwrap_or(0) > 0
-        });
-        // Pick the device. With a fleet, the routing policy decides over a
-        // snapshot of the live devices (the job's gres-bound device, if
-        // any, arrives as the pin). Without one — the legacy path — the
-        // bound gres unit wins when the job holds a token, else the
-        // earliest-free capable device. `None` means every capable device
-        // is transiently down: park the kernel for fault recovery.
-        let bound = self.live(job).device;
-        let pick = match &mut self.fleet {
-            Some(fleet) => {
-                let routable = self
-                    .devices
-                    .iter()
-                    .enumerate()
-                    .any(|(i, d)| d.qubits() >= kernel.qubits() && fleet.serves(i, kernel));
-                if routable {
-                    Some(
-                        fleet
-                            .route(kernel, now, &self.devices, bound.map(DeviceId::new))
-                            .index(),
-                    )
-                } else if transient_down {
-                    None
-                } else {
-                    // Distinguish "no device is large enough" (the legacy
-                    // error) from fleet-metadata refusals (down devices,
-                    // shot caps).
-                    let best = self
-                        .devices
-                        .iter()
-                        .map(QpuDevice::qubits)
-                        .max()
-                        .unwrap_or(0);
-                    return Err(SimError::Qpu(if best < kernel.qubits() {
-                        QpuError::KernelTooLarge {
-                            requested: kernel.qubits(),
-                            available: best,
-                        }
-                    } else {
-                        QpuError::DeviceOffline {
-                            reason: format!(
-                                "no routable device in fleet `{}` for kernel `{}` \
-                                 ({} shots)",
-                                fleet.spec().name,
-                                kernel.name(),
-                                kernel.shots()
-                            ),
-                        }
-                    }));
-                }
+        // The routing policy picks over a snapshot of the live devices (the
+        // job's gres-bound device, if any, arrives as the pin).
+        let routable = self
+            .devices
+            .iter()
+            .enumerate()
+            .any(|(i, d)| d.qubits() >= kernel.qubits() && self.fleet.serves(i, kernel));
+        if !routable {
+            // A capable device merely transiently out of service
+            // (fault-injected outage or recalibration) means "park and
+            // retry", not a fatal routing failure.
+            let transient_down = self
+                .devices
+                .iter()
+                .enumerate()
+                .any(|(i, d)| d.qubits() >= kernel.qubits() && self.device_injected_down(i));
+            if transient_down {
+                return self.park_for_recovery(job, now);
             }
-            None => match bound {
-                Some(d) if !self.device_injected_down(d) => Some(d),
-                Some(_) => None,
-                None => {
-                    let eligible = self.eligible_devices(job);
-                    let best = eligible
-                        .iter()
-                        .copied()
-                        .filter(|&i| !self.device_injected_down(i))
-                        .min_by_key(|&i| (self.devices[i].next_free(), i));
-                    match best {
-                        Some(i) => Some(i),
-                        None if transient_down => None,
-                        None => {
-                            return Err(SimError::Qpu(QpuError::KernelTooLarge {
-                                requested: kernel.qubits(),
-                                available: self
-                                    .devices
-                                    .iter()
-                                    .map(QpuDevice::qubits)
-                                    .max()
-                                    .unwrap_or(0),
-                            }))
-                        }
-                    }
+            // Distinguish "no device is large enough" from fleet-metadata
+            // refusals (down devices, shot caps).
+            let best = self
+                .devices
+                .iter()
+                .map(QpuDevice::qubits)
+                .max()
+                .unwrap_or(0);
+            return Err(SimError::Qpu(if best < kernel.qubits() {
+                QpuError::KernelTooLarge {
+                    requested: kernel.qubits(),
+                    available: best,
                 }
-            },
-        };
-        let Some(device_idx) = pick else {
-            return self.park_for_recovery(job, now);
-        };
+            } else {
+                QpuError::DeviceOffline {
+                    reason: format!(
+                        "no routable device in fleet `{}` for kernel `{}` ({} shots)",
+                        self.fleet.spec().name,
+                        kernel.name(),
+                        kernel.shots()
+                    ),
+                }
+            }));
+        }
+        let pin = self.live(job).device.map(DeviceId::new);
+        let device_idx = self.fleet.route(kernel, now, &self.devices, pin).index();
         self.dispatch_kernel(job, kernel, device_idx, now)
     }
 
@@ -1913,15 +1832,14 @@ impl<'o> SimState<'o> {
         }
         self.live_mut(job).last_exec_device = Some(device_idx);
         let exec = self.devices[device_idx].enqueue(kernel, now)?;
-        // Access-model overhead: a fleet device's own access mode wins;
-        // otherwise the scenario-wide mode applies (so a legacy wrap
-        // samples the shared access RNG in exactly the legacy order).
+        // Access-model overhead: a device's own access mode wins;
+        // otherwise the scenario-wide mode applies.
         let overhead = {
             let access = self
-                .scenario
                 .fleet
-                .as_ref()
-                .and_then(|f| f.devices.get(device_idx))
+                .spec()
+                .devices
+                .get(device_idx)
                 .and_then(|d| d.access.as_ref())
                 .or(self.scenario.access.as_ref());
             match access {

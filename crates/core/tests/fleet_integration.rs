@@ -1,22 +1,23 @@
-//! Fleet integration tests: the byte-identity contract of the legacy
-//! wrap, and the observable behaviour of the built-in routing policies
-//! threaded through the full simulator.
+//! Fleet integration tests: a device list and its
+//! [`FleetSpec::from_legacy`] wrap are one machine, and the built-in
+//! routing policies behave observably through the full simulator.
 //!
 //! The load-bearing guarantee is the first one: a scenario whose device
 //! list is wrapped via [`FleetSpec::from_legacy`] must produce the same
 //! serialized [`Outcome`] bytes *and* the same observer event stream as
-//! the fleetless path — the fleet layer is a strict superset, not a
-//! rewrite, of the pre-fleet simulator.
+//! the same scenario without the wrap.
 
 use hpcqc_core::observer::{SimEvent, SimObserver};
 use hpcqc_core::outcome::Outcome;
 use hpcqc_core::scenario::Scenario;
 use hpcqc_core::sim::{FacilitySim, SimError};
 use hpcqc_core::strategy::Strategy;
+use hpcqc_faults::{DeviceFaults, FaultPlan};
 use hpcqc_fleet::{FleetDevice, FleetSpec, RouteSpec};
 use hpcqc_qpu::remote::AccessMode;
 use hpcqc_qpu::technology::Technology;
 use hpcqc_qpu::Kernel;
+use hpcqc_simcore::dist::Dist;
 use hpcqc_simcore::time::{SimDuration, SimTime};
 use hpcqc_workload::campaign::Workload;
 use hpcqc_workload::job::{JobSpec, Phase};
@@ -86,7 +87,7 @@ fn legacy_wrap_is_byte_identical() {
         vec![Technology::Superconducting],
         vec![Technology::Superconducting, Technology::TrappedIon],
     ];
-    let workload = contended_workload();
+    let mut cases = Vec::new();
     for devices in &device_lists {
         for strategy in strategies() {
             let legacy = Scenario::builder()
@@ -95,29 +96,87 @@ fn legacy_wrap_is_byte_identical() {
                 .strategy(strategy)
                 .seed(99)
                 .build();
-            let mut wrapped = legacy.clone();
-            wrapped.fleet = Some(FleetSpec::from_legacy(devices));
-
-            let mut trace_a = EventTrace::default();
-            let a = FacilitySim::run_observed(&legacy, &workload, &mut [&mut trace_a]).unwrap();
-            let mut trace_b = EventTrace::default();
-            let b = FacilitySim::run_observed(&wrapped, &workload, &mut [&mut trace_b]).unwrap();
-
-            assert_eq!(
-                outcome_bytes(&a),
-                outcome_bytes(&b),
-                "{strategy} over {} devices: wrapped fleet must serialize \
-                 byte-identically to the legacy path",
-                devices.len()
-            );
-            assert_eq!(
-                trace_a.entries,
-                trace_b.entries,
-                "{strategy} over {} devices: event streams must match",
-                devices.len()
-            );
+            cases.push((legacy, contended_workload()));
         }
     }
+    // A gres-bound kernel whose device is down: pin-first reroutes it to
+    // the live peer instead of holding it for fault recovery.
+    let outages = FaultPlan::named("outages").device(
+        DeviceFaults::new()
+            .mtbf(Dist::exponential(600.0))
+            .repair(Dist::constant(300.0)),
+    );
+    cases.push((
+        Scenario::builder()
+            .classical_nodes(16)
+            .devices(vec![Technology::Superconducting, Technology::TrappedIon])
+            .strategy(Strategy::CoSchedule)
+            .seed(99)
+            .faults(outages)
+            .build(),
+        contended_workload(),
+    ));
+    // Kernels too large for the spin-qubit device alternate with kernels
+    // that fit it: pin-first picks among the devices that fit the kernel
+    // at hand, not the job's largest kernel.
+    cases.push((
+        Scenario::builder()
+            .classical_nodes(16)
+            .devices(vec![Technology::SpinQubit, Technology::Superconducting])
+            .strategy(Strategy::Malleable { min_nodes: 1 })
+            .seed(99)
+            .build(),
+        alternating_qubit_workload(),
+    ));
+    for (legacy, workload) in &cases {
+        let devices = &legacy.devices;
+        let strategy = legacy.strategy;
+        let mut wrapped = legacy.clone();
+        wrapped.fleet = Some(FleetSpec::from_legacy(devices));
+
+        let mut trace_a = EventTrace::default();
+        let a = FacilitySim::run_observed(legacy, workload, &mut [&mut trace_a]).unwrap();
+        let mut trace_b = EventTrace::default();
+        let b = FacilitySim::run_observed(&wrapped, workload, &mut [&mut trace_b]).unwrap();
+
+        assert_eq!(
+            outcome_bytes(&a),
+            outcome_bytes(&b),
+            "{strategy} over {devices:?}: wrapped fleet must serialize \
+             byte-identically to the device list",
+        );
+        assert_eq!(
+            trace_a.entries, trace_b.entries,
+            "{strategy} over {devices:?}: event streams must match",
+        );
+    }
+}
+
+/// Hybrid jobs whose kernels alternate 8 and 20 qubits.
+fn alternating_qubit_workload() -> Workload {
+    let kernel = |qubits: u32| {
+        Kernel::builder(format!("k{qubits}"))
+            .qubits(qubits)
+            .shots(500)
+            .build()
+            .unwrap()
+    };
+    let jobs = (0..8u64)
+        .map(|i| {
+            let mut phases = Vec::new();
+            for step in 0..4 {
+                phases.push(Phase::Classical(SimDuration::from_secs(30)));
+                phases.push(Phase::Quantum(kernel(if step % 2 == 0 { 8 } else { 20 })));
+            }
+            JobSpec::builder(format!("alt-{i}"))
+                .nodes(2)
+                .submit(SimTime::from_secs(i * 20))
+                .walltime(SimDuration::from_hours(6))
+                .phases(phases)
+                .build()
+        })
+        .collect();
+    Workload::from_jobs(jobs)
 }
 
 /// The wrap stays byte-identical with the stochastic knobs on: an access

@@ -113,9 +113,8 @@ impl<'a> FleetCtx<'a> {
     /// The instant the device's FIFO queue drains — the earliest a new
     /// kernel could start. The raw device value is exposed (it may lie in
     /// the past for an idle device; clamp with [`FleetCtx::now`] for
-    /// wall-relative headroom) so that ordering devices by `next_free`
-    /// ties exactly like the pre-fleet selection rule, which is what
-    /// keeps legacy-wrapped fleets byte-identical.
+    /// wall-relative headroom) so that devices ordered by `next_free`
+    /// tie on the raw instant, not on the clamped one.
     pub fn next_free(&self, d: DeviceId) -> SimTime {
         self.devices
             .get(d.index())

@@ -19,10 +19,14 @@
 //! it and, for every quantum kernel, snapshots the live devices into a
 //! [`FleetCtx`] and lets the policy pick the [`DeviceId`] to enqueue on.
 //!
-//! Legacy scenarios — one access mode, no fleet — are the degenerate
-//! case: [`FleetSpec::from_legacy`] wraps them into a
-//! [`policies::PinFirst`]-routed fleet that simulates byte-identically
-//! to the pre-fleet code path.
+//! Every simulation runs a fleet. A scenario that lists technologies
+//! instead means [`FleetSpec::from_legacy`] of that list: one `qpu{i}`
+//! device per entry, routed by [`policies::PinFirst`]. Two corners route
+//! differently than the simulator did before a fleet was its only
+//! machine: a gres-bound kernel whose device is out of service moves to
+//! a live capable peer instead of waiting for fault recovery, and an
+//! unbound kernel picks among the devices that fit it rather than those
+//! that fit its job's largest kernel.
 
 pub mod ctx;
 pub mod fleet;

@@ -2,10 +2,10 @@
 //! [`TechAffinity`].
 //!
 //! All three decide over the same [`FleetCtx`] capability handle; they
-//! differ only in what they optimize. [`PinFirst`] reproduces the
-//! pre-fleet simulator byte-for-byte, [`LeastLoaded`] minimizes queue
-//! wait, [`TechAffinity`] minimizes on-device execution time with
-//! failover around recalibration windows and downed devices.
+//! differ only in what they optimize. [`PinFirst`] keeps each kernel on
+//! its job's bound device, [`LeastLoaded`] minimizes queue wait,
+//! [`TechAffinity`] minimizes on-device execution time with failover
+//! around recalibration windows and downed devices.
 
 use crate::ctx::{DeviceId, FleetCtx};
 use crate::policy::RoutePolicy;
@@ -22,13 +22,12 @@ fn earliest_free(kernel: &Kernel, ctx: &FleetCtx<'_>) -> DeviceId {
         .unwrap_or(DeviceId::new(0))
 }
 
-/// Reproduces the single-device-era behaviour: a kernel whose job was
-/// bound to a device by its scheduler allocation stays there; unbound
-/// kernels take the earliest-free capable device.
+/// A kernel whose job was bound to a device by its scheduler allocation
+/// stays there while that device can serve it; other kernels, and bound
+/// ones whose device is down, take the earliest-free routable device.
 ///
-/// With a one-device fleet this is exactly the legacy path, which is
-/// what keeps legacy scenarios byte-identical under a wrapping
-/// [`FleetSpec`](crate::FleetSpec).
+/// This is the route of a scenario's device list, which runs as
+/// [`FleetSpec::from_legacy`](crate::FleetSpec::from_legacy).
 #[derive(Debug, Default)]
 pub struct PinFirst;
 

@@ -99,7 +99,7 @@ impl FleetDevice {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum RouteSpec {
     /// Honour the job's bound device, otherwise pick the
-    /// earliest-free capable device — exactly the pre-fleet behaviour.
+    /// earliest-free capable device.
     #[default]
     PinFirst,
     /// Ignore pins; per kernel, pick the capable in-service device that
@@ -245,11 +245,10 @@ impl FleetSpec {
         self
     }
 
-    /// The fleet equivalent of a legacy device list: one `qpu{i}` device
-    /// per technology, every optional knob inherited from the scenario,
-    /// routed [`RouteSpec::PinFirst`]. Simulating a scenario wrapped this
-    /// way is byte-identical to the pre-fleet path (locked by the golden
-    /// fixture and `legacy_wrap` tests).
+    /// The fleet a device list means: one `qpu{i}` device per
+    /// technology, every optional knob inherited from the scenario,
+    /// routed [`RouteSpec::PinFirst`]. A scenario without a fleet runs
+    /// exactly this fleet.
     pub fn from_legacy(devices: &[Technology]) -> Self {
         FleetSpec {
             name: "legacy".to_string(),

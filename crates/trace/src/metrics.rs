@@ -364,11 +364,13 @@ impl MetricsObserver {
     }
 
     /// Creates the standard metric set sized for `scenario`'s machine,
-    /// device columns labelled with the scenario's device names (fleet
-    /// names when a fleet is configured).
+    /// device columns labelled with the names of [`Scenario::machine`]'s
+    /// devices.
     pub fn for_scenario(scenario: &Scenario, interval: SimDuration) -> Self {
-        let labels = (0..scenario.device_count())
-            .map(|d| scenario.device_label(d))
+        let labels = scenario
+            .machine()
+            .device_names()
+            .map(String::from)
             .collect();
         MetricsObserver::with_device_labels(interval, scenario.classical_nodes, labels)
     }

@@ -218,11 +218,12 @@ impl TraceObserver {
     }
 
     /// Creates a tracer sized for `scenario`'s machine, device tracks
-    /// labelled with the scenario's device names (fleet names when a
-    /// fleet is configured).
+    /// labelled with the names of [`Scenario::machine`]'s devices.
     pub fn for_scenario(scenario: &Scenario) -> Self {
-        let labels = (0..scenario.device_count())
-            .map(|d| scenario.device_label(d))
+        let labels = scenario
+            .machine()
+            .device_names()
+            .map(String::from)
             .collect();
         TraceObserver::with_device_labels(scenario.classical_nodes, labels)
     }

@@ -70,6 +70,8 @@ const USAGE: &str =
      hpcqc-sim explain (--workload FILE | --source gen:FILE.json) [--scenario FILE.json]\n                \
      [--strategy S] [--nodes N] [--device TECH] [--policy P] [--seed S]\n                \
      [--fleet FILE.json] [--route R] [--faults FILE.json]\n                \
+     [--age-weight F] [--size-weight F] [--fairshare-weight F]\n                \
+     [--fairshare-half-life SECS]\n                \
      [--by job|tenant|device|cause|class|critical-path]\n                \
      [--format csv|json|markdown|chrome] [--out FILE]\n  \
      hpcqc-sim devices (--fleet FILE.json | --scenario FILE.json)\n  \
@@ -87,6 +89,25 @@ const USAGE: &str =
 fn usage() -> ! {
     eprintln!("{USAGE}");
     std::process::exit(2);
+}
+
+/// Prints `message` on stderr and returns exit code `code`.
+fn fail(code: u8, message: impl std::fmt::Display) -> ExitCode {
+    eprintln!("{message}");
+    ExitCode::from(code)
+}
+
+/// [`fail`] with exit code 2: unusable arguments or input files.
+fn fail2(message: impl std::fmt::Display) -> ExitCode {
+    fail(2, message)
+}
+
+/// Rejects an unknown flag, hinting at the closest of `known`.
+fn unknown_argument<'a>(arg: &str, known: impl IntoIterator<Item = &'a str>) -> ExitCode {
+    match hpcqc::cli::did_you_mean(arg, known) {
+        Some(hint) => fail2(format!("unknown argument `{arg}` — did you mean `{hint}`?")),
+        None => fail2(format!("unknown argument `{arg}`")),
+    }
 }
 
 /// Every strategy form the CLI accepts, as shown in errors.
@@ -221,6 +242,18 @@ fn load_faults(path: &str) -> Result<FaultPlan, String> {
     plan.validate()
         .map_err(|e| format!("invalid fault plan {path}: {e}"))?;
     Ok(plan)
+}
+
+/// Loads a [`Scenario`] JSON file; parse errors carry `line N column M`.
+/// Validation is left to the caller.
+fn load_scenario(path: &str) -> Result<Scenario, String> {
+    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
+    serde_json::from_str(&text).map_err(|e| {
+        format!(
+            "cannot parse scenario {path}: {}",
+            with_line_info(&e.to_string(), &text)
+        )
+    })
 }
 
 /// The JSON parser reports byte offsets; translate a trailing
@@ -378,14 +411,12 @@ fn gen(args: &[String]) -> ExitCode {
             "--out" => out = it.next().cloned(),
             "--demand" => demand = true,
             other => {
-                let known = [
-                    "--spec", "--seed", "--jobs", "--format", "--out", "--demand",
-                ];
-                match hpcqc::cli::did_you_mean(other, known) {
-                    Some(hint) => eprintln!("unknown argument `{other}` — did you mean `{hint}`?"),
-                    None => eprintln!("unknown argument `{other}`"),
-                }
-                return ExitCode::from(2);
+                return unknown_argument(
+                    other,
+                    [
+                        "--spec", "--seed", "--jobs", "--format", "--out", "--demand",
+                    ],
+                )
             }
         }
     }
@@ -599,323 +630,249 @@ fn render_table(table: &Table, format: &str) -> Result<String, String> {
     })
 }
 
-fn run(args: &[String]) -> ExitCode {
-    let mut workload: Option<String> = None;
-    let mut source: Option<String> = None;
-    let mut scenario_path: Option<String> = None;
-    let mut strategy: Option<Strategy> = None;
-    let mut nodes: Option<u32> = None;
-    let mut device: Option<Technology> = None;
-    let mut policy: Option<PolicySpec> = None;
-    let mut fleet_path: Option<String> = None;
-    let mut route: Option<RouteSpec> = None;
-    let mut faults_path: Option<String> = None;
-    let mut age_weight: Option<f64> = None;
-    let mut size_weight: Option<f64> = None;
-    let mut fairshare_weight: Option<f64> = None;
-    let mut half_life: Option<f64> = None;
-    let mut seed: Option<u64> = None;
-    let mut compare = false;
-    let mut gantt = false;
-    let mut trace_out: Option<String> = None;
-    let mut metrics_out: Option<String> = None;
-    let mut metrics_interval = 60.0f64;
-    let mut profile = false;
-    let mut attribution_out: Option<String> = None;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--workload" => workload = it.next().cloned(),
-            "--trace" => trace_out = it.next().cloned(),
-            "--metrics" => metrics_out = it.next().cloned(),
-            "--attribution" => attribution_out = it.next().cloned(),
-            "--metrics-interval" => {
-                let value = it
-                    .next()
-                    .and_then(|v| v.parse::<f64>().ok())
-                    .filter(|v| v.is_finite() && *v > 0.0);
-                match value {
-                    Some(v) => metrics_interval = v,
-                    None => {
-                        eprintln!("--metrics-interval needs a positive number of seconds");
-                        return ExitCode::from(2);
-                    }
+/// The scenario flags `run` and `explain` share, for "did you mean"
+/// hints.
+const SCENARIO_FLAGS: [&str; 15] = [
+    "--workload",
+    "--source",
+    "--scenario",
+    "--strategy",
+    "--nodes",
+    "--device",
+    "--policy",
+    "--fleet",
+    "--route",
+    "--faults",
+    "--seed",
+    "--age-weight",
+    "--size-weight",
+    "--fairshare-weight",
+    "--fairshare-half-life",
+];
+
+/// The scenario flags of `run` and `explain`, parsed but not yet applied:
+/// [`ScenarioArgs::input`] loads the workload, [`ScenarioArgs::scenario`]
+/// builds the [`Scenario`] the flags describe.
+#[derive(Default)]
+struct ScenarioArgs {
+    workload: Option<String>,
+    source: Option<String>,
+    scenario: Option<String>,
+    strategy: Option<Strategy>,
+    nodes: Option<u32>,
+    device: Option<Technology>,
+    policy: Option<PolicySpec>,
+    fleet: Option<String>,
+    route: Option<RouteSpec>,
+    faults: Option<String>,
+    seed: Option<u64>,
+    age_weight: Option<f64>,
+    size_weight: Option<f64>,
+    fairshare_weight: Option<f64>,
+    half_life: Option<f64>,
+}
+
+impl ScenarioArgs {
+    /// Parses `args`. Flags outside [`SCENARIO_FLAGS`] go to `other`, which
+    /// returns `Ok(false)` for a flag the command does not know either;
+    /// `extra` lists the command's own flags for the "did you mean" hint.
+    fn parse(
+        args: &[String],
+        extra: &[&str],
+        mut other: impl FnMut(&str, &mut std::slice::Iter<'_, String>) -> Result<bool, ExitCode>,
+    ) -> Result<Self, ExitCode> {
+        let mut parsed = ScenarioArgs::default();
+        let mut it = args.iter();
+        while let Some(arg) = it.next() {
+            let mut value = || it.next().map(String::as_str).unwrap_or_else(|| usage());
+            match arg.as_str() {
+                "--workload" => parsed.workload = Some(value().into()),
+                "--source" => parsed.source = Some(value().into()),
+                "--scenario" => parsed.scenario = Some(value().into()),
+                "--fleet" => parsed.fleet = Some(value().into()),
+                "--faults" => parsed.faults = Some(value().into()),
+                "--strategy" => parsed.strategy = Some(parse_strategy(value()).map_err(fail2)?),
+                "--device" => parsed.device = Some(parse_device(value()).map_err(fail2)?),
+                "--route" => parsed.route = Some(parse_route(value()).map_err(fail2)?),
+                "--policy" => parsed.policy = Some(parse_policy(value()).map_err(fail2)?),
+                "--nodes" => {
+                    let nodes = it.next().and_then(|v| v.parse().ok());
+                    parsed.nodes =
+                        Some(nodes.ok_or_else(|| fail2("--nodes needs a positive node count"))?);
                 }
-            }
-            "--profile" => profile = true,
-            "--source" => source = it.next().cloned(),
-            "--scenario" => scenario_path = it.next().cloned(),
-            "--strategy" => match it.next().map(|s| parse_strategy(s)) {
-                Some(Ok(s)) => strategy = Some(s),
-                Some(Err(message)) => {
-                    eprintln!("{message}");
-                    return ExitCode::from(2);
+                "--seed" => {
+                    let seed = it.next().and_then(|v| v.parse().ok());
+                    parsed.seed = Some(seed.ok_or_else(|| fail2("--seed needs a numeric seed"))?);
                 }
-                None => usage(),
-            },
-            "--nodes" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(n) => nodes = Some(n),
-                None => {
-                    eprintln!("--nodes needs a positive node count");
-                    return ExitCode::from(2);
-                }
-            },
-            "--device" => match it.next().map(|s| parse_device(s)) {
-                Some(Ok(d)) => device = Some(d),
-                Some(Err(message)) => {
-                    eprintln!("{message}");
-                    return ExitCode::from(2);
-                }
-                None => usage(),
-            },
-            "--fleet" => fleet_path = it.next().cloned(),
-            "--faults" => faults_path = it.next().cloned(),
-            "--route" => match it.next().map(|s| parse_route(s)) {
-                Some(Ok(r)) => route = Some(r),
-                Some(Err(message)) => {
-                    eprintln!("{message}");
-                    return ExitCode::from(2);
-                }
-                None => usage(),
-            },
-            "--policy" => match it.next().map(|s| parse_policy(s)) {
-                Some(Ok(p)) => policy = Some(p),
-                Some(Err(message)) => {
-                    eprintln!("{message}");
-                    return ExitCode::from(2);
-                }
-                None => usage(),
-            },
-            "--age-weight" | "--size-weight" | "--fairshare-weight" | "--fairshare-half-life" => {
-                let value = it
-                    .next()
-                    .and_then(|v| v.parse::<f64>().ok())
-                    .filter(|v| v.is_finite());
-                let Some(v) = value else {
-                    eprintln!("{arg} needs a finite number");
-                    return ExitCode::from(2);
-                };
-                match arg.as_str() {
-                    "--fairshare-half-life" => {
-                        if v <= 0.0 {
-                            eprintln!("--fairshare-half-life needs a positive number of seconds");
-                            return ExitCode::from(2);
+                "--age-weight"
+                | "--size-weight"
+                | "--fairshare-weight"
+                | "--fairshare-half-life" => {
+                    let v = it
+                        .next()
+                        .and_then(|v| v.parse::<f64>().ok())
+                        .filter(|v| v.is_finite())
+                        .ok_or_else(|| fail2(format!("{arg} needs a finite number")))?;
+                    let slot = match arg.as_str() {
+                        "--fairshare-half-life" if v <= 0.0 => {
+                            return Err(fail2(
+                                "--fairshare-half-life needs a positive number of seconds",
+                            ))
                         }
-                        half_life = Some(v);
+                        "--fairshare-half-life" => &mut parsed.half_life,
+                        "--age-weight" => &mut parsed.age_weight,
+                        "--size-weight" => &mut parsed.size_weight,
+                        _ => &mut parsed.fairshare_weight,
+                    };
+                    *slot = Some(v);
+                }
+                flag => {
+                    if !other(flag, &mut it)? {
+                        return Err(unknown_argument(
+                            flag,
+                            SCENARIO_FLAGS.iter().chain(extra).copied(),
+                        ));
                     }
-                    "--age-weight" => age_weight = Some(v),
-                    "--size-weight" => size_weight = Some(v),
-                    _ => fairshare_weight = Some(v),
-                }
-            }
-            "--seed" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(s) => seed = Some(s),
-                None => {
-                    eprintln!("--seed needs a numeric seed");
-                    return ExitCode::from(2);
-                }
-            },
-            "--compare" => compare = true,
-            "--gantt" => gantt = true,
-            other => {
-                let known = [
-                    "--workload",
-                    "--source",
-                    "--scenario",
-                    "--strategy",
-                    "--nodes",
-                    "--device",
-                    "--policy",
-                    "--fleet",
-                    "--route",
-                    "--faults",
-                    "--seed",
-                    "--age-weight",
-                    "--size-weight",
-                    "--fairshare-weight",
-                    "--fairshare-half-life",
-                    "--compare",
-                    "--gantt",
-                    "--trace",
-                    "--metrics",
-                    "--metrics-interval",
-                    "--profile",
-                    "--attribution",
-                ];
-                match hpcqc::cli::did_you_mean(other, known) {
-                    Some(hint) => eprintln!("unknown argument `{other}` — did you mean `{hint}`?"),
-                    None => eprintln!("unknown argument `{other}`"),
-                }
-                return ExitCode::from(2);
-            }
-        }
-    }
-    // `--trace` used to name the *input* workload; it is now the
-    // trace-event output. Catch the old spelling with a pointed hint.
-    if workload.is_none() && trace_out.as_deref().is_some_and(|p| p.ends_with(".hqwf")) {
-        eprintln!(
-            "--trace now names the Chrome trace-event *output*; \
-             use --workload for the input workload file"
-        );
-        return ExitCode::from(2);
-    }
-    if compare
-        && (trace_out.is_some() || metrics_out.is_some() || profile || attribution_out.is_some())
-    {
-        eprintln!(
-            "--trace/--metrics/--profile/--attribution instrument a single run; drop --compare"
-        );
-        return ExitCode::from(2);
-    }
-    let input = match (workload, source) {
-        (Some(path), None) => match load_trace(&path) {
-            Ok(w) => RunInput::Workload(w),
-            Err(e) => {
-                eprintln!("{e}");
-                return ExitCode::FAILURE;
-            }
-        },
-        (None, Some(source)) => {
-            let Some(path) = source.strip_prefix("gen:") else {
-                eprintln!("--source takes `gen:<spec.json>` (got `{source}`)");
-                return ExitCode::from(2);
-            };
-            match load_generator_spec(path) {
-                Ok(spec) => RunInput::Gen(spec),
-                Err(e) => {
-                    eprintln!("{e}");
-                    return ExitCode::FAILURE;
                 }
             }
         }
-        (Some(_), Some(_)) => {
-            eprintln!("--workload and --source are mutually exclusive");
-            return ExitCode::from(2);
-        }
-        (None, None) => usage(),
-    };
+        Ok(parsed)
+    }
 
-    let mut scenario = match scenario_path {
-        Some(path) => match std::fs::read_to_string(&path)
-            .map_err(|e| e.to_string())
-            .and_then(|s| serde_json::from_str::<Scenario>(&s).map_err(|e| e.to_string()))
-        {
-            Ok(sc) => sc,
-            Err(e) => {
-                eprintln!("cannot load scenario {path}: {e}");
-                return ExitCode::FAILURE;
+    /// Loads the workload `--workload` or `--source` names.
+    fn input(&self) -> Result<RunInput, ExitCode> {
+        match (&self.workload, &self.source) {
+            (Some(path), None) => load_trace(path)
+                .map(RunInput::Workload)
+                .map_err(|e| fail(1, e)),
+            (None, Some(source)) => {
+                let path = source.strip_prefix("gen:").ok_or_else(|| {
+                    fail2(format!("--source takes `gen:<spec.json>` (got `{source}`)"))
+                })?;
+                load_generator_spec(path)
+                    .map(RunInput::Gen)
+                    .map_err(|e| fail(1, e))
             }
-        },
-        None => Scenario::default(),
-    };
-    if let Some(n) = nodes {
-        scenario.classical_nodes = n;
-    }
-    if let Some(d) = device {
-        scenario.devices = vec![d];
-    }
-    if let Some(path) = fleet_path {
-        match load_fleet(&path) {
-            Ok(fleet) => scenario.fleet = Some(fleet),
-            Err(e) => {
-                eprintln!("{e}");
-                return ExitCode::from(2);
-            }
+            (Some(_), Some(_)) => Err(fail2("--workload and --source are mutually exclusive")),
+            (None, None) => usage(),
         }
     }
-    match (route, &mut scenario.fleet) {
-        (Some(r), Some(fleet)) => fleet.route = r,
-        (Some(_), None) => {
-            eprintln!("--route needs a fleet (--fleet FILE, or a scenario file carrying one)");
-            return ExitCode::from(2);
-        }
-        (None, _) => {}
-    }
-    // A scenario file can carry a fleet serde cannot fully vet (duplicate
-    // device names, empty device list); catch it before the simulator.
-    if let Some(fleet) = &scenario.fleet {
-        if let Err(e) = fleet.validate() {
-            eprintln!("invalid scenario fleet: {e}");
-            return ExitCode::FAILURE;
-        }
-    }
-    if let Some(path) = faults_path {
-        match load_faults(&path) {
-            Ok(plan) => scenario.faults = Some(plan),
-            Err(e) => {
-                eprintln!("{e}");
-                return ExitCode::from(2);
-            }
-        }
-    }
-    // A scenario file can carry a fault plan serde cannot vet (NaN rates,
-    // mtbf without repair); catch it before the simulator panics.
-    if let Some(plan) = &scenario.faults {
-        if let Err(e) = plan.validate() {
-            eprintln!("invalid scenario fault plan: {e}");
-            return ExitCode::FAILURE;
-        }
-    }
-    if let Some(p) = policy {
-        scenario.policy = p;
-    }
-    // Priority knobs layer field-by-field on top of whatever policy is in
-    // force (from `--policy` or the scenario file), so `--size-weight 0.5`
-    // overrides exactly that weight and nothing else.
-    if let Some(v) = age_weight {
-        scenario.policy.weights.age_per_hour = v;
-    }
-    if let Some(v) = size_weight {
-        scenario.policy.weights.size_per_node = v;
-    }
-    if let Some(v) = fairshare_weight {
-        scenario.policy.weights.fairshare_per_node_hour = v;
-    }
-    if let Some(h) = half_life {
-        scenario.policy.fairshare_half_life_secs = h;
-    }
-    // A scenario file can carry policy knobs serde cannot reject (zero
-    // half-life, NaN weights); catch them here instead of panicking deep
-    // in the scheduler.
-    if let Err(e) = scenario.policy.validate() {
-        eprintln!("invalid scenario policy: {e}");
-        return ExitCode::FAILURE;
-    }
-    if let Some(s) = seed {
-        scenario.seed = s;
-    }
-    if let Some(s) = strategy {
-        scenario.strategy = s;
-    }
-    scenario.record_gantt = gantt;
 
-    match &input {
+    /// The `--scenario` file (or the default scenario) with every flag
+    /// layered on top. Unreadable or malformed inputs and conflicting flags
+    /// exit 2; a well-formed scenario that fails validation exits 1.
+    fn scenario(&self) -> Result<Scenario, ExitCode> {
+        let mut scenario = match &self.scenario {
+            Some(path) => load_scenario(path).map_err(fail2)?,
+            None => Scenario::default(),
+        };
+        if let Some(n) = self.nodes {
+            scenario.classical_nodes = n;
+        }
+        if let Some(path) = &self.fleet {
+            scenario.fleet = Some(load_fleet(path).map_err(fail2)?);
+        }
+        if let Some(d) = self.device {
+            if scenario.fleet.is_some() {
+                return Err(fail2(
+                    "--device sets the device list, which the fleet in force \
+                     (--fleet FILE, or a scenario file carrying one) supersedes; \
+                     drop --device",
+                ));
+            }
+            scenario.devices = vec![d];
+        }
+        if let Some(r) = self.route {
+            let fleet = scenario.fleet.as_mut().ok_or_else(|| {
+                fail2("--route needs a fleet (--fleet FILE, or a scenario file carrying one)")
+            })?;
+            fleet.route = r;
+        }
+        // A scenario file can carry a machine serde cannot fully vet
+        // (duplicate device names, no devices); catch it before the
+        // simulator.
+        scenario
+            .machine()
+            .validate()
+            .map_err(|e| fail(1, format!("invalid scenario fleet: {e}")))?;
+        if let Some(path) = &self.faults {
+            scenario.faults = Some(load_faults(path).map_err(fail2)?);
+        }
+        // A scenario file can carry a fault plan serde cannot vet (NaN
+        // rates, mtbf without repair); catch it before the simulator panics.
+        if let Some(plan) = &scenario.faults {
+            plan.validate()
+                .map_err(|e| fail(1, format!("invalid scenario fault plan: {e}")))?;
+        }
+        if let Some(p) = self.policy {
+            scenario.policy = p;
+        }
+        // Priority knobs layer field-by-field on top of whatever policy is
+        // in force (from `--policy` or the scenario file), so
+        // `--size-weight 0.5` overrides exactly that weight and nothing
+        // else.
+        if let Some(v) = self.age_weight {
+            scenario.policy.weights.age_per_hour = v;
+        }
+        if let Some(v) = self.size_weight {
+            scenario.policy.weights.size_per_node = v;
+        }
+        if let Some(v) = self.fairshare_weight {
+            scenario.policy.weights.fairshare_per_node_hour = v;
+        }
+        if let Some(h) = self.half_life {
+            scenario.policy.fairshare_half_life_secs = h;
+        }
+        // A scenario file can carry policy knobs serde cannot reject (zero
+        // half-life, NaN weights); catch them here instead of panicking
+        // deep in the scheduler.
+        scenario
+            .policy
+            .validate()
+            .map_err(|e| fail(1, format!("invalid scenario policy: {e}")))?;
+        if let Some(s) = self.seed {
+            scenario.seed = s;
+        }
+        if let Some(s) = self.strategy {
+            scenario.strategy = s;
+        }
+        Ok(scenario)
+    }
+}
+
+/// Prints what is about to run: the input, the machine
+/// [`Scenario::machine`] resolves, the policy and the fault plan, if any.
+fn announce(scenario: &Scenario, input: &RunInput) {
+    match input {
         RunInput::Workload(workload) => eprintln!(
-            "{} jobs ({} hybrid) on {} nodes + {:?}, policy {}",
+            "{} jobs ({} hybrid) on {} nodes, policy {}",
             workload.len(),
             workload.hybrid_count(),
             scenario.classical_nodes,
-            scenario.devices,
             scenario.policy
         ),
         RunInput::Gen(spec) => eprintln!(
-            "streaming `{}` (~{:.0} jobs/h expected, seed {}) on {} nodes + {:?}, policy {}",
+            "streaming `{}` (~{:.0} jobs/h expected, seed {}) on {} nodes, policy {}",
             spec.name,
             spec.expected_jobs_per_hour(),
             scenario.seed,
             scenario.classical_nodes,
-            scenario.devices,
             scenario.policy
         ),
     }
-    if let Some(fleet) = &scenario.fleet {
-        eprintln!(
-            "fleet `{}`: {} devices, route {}",
-            fleet.name,
-            fleet.devices.len(),
-            fleet.route
-        );
-    }
+    let machine = scenario.machine();
+    let devices: Vec<String> = machine
+        .devices
+        .iter()
+        .map(|d| format!("{} ({})", d.name, d.technology))
+        .collect();
+    eprintln!(
+        "fleet `{}`: {} devices, route {}: {}",
+        machine.name,
+        devices.len(),
+        machine.route,
+        devices.join(", ")
+    );
     if let Some(plan) = &scenario.faults {
         eprintln!(
             "fault plan `{}`{}",
@@ -923,6 +880,65 @@ fn run(args: &[String]) -> ExitCode {
             if plan.is_inert() { " (inert)" } else { "" }
         );
     }
+}
+
+fn run(args: &[String]) -> Result<(), ExitCode> {
+    let mut compare = false;
+    let mut gantt = false;
+    let mut trace_out: Option<String> = None;
+    let mut metrics_out: Option<String> = None;
+    let mut metrics_interval = 60.0f64;
+    let mut profile = false;
+    let mut attribution_out: Option<String> = None;
+    let flags = [
+        "--compare",
+        "--gantt",
+        "--trace",
+        "--metrics",
+        "--metrics-interval",
+        "--profile",
+        "--attribution",
+    ];
+    let args = ScenarioArgs::parse(args, &flags, |arg, it| {
+        match arg {
+            "--trace" => trace_out = it.next().cloned(),
+            "--metrics" => metrics_out = it.next().cloned(),
+            "--attribution" => attribution_out = it.next().cloned(),
+            "--metrics-interval" => {
+                metrics_interval = it
+                    .next()
+                    .and_then(|v| v.parse::<f64>().ok())
+                    .filter(|v| v.is_finite() && *v > 0.0)
+                    .ok_or_else(|| {
+                        fail2("--metrics-interval needs a positive number of seconds")
+                    })?;
+            }
+            "--profile" => profile = true,
+            "--compare" => compare = true,
+            "--gantt" => gantt = true,
+            _ => return Ok(false),
+        }
+        Ok(true)
+    })?;
+    // `--trace` used to name the *input* workload; it is now the
+    // trace-event output. Catch the old spelling with a pointed hint.
+    if args.workload.is_none() && trace_out.as_deref().is_some_and(|p| p.ends_with(".hqwf")) {
+        return Err(fail2(
+            "--trace now names the Chrome trace-event *output*; \
+             use --workload for the input workload file",
+        ));
+    }
+    let instrumented =
+        trace_out.is_some() || metrics_out.is_some() || profile || attribution_out.is_some();
+    if compare && instrumented {
+        return Err(fail2(
+            "--trace/--metrics/--profile/--attribution instrument a single run; drop --compare",
+        ));
+    }
+    let input = args.input()?;
+    let mut scenario = args.scenario()?;
+    scenario.record_gantt = gantt;
+    announce(&scenario, &input);
 
     let strategies = if compare {
         Strategy::representative_set()
@@ -938,12 +954,10 @@ fn run(args: &[String]) -> ExitCode {
         "node-h wasted",
         "failed",
     ]);
-    let instrumented =
-        trace_out.is_some() || metrics_out.is_some() || profile || attribution_out.is_some();
     for s in strategies {
         let mut sc = scenario.clone();
         sc.strategy = s;
-        let result = if instrumented {
+        let outcome = if instrumented {
             run_instrumented(
                 &sc,
                 &input,
@@ -953,10 +967,7 @@ fn run(args: &[String]) -> ExitCode {
                 profile,
                 attribution_out.as_deref(),
             )
-            .map_err(|e| {
-                eprintln!("{e}");
-                ExitCode::FAILURE
-            })
+            .map_err(|e| fail(1, e))?
         } else {
             match &input {
                 RunInput::Workload(workload) => FacilitySim::run(&sc, workload),
@@ -967,51 +978,43 @@ fn run(args: &[String]) -> ExitCode {
                     FacilitySim::run_streamed(&sc, &mut source)
                 }
             }
-            .map_err(|e| {
-                eprintln!("simulation failed under {s}: {e}");
-                ExitCode::FAILURE
-            })
+            .map_err(|e| fail(1, format!("simulation failed under {s}: {e}")))?
         };
-        match result {
-            Ok(outcome) => {
-                if let RunInput::Gen(_) = &input {
-                    eprintln!(
-                        "{s}: streamed {} jobs, peak in-flight {} ({} completed, {} failed)",
-                        outcome.stats.len(),
-                        outcome.peak_in_flight_jobs,
-                        outcome.stats.completed_count(),
-                        outcome.stats.failed_count(),
-                    );
-                }
-                summarize(s, &outcome, &mut table);
-                // With a fleet in force, break the per-device picture out:
-                // routing decisions are invisible in the aggregate QPU
-                // utilization column.
-                if scenario.fleet.is_some() && !compare {
-                    for d in &outcome.devices {
-                        eprintln!(
-                            "device {} [{}]: {} kernels, busy {}, util {}, recal {}",
-                            d.name,
-                            d.technology,
-                            d.tasks,
-                            fmt_secs(d.busy_seconds),
-                            fmt_pct(d.utilization),
-                            fmt_secs(d.recalibration_seconds),
-                        );
-                    }
-                }
-                if gantt && !compare {
-                    if let Some(g) = &outcome.gantt {
-                        eprintln!();
-                        eprint!("{}", g.render_ascii(SimTime::ZERO, outcome.makespan, 100));
-                    }
-                }
+        if let RunInput::Gen(_) = &input {
+            eprintln!(
+                "{s}: streamed {} jobs, peak in-flight {} ({} completed, {} failed)",
+                outcome.stats.len(),
+                outcome.peak_in_flight_jobs,
+                outcome.stats.completed_count(),
+                outcome.stats.failed_count(),
+            );
+        }
+        summarize(s, &outcome, &mut table);
+        // With a fleet in force, break the per-device picture out:
+        // routing decisions are invisible in the aggregate QPU
+        // utilization column.
+        if scenario.fleet.is_some() && !compare {
+            for d in &outcome.devices {
+                eprintln!(
+                    "device {} [{}]: {} kernels, busy {}, util {}, recal {}",
+                    d.name,
+                    d.technology,
+                    d.tasks,
+                    fmt_secs(d.busy_seconds),
+                    fmt_pct(d.utilization),
+                    fmt_secs(d.recalibration_seconds),
+                );
             }
-            Err(code) => return code,
+        }
+        if gantt && !compare {
+            if let Some(g) = &outcome.gantt {
+                eprintln!();
+                eprint!("{}", g.render_ascii(SimTime::ZERO, outcome.makespan, 100));
+            }
         }
     }
     println!("{table}");
-    ExitCode::SUCCESS
+    Ok(())
 }
 
 /// `hpcqc-sim explain`: run a scenario with the wait-attribution
@@ -1019,114 +1022,29 @@ fn run(args: &[String]) -> ExitCode {
 /// table by cause, tenant, device, class, or job, or the per-job
 /// critical path. `--format chrome` emits the causal chain as a
 /// flow-arrowed Chrome trace instead (open it in Perfetto).
-fn explain(args: &[String]) -> ExitCode {
-    let mut workload: Option<String> = None;
-    let mut source: Option<String> = None;
-    let mut scenario_path: Option<String> = None;
-    let mut strategy: Option<Strategy> = None;
-    let mut nodes: Option<u32> = None;
-    let mut device: Option<Technology> = None;
-    let mut policy: Option<PolicySpec> = None;
-    let mut fleet_path: Option<String> = None;
-    let mut route: Option<RouteSpec> = None;
-    let mut faults_path: Option<String> = None;
-    let mut seed: Option<u64> = None;
+fn explain(args: &[String]) -> Result<(), ExitCode> {
     let mut by = String::from("cause");
     let mut format: Option<String> = None;
     let mut out: Option<String> = None;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--workload" => workload = it.next().cloned(),
-            "--source" => source = it.next().cloned(),
-            "--scenario" => scenario_path = it.next().cloned(),
-            "--strategy" => match it.next().map(|s| parse_strategy(s)) {
-                Some(Ok(s)) => strategy = Some(s),
-                Some(Err(message)) => {
-                    eprintln!("{message}");
-                    return ExitCode::from(2);
-                }
-                None => usage(),
-            },
-            "--nodes" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(n) => nodes = Some(n),
-                None => {
-                    eprintln!("--nodes needs a positive node count");
-                    return ExitCode::from(2);
-                }
-            },
-            "--device" => match it.next().map(|s| parse_device(s)) {
-                Some(Ok(d)) => device = Some(d),
-                Some(Err(message)) => {
-                    eprintln!("{message}");
-                    return ExitCode::from(2);
-                }
-                None => usage(),
-            },
-            "--policy" => match it.next().map(|s| parse_policy(s)) {
-                Some(Ok(p)) => policy = Some(p),
-                Some(Err(message)) => {
-                    eprintln!("{message}");
-                    return ExitCode::from(2);
-                }
-                None => usage(),
-            },
-            "--fleet" => fleet_path = it.next().cloned(),
-            "--faults" => faults_path = it.next().cloned(),
-            "--route" => match it.next().map(|s| parse_route(s)) {
-                Some(Ok(r)) => route = Some(r),
-                Some(Err(message)) => {
-                    eprintln!("{message}");
-                    return ExitCode::from(2);
-                }
-                None => usage(),
-            },
-            "--seed" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(s) => seed = Some(s),
-                None => {
-                    eprintln!("--seed needs a numeric seed");
-                    return ExitCode::from(2);
-                }
-            },
+    let args = ScenarioArgs::parse(args, &["--by", "--format", "--out"], |arg, it| {
+        match arg {
             "--by" => by = it.next().cloned().unwrap_or_else(|| usage()),
             "--format" => format = it.next().cloned(),
             "--out" => out = it.next().cloned(),
-            other => {
-                let known = [
-                    "--workload",
-                    "--source",
-                    "--scenario",
-                    "--strategy",
-                    "--nodes",
-                    "--device",
-                    "--policy",
-                    "--fleet",
-                    "--route",
-                    "--faults",
-                    "--seed",
-                    "--by",
-                    "--format",
-                    "--out",
-                ];
-                match hpcqc::cli::did_you_mean(other, known) {
-                    Some(hint) => eprintln!("unknown argument `{other}` — did you mean `{hint}`?"),
-                    None => eprintln!("unknown argument `{other}`"),
-                }
-                return ExitCode::from(2);
-            }
+            _ => return Ok(false),
         }
-    }
+        Ok(true)
+    })?;
     const BY_VALUES: [&str; 6] = ["cause", "tenant", "device", "class", "job", "critical-path"];
     if !BY_VALUES.contains(&by.as_str()) {
         let hint = match hpcqc::cli::did_you_mean(&by, BY_VALUES) {
             Some(known) => format!(" — did you mean `{known}`?"),
             None => String::new(),
         };
-        eprintln!(
+        return Err(fail2(format!(
             "unknown --by `{by}`{hint} (valid: {})",
             BY_VALUES.join(" | ")
-        );
-        return ExitCode::from(2);
+        )));
     }
     // Format defaults to the output file's extension, or CSV on stdout.
     let format = format.unwrap_or_else(|| format_for_path(out.as_deref().unwrap_or("")).into());
@@ -1134,111 +1052,16 @@ fn explain(args: &[String]) -> ExitCode {
         format.as_str(),
         "csv" | "json" | "markdown" | "md" | "chrome"
     ) {
-        eprintln!("unknown --format `{format}` (csv | json | markdown | chrome)");
-        return ExitCode::from(2);
+        return Err(fail2(format!(
+            "unknown --format `{format}` (csv | json | markdown | chrome)"
+        )));
     }
-
-    let input = match (workload, source) {
-        (Some(path), None) => match load_trace(&path) {
-            Ok(w) => RunInput::Workload(w),
-            Err(e) => {
-                eprintln!("{e}");
-                return ExitCode::FAILURE;
-            }
-        },
-        (None, Some(source)) => {
-            let Some(path) = source.strip_prefix("gen:") else {
-                eprintln!("--source takes `gen:<spec.json>` (got `{source}`)");
-                return ExitCode::from(2);
-            };
-            match load_generator_spec(path) {
-                Ok(spec) => RunInput::Gen(spec),
-                Err(e) => {
-                    eprintln!("{e}");
-                    return ExitCode::FAILURE;
-                }
-            }
-        }
-        (Some(_), Some(_)) => {
-            eprintln!("--workload and --source are mutually exclusive");
-            return ExitCode::from(2);
-        }
-        (None, None) => usage(),
-    };
-
-    let mut scenario = match scenario_path {
-        Some(path) => match std::fs::read_to_string(&path)
-            .map_err(|e| e.to_string())
-            .and_then(|s| serde_json::from_str::<Scenario>(&s).map_err(|e| e.to_string()))
-        {
-            Ok(sc) => sc,
-            Err(e) => {
-                eprintln!("cannot load scenario {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-        },
-        None => Scenario::default(),
-    };
-    if let Some(n) = nodes {
-        scenario.classical_nodes = n;
-    }
-    if let Some(d) = device {
-        scenario.devices = vec![d];
-    }
-    if let Some(path) = fleet_path {
-        match load_fleet(&path) {
-            Ok(fleet) => scenario.fleet = Some(fleet),
-            Err(e) => {
-                eprintln!("{e}");
-                return ExitCode::from(2);
-            }
-        }
-    }
-    match (route, &mut scenario.fleet) {
-        (Some(r), Some(fleet)) => fleet.route = r,
-        (Some(_), None) => {
-            eprintln!("--route needs a fleet (--fleet FILE, or a scenario file carrying one)");
-            return ExitCode::from(2);
-        }
-        (None, _) => {}
-    }
-    if let Some(fleet) = &scenario.fleet {
-        if let Err(e) = fleet.validate() {
-            eprintln!("invalid scenario fleet: {e}");
-            return ExitCode::FAILURE;
-        }
-    }
-    if let Some(path) = faults_path {
-        match load_faults(&path) {
-            Ok(plan) => scenario.faults = Some(plan),
-            Err(e) => {
-                eprintln!("{e}");
-                return ExitCode::from(2);
-            }
-        }
-    }
-    if let Some(plan) = &scenario.faults {
-        if let Err(e) = plan.validate() {
-            eprintln!("invalid scenario fault plan: {e}");
-            return ExitCode::FAILURE;
-        }
-    }
-    if let Some(p) = policy {
-        scenario.policy = p;
-    }
-    if let Err(e) = scenario.policy.validate() {
-        eprintln!("invalid scenario policy: {e}");
-        return ExitCode::FAILURE;
-    }
-    if let Some(s) = seed {
-        scenario.seed = s;
-    }
-    if let Some(s) = strategy {
-        scenario.strategy = s;
-    }
+    let input = args.input()?;
+    let scenario = args.scenario()?;
+    announce(&scenario, &input);
 
     let mut attribution = AttributionObserver::new();
-    let result = match &input {
+    match &input {
         RunInput::Workload(workload) => {
             FacilitySim::run_observed(&scenario, workload, &mut [&mut attribution])
         }
@@ -1246,11 +1069,13 @@ fn explain(args: &[String]) -> ExitCode {
             let mut src = spec.stream(scenario.seed);
             FacilitySim::run_streamed_observed(&scenario, &mut src, &mut [&mut attribution])
         }
-    };
-    if let Err(e) = result {
-        eprintln!("simulation failed under {}: {e}", scenario.strategy);
-        return ExitCode::FAILURE;
     }
+    .map_err(|e| {
+        fail(
+            1,
+            format!("simulation failed under {}: {e}", scenario.strategy),
+        )
+    })?;
 
     eprintln!(
         "attributed {} of queue wait across {} jobs \
@@ -1272,22 +1097,13 @@ fn explain(args: &[String]) -> ExitCode {
             "critical-path" => attribution.critical_path(),
             _ => attribution.by_cause(),
         };
-        match render_table(&table, &format) {
-            Ok(rendered) => rendered,
-            Err(e) => {
-                eprintln!("{e}");
-                return ExitCode::FAILURE;
-            }
-        }
+        render_table(&table, &format).map_err(|e| fail(1, e))?
     };
-    if let Err(e) = write_output(out.as_deref(), |w| w.write_all(rendered.as_bytes())) {
-        eprintln!("{e}");
-        return ExitCode::FAILURE;
-    }
+    write_output(out.as_deref(), |w| w.write_all(rendered.as_bytes())).map_err(|e| fail(1, e))?;
     if let Some(path) = out {
         eprintln!("wrote wait attribution (--by {by}) to {path}");
     }
-    ExitCode::SUCCESS
+    Ok(())
 }
 
 /// `hpcqc-sim devices`: inspect a fleet (or a scenario's device set)
@@ -1301,47 +1117,21 @@ fn devices(args: &[String]) -> ExitCode {
         match arg.as_str() {
             "--fleet" => fleet_path = it.next().cloned(),
             "--scenario" => scenario_path = it.next().cloned(),
-            other => {
-                let known = ["--fleet", "--scenario"];
-                match hpcqc::cli::did_you_mean(other, known) {
-                    Some(hint) => eprintln!("unknown argument `{other}` — did you mean `{hint}`?"),
-                    None => eprintln!("unknown argument `{other}`"),
-                }
-                return ExitCode::from(2);
-            }
+            other => return unknown_argument(other, ["--fleet", "--scenario"]),
         }
     }
     let fleet = match (fleet_path, scenario_path) {
-        (Some(path), None) => match load_fleet(&path) {
-            Ok(fleet) => fleet,
-            Err(e) => {
-                eprintln!("{e}");
-                return ExitCode::from(2);
-            }
-        },
-        (None, Some(path)) => match std::fs::read_to_string(&path)
-            .map_err(|e| e.to_string())
-            .and_then(|s| serde_json::from_str::<Scenario>(&s).map_err(|e| e.to_string()))
-        {
-            Ok(sc) => sc
-                .fleet
-                // A fleetless scenario still has devices: show them as the
-                // one-device-per-technology fleet the simulator builds.
-                .unwrap_or_else(|| FleetSpec::from_legacy(&sc.devices)),
-            Err(e) => {
-                eprintln!("cannot load scenario {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-        },
-        (Some(_), Some(_)) => {
-            eprintln!("--fleet and --scenario are mutually exclusive");
-            return ExitCode::from(2);
-        }
+        (Some(path), None) => load_fleet(&path),
+        (None, Some(path)) => load_scenario(&path).map(|sc| sc.machine().into_owned()),
+        (Some(_), Some(_)) => return fail2("--fleet and --scenario are mutually exclusive"),
         (None, None) => usage(),
     };
+    let fleet = match fleet {
+        Ok(fleet) => fleet,
+        Err(e) => return fail2(e),
+    };
     if let Err(e) = fleet.validate() {
-        eprintln!("invalid fleet `{}`: {e}", fleet.name);
-        return ExitCode::FAILURE;
+        return fail(1, format!("invalid fleet `{}`: {e}", fleet.name));
     }
     println!(
         "fleet `{}`: {} devices, route {}",
@@ -1399,49 +1189,26 @@ fn faults(args: &[String]) -> ExitCode {
         match arg.as_str() {
             "--plan" => plan_path = it.next().cloned(),
             "--scenario" => scenario_path = it.next().cloned(),
-            other => {
-                let known = ["--plan", "--scenario"];
-                match hpcqc::cli::did_you_mean(other, known) {
-                    Some(hint) => eprintln!("unknown argument `{other}` — did you mean `{hint}`?"),
-                    None => eprintln!("unknown argument `{other}`"),
-                }
-                return ExitCode::from(2);
-            }
+            other => return unknown_argument(other, ["--plan", "--scenario"]),
         }
     }
     let plan = match (plan_path, scenario_path) {
-        (Some(path), None) => match load_faults(&path) {
-            Ok(plan) => plan,
-            Err(e) => {
-                eprintln!("{e}");
-                return ExitCode::from(2);
-            }
+        (Some(path), None) => load_faults(&path).map_err(fail2),
+        (None, Some(path)) => match load_scenario(&path) {
+            Ok(sc) => sc
+                .faults
+                .ok_or_else(|| fail(1, format!("scenario {path} carries no fault plan"))),
+            Err(e) => Err(fail2(e)),
         },
-        (None, Some(path)) => match std::fs::read_to_string(&path)
-            .map_err(|e| e.to_string())
-            .and_then(|s| serde_json::from_str::<Scenario>(&s).map_err(|e| e.to_string()))
-        {
-            Ok(sc) => match sc.faults {
-                Some(plan) => plan,
-                None => {
-                    eprintln!("scenario {path} carries no fault plan");
-                    return ExitCode::FAILURE;
-                }
-            },
-            Err(e) => {
-                eprintln!("cannot load scenario {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-        },
-        (Some(_), Some(_)) => {
-            eprintln!("--plan and --scenario are mutually exclusive");
-            return ExitCode::from(2);
-        }
+        (Some(_), Some(_)) => return fail2("--plan and --scenario are mutually exclusive"),
         (None, None) => usage(),
     };
+    let plan = match plan {
+        Ok(plan) => plan,
+        Err(code) => return code,
+    };
     if let Err(e) = plan.validate() {
-        eprintln!("invalid fault plan `{}`: {e}", plan.label());
-        return ExitCode::FAILURE;
+        return fail(1, format!("invalid fault plan `{}`: {e}", plan.label()));
     }
     println!(
         "fault plan `{}`: {}",
@@ -1600,21 +1367,19 @@ fn sweep(args: &[String]) -> ExitCode {
             "--faults" => faults_path = it.next().cloned(),
             "--out" => out = it.next().cloned(),
             other => {
-                let known = [
-                    "--grid",
-                    "--threads",
-                    "--format",
-                    "--summary",
-                    "--timing",
-                    "--attribution",
-                    "--faults",
-                    "--out",
-                ];
-                match hpcqc::cli::did_you_mean(other, known) {
-                    Some(hint) => eprintln!("unknown argument `{other}` — did you mean `{hint}`?"),
-                    None => eprintln!("unknown argument `{other}`"),
-                }
-                return ExitCode::from(2);
+                return unknown_argument(
+                    other,
+                    [
+                        "--grid",
+                        "--threads",
+                        "--format",
+                        "--summary",
+                        "--timing",
+                        "--attribution",
+                        "--faults",
+                        "--out",
+                    ],
+                )
             }
         }
     }
@@ -1755,17 +1520,15 @@ fn advise(args: &[String]) -> ExitCode {
                 }
             },
             other => {
-                let known = [
-                    "--quantum-secs",
-                    "--classical-secs",
-                    "--queue-wait-secs",
-                    "--tenants",
-                ];
-                match hpcqc::cli::did_you_mean(other, known) {
-                    Some(hint) => eprintln!("unknown argument `{other}` — did you mean `{hint}`?"),
-                    None => eprintln!("unknown argument `{other}`"),
-                }
-                return ExitCode::from(2);
+                return unknown_argument(
+                    other,
+                    [
+                        "--quantum-secs",
+                        "--classical-secs",
+                        "--queue-wait-secs",
+                        "--tenants",
+                    ],
+                )
             }
         }
     }
@@ -1792,8 +1555,8 @@ fn main() -> ExitCode {
     match args.first().map(String::as_str) {
         Some("generate") => generate(&args[1..]),
         Some("gen") => gen(&args[1..]),
-        Some("run") => run(&args[1..]),
-        Some("explain") => explain(&args[1..]),
+        Some("run") => run(&args[1..]).err().unwrap_or(ExitCode::SUCCESS),
+        Some("explain") => explain(&args[1..]).err().unwrap_or(ExitCode::SUCCESS),
         Some("devices") => devices(&args[1..]),
         Some("faults") => faults(&args[1..]),
         Some("sweep") => sweep(&args[1..]),

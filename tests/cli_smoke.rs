@@ -666,3 +666,121 @@ fn faults_subcommand_requires_exactly_one_source() {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("--plan"), "{stderr}");
 }
+
+#[test]
+fn run_header_names_the_fleet_it_runs() {
+    let out = Command::new(env!("CARGO_BIN_EXE_hpcqc-sim"))
+        .args(["run", "--nodes", "16", "--workload"])
+        .arg(contended_workload())
+        .arg("--fleet")
+        .arg(hetero_fleet())
+        .output()
+        .expect("run runs");
+    assert!(out.status.success(), "{out:?}");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("fleet `hetero`") && stderr.contains("helios-sc (superconducting)"),
+        "header must name the fleet's devices: {stderr}"
+    );
+    assert!(
+        !stderr.contains("qpu0"),
+        "header must not name the unused device list: {stderr}"
+    );
+}
+
+#[test]
+fn device_next_to_a_fleet_is_rejected() {
+    use hpcqc::prelude::*;
+    let dir = std::env::temp_dir().join(format!("hpcqc_cli_devfleet_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let fleet: FleetSpec =
+        serde_json::from_str(&std::fs::read_to_string(hetero_fleet()).unwrap()).unwrap();
+    let scenario = Scenario::builder().fleet(fleet).build();
+    let scenario_path = dir.join("fleet-scenario.json");
+    std::fs::write(&scenario_path, serde_json::to_string(&scenario).unwrap()).unwrap();
+    for (flag, path) in [("--fleet", hetero_fleet()), ("--scenario", scenario_path)] {
+        let out = Command::new(env!("CARGO_BIN_EXE_hpcqc-sim"))
+            .args(["run", "--device", "neutral-atom", "--workload"])
+            .arg(contended_workload())
+            .arg(flag)
+            .arg(&path)
+            .output()
+            .expect("run runs");
+        assert_eq!(out.status.code(), Some(2), "{flag}: {out:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains("--device") && stderr.contains("fleet"),
+            "{flag}: {stderr}"
+        );
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn truncated_scenario_file_exits_2_with_its_location() {
+    let dir = std::env::temp_dir().join(format!("hpcqc_cli_truncsc_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("truncated.json");
+    std::fs::write(&path, "{\n  \"classical_nodes\": 16,\n  \"devices\": [").unwrap();
+    let workload = contended_workload();
+    let commands: [Vec<&std::ffi::OsStr>; 2] = [
+        vec!["run".as_ref(), "--workload".as_ref(), workload.as_os_str()],
+        vec!["devices".as_ref()],
+    ];
+    for args in commands {
+        let out = Command::new(env!("CARGO_BIN_EXE_hpcqc-sim"))
+            .args(&args)
+            .arg("--scenario")
+            .arg(&path)
+            .output()
+            .expect("hpcqc-sim runs");
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {out:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains("cannot parse scenario") && stderr.contains("(line 3 column 15)"),
+            "{args:?}: parse error must point at the location: {stderr}"
+        );
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// `run` and `explain` share one scenario-flag parser: every scenario
+/// flag error reads the same under both.
+#[test]
+fn run_and_explain_share_the_scenario_flag_parser() {
+    let workload = contended_workload();
+    let workload = workload.to_str().unwrap();
+    let cases: [(&[&str], &str); 7] = [
+        (&["--strategy", "workflw"], "did you mean `workflow`"),
+        (&["--nodes", "many"], "--nodes needs a positive node count"),
+        (&["--device", "neutral-adam"], "did you mean `neutral-atom`"),
+        (&["--policy", "easyy"], "did you mean `easy`"),
+        (&["--route", "least-loaded"], "--route needs a fleet"),
+        (&["--seed", "x"], "--seed needs a numeric seed"),
+        (&["--fleeet", "f.json"], "did you mean `--fleet`"),
+    ];
+    for (flags, expected) in cases {
+        let stderr: Vec<String> = ["run", "explain"]
+            .into_iter()
+            .map(|command| {
+                let out = Command::new(env!("CARGO_BIN_EXE_hpcqc-sim"))
+                    .args([command, "--workload", workload])
+                    .args(flags)
+                    .output()
+                    .expect("hpcqc-sim runs");
+                assert_eq!(out.status.code(), Some(2), "{command} {flags:?}: {out:?}");
+                String::from_utf8_lossy(&out.stderr).into_owned()
+            })
+            .collect();
+        assert!(stderr[0].contains(expected), "{flags:?}: {}", stderr[0]);
+        assert_eq!(stderr[0], stderr[1], "{flags:?}: run and explain differ");
+    }
+    let out = Command::new(env!("CARGO_BIN_EXE_hpcqc-sim"))
+        .args(["explain", "--workload", workload, "--age-weight", "2"])
+        .output()
+        .expect("explain runs");
+    assert!(
+        out.status.success(),
+        "explain must take priority knobs: {out:?}"
+    );
+}
