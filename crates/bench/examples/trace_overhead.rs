@@ -2,8 +2,7 @@
 //!
 //! Interleaves bare and traced runs round-robin and reports the minimum
 //! per-variant wall time (min-of-N is far more drift-resistant than a
-//! mean on a shared machine). The `<10%` budget guarded loosely by
-//! `benches/observers.rs` can be checked precisely here:
+//! mean on a shared machine). The `<10%` budget is checked here:
 //!
 //! ```text
 //! cargo run --release -p hpcqc-bench --example trace_overhead

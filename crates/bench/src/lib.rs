@@ -2,8 +2,8 @@
 //!
 //! Experiment harness reproducing every figure and claim of *Assessing the
 //! Elephant in the Room in Scheduling for Current Hybrid HPC-QC Clusters*
-//! (DSN 2025), plus criterion performance benchmarks of the simulator
-//! itself.
+//! (DSN 2025). The simulator's own performance is measured by the
+//! separate `perfbench` package at the repository root.
 //!
 //! Run everything with the `repro` binary:
 //!

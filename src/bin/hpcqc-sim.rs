@@ -345,18 +345,15 @@ fn generate(args: &[String]) -> ExitCode {
         .count(count)
         .generate(seed);
     let text = hpcqc::workload::to_hqwf(&workload);
-    match out {
-        Some(path) => {
-            if let Err(e) = std::fs::write(&path, text) {
-                eprintln!("cannot write {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-            eprintln!(
-                "wrote {count} jobs ({} hybrid) to {path}",
-                workload.hybrid_count()
-            );
-        }
-        None => print!("{text}"),
+    if let Err(e) = write_output(out.as_deref(), |w| w.write_all(text.as_bytes())) {
+        eprintln!("{e}");
+        return ExitCode::FAILURE;
+    }
+    if let Some(path) = out {
+        eprintln!(
+            "wrote {count} jobs ({} hybrid) to {path}",
+            workload.hybrid_count()
+        );
     }
     ExitCode::SUCCESS
 }
@@ -487,6 +484,9 @@ fn gen(args: &[String]) -> ExitCode {
 }
 
 /// Writes through a buffered sink to `path` (or stdout when `None`).
+///
+/// A reader that closes stdout early (`| head`) ends the output, not the
+/// command: a broken pipe on stdout counts as success.
 fn write_output(
     path: Option<&str>,
     body: impl FnOnce(&mut dyn Write) -> std::io::Result<()>,
@@ -503,10 +503,11 @@ fn write_output(
             writer.flush().map_err(fail)
         }
         None => {
-            let stdout = std::io::stdout();
-            let mut writer = std::io::BufWriter::new(stdout.lock());
-            body(&mut writer).map_err(fail)?;
-            writer.flush().map_err(fail)
+            let mut writer = std::io::BufWriter::new(std::io::stdout().lock());
+            match body(&mut writer).and_then(|()| writer.flush()) {
+                Err(e) if e.kind() == std::io::ErrorKind::BrokenPipe => Ok(()),
+                result => result.map_err(fail),
+            }
         }
     }
 }
@@ -1474,15 +1475,12 @@ fn sweep(args: &[String]) -> ExitCode {
         };
         (rendered, format!("{} cells", result.len()))
     };
-    match out {
-        Some(path) => {
-            if let Err(e) = std::fs::write(&path, &rendered) {
-                eprintln!("cannot write {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-            eprintln!("wrote {contents} to {path}");
-        }
-        None => print!("{rendered}"),
+    if let Err(e) = write_output(out.as_deref(), |w| w.write_all(rendered.as_bytes())) {
+        eprintln!("{e}");
+        return ExitCode::FAILURE;
+    }
+    if let Some(path) = out {
+        eprintln!("wrote {contents} to {path}");
     }
     ExitCode::SUCCESS
 }

@@ -784,3 +784,25 @@ fn run_and_explain_share_the_scenario_flag_parser() {
         "explain must take priority knobs: {out:?}"
     );
 }
+
+/// A reader that closes stdout early (`| head -1`) ends the output, not
+/// the command: exit 0, with no panic in `print!` and no broken-pipe error.
+#[test]
+fn closed_stdout_exits_zero() {
+    let mut generate = Command::new(env!("CARGO_BIN_EXE_hpcqc-sim"));
+    generate.args(["generate", "--count", "2000"]);
+    let mut gen = Command::new(env!("CARGO_BIN_EXE_hpcqc-sim"));
+    gen.args(["gen", "--spec"]).arg(spec_path());
+    for mut command in [generate, gen] {
+        let mut child = command
+            .stdout(std::process::Stdio::piped())
+            .stderr(std::process::Stdio::piped())
+            .spawn()
+            .expect("hpcqc-sim runs");
+        drop(child.stdout.take());
+        let out = child.wait_with_output().expect("hpcqc-sim exits");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(out.status.success(), "{command:?}: {out:?}");
+        assert!(!stderr.contains("panicked"), "{command:?}: {stderr}");
+    }
+}
