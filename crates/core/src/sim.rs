@@ -293,28 +293,42 @@ macro_rules! emit {
 /// through the [`SimCtx`] capability handle only.
 #[derive(Debug)]
 pub(crate) struct SimState<'o> {
+    /// The scenario being run.
     scenario: Scenario,
+    /// The classical machine: nodes, partitions and gres tokens.
     cluster: Cluster,
+    /// The batch queue. It also keeps the hold ledger: which
+    /// [`SimEvent::JobHeld`] cause was last emitted per queued submission
+    /// (see [`BatchScheduler::hold_changes`]).
     scheduler: BatchScheduler,
+    /// The QPU devices, indexed like the fleet's devices.
     devices: Vec<QpuDevice>,
     /// The routing layer over `devices`, built from
     /// [`Scenario::machine`].
     fleet: QpuFleet,
+    /// The simulation calendar.
     events: EventQueue<Event>,
     /// Live jobs only, keyed by raw [`JobId`]: inserted when pulled from
     /// the source, removed at finalization. Never iterated (determinism).
     jobs: JobMap,
+    /// What each queued submission starts, keyed by raw qid (the
+    /// scheduler's [`JobId`]): inserted at submit, removed at start or
+    /// abort.
     queue_map: BTreeMap<u64, QueueEntry>,
+    /// The next fresh qid; qids are never reused.
     next_qid: u64,
-    /// Last [`SimEvent::JobHeld`] cause emitted per queued submission
-    /// (keyed by raw qid), so the event fires only when the binding cause
-    /// changes rather than on every cycle.
-    held_reasons: BTreeMap<u64, HoldReason>,
+    /// Built-in observer assembling the outcome's job statistics.
     stats_obs: StatsObserver,
+    /// Built-in observer assembling the outcome's waste accounting.
     waste_obs: WasteObserver,
+    /// Built-in Gantt recorder, when the scenario asks for one.
     gantt_obs: Option<GanttObserver>,
+    /// Caller-attached observers, fed every event after the built-ins.
     extras: &'o mut [&'o mut dyn SimObserver],
+    /// Access-mode overhead stream: one draw per dispatched kernel.
     access_rng: SimRng,
+    /// Node-failure stream (the legacy model or a fault plan's node
+    /// section): failure times, victims and repair times.
     failure_rng: SimRng,
     /// Per-device fault-process streams (outage timing, recalibration
     /// durations), forked by `(seed, label, index)` alone so their mere
@@ -334,8 +348,13 @@ pub(crate) struct SimState<'o> {
     /// A `BTreeMap` because it *is* iterated (on device failure) and the
     /// victim order must be deterministic.
     kernels_in_flight: BTreeMap<u64, usize>,
+    /// The job holding each live allocation, so a failed node finds the
+    /// job to kill.
     alloc_owner: BTreeMap<AllocationId, JobId>,
+    /// Node failures injected so far.
     failures_injected: u64,
+    /// Jobs finalized so far; the run ends when this reaches `spawned`
+    /// after the source is drained.
     completed: u64,
     /// Jobs pulled from the source so far (also the next fresh job id).
     spawned: u64,
@@ -569,7 +588,6 @@ impl<'o> FacilitySim<'o> {
                 events,
                 jobs: JobMap::default(),
                 queue_map: BTreeMap::new(),
-                held_reasons: BTreeMap::new(),
                 next_qid: 0,
                 stats_obs: StatsObserver::new(),
                 waste_obs,
@@ -1270,7 +1288,6 @@ impl<'o> SimState<'o> {
                 return Ok(());
             }
             for st in started {
-                self.held_reasons.remove(&st.job.raw());
                 let entry = self
                     .queue_map
                     .remove(&st.job.raw())
@@ -1287,18 +1304,14 @@ impl<'o> SimState<'o> {
     }
 
     /// Emits a [`SimEvent::JobHeld`] for every queued submission whose
-    /// binding cause changed in the cycle that just ran (including the
-    /// first diagnosis at submit time). Purely observational: it reads
-    /// the scheduler's per-cycle hold ledger and never feeds anything
-    /// back into scheduling state.
+    /// binding cause changed in the non-starting cycle that just ran
+    /// (including the first diagnosis at submit time). Purely
+    /// observational: the scheduler keeps the hold ledger (see
+    /// [`BatchScheduler::hold_changes`]), and nothing here feeds back
+    /// into scheduling state.
     fn emit_hold_changes(&mut self, now: SimTime) {
-        for &(qid, reason) in self.scheduler.last_holds() {
-            let qid = qid.raw();
-            if self.held_reasons.get(&qid) == Some(&reason) {
-                continue;
-            }
-            self.held_reasons.insert(qid, reason);
-            let job = match self.queue_map.get(&qid) {
+        for &(qid, reason) in self.scheduler.hold_changes() {
+            let job = match self.queue_map.get(&qid.raw()) {
                 Some(QueueEntry::JobStart(job) | QueueEntry::Step(job)) => *job,
                 None => continue,
             };
@@ -2143,7 +2156,6 @@ impl<'o> SimState<'o> {
         if let Some(qid) = queued {
             self.scheduler.cancel(JobId::new(qid));
             self.queue_map.remove(&qid);
-            self.held_reasons.remove(&qid);
         }
         self.release_current(driver, job, now)?;
         driver.on_abort(&mut SimCtx { state: self, now }, job)

@@ -63,6 +63,6 @@ pub use policy::{
     sort_by_score, sort_multifactor, Discipline, HoldReason, ParsePolicyError, PolicySpec,
     QueuePolicy, SchedCtx, Verdict, ALL_HOLD_REASONS, POLICY_FORMS,
 };
-pub use priority::{PriorityCalculator, PriorityWeights};
+pub use priority::{PriorityCalculator, PriorityWeights, UserId};
 pub use probe::{CyclePhase, CycleProbe, NoProbe};
 pub use scheduler::{BatchScheduler, PendingJob, SchedError, StartedJob};

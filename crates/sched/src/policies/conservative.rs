@@ -7,7 +7,8 @@ use crate::scheduler::PendingJob;
 /// Conservative backfilling: *every* job that cannot start now reserves
 /// its earliest feasible slot, so a later job may jump ahead only if it
 /// delays nobody. Stronger guarantees than EASY, at the cost of a profile
-/// that grows with queue depth (see `crates/bench/benches/sched.rs`).
+/// that grows with queue depth (perfbench's
+/// `kernel.sched.cycle_us.conservative` measures it).
 #[derive(Debug, Clone, Default)]
 pub struct ConservativeBackfill;
 

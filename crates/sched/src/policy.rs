@@ -82,12 +82,14 @@
 use crate::demand::{Demand, Profile};
 use crate::policies;
 use crate::priority::{PriorityCalculator, PriorityWeights};
-use crate::scheduler::PendingJob;
+use crate::scheduler::{job_priority, PendingJob, Queued};
 use hpcqc_cluster::cluster::Cluster;
 use hpcqc_cluster::gres::GresKind;
 use hpcqc_simcore::time::SimTime;
+use hpcqc_workload::job::JobId;
 use serde::{Deserialize, Serialize, Value};
 use std::cmp::Reverse;
+use std::collections::BTreeMap;
 use std::fmt;
 use std::str::FromStr;
 
@@ -185,22 +187,26 @@ pub struct SchedCtx<'a> {
     now: SimTime,
     cluster: &'a Cluster,
     priority: &'a PriorityCalculator,
+    queued: &'a BTreeMap<JobId, Queued>,
     free: &'a Demand,
 }
 
 impl<'a> SchedCtx<'a> {
-    /// `free` is the cluster's free capacity ([`Demand::free_of`]), which
-    /// the scheduler keeps current as the cycle allocates.
+    /// `queued` holds each queued job's submit-time entry; `free` is the
+    /// cluster's free capacity ([`Demand::free_of`]), which the scheduler
+    /// keeps current as the cycle allocates.
     pub(crate) fn new(
         now: SimTime,
         cluster: &'a Cluster,
         priority: &'a PriorityCalculator,
+        queued: &'a BTreeMap<JobId, Queued>,
         free: &'a Demand,
     ) -> Self {
         SchedCtx {
             now,
             cluster,
             priority,
+            queued,
             free,
         }
     }
@@ -216,15 +222,10 @@ impl<'a> SchedCtx<'a> {
     }
 
     /// The job's multifactor priority (age, size, QoS, fairshare) as of
-    /// [`SchedCtx::now`].
+    /// [`SchedCtx::now`]. A queued job's user and node count are read
+    /// from its submit-time entry, so no user name is looked up.
     pub fn priority_of(&self, job: &PendingJob) -> f64 {
-        self.priority.priority(
-            job.submit,
-            job.request.total_nodes(),
-            &job.user,
-            job.qos_boost,
-            self.now,
-        )
+        job_priority(self.priority, self.queued, job, self.now)
     }
 
     /// `true` if the live cluster can place `demand` right now.

@@ -6,10 +6,28 @@
 //! Age rewards waiting jobs (prevents starvation under backfilling); size
 //! weight can favour large jobs (positive) or small ones (negative);
 //! fairshare penalizes users who recently consumed the machine.
+//!
+//! Users are interned: [`PriorityCalculator::intern`] hands out a dense
+//! [`UserId`] once per user name, and the per-job hot path
+//! ([`PriorityCalculator::priority_by_id`]) reads the user's usage from a
+//! table indexed by that id. The string-keyed methods resolve the name
+//! and then take the same path, so both compute bit-identical values.
 
 use hpcqc_simcore::time::SimTime;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
+
+/// A fairshare user interned by [`PriorityCalculator::intern`]: a dense
+/// index into that calculator's usage table. Ids are only meaningful to
+/// the calculator that handed them out.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct UserId(usize);
+
+impl UserId {
+    pub(crate) fn index(self) -> usize {
+        self.0
+    }
+}
 
 /// Weights of the multifactor priority.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -44,8 +62,12 @@ impl Default for PriorityWeights {
 pub struct PriorityCalculator {
     weights: PriorityWeights,
     half_life_secs: f64,
-    /// Per user: (usage in node-seconds at `last_update`, last update).
-    usage: BTreeMap<String, (f64, SimTime)>,
+    /// Interned user names. Read only by [`PriorityCalculator::intern`]
+    /// and the string-keyed wrappers, never per queued job.
+    ids: BTreeMap<String, UserId>,
+    /// Per [`UserId`]: (usage in node-seconds at `last_update`, last
+    /// update), or `None` while the user has recorded no usage.
+    usage: Vec<Option<(f64, SimTime)>>,
 }
 
 impl Default for PriorityCalculator {
@@ -60,7 +82,8 @@ impl PriorityCalculator {
         PriorityCalculator {
             weights,
             half_life_secs: 86_400.0,
-            usage: BTreeMap::new(),
+            ids: BTreeMap::new(),
+            usage: Vec::new(),
         }
     }
 
@@ -85,18 +108,48 @@ impl PriorityCalculator {
         self.half_life_secs
     }
 
+    /// The dense id of `user`, interning it on first sight. Every later
+    /// call with the same name returns the same id.
+    pub fn intern(&mut self, user: &str) -> UserId {
+        if let Some(&id) = self.ids.get(user) {
+            return id;
+        }
+        let id = UserId(self.usage.len());
+        self.ids.insert(user.to_string(), id);
+        self.usage.push(None);
+        id
+    }
+
     /// Charges `node_seconds` of usage to `user` at time `now`.
     pub fn record_usage(&mut self, user: &str, node_seconds: f64, now: SimTime) {
-        let entry = self.usage.entry(user.to_string()).or_insert((0.0, now));
-        let decayed = Self::decay(entry.0, entry.1, now, self.half_life_secs);
-        *entry = (decayed + node_seconds, now);
+        let id = self.intern(user);
+        self.record_usage_by_id(id, node_seconds, now);
+    }
+
+    /// [`record_usage`](PriorityCalculator::record_usage) for an interned
+    /// user.
+    pub fn record_usage_by_id(&mut self, user: UserId, node_seconds: f64, now: SimTime) {
+        let half_life = self.half_life_secs;
+        if let Some(slot) = self.usage.get_mut(user.index()) {
+            let (value, at) = slot.unwrap_or((0.0, now));
+            *slot = Some((Self::decay(value, at, now, half_life) + node_seconds, now));
+        }
     }
 
     /// The user's decayed usage in node-seconds, as seen at `now`.
     pub fn usage_of(&self, user: &str, now: SimTime) -> f64 {
-        self.usage.get(user).map_or(0.0, |(u, at)| {
-            Self::decay(*u, *at, now, self.half_life_secs)
-        })
+        self.ids
+            .get(user)
+            .map_or(0.0, |&id| self.usage_by_id(id, now))
+    }
+
+    /// [`usage_of`](PriorityCalculator::usage_of) for an interned user. A
+    /// user with no recorded usage reads 0.0 without a decay.
+    pub fn usage_by_id(&self, user: UserId, now: SimTime) -> f64 {
+        match self.usage.get(user.index()) {
+            Some(&Some((value, at))) => Self::decay(value, at, now, self.half_life_secs),
+            _ => 0.0,
+        }
     }
 
     fn decay(value: f64, at: SimTime, now: SimTime, half_life: f64) -> f64 {
@@ -114,11 +167,40 @@ impl PriorityCalculator {
         qos_boost: f64,
         now: SimTime,
     ) -> f64 {
+        self.score(submit, nodes, qos_boost, self.usage_of(user, now), now)
+    }
+
+    /// [`priority`](PriorityCalculator::priority) for an interned user.
+    pub fn priority_by_id(
+        &self,
+        submit: SimTime,
+        nodes: u32,
+        user: UserId,
+        qos_boost: f64,
+        now: SimTime,
+    ) -> f64 {
+        self.score(submit, nodes, qos_boost, self.usage_by_id(user, now), now)
+    }
+
+    fn score(&self, submit: SimTime, nodes: u32, qos_boost: f64, usage: f64, now: SimTime) -> f64 {
         let age_hours = now.saturating_since(submit).as_secs_f64() / 3_600.0;
         self.weights.age_per_hour * age_hours
             + self.weights.size_per_node * f64::from(nodes)
             + qos_boost
-            - self.weights.fairshare_per_node_hour * self.usage_of(user, now) / 3_600.0
+            - self.weights.fairshare_per_node_hour * usage / 3_600.0
+    }
+
+    /// Interns into `self` every user `other` knows, returning the map
+    /// from `other`'s ids to `self`'s (indexed by `other`'s id).
+    pub(crate) fn adopt_users(&mut self, other: &PriorityCalculator) -> Vec<UserId> {
+        let mut map = vec![UserId(0); other.usage.len()];
+        for (name, id) in &other.ids {
+            let adopted = self.intern(name);
+            if let Some(slot) = map.get_mut(id.index()) {
+                *slot = adopted;
+            }
+        }
+        map
     }
 }
 

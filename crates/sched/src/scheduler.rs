@@ -14,7 +14,7 @@
 
 use crate::demand::{Demand, Profile};
 use crate::policy::{HoldReason, PolicySpec, QueuePolicy, SchedCtx, Verdict};
-use crate::priority::PriorityCalculator;
+use crate::priority::{PriorityCalculator, UserId};
 use crate::probe::{CyclePhase, CycleProbe, NoProbe};
 use hpcqc_cluster::alloc::AllocRequest;
 use hpcqc_cluster::cluster::Cluster;
@@ -89,10 +89,45 @@ pub struct StartedJob {
     pub alloc: AllocationId,
 }
 
+/// A queued job's submit-time entry: everything a cycle reads per job
+/// besides the [`PendingJob`] itself, resolved once at submit.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Queued {
+    /// The job's footprint per resource slot.
+    demand: Demand,
+    /// The job's interned fairshare user.
+    user: UserId,
+    /// The job's total node count (the priority's size term).
+    nodes: u32,
+    /// The hold reason last reported through
+    /// [`BatchScheduler::hold_changes`], if any.
+    reported: Option<HoldReason>,
+}
+
+/// The multifactor priority of `job` at `now`: from its submit-time entry
+/// when it is queued, else (a hypothetical job) from its own fields.
+pub(crate) fn job_priority(
+    priority: &PriorityCalculator,
+    queued: &BTreeMap<JobId, Queued>,
+    job: &PendingJob,
+    now: SimTime,
+) -> f64 {
+    match queued.get(&job.id) {
+        Some(q) => priority.priority_by_id(job.submit, q.nodes, q.user, job.qos_boost, now),
+        None => priority.priority(
+            job.submit,
+            job.request.total_nodes(),
+            &job.user,
+            job.qos_boost,
+            now,
+        ),
+    }
+}
+
 #[derive(Debug, Clone)]
 struct Running {
     job: JobId,
-    user: String,
+    user: UserId,
     demand: Demand,
     expected_end: SimTime,
     node_count: u32,
@@ -114,12 +149,15 @@ pub struct BatchScheduler {
     spec: Option<PolicySpec>,
     priority: PriorityCalculator,
     pending: Vec<PendingJob>,
-    /// Each queued job's footprint, resolved at submit.
-    demands: BTreeMap<JobId, Demand>,
+    /// Each queued job's submit-time entry.
+    queued: BTreeMap<JobId, Queued>,
     running: BTreeMap<AllocationId, Running>,
     total_started: u64,
     total_finished: u64,
     last_holds: Vec<(JobId, HoldReason)>,
+    /// The entries of `last_holds` whose reason differs from the one last
+    /// reported for that job (see [`BatchScheduler::hold_changes`]).
+    hold_changes: Vec<(JobId, HoldReason)>,
     /// The free vector of the last full cycle, if that cycle proved the
     /// queue settled (see [`BatchScheduler::is_settled`]). Cleared by
     /// every submit, cancel and start.
@@ -152,17 +190,27 @@ impl BatchScheduler {
             spec,
             priority,
             pending: Vec::new(),
-            demands: BTreeMap::new(),
+            queued: BTreeMap::new(),
             running: BTreeMap::new(),
             total_started: 0,
             total_finished: 0,
             last_holds: Vec::new(),
+            hold_changes: Vec::new(),
             settled_free: None,
         }
     }
 
-    /// Replaces the priority calculator.
-    pub fn with_priority(mut self, priority: PriorityCalculator) -> Self {
+    /// Replaces the priority calculator. Queued and running jobs keep
+    /// their users: each is interned into `priority`.
+    pub fn with_priority(mut self, mut priority: PriorityCalculator) -> Self {
+        let adopted = priority.adopt_users(&self.priority);
+        let adopt = |user: &mut UserId| {
+            if let Some(&id) = adopted.get(user.index()) {
+                *user = id;
+            }
+        };
+        self.queued.values_mut().for_each(|q| adopt(&mut q.user));
+        self.running.values_mut().for_each(|r| adopt(&mut r.user));
         self.priority = priority;
         self
     }
@@ -189,9 +237,27 @@ impl BatchScheduler {
     ///
     /// While the scheduler [`is_settled`](BatchScheduler::is_settled),
     /// this is also exactly the set of holds a cycle run now would
-    /// report, though possibly in a different order.
+    /// report, though possibly in a different order. The holds whose
+    /// reason changed since it was last reported are
+    /// [`hold_changes`](BatchScheduler::hold_changes).
     pub fn last_holds(&self) -> &[(JobId, HoldReason)] {
         &self.last_holds
+    }
+
+    /// The entries of [`last_holds`](BatchScheduler::last_holds) whose
+    /// reason differs from the one last reported for that job (a job
+    /// never reported yet always differs), in `last_holds` order.
+    ///
+    /// The scheduler keeps the reported reason per queued job. Only a
+    /// cycle that starts nothing commits it: a caller that re-runs the
+    /// cycle after every start, as a simulation loop must, and reads
+    /// this after the final, non-starting one sees each reason change
+    /// exactly once. A hold diagnosed in a starting cycle is listed again
+    /// after the next cycle if it persists. A start or a
+    /// [`cancel`](BatchScheduler::cancel) forgets the job's reported
+    /// reason, so a resubmitted id is reported afresh.
+    pub fn hold_changes(&self) -> &[(JobId, HoldReason)] {
+        &self.hold_changes
     }
 
     /// The queued jobs, in the order the policy last left them (after a
@@ -214,13 +280,7 @@ impl BatchScheduler {
     /// The multifactor priority of a queued (or hypothetical) job at
     /// `now`, under this scheduler's weights and fairshare state.
     pub fn priority_of(&self, job: &PendingJob, now: SimTime) -> f64 {
-        self.priority.priority(
-            job.submit,
-            Self::nodes_of(job),
-            &job.user,
-            job.qos_boost,
-            now,
-        )
+        job_priority(&self.priority, &self.queued, job, now)
     }
 
     /// The free-capacity timeline a scheduling cycle at `now` would plan
@@ -251,7 +311,7 @@ impl BatchScheduler {
         if job.walltime.is_zero() {
             return Err(SchedError::ZeroWalltime { job: job.id });
         }
-        if self.demands.contains_key(&job.id) {
+        if self.queued.contains_key(&job.id) {
             return Err(SchedError::DuplicateJob { job: job.id });
         }
         let impossible = |reason| SchedError::ImpossibleRequest {
@@ -268,7 +328,13 @@ impl BatchScheduler {
                 capacity.get(slot)
             )));
         }
-        self.demands.insert(job.id, demand);
+        let entry = Queued {
+            demand,
+            user: self.priority.intern(&job.user),
+            nodes: job.request.total_nodes(),
+            reported: None,
+        };
+        self.queued.insert(job.id, entry);
         self.pending.push(job);
         self.settled_free = None;
         Ok(())
@@ -278,7 +344,7 @@ impl BatchScheduler {
     pub fn cancel(&mut self, job: JobId) -> bool {
         self.pending.retain(|p| p.id != job);
         self.settled_free = None;
-        self.demands.remove(&job).is_some()
+        self.queued.remove(&job).is_some()
     }
 
     /// `true` if a scheduling cycle run now on `cluster` would start
@@ -305,6 +371,11 @@ impl BatchScheduler {
     /// the demand and the cluster's fixed slot layout. The queued set is
     /// unchanged since the settled cycle, so the holds are the same.
     ///
+    /// The skipped cycle would also list nothing in
+    /// [`hold_changes`](BatchScheduler::hold_changes): the settled cycle
+    /// started nothing, so it committed every reason it held, and the
+    /// same holds would find each one already reported.
+    ///
     /// Time alone only reorders the queue: the age term, fairshare decay
     /// in [`PriorityCalculator::usage_of`], priority-backfill escalation
     /// and quantum-aware's idle-QPU boost (a function of free capacity).
@@ -324,7 +395,8 @@ impl BatchScheduler {
         let running = self.running.remove(&alloc)?;
         let node_seconds =
             f64::from(running.node_count) * now.saturating_since(running.started).as_secs_f64();
-        self.priority.record_usage(&running.user, node_seconds, now);
+        self.priority
+            .record_usage_by_id(running.user, node_seconds, now);
         self.total_finished += 1;
         Some(running.job)
     }
@@ -347,6 +419,7 @@ impl BatchScheduler {
         probe: &mut dyn CycleProbe,
     ) -> Vec<StartedJob> {
         self.last_holds.clear();
+        self.hold_changes.clear();
         self.settled_free = None;
         if self.pending.is_empty() {
             return Vec::new();
@@ -356,33 +429,43 @@ impl BatchScheduler {
         // The live free vector: the cluster's free capacity, less what
         // each start of this cycle allocates.
         let mut free = Demand::free_of(cluster);
-        self.policy
-            .begin_cycle(&SchedCtx::new(now, cluster, &self.priority, &free));
+        self.policy.begin_cycle(&SchedCtx::new(
+            now,
+            cluster,
+            &self.priority,
+            &self.queued,
+            &free,
+        ));
         self.policy.order(
             &mut self.pending,
-            &SchedCtx::new(now, cluster, &self.priority, &free),
+            &SchedCtx::new(now, cluster, &self.priority, &self.queued, &free),
         );
         let mut profile = self.availability_profile(cluster, now);
         probe.phase_end(CyclePhase::Order);
 
         let mut started = Vec::new();
-        let mut still_pending: Vec<PendingJob> = Vec::with_capacity(self.pending.len());
         // Whether some queued demand fitted the free vector at its admit.
         let mut any_fits = false;
-
-        for job in std::mem::take(&mut self.pending) {
-            // Every queued job got its entry at submit.
-            let demand = self.demands.get(&job.id).copied().unwrap_or_default();
+        // Held jobs are compacted to the front of `pending`, in order.
+        let mut kept = 0;
+        for i in 0..self.pending.len() {
+            let job = &self.pending[i];
+            // Every queued job got its entry at submit, and only a start
+            // or a cancel removes it together with the job.
+            let Some(&entry) = self.queued.get(&job.id) else {
+                continue;
+            };
+            let demand = entry.demand;
             any_fits = any_fits || free.covers(&demand);
             probe.phase_start(CyclePhase::Admit);
             let verdict = self.policy.admit(
-                &job,
+                job,
                 &demand,
                 &mut profile,
-                &SchedCtx::new(now, cluster, &self.priority, &free),
+                &SchedCtx::new(now, cluster, &self.priority, &self.queued, &free),
             );
             probe.phase_end(CyclePhase::Admit);
-            match verdict {
+            let reason = match verdict {
                 Verdict::Start => {
                     probe.phase_start(CyclePhase::Allocate);
                     let granted = cluster.allocate(&job.request, now);
@@ -390,16 +473,16 @@ impl BatchScheduler {
                     match granted {
                         Ok(alloc) => {
                             free.subtract(&demand);
-                            self.demands.remove(&job.id);
+                            self.queued.remove(&job.id);
                             profile.reserve(&demand, now, job.walltime);
                             self.running.insert(
                                 alloc,
                                 Running {
                                     job: job.id,
-                                    user: job.user.clone(),
+                                    user: entry.user,
                                     demand,
                                     expected_end: now + job.walltime,
-                                    node_count: Self::nodes_of(&job),
+                                    node_count: entry.nodes,
                                     started: now,
                                 },
                             );
@@ -407,38 +490,43 @@ impl BatchScheduler {
                             started.push(StartedJob { job: job.id, alloc });
                             continue;
                         }
-                        Err(err) => {
-                            // Profile said yes but the live cluster disagrees
-                            // (e.g. failed nodes): treat as held, blaming the
-                            // concrete shortage the allocator reported.
-                            self.last_holds.push((job.id, Self::classify(&err)));
-                        }
+                        // Profile said yes but the live cluster disagrees
+                        // (e.g. failed nodes): treat as held, blaming the
+                        // concrete shortage the allocator reported.
+                        Err(err) => Self::classify(&err),
                     }
                 }
-                Verdict::Hold(reason) => {
-                    self.last_holds.push((job.id, reason));
-                }
+                Verdict::Hold(reason) => reason,
+            };
+            self.last_holds.push((job.id, reason));
+            if entry.reported != Some(reason) {
+                self.hold_changes.push((job.id, reason));
             }
             self.policy.held(
-                &job,
+                job,
                 &demand,
                 &mut profile,
-                &SchedCtx::new(now, cluster, &self.priority, &free),
+                &SchedCtx::new(now, cluster, &self.priority, &self.queued, &free),
             );
-            still_pending.push(job);
+            self.pending.swap(kept, i);
+            kept += 1;
         }
-        self.pending = still_pending;
-        // No start and no fit: the queue is stuck until the free vector or
-        // the queue changes (see `is_settled`).
-        if self.spec.is_some() && started.is_empty() && !any_fits {
-            self.settled_free = Some(free);
+        self.pending.truncate(kept);
+        if started.is_empty() {
+            // Commit the reasons this cycle reported (see `hold_changes`).
+            for &(id, reason) in &self.hold_changes {
+                if let Some(entry) = self.queued.get_mut(&id) {
+                    entry.reported = Some(reason);
+                }
+            }
+            // No start and no fit: the queue is stuck until the free
+            // vector or the queue changes (see `is_settled`).
+            if self.spec.is_some() && !any_fits {
+                self.settled_free = Some(free);
+            }
         }
         probe.cycle_end(started.len(), self.pending.len());
         started
-    }
-
-    fn nodes_of(job: &PendingJob) -> u32 {
-        job.request.total_nodes()
     }
 
     /// Maps a live-allocation failure (a policy started a job the live
@@ -912,6 +1000,102 @@ mod tests {
         assert!(
             !s.is_settled(&c),
             "nothing fits, but the policy is not a built-in"
+        );
+    }
+
+    /// EASY on `cluster(10)`: job 10 runs on 6 nodes until t=100 and job
+    /// 11 on 4 nodes until t=50; head job 1 (all 10 nodes) and job 2 (2
+    /// nodes for 1000 s) are queued, both short of nodes. The first cycle
+    /// starts 10 and 11; the second starts nothing and reports both holds.
+    fn two_holds_reported() -> (Cluster, BatchScheduler, AllocationId) {
+        let mut c = cluster(10);
+        let mut s = BatchScheduler::new(PolicySpec::easy());
+        let boosted = |id, nodes, walltime_s, qos_boost| PendingJob {
+            qos_boost,
+            ..job(id, nodes, walltime_s, 0)
+        };
+        s.submit(boosted(10, 6, 100, 300.0), &c).unwrap();
+        s.submit(boosted(11, 4, 50, 200.0), &c).unwrap();
+        s.submit(boosted(1, 10, 1_000, 100.0), &c).unwrap();
+        s.submit(boosted(2, 2, 1_000, 0.0), &c).unwrap();
+        let started = s.try_schedule(&mut c, SimTime::ZERO);
+        assert_eq!(started.len(), 2);
+        assert!(s.try_schedule(&mut c, SimTime::ZERO).is_empty());
+        let insufficient = [
+            (JobId::new(1), HoldReason::InsufficientNodes),
+            (JobId::new(2), HoldReason::InsufficientNodes),
+        ];
+        assert_eq!(s.hold_changes(), &insufficient);
+        (c, s, started[1].alloc)
+    }
+
+    #[test]
+    fn hold_change_in_a_starting_cycle_is_reported_by_the_next_cycle() {
+        let (mut c, mut s, short) = two_holds_reported();
+        // Job 11 ends: 4 nodes free. Job 3 (2 nodes, ends before the
+        // head's shadow at t=100) backfills; job 2 now fits but would
+        // delay the head, a new reason found by a starting cycle.
+        let now = SimTime::from_secs(50);
+        c.release(short, now).unwrap();
+        s.finished(short, now);
+        let backfill = PendingJob {
+            qos_boost: 50.0,
+            ..job(3, 2, 10, 50)
+        };
+        s.submit(backfill, &c).unwrap();
+        let started = s.try_schedule(&mut c, now);
+        assert_eq!(started.len(), 1);
+        assert_eq!(started[0].job, JobId::new(3));
+        assert_eq!(s.hold_changes(), &[(JobId::new(2), HoldReason::HeadShadow)]);
+        // The starting cycle committed nothing: the follow-up cycle, the
+        // one a simulation loop emits after, still lists job 2.
+        assert!(s.try_schedule(&mut c, now).is_empty());
+        assert_eq!(s.hold_changes(), &[(JobId::new(2), HoldReason::HeadShadow)]);
+    }
+
+    #[test]
+    fn repeated_holds_are_not_reported_again() {
+        let (mut c, mut s, _) = two_holds_reported();
+        assert!(s.try_schedule(&mut c, SimTime::from_secs(1)).is_empty());
+        assert_eq!(s.last_holds().len(), 2);
+        assert!(s.hold_changes().is_empty());
+    }
+
+    #[test]
+    fn cancelled_and_resubmitted_job_is_reported_afresh() {
+        let (mut c, mut s, _) = two_holds_reported();
+        assert!(s.cancel(JobId::new(2)));
+        s.submit(job(2, 2, 1_000, 1), &c).unwrap();
+        assert!(s.try_schedule(&mut c, SimTime::from_secs(1)).is_empty());
+        assert_eq!(
+            s.hold_changes(),
+            &[(JobId::new(2), HoldReason::InsufficientNodes)]
+        );
+    }
+
+    #[test]
+    fn with_priority_keeps_queued_and_running_users() {
+        let mut c = cluster(10);
+        let mut s = BatchScheduler::new(PolicySpec::fcfs());
+        let by = |id, user: &str| PendingJob {
+            user: user.into(),
+            ..job(id, 5, 100, 0)
+        };
+        s.submit(by(0, "heavy"), &c).unwrap();
+        assert_eq!(s.try_schedule(&mut c, SimTime::ZERO).len(), 1);
+        s.submit(by(1, "light"), &c).unwrap();
+        s.submit(by(2, "heavy"), &c).unwrap();
+        // A fresh calculator that knows the users in another order.
+        let mut fresh = PriorityCalculator::default();
+        fresh.intern("light");
+        fresh.intern("other");
+        let mut s = s.with_priority(fresh);
+        let running: Vec<UserId> = s.running.values().map(|r| r.user).collect();
+        assert_eq!(running, vec![s.priority.intern("heavy")]);
+        let queued: Vec<UserId> = s.queued.values().map(|q| q.user).collect();
+        assert_eq!(
+            queued,
+            vec![s.priority.intern("light"), s.priority.intern("heavy")]
         );
     }
 

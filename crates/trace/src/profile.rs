@@ -89,15 +89,24 @@ impl SchedProfiler {
     }
 
     /// Renders the per-phase breakdown as a table:
-    /// `phase | total_ms | share_pct | mean_us_per_cycle`.
+    /// `phase | total_ms | share_pct | mean_us_per_cycle`. The `other` row
+    /// is the cycle time outside the three phases (cycle set-up, the hold
+    /// ledger, compacting the queue), so the phase shares sum to 100%.
     pub fn table(&self) -> Table {
         let mut table = Table::new(vec!["phase", "total_ms", "share_pct", "mean_us_per_cycle"]);
         let cycles = self.cycles.max(1) as f64;
         let total = self.cycle_ns_total.max(1) as f64;
-        for phase in PHASES {
-            let ns = self.phase_ns[phase_index(phase)] as f64;
+        let other = self
+            .cycle_ns_total
+            .saturating_sub(self.phase_ns.iter().sum());
+        let rows = PHASES
+            .iter()
+            .map(|&phase| (phase.name(), self.phase_ns[phase_index(phase)]))
+            .chain([("other", other)]);
+        for (name, ns) in rows {
+            let ns = ns as f64;
             table.row(vec![
-                phase.name().to_string(),
+                name.to_string(),
                 format!("{:.3}", ns / 1e6),
                 format!("{:.1}", 100.0 * ns / total),
                 format!("{:.2}", ns / 1e3 / cycles),
@@ -201,7 +210,35 @@ mod tests {
         let p = SchedProfiler::new();
         let table = p.table();
         let phases: Vec<String> = table.rows().iter().map(|r| r[0].clone()).collect();
-        assert_eq!(phases, vec!["order", "admit", "allocate", "cycle total"]);
+        assert_eq!(
+            phases,
+            vec!["order", "admit", "allocate", "other", "cycle total"]
+        );
+    }
+
+    #[test]
+    fn other_row_tiles_the_cycle() {
+        let p = SchedProfiler {
+            cycles: 2,
+            phase_ns: [300, 200, 100],
+            cycle_ns_total: 1_000,
+            ..SchedProfiler::default()
+        };
+        let table = p.table();
+        let share = |row: &[String]| row[2].parse::<f64>().unwrap();
+        let other = &table.rows()[3];
+        assert_eq!(other[0], "other");
+        assert_eq!(other[1], "0.000");
+        assert_eq!(share(other), 40.0);
+        let tiled: f64 = table.rows()[..4].iter().map(|r| share(r)).sum();
+        assert!((tiled - 100.0).abs() < 1e-9, "shares sum to {tiled}");
+        // Phases summing past the cycle total (clock skew) saturate at 0.
+        let skewed = SchedProfiler {
+            phase_ns: [900, 200, 0],
+            cycle_ns_total: 1_000,
+            ..SchedProfiler::default()
+        };
+        assert_eq!(skewed.table().rows()[3][1], "0.000");
     }
 
     #[test]
