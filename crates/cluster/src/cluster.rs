@@ -6,16 +6,18 @@
 //! integration, so utilization figures in the experiments carry no sampling
 //! error.
 
-use crate::alloc::{AllocRequest, AllocatedGroup, Allocation};
+use crate::alloc::{AllocRequest, AllocatedGroup, Allocation, GroupRequest};
 use crate::error::ClusterError;
 use crate::gres::GresKind;
 use crate::ids::{AllocationId, NodeId, PartitionId};
 use crate::node::{Node, NodeShape, NodeState};
+use crate::nodeset::NodeSet;
 use crate::partition::Partition;
 use crate::slot::Slot;
 use hpcqc_simcore::stats::BusyTracker;
 use hpcqc_simcore::time::SimTime;
-use std::collections::{BTreeMap, BTreeSet};
+use hpcqc_simcore::IdMap;
+use std::collections::BTreeMap;
 
 /// Builder for [`Cluster`]; add partitions, then [`ClusterBuilder::build`].
 ///
@@ -111,7 +113,7 @@ impl ClusterBuilder {
         let mut free = Vec::new();
         let mut node_partition = Vec::new();
         let mut node_busy = Vec::new();
-        let mut gres_busy = BTreeMap::new();
+        let mut gres_busy = Vec::new();
         let mut slots = Vec::new();
 
         for (idx, (name, count, shape, gres)) in self.partitions.into_iter().enumerate() {
@@ -120,6 +122,7 @@ impl ClusterBuilder {
                 by_name.insert(name.clone(), pid).is_none(),
                 "duplicate partition name `{name}`"
             );
+            let first = nodes.len() as u32;
             let mut ids = Vec::with_capacity(count as usize);
             for _ in 0..count {
                 let nid = NodeId::new(nodes.len() as u32);
@@ -127,32 +130,31 @@ impl ClusterBuilder {
                 node_partition.push(pid);
                 ids.push(nid);
             }
-            free.push(ids.iter().copied().collect::<BTreeSet<_>>());
+            free.push(NodeSet::full(first, count));
             // A node-less partition still needs a non-zero tracker capacity.
             node_busy.push(BusyTracker::new(start, f64::from(count.max(1))));
             if count > 0 {
                 slots.push(Slot::nodes(pid, count));
             }
             let mut part = Partition::new(pid, name, ids);
+            let mut pools = Vec::with_capacity(gres.len());
             for (pool, (kind, n)) in gres.into_iter().enumerate() {
                 slots.push(Slot::gres(pid, pool, n));
-                gres_busy.insert(
-                    (pid, kind.clone()),
-                    BusyTracker::new(start, f64::from(n.max(1))),
-                );
+                pools.push(BusyTracker::new(start, f64::from(n.max(1))));
                 part = part.with_gres(kind, n);
             }
+            gres_busy.push(pools);
             partitions.push(part);
         }
 
         Cluster {
+            node_owner: vec![None; nodes.len()],
             nodes,
             partitions,
             by_name,
             free,
             node_partition,
-            node_owner: BTreeMap::new(),
-            allocations: BTreeMap::new(),
+            allocations: IdMap::new(),
             next_alloc: 0,
             start,
             node_busy,
@@ -170,15 +172,18 @@ pub struct Cluster {
     nodes: Vec<Node>,
     partitions: Vec<Partition>,
     by_name: BTreeMap<String, PartitionId>,
-    /// Free schedulable nodes per partition (BTreeSet ⇒ deterministic pick order).
-    free: Vec<BTreeSet<NodeId>>,
+    /// Free schedulable nodes per partition, picked lowest id first.
+    free: Vec<NodeSet>,
     node_partition: Vec<PartitionId>,
-    node_owner: BTreeMap<NodeId, AllocationId>,
-    allocations: BTreeMap<AllocationId, Allocation>,
+    /// The allocation holding each node, indexed by node id.
+    node_owner: Vec<Option<AllocationId>>,
+    allocations: IdMap<AllocationId, Allocation>,
     next_alloc: u32,
     start: SimTime,
     node_busy: Vec<BusyTracker>,
-    gres_busy: BTreeMap<(PartitionId, GresKind), BusyTracker>,
+    /// Allocated-unit trackers, indexed by partition and then by pool in
+    /// the partition's pool order.
+    gres_busy: Vec<Vec<BusyTracker>>,
     slots: Vec<Slot>,
 }
 
@@ -224,7 +229,7 @@ impl Cluster {
     /// Returns [`ClusterError::UnknownPartition`] if the name is unknown.
     pub fn free_nodes(&self, partition: &str) -> Result<u32, ClusterError> {
         let pid = self.pid(partition)?;
-        Ok(self.free[pid.raw() as usize].len() as u32)
+        Ok(self.free[pid.raw() as usize].len())
     }
 
     /// Total nodes in a partition.
@@ -290,7 +295,7 @@ impl Cluster {
         };
         let pidx = s.partition().raw() as usize;
         match s.pool() {
-            None => self.free[pidx].len() as u32,
+            None => self.free[pidx].len(),
             Some(pool) => self.partitions[pidx]
                 .gres_pools()
                 .get(pool)
@@ -319,41 +324,62 @@ impl Cluster {
         if request.is_empty() {
             return Err(ClusterError::EmptyRequest);
         }
-        // Demands on the same partition/pool accumulate across groups.
-        let mut node_need: BTreeMap<PartitionId, u32> = BTreeMap::new();
-        let mut gres_need: BTreeMap<(PartitionId, GresKind), u32> = BTreeMap::new();
+        // Every partition name resolves before any shortage is reported.
         for g in request.groups() {
-            let pid = self.pid(&g.partition)?;
-            *node_need.entry(pid).or_default() += g.nodes;
-            for (kind, n) in &g.gres {
-                *gres_need.entry((pid, kind.clone())).or_default() += n;
-            }
+            self.pid(&g.partition)?;
         }
-        for (pid, need) in &node_need {
-            let have = self.free[pid.raw() as usize].len() as u32;
-            if have < *need {
+        // Demands on the same partition/pool accumulate across groups.
+        // Node shortages come first, then gres ones, each in partition id
+        // order and, within a partition, in gres kind order.
+        fn groups_on<'a>(
+            request: &'a AllocRequest,
+            part: &'a Partition,
+        ) -> impl Iterator<Item = &'a GroupRequest> + Clone {
+            request
+                .groups()
+                .iter()
+                .filter(move |g| g.partition == part.name())
+        }
+        for (part, free) in self.partitions.iter().zip(&self.free) {
+            let need: u32 = groups_on(request, part).map(|g| g.nodes).sum();
+            if free.len() < need {
                 return Err(ClusterError::InsufficientNodes {
-                    partition: self.partitions[pid.raw() as usize].name().to_string(),
-                    requested: *need,
-                    available: have,
+                    partition: part.name().to_string(),
+                    requested: need,
+                    available: free.len(),
                 });
             }
         }
-        for ((pid, kind), need) in &gres_need {
-            let part = &self.partitions[pid.raw() as usize];
-            let pool = part
-                .gres_pool(kind)
-                .ok_or_else(|| ClusterError::NoSuchGres {
-                    partition: part.name().to_string(),
-                    kind: kind.clone(),
-                })?;
-            if pool.available() < *need {
-                return Err(ClusterError::InsufficientGres {
-                    partition: part.name().to_string(),
-                    kind: kind.clone(),
-                    requested: *need,
-                    available: pool.available(),
-                });
+        for part in &self.partitions {
+            let gres = groups_on(request, part).flat_map(|g| &g.gres);
+            let mut done: Option<&GresKind> = None;
+            // The requested kinds in increasing order, each once.
+            while let Some(kind) = gres
+                .clone()
+                .map(|(kind, _)| kind)
+                .filter(|kind| done.is_none_or(|d| *kind > d))
+                .min()
+            {
+                let need: u32 = gres
+                    .clone()
+                    .filter(|(k, _)| k == kind)
+                    .map(|(_, n)| n)
+                    .sum();
+                let pool = part
+                    .gres_pool(kind)
+                    .ok_or_else(|| ClusterError::NoSuchGres {
+                        partition: part.name().to_string(),
+                        kind: kind.clone(),
+                    })?;
+                if pool.available() < need {
+                    return Err(ClusterError::InsufficientGres {
+                        partition: part.name().to_string(),
+                        kind: kind.clone(),
+                        requested: need,
+                        available: pool.available(),
+                    });
+                }
+                done = Some(kind);
             }
         }
         Ok(())
@@ -381,19 +407,14 @@ impl Cluster {
             // hpcqc-lint: allow(D004, reason = "can_allocate() above resolved every partition in this request")
             let pid = self.pid(&g.partition).expect("validated above");
             let pidx = pid.raw() as usize;
-            let picked: Vec<NodeId> = self.free[pidx]
-                .iter()
-                .take(g.nodes as usize)
-                .copied()
-                .collect();
+            let picked = self.free[pidx].take_lowest(g.nodes);
             debug_assert_eq!(
                 picked.len(),
                 g.nodes as usize,
                 "can_allocate guaranteed capacity"
             );
             for n in &picked {
-                self.free[pidx].remove(n);
-                self.node_owner.insert(*n, id);
+                self.node_owner[n.raw() as usize] = Some(id);
             }
             if g.nodes > 0 {
                 self.node_busy[pidx].acquire(now, f64::from(g.nodes));
@@ -403,18 +424,16 @@ impl Cluster {
                 if *count == 0 {
                     continue;
                 }
-                let units = self.partitions[pidx]
-                    .gres_pool_mut(kind)
+                let part = &mut self.partitions[pidx];
+                let pool = part
+                    .gres_pool_index(kind)
                     // hpcqc-lint: allow(D004, reason = "can_allocate() above verified the pool exists")
-                    .expect("validated above")
+                    .expect("validated above");
+                let units = part.gres_pools_mut()[pool]
                     .take(*count)
                     // hpcqc-lint: allow(D004, reason = "can_allocate() above verified pool capacity covers the request")
                     .expect("validated above");
-                self.gres_busy
-                    .get_mut(&(pid, kind.clone()))
-                    // hpcqc-lint: allow(D004, reason = "the builder creates one tracker per gres pool; pools are never removed")
-                    .expect("tracker exists for every pool")
-                    .acquire(now, f64::from(*count));
+                self.gres_busy[pidx][pool].acquire(now, f64::from(*count));
                 granted_gres.push((kind.clone(), units));
             }
             groups.push(AllocatedGroup {
@@ -443,7 +462,7 @@ impl Cluster {
             let pid = self.pid(&group.partition).expect("partition cannot vanish");
             let pidx = pid.raw() as usize;
             for n in &group.nodes {
-                self.node_owner.remove(n);
+                self.node_owner[n.raw() as usize] = None;
                 // Failed nodes do not return to the free pool.
                 if self.nodes[n.raw() as usize].is_schedulable() {
                     self.free[pidx].insert(*n);
@@ -453,16 +472,13 @@ impl Cluster {
                 self.node_busy[pidx].release(now, group.nodes.len() as f64);
             }
             for (kind, units) in &group.gres {
-                self.partitions[pidx]
-                    .gres_pool_mut(kind)
+                let part = &mut self.partitions[pidx];
+                let pool = part
+                    .gres_pool_index(kind)
                     // hpcqc-lint: allow(D004, reason = "units were taken from this pool at allocate(); pools are never removed")
-                    .expect("pool cannot vanish")
-                    .give_back(units);
-                self.gres_busy
-                    .get_mut(&(pid, kind.clone()))
-                    // hpcqc-lint: allow(D004, reason = "the builder creates one tracker per gres pool; pools are never removed")
-                    .expect("tracker exists")
-                    .release(now, units.len() as f64);
+                    .expect("pool cannot vanish");
+                part.gres_pools_mut()[pool].give_back(units);
+                self.gres_busy[pidx][pool].release(now, units.len() as f64);
             }
         }
         Ok(())
@@ -516,7 +532,7 @@ impl Cluster {
         group.nodes.sort_unstable();
         let released: Vec<NodeId> = group.nodes.split_off(keep_nodes as usize);
         for n in &released {
-            self.node_owner.remove(n);
+            self.node_owner[n.raw() as usize] = None;
             if self.nodes[n.raw() as usize].is_schedulable() {
                 self.free[pidx].insert(*n);
             }
@@ -546,7 +562,7 @@ impl Cluster {
         if !self.allocations.contains_key(&id) {
             return Err(ClusterError::UnknownAllocation(id));
         }
-        let have = self.free[pidx].len() as u32;
+        let have = self.free[pidx].len();
         if have < add_nodes {
             return Err(ClusterError::InsufficientNodes {
                 partition: partition.to_string(),
@@ -554,14 +570,9 @@ impl Cluster {
                 available: have,
             });
         }
-        let picked: Vec<NodeId> = self.free[pidx]
-            .iter()
-            .take(add_nodes as usize)
-            .copied()
-            .collect();
+        let picked = self.free[pidx].take_lowest(add_nodes);
         for n in &picked {
-            self.free[pidx].remove(n);
-            self.node_owner.insert(*n, id);
+            self.node_owner[n.raw() as usize] = Some(id);
         }
         if add_nodes > 0 {
             self.node_busy[pidx].acquire(now, f64::from(add_nodes));
@@ -607,8 +618,8 @@ impl Cluster {
             .ok_or(ClusterError::UnknownNode(id))?;
         node.set_state(NodeState::Down);
         let pid = self.node_partition[id.raw() as usize];
-        self.free[pid.raw() as usize].remove(&id);
-        Ok(self.node_owner.get(&id).copied())
+        self.free[pid.raw() as usize].remove(id);
+        Ok(self.node_owner[id.raw() as usize])
     }
 
     /// Returns a failed/drained node to service.
@@ -622,7 +633,7 @@ impl Cluster {
             .get_mut(id.raw() as usize)
             .ok_or(ClusterError::UnknownNode(id))?;
         node.set_state(NodeState::Up);
-        if !self.node_owner.contains_key(&id) {
+        if self.node_owner[id.raw() as usize].is_none() {
             let pid = self.node_partition[id.raw() as usize];
             self.free[pid.raw() as usize].insert(id);
         }
@@ -662,10 +673,10 @@ impl Cluster {
         kind: &GresKind,
         until: SimTime,
     ) -> Result<f64, ClusterError> {
-        let pid = self.pid(partition)?;
-        self.gres_busy
-            .get(&(pid, kind.clone()))
-            .map(|b| b.utilization(until))
+        let pidx = self.pid(partition)?.raw() as usize;
+        self.partitions[pidx]
+            .gres_pool_index(kind)
+            .map(|pool| self.gres_busy[pidx][pool].utilization(until))
             .ok_or_else(|| ClusterError::NoSuchGres {
                 partition: partition.to_string(),
                 kind: kind.clone(),
@@ -679,8 +690,8 @@ impl Cluster {
         for (idx, node) in self.nodes.iter().enumerate() {
             let id = NodeId::new(idx as u32);
             let pid = self.node_partition[idx];
-            let in_free = self.free[pid.raw() as usize].contains(&id);
-            let allocated = self.node_owner.contains_key(&id);
+            let in_free = self.free[pid.raw() as usize].contains(id);
+            let allocated = self.node_owner[idx].is_some();
             if in_free && allocated {
                 return Err(format!("{id} is both free and allocated"));
             }
@@ -691,9 +702,9 @@ impl Cluster {
                 return Err(format!("{id} leaked: up, not free, not allocated"));
             }
         }
-        for (id, alloc) in &self.allocations {
+        for (id, alloc) in self.allocations.iter() {
             for n in alloc.node_ids() {
-                if self.node_owner.get(&n) != Some(id) {
+                if self.node_owner[n.raw() as usize] != Some(id) {
                     return Err(format!("{n} owner mismatch for {id}"));
                 }
             }

@@ -52,6 +52,7 @@ pub mod error;
 pub mod gres;
 pub mod ids;
 pub mod node;
+mod nodeset;
 pub mod partition;
 pub mod slot;
 

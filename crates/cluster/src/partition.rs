@@ -87,9 +87,14 @@ impl Partition {
         &self.gres
     }
 
-    /// Mutable access to the pool of the given kind.
-    pub(crate) fn gres_pool_mut(&mut self, kind: &GresKind) -> Option<&mut GresPool> {
-        self.gres.iter_mut().find(|p| p.kind() == kind)
+    /// The position of the pool of the given kind in [`Partition::gres_pools`].
+    pub(crate) fn gres_pool_index(&self, kind: &GresKind) -> Option<usize> {
+        self.gres.iter().position(|p| p.kind() == kind)
+    }
+
+    /// The gres pools, mutably.
+    pub(crate) fn gres_pools_mut(&mut self) -> &mut [GresPool] {
+        &mut self.gres
     }
 
     /// The pool of the given kind.

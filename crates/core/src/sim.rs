@@ -41,6 +41,7 @@ use hpcqc_sched::scheduler::{BatchScheduler, PendingJob, SchedError};
 use hpcqc_simcore::events::EventQueue;
 use hpcqc_simcore::rng::SimRng;
 use hpcqc_simcore::time::{SimDuration, SimTime};
+use hpcqc_simcore::IdMap;
 use hpcqc_workload::campaign::Workload;
 use hpcqc_workload::job::{JobId, JobSpec, Phase};
 // hpcqc-lint: allow(D002, reason = "HashMap backs the identity-hashed JobMap only; it is never iterated (see JobMap docs)")
@@ -314,7 +315,7 @@ pub(crate) struct SimState<'o> {
     /// What each queued submission starts, keyed by raw qid (the
     /// scheduler's [`JobId`]): inserted at submit, removed at start or
     /// abort.
-    queue_map: BTreeMap<u64, QueueEntry>,
+    queue_map: IdMap<u64, QueueEntry>,
     /// The next fresh qid; qids are never reused.
     next_qid: u64,
     /// Built-in observer assembling the outcome's job statistics.
@@ -350,7 +351,7 @@ pub(crate) struct SimState<'o> {
     kernels_in_flight: BTreeMap<u64, usize>,
     /// The job holding each live allocation, so a failed node finds the
     /// job to kill.
-    alloc_owner: BTreeMap<AllocationId, JobId>,
+    alloc_owner: IdMap<AllocationId, JobId>,
     /// Node failures injected so far.
     failures_injected: u64,
     /// Jobs finalized so far; the run ends when this reaches `spawned`
@@ -587,13 +588,13 @@ impl<'o> FacilitySim<'o> {
                 fleet,
                 events,
                 jobs: JobMap::default(),
-                queue_map: BTreeMap::new(),
+                queue_map: IdMap::new(),
                 next_qid: 0,
                 stats_obs: StatsObserver::new(),
                 waste_obs,
                 gantt_obs,
                 extras,
-                alloc_owner: BTreeMap::new(),
+                alloc_owner: IdMap::new(),
                 failures_injected: 0,
                 completed: 0,
                 spawned: 0,
@@ -734,7 +735,12 @@ impl<'o> SimState<'o> {
                     }
                 }
                 Event::KillJob(job, epoch) => {
-                    if self.jobs.get(&job.raw()).is_some_and(|r| r.epoch == epoch) {
+                    if let Some(run) = self.jobs.get_mut(&job.raw()).filter(|r| r.epoch == epoch) {
+                        // The timer just fired: forget its key, so the
+                        // abort does not cancel an event that is gone.
+                        if run.kill_event == Some(ev.key) {
+                            run.kill_event = None;
+                        }
                         self.kill_job(driver, job, now)?;
                     }
                 }

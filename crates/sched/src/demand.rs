@@ -18,6 +18,8 @@ use hpcqc_cluster::alloc::AllocRequest;
 use hpcqc_cluster::cluster::Cluster;
 use hpcqc_cluster::gres::GresKind;
 use hpcqc_simcore::time::{SimDuration, SimTime};
+use std::cell::OnceCell;
+use std::fmt;
 
 /// The number of resource slots a [`Demand`] holds. A cluster's slots
 /// past this many cannot be planned for: [`Demand::resolve`] rejects a
@@ -186,17 +188,99 @@ impl Demand {
     }
 }
 
+/// The expected releases of the running jobs, as a deferred [`Profile`]
+/// reads them when it is built.
+pub(crate) trait Releases: fmt::Debug + Sync {
+    /// Each running job's expected end and the demand it then frees.
+    fn releases(&self) -> Box<dyn Iterator<Item = (SimTime, &Demand)> + '_>;
+}
+
 /// A piecewise-constant timeline of free capacity.
 ///
 /// Segment `i` spans `[times[i], times[i+1])` with free capacity `free[i]`;
 /// the last segment extends to the far horizon.
+///
+/// # Deferred profiles
+///
+/// A scheduling cycle plans against a profile that is built only when a
+/// policy first reads it: FCFS never does, EASY and its variants only
+/// once a head blocks, conservative backfill on its first admit. Until
+/// then the profile holds the cycle's start, the live free vector and a
+/// borrow of the running set, and [`Profile::reserve`] folds each start
+/// at the cycle's instant into them instead of carving a timeline. Every
+/// answer is the same as the eager profile's, segment for segment.
+///
+/// Why folding is exact. Write `B(F, R)` for the profile built at `now`
+/// from free vector `F` and releases `R`: its breakpoints are `now` and
+/// every release instant (clamped up to `now`), and its capacity at `τ`
+/// is `F` plus every release at or before `τ`. Releases only add, so
+/// every segment of `B(F, R)` covers `F`. Take a demand `d` that `F`
+/// covers and an end `e = now + w < SimTime::MAX`. Then
+/// `reserve(d, now, w)` on `B(F, R)` equals `B(F − d, R ∪ {(e, d)})`:
+///
+/// * breakpoints: the reserve adds `e` unless present, and so does the
+///   new release (`e ≥ now`, and a release at `now` merges into the first
+///   segment just as a zero-length reserve changes nothing);
+/// * capacity: at `τ < e` the reserve leaves `B(F, R)(τ) − d` (exact, as
+///   the segment covers `F ⊇ d`), and the right side reads
+///   `F − d + ΣR(≤ τ)`, the same; at `τ ≥ e` both read `B(F, R)(τ)`.
+///
+/// By induction a fold of any number of such starts equals the eager
+/// reserves, so the first read may build `B(F − Σd, R ∪ folds)` instead.
+/// The two differ when `e` saturates to [`SimTime::MAX`]: the reserve
+/// then carves to the horizon while `B` gains a segment at
+/// `SimTime::MAX`. Such a start, a start not at `now`, or a demand the
+/// free vector does not cover builds the profile first and reserves
+/// eagerly.
+#[derive(Debug, Clone)]
+pub struct Profile<'a> {
+    built: OnceCell<Timeline>,
+    /// What the timeline is built from on first read; unused once built.
+    inputs: Inputs<'a>,
+}
+
+/// The inputs of a deferred profile.
+#[derive(Debug, Clone)]
+struct Inputs<'a> {
+    now: SimTime,
+    /// The free vector, less every folded start.
+    free: Demand,
+    running: &'a dyn Releases,
+    /// The release of each folded start: its end and its demand.
+    folded: Vec<(SimTime, Demand)>,
+}
+
+impl Inputs<'_> {
+    fn build(&self) -> Timeline {
+        let folded = self.folded.iter().map(|(t, d)| (*t, d));
+        Timeline::build(self.now, self.free, self.running.releases().chain(folded))
+    }
+}
+
+/// The release set of a profile built eagerly: its inputs are never read.
+#[derive(Debug)]
+struct NoReleases;
+
+impl Releases for NoReleases {
+    fn releases(&self) -> Box<dyn Iterator<Item = (SimTime, &Demand)> + '_> {
+        Box::new(std::iter::empty())
+    }
+}
+
+/// A built profile's segments.
 #[derive(Debug, Clone, PartialEq)]
-pub struct Profile {
+struct Timeline {
     times: Vec<SimTime>,
     free: Vec<Demand>,
 }
 
-impl Profile {
+impl PartialEq for Profile<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        self.timeline() == other.timeline()
+    }
+}
+
+impl Profile<'static> {
     /// Builds the availability profile seen at `now`: current free capacity
     /// plus the capacity each running job returns at its expected end.
     ///
@@ -205,55 +289,71 @@ impl Profile {
     /// is optimistically assumed to finish imminently — re-planning happens
     /// on every completion event anyway, and real starts always re-validate
     /// against the live cluster).
-    pub fn build(now: SimTime, mut current_free: Demand, releases: &[(SimTime, Demand)]) -> Self {
-        let mut events: Vec<(SimTime, &Demand)> =
-            releases.iter().map(|(t, d)| ((*t).max(now), d)).collect();
-        events.sort_by_key(|(t, _)| *t);
-        let mut times = Vec::with_capacity(events.len() + 1);
-        let mut free = Vec::with_capacity(events.len() + 1);
-        times.push(now);
-        free.push(current_free);
-        for (t, d) in events {
-            current_free.add(d);
-            if times.last() == Some(&t) {
-                if let Some(slot) = free.last_mut() {
-                    *slot = current_free;
-                }
-            } else {
-                times.push(t);
-                free.push(current_free);
-            }
+    pub fn build(now: SimTime, current_free: Demand, releases: &[(SimTime, Demand)]) -> Self {
+        Profile::built(Timeline::build(
+            now,
+            current_free,
+            releases.iter().map(|(t, d)| (*t, d)),
+        ))
+    }
+
+    fn built(timeline: Timeline) -> Self {
+        Profile {
+            built: OnceCell::from(timeline),
+            inputs: Inputs {
+                now: SimTime::ZERO,
+                free: Demand::new(),
+                running: &NoReleases,
+                folded: Vec::new(),
+            },
         }
-        Profile { times, free }
+    }
+
+    /// The profile of `running`'s releases on top of `current_free`,
+    /// built now.
+    pub(crate) fn build_from(now: SimTime, current_free: Demand, running: &dyn Releases) -> Self {
+        Profile::built(Timeline::build(now, current_free, running.releases()))
+    }
+}
+
+impl<'a> Profile<'a> {
+    /// The profile [`Profile::build`] would return for `running`'s
+    /// releases, built on first read (see [Deferred profiles](Profile#deferred-profiles)).
+    pub(crate) fn deferred(now: SimTime, current_free: Demand, running: &'a dyn Releases) -> Self {
+        Profile {
+            built: OnceCell::new(),
+            inputs: Inputs {
+                now,
+                free: current_free,
+                running,
+                folded: Vec::new(),
+            },
+        }
+    }
+
+    fn timeline(&self) -> &Timeline {
+        self.built.get_or_init(|| self.inputs.build())
     }
 
     /// Number of segments.
     pub fn segments(&self) -> usize {
-        self.times.len()
+        self.timeline().times.len()
     }
 
     /// The free capacity at instant `t`.
     pub fn free_at(&self, t: SimTime) -> &Demand {
-        &self.free[self.segment_at(t)]
-    }
-
-    /// Index of the segment containing `t`; the profile starts at `now`,
-    /// so earlier instants clamp to the first segment.
-    fn segment_at(&self, t: SimTime) -> usize {
-        match self.times.binary_search(&t) {
-            Ok(i) => i,
-            Err(0) => 0,
-            Err(i) => i - 1,
-        }
+        let timeline = self.timeline();
+        &timeline.free[timeline.segment_at(t)]
     }
 
     /// `true` if `demand` fits everywhere in `[start, start + duration)`.
     pub fn fits(&self, demand: &Demand, start: SimTime, duration: SimDuration) -> bool {
         let end = start.saturating_add(duration);
-        let first = self.segment_at(start);
-        self.times[first..]
+        let timeline = self.timeline();
+        let first = timeline.segment_at(start);
+        timeline.times[first..]
             .iter()
-            .zip(&self.free[first..])
+            .zip(&timeline.free[first..])
             .take_while(|(t, _)| **t < end)
             .all(|(_, free)| free.covers(demand))
     }
@@ -270,11 +370,12 @@ impl Profile {
         if self.fits(demand, from, duration) {
             return from;
         }
-        for (i, t) in self.times.iter().enumerate() {
+        let timeline = self.timeline();
+        for (i, t) in timeline.times.iter().enumerate() {
             if *t <= from {
                 continue;
             }
-            if self.free[i].covers(demand) && self.fits(demand, *t, duration) {
+            if timeline.free[i].covers(demand) && self.fits(demand, *t, duration) {
                 return *t;
             }
         }
@@ -282,8 +383,61 @@ impl Profile {
     }
 
     /// Carves `demand` out of the profile over `[start, start + duration)`,
-    /// splitting segments at the boundaries as needed.
+    /// splitting segments at the boundaries as needed. On a profile not
+    /// built yet, a start at the cycle's instant is folded in instead (see
+    /// [Deferred profiles](Profile#deferred-profiles)).
     pub fn reserve(&mut self, demand: &Demand, start: SimTime, duration: SimDuration) {
+        let end = start.saturating_add(duration);
+        let inputs = &mut self.inputs;
+        let foldable = start == inputs.now && end < SimTime::MAX && inputs.free.covers(demand);
+        if self.built.get().is_none() && foldable {
+            inputs.free.subtract(demand);
+            inputs.folded.push((end, *demand));
+            return;
+        }
+        let mut timeline = self.built.take().unwrap_or_else(|| inputs.build());
+        timeline.reserve(demand, start, duration);
+        self.built = OnceCell::from(timeline);
+    }
+}
+
+impl Timeline {
+    fn build<'d>(
+        now: SimTime,
+        mut current_free: Demand,
+        releases: impl Iterator<Item = (SimTime, &'d Demand)>,
+    ) -> Self {
+        let mut events: Vec<(SimTime, &Demand)> = releases.map(|(t, d)| (t.max(now), d)).collect();
+        events.sort_by_key(|(t, _)| *t);
+        let mut times = Vec::with_capacity(events.len() + 1);
+        let mut free = Vec::with_capacity(events.len() + 1);
+        times.push(now);
+        free.push(current_free);
+        for (t, d) in events {
+            current_free.add(d);
+            if times.last() == Some(&t) {
+                if let Some(slot) = free.last_mut() {
+                    *slot = current_free;
+                }
+            } else {
+                times.push(t);
+                free.push(current_free);
+            }
+        }
+        Timeline { times, free }
+    }
+
+    /// Index of the segment containing `t`; the profile starts at `now`,
+    /// so earlier instants clamp to the first segment.
+    fn segment_at(&self, t: SimTime) -> usize {
+        match self.times.binary_search(&t) {
+            Ok(i) => i,
+            Err(0) => 0,
+            Err(i) => i - 1,
+        }
+    }
+
+    fn reserve(&mut self, demand: &Demand, start: SimTime, duration: SimDuration) {
         let end = start.saturating_add(duration);
         self.split_at(start);
         if end < SimTime::MAX {
@@ -320,6 +474,7 @@ mod tests {
     use super::*;
     use hpcqc_cluster::alloc::GroupRequest;
     use hpcqc_cluster::cluster::ClusterBuilder;
+    use proptest::prelude::*;
 
     /// `nodes` units in slot 0 (the `classical` nodes of [`machine`]).
     fn demand(nodes: u32) -> Demand {
@@ -513,6 +668,106 @@ mod tests {
         let now = SimTime::from_secs(100);
         let p = Profile::build(now, free(1), &[(SimTime::from_secs(50), free(9))]);
         assert_eq!(p.free_at(now).get(0), 10);
+    }
+
+    /// A running set for deferred profiles: `(expected end, demand)`.
+    impl Releases for Vec<(SimTime, Demand)> {
+        fn releases(&self) -> Box<dyn Iterator<Item = (SimTime, &Demand)> + '_> {
+            Box::new(self.iter().map(|(t, d)| (*t, d)))
+        }
+    }
+
+    #[test]
+    fn folded_starts_build_only_on_first_read() {
+        let running = vec![(SimTime::from_secs(100), demand(4))];
+        let now = SimTime::from_secs(10);
+        let mut lazy = Profile::deferred(now, free(6), &running);
+        lazy.reserve(&demand(2), now, SimDuration::from_secs(50));
+        lazy.reserve(&demand(1), now, SimDuration::from_secs(500));
+        assert!(lazy.built.get().is_none(), "starts at `now` fold");
+        let mut eager = Profile::build(now, free(6), &running);
+        eager.reserve(&demand(2), now, SimDuration::from_secs(50));
+        eager.reserve(&demand(1), now, SimDuration::from_secs(500));
+        assert_eq!(lazy.free_at(SimTime::from_secs(70)).get(0), 5);
+        assert!(lazy.built.get().is_some(), "a read builds");
+        assert_eq!(lazy, eager);
+        // A start past what the free vector covers, or to the horizon,
+        // builds first.
+        for (units, walltime) in [(7, SimDuration::from_secs(1)), (1, SimDuration::MAX)] {
+            let mut lazy = Profile::deferred(now, free(6), &running);
+            lazy.reserve(&demand(units), now, walltime);
+            assert!(lazy.built.get().is_some());
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// A deferred profile answers every `fits`, `find_slot` and
+        /// `free_at` like the eager one, through folded starts at `now`
+        /// (some saturating to `SimTime::MAX`), later shadow and
+        /// conservative reserves, carves at any instant, and running jobs
+        /// that overran or never end.
+        #[test]
+        fn deferred_profile_matches_eager(
+            free_units in prop::collection::vec(0u32..10, 1..4),
+            running in prop::collection::vec((0u64..12, prop::collection::vec(0u32..5, 1..4)), 0..8),
+            ops in prop::collection::vec(
+                (0u8..6, prop::collection::vec(0u32..6, 1..4), 0u64..14, 0u64..10),
+                1..16,
+            ),
+        ) {
+            let now = at(3);
+            // Tick 11 is a job that never ends; ticks below 3 overran.
+            let running: Vec<(SimTime, Demand)> = running
+                .iter()
+                .map(|(t, u)| (if *t == 11 { SimTime::MAX } else { at(*t) }, Demand::from_units(u)))
+                .collect();
+            let mut eager = Profile::build(now, Demand::from_units(&free_units), &running);
+            let mut lazy = Profile::deferred(now, Demand::from_units(&free_units), &running);
+            for (kind, units, ticks, len) in ops {
+                let d = Demand::from_units(&units);
+                // Length 9 runs to the horizon: `now + walltime` saturates.
+                let walltime = if len == 9 { SimDuration::MAX } else { span(len) };
+                match kind {
+                    // A start at `now`, as the scheduler reserves it.
+                    0 | 1 => {
+                        eager.reserve(&d, now, walltime);
+                        lazy.reserve(&d, now, walltime);
+                    }
+                    // A shadow or conservative reservation at its slot.
+                    2 => {
+                        let slot = eager.find_slot(&d, walltime, at(ticks));
+                        prop_assert_eq!(slot, lazy.find_slot(&d, walltime, at(ticks)));
+                        if slot != SimTime::MAX {
+                            eager.reserve(&d, slot, walltime);
+                            lazy.reserve(&d, slot, walltime);
+                        }
+                    }
+                    // A carve at any instant, with no read before it.
+                    3 => {
+                        eager.reserve(&d, at(ticks), walltime);
+                        lazy.reserve(&d, at(ticks), walltime);
+                    }
+                    4 => prop_assert_eq!(
+                        eager.fits(&d, at(ticks), walltime),
+                        lazy.fits(&d, at(ticks), walltime)
+                    ),
+                    _ => prop_assert_eq!(eager.free_at(at(ticks)), lazy.free_at(at(ticks))),
+                }
+            }
+            prop_assert_eq!(eager.segments(), lazy.segments());
+            prop_assert_eq!(eager.built.get(), lazy.built.get());
+        }
+    }
+
+    /// `n` ticks of 50 s.
+    fn at(ticks: u64) -> SimTime {
+        SimTime::from_secs(50 * ticks)
+    }
+
+    fn span(ticks: u64) -> SimDuration {
+        SimDuration::from_secs(50 * ticks)
     }
 
     #[test]

@@ -32,7 +32,7 @@ impl QueuePolicy for ConservativeBackfill {
         &mut self,
         job: &PendingJob,
         demand: &Demand,
-        profile: &mut Profile,
+        profile: &mut Profile<'_>,
         ctx: &SchedCtx<'_>,
     ) -> Verdict {
         let slot = profile.find_slot(demand, job.walltime, ctx.now());

@@ -70,7 +70,7 @@ impl QueuePolicy for EasyBackfill {
         &mut self,
         job: &PendingJob,
         demand: &Demand,
-        profile: &mut Profile,
+        profile: &mut Profile<'_>,
         ctx: &SchedCtx<'_>,
     ) -> Verdict {
         easy_admit(self.head_blocked, job, demand, profile, ctx)
@@ -80,7 +80,7 @@ impl QueuePolicy for EasyBackfill {
         &mut self,
         job: &PendingJob,
         demand: &Demand,
-        profile: &mut Profile,
+        profile: &mut Profile<'_>,
         ctx: &SchedCtx<'_>,
     ) {
         easy_held(&mut self.head_blocked, job, demand, profile, ctx);

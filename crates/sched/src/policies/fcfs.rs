@@ -37,7 +37,7 @@ impl QueuePolicy for Fcfs {
         &mut self,
         _job: &PendingJob,
         demand: &Demand,
-        _profile: &mut Profile,
+        _profile: &mut Profile<'_>,
         ctx: &SchedCtx<'_>,
     ) -> Verdict {
         if !self.blocked && ctx.can_start(demand) {
@@ -53,7 +53,7 @@ impl QueuePolicy for Fcfs {
         &mut self,
         _job: &PendingJob,
         _demand: &Demand,
-        _profile: &mut Profile,
+        _profile: &mut Profile<'_>,
         _ctx: &SchedCtx<'_>,
     ) {
         self.blocked = true;

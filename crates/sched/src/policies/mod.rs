@@ -38,7 +38,7 @@ pub(crate) fn easy_admit(
     head_blocked: bool,
     job: &PendingJob,
     demand: &Demand,
-    profile: &mut Profile,
+    profile: &mut Profile<'_>,
     ctx: &SchedCtx<'_>,
 ) -> Verdict {
     if ctx.can_start(demand) && (!head_blocked || profile.fits(demand, ctx.now(), job.walltime)) {
@@ -61,7 +61,7 @@ pub(crate) fn easy_held(
     head_blocked: &mut bool,
     job: &PendingJob,
     demand: &Demand,
-    profile: &mut Profile,
+    profile: &mut Profile<'_>,
     ctx: &SchedCtx<'_>,
 ) {
     if !*head_blocked {

@@ -94,7 +94,7 @@ impl QueuePolicy for PriorityBackfill {
         &mut self,
         job: &PendingJob,
         demand: &Demand,
-        profile: &mut Profile,
+        profile: &mut Profile<'_>,
         ctx: &SchedCtx<'_>,
     ) -> Verdict {
         easy_admit(self.head_blocked, job, demand, profile, ctx)
@@ -104,7 +104,7 @@ impl QueuePolicy for PriorityBackfill {
         &mut self,
         job: &PendingJob,
         demand: &Demand,
-        profile: &mut Profile,
+        profile: &mut Profile<'_>,
         ctx: &SchedCtx<'_>,
     ) {
         easy_held(&mut self.head_blocked, job, demand, profile, ctx);

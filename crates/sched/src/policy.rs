@@ -42,7 +42,7 @@
 //!         &mut self,
 //!         _job: &PendingJob,
 //!         demand: &Demand,
-//!         _profile: &mut Profile,
+//!         _profile: &mut Profile<'_>,
 //!         ctx: &SchedCtx<'_>,
 //!     ) -> Verdict {
 //!         // `demand` is the job's footprint per resource slot, resolved
@@ -299,7 +299,7 @@ pub trait QueuePolicy: fmt::Debug + Send {
         &mut self,
         job: &PendingJob,
         demand: &Demand,
-        profile: &mut Profile,
+        profile: &mut Profile<'_>,
         ctx: &SchedCtx<'_>,
     ) -> Verdict;
 
@@ -312,7 +312,7 @@ pub trait QueuePolicy: fmt::Debug + Send {
         &mut self,
         _job: &PendingJob,
         _demand: &Demand,
-        _profile: &mut Profile,
+        _profile: &mut Profile<'_>,
         _ctx: &SchedCtx<'_>,
     ) {
     }

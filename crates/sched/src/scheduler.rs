@@ -12,7 +12,7 @@
 //! pays one queue wait per step, and that wait depends directly on the
 //! queue policy in force.
 
-use crate::demand::{Demand, Profile};
+use crate::demand::{Demand, Profile, Releases};
 use crate::policy::{HoldReason, PolicySpec, QueuePolicy, SchedCtx, Verdict};
 use crate::priority::{PriorityCalculator, UserId};
 use crate::probe::{CyclePhase, CycleProbe, NoProbe};
@@ -21,6 +21,7 @@ use hpcqc_cluster::cluster::Cluster;
 use hpcqc_cluster::error::ClusterError;
 use hpcqc_cluster::ids::AllocationId;
 use hpcqc_simcore::time::{SimDuration, SimTime};
+use hpcqc_simcore::IdMap;
 use hpcqc_workload::job::JobId;
 use std::collections::BTreeMap;
 use std::error::Error;
@@ -134,6 +135,12 @@ struct Running {
     started: SimTime,
 }
 
+impl Releases for IdMap<AllocationId, Running> {
+    fn releases(&self) -> Box<dyn Iterator<Item = (SimTime, &Demand)> + '_> {
+        Box::new(self.values().map(|r| (r.expected_end, &r.demand)))
+    }
+}
+
 /// The batch scheduler.
 ///
 /// Drive it with [`submit`](BatchScheduler::submit) /
@@ -151,7 +158,10 @@ pub struct BatchScheduler {
     pending: Vec<PendingJob>,
     /// Each queued job's submit-time entry.
     queued: BTreeMap<JobId, Queued>,
-    running: BTreeMap<AllocationId, Running>,
+    running: IdMap<AllocationId, Running>,
+    /// The jobs a cycle starts, moved into `running` when it ends: the
+    /// cycle's deferred profile borrows `running` until then.
+    starting: Vec<(AllocationId, Running)>,
     total_started: u64,
     total_finished: u64,
     last_holds: Vec<(JobId, HoldReason)>,
@@ -191,7 +201,8 @@ impl BatchScheduler {
             priority,
             pending: Vec::new(),
             queued: BTreeMap::new(),
-            running: BTreeMap::new(),
+            running: IdMap::new(),
+            starting: Vec::new(),
             total_started: 0,
             total_finished: 0,
             last_holds: Vec::new(),
@@ -288,13 +299,8 @@ impl BatchScheduler {
     /// running job, before any reservations. Useful for policy authoring
     /// and for asserting backfill invariants from the outside (see
     /// `crates/sched/tests/proptest_sched.rs`).
-    pub fn availability_profile(&self, cluster: &Cluster, now: SimTime) -> Profile {
-        let releases: Vec<(SimTime, Demand)> = self
-            .running
-            .values()
-            .map(|r| (r.expected_end, r.demand))
-            .collect();
-        Profile::build(now, Demand::free_of(cluster), &releases)
+    pub fn availability_profile(&self, cluster: &Cluster, now: SimTime) -> Profile<'static> {
+        Profile::build_from(now, Demand::free_of(cluster), &self.running)
     }
 
     /// Enqueues a job, resolving its request against `cluster` — the
@@ -412,6 +418,13 @@ impl BatchScheduler {
     /// [`try_schedule`](BatchScheduler::try_schedule) with a [`CycleProbe`]
     /// observing the cycle's internal phases. Scheduling decisions are
     /// byte-identical to the unprobed path — the probe only watches.
+    ///
+    /// The policy plans against the
+    /// [`availability_profile`](BatchScheduler::availability_profile) at
+    /// `now`, deferred until it first reads it (see
+    /// [Deferred profiles](Profile#deferred-profiles)): a cycle whose
+    /// policy never looks at the timeline neither copies the running set
+    /// nor builds one.
     pub fn try_schedule_probed(
         &mut self,
         cluster: &mut Cluster,
@@ -440,8 +453,8 @@ impl BatchScheduler {
             &mut self.pending,
             &SchedCtx::new(now, cluster, &self.priority, &self.queued, &free),
         );
-        let mut profile = self.availability_profile(cluster, now);
         probe.phase_end(CyclePhase::Order);
+        let mut profile = Profile::deferred(now, free, &self.running);
 
         let mut started = Vec::new();
         // Whether some queued demand fitted the free vector at its admit.
@@ -475,7 +488,7 @@ impl BatchScheduler {
                             free.subtract(&demand);
                             self.queued.remove(&job.id);
                             profile.reserve(&demand, now, job.walltime);
-                            self.running.insert(
+                            self.starting.push((
                                 alloc,
                                 Running {
                                     job: job.id,
@@ -485,7 +498,7 @@ impl BatchScheduler {
                                     node_count: entry.nodes,
                                     started: now,
                                 },
-                            );
+                            ));
                             self.total_started += 1;
                             started.push(StartedJob { job: job.id, alloc });
                             continue;
@@ -512,6 +525,7 @@ impl BatchScheduler {
             kept += 1;
         }
         self.pending.truncate(kept);
+        self.running.extend(self.starting.drain(..));
         if started.is_empty() {
             // Commit the reasons this cycle reported (see `hold_changes`).
             for &(id, reason) in &self.hold_changes {
@@ -868,7 +882,7 @@ mod tests {
                 &mut self,
                 _job: &PendingJob,
                 _demand: &Demand,
-                _profile: &mut Profile,
+                _profile: &mut Profile<'_>,
                 _ctx: &SchedCtx<'_>,
             ) -> Verdict {
                 Verdict::Hold(HoldReason::PolicyHold)
@@ -981,7 +995,7 @@ mod tests {
                 &mut self,
                 _job: &PendingJob,
                 demand: &Demand,
-                _profile: &mut Profile,
+                _profile: &mut Profile<'_>,
                 ctx: &SchedCtx<'_>,
             ) -> Verdict {
                 Verdict::Hold(ctx.hold_reason(demand))

@@ -7,22 +7,26 @@
 //! relies on.
 //!
 //! Events can be cancelled through the [`EventKey`] returned at scheduling
-//! time; cancellation is lazy (tombstoned) and O(1).
+//! time; cancellation is lazy (the heap entry stays until it surfaces) and
+//! O(1), and it only ever affects an event that is still pending.
 
 use crate::time::SimTime;
 use std::cmp::Ordering;
-use std::collections::{BTreeSet, BinaryHeap};
+use std::collections::BinaryHeap;
 use std::fmt;
 
 /// Opaque handle identifying a scheduled event, used for cancellation.
 ///
 /// Keys are unique for the lifetime of the queue that issued them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct EventKey(u64);
+pub struct EventKey {
+    seq: u64,
+    slot: u32,
+}
 
 impl fmt::Display for EventKey {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "evt#{}", self.0)
+        write!(f, "evt#{}", self.seq)
     }
 }
 
@@ -30,6 +34,7 @@ impl fmt::Display for EventKey {
 struct Entry<E> {
     time: SimTime,
     class: u8,
+    slot: u32,
     seq: u64,
     payload: E,
 }
@@ -58,6 +63,19 @@ impl<E> Ord for Entry<E> {
             .then_with(|| other.seq.cmp(&self.seq))
     }
 }
+
+/// The state of one heap entry, found by its slot: which event holds the
+/// slot and whether it was cancelled. A slot is handed out at schedule and
+/// returned when its entry leaves the heap, so a key whose event already
+/// fired (or was purged) no longer matches its slot.
+#[derive(Debug, Clone, Copy)]
+struct SlotState {
+    seq: u64,
+    cancelled: bool,
+}
+
+/// `SlotState::seq` of a slot no heap entry holds; no event gets this seq.
+const VACANT: u64 = u64::MAX;
 
 /// A scheduled event popped from the queue.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -88,7 +106,12 @@ pub struct Scheduled<E> {
 #[derive(Debug)]
 pub struct EventQueue<E> {
     heap: BinaryHeap<Entry<E>>,
-    cancelled: BTreeSet<u64>,
+    /// Indexed by [`Entry::slot`]; as long as the largest heap ever was.
+    slots: Vec<SlotState>,
+    /// Slots no heap entry holds, reused before `slots` grows.
+    free_slots: Vec<u32>,
+    /// Pending (scheduled, not fired, not cancelled) events.
+    live: usize,
     next_seq: u64,
     last_popped: SimTime,
 }
@@ -104,7 +127,9 @@ impl<E> EventQueue<E> {
     pub fn new() -> Self {
         EventQueue {
             heap: BinaryHeap::new(),
-            cancelled: BTreeSet::new(),
+            slots: Vec::new(),
+            free_slots: Vec::new(),
+            live: 0,
             next_seq: 0,
             last_popped: SimTime::ZERO,
         }
@@ -147,38 +172,69 @@ impl<E> EventQueue<E> {
         );
         let seq = self.next_seq;
         self.next_seq += 1;
+        let state = SlotState {
+            seq,
+            cancelled: false,
+        };
+        let slot = match self.free_slots.pop() {
+            Some(slot) => {
+                self.slots[slot as usize] = state;
+                slot
+            }
+            None => {
+                self.slots.push(state);
+                (self.slots.len() - 1) as u32
+            }
+        };
+        self.live += 1;
         self.heap.push(Entry {
             time,
             class,
+            slot,
             seq,
             payload,
         });
-        EventKey(seq)
+        EventKey { seq, slot }
     }
 
     /// Cancels a scheduled event. Returns `true` if the event was still
-    /// pending (i.e. this call actually prevented it from firing).
+    /// pending, i.e. this call prevented it from firing; `false` for an
+    /// event that already fired or was already cancelled.
     pub fn cancel(&mut self, key: EventKey) -> bool {
-        // A key is pending iff it was issued and has not fired yet. We cannot
-        // cheaply know whether it already fired, so track tombstones and let
-        // `pop` drop them; `insert` returns false on double-cancel.
-        if key.0 >= self.next_seq {
-            return false;
+        match self.slots.get_mut(key.slot as usize) {
+            Some(state) if state.seq == key.seq && !state.cancelled => {
+                state.cancelled = true;
+                self.live -= 1;
+                true
+            }
+            _ => false,
         }
-        self.cancelled.insert(key.0)
+    }
+
+    /// Hands `entry`'s slot back and reports whether it was cancelled.
+    fn retire(&mut self, entry: &Entry<E>) -> bool {
+        let state = &mut self.slots[entry.slot as usize];
+        let cancelled = state.cancelled;
+        state.seq = VACANT;
+        self.free_slots.push(entry.slot);
+        cancelled
     }
 
     /// Removes and returns the earliest pending event, skipping cancelled
     /// ones, or `None` when the calendar is exhausted.
     pub fn pop(&mut self) -> Option<Scheduled<E>> {
         while let Some(entry) = self.heap.pop() {
-            if self.cancelled.remove(&entry.seq) {
+            if self.retire(&entry) {
                 continue;
             }
+            self.live -= 1;
             self.last_popped = entry.time;
             return Some(Scheduled {
                 time: entry.time,
-                key: EventKey(entry.seq),
+                key: EventKey {
+                    seq: entry.seq,
+                    slot: entry.slot,
+                },
                 payload: entry.payload,
             });
         }
@@ -189,24 +245,24 @@ impl<E> EventQueue<E> {
     pub fn peek_time(&mut self) -> Option<SimTime> {
         // Purge cancelled heads so the peeked time is a live event.
         while let Some(entry) = self.heap.peek() {
-            if !self.cancelled.contains(&entry.seq) {
+            if !self.slots[entry.slot as usize].cancelled {
                 return Some(entry.time);
             }
             if let Some(dead) = self.heap.pop() {
-                self.cancelled.remove(&dead.seq);
+                self.retire(&dead);
             }
         }
         None
     }
 
-    /// Number of pending (non-cancelled) events.
+    /// Number of pending (scheduled, not yet fired, not cancelled) events.
     pub fn len(&self) -> usize {
-        self.heap.len() - self.cancelled.len()
+        self.live
     }
 
     /// `true` if no live events remain.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.live == 0
     }
 
     /// The timestamp of the most recently popped event ([`SimTime::ZERO`]
@@ -290,7 +346,34 @@ mod tests {
     #[test]
     fn cancel_unknown_key_is_false() {
         let mut q: EventQueue<()> = EventQueue::new();
-        assert!(!q.cancel(EventKey(42)));
+        assert!(!q.cancel(EventKey { seq: 42, slot: 0 }));
+        let mut other = EventQueue::new();
+        let foreign = other.schedule(SimTime::from_secs(1), ());
+        q.schedule(SimTime::from_secs(1), ());
+        assert!(
+            !q.cancel(EventKey { seq: 7, ..foreign }),
+            "a slot held by another seq does not match"
+        );
+    }
+
+    #[test]
+    fn cancel_after_pop_is_false_and_len_stays_exact() {
+        let mut q = EventQueue::new();
+        let fired = q.schedule(SimTime::from_secs(1), "kill");
+        q.schedule(SimTime::from_secs(2), "later");
+        assert_eq!(q.pop().unwrap().key, fired);
+        assert!(!q.cancel(fired), "an event that fired is not pending");
+        assert_eq!(q.len(), 1);
+        // The fired event's slot is reused; the stale key must not hit
+        // the event that now holds it.
+        let reused = q.schedule(SimTime::from_secs(3), "reused");
+        assert!(!q.cancel(fired));
+        assert_eq!(q.len(), 2);
+        assert!(q.cancel(reused));
+        assert_eq!(q.len(), 1);
+        assert_eq!(q.pop().unwrap().payload, "later");
+        assert!(q.pop().is_none());
+        assert!(q.is_empty());
     }
 
     #[test]

@@ -10,6 +10,8 @@
 //!   event ordering is exact and platform-independent;
 //! * [`events`] — the [`EventQueue`] future-event list with FIFO-stable tie
 //!   breaking and O(1) cancellation;
+//! * [`idmap`] — [`IdMap`], an ordered map over a sorted `Vec` for ids
+//!   issued in increasing order;
 //! * [`rng`] — the forkable [`SimRng`], enabling common-random-number
 //!   comparisons between scheduling policies;
 //! * [`dist`] — serializable service-time distributions ([`Dist`]);
@@ -65,12 +67,14 @@
 
 pub mod dist;
 pub mod events;
+pub mod idmap;
 pub mod rng;
 pub mod stats;
 pub mod time;
 
 pub use dist::Dist;
 pub use events::{EventKey, EventQueue, Scheduled};
+pub use idmap::IdMap;
 pub use rng::SimRng;
 pub use stats::{BusyTracker, Histogram, Samples, TimeWeighted, Welford};
 pub use time::{SimDuration, SimTime};
@@ -79,6 +83,7 @@ pub use time::{SimDuration, SimTime};
 pub mod prelude {
     pub use crate::dist::Dist;
     pub use crate::events::{EventKey, EventQueue, Scheduled};
+    pub use crate::idmap::IdMap;
     pub use crate::rng::SimRng;
     pub use crate::stats::{BusyTracker, Histogram, Samples, TimeWeighted, Welford};
     pub use crate::time::{SimDuration, SimTime};

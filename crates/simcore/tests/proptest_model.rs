@@ -1,0 +1,188 @@
+//! Differential property tests: [`EventQueue`] against a naive sorted-`Vec`
+//! calendar and [`IdMap`] against a `BTreeMap`, under random operation
+//! sequences.
+
+use hpcqc_simcore::events::{EventKey, EventQueue};
+use hpcqc_simcore::time::SimTime;
+use hpcqc_simcore::IdMap;
+use proptest::prelude::*;
+use std::collections::BTreeMap;
+
+/// The obviously-correct calendar: every pending event in a `Vec`, the
+/// next one found by a linear scan for the least `(time, lane, seq)`.
+#[derive(Default)]
+struct NaiveQueue {
+    /// `(time, lane, seq, payload)`; lane 0 is the front lane.
+    pending: Vec<(SimTime, u8, u64, u32)>,
+    next_seq: u64,
+}
+
+impl NaiveQueue {
+    fn schedule(&mut self, time: SimTime, lane: u8, payload: u32) -> u64 {
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        self.pending.push((time, lane, seq, payload));
+        seq
+    }
+
+    fn cancel(&mut self, seq: u64) -> bool {
+        let before = self.pending.len();
+        self.pending.retain(|e| e.2 != seq);
+        self.pending.len() < before
+    }
+
+    fn pop(&mut self) -> Option<(SimTime, u32)> {
+        let (i, _) = self
+            .pending
+            .iter()
+            .enumerate()
+            .min_by_key(|(_, (t, lane, seq, _))| (*t, *lane, *seq))?;
+        let (t, _, _, payload) = self.pending.remove(i);
+        Some((t, payload))
+    }
+
+    fn peek_time(&self) -> Option<SimTime> {
+        self.pending
+            .iter()
+            .map(|e| (e.0, e.1, e.2))
+            .min()
+            .map(|e| e.0)
+    }
+}
+
+#[derive(Debug, Clone)]
+enum QueueOp {
+    /// Schedule `delay` ns after the clock, in the front lane if set.
+    Schedule {
+        delay: u64,
+        front: bool,
+    },
+    Pop,
+    Peek,
+    /// Cancel the key issued `back` schedules ago (fired or not).
+    Cancel {
+        back: usize,
+    },
+}
+
+fn queue_op() -> impl Strategy<Value = QueueOp> {
+    prop_oneof![
+        // Few distinct delays, so ties (same instant, both lanes) are common.
+        (0u64..4, any::<bool>()).prop_map(|(delay, front)| QueueOp::Schedule { delay, front }),
+        (0u64..4, any::<bool>()).prop_map(|(delay, front)| QueueOp::Schedule { delay, front }),
+        Just(QueueOp::Pop),
+        Just(QueueOp::Peek),
+        (0usize..6).prop_map(|back| QueueOp::Cancel { back }),
+    ]
+}
+
+#[derive(Debug, Clone)]
+enum MapOp {
+    /// Insert the next increasing key (`skip` keys past the last one).
+    Append {
+        skip: u32,
+    },
+    /// Insert an arbitrary key, usually out of order.
+    Insert {
+        key: u32,
+    },
+    Remove {
+        key: u32,
+    },
+    Get {
+        key: u32,
+    },
+}
+
+fn map_op() -> impl Strategy<Value = MapOp> {
+    prop_oneof![
+        (0u32..3).prop_map(|skip| MapOp::Append { skip }),
+        (0u32..3).prop_map(|skip| MapOp::Append { skip }),
+        (0u32..64).prop_map(|key| MapOp::Insert { key }),
+        (0u32..64).prop_map(|key| MapOp::Remove { key }),
+        (0u32..64).prop_map(|key| MapOp::Remove { key }),
+        (0u32..64).prop_map(|key| MapOp::Get { key }),
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Pops, peeks, cancels and `len` agree with the naive calendar on
+    /// both lanes, at tied instants and for keys whose event already fired.
+    #[test]
+    fn event_queue_matches_naive_model(ops in prop::collection::vec(queue_op(), 1..120)) {
+        let mut real = EventQueue::new();
+        let mut model = NaiveQueue::default();
+        let mut keys: Vec<(EventKey, u64)> = Vec::new();
+        let mut payload = 0u32;
+        for op in ops {
+            match op {
+                QueueOp::Schedule { delay, front } => {
+                    let at = real.now() + hpcqc_simcore::time::SimDuration::from_nanos(delay);
+                    payload += 1;
+                    let key = if front {
+                        real.schedule_front(at, payload)
+                    } else {
+                        real.schedule(at, payload)
+                    };
+                    let seq = model.schedule(at, u8::from(!front), payload);
+                    keys.push((key, seq));
+                }
+                QueueOp::Pop => {
+                    let got = real.pop().map(|s| (s.time, s.payload));
+                    prop_assert_eq!(got, model.pop());
+                }
+                QueueOp::Peek => {
+                    prop_assert_eq!(real.peek_time(), model.peek_time());
+                }
+                QueueOp::Cancel { back } => {
+                    if let Some(&(key, seq)) = keys.iter().rev().nth(back) {
+                        prop_assert_eq!(real.cancel(key), model.cancel(seq));
+                    }
+                }
+            }
+            prop_assert_eq!(real.len(), model.pending.len());
+            prop_assert_eq!(real.is_empty(), model.pending.is_empty());
+        }
+        while let Some(s) = real.pop() {
+            prop_assert_eq!(Some((s.time, s.payload)), model.pop());
+        }
+        prop_assert!(model.pop().is_none());
+    }
+
+    /// `IdMap` answers every insert, remove and get like a `BTreeMap`,
+    /// iterates in the same key order, and never holds more than
+    /// `2 · len()` slots.
+    #[test]
+    fn id_map_matches_btree_map(ops in prop::collection::vec(map_op(), 1..200)) {
+        let mut real = IdMap::new();
+        let mut model = BTreeMap::new();
+        let mut next = 0u32;
+        for (step, op) in ops.into_iter().enumerate() {
+            match op {
+                MapOp::Append { skip } => {
+                    next += skip;
+                    prop_assert_eq!(real.insert(next, step), model.insert(next, step));
+                    next += 1;
+                }
+                MapOp::Insert { key } => {
+                    prop_assert_eq!(real.insert(key, step), model.insert(key, step));
+                    next = next.max(key + 1);
+                }
+                MapOp::Remove { key } => {
+                    prop_assert_eq!(real.remove(&key), model.remove(&key));
+                }
+                MapOp::Get { key } => {
+                    prop_assert_eq!(real.get(&key), model.get(&key));
+                    prop_assert_eq!(real.contains_key(&key), model.contains_key(&key));
+                }
+            }
+            prop_assert_eq!(real.len(), model.len());
+            prop_assert!(real.slots() <= 2 * real.len(), "{} slots for {} live", real.slots(), real.len());
+        }
+        let pairs: Vec<(u32, usize)> = real.iter().map(|(k, v)| (k, *v)).collect();
+        let expected: Vec<(u32, usize)> = model.iter().map(|(k, v)| (*k, *v)).collect();
+        prop_assert_eq!(pairs, expected);
+    }
+}
