@@ -151,6 +151,24 @@ mod tests {
     }
 
     #[test]
+    fn paper_regimes_get_the_paper_guidance() {
+        // §4 complementarity: the paper's three canonical regimes get
+        // three different strategies.
+        // Superconducting VQE: short kernels inside long classical steps.
+        let vqe = recommend(&WorkloadProfile::new(10.0, 600.0, 900.0));
+        assert!(matches!(vqe.strategy, Strategy::Vqpu { .. }), "{vqe:?}");
+        // Neutral atoms: quantum outweighs a queue pass.
+        let atoms = recommend(&WorkloadProfile::new(2_000.0, 600.0, 900.0));
+        assert_eq!(atoms.strategy, Strategy::Workflow, "{atoms:?}");
+        // Both phases short against queue waits.
+        let short = recommend(&WorkloadProfile::new(50.0, 60.0, 1_200.0));
+        assert!(
+            matches!(short.strategy, Strategy::Malleable { .. }),
+            "{short:?}"
+        );
+    }
+
+    #[test]
     fn interleaving_needs_short_quantum_relative_to_classical() {
         // Quantum comparable to classical → Fig. 3 caveat bites, and with
         // q < w a workflow also loses → malleability.

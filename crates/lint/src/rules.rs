@@ -16,8 +16,8 @@ use std::fmt;
 pub enum Rule {
     /// No wall-clock reads (`SystemTime::now` / `Instant::now`) in
     /// simulation crates. Simulated time must come from the event loop;
-    /// wall time is allowed only in the bench crate and the CLI facade,
-    /// where it measures the simulator rather than feeding it.
+    /// wall time is allowed only in the CLI facade, where it measures the
+    /// simulator rather than feeding it.
     D001,
     /// No `HashMap`/`HashSet` in simulation/scheduler/cluster event
     /// paths. Hash iteration order is randomized across builds and can
@@ -43,7 +43,7 @@ pub enum Rule {
 pub const ALL_RULES: [Rule; 5] = [Rule::D001, Rule::D002, Rule::D003, Rule::D004, Rule::D005];
 
 /// Crates whose sources feed the discrete-event simulation state
-/// (everything but the bench harness and the CLI facade).
+/// (everything but the CLI facade).
 const SIM_CRATES: [&str; 12] = [
     "hpcqc-core",
     "hpcqc-sched",
@@ -157,7 +157,6 @@ mod tests {
     fn scopes_match_policy() {
         assert!(Rule::D001.applies_to("hpcqc-core"));
         assert!(Rule::D001.applies_to("hpcqc-trace"));
-        assert!(!Rule::D001.applies_to("hpcqc-bench"));
         assert!(!Rule::D001.applies_to("hpcqc"));
         assert!(Rule::D001.applies_to("hpcqc-faults"));
         assert!(Rule::D002.applies_to("hpcqc-sched"));
@@ -165,7 +164,7 @@ mod tests {
         assert!(Rule::D002.applies_to("hpcqc-faults"));
         assert!(Rule::D002.applies_to("hpcqc-trace"));
         assert!(!Rule::D002.applies_to("hpcqc-metrics"));
-        assert!(Rule::D003.applies_to("hpcqc-bench"));
+        assert!(Rule::D003.applies_to("hpcqc"));
         assert!(Rule::D004.applies_to("hpcqc-fleet"));
         assert!(Rule::D004.applies_to("hpcqc-faults"));
         assert!(Rule::D004.applies_to("hpcqc-workload"));

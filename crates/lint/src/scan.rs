@@ -408,6 +408,6 @@ mod tests {
         assert!(scan("hpcqc-metrics", src).is_empty());
         let timing = "fn t() { let _ = std::time::Instant::now(); }\n";
         assert_eq!(scan("hpcqc-core", timing).len(), 1);
-        assert!(scan("hpcqc-bench", timing).is_empty());
+        assert!(scan("hpcqc", timing).is_empty());
     }
 }

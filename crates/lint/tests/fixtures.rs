@@ -35,11 +35,11 @@ fn d001_fires_on_wall_clock_reads() {
 
 #[test]
 fn d001_is_scoped_to_simulation_crates() {
-    // The benchmark harness measures host wall-clock time on purpose.
-    let findings = scan_fixture("hpcqc-bench", "d001_wall_clock.rs");
+    // The CLI facade measures host wall-clock time on purpose.
+    let findings = scan_fixture("hpcqc", "d001_wall_clock.rs");
     assert!(
         unsuppressed(&findings).is_empty(),
-        "D001 must not apply to hpcqc-bench: {findings:?}"
+        "D001 must not apply to the hpcqc CLI facade: {findings:?}"
     );
 }
 

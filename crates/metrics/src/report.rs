@@ -1,8 +1,8 @@
-//! Report tables: the bridge from simulation output to `EXPERIMENTS.md`.
+//! Report tables: the bridge from simulation output to readable text.
 //!
 //! A [`Table`] holds string cells and renders to aligned plain text,
-//! GitHub-flavoured markdown, or CSV. The repro harness prints one table
-//! per paper figure/claim.
+//! GitHub-flavoured markdown, or CSV. Sweep results and the CLI's
+//! summaries render through it.
 
 use serde::{Deserialize, Serialize};
 use std::fmt;

@@ -247,6 +247,39 @@ mod tests {
     }
 
     #[test]
+    fn fig1_anchors_match_paper() {
+        // Fig. 1 at the published preset (1,000-shot jobs, 200 samples,
+        // seed 42): superconducting tasks ≈ 10 s, neutral-atom jobs
+        // > 30 min.
+        let rows = fig1_rows(1_000, 200, 42);
+        let find = |t: Technology| rows.iter().find(|r| r.technology == t).unwrap();
+        let sc = find(Technology::Superconducting);
+        assert!(
+            (1.0..60.0).contains(&sc.job_p50),
+            "superconducting job p50 {} not ~10 s",
+            sc.job_p50
+        );
+        let na = find(Technology::NeutralAtom);
+        assert!(
+            na.job_p50 > 1_800.0,
+            "neutral-atom job p50 {} not > 30 min",
+            na.job_p50
+        );
+    }
+
+    #[test]
+    fn fig1_rows_cover_every_technology() {
+        let rows = fig1_rows(1_000, 200, 42);
+        let techs: Vec<Technology> = rows.iter().map(|r| r.technology).collect();
+        assert_eq!(techs, Technology::ALL);
+    }
+
+    #[test]
+    fn fig1_published_preset_is_deterministic() {
+        assert_eq!(fig1_rows(1_000, 200, 42), fig1_rows(1_000, 200, 42));
+    }
+
+    #[test]
     fn fig1_rows_are_deterministic() {
         assert_eq!(fig1_rows(1_000, 50, 9), fig1_rows(1_000, 50, 9));
     }

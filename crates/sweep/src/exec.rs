@@ -127,7 +127,7 @@ impl Executor {
     }
 
     /// Runs the facility simulator on every cell: builds the cell's
-    /// scenario and the grid workload at `(load, replica_seed)`, simulates,
+    /// scenario and its workload at `(load, replica_seed)`, simulates,
     /// and aggregates the outcomes into a [`SweepResult`].
     ///
     /// # Errors
@@ -201,7 +201,9 @@ impl Executor {
         let completed = AtomicUsize::new(0);
         let outcomes = self.run_cells(grid, |cell| {
             let started = wall_now();
-            let workload = grid.workload.build(cell.load_per_hour, cell.replica_seed);
+            let workload = grid
+                .workload_of(cell)
+                .build(cell.load_per_hour, cell.replica_seed);
             let outcome = if attributed {
                 let mut attribution = AttributionObserver::new();
                 FacilitySim::run_observed(&cell.scenario(), &workload, &mut [&mut attribution])

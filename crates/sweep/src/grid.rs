@@ -4,7 +4,8 @@
 //! workload replayed across every combination of strategy, policy, machine
 //! size, quantum technology, access mode, walltime enforcement and arrival
 //! load, replicated over `replicas` seeds. Grids serialize to JSON so a
-//! whole campaign is a reviewable file (see `examples/grids/`).
+//! whole campaign is a reviewable file (see `examples/grids/`, and
+//! `examples/paper/` for the paper's figures and ablations).
 //!
 //! ## Cell order and seeding
 //!
@@ -12,13 +13,15 @@
 //! (strategies slowest, replicas fastest):
 //!
 //! ```text
-//! index = ((((((((strategy · P + policy) · N + nodes) · T + tech) · F + fleet)
-//!           · X + faults) · A + access) · W + walltime) · L + load) · R + replica
+//! index = (((((((((strategy · P + policy) · N + nodes) · T + tech) · F + fleet)
+//!           · X + faults) · K + workload) · A + access) · W + walltime) · L + load)
+//!           · R + replica
 //! ```
 //!
-//! The fleet and faults axes have length 1 when [`Grid::fleets`] /
-//! [`Grid::faults`] are `None`, so grids without them keep their
-//! historical cell indices (and golden CSVs).
+//! The fleet, faults and workload axes have length 1 when
+//! [`Grid::fleets`] / [`Grid::faults`] / [`Grid::workloads`] are `None`,
+//! so grids without them keep their historical cell indices (and golden
+//! CSVs).
 //!
 //! Two seeds are derived per cell, both purely from `(base_seed, indices)`
 //! so they are identical at any thread count:
@@ -143,8 +146,12 @@ pub struct Grid {
     pub walltime: Vec<WalltimePolicy>,
     /// Background arrival-load axis (jobs per hour fed to the workload).
     pub loads_per_hour: Vec<f64>,
-    /// The workload every cell replays.
+    /// The workload every cell replays when there is no `workloads` axis.
     pub workload: WorkloadSpec,
+    /// Optional workload axis. `None` keeps the single `workload` and
+    /// historical cell indices (the axis has length 1). When set, each
+    /// cell replays one entry, which supersedes `workload`.
+    pub workloads: Option<Vec<WorkloadSpec>>,
 }
 
 impl Grid {
@@ -163,7 +170,7 @@ impl Grid {
         self.axis_lengths().iter().product()
     }
 
-    fn axis_lengths(&self) -> [usize; 10] {
+    fn axis_lengths(&self) -> [usize; 11] {
         [
             self.strategies.len(),
             self.policies.len(),
@@ -171,6 +178,7 @@ impl Grid {
             self.technologies.len(),
             self.fleets.as_ref().map_or(1, Vec::len),
             self.faults.as_ref().map_or(1, Vec::len),
+            self.workloads.as_ref().map_or(1, Vec::len),
             self.access.len(),
             self.walltime.len(),
             self.loads_per_hour.len(),
@@ -188,6 +196,7 @@ impl Grid {
             "technologies",
             "fleets",
             "faults",
+            "workloads",
             "access",
             "walltime",
             "loads_per_hour",
@@ -239,10 +248,23 @@ impl Grid {
                 "grid axis `loads_per_hour` contains a negative or non-finite rate".to_string(),
             );
         }
+        // A deserialized workload can carry a shape (inverted node range,
+        // non-positive mean runtime) that panics or wraps in a worker.
+        self.workload
+            .validate()
+            .map_err(|e| format!("grid `workload`: {e}"))?;
+        for workload in self.workloads.iter().flatten() {
+            workload
+                .validate()
+                .map_err(|e| format!("grid axis `workloads`: {e}"))?;
+        }
         // A loaded facility draws Poisson arrivals at the cell's load, and
         // a zero rate would assert deep inside a worker thread — reject it
         // here so the caller gets a graceful error instead of an abort.
-        if matches!(self.workload, WorkloadSpec::LoadedFacility { .. })
+        if self
+            .replayed_workloads()
+            .iter()
+            .any(|w| matches!(w, WorkloadSpec::LoadedFacility { .. }))
             && self.loads_per_hour.contains(&0.0)
         {
             return Err(
@@ -253,6 +275,23 @@ impl Grid {
         Ok(())
     }
 
+    /// The workloads cells replay: the `workloads` axis when set, else
+    /// the single `workload`.
+    fn replayed_workloads(&self) -> &[WorkloadSpec] {
+        self.workloads
+            .as_deref()
+            .unwrap_or(std::slice::from_ref(&self.workload))
+    }
+
+    /// The workload `cell` replays.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cell` does not belong to this grid.
+    pub fn workload_of(&self, cell: &Cell) -> &WorkloadSpec {
+        &self.replayed_workloads()[cell.workload.unwrap_or(0)]
+    }
+
     /// The cell at `index`.
     ///
     /// # Panics
@@ -261,7 +300,7 @@ impl Grid {
     pub fn cell(&self, index: usize) -> Cell {
         assert!(index < self.len(), "cell index {index} out of range");
         let mut rest = index;
-        let [_, p, n, t, fl, fa, a, w, l, r] = self.axis_lengths();
+        let [_, p, n, t, fl, fa, k, a, w, l, r] = self.axis_lengths();
         let replica = (rest % r) as u32;
         rest /= r;
         let load = rest % l;
@@ -270,6 +309,8 @@ impl Grid {
         rest /= w;
         let ac = rest % a;
         rest /= a;
+        let workload = rest % k;
+        rest /= k;
         let faults = rest % fa;
         rest /= fa;
         let fleet = rest % fl;
@@ -289,6 +330,7 @@ impl Grid {
             technology: self.technologies[tech],
             fleet: self.fleets.as_ref().map(|f| f[fleet].clone()),
             faults: self.faults.as_ref().map(|f| f[faults].clone()),
+            workload: self.workloads.as_ref().map(|_| workload),
             access: self.access[ac],
             walltime: self.walltime[wt],
             load_per_hour: self.loads_per_hour[load],
@@ -319,6 +361,7 @@ impl Default for Grid {
             walltime: vec![WalltimePolicy::Advisory],
             loads_per_hour: vec![0.0],
             workload: WorkloadSpec::default(),
+            workloads: None,
         }
     }
 }
@@ -355,6 +398,9 @@ pub struct Cell {
     pub fleet: Option<FleetSpec>,
     /// Dependability plan, when the grid has a faults axis.
     pub faults: Option<FaultPlan>,
+    /// Position in [`Grid::workloads`] of the workload this cell replays,
+    /// when the grid has a workload axis (see [`Grid::workload_of`]).
+    pub workload: Option<usize>,
     /// Access-model axis value.
     pub access: AccessSpec,
     /// Walltime-enforcement axis value.
@@ -370,8 +416,8 @@ pub struct Cell {
 }
 
 impl Cell {
-    /// Builds the scenario this cell simulates (workload comes from the
-    /// grid's [`WorkloadSpec`]).
+    /// Builds the scenario this cell simulates (the workload comes from
+    /// [`Grid::workload_of`]).
     pub fn scenario(&self) -> Scenario {
         let mut builder = Scenario::builder()
             .classical_nodes(self.nodes)
@@ -471,6 +517,13 @@ impl GridBuilder {
     /// Sets the workload specification.
     pub fn workload(mut self, workload: WorkloadSpec) -> Self {
         self.inner.workload = workload;
+        self
+    }
+
+    /// Sets the workload axis (each cell replays one entry, superseding
+    /// the single workload).
+    pub fn workloads(mut self, workloads: Vec<WorkloadSpec>) -> Self {
+        self.inner.workloads = Some(workloads);
         self
     }
 
@@ -611,6 +664,7 @@ mod tests {
             first_submit_secs: 0,
             stagger_secs: 60,
             hybrid_walltime_hours: 8,
+            bg_walltime_margin: None,
         };
         let g = Grid {
             loads_per_hour: vec![0.0],
@@ -763,6 +817,131 @@ mod tests {
             ..Grid::default()
         };
         assert!(g.validate().unwrap_err().contains("fleets"));
+    }
+
+    /// A one-cell loaded-facility grid whose `LoadedFacility` fields are
+    /// overridden by `fields` (JSON members, e.g. `"bg_mean_secs": 0`).
+    fn loaded_grid_json(fields: &str) -> Grid {
+        let json = format!(
+            r#"{{"base_seed": 42, "replicas": 1, "strategies": ["CoSchedule"],
+                "policies": ["EasyBackfill"], "node_counts": [32],
+                "technologies": ["Superconducting"], "access": ["OnPrem"],
+                "walltime": ["Advisory"], "loads_per_hour": [3],
+                "workload": {{"LoadedFacility": {{
+                    "background": 4, "hybrid_jobs": 1, "hybrid_nodes": 2,
+                    "iterations": 2, "classical_secs": 60, "shots": 100,
+                    "first_submit_secs": 0, "stagger_secs": 60,
+                    "hybrid_walltime_hours": 8, {fields}}}}}}}"#
+        );
+        serde_json::from_str(&json).expect("grid parses")
+    }
+
+    #[test]
+    fn validate_rejects_non_positive_background_mean() {
+        // A zero or negative mean runtime would panic a sweep worker
+        // inside the log-normal constructor.
+        for mean in ["0", "-60"] {
+            let g = loaded_grid_json(&format!(
+                r#""bg_nodes_lo": 2, "bg_nodes_hi": 8, "bg_mean_secs": {mean}"#
+            ));
+            let err = g.validate().unwrap_err();
+            assert!(err.contains("bg_mean_secs"), "{err}");
+        }
+    }
+
+    #[test]
+    fn validate_rejects_inverted_background_node_range() {
+        // `bg_nodes_lo > bg_nodes_hi` would underflow the node draw (a
+        // wrapped, machine-sized job in release builds).
+        let g = loaded_grid_json(r#""bg_nodes_lo": 8, "bg_nodes_hi": 2, "bg_mean_secs": 600"#);
+        let err = g.validate().unwrap_err();
+        assert!(err.contains("node range"), "{err}");
+        let g = loaded_grid_json(r#""bg_nodes_lo": 0, "bg_nodes_hi": 2, "bg_mean_secs": 600"#);
+        assert!(g.validate().unwrap_err().contains("node range"));
+    }
+
+    #[test]
+    fn validate_rejects_bad_walltime_margin() {
+        for margin in ["0", "-1.5"] {
+            let g = loaded_grid_json(&format!(
+                r#""bg_nodes_lo": 2, "bg_nodes_hi": 8, "bg_mean_secs": 600,
+                   "bg_walltime_margin": {margin}"#
+            ));
+            assert!(g.validate().unwrap_err().contains("bg_walltime_margin"));
+        }
+        let g = loaded_grid_json(
+            r#""bg_nodes_lo": 2, "bg_nodes_hi": 8, "bg_mean_secs": 600, "bg_walltime_margin": 1.5"#,
+        );
+        assert!(g.validate().is_ok());
+    }
+
+    #[test]
+    fn workload_axis_multiplies_cells_and_picks_the_replayed_workload() {
+        let tenants = |classical_secs| WorkloadSpec::Tenants {
+            count: 2,
+            nodes: 1,
+            iterations: 2,
+            classical_secs,
+            shots: 100,
+        };
+        let g = Grid::builder()
+            .strategies(vec![Strategy::CoSchedule, Strategy::Workflow])
+            .workloads(vec![tenants(10), tenants(20), tenants(30)])
+            .build();
+        assert_eq!(g.len(), 2 * 3);
+        // Workload is the faster axis: indices 0..3 are CoSchedule.
+        assert_eq!(g.cell(1).workload, Some(1));
+        assert_eq!(g.cell(1).strategy, Strategy::CoSchedule);
+        assert_eq!(g.cell(3).strategy, Strategy::Workflow);
+        assert_eq!(g.workload_of(&g.cell(5)), &tenants(30));
+        // Without the axis every cell replays the single workload.
+        let plain = Grid::default();
+        assert_eq!(plain.cell(0).workload, None);
+        assert_eq!(plain.workload_of(&plain.cell(0)), &plain.workload);
+    }
+
+    #[test]
+    fn validate_checks_every_workload_in_the_axis() {
+        let good = WorkloadSpec::listing1();
+        let loaded = |lo, mean| WorkloadSpec::LoadedFacility {
+            background: 4,
+            bg_nodes_lo: lo,
+            bg_nodes_hi: 4,
+            bg_mean_secs: mean,
+            hybrid_jobs: 1,
+            hybrid_nodes: 2,
+            iterations: 2,
+            classical_secs: 60,
+            shots: 100,
+            first_submit_secs: 0,
+            stagger_secs: 60,
+            hybrid_walltime_hours: 8,
+            bg_walltime_margin: None,
+        };
+        let g = Grid {
+            loads_per_hour: vec![2.0],
+            workloads: Some(vec![good.clone(), loaded(6, 600.0)]),
+            ..Grid::default()
+        };
+        assert!(g.validate().unwrap_err().contains("workloads"));
+        let g = Grid {
+            loads_per_hour: vec![2.0],
+            workloads: Some(vec![good.clone(), loaded(2, f64::NAN)]),
+            ..Grid::default()
+        };
+        assert!(g.validate().unwrap_err().contains("workloads"));
+        // The positive-load rule covers every loaded facility in the axis.
+        let g = Grid {
+            loads_per_hour: vec![0.0],
+            workloads: Some(vec![good, loaded(2, 600.0)]),
+            ..Grid::default()
+        };
+        assert!(g.validate().unwrap_err().contains("positive"));
+        let g = Grid {
+            workloads: Some(vec![]),
+            ..Grid::default()
+        };
+        assert!(g.validate().unwrap_err().contains("workloads"));
     }
 
     #[test]

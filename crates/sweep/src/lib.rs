@@ -5,9 +5,10 @@
 //! into a subsystem:
 //!
 //! * [`Grid`] — a declarative cartesian product over strategy, policy,
-//!   node count, technology, access mode, walltime policy, arrival load
-//!   and replication seeds. Serializes to JSON, so a whole campaign is a
-//!   reviewable file (see `examples/grids/`).
+//!   node count, technology, fleet, fault plan, workload, access mode,
+//!   walltime policy, arrival load and replication seeds. Serializes to
+//!   JSON, so a whole campaign is a reviewable file (see
+//!   `examples/grids/`, and `examples/paper/` for the paper's artifacts).
 //! * [`Executor`] — a multi-threaded runner ([`std::thread::scope`] +
 //!   an `mpsc` work queue). Per-cell seeds are derived purely from
 //!   `(base_seed, cell_index)`, and results are reassembled in cell-index

@@ -73,6 +73,9 @@ pub struct CellRow {
     pub fleet: Option<String>,
     /// Dependability-plan label, when the grid has a faults axis.
     pub faults: Option<String>,
+    /// Position in the grid's `workloads` axis, when it has one.
+    #[serde(skip_serializing_if = "Option::is_none", default)]
+    pub workload: Option<usize>,
     /// Access-model label.
     pub access: String,
     /// Walltime-policy label.
@@ -126,6 +129,7 @@ impl CellRow {
                 .as_ref()
                 .map(|f| format!("{}/{}", f.name, f.route.name())),
             faults: cell.faults.as_ref().map(|p| p.label().to_string()),
+            workload: cell.workload,
             access: cell.access.name().to_string(),
             walltime: fmt_walltime(cell.walltime),
             load_per_hour: cell.load_per_hour,
@@ -145,20 +149,7 @@ impl CellRow {
     }
 
     /// The group-by key: every axis except the replica.
-    #[allow(clippy::type_complexity)]
-    fn group_key(
-        &self,
-    ) -> (
-        String,
-        String,
-        u32,
-        String,
-        String,
-        String,
-        String,
-        String,
-        String,
-    ) {
+    fn group_key(&self) -> GroupKey {
         (
             self.strategy.clone(),
             self.policy.clone(),
@@ -166,6 +157,7 @@ impl CellRow {
             self.technology.clone(),
             self.fleet.clone().unwrap_or_default(),
             self.faults.clone().unwrap_or_default(),
+            self.workload,
             self.access.clone(),
             self.walltime.clone(),
             // f64 is not Ord/Hash; the label form is exact enough for a key.
@@ -178,6 +170,26 @@ impl CellRow {
 fn fmt_f64(value: f64) -> String {
     // `{}` on f64 prints the shortest representation that round-trips.
     format!("{value}")
+}
+
+/// Strategy, policy, nodes, technology, fleet, faults, workload, access,
+/// walltime and load: every axis except the replica.
+type GroupKey = (
+    String,
+    String,
+    u32,
+    String,
+    String,
+    String,
+    Option<usize>,
+    String,
+    String,
+    String,
+);
+
+/// Formats a workload-axis position for table cells (`-` off the axis).
+fn fmt_workload(workload: Option<usize>) -> String {
+    workload.map_or_else(|| String::from("-"), |k| k.to_string())
 }
 
 /// Nearest-rank p95 of a non-empty slice (copies + sorts internally).
@@ -288,9 +300,9 @@ impl SweepResult {
         self.results.iter().map(CellRow::from_result).collect()
     }
 
-    /// The per-cell metric table. The `fleet` and `faults` columns only
-    /// appear when the grid had those axes, keeping legacy CSVs (and
-    /// their golden fixtures) byte-identical.
+    /// The per-cell metric table. The `fleet`, `faults` and `workload`
+    /// columns only appear when the grid had those axes, keeping legacy
+    /// CSVs (and their golden fixtures) byte-identical.
     /// Wait-decomposition columns (`wait_qpu_frac`, `wait_shadow_frac`,
     /// `wait_fault_frac`) likewise only appear when the sweep ran
     /// attributed.
@@ -298,6 +310,7 @@ impl SweepResult {
         let rows = self.rows();
         let has_fleet = rows.iter().any(|r| r.fleet.is_some());
         let has_faults = rows.iter().any(|r| r.faults.is_some());
+        let has_workload = rows.iter().any(|r| r.workload.is_some());
         let has_shares = rows.iter().any(|r| r.wait_qpu_frac.is_some());
         let mut headers = vec!["index", "strategy", "policy", "nodes", "technology"];
         if has_fleet {
@@ -305,6 +318,9 @@ impl SweepResult {
         }
         if has_faults {
             headers.push("faults");
+        }
+        if has_workload {
+            headers.push("workload");
         }
         headers.extend([
             "access",
@@ -337,6 +353,9 @@ impl SweepResult {
             }
             if has_faults {
                 cells.push(row.faults.unwrap_or_else(|| String::from("-")));
+            }
+            if has_workload {
+                cells.push(fmt_workload(row.workload));
             }
             cells.extend([
                 row.access,
@@ -386,18 +405,8 @@ impl SweepResult {
         let rows = self.rows();
         let has_fleet = rows.iter().any(|r| r.fleet.is_some());
         let has_faults = rows.iter().any(|r| r.faults.is_some());
-        #[allow(clippy::type_complexity)]
-        let mut order: Vec<(
-            String,
-            String,
-            u32,
-            String,
-            String,
-            String,
-            String,
-            String,
-            String,
-        )> = Vec::new();
+        let has_workload = rows.iter().any(|r| r.workload.is_some());
+        let mut order: Vec<GroupKey> = Vec::new();
         let mut groups: std::collections::HashMap<_, Vec<&CellRow>> =
             std::collections::HashMap::new();
         for row in &rows {
@@ -414,6 +423,9 @@ impl SweepResult {
         }
         if has_faults {
             headers.push("faults");
+        }
+        if has_workload {
+            headers.push("workload");
         }
         headers.extend([
             "access",
@@ -438,7 +450,18 @@ impl SweepResult {
             let wait = metric(|r| r.mean_wait_secs);
             let turnaround = metric(|r| r.hybrid_turnaround_secs);
             let util = metric(|r| r.combined_utilization);
-            let (strategy, policy, nodes, technology, fleet, faults, access, walltime, load) = key;
+            let (
+                strategy,
+                policy,
+                nodes,
+                technology,
+                fleet,
+                faults,
+                workload,
+                access,
+                walltime,
+                load,
+            ) = key;
             let mut cells = vec![strategy, policy, nodes.to_string(), technology];
             if has_fleet {
                 cells.push(if fleet.is_empty() {
@@ -453,6 +476,9 @@ impl SweepResult {
                 } else {
                     faults
                 });
+            }
+            if has_workload {
+                cells.push(fmt_workload(workload));
             }
             cells.extend([
                 access,
@@ -519,6 +545,32 @@ mod tests {
         // 2 strategies × 3 replicas → 2 groups of 3.
         assert_eq!(summary.len(), 2);
         assert!(summary.rows().iter().all(|r| r[7] == "3"));
+    }
+
+    #[test]
+    fn workload_axis_adds_a_column_and_splits_groups() {
+        use crate::spec::WorkloadSpec;
+        let plain = small_sweep(1).to_csv();
+        assert!(!plain.lines().next().unwrap().contains("workload"));
+        let tenants = |classical_secs| WorkloadSpec::Tenants {
+            count: 2,
+            nodes: 1,
+            iterations: 2,
+            classical_secs,
+            shots: 100,
+        };
+        let grid = Grid::builder()
+            .workloads(vec![tenants(10), tenants(600)])
+            .replicas(2)
+            .build();
+        let result = Executor::new(2).run_sim(&grid).expect("sweep runs");
+        let csv = result.to_csv();
+        assert!(csv.starts_with("index,strategy,policy,nodes,technology,workload,access"));
+        assert!(csv.lines().nth(3).unwrap().contains(",1,on-prem,"), "{csv}");
+        // One summary group per workload, each over both replicas.
+        let summary = result.summary();
+        assert_eq!(summary.len(), 2);
+        assert_eq!(summary.rows()[1][4], "1");
     }
 
     #[test]

@@ -62,6 +62,26 @@ pub enum WorkloadSpec {
         stagger_secs: u64,
         /// Hybrid requested walltime, hours.
         hybrid_walltime_hours: u64,
+        /// Background requested walltime as a multiple of each job's true
+        /// runtime (at least 60 s). Absent: twice the runtime, at least
+        /// 10 min.
+        #[serde(default, skip_serializing_if = "Option::is_none")]
+        bg_walltime_margin: Option<f64>,
+    },
+    /// `count` identical hybrid tenants arriving together at t=0 (the
+    /// Fig. 3 multitenancy drop; see [`tenant_jobs`]). Ignores the cell's
+    /// load axis.
+    Tenants {
+        /// Tenant jobs.
+        count: u32,
+        /// Nodes per tenant.
+        nodes: u32,
+        /// Iterations per tenant loop.
+        iterations: u32,
+        /// Classical seconds per iteration.
+        classical_secs: u64,
+        /// Shots per kernel.
+        shots: u32,
     },
     /// A synthetic facility from an `hpcqc-gen` [`GeneratorSpec`] — the
     /// generator axis of a grid. The cell's `load_per_hour` axis value,
@@ -90,6 +110,48 @@ impl WorkloadSpec {
             classical_secs: 590,
             shots: 1_000,
             walltime_hours: 1,
+        }
+    }
+
+    /// Checks a (possibly deserialized) workload for shapes that would
+    /// panic or wrap inside a sweep worker: an empty or inverted
+    /// background node range, or a non-positive or non-finite background
+    /// mean runtime or walltime margin.
+    ///
+    /// # Errors
+    ///
+    /// A message naming the first offending field.
+    pub fn validate(&self) -> Result<(), String> {
+        match *self {
+            WorkloadSpec::LoadedFacility {
+                bg_nodes_lo,
+                bg_nodes_hi,
+                bg_mean_secs,
+                bg_walltime_margin,
+                ..
+            } => {
+                if bg_nodes_lo == 0 || bg_nodes_lo > bg_nodes_hi {
+                    return Err(format!(
+                        "background node range {bg_nodes_lo}..={bg_nodes_hi} must satisfy \
+                         1 <= bg_nodes_lo <= bg_nodes_hi"
+                    ));
+                }
+                let positive = |v: f64| v.is_finite() && v > 0.0;
+                if !positive(bg_mean_secs) {
+                    return Err(format!(
+                        "bg_mean_secs {bg_mean_secs} must be finite and positive"
+                    ));
+                }
+                match bg_walltime_margin {
+                    Some(margin) if !positive(margin) => Err(format!(
+                        "bg_walltime_margin {margin} must be finite and positive"
+                    )),
+                    _ => Ok(()),
+                }
+            }
+            WorkloadSpec::Listing1 { .. }
+            | WorkloadSpec::Tenants { .. }
+            | WorkloadSpec::Generated { .. } => Ok(()),
         }
     }
 
@@ -142,6 +204,7 @@ impl WorkloadSpec {
                 first_submit_secs,
                 stagger_secs,
                 hybrid_walltime_hours,
+                bg_walltime_margin,
             } => {
                 let mut jobs = background_jobs(
                     background,
@@ -150,6 +213,7 @@ impl WorkloadSpec {
                     bg_mean_secs,
                     load_per_hour,
                     seed,
+                    bg_walltime_margin,
                 );
                 for i in 0..hybrid_jobs {
                     jobs.push(vqe_job(
@@ -164,6 +228,13 @@ impl WorkloadSpec {
                 }
                 Workload::from_jobs(jobs)
             }
+            WorkloadSpec::Tenants {
+                count,
+                nodes,
+                iterations,
+                classical_secs,
+                shots,
+            } => Workload::from_jobs(tenant_jobs(count, nodes, iterations, classical_secs, shots)),
         }
     }
 }
@@ -206,7 +277,9 @@ pub fn vqe_job(
 
 /// Poisson-arriving classical background jobs that keep a facility busy:
 /// `count` jobs, log-normal runtimes around `mean_secs`, `nodes_lo..=nodes_hi`
-/// nodes each, arriving at `per_hour`.
+/// nodes each, arriving at `per_hour`. Each requests `walltime_margin` ×
+/// its true runtime (at least 60 s), or, without a margin, twice its
+/// runtime (at least 10 min).
 pub fn background_jobs(
     count: usize,
     nodes_lo: u32,
@@ -214,6 +287,7 @@ pub fn background_jobs(
     mean_secs: f64,
     per_hour: f64,
     seed: u64,
+    walltime_margin: Option<f64>,
 ) -> Vec<JobSpec> {
     let root = SimRng::seed_from(seed);
     let mut arrival_rng = root.fork("bg-arrivals");
@@ -227,11 +301,15 @@ pub fn background_jobs(
             let mut rng = root.fork_indexed("bg-job", i as u64);
             let nodes = nodes_lo + rng.below(u64::from(nodes_hi - nodes_lo + 1)) as u32;
             let secs = runtime.sample_duration(&mut rng);
+            let walltime = match walltime_margin {
+                Some(margin) => SimDuration::from_secs_f64((secs.as_secs_f64() * margin).max(60.0)),
+                None => (secs * 2).max_of(SimDuration::from_mins(10)),
+            };
             JobSpec::builder(format!("bg-{i}"))
                 .user(format!("bg-user-{}", i % 4))
                 .nodes(nodes)
                 .submit(submit)
-                .walltime((secs * 2).max_of(SimDuration::from_mins(10)))
+                .walltime(walltime)
                 .phases(vec![Phase::Classical(secs)])
                 .build()
         })
@@ -288,6 +366,7 @@ mod tests {
             first_submit_secs: 600,
             stagger_secs: 300,
             hybrid_walltime_hours: 48,
+            bg_walltime_margin: None,
         };
         let w = spec.build(6.0, 42);
         assert_eq!(w.len(), 13);
@@ -315,8 +394,8 @@ mod tests {
 
     #[test]
     fn background_jobs_deterministic_and_bounded() {
-        let a = background_jobs(50, 2, 8, 1_800.0, 20.0, 9);
-        let b = background_jobs(50, 2, 8, 1_800.0, 20.0, 9);
+        let a = background_jobs(50, 2, 8, 1_800.0, 20.0, 9, None);
+        let b = background_jobs(50, 2, 8, 1_800.0, 20.0, 9, None);
         assert_eq!(a, b);
         for j in &a {
             assert!((2..=8).contains(&j.nodes()));
@@ -361,6 +440,40 @@ mod tests {
         let json = serde_json::to_string(&spec).unwrap();
         let back: WorkloadSpec = serde_json::from_str(&json).unwrap();
         assert_eq!(back, spec);
+    }
+
+    #[test]
+    fn tenants_spec_builds_the_tenant_drop() {
+        let spec = WorkloadSpec::Tenants {
+            count: 3,
+            nodes: 2,
+            iterations: 4,
+            classical_secs: 30,
+            shots: 500,
+        };
+        let w = spec.build(99.0, 7);
+        assert_eq!(w, Workload::from_jobs(tenant_jobs(3, 2, 4, 30, 500)));
+        assert_eq!(w, spec.build(0.0, 8), "load and seed are ignored");
+    }
+
+    #[test]
+    fn walltime_margin_restamps_background_jobs() {
+        let default = background_jobs(20, 2, 8, 900.0, 10.0, 3, None);
+        let tight = background_jobs(20, 2, 8, 900.0, 10.0, 3, Some(0.5));
+        for (d, t) in default.iter().zip(&tight) {
+            let runtime = d.total_classical();
+            assert_eq!(
+                d.walltime(),
+                (runtime * 2).max_of(SimDuration::from_mins(10))
+            );
+            let expected = (runtime.as_secs_f64() * 0.5).max(60.0);
+            assert_eq!(t.walltime(), SimDuration::from_secs_f64(expected));
+            // Only the request changes.
+            assert_eq!(
+                (t.submit(), t.nodes(), runtime),
+                (d.submit(), d.nodes(), t.total_classical())
+            );
+        }
     }
 
     #[test]

@@ -30,6 +30,7 @@ fn campaign_grid() -> Grid {
             first_submit_secs: 300,
             stagger_secs: 300,
             hybrid_walltime_hours: 24,
+            bg_walltime_margin: None,
         })
         .build()
 }

@@ -123,7 +123,7 @@ const STRATEGY_NAMES: [&str; 6] = [
 ];
 
 /// Parses a strategy argument; errors enumerate every valid form and hint
-/// at the closest name (the `repro` arg-error convention).
+/// at the closest name (the workspace arg-error convention).
 fn parse_strategy(s: &str) -> Result<Strategy, String> {
     let bad = |input: &str| {
         let name = input.split(':').next().unwrap_or(input);
@@ -174,7 +174,7 @@ const DEVICE_NAMES: [&str; 5] = [
 ];
 
 /// Parses a device technology; errors enumerate every valid form and hint
-/// at the closest name (the `repro` arg-error convention).
+/// at the closest name (the workspace arg-error convention).
 fn parse_device(s: &str) -> Result<Technology, String> {
     match s {
         "superconducting" => Ok(Technology::Superconducting),
@@ -195,7 +195,7 @@ fn parse_device(s: &str) -> Result<Technology, String> {
 }
 
 /// Parses a route policy; errors enumerate every valid form and hint at
-/// the closest name (the `repro` arg-error convention).
+/// the closest name (the workspace arg-error convention).
 fn parse_route(s: &str) -> Result<RouteSpec, String> {
     s.parse().map_err(|_| {
         let hint = match hpcqc::cli::did_you_mean(s, ALL_ROUTES.map(|r| r.name())) {
@@ -283,7 +283,7 @@ const POLICY_NAMES: [&str; 7] = [
 ];
 
 /// Parses a policy argument; errors enumerate every valid form and hint
-/// at the closest name (the `repro` arg-error convention).
+/// at the closest name (the workspace arg-error convention).
 fn parse_policy(s: &str) -> Result<PolicySpec, String> {
     s.parse().map_err(|e: hpcqc::sched::ParsePolicyError| {
         let hint = match hpcqc::cli::did_you_mean(&e.name, POLICY_NAMES) {

@@ -1,9 +1,8 @@
 //! Small argument-handling helpers shared by the command-line tools.
 //!
-//! PR 2 established the repository's arg-error convention with the
-//! `repro` binary: unknown input exits with code 2 and, when a known
-//! candidate is plausibly close, a "did you mean" hint. These helpers
-//! let every binary follow it.
+//! The repository's arg-error convention: unknown input exits with code
+//! 2 and, when a known candidate is plausibly close, a "did you mean"
+//! hint. These helpers let every binary follow it.
 
 /// Levenshtein edit distance between two strings.
 ///

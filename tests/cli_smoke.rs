@@ -632,6 +632,35 @@ fn sweep_hints_on_typoed_faults_flag() {
 }
 
 #[test]
+fn sweep_rejects_broken_loaded_facility_workloads() {
+    let dir = std::env::temp_dir().join(format!("hpcqc_cli_badgrid_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let grid = std::fs::read_to_string(
+        std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("examples/grids/crossover.json"),
+    )
+    .unwrap();
+    // A zero mean runtime would panic a sweep worker; an inverted node
+    // range would wrap into a machine-sized background job.
+    for (name, from, to) in [
+        ("mean", r#""bg_mean_secs": 1500"#, r#""bg_mean_secs": 0"#),
+        ("range", r#""bg_nodes_lo": 2"#, r#""bg_nodes_lo": 9"#),
+    ] {
+        assert!(grid.contains(from), "crossover.json no longer has {from}");
+        let path = dir.join(format!("{name}.json"));
+        std::fs::write(&path, grid.replace(from, to)).unwrap();
+        let out = Command::new(env!("CARGO_BIN_EXE_hpcqc-sim"))
+            .args(["sweep", "--threads", "1", "--grid"])
+            .arg(&path)
+            .output()
+            .expect("hpcqc-sim runs");
+        assert_eq!(out.status.code(), Some(1), "{name}: {out:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("invalid grid"), "{name}: {stderr}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn faults_subcommand_describes_the_plan() {
     let out = Command::new(env!("CARGO_BIN_EXE_hpcqc-sim"))
         .arg("faults")

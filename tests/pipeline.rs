@@ -1,5 +1,6 @@
 //! Cross-crate pipeline tests: trace round-trips feeding the simulator,
-//! policy ablations, failure injection, and full-pipeline determinism.
+//! policy ablations, failure injection, full-pipeline determinism, and
+//! Listing 1's co-scheduling imbalance driven through the facade.
 
 use hpcqc::prelude::*;
 use hpcqc_simcore::time::{SimDuration, SimTime};
@@ -323,4 +324,95 @@ fn seeds_matter() {
     let a = FacilitySim::run(&sc, &mixed_workload(1)).unwrap();
     let b = FacilitySim::run(&sc, &mixed_workload(2)).unwrap();
     assert_ne!(a.makespan, b.makespan);
+}
+
+/// The strategies agree on purely classical workloads (no quantum phases
+/// means nothing to interleave, decompose or shrink around).
+#[test]
+fn classical_workloads_are_strategy_invariant() {
+    let jobs: Vec<JobSpec> = (0..5)
+        .map(|i| {
+            JobSpec::builder(format!("c{i}"))
+                .nodes(4)
+                .submit(SimTime::from_secs(i * 60))
+                .walltime(SimDuration::from_hours(2))
+                .phases(vec![Phase::Classical(SimDuration::from_secs(600))])
+                .build()
+        })
+        .collect();
+    let w = Workload::from_jobs(jobs);
+    let makespans: Vec<SimTime> = Strategy::representative_set()
+        .into_iter()
+        .map(|strategy| {
+            let scenario = Scenario::builder()
+                .classical_nodes(16)
+                .device(Technology::Superconducting)
+                .strategy(strategy)
+                .seed(42)
+                .build();
+            FacilitySim::run(&scenario, &w)
+                .expect("valid scenario")
+                .makespan
+        })
+        .collect();
+    assert!(
+        makespans.windows(2).all(|p| p[0] == p[1]),
+        "classical-only workloads must be identical across strategies: {makespans:?}"
+    );
+}
+
+/// One Listing-1 loop: `iters` classical steps, each followed by a
+/// `shots`-shot sampling kernel.
+fn hybrid_loop(name: &str, nodes: u32, iters: u32, classical_secs: u64, shots: u32) -> JobSpec {
+    let mut phases = Vec::new();
+    for _ in 0..iters {
+        phases.push(Phase::Classical(SimDuration::from_secs(classical_secs)));
+        phases.push(Phase::Quantum(Kernel::sampling(shots)));
+    }
+    JobSpec::builder(name)
+        .nodes(nodes)
+        .walltime(SimDuration::from_hours(8))
+        .phases(phases)
+        .build()
+}
+
+/// Co-schedules `job` alone on 16 nodes and `technology`.
+fn coschedule_alone(technology: Technology, job: JobSpec) -> Outcome {
+    let scenario = Scenario::builder()
+        .classical_nodes(16)
+        .device(technology)
+        .strategy(Strategy::CoSchedule)
+        .seed(42)
+        .build();
+    FacilitySim::run(&scenario, &Workload::from_jobs(vec![job])).expect("valid scenario")
+}
+
+/// §3, Listing 1, superconducting direction: the QPU is the starved side.
+#[test]
+fn claim_coscheduling_starves_superconducting_qpu() {
+    let outcome = coschedule_alone(
+        Technology::Superconducting,
+        hybrid_loop("l1", 10, 6, 590, 1_000),
+    );
+    let r = &outcome.stats.records()[0];
+    let qpu_eff = r.qpu_seconds_used / r.qpu_seconds_allocated;
+    assert!(
+        qpu_eff < 0.05,
+        "QPU must be <5% busy inside its exclusive hold, got {qpu_eff:.3}"
+    );
+}
+
+/// §3, Listing 1, neutral-atom direction: the classical nodes starve.
+#[test]
+fn claim_coscheduling_starves_nodes_on_neutral_atoms() {
+    let outcome = coschedule_alone(
+        Technology::NeutralAtom,
+        hybrid_loop("l1", 10, 3, 300, 1_000),
+    );
+    let r = &outcome.stats.records()[0];
+    let node_eff = r.node_seconds_used / r.node_seconds_allocated;
+    assert!(
+        node_eff < 0.5,
+        "nodes must idle through ≥30 min quantum phases, got {node_eff:.3}"
+    );
 }
