@@ -160,6 +160,7 @@ impl ClusterBuilder {
             node_busy,
             gres_busy,
             slots,
+            version: 0,
         }
     }
 }
@@ -185,12 +186,24 @@ pub struct Cluster {
     /// the partition's pool order.
     gres_busy: Vec<Vec<BusyTracker>>,
     slots: Vec<Slot>,
+    /// Bumped by every method that mutates the cluster; see
+    /// [`Cluster::version`].
+    version: u64,
 }
 
 impl Cluster {
     /// The time accounting started.
     pub fn start(&self) -> SimTime {
         self.start
+    }
+
+    /// A counter that every mutating method (`allocate`, `release`,
+    /// `shrink`, `expand`, `fail_node`, `restore_node`) bumps, so a caller
+    /// that recorded it can tell in O(1) that nothing changed since. A
+    /// moved version does not prove a change: an expand may undo a
+    /// shrink.
+    pub fn version(&self) -> u64 {
+        self.version
     }
 
     /// Looks up a partition by name.
@@ -399,6 +412,7 @@ impl Cluster {
         now: SimTime,
     ) -> Result<AllocationId, ClusterError> {
         self.can_allocate(request)?;
+        self.version += 1;
         let id = AllocationId::new(self.next_alloc);
         self.next_alloc += 1;
 
@@ -457,6 +471,7 @@ impl Cluster {
             .allocations
             .remove(&id)
             .ok_or(ClusterError::UnknownAllocation(id))?;
+        self.version += 1;
         for group in alloc.groups() {
             // hpcqc-lint: allow(D004, reason = "the allocation held a group on this partition; partitions are never removed")
             let pid = self.pid(&group.partition).expect("partition cannot vanish");
@@ -524,6 +539,7 @@ impl Cluster {
                 reason: format!("holds {held} nodes, cannot keep {keep_nodes}"),
             });
         }
+        self.version += 1;
         let release_count = (held - keep_nodes) as usize;
         if release_count == 0 {
             return Ok(Vec::new());
@@ -570,6 +586,7 @@ impl Cluster {
                 available: have,
             });
         }
+        self.version += 1;
         let picked = self.free[pidx].take_lowest(add_nodes);
         for n in &picked {
             self.node_owner[n.raw() as usize] = Some(id);
@@ -617,6 +634,7 @@ impl Cluster {
             .get_mut(id.raw() as usize)
             .ok_or(ClusterError::UnknownNode(id))?;
         node.set_state(NodeState::Down);
+        self.version += 1;
         let pid = self.node_partition[id.raw() as usize];
         self.free[pid.raw() as usize].remove(id);
         Ok(self.node_owner[id.raw() as usize])
@@ -633,6 +651,7 @@ impl Cluster {
             .get_mut(id.raw() as usize)
             .ok_or(ClusterError::UnknownNode(id))?;
         node.set_state(NodeState::Up);
+        self.version += 1;
         if self.node_owner[id.raw() as usize].is_none() {
             let pid = self.node_partition[id.raw() as usize];
             self.free[pid.raw() as usize].insert(id);
@@ -872,6 +891,42 @@ mod tests {
         let mut c = listing1_cluster();
         let err = c.release(AllocationId::new(99), SimTime::ZERO).unwrap_err();
         assert_eq!(err, ClusterError::UnknownAllocation(AllocationId::new(99)));
+    }
+
+    #[test]
+    fn every_mutation_bumps_the_version() {
+        let mut c = listing1_cluster();
+        let mut last = c.version();
+        let mut bumped = |c: &Cluster, op: &str| {
+            assert!(c.version() > last, "{op} must bump the version");
+            last = c.version();
+        };
+        let t = SimTime::ZERO;
+        let id = c
+            .allocate(
+                &AllocRequest::new().group(GroupRequest::nodes("classical", 4)),
+                t,
+            )
+            .unwrap();
+        bumped(&c, "allocate");
+        c.shrink(id, "classical", 2, t).unwrap();
+        bumped(&c, "shrink");
+        c.expand(id, "classical", 2, t).unwrap();
+        bumped(&c, "expand");
+        c.fail_node(NodeId::new(9)).unwrap();
+        bumped(&c, "fail_node");
+        c.restore_node(NodeId::new(9)).unwrap();
+        bumped(&c, "restore_node");
+        c.release(id, t).unwrap();
+        bumped(&c, "release");
+        let before = c.version();
+        assert!(c.allocate(&AllocRequest::new(), t).is_err());
+        assert!(c.release(id, t).is_err());
+        assert_eq!(
+            c.version(),
+            before,
+            "a refused call leaves the cluster as it was"
+        );
     }
 
     #[test]

@@ -41,37 +41,11 @@ use hpcqc_sched::scheduler::{BatchScheduler, PendingJob, SchedError};
 use hpcqc_simcore::events::EventQueue;
 use hpcqc_simcore::rng::SimRng;
 use hpcqc_simcore::time::{SimDuration, SimTime};
-use hpcqc_simcore::IdMap;
+use hpcqc_simcore::{IdMap, IdWindow};
 use hpcqc_workload::campaign::Workload;
 use hpcqc_workload::job::{JobId, JobSpec, Phase};
-// hpcqc-lint: allow(D002, reason = "HashMap backs the identity-hashed JobMap only; it is never iterated (see JobMap docs)")
-use std::collections::{BTreeMap, HashMap};
 use std::error::Error;
 use std::fmt;
-use std::hash::{BuildHasherDefault, Hasher};
-
-/// Identity hasher for the live-jobs map: keys are sequential job ids, so
-/// hashing them through SipHash would tax every event-handler lookup on
-/// the streaming hot path for no distribution benefit.
-#[derive(Debug, Default)]
-pub(crate) struct JobIdHasher(u64);
-
-impl Hasher for JobIdHasher {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, _bytes: &[u8]) {
-        unreachable!("JobIdHasher only hashes u64 job ids");
-    }
-
-    fn write_u64(&mut self, id: u64) {
-        self.0 = id;
-    }
-}
-
-// hpcqc-lint: allow(D002, reason = "lookup-only on the streaming hot path; never iterated, so hash order cannot escape")
-type JobMap = HashMap<u64, JobRun, BuildHasherDefault<JobIdHasher>>;
 
 /// Why a simulation could not run to completion.
 #[derive(Debug)]
@@ -160,9 +134,11 @@ enum QueueEntry {
 }
 
 /// Per-job live state. A `JobRun` exists from the moment the job is pulled
-/// from its [`JobSource`] until it finalizes; the map holding them is the
-/// simulator's only per-job storage, so peak memory tracks jobs *in
-/// flight*, not jobs simulated.
+/// from its [`JobSource`] until it finalizes; [`SimState::jobs`] holding
+/// them is the simulator's only per-job storage, so peak memory tracks
+/// jobs *in flight*, not jobs simulated. The table boxes each `JobRun`:
+/// a finalized job whose id still lies inside the live id window costs
+/// one pointer there, not a whole `JobRun`.
 #[derive(Debug)]
 struct JobRun {
     spec: JobSpec,
@@ -170,6 +146,10 @@ struct JobRun {
     phase_idx: usize,
     alloc: Option<AllocationId>,
     device: Option<usize>,
+    /// The device running this job's current kernel, from dispatch until
+    /// the job observes its completion or failure, so an outage can
+    /// interrupt exactly the kernels on it.
+    in_flight: Option<usize>,
     /// The batch queue id of this job's not-yet-started submission, so an
     /// abort can withdraw it (a killed job must leave the queue too).
     queued_qid: Option<u64>,
@@ -220,6 +200,7 @@ impl JobRun {
             phase_idx: 0,
             alloc: None,
             device: None,
+            in_flight: None,
             queued_qid: None,
             queued_at: SimTime::ZERO,
             prev_phase_end: None,
@@ -269,6 +250,27 @@ impl JobRun {
         self.qpu_alloc_units = units;
         self.qpu_alloc_since = now;
     }
+
+    /// The kernel of the current phase; `None` outside a quantum phase.
+    fn current_kernel(&self) -> Option<&Kernel> {
+        match self.spec.phases().get(self.phase_idx)? {
+            Phase::Quantum(kernel) => Some(kernel),
+            Phase::Classical(_) => None,
+        }
+    }
+}
+
+/// The live state of `job` in `jobs`. Every caller holds a liveness
+/// proof: the event loop fences each handler behind the epoch/liveness
+/// check in [`SimState::drive`], and intra-handler code never finalizes a
+/// job before its last lookup. A miss is therefore a simulator bug, not a
+/// recoverable condition. A function of the table rather than of
+/// [`SimState`], so an `emit!` payload can borrow a job's name while
+/// the observers are borrowed mutably.
+fn run_of(jobs: &IdWindow<JobRun>, job: JobId) -> &JobRun {
+    jobs.get(job.raw())
+        // hpcqc-lint: allow(D004, reason = "single audited lookup behind the drive() liveness fence; see doc comment")
+        .expect("live job")
 }
 
 /// Emits one [`SimEvent`] to the built-in observers and every attached
@@ -310,8 +312,12 @@ pub(crate) struct SimState<'o> {
     /// The simulation calendar.
     events: EventQueue<Event>,
     /// Live jobs only, keyed by raw [`JobId`]: inserted when pulled from
-    /// the source, removed at finalization. Never iterated (determinism).
-    jobs: JobMap,
+    /// the source, removed at finalization. Ids are issued in increasing
+    /// order at spawn, so the table is an [`IdWindow`] over the live id
+    /// range: an O(1) lookup by subtraction, and iteration (on device
+    /// failure only) in id order. Its memory is the live jobs plus one
+    /// pointer per id between the oldest live and the newest spawned job.
+    jobs: IdWindow<JobRun>,
     /// What each queued submission starts, keyed by raw qid (the
     /// scheduler's [`JobId`]): inserted at submit, removed at start or
     /// abort.
@@ -344,11 +350,6 @@ pub(crate) struct SimState<'o> {
     device_down: Vec<u32>,
     /// Accumulated calibration drift per device, in fault-plan units.
     device_drift: Vec<f64>,
-    /// Jobs with a kernel currently on a device (raw job id → device
-    /// index), so an outage can interrupt exactly the affected kernels.
-    /// A `BTreeMap` because it *is* iterated (on device failure) and the
-    /// victim order must be deterministic.
-    kernels_in_flight: BTreeMap<u64, usize>,
     /// The job holding each live allocation, so a failed node finds the
     /// job to kill.
     alloc_owner: IdMap<AllocationId, JobId>,
@@ -580,14 +581,13 @@ impl<'o> FacilitySim<'o> {
                 device_fault_rngs,
                 device_down: vec![0; devices.len()],
                 device_drift: vec![0.0; devices.len()],
-                kernels_in_flight: BTreeMap::new(),
                 scenario,
                 cluster,
                 scheduler,
                 devices,
                 fleet,
                 events,
-                jobs: JobMap::default(),
+                jobs: IdWindow::new(),
                 queue_map: IdMap::new(),
                 next_qid: 0,
                 stats_obs: StatsObserver::new(),
@@ -654,22 +654,15 @@ impl<'o> FacilitySim<'o> {
 }
 
 impl<'o> SimState<'o> {
-    /// The live state of `job`. Every caller holds a liveness proof: the
-    /// event loop fences each handler behind the epoch/liveness check in
-    /// [`SimState::drive`], and intra-handler code never finalizes a job
-    /// before its last lookup. A miss is therefore a simulator bug, not a
-    /// recoverable condition.
+    /// The live state of `job`; see [`run_of`].
     fn live(&self, job: JobId) -> &JobRun {
-        self.jobs
-            .get(&job.raw())
-            // hpcqc-lint: allow(D004, reason = "single audited lookup behind the drive() liveness fence; see doc comment")
-            .expect("live job")
+        run_of(&self.jobs, job)
     }
 
     /// Mutable counterpart of [`SimState::live`].
     fn live_mut(&mut self, job: JobId) -> &mut JobRun {
         self.jobs
-            .get_mut(&job.raw())
+            .get_mut(job.raw())
             // hpcqc-lint: allow(D004, reason = "single audited lookup behind the drive() liveness fence; see doc comment")
             .expect("live job")
     }
@@ -712,7 +705,7 @@ impl<'o> SimState<'o> {
                     self.on_submit(driver, job, now)?;
                 }
                 Event::PhaseDone(job, epoch) => {
-                    if self.jobs.get(&job.raw()).is_some_and(|r| r.epoch == epoch) {
+                    if self.jobs.get(job.raw()).is_some_and(|r| r.epoch == epoch) {
                         self.on_phase_done(driver, job, now)?;
                     }
                 }
@@ -725,17 +718,17 @@ impl<'o> SimState<'o> {
                     emit!(self, now, SimEvent::KernelExecEnded { job, device });
                 }
                 Event::KernelDone(job, epoch) => {
-                    if self.jobs.get(&job.raw()).is_some_and(|r| r.epoch == epoch) {
+                    if self.jobs.get(job.raw()).is_some_and(|r| r.epoch == epoch) {
                         self.on_kernel_done(driver, job, now)?;
                     }
                 }
                 Event::StepSubmit(job, epoch) => {
-                    if self.jobs.get(&job.raw()).is_some_and(|r| r.epoch == epoch) {
+                    if self.jobs.get(job.raw()).is_some_and(|r| r.epoch == epoch) {
                         self.submit_step(job, now)?;
                     }
                 }
                 Event::KillJob(job, epoch) => {
-                    if let Some(run) = self.jobs.get_mut(&job.raw()).filter(|r| r.epoch == epoch) {
+                    if let Some(run) = self.jobs.get_mut(job.raw()).filter(|r| r.epoch == epoch) {
                         // The timer just fired: forget its key, so the
                         // abort does not cancel an event that is gone.
                         if run.kill_event == Some(ev.key) {
@@ -752,17 +745,17 @@ impl<'o> SimState<'o> {
                 Event::DeviceFailure(device) => self.on_device_failure(driver, device, now)?,
                 Event::DeviceRepairDone(device) => self.on_device_repair(device, now),
                 Event::KernelFault(job, epoch, device) => {
-                    if self.jobs.get(&job.raw()).is_some_and(|r| r.epoch == epoch) {
+                    if self.jobs.get(job.raw()).is_some_and(|r| r.epoch == epoch) {
                         self.on_kernel_fault(driver, job, device, now)?;
                     }
                 }
                 Event::KernelRetry(job, epoch) => {
-                    if self.jobs.get(&job.raw()).is_some_and(|r| r.epoch == epoch) {
+                    if self.jobs.get(job.raw()).is_some_and(|r| r.epoch == epoch) {
                         self.on_kernel_retry(driver, job, now)?;
                     }
                 }
                 Event::Checkpoint(job, epoch, phase_idx) => {
-                    if self.jobs.get(&job.raw()).is_some_and(|r| {
+                    if self.jobs.get(job.raw()).is_some_and(|r| {
                         r.epoch == epoch
                             && r.phase_idx == phase_idx
                             && r.classical_started.is_some()
@@ -918,7 +911,7 @@ impl<'o> SimState<'o> {
             now,
             SimEvent::JobRestarted {
                 job,
-                name: self.jobs[&job.raw()].spec.name(),
+                name: run_of(&self.jobs, job).spec.name(),
                 rewound_node_seconds: rewound,
             }
         );
@@ -1017,10 +1010,10 @@ impl<'o> SimState<'o> {
         self.events
             .schedule(now + repair_in + next, Event::DeviceFailure(device));
         let victims: Vec<JobId> = self
-            .kernels_in_flight
+            .jobs
             .iter()
-            .filter(|&(_, &d)| d == device)
-            .map(|(&raw, _)| JobId::new(raw))
+            .filter(|(_, run)| run.in_flight == Some(device))
+            .map(|(raw, _)| JobId::new(raw))
             .collect();
         for job in victims {
             self.fail_kernel(driver, job, device, now)?;
@@ -1037,15 +1030,16 @@ impl<'o> SimState<'o> {
         }
     }
 
-    /// Books `kernel`'s shots against device drift; crossing the threshold
-    /// takes the device out of service for a forced recalibration. The
-    /// kernel just dispatched still runs — recalibration starts once the
-    /// device drains, and only future routing sees the downtime.
-    fn accrue_drift(&mut self, device: usize, kernel: &Kernel, now: SimTime) {
+    /// Books a dispatched kernel's `shots` against device drift; crossing
+    /// the threshold takes the device out of service for a forced
+    /// recalibration. The kernel just dispatched still runs —
+    /// recalibration starts once the device drains, and only future
+    /// routing sees the downtime.
+    fn accrue_drift(&mut self, device: usize, shots: u32, now: SimTime) {
         let Some(drift) = self.device_faults().and_then(|d| d.drift.clone()) else {
             return;
         };
-        self.device_drift[device] += drift.per_shot * f64::from(kernel.shots());
+        self.device_drift[device] += drift.per_shot * f64::from(shots);
         if self.device_drift[device] < drift.threshold {
             return;
         }
@@ -1082,7 +1076,7 @@ impl<'o> SimState<'o> {
             now,
             SimEvent::JobHeld {
                 job,
-                name: self.jobs[&job.raw()].spec.name(),
+                name: run_of(&self.jobs, job).spec.name(),
                 reason: HoldReason::FaultRecovery,
             }
         );
@@ -1097,8 +1091,9 @@ impl<'o> SimState<'o> {
         device: usize,
         now: SimTime,
     ) -> Result<(), SimError> {
-        self.live_mut(job).pending_event = None;
-        self.kernels_in_flight.remove(&job.raw());
+        let run = self.live_mut(job);
+        run.pending_event = None;
+        run.in_flight = None;
         self.handle_kernel_failure(driver, job, device, now)
     }
 
@@ -1112,10 +1107,11 @@ impl<'o> SimState<'o> {
         device: usize,
         now: SimTime,
     ) -> Result<(), SimError> {
-        if let Some(key) = self.live_mut(job).pending_event.take() {
+        let run = self.live_mut(job);
+        run.in_flight = None;
+        if let Some(key) = run.pending_event.take() {
             self.events.cancel(key);
         }
-        self.kernels_in_flight.remove(&job.raw());
         self.handle_kernel_failure(driver, job, device, now)
     }
 
@@ -1138,7 +1134,7 @@ impl<'o> SimState<'o> {
             now,
             SimEvent::PhaseEnded {
                 job,
-                name: self.jobs[&job.raw()].spec.name(),
+                name: run_of(&self.jobs, job).spec.name(),
                 kind: PhaseKind::Quantum,
                 index,
                 busy_nodes: 0.0,
@@ -1150,7 +1146,7 @@ impl<'o> SimState<'o> {
             now,
             SimEvent::KernelFailed {
                 job,
-                name: self.jobs[&job.raw()].spec.name(),
+                name: run_of(&self.jobs, job).spec.name(),
                 device,
             }
         );
@@ -1172,7 +1168,7 @@ impl<'o> SimState<'o> {
                 now,
                 SimEvent::JobHeld {
                     job,
-                    name: self.jobs[&job.raw()].spec.name(),
+                    name: run_of(&self.jobs, job).spec.name(),
                     reason: HoldReason::FaultRecovery,
                 }
             );
@@ -1205,20 +1201,16 @@ impl<'o> SimState<'o> {
         job: JobId,
         now: SimTime,
     ) -> Result<(), SimError> {
-        let (kernel, attempt) = {
+        let attempt = {
             let run = self.live_mut(job);
             run.pending_event = None;
-            let Phase::Quantum(kernel) = run.spec.phases()[run.phase_idx].clone() else {
-                debug_assert!(false, "kernel retry outside a quantum phase");
-                return Ok(());
-            };
-            (kernel, run.kernel_attempts)
+            run.kernel_attempts
         };
         // Parked first dispatches (attempt 0) are waits, not retries.
         if attempt > 0 {
             emit!(self, now, SimEvent::KernelRetried { job, attempt });
         }
-        self.begin_quantum(driver, job, &kernel, now)
+        self.begin_quantum(driver, job, now)
     }
 
     /// Takes a periodic checkpoint of an in-flight classical phase: the
@@ -1326,7 +1318,7 @@ impl<'o> SimState<'o> {
                 now,
                 SimEvent::JobHeld {
                     job,
-                    name: self.jobs[&job.raw()].spec.name(),
+                    name: run_of(&self.jobs, job).spec.name(),
                     reason,
                 }
             );
@@ -1452,7 +1444,7 @@ impl<'o> SimState<'o> {
                     now,
                     SimEvent::JobSubmitted {
                         job,
-                        name: self.jobs[&job.raw()].spec.name(),
+                        name: run_of(&self.jobs, job).spec.name(),
                         step: false,
                     }
                 );
@@ -1506,7 +1498,7 @@ impl<'o> SimState<'o> {
             now,
             SimEvent::JobSubmitted {
                 job,
-                name: self.jobs[&job.raw()].spec.name(),
+                name: run_of(&self.jobs, job).spec.name(),
                 step: true,
             }
         );
@@ -1527,7 +1519,7 @@ impl<'o> SimState<'o> {
             now,
             SimEvent::JobStarted {
                 job,
-                name: self.jobs[&job.raw()].spec.name(),
+                name: run_of(&self.jobs, job).spec.name(),
                 wait: self.last_wait(job, now),
             }
         );
@@ -1590,7 +1582,7 @@ impl<'o> SimState<'o> {
             now,
             SimEvent::JobStarted {
                 job,
-                name: self.jobs[&job.raw()].spec.name(),
+                name: run_of(&self.jobs, job).spec.name(),
                 wait: self.last_wait(job, now),
             }
         );
@@ -1656,16 +1648,11 @@ impl<'o> SimState<'o> {
         job: JobId,
         now: SimTime,
     ) -> Result<(), SimError> {
-        let phase = {
-            let run = self.live(job);
-            if run.phase_idx >= run.spec.phases().len() {
-                return self.complete_job(driver, job, now);
-            }
-            run.spec.phases()[run.phase_idx].clone()
-        };
-        match phase {
-            Phase::Classical(d) => self.begin_classical(job, d, now),
-            Phase::Quantum(kernel) => self.begin_quantum(driver, job, &kernel, now),
+        let run = self.live(job);
+        match run.spec.phases().get(run.phase_idx) {
+            None => self.complete_job(driver, job, now),
+            Some(&Phase::Classical(d)) => self.begin_classical(job, d, now),
+            Some(Phase::Quantum(_)) => self.begin_quantum(driver, job, now),
         }
     }
 
@@ -1703,7 +1690,7 @@ impl<'o> SimState<'o> {
             now,
             SimEvent::PhaseStarted {
                 job,
-                name: self.jobs[&job.raw()].spec.name(),
+                name: run_of(&self.jobs, job).spec.name(),
                 kind: PhaseKind::Classical,
                 index,
                 busy_nodes: nodes,
@@ -1744,7 +1731,7 @@ impl<'o> SimState<'o> {
             now,
             SimEvent::PhaseEnded {
                 job,
-                name: self.jobs[&job.raw()].spec.name(),
+                name: run_of(&self.jobs, job).spec.name(),
                 kind: PhaseKind::Classical,
                 index,
                 busy_nodes: nodes,
@@ -1753,21 +1740,28 @@ impl<'o> SimState<'o> {
         );
     }
 
+    /// Routes the job's current kernel and dispatches it, or parks the
+    /// job while no capable device is in service. The kernel is borrowed
+    /// from [`SimState::jobs`] (a field-disjoint borrow beside the fleet
+    /// and devices), not cloned out of the job's phase list.
     fn begin_quantum(
         &mut self,
         driver: &mut dyn StrategyDriver,
         job: JobId,
-        kernel: &Kernel,
         now: SimTime,
     ) -> Result<(), SimError> {
         // Malleable-style drivers give nodes back before quantum work.
         driver.on_quantum_enter(&mut SimCtx { state: self, now }, job)?;
+        let Some(kernel) = run_of(&self.jobs, job).current_kernel() else {
+            debug_assert!(false, "quantum dispatch outside a quantum phase");
+            return Ok(());
+        };
         // A retry under a no-failover recovery policy must go back to the
         // device that ran the failed attempt — or wait until it returns.
         if self.live(job).kernel_attempts > 0 && !self.recovery().failover_enabled() {
             if let Some(prev) = self.live(job).last_exec_device {
                 if self.fleet.serves(prev, kernel) {
-                    return self.dispatch_kernel(job, kernel, prev, now);
+                    return self.dispatch_kernel(job, prev, now);
                 }
                 return self.park_for_recovery(job, now);
             }
@@ -1817,17 +1811,17 @@ impl<'o> SimState<'o> {
         }
         let pin = self.live(job).device.map(DeviceId::new);
         let device_idx = self.fleet.route(kernel, now, &self.devices, pin).index();
-        self.dispatch_kernel(job, kernel, device_idx, now)
+        self.dispatch_kernel(job, device_idx, now)
     }
 
-    /// Runs `kernel` on `device_idx`: books the execution on the device
-    /// model, charges the access overhead, emits the phase/kernel events
-    /// and schedules completion — either [`Event::KernelDone`] or, when
-    /// the transient-error coin comes up, [`Event::KernelFault`].
+    /// Runs the job's current kernel on `device_idx`: books the execution
+    /// on the device model, charges the access overhead, emits the
+    /// phase/kernel events and schedules completion — either
+    /// [`Event::KernelDone`] or, when the transient-error coin comes up,
+    /// [`Event::KernelFault`].
     fn dispatch_kernel(
         &mut self,
         job: JobId,
-        kernel: &Kernel,
         device_idx: usize,
         now: SimTime,
     ) -> Result<(), SimError> {
@@ -1850,6 +1844,11 @@ impl<'o> SimState<'o> {
             );
         }
         self.live_mut(job).last_exec_device = Some(device_idx);
+        let Some(kernel) = run_of(&self.jobs, job).current_kernel() else {
+            debug_assert!(false, "kernel dispatch outside a quantum phase");
+            return Ok(());
+        };
+        let shots = kernel.shots();
         let exec = self.devices[device_idx].enqueue(kernel, now)?;
         // Access-model overhead: a device's own access mode wins;
         // otherwise the scenario-wide mode applies.
@@ -1879,7 +1878,7 @@ impl<'o> SimState<'o> {
             now,
             SimEvent::PhaseStarted {
                 job,
-                name: self.jobs[&job.raw()].spec.name(),
+                name: run_of(&self.jobs, job).spec.name(),
                 kind: PhaseKind::Quantum,
                 index,
                 busy_nodes: 0.0,
@@ -1890,7 +1889,7 @@ impl<'o> SimState<'o> {
             now,
             SimEvent::KernelEnqueued {
                 job,
-                name: self.jobs[&job.raw()].spec.name(),
+                name: run_of(&self.jobs, job).spec.name(),
                 device: device_idx,
                 start: exec.start,
                 end: exec.end,
@@ -1915,9 +1914,10 @@ impl<'o> SimState<'o> {
         } else {
             self.events.schedule(done, Event::KernelDone(job, epoch))
         };
-        self.live_mut(job).pending_event = Some(key);
-        self.kernels_in_flight.insert(job.raw(), device_idx);
-        self.accrue_drift(device_idx, kernel, now);
+        let run = self.live_mut(job);
+        run.pending_event = Some(key);
+        run.in_flight = Some(device_idx);
+        self.accrue_drift(device_idx, shots, now);
         Ok(())
     }
 
@@ -1948,9 +1948,9 @@ impl<'o> SimState<'o> {
         job: JobId,
         now: SimTime,
     ) -> Result<(), SimError> {
-        self.kernels_in_flight.remove(&job.raw());
         let (index, started) = {
             let run = self.live_mut(job);
+            run.in_flight = None;
             run.kernel_attempts = 0;
             (run.phase_idx, run.quantum_started.take().unwrap_or(now))
         };
@@ -1959,7 +1959,7 @@ impl<'o> SimState<'o> {
             now,
             SimEvent::PhaseEnded {
                 job,
-                name: self.jobs[&job.raw()].spec.name(),
+                name: run_of(&self.jobs, job).spec.name(),
                 kind: PhaseKind::Quantum,
                 index,
                 busy_nodes: 0.0,
@@ -2083,7 +2083,7 @@ impl<'o> SimState<'o> {
     /// the job's live state entirely — after this the simulator holds no
     /// per-job memory for it (the streaming-memory contract).
     fn finalize(&mut self, job: JobId, now: SimTime, completed: bool) {
-        let Some(mut run) = self.jobs.remove(&job.raw()) else {
+        let Some(mut run) = self.jobs.remove(job.raw()) else {
             debug_assert!(false, "{job} finalized twice");
             return;
         };
@@ -2144,6 +2144,7 @@ impl<'o> SimState<'o> {
         let (pending, kill, queued) = {
             let run = self.live_mut(job);
             run.epoch += 1;
+            run.in_flight = None;
             (
                 run.pending_event.take(),
                 run.kill_event.take(),
@@ -2156,7 +2157,6 @@ impl<'o> SimState<'o> {
         if let Some(key) = kill {
             self.events.cancel(key);
         }
-        self.kernels_in_flight.remove(&job.raw());
         // A not-yet-started submission must leave the batch queue with the
         // attempt, or it would later start a job that no longer exists.
         if let Some(qid) = queued {

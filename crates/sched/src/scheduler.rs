@@ -168,10 +168,11 @@ pub struct BatchScheduler {
     /// The entries of `last_holds` whose reason differs from the one last
     /// reported for that job (see [`BatchScheduler::hold_changes`]).
     hold_changes: Vec<(JobId, HoldReason)>,
-    /// The free vector of the last full cycle, if that cycle proved the
-    /// queue settled (see [`BatchScheduler::is_settled`]). Cleared by
-    /// every submit, cancel and start.
-    settled_free: Option<Demand>,
+    /// The cluster's [`version`](Cluster::version) and free vector at the
+    /// end of the last full cycle, if that cycle proved the queue settled
+    /// (see [`BatchScheduler::is_settled`]). Cleared by every submit,
+    /// cancel and start.
+    settled: Option<(u64, Demand)>,
 }
 
 impl BatchScheduler {
@@ -207,7 +208,7 @@ impl BatchScheduler {
             total_finished: 0,
             last_holds: Vec::new(),
             hold_changes: Vec::new(),
-            settled_free: None,
+            settled: None,
         }
     }
 
@@ -342,14 +343,14 @@ impl BatchScheduler {
         };
         self.queued.insert(job.id, entry);
         self.pending.push(job);
-        self.settled_free = None;
+        self.settled = None;
         Ok(())
     }
 
     /// Removes a queued job. Returns `true` if it was still pending.
     pub fn cancel(&mut self, job: JobId) -> bool {
         self.pending.retain(|p| p.id != job);
-        self.settled_free = None;
+        self.settled = None;
         self.queued.remove(&job).is_some()
     }
 
@@ -390,8 +391,18 @@ impl BatchScheduler {
     /// their per-cycle state in [`QueuePolicy::begin_cycle`]. A custom
     /// policy may do neither, so a [`BatchScheduler::custom`] scheduler is
     /// never settled.
+    ///
+    /// The check is O(1) while `cluster` is untouched: a cluster whose
+    /// [`version`](Cluster::version) is the settled cycle's has had no
+    /// mutating call since, so its free vector is that cycle's; only a
+    /// moved version costs the free-vector comparison.
     pub fn is_settled(&self, cluster: &Cluster) -> bool {
-        self.settled_free == Some(Demand::free_of(cluster))
+        match &self.settled {
+            Some((version, free)) => {
+                *version == cluster.version() || *free == Demand::free_of(cluster)
+            }
+            None => false,
+        }
     }
 
     /// Notifies the scheduler that the job backing `alloc` finished at
@@ -433,7 +444,7 @@ impl BatchScheduler {
     ) -> Vec<StartedJob> {
         self.last_holds.clear();
         self.hold_changes.clear();
-        self.settled_free = None;
+        self.settled = None;
         if self.pending.is_empty() {
             return Vec::new();
         }
@@ -536,7 +547,7 @@ impl BatchScheduler {
             // No start and no fit: the queue is stuck until the free
             // vector or the queue changes (see `is_settled`).
             if self.spec.is_some() && !any_fits {
-                self.settled_free = Some(free);
+                self.settled = Some((cluster.version(), free));
             }
         }
         probe.cycle_end(started.len(), self.pending.len());

@@ -30,18 +30,34 @@ impl fmt::Display for EventKey {
     }
 }
 
+/// Bit 63 of an [`Entry::key`]: clear for the front lane, set for the
+/// normal one. Sequence numbers stay below it.
+const LANE_BIT: u64 = 1 << 63;
+
 #[derive(Debug)]
 struct Entry<E> {
-    time: SimTime,
-    class: u8,
+    /// The sort key, packed so one integer compare orders entries:
+    /// the firing time in the high 64 bits, the lane in bit 63 and the
+    /// insertion sequence number below it. Ascending keys are exactly
+    /// ascending `(time, lane, seq)`.
+    key: u128,
     slot: u32,
-    seq: u64,
     payload: E,
+}
+
+impl<E> Entry<E> {
+    fn time(&self) -> SimTime {
+        SimTime::from_nanos((self.key >> 64) as u64)
+    }
+
+    fn seq(&self) -> u64 {
+        self.key as u64 & !LANE_BIT
+    }
 }
 
 impl<E> PartialEq for Entry<E> {
     fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.class == other.class && self.seq == other.seq
+        self.key == other.key
     }
 }
 impl<E> Eq for Entry<E> {}
@@ -53,14 +69,9 @@ impl<E> PartialOrd for Entry<E> {
 }
 
 impl<E> Ord for Entry<E> {
-    // Reversed: BinaryHeap is a max-heap, we want the earliest
-    // (time, class, seq) first.
+    // Reversed: BinaryHeap is a max-heap, we want the least key first.
     fn cmp(&self, other: &Self) -> Ordering {
-        other
-            .time
-            .cmp(&self.time)
-            .then_with(|| other.class.cmp(&self.class))
-            .then_with(|| other.seq.cmp(&self.seq))
+        other.key.cmp(&self.key)
     }
 }
 
@@ -88,7 +99,18 @@ pub struct Scheduled<E> {
     pub payload: E,
 }
 
-/// A deterministic future-event list ordered by `(time, insertion order)`.
+/// A deterministic future-event list ordered by `(time, lane, insertion
+/// order)`.
+///
+/// # Ordering
+///
+/// Events pop in ascending time. At equal time, front-lane events
+/// ([`EventQueue::schedule_front`]) pop before normal ones, and each lane
+/// pops in insertion order (FIFO). A heap entry carries all three as one
+/// packed `u128` key: the time in the high 64 bits, the lane in bit 63
+/// and the insertion sequence number below it, so each heap step is a
+/// single integer compare. Sequence numbers are checked to stay below
+/// 2⁶³, where they would spill into the lane bit.
 ///
 /// # Examples
 ///
@@ -143,9 +165,10 @@ impl<E> EventQueue<E> {
     /// # Panics
     ///
     /// Panics if `time` is earlier than the timestamp of the last event
-    /// popped from this queue.
+    /// popped from this queue, or once 2⁶³ events have been scheduled on
+    /// it (see [Ordering](EventQueue#ordering)).
     pub fn schedule(&mut self, time: SimTime, payload: E) -> EventKey {
-        self.schedule_class(time, 1, payload)
+        self.schedule_in_lane(time, LANE_BIT, payload)
     }
 
     /// Like [`EventQueue::schedule`], but the event sorts *before* every
@@ -159,18 +182,22 @@ impl<E> EventQueue<E> {
     ///
     /// # Panics
     ///
-    /// Panics if `time` is earlier than the last popped timestamp.
+    /// Panics if `time` is earlier than the last popped timestamp, or
+    /// once 2⁶³ events have been scheduled.
     pub fn schedule_front(&mut self, time: SimTime, payload: E) -> EventKey {
-        self.schedule_class(time, 0, payload)
+        self.schedule_in_lane(time, 0, payload)
     }
 
-    fn schedule_class(&mut self, time: SimTime, class: u8, payload: E) -> EventKey {
+    /// Schedules in the lane whose key bit is `lane` (0 or [`LANE_BIT`]).
+    fn schedule_in_lane(&mut self, time: SimTime, lane: u64, payload: E) -> EventKey {
         assert!(
             time >= self.last_popped,
             "scheduled an event at {time} in the past of the clock ({})",
             self.last_popped
         );
         let seq = self.next_seq;
+        // A seq reaching the lane bit would sort into the wrong lane.
+        assert!(seq < LANE_BIT, "event sequence numbers exhausted");
         self.next_seq += 1;
         let state = SlotState {
             seq,
@@ -188,10 +215,8 @@ impl<E> EventQueue<E> {
         };
         self.live += 1;
         self.heap.push(Entry {
-            time,
-            class,
+            key: u128::from(time.as_nanos()) << 64 | u128::from(lane | seq),
             slot,
-            seq,
             payload,
         });
         EventKey { seq, slot }
@@ -228,11 +253,12 @@ impl<E> EventQueue<E> {
                 continue;
             }
             self.live -= 1;
-            self.last_popped = entry.time;
+            let time = entry.time();
+            self.last_popped = time;
             return Some(Scheduled {
-                time: entry.time,
+                time,
                 key: EventKey {
-                    seq: entry.seq,
+                    seq: entry.seq(),
                     slot: entry.slot,
                 },
                 payload: entry.payload,
@@ -246,7 +272,7 @@ impl<E> EventQueue<E> {
         // Purge cancelled heads so the peeked time is a live event.
         while let Some(entry) = self.heap.peek() {
             if !self.slots[entry.slot as usize].cancelled {
-                return Some(entry.time);
+                return Some(entry.time());
             }
             if let Some(dead) = self.heap.pop() {
                 self.retire(&dead);
@@ -311,6 +337,33 @@ mod tests {
             order,
             vec!["front-a", "front-b", "normal-early", "normal-late"]
         );
+    }
+
+    #[test]
+    fn packed_keys_order_both_lanes_near_the_end_of_time() {
+        let mut q = EventQueue::new();
+        let max = SimTime::MAX;
+        let below = SimTime::from_nanos(u64::MAX - 1);
+        let scheduled = [
+            q.schedule(max, "max-normal-a"),
+            q.schedule_front(max, "max-front-a"),
+            q.schedule(below, "below-normal"),
+            q.schedule_front(below, "below-front"),
+            q.schedule(max, "max-normal-b"),
+            q.schedule_front(max, "max-front-b"),
+        ];
+        let popped: Vec<(SimTime, &str, EventKey)> =
+            std::iter::from_fn(|| q.pop().map(|s| (s.time, s.payload, s.key))).collect();
+        let expected = [
+            (below, "below-front", scheduled[3]),
+            (below, "below-normal", scheduled[2]),
+            (max, "max-front-a", scheduled[1]),
+            (max, "max-front-b", scheduled[5]),
+            (max, "max-normal-a", scheduled[0]),
+            (max, "max-normal-b", scheduled[4]),
+        ];
+        assert_eq!(popped, expected);
+        assert_eq!(q.now(), max);
     }
 
     #[test]

@@ -12,6 +12,8 @@
 //!   breaking and O(1) cancellation;
 //! * [`idmap`] — [`IdMap`], an ordered map over a sorted `Vec` for ids
 //!   issued in increasing order;
+//! * [`idwindow`] — [`IdWindow`], an id-indexed table over the live id
+//!   range, for ids issued in increasing order and retired oldest first;
 //! * [`rng`] — the forkable [`SimRng`], enabling common-random-number
 //!   comparisons between scheduling policies;
 //! * [`dist`] — serializable service-time distributions ([`Dist`]);
@@ -68,6 +70,7 @@
 pub mod dist;
 pub mod events;
 pub mod idmap;
+pub mod idwindow;
 pub mod rng;
 pub mod stats;
 pub mod time;
@@ -75,6 +78,7 @@ pub mod time;
 pub use dist::Dist;
 pub use events::{EventKey, EventQueue, Scheduled};
 pub use idmap::IdMap;
+pub use idwindow::IdWindow;
 pub use rng::SimRng;
 pub use stats::{BusyTracker, Histogram, Samples, TimeWeighted, Welford};
 pub use time::{SimDuration, SimTime};
@@ -84,6 +88,7 @@ pub mod prelude {
     pub use crate::dist::Dist;
     pub use crate::events::{EventKey, EventQueue, Scheduled};
     pub use crate::idmap::IdMap;
+    pub use crate::idwindow::IdWindow;
     pub use crate::rng::SimRng;
     pub use crate::stats::{BusyTracker, Histogram, Samples, TimeWeighted, Welford};
     pub use crate::time::{SimDuration, SimTime};

@@ -1,10 +1,10 @@
 //! Differential property tests: [`EventQueue`] against a naive sorted-`Vec`
-//! calendar and [`IdMap`] against a `BTreeMap`, under random operation
-//! sequences.
+//! calendar, and [`IdMap`] and [`IdWindow`] against a `BTreeMap`, under
+//! random operation sequences.
 
 use hpcqc_simcore::events::{EventKey, EventQueue};
 use hpcqc_simcore::time::SimTime;
-use hpcqc_simcore::IdMap;
+use hpcqc_simcore::{IdMap, IdWindow};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 
@@ -184,5 +184,108 @@ proptest! {
         let pairs: Vec<(u32, usize)> = real.iter().map(|(k, v)| (k, *v)).collect();
         let expected: Vec<(u32, usize)> = model.iter().map(|(k, v)| (*k, *v)).collect();
         prop_assert_eq!(pairs, expected);
+    }
+}
+
+#[derive(Debug, Clone)]
+enum WindowOp {
+    /// Insert the next increasing id (`skip` ids past the last one), as
+    /// a job spawn does.
+    Spawn {
+        skip: u64,
+    },
+    /// Remove the live id at position `pick mod len` in id order, so
+    /// removes hit live ids in any order.
+    Retire {
+        pick: usize,
+    },
+    /// Insert again over the live id at position `pick mod len`.
+    Replace {
+        pick: usize,
+    },
+    /// Remove an arbitrary id, live or not.
+    Remove {
+        id: u64,
+    },
+    Get {
+        id: u64,
+    },
+    /// Overwrite the value under an id through `get_mut`.
+    Touch {
+        id: u64,
+    },
+}
+
+fn window_op() -> impl Strategy<Value = WindowOp> {
+    prop_oneof![
+        (0u64..3).prop_map(|skip| WindowOp::Spawn { skip }),
+        (0u64..3).prop_map(|skip| WindowOp::Spawn { skip }),
+        (0usize..1_000).prop_map(|pick| WindowOp::Retire { pick }),
+        (0usize..1_000).prop_map(|pick| WindowOp::Retire { pick }),
+        (0usize..1_000).prop_map(|pick| WindowOp::Replace { pick }),
+        (0u64..96).prop_map(|id| WindowOp::Remove { id }),
+        (0u64..96).prop_map(|id| WindowOp::Get { id }),
+        (0u64..96).prop_map(|id| WindowOp::Touch { id }),
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// `IdWindow` under increasing inserts answers every remove, get,
+    /// get_mut and overwrite like a `BTreeMap`, iterates in id order, counts `len`
+    /// exactly, and never holds more slots than the ids from the oldest
+    /// live one to the newest inserted (none once empty).
+    #[test]
+    fn id_window_matches_btree_map(ops in prop::collection::vec(window_op(), 1..200)) {
+        let mut real = IdWindow::new();
+        let mut model = BTreeMap::new();
+        let mut next = 0u64;
+        for (step, op) in ops.into_iter().enumerate() {
+            match op {
+                WindowOp::Spawn { skip } => {
+                    next += skip;
+                    prop_assert_eq!(real.insert(next, step), model.insert(next, step));
+                    next += 1;
+                }
+                WindowOp::Retire { pick } => {
+                    if !model.is_empty() {
+                        let id = *model.keys().nth(pick % model.len()).unwrap();
+                        prop_assert_eq!(real.remove(id), model.remove(&id));
+                    }
+                }
+                WindowOp::Replace { pick } => {
+                    if !model.is_empty() {
+                        let id = *model.keys().nth(pick % model.len()).unwrap();
+                        prop_assert_eq!(real.insert(id, step), model.insert(id, step));
+                    }
+                }
+                WindowOp::Remove { id } => {
+                    prop_assert_eq!(real.remove(id), model.remove(&id));
+                }
+                WindowOp::Get { id } => {
+                    prop_assert_eq!(real.get(id), model.get(&id));
+                }
+                WindowOp::Touch { id } => {
+                    if let Some(v) = real.get_mut(id) {
+                        *v += 1_000;
+                    }
+                    if let Some(v) = model.get_mut(&id) {
+                        *v += 1_000;
+                    }
+                    prop_assert_eq!(real.get(id), model.get(&id));
+                }
+            }
+            prop_assert_eq!(real.len(), model.len());
+            prop_assert_eq!(real.is_empty(), model.is_empty());
+            let bound = match model.keys().next() {
+                Some(&oldest) => (next - oldest) as usize,
+                None => 0,
+            };
+            prop_assert!(real.slots() <= bound, "{} slots, bound {}", real.slots(), bound);
+            let pairs: Vec<(u64, usize)> = real.iter().map(|(k, v)| (k, *v)).collect();
+            let expected: Vec<(u64, usize)> = model.iter().map(|(k, v)| (*k, *v)).collect();
+            prop_assert_eq!(pairs, expected);
+        }
     }
 }

@@ -320,10 +320,11 @@ fn generate(args: &[String]) -> ExitCode {
             }
             "--out" => out = it.next().cloned(),
             "--hybrid-share" => {
-                hybrid_share = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage())
+                let share = it.next().and_then(|v| v.parse::<f64>().ok());
+                match share.filter(|v| v.is_finite()) {
+                    Some(v) => hybrid_share = v,
+                    None => return fail2("--hybrid-share needs a finite number"),
+                }
             }
             _ => usage(),
         }
@@ -697,7 +698,10 @@ impl ScenarioArgs {
                 "--route" => parsed.route = Some(parse_route(value()).map_err(fail2)?),
                 "--policy" => parsed.policy = Some(parse_policy(value()).map_err(fail2)?),
                 "--nodes" => {
-                    let nodes = it.next().and_then(|v| v.parse().ok());
+                    let nodes = it
+                        .next()
+                        .and_then(|v| v.parse().ok())
+                        .filter(|&n: &u32| n > 0);
                     parsed.nodes =
                         Some(nodes.ok_or_else(|| fail2("--nodes needs a positive node count"))?);
                 }
@@ -769,6 +773,12 @@ impl ScenarioArgs {
         };
         if let Some(n) = self.nodes {
             scenario.classical_nodes = n;
+        }
+        // `--nodes` is positive, so a zero here came from the file.
+        if scenario.classical_nodes == 0 {
+            return Err(fail2(
+                "the scenario file sets `classical_nodes` to 0; it needs a positive node count",
+            ));
         }
         if let Some(path) = &self.fleet {
             scenario.fleet = Some(load_fleet(path).map_err(fail2)?);

@@ -291,6 +291,61 @@ fn contended_workload() -> std::path::PathBuf {
 }
 
 #[test]
+fn zero_node_flag_is_rejected_by_run_and_explain() {
+    for command in ["run", "explain"] {
+        let out = Command::new(env!("CARGO_BIN_EXE_hpcqc-sim"))
+            .args([command, "--workload"])
+            .arg(contended_workload())
+            .args(["--nodes", "0"])
+            .output()
+            .expect("hpcqc-sim runs");
+        assert_eq!(out.status.code(), Some(2), "{command}: {out:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains("positive node count"),
+            "{command}: {stderr}"
+        );
+    }
+}
+
+#[test]
+fn zero_node_scenario_file_is_rejected() {
+    use hpcqc::prelude::*;
+    let dir = std::env::temp_dir().join(format!("hpcqc_cli_zero_nodes_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let scenario = Scenario {
+        classical_nodes: 0,
+        ..Scenario::default()
+    };
+    let path = dir.join("zero.json");
+    std::fs::write(&path, serde_json::to_string_pretty(&scenario).unwrap()).unwrap();
+    let out = Command::new(env!("CARGO_BIN_EXE_hpcqc-sim"))
+        .args(["run", "--workload"])
+        .arg(contended_workload())
+        .arg("--scenario")
+        .arg(&path)
+        .output()
+        .expect("hpcqc-sim runs");
+    assert_eq!(out.status.code(), Some(2), "{out:?}");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("classical_nodes"), "{stderr}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn generate_rejects_a_non_finite_hybrid_share() {
+    for share in ["nan", "inf"] {
+        let out = Command::new(env!("CARGO_BIN_EXE_hpcqc-sim"))
+            .args(["generate", "--count", "3", "--hybrid-share", share])
+            .output()
+            .expect("hpcqc-sim runs");
+        assert_eq!(out.status.code(), Some(2), "{share}: {out:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("--hybrid-share"), "{share}: {stderr}");
+    }
+}
+
+#[test]
 fn run_trace_output_is_perfetto_valid_and_byte_identical() {
     let dir = std::env::temp_dir().join(format!("hpcqc_cli_trace_{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
