@@ -85,7 +85,7 @@ pub use hpcqc_faults::{
 };
 pub use observer::{PhaseKind, SimEvent, SimObserver};
 pub use outcome::{DeviceSummary, Outcome, WasteSummary};
-pub use scenario::{FailureModel, Scenario, ScenarioBuilder, WalltimePolicy};
+pub use scenario::{Scenario, ScenarioBuilder, WalltimePolicy};
 pub use sim::{run_strategies, FacilitySim, SimError};
 pub use source::{IterSource, JobSource, SliceSource};
 pub use strategy::Strategy;

@@ -393,10 +393,6 @@ impl SimObserver for WasteObserver {
             } => self.node.add_used(now, -*busy_nodes),
             SimEvent::KernelExecStarted { .. } => self.qpu.add_used(now, 1.0),
             SimEvent::KernelExecEnded { .. } => self.qpu.add_used(now, -1.0),
-            SimEvent::JobRestarted {
-                rewound_node_seconds,
-                ..
-            } => self.node.add_rewound(*rewound_node_seconds),
             _ => {}
         }
     }

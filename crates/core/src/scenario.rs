@@ -37,31 +37,6 @@ impl fmt::Display for WalltimePolicy {
     }
 }
 
-/// Random node failures (failure injection for resilience experiments).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct FailureModel {
-    /// Cluster-wide mean time between node failures, seconds.
-    pub mtbf: hpcqc_simcore::dist::Dist,
-    /// Node repair duration, seconds.
-    pub repair: hpcqc_simcore::dist::Dist,
-    /// How many times a job hit by failures is requeued before being
-    /// recorded failed.
-    pub max_requeues: u32,
-}
-
-impl FailureModel {
-    /// Exponential failures with the given cluster-wide MTBF and a
-    /// log-normal ~30 min repair, 3 requeues — a plausible ops profile.
-    pub fn exponential(mtbf_secs: f64) -> Self {
-        FailureModel {
-            mtbf: hpcqc_simcore::dist::Dist::exponential(mtbf_secs),
-            repair: hpcqc_simcore::dist::Dist::log_normal_mean_cv(1_800.0, 0.5)
-                .clamped(300.0, 14_400.0),
-            max_requeues: 3,
-        }
-    }
-}
-
 /// Everything the facility simulator needs besides the workload.
 ///
 /// # Examples
@@ -102,8 +77,6 @@ pub struct Scenario {
     pub record_gantt: bool,
     /// Walltime enforcement (advisory by default).
     pub walltime_policy: WalltimePolicy,
-    /// Optional random node failures (none by default).
-    pub node_failures: Option<FailureModel>,
     /// Optional heterogeneous QPU fleet. When set it supersedes
     /// [`Scenario::devices`]; `None` means the fleet
     /// [`FleetSpec::from_legacy`] builds from the device list. Either way
@@ -113,9 +86,8 @@ pub struct Scenario {
     pub fleet: Option<FleetSpec>,
     /// Optional dependability plan: node/device fault processes,
     /// calibration drift, transient kernel errors and the recovery policy
-    /// countering them. When set, its node section supersedes
-    /// [`Scenario::node_failures`]. `None` (or an inert plan) leaves the
-    /// simulation byte-identical to a fault-free run.
+    /// countering them. `None` (or an inert plan) leaves the simulation
+    /// byte-identical to a fault-free run.
     pub faults: Option<FaultPlan>,
 }
 
@@ -170,7 +142,6 @@ impl Default for Scenario {
             access: None,
             record_gantt: false,
             walltime_policy: WalltimePolicy::Advisory,
-            node_failures: None,
             fleet: None,
             faults: None,
         }
@@ -247,12 +218,6 @@ impl ScenarioBuilder {
     /// Sets the walltime-enforcement policy.
     pub fn walltime_policy(mut self, policy: WalltimePolicy) -> Self {
         self.inner.walltime_policy = policy;
-        self
-    }
-
-    /// Enables random node failures.
-    pub fn node_failures(mut self, model: FailureModel) -> Self {
-        self.inner.node_failures = Some(model);
         self
     }
 

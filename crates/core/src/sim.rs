@@ -188,7 +188,7 @@ struct JobRun {
     classical_end: Option<SimTime>,
     last_checkpoint_at: Option<SimTime>,
     /// `node_seconds_used` at the start of the current attempt, so a
-    /// restart-from-zero can book exactly this attempt's work as rewound.
+    /// restart-from-zero can report exactly this attempt's work as rewound.
     attempt_used_base: f64,
 }
 
@@ -334,8 +334,8 @@ pub(crate) struct SimState<'o> {
     extras: &'o mut [&'o mut dyn SimObserver],
     /// Access-mode overhead stream: one draw per dispatched kernel.
     access_rng: SimRng,
-    /// Node-failure stream (the legacy model or a fault plan's node
-    /// section): failure times, victims and repair times.
+    /// Node-failure stream (a fault plan's node section): failure times,
+    /// victims and repair times.
     failure_rng: SimRng,
     /// Per-device fault-process streams (outage timing, recalibration
     /// durations), forked by `(seed, label, index)` alone so their mere
@@ -353,8 +353,6 @@ pub(crate) struct SimState<'o> {
     /// The job holding each live allocation, so a failed node finds the
     /// job to kill.
     alloc_owner: IdMap<AllocationId, JobId>,
-    /// Node failures injected so far.
-    failures_injected: u64,
     /// Jobs finalized so far; the run ends when this reaches `spawned`
     /// after the source is drained.
     completed: u64,
@@ -546,17 +544,8 @@ impl<'o> FacilitySim<'o> {
         );
         let gantt_obs = scenario.record_gantt.then(GanttObserver::new);
         let mut failure_rng = root.fork("failures");
-        // The fault plan's node section supersedes the legacy model; both
-        // draw from the same "failures" stream, so a plan mirroring the
-        // legacy model replays the legacy failure trajectory.
-        let node_mtbf = scenario
-            .faults
-            .as_ref()
-            .and_then(|p| p.node.as_ref())
-            .map(|n| &n.mtbf)
-            .or(scenario.node_failures.as_ref().map(|m| &m.mtbf));
-        if let Some(mtbf) = node_mtbf {
-            let first = mtbf.sample_duration(&mut failure_rng);
+        if let Some(node) = scenario.faults.as_ref().and_then(|p| p.node.as_ref()) {
+            let first = node.mtbf.sample_duration(&mut failure_rng);
             events.schedule(SimTime::ZERO + first, Event::NodeFailure);
         }
         let mut device_fault_rngs: Vec<SimRng> = (0..devices.len())
@@ -595,7 +584,6 @@ impl<'o> FacilitySim<'o> {
                 gantt_obs,
                 extras,
                 alloc_owner: IdMap::new(),
-                failures_injected: 0,
                 completed: 0,
                 spawned: 0,
                 drained: false,
@@ -784,23 +772,18 @@ impl<'o> SimState<'o> {
         Ok(())
     }
 
-    /// Fails a uniformly random up-node; the owning job (if any) is killed
-    /// and requeued within the failure budget. Schedules the repair and the
-    /// next failure. The fault plan's node section supersedes the legacy
-    /// [`FailureModel`](crate::scenario::FailureModel); with a plan active
-    /// the requeue additionally books rewound work and resumes from the
-    /// last classical checkpoint when checkpoint-restart is configured.
+    /// Fails a uniformly random up-node of the fault plan's node process;
+    /// the owning job (if any) is killed and requeued within the recovery
+    /// budget, resuming from its last classical checkpoint when
+    /// checkpoint-restart is configured. Schedules the repair and the next
+    /// failure.
     fn on_node_failure(
         &mut self,
         driver: &mut dyn StrategyDriver,
         now: SimTime,
     ) -> Result<(), SimError> {
-        let plan_node = self.scenario.faults.as_ref().and_then(|p| p.node.clone());
-        let (mtbf, repair, budget, faulted) = match (plan_node, self.scenario.node_failures.clone())
-        {
-            (Some(n), _) => (n.mtbf.clone(), n.repair.clone(), n.requeue_budget(), true),
-            (None, Some(m)) => (m.mtbf, m.repair, m.max_requeues, false),
-            (None, None) => return Ok(()),
+        let Some(process) = self.scenario.faults.as_ref().and_then(|p| p.node.clone()) else {
+            return Ok(());
         };
         // Pick among currently-up nodes (failed ones cannot fail again).
         let up: Vec<_> = self
@@ -813,87 +796,53 @@ impl<'o> SimState<'o> {
         if !up.is_empty() {
             let node = *self.failure_rng.pick(&up);
             let owner = self.cluster.fail_node(node)?;
-            self.failures_injected += 1;
             emit!(self, now, SimEvent::NodeFailed { node });
-            let repair_in = repair.sample_duration(&mut self.failure_rng);
+            let repair_in = process.repair.sample_duration(&mut self.failure_rng);
             self.events
                 .schedule(now + repair_in, Event::NodeRepair(node));
-            if let Some(alloc) = owner {
-                if let Some(&job) = self.alloc_owner.get(&alloc) {
-                    if faulted {
-                        self.requeue_after_node_fault(driver, job, budget, now)?;
-                    } else {
-                        // Legacy path: byte-identical to the pre-fault-plan
-                        // simulator (no restart event, phase reset to 0).
-                        self.abort_attempt(driver, job, now)?;
-                        let run = self.live_mut(job);
-                        if run.requeues < budget {
-                            run.requeues += 1;
-                            run.phase_idx = 0;
-                            run.prev_phase_end = None;
-                            run.device = None;
-                            self.on_submit(driver, job, now)?;
-                        } else {
-                            self.finalize(job, now, false);
-                        }
+            if let Some(&job) = owner.and_then(|alloc| self.alloc_owner.get(&alloc)) {
+                // With checkpoint-restart the job keeps its phase and
+                // re-does only the work since its last durable checkpoint.
+                let run = self.live(job);
+                let checkpoint_rewind = match (self.checkpoint_cfg(), run.classical_started) {
+                    (Some(_), Some(started)) => {
+                        let from = run.last_checkpoint_at.map_or(started, |c| c.max(started));
+                        Some(run.classical_active_nodes * now.saturating_since(from).as_secs_f64())
                     }
-                }
+                    _ => None,
+                };
+                self.requeue_after_fault(driver, job, checkpoint_rewind, now)?;
             }
         }
-        let next = mtbf.sample_duration(&mut self.failure_rng);
+        let next = process.mtbf.sample_duration(&mut self.failure_rng);
         self.events.schedule(now + next, Event::NodeFailure);
         Ok(())
     }
 
-    /// Fault-plan requeue after a node failure took out the job's
-    /// allocation: with checkpoint-restart configured the job keeps its
-    /// phase index and rewinds to the last durable checkpoint; otherwise
-    /// it restarts from phase 0 and the whole attempt's work is rewound.
-    fn requeue_after_node_fault(
+    /// Shared fault-requeue tail (node failure, or kernel retries
+    /// exhausted): aborts the attempt, then fails the job once it has
+    /// spent the recovery policy's requeue budget. Otherwise it resets the
+    /// per-attempt recovery state, reports the rewound work in
+    /// [`SimEvent::JobRestarted`] and resubmits. `checkpoint_rewind` keeps
+    /// the job's phase and rewinds that much node work; `None` restarts
+    /// from phase 0 and rewinds the whole attempt.
+    fn requeue_after_fault(
         &mut self,
         driver: &mut dyn StrategyDriver,
         job: JobId,
-        budget: u32,
+        checkpoint_rewind: Option<f64>,
         now: SimTime,
     ) -> Result<(), SimError> {
-        let checkpointed = self.checkpoint_cfg().is_some();
-        let (started, last_ckpt, active_nodes) = {
-            let run = self.live(job);
-            (
-                run.classical_started,
-                run.last_checkpoint_at,
-                run.classical_active_nodes,
-            )
-        };
         self.abort_attempt(driver, job, now)?;
-        if self.live(job).requeues >= budget {
+        if self.live(job).requeues >= self.recovery().requeue_budget() {
             self.finalize(job, now, false);
             return Ok(());
         }
-        let keep_phase = checkpointed && started.is_some();
-        let rewound = if let (true, Some(started)) = (keep_phase, started) {
-            // Only the work since the last durable checkpoint is re-done.
-            let from = last_ckpt.map_or(started, |c| c.max(started));
-            active_nodes * now.saturating_since(from).as_secs_f64()
-        } else {
-            let run = self.live(job);
-            (run.node_seconds_used - run.attempt_used_base).max(0.0)
-        };
-        self.restart_job(driver, job, keep_phase, rewound, now)
-    }
-
-    /// Shared fault-requeue tail: resets per-attempt recovery state, books
-    /// the rewound work via [`SimEvent::JobRestarted`] and resubmits.
-    fn restart_job(
-        &mut self,
-        driver: &mut dyn StrategyDriver,
-        job: JobId,
-        keep_phase: bool,
-        rewound: f64,
-        now: SimTime,
-    ) -> Result<(), SimError> {
-        {
+        let keep_phase = checkpoint_rewind.is_some();
+        let rewound = {
             let run = self.live_mut(job);
+            let rewound = checkpoint_rewind
+                .unwrap_or((run.node_seconds_used - run.attempt_used_base).max(0.0));
             run.requeues += 1;
             run.kernel_attempts = 0;
             run.last_exec_device = None;
@@ -905,7 +854,8 @@ impl<'o> SimState<'o> {
                 run.last_checkpoint_at = None;
             }
             run.attempt_used_base = run.node_seconds_used;
-        }
+            rewound
+        };
         emit!(
             self,
             now,
@@ -1174,22 +1124,10 @@ impl<'o> SimState<'o> {
             );
             return Ok(());
         }
-        let budget = recovery.requeue_budget();
-        let keep_phase = self.checkpoint_cfg().is_some();
-        self.abort_attempt(driver, job, now)?;
-        if self.live(job).requeues >= budget {
-            self.finalize(job, now, false);
-            return Ok(());
-        }
-        let rewound = if keep_phase {
-            // Checkpointed classical progress survives; the quantum phase
-            // itself holds no node work to rewind.
-            0.0
-        } else {
-            let run = self.live(job);
-            (run.node_seconds_used - run.attempt_used_base).max(0.0)
-        };
-        self.restart_job(driver, job, keep_phase, rewound, now)
+        // Checkpointed classical progress survives; the quantum phase
+        // itself holds no node work to rewind.
+        let checkpoint_rewind = self.checkpoint_cfg().map(|_| 0.0);
+        self.requeue_after_fault(driver, job, checkpoint_rewind, now)
     }
 
     /// Retry backoff expired: re-dispatch the job's current (quantum)
@@ -2707,19 +2645,27 @@ mod tests {
         );
     }
 
+    /// Constant node failures every `mtbf` seconds, each repaired after
+    /// `repair` seconds, with a fault requeue budget of `max_requeues`.
+    fn node_fault_plan(mtbf: f64, repair: f64, max_requeues: u32) -> hpcqc_faults::FaultPlan {
+        use hpcqc_faults::{FaultPlan, NodeFaults, RecoverySpec};
+        use hpcqc_simcore::dist::Dist;
+        FaultPlan::named("nodes")
+            .node(NodeFaults {
+                mtbf: Dist::constant(mtbf),
+                repair: Dist::constant(repair),
+            })
+            .recovery(RecoverySpec::new().max_requeues(max_requeues))
+    }
+
     #[test]
     fn node_failures_requeue_and_complete() {
-        use crate::scenario::FailureModel;
         // Frequent failures (MTBF 200 s) on a long classical job: the job
         // is hit, requeued, and still finishes thanks to the requeue budget
         // and node repairs.
         let mut sc = scenario(Strategy::CoSchedule);
         sc.classical_nodes = 8;
-        sc.node_failures = Some(FailureModel {
-            mtbf: hpcqc_simcore::dist::Dist::constant(200.0),
-            repair: hpcqc_simcore::dist::Dist::constant(100.0),
-            max_requeues: 50,
-        });
+        sc.faults = Some(node_fault_plan(200.0, 100.0, 50));
         let w = Workload::from_jobs(vec![classical_job("long", 2, 150, 0)]);
         let out = FacilitySim::run(&sc, &w).unwrap();
         assert_eq!(out.stats.len(), 1);
@@ -2731,16 +2677,11 @@ mod tests {
 
     #[test]
     fn node_failure_budget_exhaustion_fails_job() {
-        use crate::scenario::FailureModel;
         // One node, deterministic failures faster than the job: every
         // attempt dies, budget 1 → recorded failed.
         let mut sc = scenario(Strategy::CoSchedule);
         sc.classical_nodes = 1;
-        sc.node_failures = Some(FailureModel {
-            mtbf: hpcqc_simcore::dist::Dist::constant(50.0),
-            repair: hpcqc_simcore::dist::Dist::constant(10.0),
-            max_requeues: 1,
-        });
+        sc.faults = Some(node_fault_plan(50.0, 10.0, 1));
         let w = Workload::from_jobs(vec![classical_job("doomed", 1, 10_000, 0)]);
         let out = FacilitySim::run(&sc, &w).unwrap();
         assert_eq!(out.stats.failed_count(), 1);
@@ -2749,16 +2690,11 @@ mod tests {
 
     #[test]
     fn failures_on_idle_nodes_are_harmless() {
-        use crate::scenario::FailureModel;
         // Plenty of nodes; the job needs only 2, so most failures hit idle
         // nodes and the job usually survives untouched.
         let mut sc = scenario(Strategy::CoSchedule);
         sc.classical_nodes = 16;
-        sc.node_failures = Some(FailureModel {
-            mtbf: hpcqc_simcore::dist::Dist::constant(30.0),
-            repair: hpcqc_simcore::dist::Dist::constant(1_000.0),
-            max_requeues: 100,
-        });
+        sc.faults = Some(node_fault_plan(30.0, 1_000.0, 100));
         let w = Workload::from_jobs(vec![classical_job("small", 2, 120, 0)]);
         let out = FacilitySim::run(&sc, &w).unwrap();
         assert_eq!(out.stats.len(), 1);
@@ -3192,11 +3128,14 @@ mod tests {
         let node = NodeFaults {
             mtbf: Dist::constant(1_000.0),
             repair: Dist::constant(100.0),
-            max_requeues: Some(10),
         };
         let mut plain = scenario(Strategy::CoSchedule);
         plain.classical_nodes = 4;
-        plain.faults = Some(FaultPlan::named("no-ckpt").node(node.clone()));
+        plain.faults = Some(
+            FaultPlan::named("no-ckpt")
+                .node(node.clone())
+                .recovery(RecoverySpec::new().max_requeues(10)),
+        );
         let w = Workload::from_jobs(vec![classical_job("long", 4, 1_500, 0)]);
         let out = FacilitySim::run(&plain, &w).unwrap();
         assert_eq!(
@@ -3208,9 +3147,11 @@ mod tests {
         let mut ckpt = scenario(Strategy::CoSchedule);
         ckpt.classical_nodes = 4;
         ckpt.faults = Some(
-            FaultPlan::named("ckpt")
-                .node(node)
-                .recovery(RecoverySpec::new().checkpoint(CheckpointSpec::new(200.0, 5.0))),
+            FaultPlan::named("ckpt").node(node).recovery(
+                RecoverySpec::new()
+                    .max_requeues(10)
+                    .checkpoint(CheckpointSpec::new(200.0, 5.0)),
+            ),
         );
         let mut counter = FaultCounter::default();
         let out = FacilitySim::run_observed(&ckpt, &w, &mut [&mut counter]).unwrap();

@@ -192,7 +192,7 @@ proptest! {
 
     /// Recovery budgets are hard caps: no retry attempt ever exceeds the
     /// plan's kernel-retry cap, and no job restarts more often than the
-    /// applicable requeue budget.
+    /// recovery policy's requeue budget.
     #[test]
     fn retries_and_requeues_never_exceed_caps(
         workload in workload_strategy(),
@@ -212,11 +212,8 @@ proptest! {
             recovery.kernel_retry_cap()
         );
         // Kernel-exhaustion requeues and node-failure requeues share the
-        // per-job counter; each path enforces its own budget, so the
-        // total is bounded by the larger of the two.
-        let budget = recovery
-            .requeue_budget()
-            .max(plan.node.as_ref().map_or(0, NodeFaults::requeue_budget));
+        // per-job counter and the recovery policy's one budget.
+        let budget = recovery.requeue_budget();
         for (job, restarts) in &ledger.restarts {
             prop_assert!(
                 *restarts <= budget,

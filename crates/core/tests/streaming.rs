@@ -84,7 +84,9 @@ fn streamed_equals_materialized_under_every_strategy() {
 
 #[test]
 fn streamed_equals_materialized_with_walltime_kills_and_failures() {
-    use hpcqc_core::scenario::{FailureModel, WalltimePolicy};
+    use hpcqc_core::scenario::WalltimePolicy;
+    use hpcqc_faults::{FaultPlan, NodeFaults, RecoverySpec};
+    use hpcqc_simcore::dist::Dist;
     let mut spec = GeneratorSpec::dev_facility();
     spec.horizon = Horizon::Jobs { count: 80 };
     // Tight margins so some jobs are killed and requeued.
@@ -95,7 +97,14 @@ fn streamed_equals_materialized_with_walltime_kills_and_failures() {
     let workload = Workload::from_jobs(jobs.clone());
     let mut sc = scenario(Strategy::Workflow, 48);
     sc.walltime_policy = WalltimePolicy::Kill { max_requeues: 1 };
-    sc.node_failures = Some(FailureModel::exponential(20_000.0));
+    sc.faults = Some(
+        FaultPlan::named("nodes")
+            .node(NodeFaults {
+                mtbf: Dist::exponential(20_000.0),
+                repair: Dist::log_normal_mean_cv(1_800.0, 0.5).clamped(300.0, 14_400.0),
+            })
+            .recovery(RecoverySpec::new().max_requeues(3)),
+    );
     let materialized = FacilitySim::run(&sc, &workload).unwrap();
     let mut source = SliceSource::new(&jobs);
     let streamed = FacilitySim::run_streamed(&sc, &mut source).unwrap();

@@ -6,8 +6,7 @@
 //! A [`FaultPlan`] is a serde-able description of *what goes wrong*:
 //!
 //! - **Node faults** ([`NodeFaults`]): classical compute nodes fail with a
-//!   given MTBF and come back after a repair distribution — a superset of
-//!   the legacy `FailureModel` in `hpcqc-core`.
+//!   given MTBF and come back after a repair distribution.
 //! - **Device faults** ([`DeviceFaults`]): per-QPU fault processes. Devices
 //!   go down (MTBF/repair), accumulate **calibration drift** with every
 //!   executed shot ([`DriftModel`]) until an unscheduled recalibration

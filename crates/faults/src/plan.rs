@@ -21,9 +21,6 @@ use std::fmt;
 /// specify one, seconds.
 pub const DEFAULT_RECALIBRATION_SECS: f64 = 120.0;
 
-/// Default node-failure requeue budget, matching the legacy `FailureModel`.
-pub const DEFAULT_NODE_MAX_REQUEUES: u32 = 3;
-
 /// A serde-able fault-injection plan.
 ///
 /// All sections are optional: an empty plan is *inert* and leaves the
@@ -34,8 +31,7 @@ pub struct FaultPlan {
     /// Human-readable label, used in sweep-grid CSV columns and CLI tables.
     #[serde(skip_serializing_if = "Option::is_none", default)]
     pub name: Option<String>,
-    /// Classical node fault process; `None` falls back to the scenario's
-    /// legacy `FailureModel`, if any.
+    /// Classical node fault process; `None` means nodes never fail.
     #[serde(skip_serializing_if = "Option::is_none", default)]
     pub node: Option<NodeFaults>,
     /// QPU device fault process, applied uniformly to every device with
@@ -126,20 +122,16 @@ impl fmt::Display for FaultPlan {
     }
 }
 
-/// Classical node fault process: MTBF + repair, plus a requeue budget.
+/// Classical node fault process: MTBF + repair.
 ///
-/// A superset of `hpcqc-core`'s legacy `FailureModel`; when both are set on
-/// a scenario the `FaultPlan` wins.
+/// A job that loses a node is requeued within the plan's
+/// [`RecoverySpec::max_requeues`] budget.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct NodeFaults {
     /// Time between node failures (facility-wide process).
     pub mtbf: Dist,
     /// Repair duration for a failed node.
     pub repair: Dist,
-    /// Times a job may be requeued after losing a node before it is failed
-    /// outright; defaults to [`DEFAULT_NODE_MAX_REQUEUES`].
-    #[serde(skip_serializing_if = "Option::is_none", default)]
-    pub max_requeues: Option<u32>,
 }
 
 impl NodeFaults {
@@ -153,27 +145,12 @@ impl NodeFaults {
         NodeFaults {
             mtbf: Dist::exponential(mtbf_secs),
             repair: Dist::constant(repair_secs),
-            max_requeues: None,
         }
-    }
-
-    /// Sets the requeue budget.
-    pub fn max_requeues(mut self, n: u32) -> NodeFaults {
-        self.max_requeues = Some(n);
-        self
-    }
-
-    /// The effective requeue budget.
-    pub fn requeue_budget(&self) -> u32 {
-        self.max_requeues.unwrap_or(DEFAULT_NODE_MAX_REQUEUES)
     }
 
     /// Checks the distributions for sanity.
     pub fn validate(&self) -> Result<(), String> {
-        if self.mtbf.mean() <= 0.0 {
-            return Err("node faults: mtbf must have a positive mean".into());
-        }
-        Ok(())
+        check_mtbf("node faults", &self.mtbf)
     }
 }
 
@@ -253,9 +230,7 @@ impl DeviceFaults {
             return Err("device faults: mtbf requires a repair distribution".into());
         }
         if let Some(mtbf) = &self.mtbf {
-            if mtbf.mean() <= 0.0 {
-                return Err("device faults: mtbf must have a positive mean".into());
-            }
+            check_mtbf("device faults", mtbf)?;
         }
         if let Some(rate) = self.kernel_error_rate {
             if !rate.is_finite() || !(0.0..=1.0).contains(&rate) {
@@ -269,6 +244,19 @@ impl DeviceFaults {
         }
         Ok(())
     }
+}
+
+/// Rejects an MTBF whose mean rounds to a zero `SimDuration`: every
+/// sample would then be zero too, and the failure event would reschedule
+/// itself at the same instant forever.
+fn check_mtbf(what: &str, mtbf: &Dist) -> Result<(), String> {
+    if mtbf.mean_duration().is_zero() {
+        return Err(format!(
+            "{what}: mtbf must have a positive mean of at least 1 ns, got {}",
+            mtbf.mean()
+        ));
+    }
+    Ok(())
 }
 
 /// Calibration drift: every executed shot nudges a device away from its
@@ -411,11 +399,41 @@ mod tests {
     }
 
     #[test]
-    fn node_faults_defaults_and_budget() {
-        let node = NodeFaults::exponential(7200.0, 300.0);
-        assert_eq!(node.requeue_budget(), DEFAULT_NODE_MAX_REQUEUES);
-        assert_eq!(node.clone().max_requeues(1).requeue_budget(), 1);
-        node.validate().unwrap();
+    fn node_faults_validate() {
+        NodeFaults::exponential(7200.0, 300.0).validate().unwrap();
+    }
+
+    #[test]
+    fn sub_nanosecond_node_mtbf_rejected() {
+        for mtbf in [
+            Dist::constant(1e-10),
+            Dist::constant(0.0),
+            Dist::exponential(1e-12),
+        ] {
+            let node = NodeFaults {
+                mtbf,
+                repair: Dist::constant(60.0),
+            };
+            let err = node.validate().unwrap_err();
+            assert!(err.contains("node faults: mtbf"), "{err}");
+        }
+        // One nanosecond is the smallest mean that still advances time.
+        let ns = NodeFaults {
+            mtbf: Dist::constant(1e-9),
+            repair: Dist::constant(60.0),
+        };
+        ns.validate().unwrap();
+    }
+
+    #[test]
+    fn sub_nanosecond_device_mtbf_rejected() {
+        let plan = FaultPlan::named("bad").device(
+            DeviceFaults::new()
+                .mtbf(Dist::constant(1e-10))
+                .repair(Dist::constant(60.0)),
+        );
+        let err = plan.validate().unwrap_err();
+        assert!(err.contains("device faults: mtbf"), "{err}");
     }
 
     #[test]
@@ -434,7 +452,7 @@ mod tests {
     #[test]
     fn serde_roundtrip_full_plan() {
         let plan = FaultPlan::named("full")
-            .node(NodeFaults::exponential(10_000.0, 600.0).max_requeues(2))
+            .node(NodeFaults::exponential(10_000.0, 600.0))
             .device(
                 DeviceFaults::new()
                     .mtbf(Dist::exponential(4.0 * 3600.0))

@@ -33,12 +33,6 @@ pub struct WasteTracker {
     allocated: TimeWeighted,
     used: TimeWeighted,
     capacity: f64,
-    /// Unit-seconds of completed work later discarded by fault-driven
-    /// rewinds (classical progress lost since the last checkpoint). A
-    /// plain accumulator: the work *was* performed — and is already in
-    /// the `used` integral — but had to be re-done, so it is waste of a
-    /// third kind next to allocated-idle.
-    rewound: f64,
 }
 
 impl WasteTracker {
@@ -53,29 +47,7 @@ impl WasteTracker {
             allocated: TimeWeighted::new(start, 0.0),
             used: TimeWeighted::new(start, 0.0),
             capacity,
-            rewound: 0.0,
         }
-    }
-
-    /// Books `unit_seconds` of completed work as discarded by a
-    /// fault-driven rewind (e.g. classical progress since the last
-    /// checkpoint when a node failure restarts the phase).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `unit_seconds` is negative or non-finite.
-    pub fn add_rewound(&mut self, unit_seconds: f64) {
-        assert!(
-            unit_seconds.is_finite() && unit_seconds >= 0.0,
-            "rewound work must be finite and ≥ 0, got {unit_seconds}"
-        );
-        self.rewound += unit_seconds;
-    }
-
-    /// Total unit-seconds of completed work discarded by fault-driven
-    /// rewinds so far.
-    pub fn rewound_unit_seconds(&self) -> f64 {
-        self.rewound
     }
 
     /// Sets the allocated unit count at `now`.
@@ -206,25 +178,6 @@ mod tests {
         assert_eq!(w.allocated_now(), 4.0);
         assert_eq!(w.used_now(), 0.0);
         assert_eq!(w.used_unit_seconds(SimTime::from_secs(10)), 20.0);
-    }
-
-    #[test]
-    fn rewound_accumulates_independently() {
-        let mut w = WasteTracker::new(SimTime::ZERO, 4.0);
-        assert_eq!(w.rewound_unit_seconds(), 0.0);
-        w.add_rewound(120.0);
-        w.add_rewound(30.0);
-        assert_eq!(w.rewound_unit_seconds(), 150.0);
-        // Rewinds don't perturb the allocated/used integrals.
-        assert_eq!(w.allocated_unit_seconds(SimTime::from_secs(100)), 0.0);
-        assert_eq!(w.used_unit_seconds(SimTime::from_secs(100)), 0.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "rewound")]
-    fn negative_rewound_panics() {
-        let mut w = WasteTracker::new(SimTime::ZERO, 1.0);
-        w.add_rewound(-1.0);
     }
 
     #[test]

@@ -239,6 +239,7 @@ fn load_faults(path: &str) -> Result<FaultPlan, String> {
             with_line_info(&e.to_string(), &text)
         )
     })?;
+    hpcqc::cli::reject_retired_fault_keys(&text).map_err(|e| format!("fault plan {path}: {e}"))?;
     plan.validate()
         .map_err(|e| format!("invalid fault plan {path}: {e}"))?;
     Ok(plan)
@@ -248,12 +249,14 @@ fn load_faults(path: &str) -> Result<FaultPlan, String> {
 /// Validation is left to the caller.
 fn load_scenario(path: &str) -> Result<Scenario, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    serde_json::from_str(&text).map_err(|e| {
+    let scenario = serde_json::from_str(&text).map_err(|e| {
         format!(
             "cannot parse scenario {path}: {}",
             with_line_info(&e.to_string(), &text)
         )
-    })
+    })?;
+    hpcqc::cli::reject_retired_fault_keys(&text).map_err(|e| format!("scenario {path}: {e}"))?;
+    Ok(scenario)
 }
 
 /// The JSON parser reports byte offsets; translate a trailing
@@ -1239,18 +1242,9 @@ fn faults(args: &[String]) -> ExitCode {
                 "repair".into(),
                 node.repair.to_string(),
             ]);
-            table.row(vec![
-                "node".into(),
-                "requeue budget".into(),
-                node.requeue_budget().to_string(),
-            ]);
         }
         None => {
-            table.row(vec![
-                "node".into(),
-                "process".into(),
-                "none (legacy scenario model, if any)".into(),
-            ]);
+            table.row(vec!["node".into(), "process".into(), "none".into()]);
         }
     }
     match &plan.device {
@@ -1399,16 +1393,23 @@ fn sweep(args: &[String]) -> ExitCode {
         return ExitCode::from(2);
     }
     let Some(grid_path) = grid_path else { usage() };
-    let mut grid = match std::fs::read_to_string(&grid_path)
+    let loaded = std::fs::read_to_string(&grid_path)
         .map_err(|e| e.to_string())
-        .and_then(|s| serde_json::from_str::<Grid>(&s).map_err(|e| e.to_string()))
-    {
-        Ok(grid) => grid,
+        .and_then(|text| {
+            let grid = serde_json::from_str::<Grid>(&text).map_err(|e| e.to_string())?;
+            Ok((grid, text))
+        });
+    let (mut grid, text) = match loaded {
+        Ok(loaded) => loaded,
         Err(e) => {
             eprintln!("cannot load grid {grid_path}: {e}");
             return ExitCode::FAILURE;
         }
     };
+    if let Err(e) = hpcqc::cli::reject_retired_fault_keys(&text) {
+        eprintln!("grid {grid_path}: {e}");
+        return ExitCode::from(2);
+    }
     // `--faults` pairs the loaded plan with the inert baseline as a
     // two-cell axis, so every combination gets a with/without comparison.
     // A grid that already declares its own axis wins — mixing the two

@@ -4,6 +4,8 @@
 //! 2 and, when a known candidate is plausibly close, a "did you mean"
 //! hint. These helpers let every binary follow it.
 
+use serde::Value;
+
 /// Levenshtein edit distance between two strings.
 ///
 /// # Examples
@@ -49,6 +51,50 @@ pub fn did_you_mean<'a>(
         .map(|(_, known)| known)
 }
 
+/// Rejects the input keys retired when node failures moved into the
+/// fault plan: a scenario's `node_failures` and a plan's
+/// `node.max_requeues`. The JSON reader ignores unknown fields, so a file
+/// still setting one would otherwise run failure-free, or under the
+/// default requeue budget, without a word. `null` passes: every scenario
+/// written before the fold carries `"node_failures": null`.
+///
+/// `text` is a scenario, a fault plan or a sweep grid; the plans checked
+/// are the document itself, a scenario's `faults` and each entry of a
+/// grid's `faults` axis. Text that is not JSON passes (the typed parse
+/// reports it).
+///
+/// # Examples
+///
+/// ```
+/// use hpcqc::cli::reject_retired_fault_keys;
+/// assert!(reject_retired_fault_keys(r#"{"node_failures": null}"#).is_ok());
+/// let err = reject_retired_fault_keys(r#"{"node": {"max_requeues": 2}}"#).unwrap_err();
+/// assert!(err.contains("recovery.max_requeues"));
+/// ```
+pub fn reject_retired_fault_keys(text: &str) -> Result<(), String> {
+    let Ok(doc) = serde_json::from_str::<Value>(text) else {
+        return Ok(());
+    };
+    let set = |v: Option<&Value>| v.is_some_and(|v| !matches!(v, Value::Null));
+    if set(doc.get("node_failures")) {
+        return Err(
+            "`node_failures` is retired: state node failures as `faults.node` \
+             plus `faults.recovery.max_requeues`"
+                .into(),
+        );
+    }
+    let faults = doc.get("faults");
+    let mut plans = std::iter::once(&doc)
+        .chain(faults)
+        .chain(faults.and_then(Value::as_seq).into_iter().flatten());
+    if plans.any(|plan| set(plan.get("node").and_then(|node| node.get("max_requeues")))) {
+        return Err("`node.max_requeues` is retired: set the plan's \
+             `recovery.max_requeues`, the one fault requeue budget"
+            .into());
+    }
+    Ok(())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -65,5 +111,33 @@ mod tests {
         let known = ["fcfs", "easy", "conservative"];
         assert_eq!(did_you_mean("eazy", known), Some("easy"));
         assert_eq!(did_you_mean("unrelated", known), None);
+    }
+
+    #[test]
+    fn retired_fault_keys_rejected_wherever_a_plan_sits() {
+        let node = r#"{"mtbf": {"Constant": {"value": 60}}, "repair": {"Constant": {"value": 6}}, "max_requeues": 2}"#;
+        for doc in [
+            format!(r#"{{"node": {node}}}"#),
+            format!(r#"{{"classical_nodes": 8, "faults": {{"node": {node}}}}}"#),
+            format!(r#"{{"faults": [{{"name": "ok"}}, {{"node": {node}}}]}}"#),
+        ] {
+            let err = reject_retired_fault_keys(&doc).unwrap_err();
+            assert!(err.contains("recovery.max_requeues"), "{doc}: {err}");
+        }
+        let err =
+            reject_retired_fault_keys(r#"{"node_failures": {"max_requeues": 3}}"#).unwrap_err();
+        assert!(err.contains("faults.node"), "{err}");
+    }
+
+    #[test]
+    fn null_and_absent_retired_keys_pass() {
+        for doc in [
+            r#"{"node_failures": null, "faults": null}"#,
+            r#"{"node": {"max_requeues": null}}"#,
+            r#"{"faults": [{"recovery": {"max_requeues": 1}}]}"#,
+            "not json",
+        ] {
+            assert_eq!(reject_retired_fault_keys(doc), Ok(()), "{doc}");
+        }
     }
 }

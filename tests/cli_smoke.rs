@@ -751,6 +751,106 @@ fn faults_subcommand_requires_exactly_one_source() {
     assert!(stderr.contains("--plan"), "{stderr}");
 }
 
+fn nodes_fault_plan() -> String {
+    std::fs::read_to_string(
+        std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("examples/faults/nodes.json"),
+    )
+    .unwrap()
+}
+
+/// Runs `hpcqc-sim` with `args` followed by the path of a fresh temp
+/// file holding `contents`.
+fn run_with_file(tag: &str, args: &[&str], contents: &str) -> std::process::Output {
+    let dir = std::env::temp_dir().join(format!("hpcqc_cli_{tag}_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("input.json");
+    std::fs::write(&path, contents).unwrap();
+    let out = Command::new(env!("CARGO_BIN_EXE_hpcqc-sim"))
+        .args(args)
+        .arg(&path)
+        .output()
+        .expect("hpcqc-sim runs");
+    std::fs::remove_dir_all(&dir).ok();
+    out
+}
+
+#[test]
+fn retired_scenario_node_failures_key_exits_2_unless_null() {
+    use hpcqc::prelude::*;
+    let workload = contended_workload();
+    let run = [
+        "run",
+        "--workload",
+        workload.to_str().unwrap(),
+        "--scenario",
+    ];
+    let scenario = serde_json::to_string_pretty(&Scenario::default()).unwrap();
+    // Every scenario serialized before the fold carries a null key.
+    let legacy = scenario.replacen('{', r#"{"node_failures": null,"#, 1);
+    let out = run_with_file("nf_null", &run, &legacy);
+    assert!(
+        out.status.success(),
+        "a null node_failures must load: {out:?}"
+    );
+    let set = scenario.replacen(
+        '{',
+        r#"{"node_failures": {"mtbf": {"Constant": {"value": 0}},
+            "repair": {"Constant": {"value": 60}}, "max_requeues": 3},"#,
+        1,
+    );
+    let out = run_with_file("nf_set", &run, &set);
+    assert_eq!(out.status.code(), Some(2), "{out:?}");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("node_failures") && stderr.contains("faults.node"),
+        "the error must name the replacement: {stderr}"
+    );
+}
+
+#[test]
+fn retired_node_max_requeues_key_exits_2_in_plans_and_grids() {
+    let plan = nodes_fault_plan();
+    let retired = plan.replacen(r#""node": {"#, r#""node": {"max_requeues": 2,"#, 1);
+    assert_ne!(plan, retired, "nodes.json no longer has a node section");
+    let workload = contended_workload();
+    let run = ["run", "--workload", workload.to_str().unwrap(), "--faults"];
+    let out = run_with_file("nmr_plan", &run, &retired);
+    assert_eq!(out.status.code(), Some(2), "{out:?}");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("recovery.max_requeues"), "{stderr}");
+    // The same key inside a sweep grid's `faults` axis.
+    let grid = std::fs::read_to_string(
+        std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("examples/grids/smoke.json"),
+    )
+    .unwrap();
+    let grid = grid.replacen('{', &format!(r#"{{"faults": [{retired}],"#), 1);
+    let out = run_with_file("nmr_grid", &["sweep", "--threads", "1", "--grid"], &grid);
+    assert_eq!(out.status.code(), Some(2), "{out:?}");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("recovery.max_requeues"), "{stderr}");
+}
+
+#[test]
+fn sub_nanosecond_mtbf_exits_2_instead_of_livelocking() {
+    let plan = nodes_fault_plan().replacen(
+        r#""Exponential": {
+        "mean": 7200
+      }"#,
+        r#""Constant": {"value": 1e-10}"#,
+        1,
+    );
+    assert!(
+        plan.contains("1e-10"),
+        "nodes.json no longer has a 7200 s MTBF"
+    );
+    let workload = contended_workload();
+    let run = ["run", "--workload", workload.to_str().unwrap(), "--faults"];
+    let out = run_with_file("tiny_mtbf", &run, &plan);
+    assert_eq!(out.status.code(), Some(2), "{out:?}");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("mtbf"), "{stderr}");
+}
+
 #[test]
 fn run_header_names_the_fleet_it_runs() {
     let out = Command::new(env!("CARGO_BIN_EXE_hpcqc-sim"))

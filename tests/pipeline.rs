@@ -226,12 +226,16 @@ fn multi_device_facility_spreads_kernels() {
 }
 
 /// Node failures flow through the full pipeline: jobs requeue and the
-/// campaign still completes (or records bounded failures).
+/// campaign still completes (or records bounded failures). The plan is
+/// the committed `examples/faults/nodes.json`: exponential 2 h MTBF,
+/// ~30 min log-normal repair, 3 requeues.
 #[test]
 fn node_failures_end_to_end() {
     let w = mixed_workload(17);
     let mut sc = scenario(Strategy::CoSchedule, PolicySpec::easy());
-    sc.node_failures = Some(FailureModel::exponential(7_200.0));
+    let plan: FaultPlan =
+        serde_json::from_str(include_str!("../examples/faults/nodes.json")).unwrap();
+    sc.faults = Some(plan);
     let out = FacilitySim::run(&sc, &w).unwrap();
     assert_eq!(out.stats.len(), w.len(), "every job must terminate");
     // With a generous default budget, most of the mix completes.
