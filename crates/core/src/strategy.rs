@@ -63,6 +63,28 @@ impl Strategy {
         }
     }
 
+    /// Checks the strategy's count: `vqpus` and `min_nodes` must be at
+    /// least 1. The simulator runs a 0 as 1, so a 0 would be labelled
+    /// `vqpu(x0)` while running (and reporting) exactly like `vqpu(x1)`.
+    ///
+    /// # Errors
+    ///
+    /// A message naming the strategy and the field that is 0.
+    pub fn validate(&self) -> Result<(), String> {
+        let (field, value) = match *self {
+            Strategy::Vqpu { vqpus } | Strategy::Adaptive { vqpus } => ("vqpus", vqpus),
+            Strategy::Malleable { min_nodes } => ("min_nodes", min_nodes),
+            Strategy::CoSchedule | Strategy::Workflow => return Ok(()),
+        };
+        if value == 0 {
+            return Err(format!(
+                "strategy `{}` needs `{field}` of at least 1 (got 0)",
+                self.name()
+            ));
+        }
+        Ok(())
+    }
+
     /// Gres units to configure per physical QPU device.
     pub fn gres_per_device(&self) -> u32 {
         match self {
@@ -128,6 +150,21 @@ mod tests {
         assert_eq!(Strategy::Workflow.name(), "workflow");
         assert_eq!(Strategy::Adaptive { vqpus: 4 }.to_string(), "adaptive(x4)");
         assert_eq!(Strategy::Adaptive { vqpus: 4 }.name(), "adaptive");
+    }
+
+    #[test]
+    fn validate_rejects_zero_counts() {
+        for zero in [
+            Strategy::Vqpu { vqpus: 0 },
+            Strategy::Adaptive { vqpus: 0 },
+            Strategy::Malleable { min_nodes: 0 },
+        ] {
+            let err = zero.validate().unwrap_err();
+            assert!(err.contains(zero.name()) && err.contains("got 0"), "{err}");
+        }
+        for ok in Strategy::extended_set() {
+            assert_eq!(ok.validate(), Ok(()), "{ok}");
+        }
     }
 
     #[test]

@@ -65,4 +65,4 @@ pub use policy::{
 };
 pub use priority::{PriorityCalculator, PriorityWeights, UserId};
 pub use probe::{CyclePhase, CycleProbe, NoProbe};
-pub use scheduler::{BatchScheduler, PendingJob, SchedError, StartedJob};
+pub use scheduler::{BatchScheduler, PendingJob, SchedError, StartedJob, MAX_QUEUE_ID_SPAN};

@@ -82,14 +82,12 @@
 use crate::demand::{Demand, Profile};
 use crate::policies;
 use crate::priority::{PriorityCalculator, PriorityWeights};
-use crate::scheduler::{job_priority, PendingJob, Queued};
+use crate::scheduler::{job_priority, PendingJob, QueuedTable};
 use hpcqc_cluster::cluster::Cluster;
 use hpcqc_cluster::gres::GresKind;
 use hpcqc_simcore::time::SimTime;
-use hpcqc_workload::job::JobId;
 use serde::{Deserialize, Serialize, Value};
 use std::cmp::Reverse;
-use std::collections::BTreeMap;
 use std::fmt;
 use std::str::FromStr;
 
@@ -182,12 +180,17 @@ pub enum Verdict {
 /// instant, the live cluster (free capacity, gres availability) and the
 /// scheduler's multifactor priority of any queued job. Mutation stays
 /// with the scheduler.
+///
+/// [`SchedCtx::priority_of`] finds a queued job's submit-time entry in
+/// the scheduler's id-indexed table (see the memory model on
+/// [`BatchScheduler`](crate::BatchScheduler)): one subtraction per call,
+/// however deep the queue.
 #[derive(Debug)]
 pub struct SchedCtx<'a> {
     now: SimTime,
     cluster: &'a Cluster,
     priority: &'a PriorityCalculator,
-    queued: &'a BTreeMap<JobId, Queued>,
+    queued: &'a QueuedTable,
     free: &'a Demand,
 }
 
@@ -199,7 +202,7 @@ impl<'a> SchedCtx<'a> {
         now: SimTime,
         cluster: &'a Cluster,
         priority: &'a PriorityCalculator,
-        queued: &'a BTreeMap<JobId, Queued>,
+        queued: &'a QueuedTable,
         free: &'a Demand,
     ) -> Self {
         SchedCtx {

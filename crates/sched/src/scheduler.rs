@@ -21,9 +21,8 @@ use hpcqc_cluster::cluster::Cluster;
 use hpcqc_cluster::error::ClusterError;
 use hpcqc_cluster::ids::AllocationId;
 use hpcqc_simcore::time::{SimDuration, SimTime};
-use hpcqc_simcore::IdMap;
+use hpcqc_simcore::{IdMap, IdWindow};
 use hpcqc_workload::job::JobId;
-use std::collections::BTreeMap;
 use std::error::Error;
 use std::fmt;
 
@@ -48,6 +47,16 @@ pub enum SchedError {
         /// The offending job.
         job: JobId,
     },
+    /// The id lies so far from the queued ids that the queue's id table
+    /// would span more than [`MAX_QUEUE_ID_SPAN`] ids (see
+    /// [`BatchScheduler`]'s memory model).
+    IdSpanExceeded {
+        /// The offending job.
+        job: JobId,
+        /// The ids the table would span with it, saturating at
+        /// `u64::MAX`.
+        span: u64,
+    },
 }
 
 impl fmt::Display for SchedError {
@@ -58,6 +67,11 @@ impl fmt::Display for SchedError {
             }
             SchedError::ZeroWalltime { job } => write!(f, "{job} has zero walltime"),
             SchedError::DuplicateJob { job } => write!(f, "{job} is already queued"),
+            SchedError::IdSpanExceeded { job, span } => write!(
+                f,
+                "{job} would stretch the queue's id table to {span} ids \
+                 (limit {MAX_QUEUE_ID_SPAN}): queue ids must stay close together"
+            ),
         }
     }
 }
@@ -90,8 +104,17 @@ pub struct StartedJob {
     pub alloc: AllocationId,
 }
 
+/// The most ids the queue's id table may span, from the oldest queued id
+/// to the newest: 2^24 slots, 128 MiB of pointers at most.
+pub const MAX_QUEUE_ID_SPAN: u64 = 1 << 24;
+
+/// The per-job table of queued entries: an [`IdWindow`] keyed by
+/// [`JobId::raw`], so a lookup is a subtraction, not a tree search.
+pub(crate) type QueuedTable = IdWindow<Queued>;
+
 /// A queued job's submit-time entry: everything a cycle reads per job
-/// besides the [`PendingJob`] itself, resolved once at submit.
+/// besides the [`PendingJob`] itself, resolved once at submit. Entries
+/// live in a [`QueuedTable`]; each costs one boxed value plus one slot.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Queued {
     /// The job's footprint per resource slot.
@@ -109,11 +132,11 @@ pub(crate) struct Queued {
 /// when it is queued, else (a hypothetical job) from its own fields.
 pub(crate) fn job_priority(
     priority: &PriorityCalculator,
-    queued: &BTreeMap<JobId, Queued>,
+    queued: &QueuedTable,
     job: &PendingJob,
     now: SimTime,
 ) -> f64 {
-    match queued.get(&job.id) {
+    match queued.get(job.id.raw()) {
         Some(q) => priority.priority_by_id(job.submit, q.nodes, q.user, job.qos_boost, now),
         None => priority.priority(
             job.submit,
@@ -150,14 +173,24 @@ impl Releases for IdMap<AllocationId, Running> {
 /// [`QueuePolicy`] value: build one from a [`PolicySpec`] with
 /// [`BatchScheduler::new`], or inject your own with
 /// [`BatchScheduler::custom`].
+///
+/// # Memory model
+///
+/// Each queued job's submit-time entry sits in a table indexed by
+/// `id − oldest queued id`. A simulation issues queue ids from a counter
+/// and starts jobs roughly oldest first, so the table holds one pointer
+/// per id from the oldest queued id to the newest, and nothing once the
+/// queue drains. Ids may arrive in any order, but a submit that would
+/// stretch the table past [`MAX_QUEUE_ID_SPAN`] ids is rejected with
+/// [`SchedError::IdSpanExceeded`]; an empty queue accepts any id.
 #[derive(Debug)]
 pub struct BatchScheduler {
     policy: Box<dyn QueuePolicy>,
     spec: Option<PolicySpec>,
     priority: PriorityCalculator,
     pending: Vec<PendingJob>,
-    /// Each queued job's submit-time entry.
-    queued: BTreeMap<JobId, Queued>,
+    /// Each queued job's submit-time entry, by [`JobId::raw`].
+    queued: QueuedTable,
     running: IdMap<AllocationId, Running>,
     /// The jobs a cycle starts, moved into `running` when it ends: the
     /// cycle's deferred profile borrows `running` until then.
@@ -201,7 +234,7 @@ impl BatchScheduler {
             spec,
             priority,
             pending: Vec::new(),
-            queued: BTreeMap::new(),
+            queued: IdWindow::new(),
             running: IdMap::new(),
             starting: Vec::new(),
             total_started: 0,
@@ -313,13 +346,24 @@ impl BatchScheduler {
     /// (see [`Demand::resolve`]) or exceeds the machine's total capacity:
     /// it would block the queue forever; [`SchedError::ZeroWalltime`] for
     /// a zero walltime; [`SchedError::DuplicateJob`] if a job with the
-    /// same id is already queued.
+    /// same id is already queued; [`SchedError::IdSpanExceeded`] if the
+    /// id lies too far from the queued ones (see the memory model on
+    /// [`BatchScheduler`]).
     pub fn submit(&mut self, job: PendingJob, cluster: &Cluster) -> Result<(), SchedError> {
         if job.walltime.is_zero() {
             return Err(SchedError::ZeroWalltime { job: job.id });
         }
-        if self.queued.contains_key(&job.id) {
+        let id = job.id.raw();
+        if self.queued.get(id).is_some() {
             return Err(SchedError::DuplicateJob { job: job.id });
+        }
+        // The front slot of a non-empty window is its oldest live id.
+        if let Some((oldest, _)) = self.queued.iter().next() {
+            let newest = oldest + self.queued.slots() as u64 - 1;
+            let span = (id.max(newest) - id.min(oldest)).saturating_add(1);
+            if span > MAX_QUEUE_ID_SPAN {
+                return Err(SchedError::IdSpanExceeded { job: job.id, span });
+            }
         }
         let impossible = |reason| SchedError::ImpossibleRequest {
             job: job.id,
@@ -341,7 +385,7 @@ impl BatchScheduler {
             nodes: job.request.total_nodes(),
             reported: None,
         };
-        self.queued.insert(job.id, entry);
+        self.queued.insert(id, entry);
         self.pending.push(job);
         self.settled = None;
         Ok(())
@@ -351,7 +395,7 @@ impl BatchScheduler {
     pub fn cancel(&mut self, job: JobId) -> bool {
         self.pending.retain(|p| p.id != job);
         self.settled = None;
-        self.queued.remove(&job).is_some()
+        self.queued.remove(job.raw()).is_some()
     }
 
     /// `true` if a scheduling cycle run now on `cluster` would start
@@ -476,7 +520,7 @@ impl BatchScheduler {
             let job = &self.pending[i];
             // Every queued job got its entry at submit, and only a start
             // or a cancel removes it together with the job.
-            let Some(&entry) = self.queued.get(&job.id) else {
+            let Some(&entry) = self.queued.get(job.id.raw()) else {
                 continue;
             };
             let demand = entry.demand;
@@ -497,7 +541,7 @@ impl BatchScheduler {
                     match granted {
                         Ok(alloc) => {
                             free.subtract(&demand);
-                            self.queued.remove(&job.id);
+                            self.queued.remove(job.id.raw());
                             profile.reserve(&demand, now, job.walltime);
                             self.starting.push((
                                 alloc,
@@ -540,7 +584,7 @@ impl BatchScheduler {
         if started.is_empty() {
             // Commit the reasons this cycle reported (see `hold_changes`).
             for &(id, reason) in &self.hold_changes {
-                if let Some(entry) = self.queued.get_mut(&id) {
+                if let Some(entry) = self.queued.get_mut(id.raw()) {
                     entry.reported = Some(reason);
                 }
             }
@@ -729,6 +773,48 @@ mod tests {
         // Once the first copy leaves the queue, the id is free again.
         assert!(s.cancel(JobId::new(0)));
         s.submit(job(0, 2, 100, 1), &c).unwrap();
+    }
+
+    #[test]
+    fn id_past_the_span_is_rejected_and_leaves_the_queue_alone() {
+        let c = cluster(10);
+        let mut s = BatchScheduler::new(PolicySpec::fcfs());
+        s.submit(job(0, 1, 100, 0), &c).unwrap();
+        let err = s.submit(job(u64::MAX, 1, 100, 1), &c).unwrap_err();
+        assert_eq!(
+            err,
+            SchedError::IdSpanExceeded {
+                job: JobId::new(u64::MAX),
+                span: u64::MAX
+            }
+        );
+        assert!(err.to_string().contains("limit 16777216"), "{err}");
+        let ids: Vec<u64> = s.pending().iter().map(|p| p.id.raw()).collect();
+        assert_eq!(ids, vec![0]);
+        assert_eq!(s.queued.slots(), 1);
+        // One id past the span is rejected too, at either end.
+        let err = s.submit(job(MAX_QUEUE_ID_SPAN, 1, 100, 2), &c).unwrap_err();
+        assert!(
+            matches!(err, SchedError::IdSpanExceeded { span, .. } if span == MAX_QUEUE_ID_SPAN + 1)
+        );
+        let mut s = BatchScheduler::new(PolicySpec::fcfs());
+        s.submit(job(MAX_QUEUE_ID_SPAN, 1, 100, 0), &c).unwrap();
+        assert!(s.submit(job(0, 1, 100, 1), &c).is_err());
+        assert_eq!(s.pending_len(), 1);
+    }
+
+    #[test]
+    fn empty_scheduler_accepts_any_id() {
+        let mut c = cluster(10);
+        let mut s = BatchScheduler::new(PolicySpec::fcfs());
+        s.submit(job(u64::MAX, 1, 100, 0), &c).unwrap();
+        let started = s.try_schedule(&mut c, SimTime::ZERO);
+        assert_eq!(started[0].job, JobId::new(u64::MAX));
+        // The queue drained, so the window restarts at any id.
+        s.submit(job(0, 1, 100, 1), &c).unwrap();
+        assert!(s.cancel(JobId::new(0)));
+        s.submit(job(u64::MAX - 1, 1, 100, 2), &c).unwrap();
+        assert_eq!(s.pending_len(), 1);
     }
 
     #[test]
@@ -1117,7 +1203,7 @@ mod tests {
         let mut s = s.with_priority(fresh);
         let running: Vec<UserId> = s.running.values().map(|r| r.user).collect();
         assert_eq!(running, vec![s.priority.intern("heavy")]);
-        let queued: Vec<UserId> = s.queued.values().map(|q| q.user).collect();
+        let queued: Vec<UserId> = s.queued.iter().map(|(_, q)| q.user).collect();
         assert_eq!(
             queued,
             vec![s.priority.intern("light"), s.priority.intern("heavy")]

@@ -127,16 +127,23 @@ impl<V> IdWindow<V> {
         self.live -= 1;
         while let Some(None) = self.slots.front() {
             self.slots.pop_front();
-            self.base += 1;
+            // Wraps only when the window empties past `u64::MAX`; the
+            // next insert into the empty window resets `base`.
+            self.base = self.base.wrapping_add(1);
         }
         Some(*old)
     }
 
     /// Live entries in increasing id order.
     pub fn iter(&self) -> impl Iterator<Item = (u64, &V)> + '_ {
-        (self.base..)
+        (0..)
             .zip(&self.slots)
-            .filter_map(|(id, slot)| Some((id, slot.as_deref()?)))
+            .filter_map(|(i, slot)| Some((self.base + i, slot.as_deref()?)))
+    }
+
+    /// Live values in increasing id order, mutably.
+    pub fn values_mut(&mut self) -> impl Iterator<Item = &mut V> + '_ {
+        self.slots.iter_mut().filter_map(|slot| slot.as_deref_mut())
     }
 }
 
@@ -190,10 +197,25 @@ mod tests {
         assert_eq!(w.slots(), 7);
         assert_eq!(w.insert(5, 'F'), Some('f'));
         *w.get_mut(8).unwrap() = 'I';
+        w.values_mut().for_each(|v| *v = v.to_ascii_uppercase());
         let got: Vec<(u64, char)> = w.iter().map(|(id, v)| (id, *v)).collect();
-        assert_eq!(got, vec![(2, 'c'), (5, 'F'), (8, 'I')]);
+        assert_eq!(got, vec![(2, 'C'), (5, 'F'), (8, 'I')]);
         assert_eq!(w.remove(3), None, "an uncovered hole is absent");
         assert_eq!(w.remove(100), None);
         assert_eq!(w.get(1), None);
+    }
+
+    #[test]
+    fn the_largest_id_inserts_iterates_and_retires() {
+        let mut w = IdWindow::new();
+        w.insert(u64::MAX - 1, 'a');
+        w.insert(u64::MAX, 'b');
+        let ids: Vec<u64> = w.iter().map(|(id, _)| id).collect();
+        assert_eq!(ids, vec![u64::MAX - 1, u64::MAX]);
+        assert_eq!(w.remove(u64::MAX - 1), Some('a'));
+        assert_eq!(w.remove(u64::MAX), Some('b'));
+        assert!(w.is_empty());
+        w.insert(0, 'c');
+        assert_eq!(w.iter().collect::<Vec<_>>(), vec![(0, &'c')]);
     }
 }

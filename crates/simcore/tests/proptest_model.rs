@@ -194,6 +194,10 @@ enum WindowOp {
     Spawn {
         skip: u64,
     },
+    /// Insert an arbitrary id: below the window, inside it or past it.
+    Insert {
+        id: u64,
+    },
     /// Remove the live id at position `pick mod len` in id order, so
     /// removes hit live ids in any order.
     Retire {
@@ -214,6 +218,10 @@ enum WindowOp {
     Touch {
         id: u64,
     },
+    /// Add `by` to every live value through `values_mut`.
+    TouchAll {
+        by: usize,
+    },
 }
 
 fn window_op() -> impl Strategy<Value = WindowOp> {
@@ -226,66 +234,111 @@ fn window_op() -> impl Strategy<Value = WindowOp> {
         (0u64..96).prop_map(|id| WindowOp::Remove { id }),
         (0u64..96).prop_map(|id| WindowOp::Get { id }),
         (0u64..96).prop_map(|id| WindowOp::Touch { id }),
+        (1usize..1_000).prop_map(|by| WindowOp::TouchAll { by }),
     ]
+}
+
+/// [`window_op`] plus inserts at arbitrary ids, so the window also grows
+/// at the front and past holes.
+fn window_op_any_order() -> impl Strategy<Value = WindowOp> {
+    prop_oneof![
+        window_op(),
+        (0u64..96).prop_map(|id| WindowOp::Insert { id }),
+    ]
+}
+
+/// Replays `ops` on an `IdWindow` and a `BTreeMap` and asserts they agree
+/// after every step: every answer, `len`, id-ordered iteration, and a
+/// window no wider than the ids from the oldest live one to the largest
+/// inserted since the window was last empty (no slots once empty).
+fn check_window_against_model(ops: Vec<WindowOp>) {
+    let mut real = IdWindow::new();
+    let mut model = BTreeMap::new();
+    let mut next = 0u64;
+    // The largest id inserted since the window was last empty.
+    let mut newest: Option<u64> = None;
+    for (step, op) in ops.into_iter().enumerate() {
+        let mut insert = |real: &mut IdWindow<usize>, model: &mut BTreeMap<u64, usize>, id| {
+            newest = Some(newest.map_or(id, |n: u64| n.max(id)));
+            prop_assert_eq!(real.insert(id, step), model.insert(id, step));
+        };
+        match op {
+            WindowOp::Spawn { skip } => {
+                next += skip;
+                insert(&mut real, &mut model, next);
+                next += 1;
+            }
+            WindowOp::Insert { id } => insert(&mut real, &mut model, id),
+            WindowOp::Retire { pick } => {
+                if !model.is_empty() {
+                    let id = *model.keys().nth(pick % model.len()).unwrap();
+                    prop_assert_eq!(real.remove(id), model.remove(&id));
+                }
+            }
+            WindowOp::Replace { pick } => {
+                if !model.is_empty() {
+                    let id = *model.keys().nth(pick % model.len()).unwrap();
+                    insert(&mut real, &mut model, id);
+                }
+            }
+            WindowOp::Remove { id } => {
+                prop_assert_eq!(real.remove(id), model.remove(&id));
+            }
+            WindowOp::Get { id } => {
+                prop_assert_eq!(real.get(id), model.get(&id));
+            }
+            WindowOp::Touch { id } => {
+                if let Some(v) = real.get_mut(id) {
+                    *v += 1_000;
+                }
+                if let Some(v) = model.get_mut(&id) {
+                    *v += 1_000;
+                }
+                prop_assert_eq!(real.get(id), model.get(&id));
+            }
+            WindowOp::TouchAll { by } => {
+                real.values_mut().for_each(|v| *v += by);
+                model.values_mut().for_each(|v| *v += by);
+            }
+        }
+        if model.is_empty() {
+            newest = None;
+        }
+        prop_assert_eq!(real.len(), model.len());
+        prop_assert_eq!(real.is_empty(), model.is_empty());
+        let bound = match (model.keys().next(), newest) {
+            (Some(&oldest), Some(newest)) => (newest - oldest + 1) as usize,
+            _ => 0,
+        };
+        prop_assert!(
+            real.slots() <= bound,
+            "{} slots, bound {}",
+            real.slots(),
+            bound
+        );
+        let pairs: Vec<(u64, usize)> = real.iter().map(|(k, v)| (k, *v)).collect();
+        let expected: Vec<(u64, usize)> = model.iter().map(|(k, v)| (*k, *v)).collect();
+        prop_assert_eq!(pairs, expected);
+    }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
     /// `IdWindow` under increasing inserts answers every remove, get,
-    /// get_mut and overwrite like a `BTreeMap`, iterates in id order, counts `len`
-    /// exactly, and never holds more slots than the ids from the oldest
-    /// live one to the newest inserted (none once empty).
+    /// get_mut, `values_mut` pass and overwrite like a `BTreeMap` (see
+    /// [`check_window_against_model`]).
     #[test]
     fn id_window_matches_btree_map(ops in prop::collection::vec(window_op(), 1..200)) {
-        let mut real = IdWindow::new();
-        let mut model = BTreeMap::new();
-        let mut next = 0u64;
-        for (step, op) in ops.into_iter().enumerate() {
-            match op {
-                WindowOp::Spawn { skip } => {
-                    next += skip;
-                    prop_assert_eq!(real.insert(next, step), model.insert(next, step));
-                    next += 1;
-                }
-                WindowOp::Retire { pick } => {
-                    if !model.is_empty() {
-                        let id = *model.keys().nth(pick % model.len()).unwrap();
-                        prop_assert_eq!(real.remove(id), model.remove(&id));
-                    }
-                }
-                WindowOp::Replace { pick } => {
-                    if !model.is_empty() {
-                        let id = *model.keys().nth(pick % model.len()).unwrap();
-                        prop_assert_eq!(real.insert(id, step), model.insert(id, step));
-                    }
-                }
-                WindowOp::Remove { id } => {
-                    prop_assert_eq!(real.remove(id), model.remove(&id));
-                }
-                WindowOp::Get { id } => {
-                    prop_assert_eq!(real.get(id), model.get(&id));
-                }
-                WindowOp::Touch { id } => {
-                    if let Some(v) = real.get_mut(id) {
-                        *v += 1_000;
-                    }
-                    if let Some(v) = model.get_mut(&id) {
-                        *v += 1_000;
-                    }
-                    prop_assert_eq!(real.get(id), model.get(&id));
-                }
-            }
-            prop_assert_eq!(real.len(), model.len());
-            prop_assert_eq!(real.is_empty(), model.is_empty());
-            let bound = match model.keys().next() {
-                Some(&oldest) => (next - oldest) as usize,
-                None => 0,
-            };
-            prop_assert!(real.slots() <= bound, "{} slots, bound {}", real.slots(), bound);
-            let pairs: Vec<(u64, usize)> = real.iter().map(|(k, v)| (k, *v)).collect();
-            let expected: Vec<(u64, usize)> = model.iter().map(|(k, v)| (*k, *v)).collect();
-            prop_assert_eq!(pairs, expected);
-        }
+        check_window_against_model(ops);
+    }
+
+    /// The same, with inserts at arbitrary ids mixed in: below the
+    /// window's base, into holes and past its end.
+    #[test]
+    fn id_window_matches_btree_map_under_out_of_order_inserts(
+        ops in prop::collection::vec(window_op_any_order(), 1..200)
+    ) {
+        check_window_against_model(ops);
     }
 }

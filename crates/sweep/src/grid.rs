@@ -214,6 +214,11 @@ impl Grid {
         if self.node_counts.contains(&0) {
             return Err("grid axis `node_counts` contains 0 nodes".to_string());
         }
+        for strategy in &self.strategies {
+            strategy
+                .validate()
+                .map_err(|e| format!("grid axis `strategies`: {e}"))?;
+        }
         // A deserialized grid can carry a structurally broken fleet
         // (duplicate device names, zero capacities, all devices down).
         if let Some(fleets) = &self.fleets {
@@ -611,6 +616,22 @@ mod tests {
         assert_eq!(s.devices, vec![Technology::TrappedIon]);
         assert!(s.access.is_some());
         assert_eq!(s.walltime_policy, WalltimePolicy::Kill { max_requeues: 1 });
+    }
+
+    #[test]
+    fn validate_rejects_zero_strategy_counts() {
+        for zero in [
+            Strategy::Vqpu { vqpus: 0 },
+            Strategy::Adaptive { vqpus: 0 },
+            Strategy::Malleable { min_nodes: 0 },
+        ] {
+            let g = Grid {
+                strategies: vec![Strategy::Workflow, zero],
+                ..Grid::default()
+            };
+            let err = g.validate().unwrap_err();
+            assert!(err.starts_with("grid axis `strategies`"), "{err}");
+        }
     }
 
     #[test]

@@ -123,7 +123,8 @@ const STRATEGY_NAMES: [&str; 6] = [
 ];
 
 /// Parses a strategy argument; errors enumerate every valid form and hint
-/// at the closest name (the workspace arg-error convention).
+/// at the closest name (the workspace arg-error convention). A zero count
+/// (`vqpu:0`) parses but fails [`Strategy::validate`].
 fn parse_strategy(s: &str) -> Result<Strategy, String> {
     let bad = |input: &str| {
         let name = input.split(':').next().unwrap_or(input);
@@ -135,7 +136,7 @@ fn parse_strategy(s: &str) -> Result<Strategy, String> {
             "unknown strategy `{input}`{hint} (valid: {STRATEGY_FORMS})"
         ))
     };
-    match s {
+    let strategy = match s {
         "co-schedule" | "coschedule" => Ok(Strategy::CoSchedule),
         "workflow" => Ok(Strategy::Workflow),
         "adaptive" => Ok(Strategy::Adaptive { vqpus: 4 }),
@@ -159,7 +160,9 @@ fn parse_strategy(s: &str) -> Result<Strategy, String> {
                 bad(other)
             }
         }
-    }
+    }?;
+    strategy.validate()?;
+    Ok(strategy)
 }
 
 /// Every device technology the CLI accepts, as shown in errors.
@@ -249,13 +252,17 @@ fn load_faults(path: &str) -> Result<FaultPlan, String> {
 /// Validation is left to the caller.
 fn load_scenario(path: &str) -> Result<Scenario, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    let scenario = serde_json::from_str(&text).map_err(|e| {
+    let scenario: Scenario = serde_json::from_str(&text).map_err(|e| {
         format!(
             "cannot parse scenario {path}: {}",
             with_line_info(&e.to_string(), &text)
         )
     })?;
     hpcqc::cli::reject_retired_fault_keys(&text).map_err(|e| format!("scenario {path}: {e}"))?;
+    scenario
+        .strategy
+        .validate()
+        .map_err(|e| format!("scenario {path}: {e}"))?;
     Ok(scenario)
 }
 
@@ -1407,6 +1414,11 @@ fn sweep(args: &[String]) -> ExitCode {
         }
     };
     if let Err(e) = hpcqc::cli::reject_retired_fault_keys(&text) {
+        eprintln!("grid {grid_path}: {e}");
+        return ExitCode::from(2);
+    }
+    // A zero strategy count is a malformed input, like a bad CLI value.
+    if let Err(e) = grid.strategies.iter().try_for_each(Strategy::validate) {
         eprintln!("grid {grid_path}: {e}");
         return ExitCode::from(2);
     }

@@ -990,3 +990,62 @@ fn closed_stdout_exits_zero() {
         assert!(!stderr.contains("panicked"), "{command:?}: {stderr}");
     }
 }
+
+#[test]
+fn zero_strategy_counts_exit_2_on_the_command_line() {
+    for spec in ["vqpu:0", "adaptive:0", "malleable:0"] {
+        let out = Command::new(env!("CARGO_BIN_EXE_hpcqc-sim"))
+            .args(["run", "--workload"])
+            .arg(contended_workload())
+            .args(["--strategy", spec])
+            .output()
+            .expect("hpcqc-sim runs");
+        assert_eq!(out.status.code(), Some(2), "{spec}: {out:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("at least 1 (got 0)"), "{spec}: {stderr}");
+    }
+}
+
+#[test]
+fn zero_strategy_count_in_a_scenario_file_exits_2() {
+    use hpcqc::prelude::*;
+    let scenario = Scenario {
+        strategy: Strategy::Vqpu { vqpus: 0 },
+        ..Scenario::default()
+    };
+    let workload = contended_workload();
+    let out = run_with_file(
+        "zero_vqpus_scenario",
+        &[
+            "run",
+            "--workload",
+            workload.to_str().unwrap(),
+            "--scenario",
+        ],
+        &serde_json::to_string_pretty(&scenario).unwrap(),
+    );
+    assert_eq!(out.status.code(), Some(2), "{out:?}");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("`vqpus` of at least 1"), "{stderr}");
+}
+
+#[test]
+fn zero_strategy_count_in_a_sweep_grid_exits_2() {
+    let grid = std::fs::read_to_string(
+        std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("examples/grids/smoke.json"),
+    )
+    .unwrap();
+    let mut grid: hpcqc::prelude::Grid = serde_json::from_str(&grid).unwrap();
+    grid.strategies = vec![
+        hpcqc::prelude::Strategy::Vqpu { vqpus: 0 },
+        hpcqc::prelude::Strategy::Vqpu { vqpus: 1 },
+    ];
+    let out = run_with_file(
+        "zero_vqpus_grid",
+        &["sweep", "--threads", "1", "--grid"],
+        &serde_json::to_string(&grid).unwrap(),
+    );
+    assert_eq!(out.status.code(), Some(2), "{out:?}");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("`vqpus` of at least 1"), "{stderr}");
+}
