@@ -19,6 +19,7 @@
 //! ```
 //! use hpcqc_core::driver::{SimCtx, StrategyDriver, SubmissionPlan};
 //! use hpcqc_core::{FacilitySim, Scenario};
+//! use hpcqc_sched::NoProbe;
 //! use hpcqc_workload::job::JobId;
 //! use hpcqc_workload::{JobClass, Pattern, Workload};
 //! use hpcqc_qpu::Kernel;
@@ -50,11 +51,14 @@
 //!     .class(JobClass::new("vqe", Pattern::vqe(3, 60.0, Kernel::sampling(500))))
 //!     .count(6)
 //!     .generate(11);
-//! let outcome = FacilitySim::run_with_driver(
+//! // A custom driver enters the loop like every other caller, through
+//! // the one entry point that takes a driver (no observers, no probe).
+//! let outcome = FacilitySim::run_streamed_probed(
 //!     &Scenario::builder().build(),
-//!     &workload,
+//!     &mut workload.jobs().iter().cloned(),
 //!     Box::new(SizeTiered { node_threshold: 4 }),
 //!     &mut [],
+//!     &mut NoProbe,
 //! )?;
 //! assert_eq!(outcome.stats.len(), 6);
 //! # Ok::<(), hpcqc_core::SimError>(())

@@ -23,25 +23,27 @@
 //!
 //! ## Extension points
 //!
-//! The simulation core exposes two pluggable APIs (see the [`driver`] and
-//! [`observer`] modules):
+//! The simulation core exposes three pluggable APIs (see the [`driver`],
+//! [`observer`] and [`source`] modules). Every caller reaches the one
+//! event loop through [`FacilitySim::run_streamed_probed`], directly or
+//! through one of the four shorthands that delegate to it.
 //!
 //! * [`StrategyDriver`] — strategy-specific behaviour behind lifecycle
 //!   hooks over a [`SimCtx`] capability handle. The five built-in
-//!   strategies are ~50-line drivers in [`drivers`]; custom drivers run
-//!   on the stock loop via [`FacilitySim::run_with_driver`].
+//!   strategies are ~50-line drivers in [`drivers`]; a custom driver runs
+//!   on the stock loop via [`FacilitySim::run_streamed_probed`].
 //! * [`SimObserver`] — metrics consumers fed a typed [`SimEvent`]
-//!   stream. Job statistics, waste accounting and Gantt recording are
-//!   built-in observers; attach your own via
+//!   stream. Job statistics and waste accounting are the built-in
+//!   observers that assemble the [`Outcome`]; attach your own (a
+//!   [`GanttObserver`](observer::GanttObserver), a tracer) via
 //!   [`FacilitySim::run_observed`].
-//! * [`JobSource`] — streaming workload input (see [`source`]): the
-//!   simulator pulls time-ordered jobs lazily and retires their state at
-//!   finalization, so facility-scale campaigns (months, millions of jobs)
-//!   run in memory proportional to the jobs in flight. Run one via
-//!   [`FacilitySim::run_streamed`]; a materialized [`Workload`]
-//!   participates through [`source::SliceSource`].
+//! * [`JobSource`] — streaming workload input: the simulator pulls
+//!   time-ordered jobs lazily and retires their state at finalization,
+//!   so facility-scale campaigns (months, millions of jobs) run in
+//!   memory proportional to the jobs in flight. Every iterator of
+//!   [`JobSpec`]s is a source; run one via [`FacilitySim::run_streamed`].
 //!
-//! [`Workload`]: hpcqc_workload::Workload
+//! [`JobSpec`]: hpcqc_workload::JobSpec
 //!
 //! ## Example
 //!
@@ -86,6 +88,6 @@ pub use hpcqc_faults::{
 pub use observer::{PhaseKind, SimEvent, SimObserver};
 pub use outcome::{DeviceSummary, Outcome, WasteSummary};
 pub use scenario::{Scenario, ScenarioBuilder, WalltimePolicy};
-pub use sim::{run_strategies, FacilitySim, SimError};
-pub use source::{IterSource, JobSource, SliceSource};
+pub use sim::{FacilitySim, SimError};
+pub use source::JobSource;
 pub use strategy::Strategy;

@@ -2,9 +2,8 @@
 //!
 //! The facility simulator does not hand metrics consumers privileged access
 //! to its internals. Instead the event loop emits a typed [`SimEvent`]
-//! stream, and every consumer — the built-in job statistics, waste
-//! accounting and Gantt recording included — is a [`SimObserver`] fed that
-//! stream. A new metric (queue-depth timeline, per-user fairness, energy
+//! stream, and every consumer — the built-in job statistics and waste
+//! accounting included — is a [`SimObserver`] fed that stream. A new metric (queue-depth timeline, per-user fairness, energy
 //! models, …) is a drop-in observer, not sim-loop surgery.
 //!
 //! Attach extra observers with
@@ -398,8 +397,10 @@ impl SimObserver for WasteObserver {
     }
 }
 
-/// Records Gantt occupancy intervals (built-in, enabled by
-/// [`Scenario::record_gantt`](crate::scenario::Scenario::record_gantt)).
+/// Records Gantt occupancy intervals. An ordinary observer: attach it
+/// like any other and read [`GanttObserver::gantt`] after the run (the
+/// `hpcqc-sim run --gantt` flag and the `neutral_atom_workflow` example
+/// do).
 ///
 /// Job lanes (`job:<name>`) get one `c`-tagged interval per classical
 /// phase; device lanes (`qpu<i>`) get the kernel execution window plus any

@@ -1,6 +1,5 @@
 //! Simulation outcomes: the numbers every experiment reports.
 
-use hpcqc_metrics::gantt::GanttRecorder;
 use hpcqc_metrics::jobstats::JobStats;
 use hpcqc_qpu::technology::Technology;
 use hpcqc_simcore::time::SimTime;
@@ -50,8 +49,6 @@ pub struct Outcome {
     pub qpu_waste: WasteSummary,
     /// One summary per physical device.
     pub devices: Vec<DeviceSummary>,
-    /// The Gantt trace, when the scenario recorded one.
-    pub gantt: Option<GanttRecorder>,
     /// High-water mark of concurrently live (pulled-but-not-finalized)
     /// jobs in the simulator — the memory bound a streamed run actually
     /// paid, regardless of how many jobs the source produced in total.
@@ -119,7 +116,6 @@ mod tests {
                     recalibration_seconds: 0.0,
                 },
             ],
-            gantt: None,
             peak_in_flight_jobs: 2,
         }
     }

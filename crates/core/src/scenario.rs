@@ -73,8 +73,6 @@ pub struct Scenario {
     /// Optional access-model overhead per kernel (None = negligible
     /// on-prem path; used by experiment E7).
     pub access: Option<AccessMode>,
-    /// Record a Gantt trace (costs memory; examples turn it on).
-    pub record_gantt: bool,
     /// Walltime enforcement (advisory by default).
     pub walltime_policy: WalltimePolicy,
     /// Optional heterogeneous QPU fleet. When set it supersedes
@@ -140,7 +138,6 @@ impl Default for Scenario {
             workflow_overhead: SimDuration::from_secs(2),
             device_calibration: false,
             access: None,
-            record_gantt: false,
             walltime_policy: WalltimePolicy::Advisory,
             fleet: None,
             faults: None,
@@ -209,12 +206,6 @@ impl ScenarioBuilder {
         self
     }
 
-    /// Enables Gantt recording.
-    pub fn record_gantt(mut self, on: bool) -> Self {
-        self.inner.record_gantt = on;
-        self
-    }
-
     /// Sets the walltime-enforcement policy.
     pub fn walltime_policy(mut self, policy: WalltimePolicy) -> Self {
         self.inner.walltime_policy = policy;
@@ -276,7 +267,6 @@ mod tests {
         assert_eq!(s.devices, vec![Technology::Superconducting]);
         assert_eq!(s.policy, PolicySpec::easy());
         assert_eq!(s.strategy, Strategy::CoSchedule);
-        assert!(!s.record_gantt);
     }
 
     #[test]
@@ -288,7 +278,6 @@ mod tests {
             .strategy(Strategy::Malleable { min_nodes: 2 })
             .seed(99)
             .device_calibration(true)
-            .record_gantt(true)
             .build();
         assert_eq!(s.devices.len(), 2);
         assert_eq!(s.seed, 99);

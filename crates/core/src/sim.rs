@@ -2,27 +2,28 @@
 //! hybrid HPC–QC machine, driven by a pluggable [`StrategyDriver`] and
 //! observed through a typed [`SimEvent`] stream.
 //!
-//! [`FacilitySim::run`] wires together every substrate crate: the
+//! [`FacilitySim`] wires together every substrate crate: the
 //! [`Cluster`] machine model, the [`BatchScheduler`], the [`QpuDevice`]s
 //! and the metrics observers, then drives a deterministic event loop until
-//! the workload drains. The same seeded workload can be replayed under all
-//! strategies, which is how every experiment isolates the strategy effect.
+//! the workload drains. Every entry point reaches the loop through
+//! [`FacilitySim::run_streamed_probed`]. The same seeded workload can be
+//! replayed under all strategies, which is how every experiment isolates
+//! the strategy effect.
 //!
 //! Strategy-specific behaviour lives in the [`crate::drivers`] modules;
 //! the loop here only knows about submission plans, phases and the
-//! lifecycle hooks of [`StrategyDriver`]. Metrics consumers — job
-//! statistics, waste accounting, Gantt recording, and anything a caller
-//! attaches via [`FacilitySim::run_observed`] — are [`SimObserver`]s fed
-//! the event stream; none of them has privileged access to the loop.
+//! lifecycle hooks of [`StrategyDriver`]. Metrics consumers are
+//! [`SimObserver`]s fed the event stream: the two built-ins that assemble
+//! the [`Outcome`] (job statistics and waste accounting), then whatever
+//! the caller attaches, such as a
+//! [`GanttObserver`](crate::observer::GanttObserver). None of them has
+//! privileged access to the loop.
 
 use crate::driver::{driver_for, SimCtx, StrategyDriver, SubmissionPlan};
-use crate::observer::{
-    GanttObserver, PhaseKind, SimEvent, SimObserver, StatsObserver, WasteObserver,
-};
+use crate::observer::{PhaseKind, SimEvent, SimObserver, StatsObserver, WasteObserver};
 use crate::outcome::{DeviceSummary, Outcome, WasteSummary};
 use crate::scenario::Scenario;
-use crate::source::{JobSource, SliceSource};
-use crate::strategy::Strategy;
+use crate::source::JobSource;
 use hpcqc_cluster::alloc::{AllocRequest, GroupRequest};
 use hpcqc_cluster::cluster::{Cluster, ClusterBuilder};
 use hpcqc_cluster::error::ClusterError;
@@ -283,9 +284,6 @@ macro_rules! emit {
         let event = $event;
         $state.stats_obs.on_event(now, &event);
         $state.waste_obs.on_event(now, &event);
-        if let Some(gantt) = $state.gantt_obs.as_mut() {
-            gantt.on_event(now, &event);
-        }
         for observer in $state.extras.iter_mut() {
             observer.on_event(now, &event);
         }
@@ -328,8 +326,6 @@ pub(crate) struct SimState<'o> {
     stats_obs: StatsObserver,
     /// Built-in observer assembling the outcome's waste accounting.
     waste_obs: WasteObserver,
-    /// Built-in Gantt recorder, when the scenario asks for one.
-    gantt_obs: Option<GanttObserver>,
     /// Caller-attached observers, fed every event after the built-ins.
     extras: &'o mut [&'o mut dyn SimObserver],
     /// Access-mode overhead stream: one draw per dispatched kernel.
@@ -368,9 +364,16 @@ pub(crate) struct SimState<'o> {
     peak_live: usize,
 }
 
-/// The facility simulator. Construct via [`FacilitySim::run`],
-/// [`FacilitySim::run_observed`], [`FacilitySim::run_with_driver`] or the
-/// streaming variants ([`FacilitySim::run_streamed`] and friends).
+/// The facility simulator. Five entry points run it, and every one of
+/// them reaches the loop through [`FacilitySim::run_streamed_probed`]:
+///
+/// * [`FacilitySim::run`] and [`FacilitySim::run_observed`] take a
+///   materialized [`Workload`];
+/// * [`FacilitySim::run_streamed`] and
+///   [`FacilitySim::run_streamed_observed`] pull from a [`JobSource`];
+/// * [`FacilitySim::run_streamed_probed`] also takes the
+///   [`StrategyDriver`] and a scheduler [`CycleProbe`]. A custom driver
+///   runs through it with [`NoProbe`].
 #[derive(Debug)]
 pub struct FacilitySim<'o> {
     state: SimState<'o>,
@@ -401,30 +404,11 @@ impl<'o> FacilitySim<'o> {
         workload: &Workload,
         observers: &'o mut [&'o mut dyn SimObserver],
     ) -> Result<Outcome, SimError> {
-        FacilitySim::run_with_driver(
+        FacilitySim::run_streamed_observed(
             scenario,
-            workload,
-            driver_for(&scenario.strategy),
+            &mut workload.jobs().iter().cloned(),
             observers,
         )
-    }
-
-    /// Runs under a caller-supplied [`StrategyDriver`] instead of the
-    /// built-in driver for `scenario.strategy` (which is then ignored).
-    /// This is the fully open end of the API: any allocation discipline
-    /// expressible through the driver hooks runs on the unmodified loop.
-    ///
-    /// # Errors
-    ///
-    /// See [`FacilitySim::run`].
-    pub fn run_with_driver(
-        scenario: &Scenario,
-        workload: &Workload,
-        driver: Box<dyn StrategyDriver>,
-        observers: &'o mut [&'o mut dyn SimObserver],
-    ) -> Result<Outcome, SimError> {
-        let mut source = SliceSource::from(workload);
-        FacilitySim::run_streamed_with_driver(scenario, &mut source, driver, observers)
     }
 
     /// Runs a streamed workload to completion: jobs are pulled lazily from
@@ -452,35 +436,24 @@ impl<'o> FacilitySim<'o> {
         source: &mut dyn JobSource,
         observers: &'o mut [&'o mut dyn SimObserver],
     ) -> Result<Outcome, SimError> {
-        FacilitySim::run_streamed_with_driver(
+        FacilitySim::run_streamed_probed(
             scenario,
             source,
             driver_for(&scenario.strategy),
             observers,
+            &mut NoProbe,
         )
     }
 
-    /// Streaming variant of [`FacilitySim::run_with_driver`] — the one
-    /// entry point every other `run_*` delegates to.
-    ///
-    /// # Errors
-    ///
-    /// See [`FacilitySim::run`].
-    pub fn run_streamed_with_driver(
-        scenario: &Scenario,
-        source: &mut dyn JobSource,
-        driver: Box<dyn StrategyDriver>,
-        observers: &'o mut [&'o mut dyn SimObserver],
-    ) -> Result<Outcome, SimError> {
-        FacilitySim::run_streamed_probed(scenario, source, driver, observers, &mut NoProbe)
-    }
-
-    /// [`FacilitySim::run_streamed_with_driver`] with a scheduler
-    /// [`CycleProbe`] attached: every planning cycle reports its queue
-    /// depth, phase boundaries and start/hold outcome to `probe`. The
-    /// probe only watches — simulation results are byte-identical to the
-    /// unprobed run (see `hpcqc-trace`'s `SchedProfiler` for the
-    /// wall-clock profiler built on this hook).
+    /// The one way into the event loop; every other `run*` delegates
+    /// here. `driver` replaces the built-in driver for
+    /// `scenario.strategy` (which is then ignored), so any allocation
+    /// discipline expressible through the driver hooks runs on the
+    /// unmodified loop. Every planning cycle reports its queue depth,
+    /// phase boundaries and start/hold outcome to `probe`; pass
+    /// [`NoProbe`] for none. The probe only watches: simulation results
+    /// are byte-identical to the unprobed run (see `hpcqc-trace`'s
+    /// `SchedProfiler` for the wall-clock profiler built on this hook).
     ///
     /// # Errors
     ///
@@ -542,7 +515,6 @@ impl<'o> FacilitySim<'o> {
             f64::from(scenario.classical_nodes),
             devices.len() as f64,
         );
-        let gantt_obs = scenario.record_gantt.then(GanttObserver::new);
         let mut failure_rng = root.fork("failures");
         if let Some(node) = scenario.faults.as_ref().and_then(|p| p.node.as_ref()) {
             let first = node.mtbf.sample_duration(&mut failure_rng);
@@ -581,7 +553,6 @@ impl<'o> FacilitySim<'o> {
                 next_qid: 0,
                 stats_obs: StatsObserver::new(),
                 waste_obs,
-                gantt_obs,
                 extras,
                 alloc_owner: IdMap::new(),
                 completed: 0,
@@ -634,7 +605,6 @@ impl<'o> FacilitySim<'o> {
             node_waste: summarize(state.waste_obs.node()),
             qpu_waste: summarize(state.waste_obs.qpu()),
             devices,
-            gantt: state.gantt_obs.map(GanttObserver::into_gantt),
             peak_in_flight_jobs: state.peak_live,
             stats,
         }
@@ -2253,30 +2223,10 @@ impl<'o> SimState<'o> {
     }
 }
 
-/// Runs the same workload under several strategies (common random numbers:
-/// identical workload, identical device seeds) and returns the outcomes.
-///
-/// # Errors
-///
-/// Propagates the first [`SimError`] encountered.
-pub fn run_strategies(
-    base: &Scenario,
-    workload: &Workload,
-    strategies: &[Strategy],
-) -> Result<Vec<(Strategy, Outcome)>, SimError> {
-    strategies
-        .iter()
-        .map(|&strategy| {
-            let mut scenario = base.clone();
-            scenario.strategy = strategy;
-            FacilitySim::run(&scenario, workload).map(|o| (strategy, o))
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::strategy::Strategy;
     use hpcqc_qpu::technology::Technology;
     use hpcqc_qpu::timing::TimingModel;
     use hpcqc_simcore::dist::Dist;
@@ -2495,10 +2445,9 @@ mod tests {
     #[test]
     fn gantt_recorded_when_enabled() {
         let w = Workload::from_jobs(vec![hybrid_job("h", 4, 2, 0)]);
-        let mut sc = scenario(Strategy::CoSchedule);
-        sc.record_gantt = true;
-        let out = FacilitySim::run(&sc, &w).unwrap();
-        let g = out.gantt.expect("gantt enabled");
+        let mut gantt = crate::observer::GanttObserver::new();
+        FacilitySim::run_observed(&scenario(Strategy::CoSchedule), &w, &mut [&mut gantt]).unwrap();
+        let g = gantt.gantt();
         assert!(g.lanes().any(|l| l == "qpu0"));
         assert!(g.lanes().any(|l| l.starts_with("job:")));
         assert!(g.busy("qpu0") > SimDuration::ZERO);
@@ -2518,13 +2467,11 @@ mod tests {
     }
 
     #[test]
-    fn run_strategies_covers_all() {
+    fn every_representative_strategy_runs() {
         let w = Workload::from_jobs(vec![hybrid_job("h", 4, 2, 0)]);
-        let base = scenario(Strategy::CoSchedule);
-        let results = run_strategies(&base, &w, &Strategy::representative_set()).unwrap();
-        assert_eq!(results.len(), 4);
-        for (_, o) in &results {
-            assert_eq!(o.stats.len(), 1);
+        for strategy in Strategy::representative_set() {
+            let out = FacilitySim::run(&scenario(strategy), &w).unwrap();
+            assert_eq!(out.stats.len(), 1, "{strategy}");
         }
     }
 
@@ -2810,11 +2757,12 @@ mod tests {
         }
         let w = Workload::from_jobs(vec![hybrid_job("h", 4, 2, 0)]);
         let stock = FacilitySim::run(&scenario(Strategy::CoSchedule), &w).unwrap();
-        let custom = FacilitySim::run_with_driver(
+        let custom = FacilitySim::run_streamed_probed(
             &scenario(Strategy::Workflow),
-            &w,
+            &mut w.jobs().iter().cloned(),
             Box::new(AlwaysCoSchedule),
             &mut [],
+            &mut NoProbe,
         )
         .unwrap();
         assert_eq!(stock.makespan, custom.makespan);
@@ -2849,7 +2797,7 @@ mod tests {
         let mut counter = Counter::default();
         let out = FacilitySim::run_streamed_probed(
             &sc,
-            &mut SliceSource::from(&w),
+            &mut w.jobs().iter().cloned(),
             driver_for(&sc.strategy),
             &mut [],
             &mut counter,
@@ -2946,11 +2894,12 @@ mod tests {
     #[test]
     fn adaptive_beats_worst_fixed_on_crossover_mix() {
         let w = crossover_workload();
-        let base = scenario(Strategy::CoSchedule);
-        let fixed = run_strategies(&base, &w, &Strategy::representative_set()).unwrap();
-        let worst = fixed
-            .iter()
-            .map(|(_, o)| o.stats.mean_turnaround_secs())
+        let worst = Strategy::representative_set()
+            .into_iter()
+            .map(|strategy| {
+                let out = FacilitySim::run(&scenario(strategy), &w).unwrap();
+                out.stats.mean_turnaround_secs()
+            })
             .fold(f64::MIN, f64::max);
         let adaptive = FacilitySim::run(&scenario(Strategy::Adaptive { vqpus: 4 }), &w).unwrap();
         assert!(

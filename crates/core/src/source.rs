@@ -5,11 +5,13 @@
 //! [`JobSpec`] at a time. The simulator pulls lazily — it holds at most
 //! one not-yet-submitted job — so a month-long, million-job scenario runs
 //! in memory proportional to the jobs *in flight*, not the jobs in the
-//! campaign. [`Workload`] remains the convenient materialized form; it
-//! adapts into a source via [`SliceSource`] (which is how
-//! [`FacilitySim::run`](crate::sim::FacilitySim::run) is implemented), and
-//! any iterator of specs — such as `hpcqc-gen`'s generative streams — is a
-//! source already through the blanket impl.
+//! campaign. Every iterator of specs is a source through the blanket
+//! impl: `hpcqc-gen`'s generative streams, and
+//! `workload.jobs().iter().cloned()` over a materialized [`Workload`]
+//! (which is how [`FacilitySim::run`](crate::sim::FacilitySim::run) is
+//! implemented).
+//!
+//! [`Workload`]: hpcqc_workload::campaign::Workload
 //!
 //! The streamed and materialized paths produce **identical** outcomes: the
 //! event loop schedules lazily-pulled arrivals in a front priority lane
@@ -19,7 +21,7 @@
 //! ## A worked example
 //!
 //! ```
-//! use hpcqc_core::source::{IterSource, JobSource, SliceSource};
+//! use hpcqc_core::source::JobSource;
 //! use hpcqc_core::{FacilitySim, Scenario, Strategy};
 //! use hpcqc_workload::{JobClass, Pattern, Workload};
 //! use hpcqc_qpu::Kernel;
@@ -34,18 +36,17 @@
 //!
 //! // The materialized and streamed paths agree exactly.
 //! let materialized = FacilitySim::run(&scenario, &workload)?;
-//! let mut source = SliceSource::new(workload.jobs());
+//! let mut source = workload.jobs().iter().cloned();
 //! let streamed = FacilitySim::run_streamed(&scenario, &mut source)?;
 //! assert_eq!(materialized.makespan, streamed.makespan);
 //!
-//! // Any iterator of specs is a source; `IterSource` wraps one that
-//! // yields jobs by value (e.g. a generative stream).
-//! let mut by_value = IterSource::new(workload.jobs().to_vec().into_iter());
+//! // Any iterator of specs is a source, including one that owns them
+//! // (e.g. a generative stream).
+//! let mut by_value = workload.jobs().to_vec().into_iter();
 //! assert_eq!(by_value.next_job().unwrap().name(), workload.jobs()[0].name());
 //! # Ok::<(), hpcqc_core::SimError>(())
 //! ```
 
-use hpcqc_workload::campaign::Workload;
 use hpcqc_workload::job::JobSpec;
 
 /// A stream of jobs in non-decreasing submission order.
@@ -78,64 +79,6 @@ impl<I: Iterator<Item = JobSpec>> JobSource for I {
     }
 }
 
-/// A source over a borrowed, already-sorted job slice — the adapter that
-/// makes [`Workload`] "one trivial impl" of the streaming API (specs are
-/// cloned one at a time as the simulator pulls).
-#[derive(Debug)]
-pub struct SliceSource<'a> {
-    jobs: std::slice::Iter<'a, JobSpec>,
-}
-
-impl<'a> SliceSource<'a> {
-    /// Wraps a job slice (expected in submission order, as
-    /// [`Workload::jobs`] guarantees).
-    pub fn new(jobs: &'a [JobSpec]) -> Self {
-        SliceSource { jobs: jobs.iter() }
-    }
-}
-
-impl<'a> From<&'a Workload> for SliceSource<'a> {
-    fn from(workload: &'a Workload) -> Self {
-        SliceSource::new(workload.jobs())
-    }
-}
-
-impl JobSource for SliceSource<'_> {
-    fn next_job(&mut self) -> Option<JobSpec> {
-        self.jobs.next().cloned()
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        self.jobs.size_hint()
-    }
-}
-
-/// A source over an owning iterator of specs. Exists mostly for
-/// documentation value — thanks to the blanket impl the wrapped iterator
-/// is itself already a source — and for turning `impl Iterator` values
-/// into a nameable type.
-#[derive(Debug)]
-pub struct IterSource<I> {
-    iter: I,
-}
-
-impl<I: Iterator<Item = JobSpec>> IterSource<I> {
-    /// Wraps an iterator of job specs.
-    pub fn new(iter: I) -> Self {
-        IterSource { iter }
-    }
-}
-
-impl<I: Iterator<Item = JobSpec>> JobSource for IterSource<I> {
-    fn next_job(&mut self) -> Option<JobSpec> {
-        self.iter.next()
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        self.iter.size_hint()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -148,29 +91,11 @@ mod tests {
     }
 
     #[test]
-    fn slice_source_streams_in_order() {
-        let w = Workload::from_jobs(vec![job("b", 10), job("a", 5)]);
-        let mut src = SliceSource::from(&w);
-        assert_eq!(JobSource::size_hint(&src), (2, Some(2)));
-        assert_eq!(src.next_job().unwrap().name(), "a");
-        assert_eq!(src.next_job().unwrap().name(), "b");
-        assert!(src.next_job().is_none());
-    }
-
-    #[test]
     fn iterators_are_sources() {
         let jobs = vec![job("x", 0), job("y", 1)];
         let mut iter = jobs.into_iter();
         let source: &mut dyn JobSource = &mut iter;
         assert_eq!(source.next_job().unwrap().name(), "x");
         assert_eq!(source.size_hint(), (1, Some(1)));
-    }
-
-    #[test]
-    fn iter_source_wraps_by_value() {
-        let jobs = vec![job("x", 0)];
-        let mut src = IterSource::new(jobs.into_iter());
-        assert!(src.next_job().is_some());
-        assert!(src.next_job().is_none());
     }
 }

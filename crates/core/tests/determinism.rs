@@ -17,7 +17,6 @@ use hpcqc_core::observer::{SimEvent, SimObserver};
 use hpcqc_core::outcome::Outcome;
 use hpcqc_core::scenario::Scenario;
 use hpcqc_core::sim::FacilitySim;
-use hpcqc_core::source::SliceSource;
 use hpcqc_core::strategy::Strategy;
 use hpcqc_qpu::technology::Technology;
 use hpcqc_qpu::Kernel;
@@ -105,7 +104,7 @@ fn same_seed_runs_serialize_byte_identically() {
             sc.seed
         );
 
-        let mut source = SliceSource::new(&jobs);
+        let mut source = jobs.iter().cloned();
         let streamed = FacilitySim::run_streamed(&sc, &mut source).unwrap();
         assert_eq!(
             outcome_bytes(&first),

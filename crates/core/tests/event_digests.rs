@@ -13,7 +13,20 @@
 //! in emission order, and one over the serialized [`Outcome`]. The
 //! digests were recorded before the scheduler's queued-job table became
 //! an id window, and every later scheduler change must reproduce them:
-//! the event stream is the contract, not just the summary.
+//! the event stream is the contract, not just the summary. (When
+//! [`Outcome`] lost its `gantt` field, every outcome digest here was
+//! re-derived from the same run's JSON with the `"gantt":null,` token
+//! removed, and nothing else; no event digest moved.)
+//!
+//! A second table pins breadth rather than depth: 120-job bursts under
+//! EASY of the strategies the deep cases leave out (co-schedule,
+//! malleable, adaptive), of `vqpu:8` routed over the committed
+//! heterogeneous fleet under each route, and of the committed fault
+//! plans (`examples/faults/`). The fault cases arrive at 240 jobs/h, so
+//! the run is long enough for the node plan to kill and restart a job
+//! and for the degraded plan to fail devices and retry kernels. Its
+//! event digests were recorded before Gantt recording became an
+//! ordinary observer, and its outcome digests derived as above.
 //!
 //! If a change is *supposed* to move these results, run
 //!
@@ -21,14 +34,16 @@
 //! cargo test -p hpcqc-core --test event_digests
 //! ```
 //!
-//! paste the table the failure prints over `GOLDEN`, and say in the
-//! change log which digests moved and why.
+//! paste the table the failure prints over `GOLDEN` or `BREADTH`, and
+//! say in the change log which digests moved and why.
 
 use hpcqc_core::observer::{SimEvent, SimObserver};
 use hpcqc_core::outcome::Outcome;
 use hpcqc_core::scenario::Scenario;
 use hpcqc_core::sim::FacilitySim;
 use hpcqc_core::strategy::Strategy;
+use hpcqc_faults::FaultPlan;
+use hpcqc_fleet::FleetSpec;
 use hpcqc_gen::{GeneratorSpec, Horizon};
 use hpcqc_qpu::technology::Technology;
 use hpcqc_sched::PolicySpec;
@@ -48,16 +63,33 @@ type Case = (
 
 #[rustfmt::skip]
 const GOLDEN: [Case; 10] = [
-    ("fcfs", "vqpu(x8)", 240, 12330, "0673d2b3517758ae", "4c6e91ec0752787d"),
-    ("fcfs", "workflow", 240, 20009, "ae24c51c71a6b406", "5ac690be1fb6eea7"),
-    ("easy", "vqpu(x8)", 240, 5942, "5ef9bde906bee007", "b098ea0fc1f1bc8e"),
-    ("easy", "workflow", 240, 11208, "9a945408cfc70704", "d683311e2f1bfc3e"),
-    ("conservative", "vqpu(x8)", 80, 2310, "1db084ce50ae6fa1", "a91968223cba2b30"),
-    ("conservative", "workflow", 80, 3948, "2f1d07bd174685a1", "034bb12c772130ac"),
-    ("priority-backfill", "vqpu(x8)", 240, 5861, "255da7d6d030dd8d", "6e1d3b73b0b7b3d3"),
-    ("priority-backfill", "workflow", 240, 11092, "60f999625d45615d", "96b3c790f904f125"),
-    ("quantum-aware", "vqpu(x8)", 240, 5169, "a5cb3defa971a109", "d80c96e1adfacce7"),
-    ("quantum-aware", "workflow", 240, 11208, "9a945408cfc70704", "d683311e2f1bfc3e"),
+    ("fcfs", "vqpu(x8)", 240, 12330, "0673d2b3517758ae", "6d2c084c35d38b0a"),
+    ("fcfs", "workflow", 240, 20009, "ae24c51c71a6b406", "a56827d856928e50"),
+    ("easy", "vqpu(x8)", 240, 5942, "5ef9bde906bee007", "2d9cad049d507129"),
+    ("easy", "workflow", 240, 11208, "9a945408cfc70704", "eef2a27eef91420b"),
+    ("conservative", "vqpu(x8)", 80, 2310, "1db084ce50ae6fa1", "43d18eab58cb2a6b"),
+    ("conservative", "workflow", 80, 3948, "2f1d07bd174685a1", "2d75e0413feb3c37"),
+    ("priority-backfill", "vqpu(x8)", 240, 5861, "255da7d6d030dd8d", "a9bc21a16c55070e"),
+    ("priority-backfill", "workflow", 240, 11092, "60f999625d45615d", "211845dcec49d2da"),
+    ("quantum-aware", "vqpu(x8)", 240, 5169, "a5cb3defa971a109", "c112f36360bec748"),
+    ("quantum-aware", "workflow", 240, 11208, "9a945408cfc70704", "eef2a27eef91420b"),
+];
+
+/// `(case, jobs, arrivals per hour, events, event digest, outcome
+/// digest)` per breadth case; [`breadth_scenario`] reads the case name.
+type BreadthCase = (&'static str, u64, f64, u64, &'static str, &'static str);
+
+#[rustfmt::skip]
+const BREADTH: [BreadthCase; 9] = [
+    ("co-schedule", 120, 960.0, 2798, "800d69fa8ca65862", "416497ffbce5cf82"),
+    ("malleable", 120, 960.0, 4566, "d5ccbb63aaa83e70", "40b755181c9eff9a"),
+    ("adaptive", 120, 960.0, 3973, "899778566e7a9179", "7be375bc28a6ef9e"),
+    ("vqpu:8 hetero pin-first", 120, 960.0, 2905, "e09cd3fe88ded278", "4ecd9c86a4397f91"),
+    ("vqpu:8 hetero least-loaded", 120, 960.0, 2778, "a0702063366e07e1", "6b93872ce1becbae"),
+    ("vqpu:8 hetero tech-affinity", 120, 960.0, 3005, "9343b55996819f55", "bc78dfc971f69daf"),
+    ("workflow nodes", 120, 240.0, 5195, "5177e6834689dc2d", "3daac9fa76fa123f"),
+    ("vqpu:8 degraded", 120, 240.0, 2945, "a1e55a09ed7b956a", "6d5c54a1903318f1"),
+    ("adaptive degraded", 120, 240.0, 3903, "4366aaa68dfe6863", "439e22e1d1f3500b"),
 ];
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
@@ -110,17 +142,71 @@ fn strategy(name: &str) -> Strategy {
     }
 }
 
-/// The burst: `day_small`'s job mix, `jobs` jobs at 960 arrivals/h.
-fn burst(jobs: u64) -> Workload {
-    let path = concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/../../examples/gen/day_small.json"
-    );
-    let text = std::fs::read_to_string(path).expect("day_small.json exists");
-    let mut spec: GeneratorSpec = serde_json::from_str(&text).expect("day_small.json parses");
+/// Reads a committed example file from the repository root.
+fn example<T: serde::Deserialize>(path: &str) -> T {
+    let path = format!("{}/../../examples/{path}", env!("CARGO_MANIFEST_DIR"));
+    let text = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"));
+    serde_json::from_str(&text).unwrap_or_else(|e| panic!("{path}: {e}"))
+}
+
+/// The burst: `day_small`'s job mix, `jobs` jobs at `per_hour`
+/// arrivals/h.
+fn burst(jobs: u64, per_hour: f64) -> Workload {
+    let mut spec: GeneratorSpec = example("gen/day_small.json");
     spec.horizon = Horizon::Jobs { count: jobs };
-    spec.arrival.base_per_hour = 960.0;
+    spec.arrival.base_per_hour = per_hour;
     Workload::from_jobs(spec.stream(7).collect())
+}
+
+/// The scenario of one breadth case: EASY on 64 nodes, seed 7, one
+/// superconducting device unless the case names the `hetero` fleet (with
+/// the route it names), and the fault plan the case names, if any.
+fn breadth_scenario(case: &str) -> Scenario {
+    let mut words = case.split(' ');
+    let strategy = match words.next() {
+        Some("co-schedule") => Strategy::CoSchedule,
+        Some("malleable") => Strategy::Malleable { min_nodes: 1 },
+        Some("adaptive") => Strategy::Adaptive { vqpus: 4 },
+        Some("vqpu:8") => Strategy::Vqpu { vqpus: 8 },
+        Some("workflow") => Strategy::Workflow,
+        other => panic!("unknown strategy in `{other:?}`"),
+    };
+    let mut builder = Scenario::builder()
+        .classical_nodes(64)
+        .device(Technology::Superconducting)
+        .policy(PolicySpec::easy())
+        .strategy(strategy)
+        .seed(7);
+    while let Some(word) = words.next() {
+        builder = match word {
+            "hetero" => {
+                let route = words.next().expect("a route follows `hetero`");
+                let fleet: FleetSpec = example("fleets/hetero.json");
+                builder.fleet(fleet.route(route.parse().expect("known route")))
+            }
+            "nodes" | "degraded" => {
+                builder.faults(example::<FaultPlan>(&format!("faults/{word}.json")))
+            }
+            other => panic!("unknown case word `{other}`"),
+        };
+    }
+    builder.build()
+}
+
+/// Runs one case and returns `(events, event digest, outcome digest)`,
+/// the digests as 16 hex digits.
+fn run_case(scenario: &Scenario, workload: &Workload) -> (u64, String, String) {
+    let mut digest = EventDigest {
+        hash: FNV_OFFSET,
+        events: 0,
+    };
+    let outcome = FacilitySim::run_observed(scenario, workload, &mut [&mut digest]).unwrap();
+    assert_eq!(outcome.stats.len(), workload.len());
+    (
+        digest.events,
+        format!("{:016x}", digest.hash),
+        format!("{:016x}", outcome_digest(&outcome)),
+    )
 }
 
 #[test]
@@ -128,7 +214,6 @@ fn deep_queue_event_streams_reproduce_recorded_digests() {
     let mut table = String::new();
     let mut moved = Vec::new();
     for (policy_name, strategy_name, jobs, events, want_events, want_outcome) in GOLDEN {
-        let workload = burst(jobs);
         let scenario = Scenario::builder()
             .classical_nodes(64)
             .device(Technology::Superconducting)
@@ -136,21 +221,7 @@ fn deep_queue_event_streams_reproduce_recorded_digests() {
             .strategy(strategy(strategy_name))
             .seed(7)
             .build();
-        let mut digest = EventDigest {
-            hash: FNV_OFFSET,
-            events: 0,
-        };
-        let outcome = FacilitySim::run_observed(&scenario, &workload, &mut [&mut digest]).unwrap();
-        assert_eq!(
-            outcome.stats.len(),
-            workload.len(),
-            "{policy_name} {strategy_name}"
-        );
-        let got = (
-            digest.events,
-            format!("{:016x}", digest.hash),
-            format!("{:016x}", outcome_digest(&outcome)),
-        );
+        let got = run_case(&scenario, &burst(jobs, 960.0));
         table.push_str(&format!(
             "    (\"{policy_name}\", \"{strategy_name}\", {jobs}, {}, \"{}\", \"{}\"),\n",
             got.0, got.1, got.2
@@ -162,5 +233,25 @@ fn deep_queue_event_streams_reproduce_recorded_digests() {
     assert!(
         moved.is_empty(),
         "event digests moved for {moved:?}; if intended, replace GOLDEN with:\n{table}"
+    );
+}
+
+#[test]
+fn breadth_event_streams_reproduce_recorded_digests() {
+    let mut table = String::new();
+    let mut moved = Vec::new();
+    for (case, jobs, per_hour, events, want_events, want_outcome) in BREADTH {
+        let got = run_case(&breadth_scenario(case), &burst(jobs, per_hour));
+        table.push_str(&format!(
+            "    (\"{case}\", {jobs}, {per_hour:.1}, {}, \"{}\", \"{}\"),\n",
+            got.0, got.1, got.2
+        ));
+        if got != (events, want_events.to_string(), want_outcome.to_string()) {
+            moved.push(case);
+        }
+    }
+    assert!(
+        moved.is_empty(),
+        "event digests moved for {moved:?}; if intended, replace BREADTH with:\n{table}"
     );
 }

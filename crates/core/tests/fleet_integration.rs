@@ -7,7 +7,7 @@
 //! serialized [`Outcome`] bytes *and* the same observer event stream as
 //! the same scenario without the wrap.
 
-use hpcqc_core::observer::{SimEvent, SimObserver};
+use hpcqc_core::observer::{GanttObserver, SimEvent, SimObserver};
 use hpcqc_core::outcome::Outcome;
 use hpcqc_core::scenario::Scenario;
 use hpcqc_core::sim::{FacilitySim, SimError};
@@ -185,26 +185,28 @@ fn alternating_qubit_workload() -> Workload {
 fn legacy_wrap_identical_with_access_and_calibration() {
     let devices = vec![Technology::Superconducting, Technology::TrappedIon];
     let workload = contended_workload();
-    let legacy = {
-        let mut sc = Scenario::builder()
-            .classical_nodes(16)
-            .devices(devices.clone())
-            .strategy(Strategy::Workflow)
-            .seed(7)
-            .device_calibration(true)
-            .access(AccessMode::cloud(Technology::Superconducting))
-            .build();
-        sc.record_gantt = true;
-        sc
-    };
+    let legacy = Scenario::builder()
+        .classical_nodes(16)
+        .devices(devices.clone())
+        .strategy(Strategy::Workflow)
+        .seed(7)
+        .device_calibration(true)
+        .access(AccessMode::cloud(Technology::Superconducting))
+        .build();
     let mut wrapped = legacy.clone();
     wrapped.fleet = Some(FleetSpec::from_legacy(&devices));
-    let a = FacilitySim::run(&legacy, &workload).unwrap();
-    let b = FacilitySim::run(&wrapped, &workload).unwrap();
+    let (mut gantt_a, mut gantt_b) = (GanttObserver::new(), GanttObserver::new());
+    let a = FacilitySim::run_observed(&legacy, &workload, &mut [&mut gantt_a]).unwrap();
+    let b = FacilitySim::run_observed(&wrapped, &workload, &mut [&mut gantt_b]).unwrap();
     assert_eq!(
         outcome_bytes(&a),
         outcome_bytes(&b),
         "access RNG draws and recalibration windows must replay identically"
+    );
+    assert_eq!(
+        gantt_a.gantt(),
+        gantt_b.gantt(),
+        "device lanes must replay identically"
     );
 }
 

@@ -13,7 +13,6 @@
 use hpcqc_core::outcome::Outcome;
 use hpcqc_core::scenario::Scenario;
 use hpcqc_core::sim::FacilitySim;
-use hpcqc_core::source::{IterSource, SliceSource};
 use hpcqc_core::strategy::Strategy;
 use hpcqc_gen::{GeneratorSpec, Horizon};
 use hpcqc_metrics::jobstats::JobStats;
@@ -76,7 +75,7 @@ fn streamed_equals_materialized_under_every_strategy() {
     for strategy in Strategy::extended_set() {
         let sc = scenario(strategy, 64);
         let materialized = FacilitySim::run(&sc, &workload).unwrap();
-        let mut source = IterSource::new(jobs.clone().into_iter());
+        let mut source = jobs.clone().into_iter();
         let streamed = FacilitySim::run_streamed(&sc, &mut source).unwrap();
         assert_outcomes_identical(&materialized, &streamed, &strategy.to_string());
     }
@@ -106,7 +105,7 @@ fn streamed_equals_materialized_with_walltime_kills_and_failures() {
             .recovery(RecoverySpec::new().max_requeues(3)),
     );
     let materialized = FacilitySim::run(&sc, &workload).unwrap();
-    let mut source = SliceSource::new(&jobs);
+    let mut source = jobs.iter().cloned();
     let streamed = FacilitySim::run_streamed(&sc, &mut source).unwrap();
     assert_outcomes_identical(&materialized, &streamed, "kills+failures");
 }
@@ -218,7 +217,7 @@ fn out_of_order_source_is_clamped_monotonic() {
             .build(),
     ];
     // Deliberately NOT sorted: feed the raw vec as a source.
-    let mut source = IterSource::new(jobs.into_iter());
+    let mut source = jobs.into_iter();
     let sc = scenario(Strategy::CoSchedule, 16);
     let outcome = FacilitySim::run_streamed(&sc, &mut source).unwrap();
     assert_eq!(outcome.stats.len(), 2);

@@ -8,6 +8,7 @@
 
 use crate::grid::{Cell, Grid};
 use crate::result::{CellResult, CellTiming, SweepResult, WaitShares};
+use hpcqc_core::observer::SimObserver;
 use hpcqc_core::sim::FacilitySim;
 use hpcqc_trace::AttributionObserver;
 use std::fmt;
@@ -134,61 +135,30 @@ impl Executor {
     ///
     /// Returns the first (lowest-index) cell whose simulation failed.
     pub fn run_sim(&self, grid: &Grid) -> Result<SweepResult, SweepError> {
-        self.run_sim_with(grid, |_, _| {})
+        self.run_sim_with(grid, false, |_, _| {})
     }
 
-    /// [`Executor::run_sim`] with a live progress callback: `progress`
-    /// is invoked from worker threads after each cell completes with
-    /// `(completed_so_far, total)`. Each cell's wall time and the
-    /// process RSS high-water mark are recorded into
+    /// [`Executor::run_sim`] with the two choices a caller can make.
+    ///
+    /// With `attribution`, an [`AttributionObserver`] watches every cell
+    /// and the rows gain the wait-decomposition shares (`wait_qpu_frac`,
+    /// `wait_shadow_frac`, `wait_fault_frac`). The observer only watches
+    /// the event stream, so every other column stays byte-identical.
+    ///
+    /// `progress` is invoked from worker threads after each cell
+    /// completes with `(completed_so_far, total)`. Each cell's wall time
+    /// and the process RSS high-water mark are recorded into
     /// [`SweepResult::timings`]; the simulation outcomes themselves are
     /// unaffected (byte-identical to an untimed run).
     ///
     /// # Errors
     ///
     /// Returns the first (lowest-index) cell whose simulation failed.
-    pub fn run_sim_with<P>(&self, grid: &Grid, progress: P) -> Result<SweepResult, SweepError>
-    where
-        P: Fn(usize, usize) + Sync,
-    {
-        self.run_sim_inner(grid, progress, false)
-    }
-
-    /// [`Executor::run_sim`] with an
-    /// [`AttributionObserver`] attached to every cell: rows gain the
-    /// wait-decomposition shares (`wait_qpu_frac`, `wait_shadow_frac`).
-    /// The observer only watches the event stream, so every metric the
-    /// plain path emits stays byte-identical.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first (lowest-index) cell whose simulation failed.
-    pub fn run_sim_attributed(&self, grid: &Grid) -> Result<SweepResult, SweepError> {
-        self.run_sim_attributed_with(grid, |_, _| {})
-    }
-
-    /// [`Executor::run_sim_attributed`] with a live progress callback
-    /// (see [`Executor::run_sim_with`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns the first (lowest-index) cell whose simulation failed.
-    pub fn run_sim_attributed_with<P>(
+    pub fn run_sim_with<P>(
         &self,
         grid: &Grid,
+        attribution: bool,
         progress: P,
-    ) -> Result<SweepResult, SweepError>
-    where
-        P: Fn(usize, usize) + Sync,
-    {
-        self.run_sim_inner(grid, progress, true)
-    }
-
-    fn run_sim_inner<P>(
-        &self,
-        grid: &Grid,
-        progress: P,
-        attributed: bool,
     ) -> Result<SweepResult, SweepError>
     where
         P: Fn(usize, usize) + Sync,
@@ -204,23 +174,21 @@ impl Executor {
             let workload = grid
                 .workload_of(cell)
                 .build(cell.load_per_hour, cell.replica_seed);
-            let outcome = if attributed {
-                let mut attribution = AttributionObserver::new();
-                FacilitySim::run_observed(&cell.scenario(), &workload, &mut [&mut attribution])
-                    .map(|outcome| {
-                        let shares = WaitShares {
-                            qpu_frac: attribution.qpu_contention_frac(),
-                            shadow_frac: attribution.shadow_frac(),
-                            fault_frac: attribution.fault_recovery_frac(),
-                        };
-                        (outcome, Some(shares))
-                    })
-                    .map_err(|e| e.to_string())
-            } else {
-                FacilitySim::run(&cell.scenario(), &workload)
-                    .map(|outcome| (outcome, None))
-                    .map_err(|e| e.to_string())
-            };
+            let mut attributor = attribution.then(AttributionObserver::new);
+            let mut extras: Vec<&mut dyn SimObserver> = Vec::new();
+            if let Some(a) = attributor.as_mut() {
+                extras.push(a);
+            }
+            let outcome = FacilitySim::run_observed(&cell.scenario(), &workload, &mut extras)
+                .map(|outcome| {
+                    let shares = attributor.map(|a| WaitShares {
+                        qpu_frac: a.qpu_contention_frac(),
+                        shadow_frac: a.shadow_frac(),
+                        fault_frac: a.fault_recovery_frac(),
+                    });
+                    (outcome, shares)
+                })
+                .map_err(|e| e.to_string());
             let timing = CellTiming {
                 index: cell.index,
                 wall_secs: started.elapsed().as_secs_f64(),
@@ -304,7 +272,7 @@ mod tests {
         let calls = AtomicUsize::new(0);
         let last = AtomicUsize::new(0);
         let result = Executor::new(2)
-            .run_sim_with(&grid, |done, total| {
+            .run_sim_with(&grid, false, |done, total| {
                 assert_eq!(total, 2);
                 calls.fetch_add(1, Ordering::Relaxed);
                 last.fetch_max(done, Ordering::Relaxed);
@@ -332,7 +300,7 @@ mod tests {
             .build();
         let plain = Executor::new(1).run_sim(&grid).expect("sweep runs");
         let attributed = Executor::new(1)
-            .run_sim_attributed(&grid)
+            .run_sim_with(&grid, true, |_, _| {})
             .expect("sweep runs");
         let plain_csv = plain.to_csv();
         let attributed_csv = attributed.to_csv();
@@ -360,7 +328,7 @@ mod tests {
         assert_eq!(plain_csv.trim_end(), stripped.join("\n"));
         // And the attributed path is thread-invariant too.
         let attributed4 = Executor::new(4)
-            .run_sim_attributed(&grid)
+            .run_sim_with(&grid, true, |_, _| {})
             .expect("sweep runs");
         assert_eq!(attributed_csv, attributed4.to_csv());
     }
@@ -383,7 +351,7 @@ mod tests {
             .base_seed(42)
             .build();
         let result = Executor::new(2)
-            .run_sim_attributed(&grid)
+            .run_sim_with(&grid, true, |_, _| {})
             .expect("sweep runs");
         let csv = result.to_csv();
         assert!(csv.contains(",faults,"), "faults column appears: {csv}");
@@ -396,7 +364,7 @@ mod tests {
         assert!(shares[1] > 0.0, "flaky plan books fault-recovery wait");
         // Fault injection stays thread-invariant.
         let again = Executor::new(1)
-            .run_sim_attributed(&grid)
+            .run_sim_with(&grid, true, |_, _| {})
             .expect("sweep runs");
         assert_eq!(csv, again.to_csv());
     }

@@ -15,7 +15,7 @@ pub struct CellResult {
     /// Everything the facility simulation produced.
     pub outcome: Outcome,
     /// Wait-decomposition shares, when the sweep ran with attribution
-    /// ([`Executor::run_sim_attributed`](crate::exec::Executor::run_sim_attributed));
+    /// (see [`Executor::run_sim_with`](crate::exec::Executor::run_sim_with));
     /// `None` on the plain path, keeping legacy outputs byte-identical.
     pub shares: Option<WaitShares>,
 }

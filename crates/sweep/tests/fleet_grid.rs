@@ -193,10 +193,10 @@ fn attribution_explains_pin_first_qpu_contention() {
 fn attributed_sweep_is_byte_identical() {
     let grid = load();
     let a = Executor::new(1)
-        .run_sim_attributed(&grid)
+        .run_sim_with(&grid, true, |_, _| {})
         .expect("fleet grid runs");
     let b = Executor::new(4)
-        .run_sim_attributed(&grid)
+        .run_sim_with(&grid, true, |_, _| {})
         .expect("fleet grid runs");
     let csv = a.to_csv();
     assert_eq!(csv, b.to_csv());

@@ -4,8 +4,8 @@
 //!    scenario serialize to the same Chrome-trace JSON, byte for byte,
 //!    under every strategy (the trace inherits the simulator's
 //!    determinism contract from `crates/core/tests/determinism.rs`).
-//! 2. **Streaming parity** — tracing a streamed run ([`SliceSource`])
-//!    yields the same bytes as tracing the materialized run.
+//! 2. **Streaming parity** — tracing a streamed run (an iterator of
+//!    specs) yields the same bytes as tracing the materialized run.
 //! 3. **Gantt agreement** — [`ChromeTrace::from_gantt`] and the live
 //!    [`TraceObserver`] describe the same device timeline: identical
 //!    recalibration windows, and a device track for every Gantt QPU lane.
@@ -17,7 +17,6 @@
 use hpcqc_core::observer::GanttObserver;
 use hpcqc_core::scenario::Scenario;
 use hpcqc_core::sim::FacilitySim;
-use hpcqc_core::source::SliceSource;
 use hpcqc_core::strategy::Strategy;
 use hpcqc_qpu::kernel::Kernel;
 use hpcqc_qpu::technology::Technology;
@@ -117,7 +116,7 @@ fn streamed_run_traces_identically_to_materialized() {
     let materialized = trace_of(&scenario, &Workload::from_jobs(jobs.clone()));
 
     let mut tracer = TraceObserver::for_scenario(&scenario);
-    let mut source = SliceSource::new(&jobs);
+    let mut source = jobs.iter().cloned();
     FacilitySim::run_streamed_observed(&scenario, &mut source, &mut [&mut tracer])
         .expect("valid scenario");
     let streamed = tracer.into_trace();

@@ -11,6 +11,7 @@
 //! cargo run --example neutral_atom_workflow
 //! ```
 
+use hpcqc::core::observer::GanttObserver;
 use hpcqc::prelude::*;
 use hpcqc_simcore::time::{SimDuration, SimTime};
 
@@ -45,14 +46,15 @@ fn show(strategy: Strategy) -> Result<Outcome, SimError> {
         .device(Technology::NeutralAtom)
         .strategy(strategy)
         .seed(11)
-        .record_gantt(true)
         .build();
-    let outcome = FacilitySim::run(&scenario, &workload())?;
+    let mut gantt = GanttObserver::new();
+    let outcome = FacilitySim::run_observed(&scenario, &workload(), &mut [&mut gantt])?;
     println!("--- {strategy} ---");
-    let gantt = outcome.gantt.as_ref().expect("gantt enabled");
     print!(
         "{}",
-        gantt.render_ascii(SimTime::ZERO, outcome.makespan, 72)
+        gantt
+            .gantt()
+            .render_ascii(SimTime::ZERO, outcome.makespan, 72)
     );
     let hybrid = outcome.stats.hybrid_only();
     println!(

@@ -52,6 +52,7 @@
 //! workload file. `--trace` writes a Chrome trace-event JSON timeline
 //! (open it at <https://ui.perfetto.dev> or `chrome://tracing`).
 
+use hpcqc::core::observer::GanttObserver;
 use hpcqc::prelude::*;
 use std::io::Write;
 use std::process::ExitCode;
@@ -542,23 +543,79 @@ enum RunInput {
     Gen(GeneratorSpec),
 }
 
-/// Runs one scenario with the observability instruments attached
-/// ([`TraceObserver`], [`MetricsObserver`], [`SchedProfiler`]) and writes
-/// the requested artifacts. Simulation results are byte-identical to the
-/// uninstrumented path — the instruments only watch the event stream.
+/// Runs `sc` over `input` with `extras` watching the event stream and
+/// `probe` watching the scheduler: the one way the CLI enters the event
+/// loop. A generator input streams a fresh sequence per call, so every
+/// strategy replays the identical generated jobs (common random numbers).
+fn simulate<'o>(
+    sc: &Scenario,
+    input: &RunInput,
+    extras: &'o mut [&'o mut dyn SimObserver],
+    probe: &mut dyn CycleProbe,
+) -> Result<Outcome, String> {
+    let driver = driver_for(&sc.strategy);
+    match input {
+        RunInput::Workload(workload) => {
+            let mut source = workload.jobs().iter().cloned();
+            FacilitySim::run_streamed_probed(sc, &mut source, driver, extras, probe)
+        }
+        RunInput::Gen(spec) => {
+            let mut source = spec.stream(sc.seed);
+            FacilitySim::run_streamed_probed(sc, &mut source, driver, extras, probe)
+        }
+    }
+    .map_err(|e| format!("simulation failed under {}: {e}", sc.strategy))
+}
+
+/// The instruments `run` can attach to a single run. None of them
+/// changes the simulation: each only watches.
+#[derive(Debug)]
+struct Instruments {
+    /// `--trace`: Chrome trace-event output path.
+    trace_out: Option<String>,
+    /// `--metrics`: time-series output path.
+    metrics_out: Option<String>,
+    /// `--metrics-interval`: the time-series sampling interval.
+    metrics_interval: SimDuration,
+    /// `--profile`: print the scheduler's cycle profile.
+    profile: bool,
+    /// `--attribution`: wait-attribution table output path.
+    attribution_out: Option<String>,
+    /// `--gantt`: render the run's Gantt chart on stderr.
+    gantt: bool,
+}
+
+impl Instruments {
+    /// Whether any instrument is attached.
+    fn any(&self) -> bool {
+        self.trace_out.is_some()
+            || self.metrics_out.is_some()
+            || self.profile
+            || self.attribution_out.is_some()
+            || self.gantt
+    }
+}
+
+/// Runs one scenario with the requested instruments attached
+/// ([`TraceObserver`], [`MetricsObserver`], [`AttributionObserver`],
+/// [`GanttObserver`], and [`SchedProfiler`] as the scheduler probe) and
+/// writes their artifacts. With none requested this is a plain run: no
+/// observers and [`NoProbe`]. Returns the Gantt chart for the caller to
+/// render after its own per-run lines.
 fn run_instrumented(
     sc: &Scenario,
     input: &RunInput,
-    trace_out: Option<&str>,
-    metrics_out: Option<&str>,
-    metrics_interval: SimDuration,
-    profile: bool,
-    attribution_out: Option<&str>,
-) -> Result<Outcome, String> {
+    instruments: &Instruments,
+) -> Result<(Outcome, Option<GanttRecorder>), String> {
+    let trace_out = instruments.trace_out.as_deref();
+    let metrics_out = instruments.metrics_out.as_deref();
+    let attribution_out = instruments.attribution_out.as_deref();
     let mut tracer = trace_out.map(|_| TraceObserver::for_scenario(sc));
-    let mut metrics = metrics_out.map(|_| MetricsObserver::for_scenario(sc, metrics_interval));
+    let mut metrics =
+        metrics_out.map(|_| MetricsObserver::for_scenario(sc, instruments.metrics_interval));
     let mut attribution = attribution_out.map(|_| AttributionObserver::new());
-    let mut profiler = SchedProfiler::new();
+    let mut gantt = instruments.gantt.then(GanttObserver::new);
+    let mut profiler = instruments.profile.then(SchedProfiler::new);
     let outcome = {
         let mut extras: Vec<&mut dyn SimObserver> = Vec::new();
         if let Some(t) = tracer.as_mut() {
@@ -570,18 +627,15 @@ fn run_instrumented(
         if let Some(a) = attribution.as_mut() {
             extras.push(a);
         }
-        let driver = driver_for(&sc.strategy);
-        match input {
-            RunInput::Workload(workload) => {
-                let mut src = SliceSource::from(workload);
-                FacilitySim::run_streamed_probed(sc, &mut src, driver, &mut extras, &mut profiler)
-            }
-            RunInput::Gen(spec) => {
-                let mut src = spec.stream(sc.seed);
-                FacilitySim::run_streamed_probed(sc, &mut src, driver, &mut extras, &mut profiler)
-            }
+        if let Some(g) = gantt.as_mut() {
+            extras.push(g);
         }
-        .map_err(|e| format!("simulation failed under {}: {e}", sc.strategy))?
+        let mut no_probe = NoProbe;
+        let probe: &mut dyn CycleProbe = match profiler.as_mut() {
+            Some(profiler) => profiler,
+            None => &mut no_probe,
+        };
+        simulate(sc, input, &mut extras, probe)?
     };
     if let (Some(path), Some(tracer)) = (trace_out, tracer) {
         let trace = tracer.into_trace();
@@ -614,10 +668,10 @@ fn run_instrumented(
             fmt_secs(attribution.total_wait().as_secs_f64())
         );
     }
-    if profile {
+    if let Some(profiler) = profiler {
         eprintln!("{}", profiler.summary());
     }
-    Ok(outcome)
+    Ok((outcome, gantt.map(GanttObserver::into_gantt)))
 }
 
 /// Table output format, selected from a file extension (`.json`,
@@ -905,12 +959,14 @@ fn announce(scenario: &Scenario, input: &RunInput) {
 
 fn run(args: &[String]) -> Result<(), ExitCode> {
     let mut compare = false;
-    let mut gantt = false;
-    let mut trace_out: Option<String> = None;
-    let mut metrics_out: Option<String> = None;
-    let mut metrics_interval = 60.0f64;
-    let mut profile = false;
-    let mut attribution_out: Option<String> = None;
+    let mut instruments = Instruments {
+        trace_out: None,
+        metrics_out: None,
+        metrics_interval: SimDuration::from_secs(60),
+        profile: false,
+        attribution_out: None,
+        gantt: false,
+    };
     let flags = [
         "--compare",
         "--gantt",
@@ -922,43 +978,47 @@ fn run(args: &[String]) -> Result<(), ExitCode> {
     ];
     let args = ScenarioArgs::parse(args, &flags, |arg, it| {
         match arg {
-            "--trace" => trace_out = it.next().cloned(),
-            "--metrics" => metrics_out = it.next().cloned(),
-            "--attribution" => attribution_out = it.next().cloned(),
+            "--trace" => instruments.trace_out = it.next().cloned(),
+            "--metrics" => instruments.metrics_out = it.next().cloned(),
+            "--attribution" => instruments.attribution_out = it.next().cloned(),
             "--metrics-interval" => {
-                metrics_interval = it
+                let secs = it
                     .next()
                     .and_then(|v| v.parse::<f64>().ok())
                     .filter(|v| v.is_finite() && *v > 0.0)
                     .ok_or_else(|| {
                         fail2("--metrics-interval needs a positive number of seconds")
                     })?;
+                instruments.metrics_interval = SimDuration::from_secs_f64(secs);
             }
-            "--profile" => profile = true,
+            "--profile" => instruments.profile = true,
             "--compare" => compare = true,
-            "--gantt" => gantt = true,
+            "--gantt" => instruments.gantt = true,
             _ => return Ok(false),
         }
         Ok(true)
     })?;
     // `--trace` used to name the *input* workload; it is now the
     // trace-event output. Catch the old spelling with a pointed hint.
-    if args.workload.is_none() && trace_out.as_deref().is_some_and(|p| p.ends_with(".hqwf")) {
+    if args.workload.is_none()
+        && instruments
+            .trace_out
+            .as_deref()
+            .is_some_and(|p| p.ends_with(".hqwf"))
+    {
         return Err(fail2(
             "--trace now names the Chrome trace-event *output*; \
              use --workload for the input workload file",
         ));
     }
-    let instrumented =
-        trace_out.is_some() || metrics_out.is_some() || profile || attribution_out.is_some();
-    if compare && instrumented {
+    if compare && instruments.any() {
         return Err(fail2(
-            "--trace/--metrics/--profile/--attribution instrument a single run; drop --compare",
+            "--trace/--metrics/--profile/--attribution/--gantt instrument a single run; \
+             drop --compare",
         ));
     }
     let input = args.input()?;
-    let mut scenario = args.scenario()?;
-    scenario.record_gantt = gantt;
+    let scenario = args.scenario()?;
     announce(&scenario, &input);
 
     let strategies = if compare {
@@ -978,29 +1038,8 @@ fn run(args: &[String]) -> Result<(), ExitCode> {
     for s in strategies {
         let mut sc = scenario.clone();
         sc.strategy = s;
-        let outcome = if instrumented {
-            run_instrumented(
-                &sc,
-                &input,
-                trace_out.as_deref(),
-                metrics_out.as_deref(),
-                SimDuration::from_secs_f64(metrics_interval),
-                profile,
-                attribution_out.as_deref(),
-            )
-            .map_err(|e| fail(1, e))?
-        } else {
-            match &input {
-                RunInput::Workload(workload) => FacilitySim::run(&sc, workload),
-                RunInput::Gen(spec) => {
-                    // A fresh stream per strategy: every strategy replays the
-                    // identical generated sequence (common random numbers).
-                    let mut source = spec.stream(sc.seed);
-                    FacilitySim::run_streamed(&sc, &mut source)
-                }
-            }
-            .map_err(|e| fail(1, format!("simulation failed under {s}: {e}")))?
-        };
+        let (outcome, gantt) =
+            run_instrumented(&sc, &input, &instruments).map_err(|e| fail(1, e))?;
         if let RunInput::Gen(_) = &input {
             eprintln!(
                 "{s}: streamed {} jobs, peak in-flight {} ({} completed, {} failed)",
@@ -1027,11 +1066,9 @@ fn run(args: &[String]) -> Result<(), ExitCode> {
                 );
             }
         }
-        if gantt && !compare {
-            if let Some(g) = &outcome.gantt {
-                eprintln!();
-                eprint!("{}", g.render_ascii(SimTime::ZERO, outcome.makespan, 100));
-            }
+        if let Some(g) = gantt {
+            eprintln!();
+            eprint!("{}", g.render_ascii(SimTime::ZERO, outcome.makespan, 100));
         }
     }
     println!("{table}");
@@ -1082,21 +1119,7 @@ fn explain(args: &[String]) -> Result<(), ExitCode> {
     announce(&scenario, &input);
 
     let mut attribution = AttributionObserver::new();
-    match &input {
-        RunInput::Workload(workload) => {
-            FacilitySim::run_observed(&scenario, workload, &mut [&mut attribution])
-        }
-        RunInput::Gen(spec) => {
-            let mut src = spec.stream(scenario.seed);
-            FacilitySim::run_streamed_observed(&scenario, &mut src, &mut [&mut attribution])
-        }
-    }
-    .map_err(|e| {
-        fail(
-            1,
-            format!("simulation failed under {}: {e}", scenario.strategy),
-        )
-    })?;
+    simulate(&scenario, &input, &mut [&mut attribution], &mut NoProbe).map_err(|e| fail(1, e))?;
 
     eprintln!(
         "attributed {} of queue wait across {} jobs \
@@ -1458,11 +1481,7 @@ fn sweep(args: &[String]) -> ExitCode {
             eprintln!("sweep: {done}/{total} cells done");
         }
     };
-    let result = match if attribution {
-        executor.run_sim_attributed_with(&grid, progress)
-    } else {
-        executor.run_sim_with(&grid, progress)
-    } {
+    let result = match executor.run_sim_with(&grid, attribution, progress) {
         Ok(result) => result,
         Err(e) => {
             eprintln!("{e}");

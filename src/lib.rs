@@ -51,9 +51,9 @@ pub use hpcqc_workload as workload;
 pub mod prelude {
     pub use hpcqc_cluster::{AllocRequest, Cluster, ClusterBuilder, GresKind, GroupRequest};
     pub use hpcqc_core::{
-        driver_for, recommend, FacilitySim, IterSource, JobSource, Outcome, PhaseKind, Scenario,
-        SimCtx, SimError, SimEvent, SimObserver, SliceSource, Strategy, StrategyDriver,
-        SubmissionPlan, WalltimePolicy, WorkloadProfile,
+        driver_for, recommend, FacilitySim, JobSource, Outcome, PhaseKind, Scenario, SimCtx,
+        SimError, SimEvent, SimObserver, Strategy, StrategyDriver, SubmissionPlan, WalltimePolicy,
+        WorkloadProfile,
     };
     pub use hpcqc_faults::{
         CheckpointSpec, DeviceFaults, DriftModel, FaultPlan, NodeFaults, RecoverySpec,

@@ -439,12 +439,43 @@ fn run_hints_when_trace_is_used_as_input() {
 
 #[test]
 fn run_instrumentation_conflicts_with_compare() {
+    for instrument in ["--profile", "--gantt"] {
+        let out = Command::new(env!("CARGO_BIN_EXE_hpcqc-sim"))
+            .args(["run", "--workload", "x.hqwf", "--compare", instrument])
+            .output()
+            .expect("run runs");
+        assert_eq!(out.status.code(), Some(2), "{instrument}: {out:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains("instrument a single run; drop --compare"),
+            "{instrument}: {stderr}"
+        );
+    }
+}
+
+/// `--gantt` renders the run's chart on stderr, byte for byte as the
+/// committed fixture.
+#[test]
+fn run_gantt_matches_the_recorded_chart() {
     let out = Command::new(env!("CARGO_BIN_EXE_hpcqc-sim"))
-        .args(["run", "--workload", "x.hqwf", "--compare", "--profile"])
+        .args([
+            "run",
+            "--nodes",
+            "16",
+            "--seed",
+            "42",
+            "--gantt",
+            "--workload",
+        ])
+        .arg(contended_workload())
         .output()
         .expect("run runs");
-    assert_eq!(out.status.code(), Some(2), "{out:?}");
-    assert!(String::from_utf8_lossy(&out.stderr).contains("--compare"));
+    assert!(out.status.success(), "{out:?}");
+    let want = std::fs::read_to_string(
+        std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/gantt_contended.txt"),
+    )
+    .unwrap();
+    assert_eq!(String::from_utf8_lossy(&out.stderr), want);
 }
 
 fn hetero_fleet() -> std::path::PathBuf {
@@ -880,8 +911,9 @@ fn device_next_to_a_fleet_is_rejected() {
     let fleet: FleetSpec =
         serde_json::from_str(&std::fs::read_to_string(hetero_fleet()).unwrap()).unwrap();
     let scenario = Scenario::builder().fleet(fleet).build();
+    let scenario_json = serde_json::to_string(&scenario).unwrap();
     let scenario_path = dir.join("fleet-scenario.json");
-    std::fs::write(&scenario_path, serde_json::to_string(&scenario).unwrap()).unwrap();
+    std::fs::write(&scenario_path, &scenario_json).unwrap();
     for (flag, path) in [("--fleet", hetero_fleet()), ("--scenario", scenario_path)] {
         let out = Command::new(env!("CARGO_BIN_EXE_hpcqc-sim"))
             .args(["run", "--device", "neutral-atom", "--workload"])
@@ -897,6 +929,19 @@ fn device_next_to_a_fleet_is_rejected() {
             "{flag}: {stderr}"
         );
     }
+    // Every scenario serialized before Gantt recording became an observer
+    // carries a retired `record_gantt` key; such a file still runs.
+    let legacy_path = dir.join("record-gantt-scenario.json");
+    let legacy = scenario_json.replacen('{', r#"{"record_gantt":true,"#, 1);
+    std::fs::write(&legacy_path, legacy).unwrap();
+    let out = Command::new(env!("CARGO_BIN_EXE_hpcqc-sim"))
+        .args(["run", "--workload"])
+        .arg(contended_workload())
+        .arg("--scenario")
+        .arg(&legacy_path)
+        .output()
+        .expect("run runs");
+    assert!(out.status.success(), "record_gantt must load: {out:?}");
     std::fs::remove_dir_all(&dir).ok();
 }
 

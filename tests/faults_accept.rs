@@ -30,7 +30,7 @@ fn committed_fault_grid_degrades_gracefully() {
         "the committed grid must carry a faults axis"
     );
     let result = Executor::new(0)
-        .run_sim_attributed(&grid)
+        .run_sim_with(&grid, true, |_, _| {})
         .expect("committed grid sweeps");
 
     let mut combos: std::collections::BTreeMap<String, Combo> = std::collections::BTreeMap::new();
