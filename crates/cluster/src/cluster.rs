@@ -5,8 +5,12 @@
 //! untouched. Allocated-node and gres accounting is exact time-weighted
 //! integration, so utilization figures in the experiments carry no sampling
 //! error.
+//!
+//! `allocate` resolves a request's names to ids once, in the step it shares
+//! with `can_allocate`; `release`, `shrink` and `expand` then work on the
+//! ids the live [`Allocation`] keeps.
 
-use crate::alloc::{AllocRequest, AllocatedGroup, Allocation, GroupRequest};
+use crate::alloc::{AllocRequest, AllocatedGroup, Allocation, Line, Pool};
 use crate::error::ClusterError;
 use crate::gres::GresKind;
 use crate::ids::{AllocationId, NodeId, PartitionId};
@@ -17,7 +21,6 @@ use crate::slot::Slot;
 use hpcqc_simcore::stats::BusyTracker;
 use hpcqc_simcore::time::SimTime;
 use hpcqc_simcore::IdMap;
-use std::collections::BTreeMap;
 
 /// Builder for [`Cluster`]; add partitions, then [`ClusterBuilder::build`].
 ///
@@ -108,8 +111,7 @@ impl ClusterBuilder {
             "cluster needs at least one partition"
         );
         let mut nodes = Vec::new();
-        let mut partitions = Vec::new();
-        let mut by_name = BTreeMap::new();
+        let mut partitions: Vec<Partition> = Vec::new();
         let mut free = Vec::new();
         let mut node_partition = Vec::new();
         let mut node_busy = Vec::new();
@@ -119,7 +121,7 @@ impl ClusterBuilder {
         for (idx, (name, count, shape, gres)) in self.partitions.into_iter().enumerate() {
             let pid = PartitionId::new(idx as u32);
             assert!(
-                by_name.insert(name.clone(), pid).is_none(),
+                partitions.iter().all(|p| p.name() != name),
                 "duplicate partition name `{name}`"
             );
             let first = nodes.len() as u32;
@@ -151,7 +153,6 @@ impl ClusterBuilder {
             node_owner: vec![None; nodes.len()],
             nodes,
             partitions,
-            by_name,
             free,
             node_partition,
             allocations: IdMap::new(),
@@ -172,7 +173,6 @@ impl ClusterBuilder {
 pub struct Cluster {
     nodes: Vec<Node>,
     partitions: Vec<Partition>,
-    by_name: BTreeMap<String, PartitionId>,
     /// Free schedulable nodes per partition, picked lowest id first.
     free: Vec<NodeSet>,
     node_partition: Vec<PartitionId>,
@@ -208,9 +208,7 @@ impl Cluster {
 
     /// Looks up a partition by name.
     pub fn partition(&self, name: &str) -> Option<&Partition> {
-        self.by_name
-            .get(name)
-            .map(|pid| &self.partitions[pid.raw() as usize])
+        self.partitions.iter().find(|p| p.name() == name)
     }
 
     /// All partitions.
@@ -229,9 +227,8 @@ impl Cluster {
     }
 
     fn pid(&self, name: &str) -> Result<PartitionId, ClusterError> {
-        self.by_name
-            .get(name)
-            .copied()
+        self.partition(name)
+            .map(Partition::id)
             .ok_or_else(|| ClusterError::UnknownPartition(name.to_string()))
     }
 
@@ -334,68 +331,94 @@ impl Cluster {
     ///
     /// The error identifies the first unsatisfiable group.
     pub fn can_allocate(&self, request: &AllocRequest) -> Result<(), ClusterError> {
+        self.resolve(request).map(|_| ())
+    }
+
+    /// The step [`Cluster::can_allocate`] and [`Cluster::allocate`] share:
+    /// resolves each group's partition and gres kinds to ids, once, then
+    /// checks them against the free pools.
+    ///
+    /// Errors come in a fixed precedence: an empty request, then the first
+    /// unknown partition in group order, then node shortages, then gres
+    /// ones (a missing pool or too few free units), each in partition id
+    /// order and, within a partition, in gres kind order. Demands on one
+    /// pool accumulate across groups.
+    fn resolve(&self, request: &AllocRequest) -> Result<Vec<Line>, ClusterError> {
         if request.is_empty() {
             return Err(ClusterError::EmptyRequest);
         }
-        // Every partition name resolves before any shortage is reported.
-        for g in request.groups() {
-            self.pid(&g.partition)?;
-        }
-        // Demands on the same partition/pool accumulate across groups.
-        // Node shortages come first, then gres ones, each in partition id
-        // order and, within a partition, in gres kind order.
-        fn groups_on<'a>(
-            request: &'a AllocRequest,
-            part: &'a Partition,
-        ) -> impl Iterator<Item = &'a GroupRequest> + Clone {
-            request
-                .groups()
-                .iter()
-                .filter(move |g| g.partition == part.name())
-        }
-        for (part, free) in self.partitions.iter().zip(&self.free) {
-            let need: u32 = groups_on(request, part).map(|g| g.nodes).sum();
-            if free.len() < need {
-                return Err(ClusterError::InsufficientNodes {
-                    partition: part.name().to_string(),
-                    requested: need,
-                    available: free.len(),
+        let mut lines = Vec::with_capacity(request.groups().iter().map(|g| 1 + g.gres.len()).sum());
+        for (group, g) in request.groups().iter().enumerate() {
+            let partition = self.pid(&g.partition)?;
+            let part = &self.partitions[partition.raw() as usize];
+            lines.push(Line {
+                group,
+                entry: 0,
+                partition,
+                pool: Pool::Nodes,
+                count: g.nodes,
+                start: 0,
+            });
+            for (entry, (kind, count)) in g.gres.iter().enumerate() {
+                lines.push(Line {
+                    group,
+                    entry,
+                    partition,
+                    pool: part.gres_pool_index(kind).map_or(Pool::Missing, Pool::Gres),
+                    count: *count,
+                    start: 0,
                 });
             }
         }
-        for part in &self.partitions {
-            let gres = groups_on(request, part).flat_map(|g| &g.gres);
-            let mut done: Option<&GresKind> = None;
-            // The requested kinds in increasing order, each once.
-            while let Some(kind) = gres
-                .clone()
-                .map(|(kind, _)| kind)
-                .filter(|kind| done.is_none_or(|d| *kind > d))
-                .min()
-            {
-                let need: u32 = gres
-                    .clone()
-                    .filter(|(k, _)| k == kind)
-                    .map(|(_, n)| n)
-                    .sum();
-                let pool = part
-                    .gres_pool(kind)
-                    .ok_or_else(|| ClusterError::NoSuchGres {
-                        partition: part.name().to_string(),
-                        kind: kind.clone(),
-                    })?;
-                if pool.available() < need {
-                    return Err(ClusterError::InsufficientGres {
-                        partition: part.name().to_string(),
-                        kind: kind.clone(),
-                        requested: need,
-                        available: pool.available(),
-                    });
-                }
-                done = Some(kind);
-            }
+        let demand = |n: &Line| -> u32 {
+            lines
+                .iter()
+                .filter(|m| m.partition == n.partition && m.pool == n.pool)
+                .map(|m| m.count)
+                .sum()
+        };
+        let part = |n: &Line| &self.partitions[n.partition.raw() as usize];
+        let short = lines
+            .iter()
+            .filter(|n| n.pool == Pool::Nodes)
+            .map(|n| (n, demand(n), self.free[n.partition.raw() as usize].len()))
+            .filter(|(_, need, free)| free < need)
+            .min_by_key(|(n, ..)| n.partition);
+        if let Some((n, requested, available)) = short {
+            return Err(ClusterError::InsufficientNodes {
+                partition: part(n).name().to_string(),
+                requested,
+                available,
+            });
         }
-        Ok(())
+        let kind = |n: &Line| &request.groups()[n.group].gres[n.entry].0;
+        let short = lines
+            .iter()
+            .filter_map(|n| match n.pool {
+                Pool::Nodes => None,
+                Pool::Missing => Some((n, kind(n), None)),
+                Pool::Gres(pool) => {
+                    let (requested, available) =
+                        (demand(n), part(n).gres_pools()[pool].available());
+                    (available < requested).then(|| (n, kind(n), Some((requested, available))))
+                }
+            })
+            .min_by(|(a, a_kind, _), (b, b_kind, _)| {
+                (a.partition, a_kind).cmp(&(b.partition, b_kind))
+            });
+        match short {
+            None => Ok(lines),
+            Some((n, kind, None)) => Err(ClusterError::NoSuchGres {
+                partition: part(n).name().to_string(),
+                kind: kind.clone(),
+            }),
+            Some((n, kind, Some((requested, available)))) => Err(ClusterError::InsufficientGres {
+                partition: part(n).name().to_string(),
+                kind: kind.clone(),
+                requested,
+                available,
+            }),
+        }
     }
 
     /// Atomically grants `request` at time `now`.
@@ -411,54 +434,45 @@ impl Cluster {
         request: &AllocRequest,
         now: SimTime,
     ) -> Result<AllocationId, ClusterError> {
-        self.can_allocate(request)?;
+        let lines = self.resolve(request)?;
+        Ok(self.grant(lines, now))
+    }
+
+    /// Grants resolved and checked `lines` at `now`; they become the
+    /// live record.
+    fn grant(&mut self, mut lines: Vec<Line>, now: SimTime) -> AllocationId {
         self.version += 1;
         let id = AllocationId::new(self.next_alloc);
         self.next_alloc += 1;
-
-        let mut groups = Vec::with_capacity(request.groups().len());
-        for g in request.groups() {
-            // hpcqc-lint: allow(D004, reason = "can_allocate() above resolved every partition in this request")
-            let pid = self.pid(&g.partition).expect("validated above");
-            let pidx = pid.raw() as usize;
-            let picked = self.free[pidx].take_lowest(g.nodes);
-            debug_assert_eq!(
-                picked.len(),
-                g.nodes as usize,
-                "can_allocate guaranteed capacity"
-            );
-            for n in &picked {
-                self.node_owner[n.raw() as usize] = Some(id);
-            }
-            if g.nodes > 0 {
-                self.node_busy[pidx].acquire(now, f64::from(g.nodes));
-            }
-            let mut granted_gres = Vec::new();
-            for (kind, count) in &g.gres {
-                if *count == 0 {
-                    continue;
+        let mut ids = Vec::with_capacity(lines.iter().map(|l| l.count as usize).sum());
+        for line in &mut lines {
+            let pidx = line.partition.raw() as usize;
+            line.start = ids.len();
+            match line.pool {
+                Pool::Nodes => {
+                    self.free[pidx].take_lowest(line.count, &mut ids);
+                    for &n in &ids[line.start..] {
+                        self.node_owner[n as usize] = Some(id);
+                    }
+                    if line.count > 0 {
+                        self.node_busy[pidx].acquire(now, f64::from(line.count));
+                    }
                 }
-                let part = &mut self.partitions[pidx];
-                let pool = part
-                    .gres_pool_index(kind)
-                    // hpcqc-lint: allow(D004, reason = "can_allocate() above verified the pool exists")
-                    .expect("validated above");
-                let units = part.gres_pools_mut()[pool]
-                    .take(*count)
-                    // hpcqc-lint: allow(D004, reason = "can_allocate() above verified pool capacity covers the request")
-                    .expect("validated above");
-                self.gres_busy[pidx][pool].acquire(now, f64::from(*count));
-                granted_gres.push((kind.clone(), units));
+                Pool::Gres(pool) if line.count > 0 => {
+                    self.partitions[pidx].gres_pools_mut()[pool].take_lowest(line.count, &mut ids);
+                    self.gres_busy[pidx][pool].acquire(now, f64::from(line.count));
+                }
+                Pool::Gres(_) | Pool::Missing => {}
             }
-            groups.push(AllocatedGroup {
-                partition: g.partition.clone(),
-                nodes: picked,
-                gres: granted_gres,
-            });
+            debug_assert_eq!(
+                ids.len() - line.start,
+                line.count as usize,
+                "resolve checked capacity"
+            );
         }
         self.allocations
-            .insert(id, Allocation::new(id, groups, now));
-        Ok(id)
+            .insert(id, Allocation::new(id, lines, ids, now));
+        id
     }
 
     /// Releases an entire allocation at time `now`.
@@ -472,28 +486,28 @@ impl Cluster {
             .remove(&id)
             .ok_or(ClusterError::UnknownAllocation(id))?;
         self.version += 1;
-        for group in alloc.groups() {
-            // hpcqc-lint: allow(D004, reason = "the allocation held a group on this partition; partitions are never removed")
-            let pid = self.pid(&group.partition).expect("partition cannot vanish");
-            let pidx = pid.raw() as usize;
-            for n in &group.nodes {
-                self.node_owner[n.raw() as usize] = None;
-                // Failed nodes do not return to the free pool.
-                if self.nodes[n.raw() as usize].is_schedulable() {
-                    self.free[pidx].insert(*n);
+        for line in alloc.lines() {
+            let pidx = line.partition.raw() as usize;
+            let held = alloc.held(line);
+            if held.is_empty() {
+                continue;
+            }
+            match line.pool {
+                Pool::Nodes => {
+                    for &n in held {
+                        self.node_owner[n as usize] = None;
+                        // Failed nodes do not return to the free pool.
+                        if self.nodes[n as usize].is_schedulable() {
+                            self.free[pidx].insert(NodeId::new(n));
+                        }
+                    }
+                    self.node_busy[pidx].release(now, held.len() as f64);
                 }
-            }
-            if !group.nodes.is_empty() {
-                self.node_busy[pidx].release(now, group.nodes.len() as f64);
-            }
-            for (kind, units) in &group.gres {
-                let part = &mut self.partitions[pidx];
-                let pool = part
-                    .gres_pool_index(kind)
-                    // hpcqc-lint: allow(D004, reason = "units were taken from this pool at allocate(); pools are never removed")
-                    .expect("pool cannot vanish");
-                part.gres_pools_mut()[pool].give_back(units);
-                self.gres_busy[pidx][pool].release(now, units.len() as f64);
+                Pool::Gres(pool) => {
+                    self.partitions[pidx].gres_pools_mut()[pool].give_back(held);
+                    self.gres_busy[pidx][pool].release(now, held.len() as f64);
+                }
+                Pool::Missing => {}
             }
         }
         Ok(())
@@ -524,15 +538,13 @@ impl Cluster {
             .allocations
             .get_mut(&id)
             .ok_or(ClusterError::UnknownAllocation(id))?;
-        let group = alloc
-            .groups_mut()
-            .iter_mut()
-            .find(|g| g.partition == partition)
+        let line = alloc
+            .nodes_line(pid)
             .ok_or_else(|| ClusterError::InvalidResize {
                 allocation: id,
                 reason: format!("allocation holds no group in partition `{partition}`"),
             })?;
-        let held = group.nodes.len() as u32;
+        let held = alloc.lines()[line].count;
         if held < keep_nodes {
             return Err(ClusterError::InvalidResize {
                 allocation: id,
@@ -540,13 +552,11 @@ impl Cluster {
             });
         }
         self.version += 1;
-        let release_count = (held - keep_nodes) as usize;
-        if release_count == 0 {
+        if held == keep_nodes {
             return Ok(Vec::new());
         }
         // Highest ids leave first so re-expansion tends to reuse the same nodes.
-        group.nodes.sort_unstable();
-        let released: Vec<NodeId> = group.nodes.split_off(keep_nodes as usize);
+        let released = alloc.split_nodes(line, keep_nodes);
         for n in &released {
             self.node_owner[n.raw() as usize] = None;
             if self.nodes[n.raw() as usize].is_schedulable() {
@@ -575,9 +585,10 @@ impl Cluster {
     ) -> Result<Vec<NodeId>, ClusterError> {
         let pid = self.pid(partition)?;
         let pidx = pid.raw() as usize;
-        if !self.allocations.contains_key(&id) {
-            return Err(ClusterError::UnknownAllocation(id));
-        }
+        let alloc = self
+            .allocations
+            .get_mut(&id)
+            .ok_or(ClusterError::UnknownAllocation(id))?;
         let have = self.free[pidx].len();
         if have < add_nodes {
             return Err(ClusterError::InsufficientNodes {
@@ -587,34 +598,50 @@ impl Cluster {
             });
         }
         self.version += 1;
-        let picked = self.free[pidx].take_lowest(add_nodes);
-        for n in &picked {
-            self.node_owner[n.raw() as usize] = Some(id);
+        let mut picked = Vec::with_capacity(add_nodes as usize);
+        self.free[pidx].take_lowest(add_nodes, &mut picked);
+        for &n in &picked {
+            self.node_owner[n as usize] = Some(id);
         }
         if add_nodes > 0 {
             self.node_busy[pidx].acquire(now, f64::from(add_nodes));
         }
-        // hpcqc-lint: allow(D004, reason = "contains_key(&id) was checked at function entry and nothing removed it since")
-        let alloc = self.allocations.get_mut(&id).expect("checked above");
-        if let Some(group) = alloc
-            .groups_mut()
-            .iter_mut()
-            .find(|g| g.partition == partition)
-        {
-            group.nodes.extend(&picked);
-        } else {
-            alloc.groups_mut().push(AllocatedGroup {
-                partition: partition.to_string(),
-                nodes: picked.clone(),
-                gres: Vec::new(),
-            });
-        }
-        Ok(picked)
+        alloc.add_nodes(pid, &picked);
+        Ok(picked.into_iter().map(NodeId::new).collect())
     }
 
     /// A live allocation by id.
     pub fn allocation(&self, id: AllocationId) -> Option<&Allocation> {
         self.allocations.get(&id)
+    }
+
+    /// The named view of a live allocation: one [`AllocatedGroup`] per
+    /// granted group, with partition names and gres kinds looked up.
+    /// Built on demand, for tests and debugging; the record keeps ids.
+    pub fn allocated_groups(&self, id: AllocationId) -> Option<Vec<AllocatedGroup>> {
+        let alloc = self.allocations.get(&id)?;
+        let mut groups: Vec<AllocatedGroup> = Vec::new();
+        // A group's nodes line comes first, then its gres lines.
+        for line in alloc.lines() {
+            let part = &self.partitions[line.partition.raw() as usize];
+            let held = alloc.held(line);
+            match line.pool {
+                Pool::Nodes => groups.push(AllocatedGroup {
+                    partition: part.name().to_string(),
+                    nodes: held.iter().map(|&n| NodeId::new(n)).collect(),
+                    gres: Vec::new(),
+                }),
+                Pool::Gres(pool) if !held.is_empty() => {
+                    if let Some(group) = groups.last_mut() {
+                        group
+                            .gres
+                            .push((part.gres_pools()[pool].kind().clone(), held.to_vec()));
+                    }
+                }
+                Pool::Gres(_) | Pool::Missing => {}
+            }
+        }
+        Some(groups)
     }
 
     /// Number of live allocations.

@@ -6,9 +6,9 @@
 //! so higher layers can bind, e.g., gres unit `qpu[2]` to a physical or
 //! virtual QPU device.
 
+use crate::bitset::BitSet;
 use serde::{Deserialize, Serialize};
 use std::borrow::Borrow;
-use std::collections::BTreeSet;
 use std::fmt;
 
 /// The name of a generic-resource kind, e.g. `"qpu"` or `"qpu:neutral-atom"`.
@@ -58,11 +58,14 @@ impl Borrow<str> for GresKind {
 }
 
 /// A pool of indexed gres units of one kind.
+///
+/// Free units are a bitset, one bit per unit; [`GresPool::take`] hands out
+/// the lowest free units first.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct GresPool {
     kind: GresKind,
     capacity: u32,
-    free: BTreeSet<u32>,
+    free: BitSet,
 }
 
 impl GresPool {
@@ -71,7 +74,7 @@ impl GresPool {
         GresPool {
             kind,
             capacity,
-            free: (0..capacity).collect(),
+            free: BitSet::full(capacity),
         }
     }
 
@@ -87,7 +90,7 @@ impl GresPool {
 
     /// Currently free units.
     pub fn available(&self) -> u32 {
-        self.free.len() as u32
+        self.free.len()
     }
 
     /// Units currently handed out.
@@ -99,14 +102,17 @@ impl GresPool {
     ///
     /// Returns `None` without side effects if not enough units are free.
     pub fn take(&mut self, count: u32) -> Option<Vec<u32>> {
-        if self.available() < count {
-            return None;
-        }
-        let units: Vec<u32> = self.free.iter().take(count as usize).copied().collect();
-        for u in &units {
-            self.free.remove(u);
-        }
-        Some(units)
+        (self.available() >= count).then(|| {
+            let mut units = Vec::with_capacity(count as usize);
+            self.take_lowest(count, &mut units);
+            units
+        })
+    }
+
+    /// Takes the `count` lowest free units (every free unit if fewer are
+    /// free) and appends them to `out`.
+    pub(crate) fn take_lowest(&mut self, count: u32, out: &mut Vec<u32>) {
+        self.free.take_lowest(count, 0, out);
     }
 
     /// Returns units to the pool.

@@ -22,6 +22,14 @@
 //! * **[`Cluster::shrink`] / [`Cluster::expand`]** — the malleability
 //!   resize primitive (Fig. 4).
 //!
+//! Requests name partitions and gres kinds; [`Cluster::allocate`] resolves
+//! those names to ids once, and the live [`Allocation`] keeps only ids
+//! (partition id, node ids, gres pool index and units), so a release
+//! touches no names. Free nodes and free gres units are bitsets handed
+//! out lowest index first. [`Cluster::allocated_groups`] rebuilds the
+//! named view ([`AllocatedGroup`]) of a live allocation, for tests and
+//! debugging.
+//!
 //! ## Example
 //!
 //! ```
@@ -47,6 +55,7 @@
 #![warn(missing_debug_implementations)]
 
 pub mod alloc;
+mod bitset;
 pub mod cluster;
 pub mod error;
 pub mod gres;

@@ -1,87 +1,49 @@
 //! [`NodeSet`]: a partition's free nodes as a bitset.
 
+use crate::bitset::BitSet;
 use crate::ids::NodeId;
 
-/// A set of node ids within one partition's contiguous id range
-/// `first..first + len`, one bit per node.
-///
-/// Iteration and [`NodeSet::take_lowest`] visit ids in increasing order,
-/// the order a `BTreeSet<NodeId>` iterates in, so picks are the same.
+/// A partition's free nodes: a [`BitSet`] over its contiguous id range
+/// `first..first + len`.
 #[derive(Debug, Clone)]
 pub(crate) struct NodeSet {
     first: u32,
-    words: Vec<u64>,
-    count: u32,
+    bits: BitSet,
 }
 
 impl NodeSet {
     /// The full set `first..first + len`.
     pub(crate) fn full(first: u32, len: u32) -> Self {
-        let mut words = vec![u64::MAX; len.div_ceil(64) as usize];
-        if len % 64 != 0 {
-            if let Some(last) = words.last_mut() {
-                *last = (1u64 << (len % 64)) - 1;
-            }
-        }
         NodeSet {
             first,
-            words,
-            count: len,
+            bits: BitSet::full(len),
         }
     }
 
     /// Number of ids in the set.
     pub(crate) fn len(&self) -> u32 {
-        self.count
-    }
-
-    /// Word index and bit mask of `id`.
-    fn locate(&self, id: NodeId) -> (usize, u64) {
-        let bit = id.raw() - self.first;
-        ((bit / 64) as usize, 1u64 << (bit % 64))
+        self.bits.len()
     }
 
     /// `true` if `id` is in the set.
     pub(crate) fn contains(&self, id: NodeId) -> bool {
-        let (w, mask) = self.locate(id);
-        self.words[w] & mask != 0
+        self.bits.contains(id.raw() - self.first)
     }
 
     /// Adds `id`; a no-op if it is already present.
     pub(crate) fn insert(&mut self, id: NodeId) {
-        let (w, mask) = self.locate(id);
-        if self.words[w] & mask == 0 {
-            self.words[w] |= mask;
-            self.count += 1;
-        }
+        self.bits.insert(id.raw() - self.first);
     }
 
     /// Removes `id`; a no-op if it is absent.
     pub(crate) fn remove(&mut self, id: NodeId) {
-        let (w, mask) = self.locate(id);
-        if self.words[w] & mask != 0 {
-            self.words[w] &= !mask;
-            self.count -= 1;
-        }
+        self.bits.remove(id.raw() - self.first);
     }
 
-    /// Removes and returns the `n` lowest ids (fewer if the set holds
-    /// fewer), in increasing order.
-    pub(crate) fn take_lowest(&mut self, n: u32) -> Vec<NodeId> {
-        let want = n.min(self.count);
-        let mut picked = Vec::with_capacity(want as usize);
-        for (w, word) in self.words.iter_mut().enumerate() {
-            while *word != 0 && (picked.len() as u32) < want {
-                let bit = word.trailing_zeros();
-                *word &= *word - 1;
-                picked.push(NodeId::new(self.first + w as u32 * 64 + bit));
-            }
-            if picked.len() as u32 == want {
-                break;
-            }
-        }
-        self.count -= want;
-        picked
+    /// Removes the `n` lowest ids (fewer if the set holds fewer) and
+    /// appends them to `out` as raw ids, in increasing order.
+    pub(crate) fn take_lowest(&mut self, n: u32, out: &mut Vec<u32>) {
+        self.bits.take_lowest(n, self.first, out);
     }
 }
 
@@ -89,8 +51,10 @@ impl NodeSet {
 mod tests {
     use super::*;
 
-    fn ids(v: &[NodeId]) -> Vec<u32> {
-        v.iter().map(|n| n.raw()).collect()
+    fn take(s: &mut NodeSet, n: u32) -> Vec<u32> {
+        let mut out = Vec::new();
+        s.take_lowest(n, &mut out);
+        out
     }
 
     #[test]
@@ -98,10 +62,10 @@ mod tests {
         let mut s = NodeSet::full(10, 70);
         assert_eq!(s.len(), 70);
         assert!(s.contains(NodeId::new(10)) && s.contains(NodeId::new(79)));
-        assert_eq!(ids(&s.take_lowest(3)), vec![10, 11, 12]);
-        assert_eq!(s.take_lowest(100).len(), 67);
+        assert_eq!(take(&mut s, 3), vec![10, 11, 12]);
+        assert_eq!(take(&mut s, 100).len(), 67);
         assert_eq!(s.len(), 0);
-        assert!(s.take_lowest(1).is_empty());
+        assert!(take(&mut s, 1).is_empty());
     }
 
     #[test]
@@ -114,7 +78,7 @@ mod tests {
         s.insert(NodeId::new(70));
         s.remove(NodeId::new(5));
         assert_eq!(s.len(), 3);
-        assert_eq!(ids(&s.take_lowest(2)), vec![70, 128]);
-        assert_eq!(ids(&s.take_lowest(2)), vec![129]);
+        assert_eq!(take(&mut s, 2), vec![70, 128]);
+        assert_eq!(take(&mut s, 2), vec![129]);
     }
 }

@@ -1,7 +1,8 @@
 //! Differential property test: the bitset [`Cluster`] against the
 //! `BTreeSet`/`BTreeMap` cluster it replaced, kept verbatim below as
 //! [`btree::Cluster`] (only the crate-private calls it made are swapped
-//! for public ones). Random allocate, release, shrink, expand, node
+//! for public ones), with the `BTreeSet` gres pool it used copied in as
+//! [`btree::GresPool`]. Random allocate, release, shrink, expand, node
 //! failure and repair sequences must pick the same node ids and gres
 //! units, fail with the same errors, leave the same free counts and
 //! integrate bit-identical utilization.
@@ -18,12 +19,64 @@ use proptest::prelude::*;
 mod btree {
     use hpcqc_cluster::alloc::{AllocRequest, AllocatedGroup};
     use hpcqc_cluster::error::ClusterError;
-    use hpcqc_cluster::gres::{GresKind, GresPool};
+    use hpcqc_cluster::gres::GresKind;
     use hpcqc_cluster::ids::{AllocationId, NodeId, PartitionId};
     use hpcqc_cluster::node::{Node, NodeShape, NodeState};
     use hpcqc_simcore::stats::BusyTracker;
     use hpcqc_simcore::time::SimTime;
     use std::collections::{BTreeMap, BTreeSet};
+
+    /// The gres pool as it was before the bitset rewrite: free units in a
+    /// `BTreeSet`.
+    pub struct GresPool {
+        kind: GresKind,
+        capacity: u32,
+        free: BTreeSet<u32>,
+    }
+
+    impl GresPool {
+        pub fn new(kind: GresKind, capacity: u32) -> Self {
+            GresPool {
+                kind,
+                capacity,
+                free: (0..capacity).collect(),
+            }
+        }
+
+        pub fn kind(&self) -> &GresKind {
+            &self.kind
+        }
+
+        pub fn available(&self) -> u32 {
+            self.free.len() as u32
+        }
+
+        pub fn take(&mut self, count: u32) -> Option<Vec<u32>> {
+            if self.available() < count {
+                return None;
+            }
+            let units: Vec<u32> = self.free.iter().take(count as usize).copied().collect();
+            for u in &units {
+                self.free.remove(u);
+            }
+            Some(units)
+        }
+
+        pub fn give_back(&mut self, units: &[u32]) {
+            for &u in units {
+                assert!(
+                    u < self.capacity,
+                    "gres unit {u} out of range for {}",
+                    self.kind
+                );
+                assert!(
+                    self.free.insert(u),
+                    "gres unit {u} of {} double-released",
+                    self.kind
+                );
+            }
+        }
+    }
 
     /// A partition to build: name, node count and gres pools.
     pub type PartSpec = (&'static str, u32, Vec<(GresKind, u32)>);
@@ -526,7 +579,7 @@ fn same_state(real: &Cluster, model: &btree::Cluster, now: SimTime) -> Result<()
 }
 
 fn groups_of(real: &Cluster, id: AllocationId) -> Option<Vec<AllocatedGroup>> {
-    real.allocation(id).map(|a| a.groups().to_vec())
+    real.allocated_groups(id)
 }
 
 proptest! {

@@ -3,10 +3,11 @@
 
 use hpcqc_cluster::alloc::{AllocRequest, GroupRequest};
 use hpcqc_cluster::cluster::{Cluster, ClusterBuilder};
-use hpcqc_cluster::gres::GresKind;
+use hpcqc_cluster::gres::{GresKind, GresPool};
 use hpcqc_cluster::ids::AllocationId;
 use hpcqc_simcore::time::SimTime;
 use proptest::prelude::*;
+use std::collections::BTreeSet;
 
 const NODES: u32 = 24;
 const QPUS: u32 = 3;
@@ -92,10 +93,11 @@ proptest! {
                 .sum();
             prop_assert_eq!(free + allocated, NODES, "node conservation broken");
             let free_q = cluster.free_gres("quantum", &GresKind::qpu()).unwrap();
+            let qpu = cluster.slots()[cluster.gres_slot("quantum", &GresKind::qpu()).unwrap()];
             let alloc_q: u32 = live
                 .iter()
                 .filter_map(|id| cluster.allocation(*id))
-                .map(|a| a.gres_units(&GresKind::qpu()).len() as u32)
+                .map(|a| a.gres_units(qpu).count() as u32)
                 .sum();
             prop_assert_eq!(free_q + alloc_q, QPUS, "gres conservation broken");
         }
@@ -139,6 +141,42 @@ proptest! {
                     prop_assert!(seen.insert(n), "{} double-booked", n);
                 }
             }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The bitset `GresPool` against a `BTreeSet<u32>` of free units:
+    /// random takes and give-backs (of any held batch, so freed units
+    /// interleave) return the same units and leave the same counts, on
+    /// capacities that span several 64-bit words.
+    #[test]
+    fn gres_pool_matches_a_btreeset(
+        capacity in 1u32..=200,
+        ops in prop::collection::vec((any::<bool>(), 0u32..70, 0usize..16), 1..80),
+    ) {
+        let mut pool = GresPool::new(GresKind::qpu(), capacity);
+        let mut free: BTreeSet<u32> = (0..capacity).collect();
+        let mut held: Vec<Vec<u32>> = Vec::new();
+        for (take, count, idx) in ops {
+            if take || held.is_empty() {
+                let want: Option<Vec<u32>> = (free.len() as u32 >= count)
+                    .then(|| free.iter().take(count as usize).copied().collect());
+                for unit in want.iter().flatten() {
+                    free.remove(unit);
+                }
+                let got = pool.take(count);
+                prop_assert_eq!(&got, &want);
+                held.extend(got);
+            } else {
+                let units = held.swap_remove(idx % held.len());
+                pool.give_back(&units);
+                free.extend(&units);
+            }
+            prop_assert_eq!(pool.available(), free.len() as u32);
+            prop_assert_eq!(pool.in_use(), capacity - free.len() as u32);
         }
     }
 }

@@ -24,11 +24,12 @@ use crate::observer::{PhaseKind, SimEvent, SimObserver, StatsObserver, WasteObse
 use crate::outcome::{DeviceSummary, Outcome, WasteSummary};
 use crate::scenario::Scenario;
 use crate::source::JobSource;
-use hpcqc_cluster::alloc::{AllocRequest, GroupRequest};
+use hpcqc_cluster::alloc::{AllocRequest, Allocation, GroupRequest};
 use hpcqc_cluster::cluster::{Cluster, ClusterBuilder};
 use hpcqc_cluster::error::ClusterError;
 use hpcqc_cluster::gres::GresKind;
 use hpcqc_cluster::ids::AllocationId;
+use hpcqc_cluster::slot::Slot;
 use hpcqc_faults::{CheckpointSpec, DeviceFaults, FaultPlan, RecoverySpec};
 use hpcqc_fleet::{DeviceId, QpuFleet};
 use hpcqc_metrics::jobstats::JobRecord;
@@ -261,6 +262,16 @@ impl JobRun {
     }
 }
 
+/// The `unit % n`-th of the `n` devices `devices` yields, or `None` if it
+/// yields none; walks the iterator twice rather than collecting it.
+fn nth_cyclic(mut devices: impl Iterator<Item = usize> + Clone, unit: u32) -> Option<usize> {
+    let n = devices.clone().count();
+    if n == 0 {
+        return None;
+    }
+    devices.nth(unit as usize % n)
+}
+
 /// The live state of `job` in `jobs`. Every caller holds a liveness
 /// proof: the event loop fences each handler behind the epoch/liveness
 /// check in [`SimState::drive`], and intra-handler code never finalizes a
@@ -298,6 +309,9 @@ pub(crate) struct SimState<'o> {
     scenario: Scenario,
     /// The classical machine: nodes, partitions and gres tokens.
     cluster: Cluster,
+    /// The quantum partition's QPU gres pool, resolved once: starts read
+    /// their granted units by this slot.
+    qpu_slot: Option<Slot>,
     /// The batch queue. It also keeps the hold ledger: which
     /// [`SimEvent::JobHeld`] cause was last emitted per queued submission
     /// (see [`BatchScheduler::hold_changes`]).
@@ -312,8 +326,8 @@ pub(crate) struct SimState<'o> {
     /// Live jobs only, keyed by raw [`JobId`]: inserted when pulled from
     /// the source, removed at finalization. Ids are issued in increasing
     /// order at spawn, so the table is an [`IdWindow`] over the live id
-    /// range: an O(1) lookup by subtraction, and iteration (on device
-    /// failure only) in id order. Its memory is the live jobs plus one
+    /// range: an O(1) lookup by subtraction, and iteration (on device or
+    /// node failure only) in id order. Its memory is the live jobs plus one
     /// pointer per id between the oldest live and the newest spawned job.
     jobs: IdWindow<JobRun>,
     /// What each queued submission starts, keyed by raw qid (the
@@ -346,9 +360,6 @@ pub(crate) struct SimState<'o> {
     device_down: Vec<u32>,
     /// Accumulated calibration drift per device, in fault-plan units.
     device_drift: Vec<f64>,
-    /// The job holding each live allocation, so a failed node finds the
-    /// job to kill.
-    alloc_owner: IdMap<AllocationId, JobId>,
     /// Jobs finalized so far; the run ends when this reaches `spawned`
     /// after the source is drained.
     completed: u64,
@@ -487,6 +498,9 @@ impl<'o> FacilitySim<'o> {
             .partition("classical", scenario.classical_nodes)
             .partition_with_gres("quantum", 0, GresKind::qpu(), gres_units)
             .build(SimTime::ZERO);
+        let qpu_slot = cluster
+            .gres_slot("quantum", &GresKind::qpu())
+            .map(|slot| cluster.slots()[slot]);
         let root = SimRng::seed_from(scenario.seed);
         let devices: Vec<QpuDevice> = machine
             .devices
@@ -544,6 +558,7 @@ impl<'o> FacilitySim<'o> {
                 device_drift: vec![0.0; devices.len()],
                 scenario,
                 cluster,
+                qpu_slot,
                 scheduler,
                 devices,
                 fleet,
@@ -554,7 +569,6 @@ impl<'o> FacilitySim<'o> {
                 stats_obs: StatsObserver::new(),
                 waste_obs,
                 extras,
-                alloc_owner: IdMap::new(),
                 completed: 0,
                 spawned: 0,
                 drained: false,
@@ -770,7 +784,14 @@ impl<'o> SimState<'o> {
             let repair_in = process.repair.sample_duration(&mut self.failure_rng);
             self.events
                 .schedule(now + repair_in, Event::NodeRepair(node));
-            if let Some(&job) = owner.and_then(|alloc| self.alloc_owner.get(&alloc)) {
+            // The owner's job is the live job holding that allocation.
+            let victim = owner.and_then(|alloc| {
+                self.jobs
+                    .iter()
+                    .find(|(_, run)| run.alloc == Some(alloc))
+                    .map(|(raw, _)| JobId::new(raw))
+            });
+            if let Some(job) = victim {
                 // With checkpoint-restart the job keeps its phase and
                 // re-does only the work since its last durable checkpoint.
                 let run = self.live(job);
@@ -1240,71 +1261,56 @@ impl<'o> SimState<'o> {
         qid
     }
 
-    /// Devices with enough qubits for every kernel of the job, in service
-    /// and with a shot capacity covering the job's largest kernel. Jobs
-    /// without quantum phases are compatible with all devices.
-    fn eligible_devices(&self, job: JobId) -> Vec<usize> {
-        let spec = &self.live(job).spec;
-        let need = spec.kernels().map(Kernel::qubits).max().unwrap_or(0);
-        let shots = spec.kernels().map(Kernel::shots).max().unwrap_or(0);
-        self.devices
-            .iter()
-            .enumerate()
-            .filter(|(i, d)| {
-                d.qubits() >= need
-                    && !self.fleet.is_down(*i)
-                    && self.fleet.shot_capacity(*i).is_none_or(|cap| shots <= cap)
-            })
-            .map(|(i, _)| i)
-            .collect()
+    /// The first QPU gres unit `allocation` holds and how many it holds,
+    /// read by borrow; `None` if it holds none.
+    fn qpu_units(&self, allocation: &Allocation) -> Option<(u32, u32)> {
+        let mut units = allocation.gres_units(self.qpu_slot?);
+        let first = units.next()?;
+        Some((first, 1 + units.count() as u32))
     }
 
     /// Binds a granted gres token to a *capable* device: round-robin over
-    /// the job's eligible device list, so heterogeneous facilities (e.g. a
-    /// 12-qubit spin-qubit device next to a 127-qubit transmon) never route
-    /// an oversized kernel to a small device.
+    /// the job's eligible devices (enough qubits for every kernel of the
+    /// job, in service, and a shot capacity covering its largest kernel),
+    /// so heterogeneous facilities (e.g. a 12-qubit spin-qubit device next
+    /// to a 127-qubit transmon) never route an oversized kernel to a small
+    /// device. Jobs without quantum phases are compatible with all devices.
     ///
     /// # Errors
     ///
     /// [`SimError::Qpu`] when no device can run the job's kernels.
     fn bind_device(&self, job: JobId, unit: u32) -> Result<usize, SimError> {
-        let eligible = self.eligible_devices(job);
-        if eligible.is_empty() {
-            let spec = &self.live(job).spec;
-            let need = spec.kernels().map(Kernel::qubits).max().unwrap_or(0);
-            let shots = spec.kernels().map(Kernel::shots).max().unwrap_or(0);
-            // With fault injection, every capable device may be transiently
-            // down right at bind time. Bind among the capable devices that
-            // are not *permanently* out (spec'd down); dispatch parks until
-            // one returns to service.
-            if self.fault_plan().is_some() {
-                let fallback: Vec<usize> = self
-                    .devices
-                    .iter()
-                    .enumerate()
-                    .filter(|(i, d)| {
-                        d.qubits() >= need
-                            && !self.spec_down(*i)
-                            && self.fleet.shot_capacity(*i).is_none_or(|cap| shots <= cap)
-                    })
-                    .map(|(i, _)| i)
-                    .collect();
-                if !fallback.is_empty() {
-                    return Ok(fallback[unit as usize % fallback.len()]);
-                }
-            }
-            let best = self
-                .devices
-                .iter()
-                .map(QpuDevice::qubits)
-                .max()
-                .unwrap_or(0);
-            return Err(SimError::Qpu(QpuError::KernelTooLarge {
-                requested: need,
-                available: best,
-            }));
+        let spec = &self.live(job).spec;
+        let need = spec.kernels().map(Kernel::qubits).max().unwrap_or(0);
+        let shots = spec.kernels().map(Kernel::shots).max().unwrap_or(0);
+        let capable = self.devices.iter().enumerate().filter_map(|(i, d)| {
+            let fits =
+                d.qubits() >= need && self.fleet.shot_capacity(i).is_none_or(|cap| shots <= cap);
+            fits.then_some(i)
+        });
+        let in_service = capable.clone().filter(|i| !self.fleet.is_down(*i));
+        if let Some(device) = nth_cyclic(in_service, unit) {
+            return Ok(device);
         }
-        Ok(eligible[unit as usize % eligible.len()])
+        // With fault injection, every capable device may be transiently
+        // down right at bind time. Bind among the capable devices that are
+        // not *permanently* out (spec'd down); dispatch parks until one
+        // returns to service.
+        if self.fault_plan().is_some() {
+            if let Some(device) = nth_cyclic(capable.filter(|i| !self.spec_down(*i)), unit) {
+                return Ok(device);
+            }
+        }
+        let best = self
+            .devices
+            .iter()
+            .map(QpuDevice::qubits)
+            .max()
+            .unwrap_or(0);
+        Err(SimError::Qpu(QpuError::KernelTooLarge {
+            requested: need,
+            available: best,
+        }))
     }
 
     // ----- submission ----------------------------------------------------
@@ -1432,7 +1438,6 @@ impl<'o> SimState<'o> {
             }
         );
         self.arm_walltime_kill(job, now);
-        self.alloc_owner.insert(alloc, job);
         let run = self.live_mut(job);
         run.queued_qid = None;
         run.alloc = Some(alloc);
@@ -1452,10 +1457,7 @@ impl<'o> SimState<'o> {
         // Bind the QPU device from the granted gres unit (if any).
         // hpcqc-lint: allow(D004, reason = "the scheduler granted this allocation in the current cycle; nothing released it yet")
         let allocation = self.cluster.allocation(alloc).expect("alloc just granted");
-        let units = allocation.gres_units(&GresKind::qpu());
-        if let Some((_, unit)) = units.first() {
-            let unit = *unit;
-            let count = units.len() as u32;
+        if let Some((unit, count)) = self.qpu_units(allocation) {
             let device = self.bind_device(job, unit)?;
             let run = self.live_mut(job);
             run.device = Some(device);
@@ -1495,7 +1497,6 @@ impl<'o> SimState<'o> {
             }
         );
         self.arm_walltime_kill(job, now);
-        self.alloc_owner.insert(alloc, job);
         {
             let run = self.live_mut(job);
             run.queued_qid = None;
@@ -1511,7 +1512,7 @@ impl<'o> SimState<'o> {
         // hpcqc-lint: allow(D004, reason = "the scheduler granted this allocation in the current cycle; nothing released it yet")
         let allocation = self.cluster.allocation(alloc).expect("alloc just granted");
         let node_count = allocation.node_count() as u32;
-        let units = allocation.gres_units(&GresKind::qpu());
+        let units = self.qpu_units(allocation);
         if node_count > 0 {
             self.live_mut(job).set_alloc_nodes(now, node_count);
             emit!(
@@ -1524,9 +1525,7 @@ impl<'o> SimState<'o> {
                 }
             );
         }
-        if let Some((_, unit)) = units.first() {
-            let unit = *unit;
-            let count = units.len() as u32;
+        if let Some((unit, count)) = units {
             let device = self.bind_device(job, unit)?;
             let run = self.live_mut(job);
             run.device = Some(device);
@@ -1943,7 +1942,6 @@ impl<'o> SimState<'o> {
         let Some(alloc) = alloc_taken else {
             return Ok(());
         };
-        self.alloc_owner.remove(&alloc);
         let (nodes, qpus) = {
             let run = self.live_mut(job);
             let nodes = run.alloc_nodes;
@@ -2633,6 +2631,58 @@ mod tests {
         let out = FacilitySim::run(&sc, &w).unwrap();
         assert_eq!(out.stats.failed_count(), 1);
         assert!(!out.stats.records()[0].completed);
+    }
+
+    #[test]
+    fn node_failure_requeues_only_the_owner_of_the_failed_node() {
+        // Two 1-node jobs fill both nodes from t=0 ("a" on node 0, "b" on
+        // node 1). The first failure, at t=300, hits one of them; the
+        // repair takes longer than the run. The owner is requeued, then
+        // dies again at t=600 on the other node with its budget spent;
+        // the other job finishes at t=400 untouched.
+        #[derive(Debug, Default)]
+        struct Log {
+            failed: Vec<(SimTime, u32)>,
+            restarted: Vec<(SimTime, String)>,
+        }
+        impl SimObserver for Log {
+            fn on_event(&mut self, now: SimTime, event: &SimEvent<'_>) {
+                match event {
+                    SimEvent::NodeFailed { node } => self.failed.push((now, node.raw())),
+                    SimEvent::JobRestarted { name, .. } => {
+                        self.restarted.push((now, name.to_string()));
+                    }
+                    _ => {}
+                }
+            }
+        }
+        let mut sc = scenario(Strategy::CoSchedule);
+        sc.classical_nodes = 2;
+        sc.faults = Some(node_fault_plan(300.0, 10_000.0, 1));
+        let w = Workload::from_jobs(vec![
+            classical_job("a", 1, 400, 0),
+            classical_job("b", 1, 400, 0),
+        ]);
+        let mut log = Log::default();
+        let out = FacilitySim::run_observed(&sc, &w, &mut [&mut log]).unwrap();
+        let (at, node) = log.failed[0];
+        assert_eq!(at, SimTime::from_secs(300));
+        let (owner, other) = if node == 0 { ("a", "b") } else { ("b", "a") };
+        assert_eq!(log.restarted, vec![(at, owner.to_string())]);
+        let record = |name: &str| {
+            out.stats
+                .records()
+                .iter()
+                .find(|r| r.name == name)
+                .unwrap()
+                .clone()
+        };
+        let untouched = record(other);
+        assert!(untouched.completed);
+        assert_eq!(untouched.end, SimTime::from_secs(400));
+        let victim = record(owner);
+        assert!(!victim.completed);
+        assert_eq!(victim.end, SimTime::from_secs(600));
     }
 
     #[test]

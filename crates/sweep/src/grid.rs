@@ -254,13 +254,14 @@ impl Grid {
             );
         }
         // A deserialized workload can carry a shape (inverted node range,
-        // non-positive mean runtime) that panics or wraps in a worker.
+        // non-positive mean runtime, a generator spec its stream rejects
+        // at the cell's load) that panics or wraps in a worker.
         self.workload
-            .validate()
+            .validate(&self.loads_per_hour)
             .map_err(|e| format!("grid `workload`: {e}"))?;
         for workload in self.workloads.iter().flatten() {
             workload
-                .validate()
+                .validate(&self.loads_per_hour)
                 .map_err(|e| format!("grid axis `workloads`: {e}"))?;
         }
         // A loaded facility draws Poisson arrivals at the cell's load, and
@@ -868,6 +869,43 @@ mod tests {
             let err = g.validate().unwrap_err();
             assert!(err.contains("bg_mean_secs"), "{err}");
         }
+    }
+
+    #[test]
+    fn validate_rejects_generated_workloads_their_stream_would_panic_on() {
+        let generated = |mutate: fn(&mut hpcqc_gen::GeneratorSpec), loads: Vec<f64>| {
+            let mut spec = hpcqc_gen::GeneratorSpec::dev_facility();
+            mutate(&mut spec);
+            Grid {
+                workload: WorkloadSpec::Generated { spec, max_jobs: 10 },
+                loads_per_hour: loads,
+                ..Grid::default()
+            }
+        };
+        assert!(generated(|_| {}, vec![0.0, 8.0]).validate().is_ok());
+        for (mutate, needle) in [
+            (
+                (|s| s.tenants.users = 0) as fn(&mut hpcqc_gen::GeneratorSpec),
+                "population",
+            ),
+            (
+                |s| s.tenants.campaign_min = s.tenants.campaign_max + 1,
+                "campaign_min",
+            ),
+            (|s| s.classes[0].nodes_lo = 0, "nodes_lo"),
+            (|s| s.tenants.campaign_alpha = 0.5, "campaign_alpha"),
+            (|s| s.classes.clear(), "job class"),
+        ] {
+            let err = generated(mutate, vec![8.0]).validate().unwrap_err();
+            assert!(err.starts_with("grid `workload`"), "{err}");
+            assert!(err.contains(needle), "`{err}` missing `{needle}`");
+        }
+        // A positive cell load replaces the spec's arrival rate, so a
+        // zero base rate streams only at a zero load.
+        let idle = |s: &mut hpcqc_gen::GeneratorSpec| s.arrival.base_per_hour = 0.0;
+        assert!(generated(idle, vec![8.0]).validate().is_ok());
+        let err = generated(idle, vec![8.0, 0.0]).validate().unwrap_err();
+        assert!(err.contains("base_per_hour"), "{err}");
     }
 
     #[test]

@@ -114,14 +114,16 @@ impl WorkloadSpec {
     }
 
     /// Checks a (possibly deserialized) workload for shapes that would
-    /// panic or wrap inside a sweep worker: an empty or inverted
-    /// background node range, or a non-positive or non-finite background
-    /// mean runtime or walltime margin.
+    /// panic or wrap inside a sweep worker at any of `loads_per_hour`: an
+    /// empty or inverted background node range, a non-positive or
+    /// non-finite background mean runtime or walltime margin, or a
+    /// generator spec that [`GeneratorSpec::validate`] rejects once the
+    /// cell's load overrides its arrival rate.
     ///
     /// # Errors
     ///
     /// A message naming the first offending field.
-    pub fn validate(&self) -> Result<(), String> {
+    pub fn validate(&self, loads_per_hour: &[f64]) -> Result<(), String> {
         match *self {
             WorkloadSpec::LoadedFacility {
                 bg_nodes_lo,
@@ -149,10 +151,21 @@ impl WorkloadSpec {
                     _ => Ok(()),
                 }
             }
-            WorkloadSpec::Listing1 { .. }
-            | WorkloadSpec::Tenants { .. }
-            | WorkloadSpec::Generated { .. } => Ok(()),
+            WorkloadSpec::Generated { ref spec, .. } => loads_per_hour
+                .iter()
+                .try_for_each(|&load| Self::generator_at(spec, load).validate()),
+            WorkloadSpec::Listing1 { .. } | WorkloadSpec::Tenants { .. } => Ok(()),
         }
+    }
+
+    /// The generator spec a cell streams: `spec`, with the cell's load in
+    /// place of its base arrival rate when the load is positive.
+    fn generator_at(spec: &GeneratorSpec, load_per_hour: f64) -> GeneratorSpec {
+        let mut spec = spec.clone();
+        if load_per_hour > 0.0 {
+            spec.arrival.base_per_hour = load_per_hour;
+        }
+        spec
     }
 
     /// Materializes the workload for one cell.
@@ -164,11 +177,7 @@ impl WorkloadSpec {
     pub fn build(&self, load_per_hour: f64, seed: u64) -> Workload {
         match *self {
             WorkloadSpec::Generated { ref spec, max_jobs } => {
-                let mut spec = spec.clone();
-                if load_per_hour > 0.0 {
-                    spec.arrival.base_per_hour = load_per_hour;
-                }
-                let stream = spec.stream(seed);
+                let stream = Self::generator_at(spec, load_per_hour).stream(seed);
                 let jobs: Vec<JobSpec> = if max_jobs > 0 {
                     stream.take(max_jobs as usize).collect()
                 } else {

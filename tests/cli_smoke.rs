@@ -1094,3 +1094,37 @@ fn zero_strategy_count_in_a_sweep_grid_exits_2() {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("`vqpus` of at least 1"), "{stderr}");
 }
+
+#[test]
+fn sweep_rejects_invalid_generated_workloads() {
+    let dir = std::env::temp_dir().join(format!("hpcqc_cli_badgen_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let grid = std::fs::read_to_string(
+        std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("examples/grids/generated.json"),
+    )
+    .unwrap();
+    // Each of these would panic the first cell's generator stream.
+    for (name, from, to) in [
+        ("users", r#""users": 2000"#, r#""users": 0"#),
+        ("campaign", r#""campaign_min": 1"#, r#""campaign_min": 40"#),
+        ("nodes", r#""nodes_lo": 2"#, r#""nodes_lo": 0"#),
+        (
+            "alpha",
+            r#""campaign_alpha": 2.2"#,
+            r#""campaign_alpha": 0.5"#,
+        ),
+    ] {
+        assert!(grid.contains(from), "generated.json no longer has {from}");
+        let path = dir.join(format!("{name}.json"));
+        std::fs::write(&path, grid.replace(from, to)).unwrap();
+        let out = Command::new(env!("CARGO_BIN_EXE_hpcqc-sim"))
+            .args(["sweep", "--threads", "1", "--grid"])
+            .arg(&path)
+            .output()
+            .expect("hpcqc-sim runs");
+        assert_eq!(out.status.code(), Some(1), "{name}: {out:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("invalid grid"), "{name}: {stderr}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
