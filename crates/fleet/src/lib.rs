@@ -5,12 +5,13 @@
 //! real installations run a *fleet* — superconducting next to trapped-ion
 //! next to photonic hardware, each with its own timing profile,
 //! calibration cadence, capacity and queue. This crate models that fleet
-//! and opens kernel *placement* as a trait API, exactly the way
-//! `hpcqc-sched` opened queueing:
+//! and opens kernel *placement* as a trait API. Queueing in `hpcqc-sched`
+//! has a spec but no trait: its scheduler runs the spec's closed set of
+//! disciplines directly.
 //!
 //! | concern | spec (serde) | capability handle | trait | built-ins |
 //! |---|---|---|---|---|
-//! | queueing | `PolicySpec` | `SchedCtx` | `QueuePolicy` | 5 disciplines |
+//! | queueing | `PolicySpec` | — | — | 5 `Discipline`s, one `match` per cycle step |
 //! | routing | [`FleetSpec`] | [`FleetCtx`] | [`RoutePolicy`] | [`policies::PinFirst`], [`policies::LeastLoaded`], [`policies::TechAffinity`] |
 //!
 //! A [`FleetSpec`] names the devices ([`FleetDevice`]: technology,

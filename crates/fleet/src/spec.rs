@@ -3,8 +3,7 @@
 //!
 //! A `FleetSpec` is what scenarios, sweep grids and `--fleet FILE` carry;
 //! [`crate::QpuFleet::new`] turns it into the
-//! live fleet. The split mirrors `PolicySpec`/`QueuePolicy` in
-//! `hpcqc-sched`: specs are plain data with validation, policies are the
+//! live fleet. Specs are plain data with validation; policies are the
 //! behaviour they name.
 
 use crate::policies;

@@ -2,23 +2,23 @@
 //!
 //! The operational-HPC substrate the paper insists any integration must live
 //! within: a SLURM-like batch scheduler with priority queues, heterogeneous
-//! (multi-partition) co-allocation, and a pluggable queue-policy API.
+//! (multi-partition) co-allocation, and five queueing disciplines.
 //!
 //! * [`demand`] — dense resource vectors over the cluster's slots
 //!   (resolved once per job at submit) and the free-capacity [`Profile`]
 //!   timeline backfill planning runs on;
 //! * [`priority`] — multifactor priority (age, size, QoS, decayed
 //!   fairshare);
-//! * [`policy`] — the open [`QueuePolicy`] trait, its [`SchedCtx`]
-//!   capability handle, and the serde-able [`PolicySpec`] naming a policy
-//!   in scenarios, grids and on the CLI;
-//! * [`policies`] — the five built-ins: strict FCFS, EASY backfill
-//!   (production default), conservative backfill, priority backfill with
-//!   hard aging, and quantum-aware backfill;
+//! * [`policy`] — the closed set of [`Discipline`]s (strict FCFS, EASY
+//!   backfill, the production default, conservative backfill, priority
+//!   backfill with hard aging, and quantum-aware backfill) and the
+//!   serde-able [`PolicySpec`] naming one in scenarios, grids and on the
+//!   CLI;
 //! * [`probe`] — the [`CycleProbe`] hook that lets harness-layer code
 //!   (profilers, tracers) watch each planning cycle's phases without the
 //!   scheduler ever reading a clock;
-//! * [`scheduler`] — the policy-agnostic [`BatchScheduler`] cycle loop.
+//! * [`scheduler`] — the [`BatchScheduler`] cycle loop, which runs a
+//!   [`PolicySpec`] as one `match` on its discipline per step.
 //!
 //! ## Example: Listing 1 through the scheduler
 //!
@@ -52,7 +52,6 @@
 #![warn(missing_debug_implementations)]
 
 pub mod demand;
-pub mod policies;
 pub mod policy;
 pub mod priority;
 pub mod probe;
@@ -60,8 +59,8 @@ pub mod scheduler;
 
 pub use demand::{Demand, Profile, MAX_SLOTS};
 pub use policy::{
-    sort_by_score, sort_multifactor, Discipline, HoldReason, ParsePolicyError, PolicySpec,
-    QueuePolicy, SchedCtx, Verdict, ALL_HOLD_REASONS, POLICY_FORMS,
+    sort_by_score, Discipline, HoldReason, ParsePolicyError, PolicySpec, ALL_HOLD_REASONS,
+    POLICY_FORMS,
 };
 pub use priority::{PriorityCalculator, PriorityWeights, UserId};
 pub use probe::{CyclePhase, CycleProbe, NoProbe};

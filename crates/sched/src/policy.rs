@@ -1,91 +1,39 @@
-//! The open queue-policy API: the [`QueuePolicy`] trait, the
-//! [`SchedCtx`] capability handle policies decide against, and the
-//! serde-able [`PolicySpec`] that names a policy in scenarios, sweep
-//! grids and on the command line.
+//! How a queue policy is stated: the closed set of five [`Discipline`]s,
+//! the serde-able [`PolicySpec`] that names one (with its priority knobs)
+//! in scenarios, sweep grids and on the command line, and the
+//! [`HoldReason`] vocabulary every hold is labelled with.
 //!
-//! The batch scheduler itself ([`BatchScheduler`](crate::BatchScheduler))
-//! is policy-agnostic:
-//! every scheduling cycle it asks the policy to order the queue, then
-//! walks it asking `admit` for each job against the free-capacity
-//! [`Profile`], allocating the admitted ones and telling the policy about
-//! the held ones. Everything discipline-specific — FCFS head blocking,
-//! EASY's shadow reservation, conservative's per-job reservations,
-//! priority aging, quantum-aware boosting — lives behind this trait, in
-//! [`crate::policies`].
+//! The batch scheduler ([`BatchScheduler`](crate::BatchScheduler)) runs a
+//! spec directly: every scheduling cycle it orders the queue, then walks
+//! it admitting each job against the free-capacity
+//! [`Profile`](crate::Profile), allocating the admitted ones and updating
+//! its plan for the held ones, each step one `match` on the discipline.
+//! The variant docs on [`Discipline`] say what each arm does and why.
 //!
-//! # Implementing a custom policy
+//! # Example
 //!
-//! A policy is a small state machine over one scheduling cycle. Here is a
-//! complete LIFO (newest-first) policy, run through the stock scheduler:
+//! The CLI label, the JSON forms and the constructors state the same
+//! policy; a priority knob off its default shows in the label:
 //!
 //! ```
-//! use hpcqc_cluster::{AllocRequest, ClusterBuilder, GroupRequest};
-//! use hpcqc_sched::policy::{QueuePolicy, SchedCtx, Verdict};
-//! use hpcqc_sched::{BatchScheduler, Demand, PendingJob, Profile};
-//! use hpcqc_simcore::time::{SimDuration, SimTime};
-//! use hpcqc_workload::JobId;
+//! use hpcqc_sched::{PolicySpec, PriorityWeights};
 //!
-//! /// Newest submission first; no backfilling, no reservations.
-//! #[derive(Debug)]
-//! struct Lifo;
-//!
-//! impl QueuePolicy for Lifo {
-//!     fn name(&self) -> &str {
-//!         "lifo"
-//!     }
-//!
-//!     fn order(&mut self, queue: &mut [PendingJob], _ctx: &SchedCtx<'_>) {
-//!         queue.sort_by(|a, b| b.submit.cmp(&a.submit).then(b.id.cmp(&a.id)));
-//!     }
-//!
-//!     fn admit(
-//!         &mut self,
-//!         _job: &PendingJob,
-//!         demand: &Demand,
-//!         _profile: &mut Profile<'_>,
-//!         ctx: &SchedCtx<'_>,
-//!     ) -> Verdict {
-//!         // `demand` is the job's footprint per resource slot, resolved
-//!         // against the cluster once, when the job was submitted.
-//!         if ctx.can_start(demand) {
-//!             Verdict::Start
-//!         } else {
-//!             // `hold_reason` names the binding shortage for the
-//!             // attribution layer (insufficient nodes, QPU tokens, …).
-//!             Verdict::Hold(ctx.hold_reason(demand))
-//!         }
-//!     }
-//! }
-//!
-//! let mut cluster = ClusterBuilder::new()
-//!     .partition("classical", 4)
-//!     .build(SimTime::ZERO);
-//! let mut sched = BatchScheduler::custom(Box::new(Lifo));
-//! for (id, submit) in [(0, 0), (1, 60)] {
-//!     sched.submit(
-//!         PendingJob {
-//!             id: JobId::new(id),
-//!             request: AllocRequest::new().group(GroupRequest::nodes("classical", 4)),
-//!             walltime: SimDuration::from_secs(600),
-//!             submit: SimTime::from_secs(submit),
-//!             user: "doc".into(),
-//!             qos_boost: 0.0,
-//!         },
-//!         &cluster,
-//!     )?;
-//! }
-//! let started = sched.try_schedule(&mut cluster, SimTime::from_secs(60));
-//! assert_eq!(started[0].job, JobId::new(1), "LIFO starts the newest job");
-//! # Ok::<(), hpcqc_sched::SchedError>(())
+//! let cli: PolicySpec = "priority-backfill:age=12".parse()?;
+//! let json: PolicySpec =
+//!     serde_json::from_str(r#"{"PriorityBackfill": {"escalate_after_hours": 12.0}}"#)
+//!         .expect("valid policy JSON");
+//! assert_eq!(cli, PolicySpec::priority_backfill(12.0));
+//! assert_eq!(json, cli);
+//! let sized = PolicySpec::easy().with_weights(PriorityWeights {
+//!     size_per_node: 50.0,
+//!     ..PriorityWeights::DEFAULT
+//! });
+//! assert_eq!(sized.to_string(), "easy-backfill;size-weight=50");
+//! # Ok::<(), hpcqc_sched::ParsePolicyError>(())
 //! ```
 
-use crate::demand::{Demand, Profile};
-use crate::policies;
 use crate::priority::{PriorityCalculator, PriorityWeights};
-use crate::scheduler::{job_priority, PendingJob, QueuedTable};
-use hpcqc_cluster::cluster::Cluster;
-use hpcqc_cluster::gres::GresKind;
-use hpcqc_simcore::time::SimTime;
+use crate::scheduler::PendingJob;
 use serde::{Deserialize, Serialize, Value};
 use std::cmp::Reverse;
 use std::fmt;
@@ -94,10 +42,8 @@ use std::str::FromStr;
 /// Why a queued job (or, at the device layer, a routed kernel) is
 /// waiting instead of running — the causal label behind every hold.
 ///
-/// The first four variants are produced by queue policies at scheduling
-/// cycles (see [`SchedCtx::hold_reason`] for the resource
-/// classification); the `Device*` variants are reserved for the fleet /
-/// device layer, which reuses this vocabulary so one cause taxonomy
+/// The first four variants are produced by the batch scheduler's cycles;
+/// the `Device*` variants are reserved for the fleet / device layer, which reuses this vocabulary so one cause taxonomy
 /// spans batch-queue waits and intra-QPU waits.
 ///
 /// The `Ord` impl exists so reasons can key `BTreeMap` blame tables;
@@ -114,7 +60,7 @@ pub enum HoldReason {
     /// conservative per-job reservation carved earlier in the cycle.
     HeadShadow,
     /// The policy held the job for its own reasons while resources fit
-    /// (FCFS head-of-line blocking, custom policy logic).
+    /// (FCFS head-of-line blocking).
     PolicyHold,
     /// Kernel queued behind a busy device (intra-QPU contention).
     DeviceBusy,
@@ -164,163 +110,6 @@ impl fmt::Display for HoldReason {
     }
 }
 
-/// A policy's verdict on one queued job during one scheduling cycle.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Verdict {
-    /// Start the job now (the scheduler still re-validates against the
-    /// live cluster; a failed allocation turns into a hold).
-    Start,
-    /// Keep the job queued this cycle, for the stated reason.
-    Hold(HoldReason),
-}
-
-/// Read-only capability handle a [`QueuePolicy`] decides against.
-///
-/// Exposes exactly what a queueing discipline may observe: the cycle
-/// instant, the live cluster (free capacity, gres availability) and the
-/// scheduler's multifactor priority of any queued job. Mutation stays
-/// with the scheduler.
-///
-/// [`SchedCtx::priority_of`] finds a queued job's submit-time entry in
-/// the scheduler's id-indexed table (see the memory model on
-/// [`BatchScheduler`](crate::BatchScheduler)): one subtraction per call,
-/// however deep the queue.
-#[derive(Debug)]
-pub struct SchedCtx<'a> {
-    now: SimTime,
-    cluster: &'a Cluster,
-    priority: &'a PriorityCalculator,
-    queued: &'a QueuedTable,
-    free: &'a Demand,
-}
-
-impl<'a> SchedCtx<'a> {
-    /// `queued` holds each queued job's submit-time entry; `free` is the
-    /// cluster's free capacity ([`Demand::free_of`]), which the scheduler
-    /// keeps current as the cycle allocates.
-    pub(crate) fn new(
-        now: SimTime,
-        cluster: &'a Cluster,
-        priority: &'a PriorityCalculator,
-        queued: &'a QueuedTable,
-        free: &'a Demand,
-    ) -> Self {
-        SchedCtx {
-            now,
-            cluster,
-            priority,
-            queued,
-            free,
-        }
-    }
-
-    /// The instant of this scheduling cycle.
-    pub fn now(&self) -> SimTime {
-        self.now
-    }
-
-    /// The live cluster, read-only.
-    pub fn cluster(&self) -> &Cluster {
-        self.cluster
-    }
-
-    /// The job's multifactor priority (age, size, QoS, fairshare) as of
-    /// [`SchedCtx::now`]. A queued job's user and node count are read
-    /// from its submit-time entry, so no user name is looked up.
-    pub fn priority_of(&self, job: &PendingJob) -> f64 {
-        job_priority(self.priority, self.queued, job, self.now)
-    }
-
-    /// `true` if the live cluster can place `demand` right now.
-    pub fn can_start(&self, demand: &Demand) -> bool {
-        self.free.covers(demand)
-    }
-
-    /// Classifies why `demand` is not running right now: the binding
-    /// resource shortage, or [`HoldReason::PolicyHold`] when the live
-    /// cluster could place it (the hold is the policy's own doing).
-    /// Purely read-only — calling it cannot perturb a scheduling cycle.
-    ///
-    /// When *both* nodes and the demand's gres tokens are short, the gres
-    /// wins the blame: even a cluster with infinite free nodes would still
-    /// hold the job, so the token is the binding constraint. (Nodes
-    /// recycle every few minutes as batch jobs drain; a co-scheduled QPU
-    /// token is pinned for a whole hybrid campaign — attributing the
-    /// scarcer, slower-recycling resource is what makes the wait ledger
-    /// actionable.)
-    pub fn hold_reason(&self, demand: &Demand) -> HoldReason {
-        let mut reason = HoldReason::PolicyHold;
-        for (slot, info) in self.cluster.slots().iter().enumerate() {
-            if self.free.get(slot) < demand.get(slot) {
-                if info.is_gres() {
-                    return HoldReason::InsufficientGres;
-                }
-                reason = HoldReason::InsufficientNodes;
-            }
-        }
-        reason
-    }
-
-    /// Total free units of a gres kind across every partition (e.g. idle
-    /// QPU tokens — what [`crate::policies::QuantumAware`] keys on).
-    pub fn free_gres(&self, kind: &GresKind) -> u32 {
-        self.cluster
-            .partitions()
-            .iter()
-            .flat_map(|p| p.gres_pools().iter())
-            .filter(|pool| pool.kind() == kind)
-            .map(|pool| pool.available())
-            .sum()
-    }
-}
-
-/// A batch-scheduler queueing discipline.
-///
-/// One value lives for the scheduler's whole lifetime; per-cycle state
-/// (like "has the head blocked yet") is reset in
-/// [`begin_cycle`](QueuePolicy::begin_cycle). See the
-/// [module docs](self) for a complete worked example, and
-/// [`crate::policies`] for the five built-ins.
-pub trait QueuePolicy: fmt::Debug + Send {
-    /// Short label for tables and logs (e.g. `easy-backfill`).
-    fn name(&self) -> &str;
-
-    /// Resets per-cycle state. Called once at the start of every
-    /// scheduling cycle, before [`order`](QueuePolicy::order).
-    fn begin_cycle(&mut self, _ctx: &SchedCtx<'_>) {}
-
-    /// Orders the queue for this cycle, most-preferred first. The
-    /// scheduler walks the queue in this order.
-    fn order(&mut self, queue: &mut [PendingJob], ctx: &SchedCtx<'_>);
-
-    /// Decides whether `job` (the next in order) may start now. `demand`
-    /// is the job's footprint per cluster resource slot, resolved when it
-    /// was submitted; `profile` is the cycle's
-    /// free-capacity timeline, already carrying every reservation made
-    /// earlier in the cycle (a policy may carve further reservations).
-    fn admit(
-        &mut self,
-        job: &PendingJob,
-        demand: &Demand,
-        profile: &mut Profile<'_>,
-        ctx: &SchedCtx<'_>,
-    ) -> Verdict;
-
-    /// Called when `job` stays queued this cycle — either because
-    /// [`admit`](QueuePolicy::admit) held it, or because the live cluster
-    /// refused an admitted start (e.g. failed nodes). A policy may protect
-    /// the job with a reservation here (EASY protects the first held job,
-    /// its "head").
-    fn held(
-        &mut self,
-        _job: &PendingJob,
-        _demand: &Demand,
-        _profile: &mut Profile<'_>,
-        _ctx: &SchedCtx<'_>,
-    ) {
-    }
-}
-
 /// Total-order wrapper so `f64` priorities can key a sort.
 #[derive(PartialEq)]
 struct OrdF64(f64);
@@ -339,15 +128,10 @@ impl Ord for OrdF64 {
     }
 }
 
-/// Sorts a queue by multifactor priority (highest first), ties broken by
-/// submit time then job id — the ordering every built-in policy starts
-/// from. Custom policies can call this and then locally adjust.
-pub fn sort_multifactor(queue: &mut [PendingJob], ctx: &SchedCtx<'_>) {
-    sort_by_score(queue, |job| ctx.priority_of(job));
-}
-
 /// Sorts a queue by an arbitrary score (highest first), ties broken by
-/// submit time then job id. The score is evaluated once per job.
+/// submit time then job id: the ordering every discipline uses, scored
+/// by its multifactor priority with the discipline's adjustments. The
+/// score is evaluated once per job.
 pub fn sort_by_score(queue: &mut [PendingJob], mut score: impl FnMut(&PendingJob) -> f64) {
     queue.sort_by_cached_key(|job| (Reverse(OrdF64(score(job))), job.submit, job.id));
 }
@@ -366,29 +150,54 @@ pub const DEFAULT_IDLE_BOOST: f64 = 1_000.0;
 /// [`PriorityCalculator::new`].
 pub const DEFAULT_FAIRSHARE_HALF_LIFE_SECS: f64 = 86_400.0;
 
-/// The queueing discipline named by a [`PolicySpec`].
+/// The queueing discipline named by a [`PolicySpec`]: a closed set the
+/// scheduler's cycle `match`es on. Every discipline orders the queue by
+/// multifactor priority (highest first; ties by submit time, then id),
+/// which the two knobbed variants adjust.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub enum Discipline {
-    /// Strict first-come-first-served: the queue head blocks everything
-    /// behind it.
+    /// Strict first-come-first-served: the queue, in priority order,
+    /// starts from the front until the first job that does not fit;
+    /// everything behind it waits, however small (head-of-line blocking,
+    /// labelled [`HoldReason::PolicyHold`] for a job the machine would
+    /// fit). The paper's worst case for the workflow strategy: every
+    /// inter-step queue pass pays the full head-of-line wait.
     Fcfs,
-    /// EASY backfilling: the head gets a reservation at its earliest
-    /// feasible start; later jobs may start now if they do not delay it.
+    /// EASY backfilling, the default on most production systems. The
+    /// first job that cannot start (the head) gets a reservation at its
+    /// earliest feasible start, the *shadow time*; a later job may start
+    /// now only if it does not delay that reservation, i.e. fits the
+    /// reserved timeline over its whole walltime from now. A job the
+    /// machine would fit but the shadow holds back is labelled
+    /// [`HoldReason::HeadShadow`].
     EasyBackfill,
-    /// Conservative backfilling: every queued job gets a reservation; a
-    /// job may jump ahead only without delaying any of them.
+    /// Conservative backfilling: *every* job that cannot start now
+    /// reserves its earliest feasible slot, so a later job may jump ahead
+    /// only if it delays nobody. Stronger guarantees than EASY, at the
+    /// cost of a timeline that grows with queue depth (perfbench's
+    /// `kernel.sched.cycle_us.conservative` measures it).
     ConservativeBackfill,
-    /// EASY mechanics plus hard aging: a job queued longer than the
-    /// threshold escalates to the front (oldest first), where the head
-    /// reservation guarantees it a start — no starvation, ever.
+    /// EASY mechanics plus *hard aging*: a job queued at least
+    /// `escalate_after_hours` scores +∞, above every priority
+    /// consideration (oldest escalated job first). With the EASY head
+    /// reservation this makes starvation impossible: whatever QoS boosts
+    /// keep arriving, an aged job becomes the head, gets its shadow
+    /// reservation, and starts no later than the reservation allows.
+    /// Rocco et al. ("Dynamic Solutions for Hybrid Quantum-HPC Resource
+    /// Allocation") argue such priority/aging disciplines move the hybrid
+    /// crossover; this discipline makes that claim testable.
     PriorityBackfill {
         /// Queue age (hours) past which a job escalates to the front.
         escalate_after_hours: f64,
     },
-    /// EASY mechanics plus an idle-QPU boost: whenever a QPU gres token
-    /// sits free, jobs requesting QPU gres gain `idle_boost` priority
-    /// points, pulling quantum work forward to soak up idle QPU time
-    /// (à la SCIM MILQ).
+    /// EASY mechanics plus an idle-QPU boost, after SCIM MILQ (Seitz et
+    /// al.): whenever at least one QPU gres token sits free, every queued
+    /// job that requests QPU gres gains `idle_boost` priority points.
+    /// Quantum work jumps ahead of the classical backlog exactly while
+    /// the expensive device idles, and loses the boost the moment the
+    /// QPUs are busy, so classical jobs are not starved (the multifactor
+    /// age term still applies; raise it with [`PolicySpec::with_weights`]
+    /// for stronger guarantees).
     QuantumAware {
         /// Priority points added to QPU-requesting jobs while a QPU idles.
         idle_boost: f64,
@@ -412,9 +221,9 @@ impl Discipline {
 /// multifactor [`PriorityWeights`] and fairshare half-life driving queue
 /// order — knobs that used to be silent [`PriorityCalculator`] defaults.
 ///
-/// `PolicySpec` is what scenarios, sweep grids and the CLI carry;
-/// [`PolicySpec::build`] turns it into the live [`QueuePolicy`] and
-/// [`PolicySpec::calculator`] into the matching priority calculator.
+/// `PolicySpec` is what scenarios, sweep grids and the CLI carry, and
+/// what [`BatchScheduler::new`](crate::BatchScheduler::new) runs;
+/// [`PolicySpec::calculator`] builds the matching priority calculator.
 ///
 /// In JSON it accepts three forms (and always serializes the full one):
 ///
@@ -433,8 +242,7 @@ impl Discipline {
 ///
 /// let spec: PolicySpec = "priority-backfill:age=20".parse()?;
 /// assert_eq!(spec.to_string(), "priority-backfill:age=20");
-/// let policy = spec.build();
-/// assert_eq!(policy.name(), "priority-backfill");
+/// assert_eq!(spec.discipline.name(), "priority-backfill");
 /// # Ok::<(), hpcqc_sched::ParsePolicyError>(())
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -497,21 +305,6 @@ impl PolicySpec {
     pub const fn with_fairshare_half_life_secs(mut self, secs: f64) -> Self {
         self.fairshare_half_life_secs = secs;
         self
-    }
-
-    /// Builds the live policy this spec names.
-    pub fn build(&self) -> Box<dyn QueuePolicy> {
-        match self.discipline {
-            Discipline::Fcfs => Box::new(policies::Fcfs::new()),
-            Discipline::EasyBackfill => Box::new(policies::EasyBackfill::new()),
-            Discipline::ConservativeBackfill => Box::new(policies::ConservativeBackfill::new()),
-            Discipline::PriorityBackfill {
-                escalate_after_hours,
-            } => Box::new(policies::PriorityBackfill::new(escalate_after_hours)),
-            Discipline::QuantumAware { idle_boost } => {
-                Box::new(policies::QuantumAware::new(idle_boost))
-            }
-        }
     }
 
     /// Builds the priority calculator this spec configures (weights +
@@ -583,19 +376,43 @@ impl From<Discipline> for PolicySpec {
 impl fmt::Display for PolicySpec {
     /// The short CLI label: `fcfs`, `easy-backfill`,
     /// `conservative-backfill`, `priority-backfill:age=H`,
-    /// `quantum-aware:boost=P`. Round-trips through [`FromStr`] for any
-    /// spec with default weights (the weights themselves have no short
-    /// form; they travel as JSON).
+    /// `quantum-aware:boost=P`, then `;flag=value` for each priority knob
+    /// that differs from its default, named after its CLI flag
+    /// (`;size-weight=50;fairshare-half-life=3600`). Two specs that run
+    /// differently never share a label, and a label holds no comma, so it
+    /// can key a sweep summary and fill a CSV field. Round-trips through
+    /// [`FromStr`] for any spec with default knobs (the knobs travel as
+    /// JSON or as their own flags).
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self.discipline {
             Discipline::PriorityBackfill {
                 escalate_after_hours,
-            } => write!(f, "priority-backfill:age={escalate_after_hours}"),
+            } => write!(f, "priority-backfill:age={escalate_after_hours}")?,
             Discipline::QuantumAware { idle_boost } => {
-                write!(f, "quantum-aware:boost={idle_boost}")
+                write!(f, "quantum-aware:boost={idle_boost}")?
             }
-            other => f.write_str(other.name()),
+            other => f.write_str(other.name())?,
         }
+        let (w, default) = (self.weights, PriorityWeights::DEFAULT);
+        for (flag, value, default) in [
+            ("age-weight", w.age_per_hour, default.age_per_hour),
+            ("size-weight", w.size_per_node, default.size_per_node),
+            (
+                "fairshare-weight",
+                w.fairshare_per_node_hour,
+                default.fairshare_per_node_hour,
+            ),
+            (
+                "fairshare-half-life",
+                self.fairshare_half_life_secs,
+                DEFAULT_FAIRSHARE_HALF_LIFE_SECS,
+            ),
+        ] {
+            if value != default {
+                write!(f, ";{flag}={value}")?;
+            }
+        }
+        Ok(())
     }
 }
 
@@ -865,9 +682,47 @@ mod tests {
             (PolicySpec::priority_backfill(2.0), "priority-backfill"),
             (PolicySpec::quantum_aware(10.0), "quantum-aware"),
         ] {
-            assert_eq!(spec.build().name(), name);
             assert_eq!(spec.discipline.name(), name);
         }
+    }
+
+    #[test]
+    fn display_names_every_non_default_knob() {
+        let sized = PolicySpec::easy().with_weights(PriorityWeights {
+            age_per_hour: 0.0,
+            size_per_node: 50.0,
+            fairshare_per_node_hour: 0.0,
+        });
+        assert_eq!(
+            sized.to_string(),
+            "easy-backfill;age-weight=0;size-weight=50;fairshare-weight=0"
+        );
+        assert_ne!(sized.to_string(), PolicySpec::easy().to_string());
+        let mut age = PriorityWeights::DEFAULT;
+        age.age_per_hour = 2.5;
+        assert_eq!(
+            PolicySpec::priority_backfill(20.0)
+                .with_weights(age)
+                .with_fairshare_half_life_secs(3_600.0)
+                .to_string(),
+            "priority-backfill:age=20;age-weight=2.5;fairshare-half-life=3600"
+        );
+        let label = PolicySpec::quantum_aware(500.0)
+            .with_weights(PriorityWeights {
+                age_per_hour: 1e21,
+                size_per_node: -0.125,
+                fairshare_per_node_hour: 1_000_000.5,
+            })
+            .to_string();
+        assert!(!label.contains(','), "{label}");
+        // Default knobs keep the label every committed CSV carries.
+        assert_eq!(
+            PolicySpec::easy()
+                .with_weights(PriorityWeights::DEFAULT)
+                .with_fairshare_half_life_secs(DEFAULT_FAIRSHARE_HALF_LIFE_SECS)
+                .to_string(),
+            "easy-backfill"
+        );
     }
 
     #[test]

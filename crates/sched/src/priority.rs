@@ -189,19 +189,6 @@ impl PriorityCalculator {
             + qos_boost
             - self.weights.fairshare_per_node_hour * usage / 3_600.0
     }
-
-    /// Interns into `self` every user `other` knows, returning the map
-    /// from `other`'s ids to `self`'s (indexed by `other`'s id).
-    pub(crate) fn adopt_users(&mut self, other: &PriorityCalculator) -> Vec<UserId> {
-        let mut map = vec![UserId(0); other.usage.len()];
-        for (name, id) in &other.ids {
-            let adopted = self.intern(name);
-            if let Some(slot) = map.get_mut(id.index()) {
-                *slot = adopted;
-            }
-        }
-        map
-    }
 }
 
 #[cfg(test)]

@@ -21,15 +21,14 @@ use hpcqc_simcore::time::SimTime;
 /// rather than assume contiguity.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum CyclePhase {
-    /// Policy `begin_cycle` + queue ordering. The availability profile is
-    /// not built here: it is built inside the first policy call that reads
-    /// it (see [`Profile`](crate::Profile#deferred-profiles)), so its cost
-    /// lands in `Admit` when `admit` reads first (conservative backfill),
-    /// outside the three phases when `held` does (EASY and its variants,
-    /// once a head blocks), and nowhere for FCFS.
+    /// Queue ordering. The availability profile is not built here: it is
+    /// built by the first admit or held step that reads it (see
+    /// [`Profile`](crate::Profile#deferred-profiles)), so its cost lands
+    /// in `Admit` when admit reads first (conservative backfill), outside
+    /// the three phases when held does (EASY and its variants, once a
+    /// head blocks), and nowhere for FCFS.
     Order,
-    /// Per-job policy admission decisions (`admit`; the `held` callback
-    /// runs between phases).
+    /// Per-job admission decisions (the held step runs between phases).
     Admit,
     /// Live-cluster allocation attempts for admitted jobs.
     Allocate,

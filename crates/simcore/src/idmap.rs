@@ -135,11 +135,6 @@ impl<K: Ord + Copy, V> IdMap<K, V> {
     pub fn values(&self) -> impl ExactSizeIterator<Item = &V> + '_ {
         self.iter().map(|(_, v)| v)
     }
-
-    /// Live values in increasing key order, mutably.
-    pub fn values_mut(&mut self) -> impl Iterator<Item = &mut V> + '_ {
-        self.entries.iter_mut().filter_map(|(_, v)| v.as_mut())
-    }
 }
 
 /// The live entries of an [`IdMap`] in increasing key order; see

@@ -140,11 +140,6 @@ impl<V> IdWindow<V> {
             .zip(&self.slots)
             .filter_map(|(i, slot)| Some((self.base + i, slot.as_deref()?)))
     }
-
-    /// Live values in increasing id order, mutably.
-    pub fn values_mut(&mut self) -> impl Iterator<Item = &mut V> + '_ {
-        self.slots.iter_mut().filter_map(|slot| slot.as_deref_mut())
-    }
 }
 
 #[cfg(test)]
@@ -197,9 +192,8 @@ mod tests {
         assert_eq!(w.slots(), 7);
         assert_eq!(w.insert(5, 'F'), Some('f'));
         *w.get_mut(8).unwrap() = 'I';
-        w.values_mut().for_each(|v| *v = v.to_ascii_uppercase());
         let got: Vec<(u64, char)> = w.iter().map(|(id, v)| (id, *v)).collect();
-        assert_eq!(got, vec![(2, 'C'), (5, 'F'), (8, 'I')]);
+        assert_eq!(got, vec![(2, 'c'), (5, 'F'), (8, 'I')]);
         assert_eq!(w.remove(3), None, "an uncovered hole is absent");
         assert_eq!(w.remove(100), None);
         assert_eq!(w.get(1), None);

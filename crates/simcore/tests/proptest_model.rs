@@ -218,10 +218,6 @@ enum WindowOp {
     Touch {
         id: u64,
     },
-    /// Add `by` to every live value through `values_mut`.
-    TouchAll {
-        by: usize,
-    },
 }
 
 fn window_op() -> impl Strategy<Value = WindowOp> {
@@ -234,7 +230,6 @@ fn window_op() -> impl Strategy<Value = WindowOp> {
         (0u64..96).prop_map(|id| WindowOp::Remove { id }),
         (0u64..96).prop_map(|id| WindowOp::Get { id }),
         (0u64..96).prop_map(|id| WindowOp::Touch { id }),
-        (1usize..1_000).prop_map(|by| WindowOp::TouchAll { by }),
     ]
 }
 
@@ -296,10 +291,6 @@ fn check_window_against_model(ops: Vec<WindowOp>) {
                 }
                 prop_assert_eq!(real.get(id), model.get(&id));
             }
-            WindowOp::TouchAll { by } => {
-                real.values_mut().for_each(|v| *v += by);
-                model.values_mut().for_each(|v| *v += by);
-            }
         }
         if model.is_empty() {
             newest = None;
@@ -326,7 +317,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
     /// `IdWindow` under increasing inserts answers every remove, get,
-    /// get_mut, `values_mut` pass and overwrite like a `BTreeMap` (see
+    /// get_mut and overwrite like a `BTreeMap` (see
     /// [`check_window_against_model`]).
     #[test]
     fn id_window_matches_btree_map(ops in prop::collection::vec(window_op(), 1..200)) {

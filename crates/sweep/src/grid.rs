@@ -154,6 +154,25 @@ pub struct Grid {
     pub workloads: Option<Vec<WorkloadSpec>>,
 }
 
+/// A fleet's label in result rows: `name/route`.
+pub(crate) fn fleet_label(fleet: &FleetSpec) -> String {
+    format!("{}/{}", fleet.name, fleet.route.name())
+}
+
+/// Fails naming `axis` and the label if two of `labels` are equal.
+fn unique_labels(axis: &str, labels: impl Iterator<Item = String>) -> Result<(), String> {
+    let mut seen = Vec::new();
+    for label in labels {
+        if seen.contains(&label) {
+            return Err(format!(
+                "grid axis `{axis}`: two entries share the label `{label}`"
+            ));
+        }
+        seen.push(label);
+    }
+    Ok(())
+}
+
 impl Grid {
     /// Starts building a grid (single-cell defaults: co-scheduling, EASY
     /// backfill, 16 nodes, superconducting, on-prem, advisory walltimes,
@@ -244,6 +263,14 @@ impl Grid {
                 .validate()
                 .map_err(|e| format!("grid axis `policies`: {e}"))?;
         }
+        // Rows name these axes by label, and summaries group by it: two
+        // entries sharing a label would read as one.
+        unique_labels("policies", self.policies.iter().map(PolicySpec::to_string))?;
+        unique_labels("fleets", self.fleets.iter().flatten().map(fleet_label))?;
+        unique_labels(
+            "faults",
+            self.faults.iter().flatten().map(|p| p.label().to_string()),
+        )?;
         if self
             .loads_per_hour
             .iter()
@@ -839,6 +866,71 @@ mod tests {
             ..Grid::default()
         };
         assert!(g.validate().unwrap_err().contains("fleets"));
+    }
+
+    #[test]
+    fn validate_rejects_duplicate_axis_labels() {
+        use hpcqc_faults::{DeviceFaults, RecoverySpec};
+        use hpcqc_fleet::{FleetDevice, RouteSpec};
+        use hpcqc_sched::PriorityWeights;
+        // Unnamed plans are both labelled `faults`.
+        let flaky = || FaultPlan::default().device(DeviceFaults::new().kernel_error_rate(0.05));
+        let g = Grid {
+            faults: Some(vec![
+                flaky(),
+                flaky().recovery(RecoverySpec::new().max_kernel_retries(4)),
+            ]),
+            ..Grid::default()
+        };
+        assert_eq!(
+            g.validate().unwrap_err(),
+            "grid axis `faults`: two entries share the label `faults`"
+        );
+        let g = Grid {
+            faults: Some(vec![FaultPlan::none(), FaultPlan::named("a"), flaky()]),
+            ..Grid::default()
+        };
+        assert!(g.validate().is_ok());
+        // Fleets are labelled `name/route`: a route apart is enough.
+        let fleet = |route| {
+            FleetSpec::new("f")
+                .route(route)
+                .device(FleetDevice::new("sc", Technology::Superconducting))
+        };
+        let g = Grid {
+            fleets: Some(vec![fleet(RouteSpec::PinFirst), fleet(RouteSpec::PinFirst)]),
+            ..Grid::default()
+        };
+        assert_eq!(
+            g.validate().unwrap_err(),
+            "grid axis `fleets`: two entries share the label `f/pin-first`"
+        );
+        let g = Grid {
+            fleets: Some(vec![
+                fleet(RouteSpec::PinFirst),
+                fleet(RouteSpec::LeastLoaded),
+            ]),
+            ..Grid::default()
+        };
+        assert!(g.validate().is_ok());
+        // Policies apart only in their priority knobs have apart labels.
+        let sized = PolicySpec::easy().with_weights(PriorityWeights {
+            size_per_node: 50.0,
+            ..PriorityWeights::DEFAULT
+        });
+        let g = Grid {
+            policies: vec![PolicySpec::easy(), sized],
+            ..Grid::default()
+        };
+        assert!(g.validate().is_ok());
+        let g = Grid {
+            policies: vec![sized, PolicySpec::fcfs(), sized],
+            ..Grid::default()
+        };
+        assert_eq!(
+            g.validate().unwrap_err(),
+            "grid axis `policies`: two entries share the label `easy-backfill;size-weight=50`"
+        );
     }
 
     /// A one-cell loaded-facility grid whose `LoadedFacility` fields are

@@ -2,7 +2,7 @@
 //! replicas, and CSV/JSON/markdown emitters built on
 //! [`hpcqc_metrics::report::Table`].
 
-use crate::grid::{fmt_walltime, Cell};
+use crate::grid::{fleet_label, fmt_walltime, Cell};
 use hpcqc_core::outcome::Outcome;
 use hpcqc_metrics::report::Table;
 use serde::{Deserialize, Serialize};
@@ -124,10 +124,7 @@ impl CellRow {
             policy: cell.policy.to_string(),
             nodes: cell.nodes,
             technology: cell.technology.name().to_string(),
-            fleet: cell
-                .fleet
-                .as_ref()
-                .map(|f| format!("{}/{}", f.name, f.route.name())),
+            fleet: cell.fleet.as_ref().map(fleet_label),
             faults: cell.faults.as_ref().map(|p| p.label().to_string()),
             workload: cell.workload,
             access: cell.access.name().to_string(),
@@ -545,6 +542,33 @@ mod tests {
         // 2 strategies × 3 replicas → 2 groups of 3.
         assert_eq!(summary.len(), 2);
         assert!(summary.rows().iter().all(|r| r[7] == "3"));
+    }
+
+    #[test]
+    fn policies_apart_only_in_priority_knobs_split_groups() {
+        use hpcqc_sched::{PolicySpec, PriorityWeights};
+        let sized = PolicySpec::easy().with_weights(PriorityWeights {
+            age_per_hour: 0.0,
+            size_per_node: 50.0,
+            fairshare_per_node_hour: 0.0,
+        });
+        let grid = Grid::builder()
+            .strategies(vec![Strategy::Workflow])
+            .policies(vec![PolicySpec::easy(), sized])
+            .build();
+        let result = Executor::new(2).run_sim(&grid).expect("sweep runs");
+        let labels: Vec<String> = result.rows().into_iter().map(|r| r.policy).collect();
+        assert_eq!(
+            labels,
+            [
+                "easy-backfill",
+                "easy-backfill;age-weight=0;size-weight=50;fairshare-weight=0"
+            ]
+        );
+        // One summary group per policy, each over its one replica.
+        let summary = result.summary();
+        assert_eq!(summary.len(), 2);
+        assert!(summary.rows().iter().all(|r| r[7] == "1"));
     }
 
     #[test]

@@ -69,7 +69,7 @@ pub mod prelude {
     pub use hpcqc_qpu::{AccessMode, Kernel, QpuDevice, Technology};
     pub use hpcqc_sched::{
         BatchScheduler, CyclePhase, CycleProbe, Discipline, HoldReason, NoProbe, PendingJob,
-        PolicySpec, PriorityCalculator, PriorityWeights, QueuePolicy, SchedCtx, Verdict,
+        PolicySpec, PriorityCalculator, PriorityWeights,
     };
     pub use hpcqc_simcore::{Dist, SimDuration, SimRng, SimTime};
     pub use hpcqc_sweep::{

@@ -747,6 +747,38 @@ fn sweep_rejects_broken_loaded_facility_workloads() {
 }
 
 #[test]
+fn sweep_rejects_fault_plans_that_share_a_label() {
+    let dir = std::env::temp_dir().join(format!("hpcqc_cli_duplabel_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let grid = std::fs::read_to_string(
+        std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("examples/grids/faults.json"),
+    )
+    .unwrap();
+    // Unnamed, both plans are labelled `faults`: their rows would read
+    // alike and the summary would merge them into one group.
+    let mut unnamed = grid.clone();
+    for name in [r#""name": "none","#, r#""name": "degraded","#] {
+        assert!(grid.contains(name), "faults.json no longer has {name}");
+        unnamed = unnamed.replace(name, "");
+    }
+    let path = dir.join("unnamed.json");
+    std::fs::write(&path, unnamed).unwrap();
+    let out = Command::new(env!("CARGO_BIN_EXE_hpcqc-sim"))
+        .args(["sweep", "--threads", "1", "--grid"])
+        .arg(&path)
+        .output()
+        .expect("hpcqc-sim runs");
+    assert_eq!(out.status.code(), Some(1), "{out:?}");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("invalid grid"), "{stderr}");
+    assert!(
+        stderr.contains("grid axis `faults`: two entries share the label `faults`"),
+        "{stderr}"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn faults_subcommand_describes_the_plan() {
     let out = Command::new(env!("CARGO_BIN_EXE_hpcqc-sim"))
         .arg("faults")
@@ -1011,6 +1043,12 @@ fn run_and_explain_share_the_scenario_flag_parser() {
     assert!(
         out.status.success(),
         "explain must take priority knobs: {out:?}"
+    );
+    // The announce line names the knob, not just the discipline.
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("policy easy-backfill;age-weight=2\n"),
+        "{stderr}"
     );
 }
 
