@@ -1225,8 +1225,13 @@ impl<'o> SimState<'o> {
                     QueueEntry::Step(job) => self.on_step_started(driver, job, st.alloc, now)?,
                 }
             }
-            // Starting jobs can release nothing, so one pass suffices; loop
-            // again anyway in case a zero-node request pattern changed state.
+            // A start handler can free capacity: malleable's
+            // `on_quantum_enter` shrinks a job that opens with a quantum
+            // phase, inside the handler. So plan again until a pass starts
+            // nothing. If no handler touched the cluster or the queue, the
+            // re-run is the scheduler's same-instant follow-up, a linear
+            // re-diagnosis of the held jobs with no sort, profile or admit
+            // loop (see `BatchScheduler::try_schedule_probed`).
         }
     }
 

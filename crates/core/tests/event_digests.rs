@@ -28,13 +28,25 @@
 //! event digests were recorded before Gantt recording became an
 //! ordinary observer, and its outcome digests derived as above.
 //!
+//! A third table pins what the first two leave out: the four policies
+//! other than EASY under each committed fault plan (workflow under the
+//! node plan, `vqpu:8` under the degraded one, as in the breadth table;
+//! quantum-aware takes co-schedule under the node plan, since workflow
+//! steps ask for no QPU and would run it as EASY), and `vqpu:8` on the
+//! heterogeneous fleet, on its own least-loaded
+//! route, under each plan. The cases run like the breadth table's fault
+//! cases, with conservative backfill's burst cut to 80 jobs as in the
+//! first table. The table was recorded before scheduler cycles began to
+//! carry verdicts over from the last cycle.
+//!
 //! If a change is *supposed* to move these results, run
 //!
 //! ```text
 //! cargo test -p hpcqc-core --test event_digests
 //! ```
 //!
-//! paste the table the failure prints over `GOLDEN` or `BREADTH`, and
+//! paste the table the failure prints over `GOLDEN`, `BREADTH` or
+//! `FAULTS`, and
 //! say in the change log which digests moved and why.
 
 use hpcqc_core::observer::{SimEvent, SimObserver};
@@ -90,6 +102,24 @@ const BREADTH: [BreadthCase; 9] = [
     ("workflow nodes", 120, 240.0, 5195, "5177e6834689dc2d", "3daac9fa76fa123f"),
     ("vqpu:8 degraded", 120, 240.0, 2945, "a1e55a09ed7b956a", "6d5c54a1903318f1"),
     ("adaptive degraded", 120, 240.0, 3903, "4366aaa68dfe6863", "439e22e1d1f3500b"),
+];
+
+/// `(case, jobs, events, event digest, outcome digest)` per fault case:
+/// a policy, then a breadth case name; the jobs arrive at 240/h.
+type FaultCase = (&'static str, u64, u64, &'static str, &'static str);
+
+#[rustfmt::skip]
+const FAULTS: [FaultCase; 10] = [
+    ("fcfs workflow nodes", 120, 7868, "8aa38ace7c50f3e1", "0fe8d33a4c6a2960"),
+    ("fcfs vqpu:8 degraded", 120, 4012, "005bbad68c9b91ea", "e243e9391a3ffb5e"),
+    ("conservative workflow nodes", 80, 3231, "2f20fc193b6e7d3b", "149c39c81939ce2f"),
+    ("conservative vqpu:8 degraded", 80, 2046, "0f6ceb8498d3b9cd", "65de63d5686742c1"),
+    ("priority-backfill workflow nodes", 120, 5074, "6bdf04e9aeeb795b", "3d3217f496dc42a7"),
+    ("priority-backfill vqpu:8 degraded", 120, 2972, "d2c9fd8b98626618", "f09ccd1c017b9265"),
+    ("quantum-aware co-schedule nodes", 120, 2561, "ded06cb1a0d6e40a", "9cde27e120a239b7"),
+    ("quantum-aware vqpu:8 degraded", 120, 2910, "4033f57169f6fc70", "4a1bd211eea0356e"),
+    ("easy vqpu:8 hetero least-loaded nodes", 120, 2931, "8b6cb0d181a7133b", "16e5051b0103ab31"),
+    ("easy vqpu:8 hetero least-loaded degraded", 120, 3225, "6b5529a2c0265e32", "d1fd575ecdda9c7e"),
 ];
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
@@ -158,10 +188,10 @@ fn burst(jobs: u64, per_hour: f64) -> Workload {
     Workload::from_jobs(spec.stream(7).collect())
 }
 
-/// The scenario of one breadth case: EASY on 64 nodes, seed 7, one
-/// superconducting device unless the case names the `hetero` fleet (with
-/// the route it names), and the fault plan the case names, if any.
-fn breadth_scenario(case: &str) -> Scenario {
+/// The scenario of one breadth case under `policy`: 64 nodes, seed 7,
+/// one superconducting device unless the case names the `hetero` fleet
+/// (with the route it names), and the fault plan the case names, if any.
+fn breadth_scenario(policy: PolicySpec, case: &str) -> Scenario {
     let mut words = case.split(' ');
     let strategy = match words.next() {
         Some("co-schedule") => Strategy::CoSchedule,
@@ -174,7 +204,7 @@ fn breadth_scenario(case: &str) -> Scenario {
     let mut builder = Scenario::builder()
         .classical_nodes(64)
         .device(Technology::Superconducting)
-        .policy(PolicySpec::easy())
+        .policy(policy)
         .strategy(strategy)
         .seed(7);
     while let Some(word) = words.next() {
@@ -241,7 +271,10 @@ fn breadth_event_streams_reproduce_recorded_digests() {
     let mut table = String::new();
     let mut moved = Vec::new();
     for (case, jobs, per_hour, events, want_events, want_outcome) in BREADTH {
-        let got = run_case(&breadth_scenario(case), &burst(jobs, per_hour));
+        let got = run_case(
+            &breadth_scenario(PolicySpec::easy(), case),
+            &burst(jobs, per_hour),
+        );
         table.push_str(&format!(
             "    (\"{case}\", {jobs}, {per_hour:.1}, {}, \"{}\", \"{}\"),\n",
             got.0, got.1, got.2
@@ -253,5 +286,29 @@ fn breadth_event_streams_reproduce_recorded_digests() {
     assert!(
         moved.is_empty(),
         "event digests moved for {moved:?}; if intended, replace BREADTH with:\n{table}"
+    );
+}
+
+#[test]
+fn fault_plan_event_streams_reproduce_recorded_digests() {
+    let mut table = String::new();
+    let mut moved = Vec::new();
+    for (case, jobs, events, want_events, want_outcome) in FAULTS {
+        let (policy_name, breadth_case) = case.split_once(' ').expect("a policy, then a case");
+        let got = run_case(
+            &breadth_scenario(policy(policy_name), breadth_case),
+            &burst(jobs, 240.0),
+        );
+        table.push_str(&format!(
+            "    (\"{case}\", {jobs}, {}, \"{}\", \"{}\"),\n",
+            got.0, got.1, got.2
+        ));
+        if got != (events, want_events.to_string(), want_outcome.to_string()) {
+            moved.push(case);
+        }
+    }
+    assert!(
+        moved.is_empty(),
+        "event digests moved for {moved:?}; if intended, replace FAULTS with:\n{table}"
     );
 }

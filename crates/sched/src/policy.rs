@@ -432,8 +432,23 @@ pub const POLICY_FORMS: &str =
     "fcfs | easy[-backfill] | conservative[-backfill] | priority-backfill[:age=H] | quantum-aware[:boost=P]";
 
 impl fmt::Display for ParsePolicyError {
+    /// A known discipline with a bad knob names the knob and its rule;
+    /// anything else is an unknown policy.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "unknown policy `{}` (valid: {POLICY_FORMS})", self.input)
+        let (input, name) = (&self.input, &self.name);
+        let rule = match name.as_str() {
+            "fcfs" | "easy" | "easy-backfill" | "conservative" | "conservative-backfill" => {
+                "takes no knob"
+            }
+            "priority-backfill" => {
+                "takes one knob, `age=H`, the escalation age in hours: a finite number above 0"
+            }
+            "quantum-aware" => {
+                "takes one knob, `boost=P`, the idle-QPU boost in priority points: a finite number, 0 or more"
+            }
+            _ => return write!(f, "unknown policy `{input}` (valid: {POLICY_FORMS})"),
+        };
+        write!(f, "bad knob in policy `{input}`: `{name}` {rule}")
     }
 }
 
@@ -611,8 +626,20 @@ mod tests {
             "quantum-aware:boost=-1",    // negative boost
             "quantum-aware:boost=inf",   // non-finite
         ] {
-            assert!(bad.parse::<PolicySpec>().is_err(), "`{bad}` must not parse");
+            let err = bad.parse::<PolicySpec>().unwrap_err();
+            assert!(
+                err.to_string().starts_with("bad knob in policy"),
+                "`{bad}`: {err}"
+            );
         }
+        let err = "priority-backfill:age=-1"
+            .parse::<PolicySpec>()
+            .unwrap_err();
+        assert!(err.to_string().contains("`age=H`"), "{err}");
+        let err = "quantum-aware:boost=nan".parse::<PolicySpec>().unwrap_err();
+        assert!(err.to_string().contains("`boost=P`"), "{err}");
+        let err = "easy:age=2".parse::<PolicySpec>().unwrap_err();
+        assert!(err.to_string().ends_with("`easy` takes no knob"), "{err}");
     }
 
     #[test]

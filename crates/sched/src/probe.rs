@@ -18,17 +18,25 @@ use hpcqc_simcore::time::SimTime;
 /// The internal phases of one planning cycle, in execution order.
 ///
 /// `Admit` and `Allocate` interleave per queued job; probes accumulate
-/// rather than assume contiguity.
+/// rather than assume contiguity. Every cycle reports one `Admit` per
+/// queued job. A cycle that takes one of the scheduler's fast paths (see
+/// [`try_schedule_probed`](crate::scheduler::BatchScheduler::try_schedule_probed))
+/// has no `Order` and no `Allocate`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum CyclePhase {
-    /// Queue ordering. The availability profile is not built here: it is
-    /// built by the first admit or held step that reads it (see
-    /// [`Profile`](crate::Profile#deferred-profiles)), so its cost lands
-    /// in `Admit` when admit reads first (conservative backfill), outside
-    /// the three phases when held does (EASY and its variants, once a
-    /// head blocks), and nowhere for FCFS.
+    /// Queue ordering: scoring and sorting. The availability profile is
+    /// not built here: it is built by the first admit or held step that
+    /// reads it (see [`Profile`](crate::Profile#deferred-profiles)), so
+    /// its cost lands in `Admit` when admit reads first (conservative
+    /// backfill), outside the three phases when held does (EASY and its
+    /// variants, once a head blocks), and nowhere for FCFS. A clock-only
+    /// re-run's order check also runs outside the phases; when it fails,
+    /// the keys it scored are kept, and this phase scores the rest and
+    /// sorts.
     Order,
     /// Per-job admission decisions (the held step runs between phases).
+    /// In a same-instant follow-up, each is the job's re-diagnosis; in a
+    /// clock-only re-run, which keeps the last holds, each is empty.
     Admit,
     /// Live-cluster allocation attempts for admitted jobs.
     Allocate,

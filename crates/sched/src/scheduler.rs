@@ -13,7 +13,7 @@
 //! queue policy in force.
 
 use crate::demand::{Demand, Profile, Releases};
-use crate::policy::{sort_by_score, Discipline, HoldReason, PolicySpec};
+use crate::policy::{Discipline, HoldReason, PolicySpec};
 use crate::priority::{PriorityCalculator, UserId};
 use crate::probe::{CyclePhase, CycleProbe, NoProbe};
 use hpcqc_cluster::alloc::AllocRequest;
@@ -149,6 +149,96 @@ fn job_priority(
     }
 }
 
+/// A queued job's sort key for one cycle, packed so that ascending keys
+/// are the policy's order: the score's [`f64::total_cmp`] bits reversed
+/// (highest score first), then submit time, then id. This is the order
+/// [`sort_by_score`](crate::policy::sort_by_score) sorts by, compared as
+/// integers.
+type OrderKey = (u64, u64, u64);
+
+/// Packs `score` and `job`'s tiebreaks into an [`OrderKey`].
+fn order_key(score: f64, job: &PendingJob) -> OrderKey {
+    let bits = score.to_bits();
+    // `total_cmp`'s order as unsigned integers: negatives reversed below
+    // the sign bit, non-negatives above it.
+    let total = if bits >> 63 == 1 {
+        !bits
+    } else {
+        bits | 1 << 63
+    };
+    (!total, job.submit.as_nanos(), job.id.raw())
+}
+
+/// The order `match`'s adjustment of the multifactor priority, read once
+/// per cycle.
+#[derive(Debug)]
+enum Scoring {
+    /// The multifactor priority as it is.
+    Plain,
+    /// Priority backfill: a job queued at least this many hours scores
+    /// +∞, above every finite priority; ties among such jobs fall to the
+    /// submit-time tiebreak, oldest first.
+    Escalate(f64),
+    /// Quantum-aware while a QPU is idle: a job asking for `qpu` gres
+    /// gains `boost` points.
+    Boost { qpu: GresKind, boost: f64 },
+}
+
+impl Scoring {
+    /// The order `match`: what `discipline` adds to the multifactor
+    /// priority on `cluster` as it stands.
+    fn of(discipline: Discipline, cluster: &Cluster) -> Self {
+        match discipline {
+            Discipline::Fcfs | Discipline::EasyBackfill | Discipline::ConservativeBackfill => {
+                Scoring::Plain
+            }
+            Discipline::PriorityBackfill {
+                escalate_after_hours,
+            } => Scoring::Escalate(escalate_after_hours),
+            Discipline::QuantumAware { idle_boost } => {
+                let qpu = GresKind::qpu();
+                let qpu_idle = cluster
+                    .partitions()
+                    .iter()
+                    .flat_map(|p| p.gres_pools())
+                    .any(|pool| pool.kind() == &qpu && pool.available() > 0);
+                if qpu_idle {
+                    Scoring::Boost {
+                        qpu,
+                        boost: idle_boost,
+                    }
+                } else {
+                    Scoring::Plain
+                }
+            }
+        }
+    }
+
+    /// Quantum-aware's idle-QPU flag; `false` under every other
+    /// discipline.
+    fn boosts(&self) -> bool {
+        matches!(self, Scoring::Boost { .. })
+    }
+}
+
+/// How a cycle left the scheduler and the cluster: what the next cycle
+/// needs to prove that only the clock moved since (see
+/// [`BatchScheduler::try_schedule_probed`]'s fast paths).
+#[derive(Debug, Clone, Copy)]
+struct CycleEnd {
+    /// The cycle's instant.
+    now: SimTime,
+    /// The cluster's [`version`](Cluster::version) when the cycle ended.
+    version: u64,
+    /// The cycle's final live free vector.
+    free: Demand,
+    /// The cycle's [`Scoring::boosts`] flag, read before any start.
+    qpu_boost: bool,
+    /// Whether some held job's demand fitted `free`; meaningful only for
+    /// a cycle that started nothing.
+    any_fits: bool,
+}
+
 #[derive(Debug, Clone)]
 struct Running {
     job: JobId,
@@ -200,10 +290,22 @@ pub struct BatchScheduler {
     /// reported for that job (see [`BatchScheduler::hold_changes`]).
     hold_changes: Vec<(JobId, HoldReason)>,
     /// The cluster's [`version`](Cluster::version) and free vector at the
-    /// end of the last full cycle, if that cycle proved the queue settled
+    /// end of the last cycle, if that cycle proved the queue settled
     /// (see [`BatchScheduler::is_settled`]). Cleared by every submit,
     /// cancel and start.
     settled: Option<(u64, Demand)>,
+    /// The end of the last cycle, if it started jobs and refused no
+    /// allocation: a same-instant follow-up may re-diagnose instead of
+    /// re-planning. Cleared by every submit, cancel, finish and cycle.
+    follow_up: Option<CycleEnd>,
+    /// The end of the last cycle, if it started nothing and refused no
+    /// allocation: a clock-only re-run may keep its holds. Cleared like
+    /// `follow_up`.
+    carried: Option<CycleEnd>,
+    /// The full cycle's sort keys, each with its job's queue position;
+    /// kept between cycles so that sorting allocates only when the queue
+    /// outgrows every earlier one.
+    keys: Vec<(OrderKey, usize)>,
 }
 
 impl BatchScheduler {
@@ -223,6 +325,9 @@ impl BatchScheduler {
             last_holds: Vec::new(),
             hold_changes: Vec::new(),
             settled: None,
+            follow_up: None,
+            carried: None,
+            keys: Vec::new(),
         }
     }
 
@@ -242,8 +347,11 @@ impl BatchScheduler {
     ///
     /// While the scheduler [`is_settled`](BatchScheduler::is_settled),
     /// this is also exactly the set of holds a cycle run now would
-    /// report, though possibly in a different order. The holds whose
-    /// reason changed since it was last reported are
+    /// report, though possibly in a different order. A clock-only re-run
+    /// (see [`try_schedule_probed`](BatchScheduler::try_schedule_probed))
+    /// leaves the list as it stands, since it proves that the full cycle
+    /// would rebuild it entry for entry. The holds whose reason changed
+    /// since it was last reported are
     /// [`hold_changes`](BatchScheduler::hold_changes).
     pub fn last_holds(&self) -> &[(JobId, HoldReason)] {
         &self.last_holds
@@ -258,7 +366,10 @@ impl BatchScheduler {
     /// cycle after every start, as a simulation loop must, and reads
     /// this after the final, non-starting one sees each reason change
     /// exactly once. A hold diagnosed in a starting cycle is listed again
-    /// after the next cycle if it persists. A start or a
+    /// after the next cycle if it persists, whether that cycle plans in
+    /// full or is a same-instant follow-up; a clock-only re-run lists
+    /// nothing, since the cycle it repeats committed every reason it
+    /// holds. A start or a
     /// [`cancel`](BatchScheduler::cancel) forgets the job's reported
     /// reason, so a resubmitted id is reported afresh.
     pub fn hold_changes(&self) -> &[(JobId, HoldReason)] {
@@ -347,7 +458,7 @@ impl BatchScheduler {
         };
         self.queued.insert(id, entry);
         self.pending.push(job);
-        self.settled = None;
+        self.forget_last_cycle();
         Ok(())
     }
 
@@ -359,14 +470,14 @@ impl BatchScheduler {
         self.pending.retain(|p| p.id != job);
         self.last_holds.retain(|&(id, _)| id != job);
         self.hold_changes.retain(|&(id, _)| id != job);
-        self.settled = None;
+        self.forget_last_cycle();
         self.queued.remove(job.raw()).is_some()
     }
 
     /// `true` if a scheduling cycle run now on `cluster` would start
     /// nothing and report the same holds as
     /// [`last_holds`](BatchScheduler::last_holds), so the caller may skip
-    /// it. It holds when the last full cycle started nothing and found no
+    /// it. It holds when the last cycle started nothing and found no
     /// queued demand covered by the free vector; when no job was
     /// submitted, cancelled or started since; and when `cluster`'s free
     /// vector equals that cycle's.
@@ -408,6 +519,14 @@ impl BatchScheduler {
     /// [`version`](Cluster::version) is the settled cycle's has had no
     /// mutating call since, so its free vector is that cycle's; only a
     /// moved version costs the free-vector comparison.
+    ///
+    /// A caller that runs the cycle anyway gets the same holds in the
+    /// order the queue sorts into now. That cycle may take the clock-only
+    /// fast path of
+    /// [`try_schedule_probed`](BatchScheduler::try_schedule_probed),
+    /// whose proof is the stronger one: it keeps every verdict, not only
+    /// the starts, so it also needs the queue's order unchanged and no
+    /// release due.
     pub fn is_settled(&self, cluster: &Cluster) -> bool {
         match &self.settled {
             Some((version, free)) => {
@@ -422,6 +541,10 @@ impl BatchScheduler {
     /// fairshare usage. Returns the finished job's id if known.
     pub fn finished(&mut self, alloc: AllocationId, now: SimTime) -> Option<JobId> {
         let running = self.running.remove(&alloc)?;
+        // The running set and the fairshare usage change; settledness
+        // holds regardless (see `is_settled`), the fast paths do not.
+        self.follow_up = None;
+        self.carried = None;
         let node_seconds =
             f64::from(running.node_count) * now.saturating_since(running.started).as_secs_f64();
         self.priority
@@ -448,25 +571,109 @@ impl BatchScheduler {
     /// [Deferred profiles](Profile#deferred-profiles)): a cycle whose
     /// policy never looks at the timeline neither copies the running set
     /// nor builds one.
+    ///
+    /// # Fast paths
+    ///
+    /// Two kinds of cycle re-plan nothing, because only the clock moved
+    /// since the last one. Both need that no submit, cancel or
+    /// [`finished`](BatchScheduler::finished) came in between, that the
+    /// last cycle refused no allocation, and that `cluster`'s version, or
+    /// else its free vector, is the one the last cycle left. Then:
+    ///
+    /// 1. a *same-instant follow-up*, a cycle at the instant of a cycle
+    ///    that started jobs, re-diagnoses the held jobs in one pass (see
+    ///    `follow_up_holds`); under quantum-aware the idle-QPU flag must
+    ///    be the one that cycle's order read, and under conservative no
+    ///    running job's expected end may lie at or before `now`;
+    /// 2. a *clock-only re-run*, a cycle at or after a cycle that started
+    ///    nothing, keeps that cycle's holds (see `carry_holds`), if no
+    ///    running job's expected end lies at or before `now` and the
+    ///    queue scored at `now` is still in that cycle's order (checked in
+    ///    one pass, no sort).
+    ///
+    /// Each proves its verdicts equal to the full cycle's, and reports
+    /// to `probe` as one cycle with one [`CyclePhase::Admit`] per queued
+    /// job and no [`CyclePhase::Order`].
     pub fn try_schedule_probed(
         &mut self,
         cluster: &mut Cluster,
         now: SimTime,
         probe: &mut dyn CycleProbe,
     ) -> Vec<StartedJob> {
-        self.last_holds.clear();
-        self.hold_changes.clear();
         self.settled = None;
         if self.pending.is_empty() {
+            // Any fast-path state may stay: only a submit, which clears
+            // it, refills the queue.
+            self.last_holds.clear();
+            self.hold_changes.clear();
             return Vec::new();
         }
-        probe.cycle_start(now, self.pending.len());
+        self.cycle(cluster, now, probe)
+    }
+
+    /// [`try_schedule_probed`](BatchScheduler::try_schedule_probed) on a
+    /// non-empty queue. A simulation loop runs a cycle after every event,
+    /// most often on an empty queue: kept out of line, this body's stack
+    /// frame stays off that early return (perfbench `qpu-stream` runs
+    /// ~147 events per job and was ~1% slower with the body inline).
+    #[inline(never)]
+    fn cycle(
+        &mut self,
+        cluster: &mut Cluster,
+        now: SimTime,
+        probe: &mut dyn CycleProbe,
+    ) -> Vec<StartedJob> {
+        let follow_up = self.follow_up.take();
+        let carried = self.carried.take();
+        self.keys.clear();
+        let depth = self.pending.len();
+        probe.cycle_start(now, depth);
+        let scoring = Scoring::of(self.spec.discipline, cluster);
+        // Conservative slots read releases due by now; the other arms'
+        // follow-ups do not (see `follow_up_holds`).
+        let slots_read_due = match self.spec.discipline {
+            Discipline::ConservativeBackfill => true,
+            Discipline::Fcfs
+            | Discipline::EasyBackfill
+            | Discipline::PriorityBackfill { .. }
+            | Discipline::QuantumAware { .. } => false,
+        };
+        if let Some(end) = follow_up.filter(|end| {
+            end.now == now
+                && end.qpu_boost == scoring.boosts()
+                && self.unchanged(end, cluster)
+                && !(slots_read_due && self.release_due(now))
+        }) {
+            let any_fits = self.follow_up_holds(cluster, &end.free, probe);
+            self.end_idle(cluster, CycleEnd { any_fits, ..end }, true);
+            probe.cycle_end(0, self.pending.len());
+            return Vec::new();
+        }
+        if let Some(end) = carried.filter(|end| {
+            end.now <= now
+                && self.unchanged(end, cluster)
+                && !self.release_due(now)
+                && self.in_order(&scoring, now)
+        }) {
+            self.carry_holds(probe);
+            let end = CycleEnd {
+                now,
+                qpu_boost: scoring.boosts(),
+                ..end
+            };
+            self.end_idle(cluster, end, true);
+            probe.cycle_end(0, depth);
+            return Vec::new();
+        }
+
+        self.last_holds.clear();
+        self.hold_changes.clear();
         probe.phase_start(CyclePhase::Order);
+        self.order(&scoring, now);
+        probe.phase_end(CyclePhase::Order);
         // The live free vector: the cluster's free capacity, less what
         // each start of this cycle allocates.
         let mut free = Demand::free_of(cluster);
-        self.order(cluster, now);
-        probe.phase_end(CyclePhase::Order);
         let mut profile = Profile::deferred(now, free, &self.running);
         let discipline = self.spec.discipline;
         // FCFS: a job was held, so every later one waits. The EASY arm:
@@ -476,9 +683,11 @@ impl BatchScheduler {
         let mut started = Vec::new();
         // Whether some queued demand fitted the free vector at its admit.
         let mut any_fits = false;
+        // Whether the live cluster refused an admitted start.
+        let mut refused = false;
         // Held jobs are compacted to the front of `pending`, in order.
         let mut kept = 0;
-        for i in 0..self.pending.len() {
+        for i in 0..depth {
             let job = &self.pending[i];
             // Every queued job got its entry at submit, and only a start
             // or a cancel removes it together with the job.
@@ -518,7 +727,10 @@ impl BatchScheduler {
                         // Profile said yes but the live cluster disagrees
                         // (e.g. failed nodes): treat as held, blaming the
                         // concrete shortage the allocator reported.
-                        Err(err) => Self::classify(&err),
+                        Err(err) => {
+                            refused = true;
+                            Self::classify(&err)
+                        }
                     }
                 }
                 Admit::Hold => shortage(cluster, &free, &demand),
@@ -539,61 +751,283 @@ impl BatchScheduler {
         }
         self.pending.truncate(kept);
         self.running.extend(self.starting.drain(..));
+        let end = CycleEnd {
+            now,
+            version: cluster.version(),
+            free,
+            qpu_boost: scoring.boosts(),
+            any_fits,
+        };
         if started.is_empty() {
-            // Commit the reasons this cycle reported (see `hold_changes`).
-            for &(id, reason) in &self.hold_changes {
-                if let Some(entry) = self.queued.get_mut(id.raw()) {
-                    entry.reported = Some(reason);
-                }
-            }
-            // No start and no fit: the queue is stuck until the free
-            // vector or the queue changes (see `is_settled`).
-            if !any_fits {
-                self.settled = Some((cluster.version(), free));
-            }
+            self.end_idle(cluster, end, !refused);
+        } else if !refused {
+            self.follow_up = Some(end);
         }
         probe.cycle_end(started.len(), self.pending.len());
         started
     }
 
-    /// The order `match`: sorts the queue for this cycle, most preferred
-    /// first, on the multifactor priority of each job's submit-time entry
-    /// adjusted by the discipline.
-    fn order(&mut self, cluster: &Cluster, now: SimTime) {
-        let (priority, queued) = (&self.priority, &self.queued);
-        let multifactor = |job: &PendingJob| job_priority(priority, queued, job, now);
-        match self.spec.discipline {
-            Discipline::Fcfs | Discipline::EasyBackfill | Discipline::ConservativeBackfill => {
-                sort_by_score(&mut self.pending, multifactor);
-            }
-            // Escalated jobs score +∞, above every finite priority; ties
-            // among them fall to the submit-time tiebreak, oldest first.
-            Discipline::PriorityBackfill {
-                escalate_after_hours,
-            } => sort_by_score(&mut self.pending, |job| {
-                let age_hours = now.saturating_since(job.submit).as_secs_f64() / 3_600.0;
-                if age_hours >= escalate_after_hours {
-                    f64::INFINITY
-                } else {
-                    multifactor(job)
-                }
-            }),
-            Discipline::QuantumAware { idle_boost } => {
-                let qpu = GresKind::qpu();
-                let qpu_idle = cluster
-                    .partitions()
-                    .iter()
-                    .flat_map(|p| p.gres_pools())
-                    .any(|pool| pool.kind() == &qpu && pool.available() > 0);
-                sort_by_score(&mut self.pending, |job| {
-                    if qpu_idle && job.request.total_gres(&qpu) > 0 {
-                        multifactor(job) + idle_boost
-                    } else {
-                        multifactor(job)
-                    }
-                });
+    /// Clears what the last cycle proved: a submit or a cancel may change
+    /// any verdict.
+    fn forget_last_cycle(&mut self) {
+        self.settled = None;
+        self.follow_up = None;
+        self.carried = None;
+    }
+
+    /// Closes a cycle that started nothing and ended as `end`: commits
+    /// the reasons it reported (see `hold_changes`), marks the queue
+    /// settled if no held demand fits the free vector (see `is_settled`),
+    /// and, with `carry`, keeps `end` for a clock-only re-run.
+    fn end_idle(&mut self, cluster: &Cluster, end: CycleEnd, carry: bool) {
+        for &(id, reason) in &self.hold_changes {
+            if let Some(entry) = self.queued.get_mut(id.raw()) {
+                entry.reported = Some(reason);
             }
         }
+        if !end.any_fits {
+            self.settled = Some((cluster.version(), end.free));
+        }
+        if carry {
+            self.carried = Some(CycleEnd {
+                version: cluster.version(),
+                ..end
+            });
+        }
+    }
+
+    /// Whether `cluster` is as the cycle that ended as `end` left it: its
+    /// version is that cycle's, or else its free vector is (as in
+    /// [`is_settled`](BatchScheduler::is_settled)).
+    fn unchanged(&self, end: &CycleEnd, cluster: &Cluster) -> bool {
+        end.version == cluster.version() || end.free == Demand::free_of(cluster)
+    }
+
+    /// Whether a running job's expected end lies at or before `now`. If
+    /// none does, the availability profile at `now` reads the live free
+    /// vector until its first release, which lies after `now`.
+    fn release_due(&self, now: SimTime) -> bool {
+        self.running.values().any(|r| r.expected_end <= now)
+    }
+
+    /// The order `match`'s sort key of `job` at `now` under `scoring`.
+    fn key_of(&self, scoring: &Scoring, job: &PendingJob, now: SimTime) -> OrderKey {
+        let multifactor = || job_priority(&self.priority, &self.queued, job, now);
+        let score = match scoring {
+            Scoring::Plain => multifactor(),
+            Scoring::Escalate(escalate_after_hours) => {
+                let age_hours = now.saturating_since(job.submit).as_secs_f64() / 3_600.0;
+                if age_hours >= *escalate_after_hours {
+                    f64::INFINITY
+                } else {
+                    multifactor()
+                }
+            }
+            Scoring::Boost { qpu, boost } => {
+                if job.request.total_gres(qpu) > 0 {
+                    multifactor() + boost
+                } else {
+                    multifactor()
+                }
+            }
+        };
+        order_key(score, job)
+    }
+
+    /// Scores the queue at `now` into `keys`, in queue order, until a key
+    /// does not rise above the one before it. `true` if none fell: the
+    /// queue is in the order a full cycle would sort it into, since the
+    /// keys are a total order. The keys scored so far stay for
+    /// [`order`](Self::order) to finish.
+    fn in_order(&mut self, scoring: &Scoring, now: SimTime) -> bool {
+        if self.pending.len() < 2 {
+            return true;
+        }
+        for (i, job) in self.pending.iter().enumerate() {
+            let key = self.key_of(scoring, job, now);
+            let rises = self.keys.last().is_none_or(|&(last, _)| last < key);
+            self.keys.push((key, i));
+            if !rises {
+                return false;
+            }
+        }
+        true
+    }
+
+    /// Sorts the queue for this cycle, most preferred first, on each
+    /// job's [`OrderKey`] at `now`. The queue arrives in the last cycle's
+    /// order with new submissions behind, nearly sorted, so the stable
+    /// adaptive sort runs in about one pass; the jobs are then permuted
+    /// in place. A queue of 0 or 1 jobs is left alone.
+    fn order(&mut self, scoring: &Scoring, now: SimTime) {
+        let depth = self.pending.len();
+        if depth < 2 {
+            return;
+        }
+        // `in_order` may have scored a prefix already.
+        for i in self.keys.len()..depth {
+            let key = self.key_of(scoring, &self.pending[i], now);
+            self.keys.push((key, i));
+        }
+        self.keys.sort();
+        // `keys[k].1` is the position of the job that belongs at `k`.
+        // Follow each cycle of the permutation, swapping its jobs into
+        // place and marking each placed position with its own index.
+        for first in 0..depth {
+            let mut at = first;
+            loop {
+                let from = std::mem::replace(&mut self.keys[at].1, at);
+                if from == first {
+                    break;
+                }
+                self.pending.swap(at, from);
+                at = from;
+            }
+        }
+    }
+
+    /// The same-instant follow-up (fast path 1 of
+    /// [`try_schedule_probed`](BatchScheduler::try_schedule_probed)):
+    /// holds every queued job, in queue order, for the binding shortage
+    /// of `free` against its demand, with [`HoldReason::PolicyHold`]
+    /// relabelled [`HoldReason::HeadShadow`] under every discipline but
+    /// FCFS. Returns whether some demand fits `free`.
+    ///
+    /// `free` is the final free vector `F` of the last cycle `C`, which
+    /// ran at this instant and started the jobs `S`; the queue is the
+    /// jobs `H` it held, in its order. The caller has checked that
+    /// nothing moved since (see `unchanged`), that the idle-QPU flag is
+    /// `C`'s, and, under conservative, that no release is due (see
+    /// `release_due`).
+    ///
+    /// Why this is the full cycle's verdict. The order `match` scores a
+    /// job from `now`, its submit-time entry, fairshare usage (charged
+    /// only by `finished`) and the idle-QPU flag: all as in `C`. The key
+    /// is a total order, so `H`, a subsequence of `C`'s sorted queue,
+    /// sorts to itself. Next, nothing starts; by the admit `match`'s arm:
+    ///
+    /// * FCFS: `C` started nothing after its first hold, so its free
+    ///   vector there was `F`, short of that job; the full cycle holds
+    ///   it first and blocks.
+    /// * The EASY arm: `C`'s first hold is its head, which `C`'s free
+    ///   vector, covering `F`, did not cover; so `F` does not, and the
+    ///   head is first and held again. The full cycle's profile `P` is
+    ///   the deferred fold of `S` over `C`'s (see
+    ///   [Deferred profiles](Profile#deferred-profiles)): `C`'s profile
+    ///   when it reserved the shadow, less `S`'s later starts. So the
+    ///   head fits `P` no earlier than `C`'s shadow; and it fits there,
+    ///   because `C` admitted each later start only where it fitted
+    ///   around the shadow, so `P` less the shadow is nowhere negative.
+    ///   `C`'s shadow is one of `P`'s breakpoints, so `find_slot` returns
+    ///   it. Every later job that `F` covers was held by `C` because it
+    ///   did not fit `C`'s reserved profile over `[now, now + w)`; the
+    ///   full cycle's reserved profile is lower still. So every later
+    ///   job is `Reserved`.
+    /// * Conservative: with no release at or before `now`, a profile's
+    ///   capacity at `now` is the live free vector, so a slot at `now` is
+    ///   a start, and `C` reserved every job it held at a slot after
+    ///   `now` (or at none, `SimTime::MAX`). In order, the full cycle
+    ///   finds each the same slot, as for the EASY head: its profile lies
+    ///   below `C`'s at that job (less `C`'s later starts), and `C`'s
+    ///   final profile is nowhere negative. So every job is `Reserved`
+    ///   again, at the same slot.
+    ///
+    /// So the held `match` reserves only what `C` reserved and no job
+    /// starts. The reason then depends only on the arm's verdict, `F`
+    /// and the demand: `Hold` (FCFS, and the EASY head, short of `F`)
+    /// reports the shortage; `Reserved` relabels `PolicyHold`.
+    ///
+    /// Only conservative needs the release guard. FCFS reads no profile,
+    /// and the EASY arm's argument compares two profiles at the same
+    /// instant, whatever they hold. With a release due, conservative's
+    /// `C` may hold a job whose slot is `now` (the profile counts the
+    /// overdue release, the live free vector does not) without reserving
+    /// it; a later start in `C` may take that capacity, the full cycle
+    /// then reserves the job later, and that can move the next
+    /// reservation off a window that a job behind both then fits now:
+    /// it starts (see the unit test
+    /// `conservative_follow_up_with_a_release_due_starts_a_job`).
+    fn follow_up_holds(
+        &mut self,
+        cluster: &Cluster,
+        free: &Demand,
+        probe: &mut dyn CycleProbe,
+    ) -> bool {
+        let relabel = match self.spec.discipline {
+            Discipline::Fcfs => false,
+            Discipline::EasyBackfill
+            | Discipline::ConservativeBackfill
+            | Discipline::PriorityBackfill { .. }
+            | Discipline::QuantumAware { .. } => true,
+        };
+        self.last_holds.clear();
+        self.hold_changes.clear();
+        let mut any_fits = false;
+        let mut kept = 0;
+        for i in 0..self.pending.len() {
+            let id = self.pending[i].id;
+            let Some(&entry) = self.queued.get(id.raw()) else {
+                continue;
+            };
+            probe.phase_start(CyclePhase::Admit);
+            let reason = match shortage(cluster, free, &entry.demand) {
+                HoldReason::PolicyHold if relabel => HoldReason::HeadShadow,
+                reason => reason,
+            };
+            probe.phase_end(CyclePhase::Admit);
+            any_fits = any_fits || free.covers(&entry.demand);
+            self.last_holds.push((id, reason));
+            if entry.reported != Some(reason) {
+                self.hold_changes.push((id, reason));
+            }
+            self.pending.swap(kept, i);
+            kept += 1;
+        }
+        self.pending.truncate(kept);
+        any_fits
+    }
+
+    /// The clock-only re-run (fast path 2 of
+    /// [`try_schedule_probed`](BatchScheduler::try_schedule_probed)):
+    /// keeps [`last_holds`](BatchScheduler::last_holds) and lists no
+    /// hold change.
+    ///
+    /// The last cycle `C`, at `t0 ≤ now`, started nothing and held the
+    /// queue in its order; the caller has checked that nothing but the
+    /// clock moved since (see `unchanged`), that no release is due (see
+    /// `release_due`) and that the queue scored at `now` is still in that
+    /// order. Fairshare decay, aging escalation and the
+    /// idle-QPU flag are time's only effects on the order, and the check
+    /// reads them all.
+    ///
+    /// Why this is the full cycle's verdict. `C` started nothing, so its
+    /// live free vector was the cluster's `F` throughout, as it is now.
+    /// Its profile was built at `t0` and the full cycle's at `now` from
+    /// the same running set, whose earliest expected end `e` lies after
+    /// `now`. Both read `F` until `e`, and they agree from `now` on. By
+    /// the admit `match`'s arm:
+    ///
+    /// * FCFS reads only `F` and the order.
+    /// * The EASY arm: `C`'s first job was the head, short of `F`, so it
+    ///   fits nowhere before `e`; the profiles agree from there, so its
+    ///   shadow is `C`'s. A later job that `F` covers did not fit `C`'s
+    ///   reserved profile over `[t0, t0 + w)`, and the profile was `F`
+    ///   before `e`, so it fell short at some `τ ≥ e > now`, inside
+    ///   `[now, now + w)`: it does not fit now either.
+    /// * Conservative: `C` reserved every job at a slot after `t0`,
+    ///   since its capacity at `t0` was `F`; by the same argument no job
+    ///   fits at `now`, and the breakpoints and capacities after `now`
+    ///   are `C`'s, so each slot and reservation is `C`'s.
+    ///
+    /// So the held `match` repeats `C`'s, nothing starts, and each
+    /// reason, a function of the verdict, `F` and the demand, is `C`'s.
+    /// `C` committed every reason it reported, so none changes.
+    fn carry_holds(&mut self, probe: &mut dyn CycleProbe) {
+        for _ in 0..self.pending.len() {
+            probe.phase_start(CyclePhase::Admit);
+            probe.phase_end(CyclePhase::Admit);
+        }
+        self.hold_changes.clear();
     }
 
     /// Maps a live-allocation failure (a policy started a job the live
@@ -1243,6 +1677,74 @@ mod tests {
             s.hold_changes(),
             &[(JobId::new(2), HoldReason::InsufficientNodes)]
         );
+    }
+
+    /// Conservative on `cluster(20)`: job 0 (8 nodes) is due at t=100
+    /// but still running, job 1 (6 nodes) runs until t=200. At t=100,
+    /// job 2 (10 nodes) fits the profile now, counting job 0's overdue
+    /// release, but not the 6 free nodes; job 3 (5 nodes) starts; job 4
+    /// (15 nodes) reserves [200, 210), and job 5 (1 node for 120 s)
+    /// overlaps it, so it reserves after. The follow-up at t=100 must
+    /// reserve job 2 at t=200, which pushes job 4 to [250, 260): job 5
+    /// now fits before it and starts. A same-instant follow-up may not
+    /// skip re-planning while a release is due.
+    #[test]
+    fn conservative_follow_up_with_a_release_due_starts_a_job() {
+        let mut c = cluster(20);
+        let mut s = BatchScheduler::new(PolicySpec::conservative());
+        let ranked = |id, nodes, walltime_s, submit_s, rank: u32| PendingJob {
+            qos_boost: f64::from(rank) * 1_000.0,
+            ..job(id, nodes, walltime_s, submit_s)
+        };
+        s.submit(ranked(0, 8, 100, 0, 9), &c).unwrap();
+        s.submit(ranked(1, 6, 200, 0, 8), &c).unwrap();
+        assert_eq!(s.try_schedule(&mut c, SimTime::ZERO).len(), 2);
+        for (id, nodes, walltime_s, rank) in [
+            (2, 10, 50, 4),
+            (3, 5, 1_000, 3),
+            (4, 15, 10, 2),
+            (5, 1, 120, 1),
+        ] {
+            s.submit(ranked(id, nodes, walltime_s, 100, rank), &c)
+                .unwrap();
+        }
+        let now = SimTime::from_secs(100);
+        let ids =
+            |started: Vec<StartedJob>| started.iter().map(|st| st.job.raw()).collect::<Vec<_>>();
+        assert_eq!(ids(s.try_schedule(&mut c, now)), [3]);
+        assert_eq!(ids(s.try_schedule(&mut c, now)), [5]);
+        assert!(s.try_schedule(&mut c, now).is_empty());
+    }
+
+    #[test]
+    fn order_keys_sort_like_total_cmp() {
+        let scores = [
+            f64::NEG_INFINITY,
+            -1e300,
+            -1.0,
+            -0.0,
+            0.0,
+            f64::MIN_POSITIVE,
+            1.0,
+            1e300,
+            f64::INFINITY,
+            f64::NAN,
+            -f64::NAN,
+        ];
+        let j = job(0, 1, 100, 0);
+        for a in scores {
+            for b in scores {
+                // Higher scores sort first.
+                assert_eq!(
+                    order_key(a, &j).cmp(&order_key(b, &j)),
+                    b.total_cmp(&a),
+                    "{a} vs {b}"
+                );
+            }
+        }
+        // Ties fall to the submit time, then the id.
+        assert!(order_key(1.0, &job(5, 1, 100, 0)) < order_key(1.0, &job(1, 1, 100, 1)));
+        assert!(order_key(1.0, &job(1, 1, 100, 0)) < order_key(1.0, &job(5, 1, 100, 0)));
     }
 
     #[test]

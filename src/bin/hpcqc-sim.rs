@@ -294,9 +294,13 @@ const POLICY_NAMES: [&str; 7] = [
 ];
 
 /// Parses a policy argument; errors enumerate every valid form and hint
-/// at the closest name (the workspace arg-error convention).
+/// at the closest name (the workspace arg-error convention). A known
+/// name with a bad knob gets the knob's rule instead.
 fn parse_policy(s: &str) -> Result<PolicySpec, String> {
     s.parse().map_err(|e: hpcqc::sched::ParsePolicyError| {
+        if POLICY_NAMES.contains(&e.name.as_str()) {
+            return e.to_string();
+        }
         let hint = match hpcqc::cli::did_you_mean(&e.name, POLICY_NAMES) {
             Some(known) => format!(" — did you mean `{known}`?"),
             None => String::new(),

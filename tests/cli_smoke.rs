@@ -214,6 +214,28 @@ fn generate_then_run_round_trips() {
     std::fs::remove_file(&trace).ok();
 }
 
+/// A known policy with a bad knob value names the knob and its rule
+/// rather than calling the policy unknown, and still exits 2.
+#[test]
+fn bad_policy_knob_names_the_knob() {
+    for (policy, rule) in [
+        ("priority-backfill:age=-1", "`age=H`"),
+        ("quantum-aware:boost=nan", "`boost=P`"),
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_hpcqc-sim"))
+            .args(["run", "--workload", "x.hqwf", "--policy", policy])
+            .output()
+            .expect("hpcqc-sim runs");
+        assert_eq!(out.status.code(), Some(2), "bad knob must exit 2");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains(&format!("bad knob in policy `{policy}`")) && stderr.contains(rule),
+            "`{policy}`: {stderr}"
+        );
+        assert!(!stderr.contains("unknown policy"), "`{policy}`: {stderr}");
+    }
+}
+
 #[test]
 fn unknown_policy_enumerates_and_hints() {
     let out = Command::new(env!("CARGO_BIN_EXE_hpcqc-sim"))
