@@ -1195,7 +1195,11 @@ impl<'o> SimState<'o> {
     /// submitted, cancelled or started since a cycle that found no queued
     /// demand fitting the free vector, and the free vector is unchanged.
     /// Such a cycle would start nothing and re-report the same holds; see
-    /// [`BatchScheduler::is_settled`] for the proof.
+    /// [`BatchScheduler::is_settled`] for the proof. Otherwise the
+    /// scheduler picks the cycle's kind from what the loop told it since
+    /// its last cycle: after a submit alone onto a held queue it plans
+    /// only the new job, after nothing but the clock it keeps its holds
+    /// (see [`BatchScheduler::try_schedule_probed`]).
     fn cycle(
         &mut self,
         driver: &mut dyn StrategyDriver,

@@ -39,14 +39,32 @@
 //! first table. The table was recorded before scheduler cycles began to
 //! carry verdicts over from the last cycle.
 //!
+//! A fourth table fills the gaps the other three leave:
+//!
+//! * adaptive and malleable under each policy other than EASY, as the
+//!   breadth table runs them;
+//! * `vqpu:8` on the heterogeneous fleet on its pin-first and
+//!   tech-affinity routes, under each committed fault plan, as the
+//!   third table runs least-loaded;
+//! * a *trickle* per policy: a burst of `day_small` jobs builds a held
+//!   queue about a hundred deep, then the rest arrive one at a time, a
+//!   minute apart, under `vqpu:8`. Most arrivals then land on a held
+//!   queue with no other change since the last cycle, the case a
+//!   scheduler may plan by admitting only the new job.
+//!
+//! Malleable jobs hold no QPU gres, so quantum-aware never boosts one,
+//! and its malleable case reproduces the breadth table's EASY digest.
+//! The table was recorded before scheduler cycles began to plan a
+//! submitted job alone.
+//!
 //! If a change is *supposed* to move these results, run
 //!
 //! ```text
 //! cargo test -p hpcqc-core --test event_digests
 //! ```
 //!
-//! paste the table the failure prints over `GOLDEN`, `BREADTH` or
-//! `FAULTS`, and
+//! paste the table the failure prints over `GOLDEN`, `BREADTH`,
+//! `FAULTS` or `GAPS`, and
 //! say in the change log which digests moved and why.
 
 use hpcqc_core::observer::{SimEvent, SimObserver};
@@ -59,7 +77,7 @@ use hpcqc_fleet::FleetSpec;
 use hpcqc_gen::{GeneratorSpec, Horizon};
 use hpcqc_qpu::technology::Technology;
 use hpcqc_sched::PolicySpec;
-use hpcqc_simcore::time::SimTime;
+use hpcqc_simcore::time::{SimDuration, SimTime};
 use hpcqc_workload::campaign::Workload;
 
 /// `(policy, strategy, jobs, events, event digest, outcome digest)` per
@@ -121,6 +139,36 @@ const FAULTS: [FaultCase; 10] = [
     ("easy vqpu:8 hetero least-loaded nodes", 120, 2931, "8b6cb0d181a7133b", "16e5051b0103ab31"),
     ("easy vqpu:8 hetero least-loaded degraded", 120, 3225, "6b5529a2c0265e32", "d1fd575ecdda9c7e"),
 ];
+
+/// `(case, jobs, arrivals per hour, events, event digest, outcome
+/// digest)` per gap case: a policy, then a breadth case name or
+/// `vqpu:8 trickle` (see [`trickle`]).
+type GapCase = (&'static str, u64, f64, u64, &'static str, &'static str);
+
+#[rustfmt::skip]
+const GAPS: [GapCase; 17] = [
+    ("fcfs adaptive", 120, 960.0, 4747, "004ed59ddb179c28", "1161bee4c20dc3d8"),
+    ("fcfs malleable", 120, 960.0, 8004, "6a61a8753d1e1194", "11791b9384dd865c"),
+    ("conservative adaptive", 80, 960.0, 2741, "fa35ca48f427c440", "4d37e48e97cc7f0a"),
+    ("conservative malleable", 80, 960.0, 3284, "87d86bf5001412ca", "9102c38b64126b21"),
+    ("priority-backfill adaptive", 120, 960.0, 3704, "a2d5ecb5e5bdcb59", "c54d4cfa96395a33"),
+    ("priority-backfill malleable", 120, 960.0, 4294, "1422be0154b083ce", "481c2f01c34e5bdc"),
+    ("quantum-aware adaptive", 120, 960.0, 3283, "1d9e49e94886c122", "3117e8f961900ec8"),
+    ("quantum-aware malleable", 120, 960.0, 4566, "d5ccbb63aaa83e70", "40b755181c9eff9a"),
+    ("easy vqpu:8 hetero pin-first nodes", 120, 240.0, 3034, "ab35c272c1696b66", "621ddb9c4d916681"),
+    ("easy vqpu:8 hetero pin-first degraded", 120, 240.0, 3137, "40d410ec6884664c", "1f2b610942bd46d8"),
+    ("easy vqpu:8 hetero tech-affinity nodes", 120, 240.0, 2895, "da8c24b2e797a1ee", "eff69ca046c94574"),
+    ("easy vqpu:8 hetero tech-affinity degraded", 120, 240.0, 2911, "21612951413929ca", "58d6eab6b7cc1b4f"),
+    ("fcfs vqpu:8 trickle", 180, 60.0, 6170, "e91863c0408c6668", "0482ca501f834776"),
+    ("easy vqpu:8 trickle", 180, 60.0, 3620, "af3e75287779ab0a", "52f931bb3c0cf59f"),
+    ("conservative vqpu:8 trickle", 140, 60.0, 3446, "47dcfb68d97ac3ac", "51137d7b05b4d1d1"),
+    ("priority-backfill vqpu:8 trickle", 180, 60.0, 3986, "8f55b569acb0cc56", "ec05186e0975fab4"),
+    ("quantum-aware vqpu:8 trickle", 180, 60.0, 3913, "ed141d083a2dc110", "4cc49a7c668686df"),
+];
+
+/// The burst that opens a trickle: enough jobs to hold about a hundred
+/// in the queue on 64 nodes.
+const TRICKLE_BURST: usize = 110;
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 
@@ -186,6 +234,24 @@ fn burst(jobs: u64, per_hour: f64) -> Workload {
     spec.horizon = Horizon::Jobs { count: jobs };
     spec.arrival.base_per_hour = per_hour;
     Workload::from_jobs(spec.stream(7).collect())
+}
+
+/// A trickle of `jobs` `day_small` jobs: the first [`TRICKLE_BURST`]
+/// arrive as in [`burst`] at 960/h, the rest one at a time at
+/// `per_hour`, starting one gap after the burst's last arrival.
+fn trickle(jobs: u64, per_hour: f64) -> Workload {
+    let mut spec: GeneratorSpec = example("gen/day_small.json");
+    spec.horizon = Horizon::Jobs { count: jobs };
+    spec.arrival.base_per_hour = 960.0;
+    let mut jobs: Vec<_> = spec.stream(7).collect();
+    let gap = SimDuration::from_secs_f64(3_600.0 / per_hour);
+    let mut at = jobs[TRICKLE_BURST - 1].submit();
+    let rest = jobs.split_off(TRICKLE_BURST);
+    jobs.extend(rest.into_iter().map(|job| {
+        at += gap;
+        job.with_submit(at)
+    }));
+    Workload::from_jobs(jobs)
 }
 
 /// The scenario of one breadth case under `policy`: 64 nodes, seed 7,
@@ -310,5 +376,35 @@ fn fault_plan_event_streams_reproduce_recorded_digests() {
     assert!(
         moved.is_empty(),
         "event digests moved for {moved:?}; if intended, replace FAULTS with:\n{table}"
+    );
+}
+
+#[test]
+fn gap_event_streams_reproduce_recorded_digests() {
+    let mut table = String::new();
+    let mut moved = Vec::new();
+    for (case, jobs, per_hour, events, want_events, want_outcome) in GAPS {
+        let (policy_name, rest) = case.split_once(' ').expect("a policy, then a case");
+        let got = match rest.strip_suffix(" trickle") {
+            Some(breadth_case) => run_case(
+                &breadth_scenario(policy(policy_name), breadth_case),
+                &trickle(jobs, per_hour),
+            ),
+            None => run_case(
+                &breadth_scenario(policy(policy_name), rest),
+                &burst(jobs, per_hour),
+            ),
+        };
+        table.push_str(&format!(
+            "    (\"{case}\", {jobs}, {per_hour:.1}, {}, \"{}\", \"{}\"),\n",
+            got.0, got.1, got.2
+        ));
+        if got != (events, want_events.to_string(), want_outcome.to_string()) {
+            moved.push(case);
+        }
+    }
+    assert!(
+        moved.is_empty(),
+        "event digests moved for {moved:?}; if intended, replace GAPS with:\n{table}"
     );
 }

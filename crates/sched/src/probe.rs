@@ -18,10 +18,12 @@ use hpcqc_simcore::time::SimTime;
 /// The internal phases of one planning cycle, in execution order.
 ///
 /// `Admit` and `Allocate` interleave per queued job; probes accumulate
-/// rather than assume contiguity. Every cycle reports one `Admit` per
-/// queued job. A cycle that takes one of the scheduler's fast paths (see
+/// rather than assume contiguity. Every cycle of every kind (see
 /// [`try_schedule_probed`](crate::scheduler::BatchScheduler::try_schedule_probed))
-/// has no `Order` and no `Allocate`.
+/// reports one `Admit` per queued job. A cycle of a fast kind
+/// (same-instant follow-up, clock-only re-run, submit-only) has no
+/// `Order`, and only a submit-only cycle that starts a new job has an
+/// `Allocate`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum CyclePhase {
     /// Queue ordering: scoring and sorting. The availability profile is
@@ -29,14 +31,18 @@ pub enum CyclePhase {
     /// reads it (see [`Profile`](crate::Profile#deferred-profiles)), so
     /// its cost lands in `Admit` when admit reads first (conservative
     /// backfill), outside the three phases when held does (EASY and its
-    /// variants, once a head blocks), and nowhere for FCFS. A clock-only
-    /// re-run's order check also runs outside the phases; when it fails,
-    /// the keys it scored are kept, and this phase scores the rest and
-    /// sorts.
+    /// variants, once a head blocks), and nowhere for FCFS. The order
+    /// checks of a clock-only re-run and a submit-only cycle, and the
+    /// latter's sort of every key, also run outside the phases;
+    /// when a check fails, the keys it scored are kept, and this phase
+    /// scores the rest and sorts.
     Order,
     /// Per-job admission decisions (the held step runs between phases).
     /// In a same-instant follow-up, each is the job's re-diagnosis; in a
-    /// clock-only re-run, which keeps the last holds, each is empty.
+    /// clock-only re-run, which keeps the last holds, each is empty; in a
+    /// submit-only cycle, a new job's is its admission, an old job's its
+    /// re-diagnosis if it sorts behind a started new job, and otherwise
+    /// empty.
     Admit,
     /// Live-cluster allocation attempts for admitted jobs.
     Allocate,

@@ -222,8 +222,8 @@ impl Scoring {
 }
 
 /// How a cycle left the scheduler and the cluster: what the next cycle
-/// needs to prove that only the clock moved since (see
-/// [`BatchScheduler::try_schedule_probed`]'s fast paths).
+/// needs to prove which of its verdicts it may keep (see
+/// [`BatchScheduler::try_schedule_probed`]'s cycle kinds).
 #[derive(Debug, Clone, Copy)]
 struct CycleEnd {
     /// The cycle's instant.
@@ -237,6 +237,59 @@ struct CycleEnd {
     /// Whether some held job's demand fitted `free`; meaningful only for
     /// a cycle that started nothing.
     any_fits: bool,
+    /// Whether the cycle started a job.
+    started: bool,
+    /// The slot the EASY arm reserved for the head, the queue's first
+    /// held job: its shadow, or [`SimTime::MAX`] if it never fits, and
+    /// under FCFS and conservative backfill.
+    shadow: SimTime,
+}
+
+impl CycleEnd {
+    /// Whether `cluster` is as the cycle left it: its version, or else
+    /// its free vector, is the cycle's. A cluster whose version is the
+    /// cycle's has had no mutating call since, so only a moved version
+    /// costs the comparison.
+    fn left_as_is(&self, cluster: &Cluster) -> bool {
+        self.version == cluster.version() || self.free == Demand::free_of(cluster)
+    }
+}
+
+/// What happened since the last cycle: the one record from which
+/// [`BatchScheduler::kind`] picks the next cycle's [`Kind`]. Its
+/// `submit`, `cancel` and `finished` feed it; every cycle resets it and
+/// records how it ended.
+#[derive(Debug, Clone, Copy, Default)]
+struct Since {
+    /// How the last cycle ended. `None` if it refused an allocation, or
+    /// if no cycle ran since the queue was last empty.
+    end: Option<CycleEnd>,
+    /// How many jobs were submitted since: the last `submitted` entries
+    /// of `pending`.
+    submitted: usize,
+    /// Whether a job was cancelled since.
+    cancelled: bool,
+    /// Whether a running job finished since.
+    finished: bool,
+}
+
+/// The five kinds of cycle, as [`BatchScheduler::kind`] reads them off
+/// the change record (see
+/// [`try_schedule_probed`](BatchScheduler::try_schedule_probed)). Each
+/// fast kind carries the end of the cycle it builds on.
+#[derive(Debug, Clone, Copy)]
+enum Kind {
+    /// Nothing can start and no hold can change: the caller may skip the
+    /// cycle (see [`BatchScheduler::is_settled`]).
+    Settled(CycleEnd),
+    /// The cycle right after a starting one.
+    FollowUp(CycleEnd),
+    /// A cycle after a non-starting one, with only the clock moved.
+    ReRun(CycleEnd),
+    /// A cycle after a non-starting one, with only submits since.
+    SubmitOnly(CycleEnd),
+    /// Anything else: plan every job.
+    Full,
 }
 
 #[derive(Debug, Clone)]
@@ -289,21 +342,10 @@ pub struct BatchScheduler {
     /// The entries of `last_holds` whose reason differs from the one last
     /// reported for that job (see [`BatchScheduler::hold_changes`]).
     hold_changes: Vec<(JobId, HoldReason)>,
-    /// The cluster's [`version`](Cluster::version) and free vector at the
-    /// end of the last cycle, if that cycle proved the queue settled
-    /// (see [`BatchScheduler::is_settled`]). Cleared by every submit,
-    /// cancel and start.
-    settled: Option<(u64, Demand)>,
-    /// The end of the last cycle, if it started jobs and refused no
-    /// allocation: a same-instant follow-up may re-diagnose instead of
-    /// re-planning. Cleared by every submit, cancel, finish and cycle.
-    follow_up: Option<CycleEnd>,
-    /// The end of the last cycle, if it started nothing and refused no
-    /// allocation: a clock-only re-run may keep its holds. Cleared like
-    /// `follow_up`.
-    carried: Option<CycleEnd>,
-    /// The full cycle's sort keys, each with its job's queue position;
-    /// kept between cycles so that sorting allocates only when the queue
+    /// What happened since the last cycle (see [`BatchScheduler::kind`]).
+    since: Since,
+    /// The cycle's sort keys, each with its job's queue position; kept
+    /// between cycles so that sorting allocates only when the queue
     /// outgrows every earlier one.
     keys: Vec<(OrderKey, usize)>,
 }
@@ -324,9 +366,7 @@ impl BatchScheduler {
             total_finished: 0,
             last_holds: Vec::new(),
             hold_changes: Vec::new(),
-            settled: None,
-            follow_up: None,
-            carried: None,
+            since: Since::default(),
             keys: Vec::new(),
         }
     }
@@ -349,7 +389,8 @@ impl BatchScheduler {
     /// this is also exactly the set of holds a cycle run now would
     /// report, though possibly in a different order. A clock-only re-run
     /// (see [`try_schedule_probed`](BatchScheduler::try_schedule_probed))
-    /// leaves the list as it stands, since it proves that the full cycle
+    /// leaves the list as it stands, and a submit-only cycle merges the
+    /// new jobs' holds into it, since each proves that the full cycle
     /// would rebuild it entry for entry. The holds whose reason changed
     /// since it was last reported are
     /// [`hold_changes`](BatchScheduler::hold_changes).
@@ -369,7 +410,8 @@ impl BatchScheduler {
     /// after the next cycle if it persists, whether that cycle plans in
     /// full or is a same-instant follow-up; a clock-only re-run lists
     /// nothing, since the cycle it repeats committed every reason it
-    /// holds. A start or a
+    /// holds, and a submit-only cycle lists only the new jobs and the
+    /// jobs it re-diagnosed. A start or a
     /// [`cancel`](BatchScheduler::cancel) forgets the job's reported
     /// reason, so a resubmitted id is reported afresh.
     pub fn hold_changes(&self) -> &[(JobId, HoldReason)] {
@@ -458,7 +500,7 @@ impl BatchScheduler {
         };
         self.queued.insert(id, entry);
         self.pending.push(job);
-        self.forget_last_cycle();
+        self.since.submitted += 1;
         Ok(())
     }
 
@@ -470,17 +512,19 @@ impl BatchScheduler {
         self.pending.retain(|p| p.id != job);
         self.last_holds.retain(|&(id, _)| id != job);
         self.hold_changes.retain(|&(id, _)| id != job);
-        self.forget_last_cycle();
+        self.since.cancelled = true;
         self.queued.remove(job.raw()).is_some()
     }
 
     /// `true` if a scheduling cycle run now on `cluster` would start
     /// nothing and report the same holds as
     /// [`last_holds`](BatchScheduler::last_holds), so the caller may skip
-    /// it. It holds when the last cycle started nothing and found no
-    /// queued demand covered by the free vector; when no job was
-    /// submitted, cancelled or started since; and when `cluster`'s free
-    /// vector equals that cycle's.
+    /// it: the change record's kind is *settled* (see
+    /// [`try_schedule_probed`](BatchScheduler::try_schedule_probed)). It
+    /// holds when the last cycle started nothing and found no queued
+    /// demand covered by the free vector; when no job was submitted,
+    /// cancelled or started since; and when `cluster` is as that cycle
+    /// left it. A finished job does not matter.
     ///
     /// Why skipping is exact: no queued demand fits the live free vector
     /// `F`, and the cycle changes `F` only at a start. Every arm of the
@@ -510,30 +554,15 @@ impl BatchScheduler {
     /// quantum-aware's idle-QPU boost (a function of free capacity). A
     /// skipped reorder leaves no trace: the next full cycle sorts from
     /// scratch on the total key `(score, submit, id)`, and the held
-    /// `match`'s blocked flag lives for one cycle. The three `match`es
-    /// are closed over [`Discipline`], so a new discipline does not
-    /// compile without an arm in each, and each new arm must keep this
-    /// argument.
-    ///
-    /// The check is O(1) while `cluster` is untouched: a cluster whose
-    /// [`version`](Cluster::version) is the settled cycle's has had no
-    /// mutating call since, so its free vector is that cycle's; only a
-    /// moved version costs the free-vector comparison.
+    /// `match`'s blocked flag lives for one cycle.
     ///
     /// A caller that runs the cycle anyway gets the same holds in the
-    /// order the queue sorts into now. That cycle may take the clock-only
-    /// fast path of
-    /// [`try_schedule_probed`](BatchScheduler::try_schedule_probed),
-    /// whose proof is the stronger one: it keeps every verdict, not only
-    /// the starts, so it also needs the queue's order unchanged and no
-    /// release due.
+    /// order the queue sorts into now. If nothing finished, that cycle
+    /// may be a clock-only re-run, whose proof is the stronger one: it
+    /// keeps every verdict, not only the starts, so it also needs the
+    /// queue's order unchanged and no release due.
     pub fn is_settled(&self, cluster: &Cluster) -> bool {
-        match &self.settled {
-            Some((version, free)) => {
-                *version == cluster.version() || *free == Demand::free_of(cluster)
-            }
-            None => false,
-        }
+        matches!(self.recorded_kind(), Kind::Settled(end) if end.left_as_is(cluster))
     }
 
     /// Notifies the scheduler that the job backing `alloc` finished at
@@ -541,10 +570,7 @@ impl BatchScheduler {
     /// fairshare usage. Returns the finished job's id if known.
     pub fn finished(&mut self, alloc: AllocationId, now: SimTime) -> Option<JobId> {
         let running = self.running.remove(&alloc)?;
-        // The running set and the fairshare usage change; settledness
-        // holds regardless (see `is_settled`), the fast paths do not.
-        self.follow_up = None;
-        self.carried = None;
+        self.since.finished = true;
         let node_seconds =
             f64::from(running.node_count) * now.saturating_since(running.started).as_secs_f64();
         self.priority
@@ -572,43 +598,107 @@ impl BatchScheduler {
     /// policy never looks at the timeline neither copies the running set
     /// nor builds one.
     ///
-    /// # Fast paths
+    /// # Cycle kinds
     ///
-    /// Two kinds of cycle re-plan nothing, because only the clock moved
-    /// since the last one. Both need that no submit, cancel or
-    /// [`finished`](BatchScheduler::finished) came in between, that the
-    /// last cycle refused no allocation, and that `cluster`'s version, or
-    /// else its free vector, is the one the last cycle left. Then:
+    /// The scheduler keeps one record of what happened since the last
+    /// cycle `C`: how `C` ended (its instant, its final live free vector
+    /// `F`, the cluster's version, whether it started a job, whether a
+    /// held demand fitted `F`, and the EASY head's shadow), how many jobs
+    /// were submitted since, and whether a job was cancelled or finished.
+    /// `C`'s end is kept only if `C` refused no allocation, and a cycle on
+    /// an empty queue forgets it. One function, `kind`, reads the record
+    /// and `cluster` and picks one of five kinds. Every kind but the full
+    /// one needs `C`'s end, no cancel, and `cluster` as `C` left it: its
+    /// version, or else its free vector, is `C`'s. Then the queue is the
+    /// jobs `C` held, in `C`'s order, followed by the jobs submitted
+    /// since, and the live free vector is `F`.
     ///
-    /// 1. a *same-instant follow-up*, a cycle at the instant of a cycle
-    ///    that started jobs, re-diagnoses the held jobs in one pass (see
-    ///    `follow_up_holds`); under quantum-aware the idle-QPU flag must
-    ///    be the one that cycle's order read, and under conservative no
-    ///    running job's expected end may lie at or before `now`;
-    /// 2. a *clock-only re-run*, a cycle at or after a cycle that started
-    ///    nothing, keeps that cycle's holds (see `carry_holds`), if no
-    ///    running job's expected end lies at or before `now` and the
-    ///    queue scored at `now` is still in that cycle's order (checked in
-    ///    one pass, no sort).
+    /// 1. *Settled*: `C` started nothing, no held demand fitted `F`, and
+    ///    nothing was submitted; a finish may have come. The caller may
+    ///    skip the cycle (see [`is_settled`](BatchScheduler::is_settled));
+    ///    run anyway, it is a re-run if nothing finished, else full.
+    /// 2. *Same-instant follow-up*: `C` started jobs, and nothing was
+    ///    submitted or finished since. At `C`'s instant, under
+    ///    quantum-aware with the idle-QPU flag `C`'s order read, and under
+    ///    conservative with no release due, it re-diagnoses the held jobs
+    ///    in one pass (see `follow_up_holds`).
+    /// 3. *Clock-only re-run*: `C` started nothing, and nothing was
+    ///    submitted or finished since. With no release due and the queue,
+    ///    scored at `now`, still in `C`'s order (checked in one pass, no
+    ///    sort), it keeps `C`'s holds (see `carry_holds`).
+    /// 4. *Submit-only*: as a re-run, but jobs were submitted since onto
+    ///    `C`'s queue, which was not empty. With no release due, the old
+    ///    jobs still in `C`'s order, every new job sorting behind `C`'s
+    ///    head, and any discipline but conservative, it admits only the
+    ///    new jobs, at their places in the sorted queue (see
+    ///    `submit_only`).
+    /// 5. *Full*: anything else, or a kind whose conditions fail. It
+    ///    scores and sorts the queue, then admits every job.
     ///
-    /// Each proves its verdicts equal to the full cycle's, and reports
-    /// to `probe` as one cycle with one [`CyclePhase::Admit`] per queued
-    /// job and no [`CyclePhase::Order`].
+    /// *No release due* means that no running job's expected end lies at
+    /// or before `now`. Then the profile at `now` reads `F` until the
+    /// first release `e > now`, and from `now` on it agrees with the
+    /// profile of any earlier cycle over the same running set: a demand
+    /// that `F` does not cover fits in neither before `e`, so its earliest
+    /// slot is the same in both.
+    ///
+    /// Each fast kind proves its starts, holds and hold changes equal to
+    /// the full cycle's, case by case over the three `match`es (order,
+    /// admit, held). They are closed over [`Discipline`], so a new
+    /// discipline does not compile without an arm in each, and each new
+    /// arm must keep every argument. Each fast kind reports to `probe` as
+    /// one cycle with one [`CyclePhase::Admit`] per queued job and no
+    /// [`CyclePhase::Order`].
     pub fn try_schedule_probed(
         &mut self,
         cluster: &mut Cluster,
         now: SimTime,
         probe: &mut dyn CycleProbe,
     ) -> Vec<StartedJob> {
-        self.settled = None;
         if self.pending.is_empty() {
-            // Any fast-path state may stay: only a submit, which clears
-            // it, refills the queue.
+            // Only a submit refills the queue, and a cycle after it plans
+            // in full.
+            self.since = Since::default();
             self.last_holds.clear();
             self.hold_changes.clear();
             return Vec::new();
         }
         self.cycle(cluster, now, probe)
+    }
+
+    /// The kind of the next cycle on `cluster`, read off the change
+    /// record (see
+    /// [`try_schedule_probed`](BatchScheduler::try_schedule_probed)). The
+    /// conditions on the cycle's instant and on the queue's order are
+    /// the cycle's to check; it plans in full when one fails.
+    fn kind(&self, cluster: &Cluster) -> Kind {
+        match self.recorded_kind() {
+            Kind::Settled(end) | Kind::FollowUp(end) | Kind::ReRun(end) | Kind::SubmitOnly(end)
+                if !end.left_as_is(cluster) =>
+            {
+                Kind::Full
+            }
+            kind => kind,
+        }
+    }
+
+    /// The kind the change record allows before `cluster` is compared
+    /// with the last cycle's end, which only [`kind`](Self::kind) does:
+    /// the comparison may rebuild a free vector, and a record that allows
+    /// only a full cycle needs none.
+    fn recorded_kind(&self) -> Kind {
+        let since = &self.since;
+        let Some(end) = since.end.filter(|_| !since.cancelled) else {
+            return Kind::Full;
+        };
+        match (end.started, since.submitted) {
+            (false, 0) if !end.any_fits => Kind::Settled(end),
+            _ if since.finished => Kind::Full,
+            (true, 0) => Kind::FollowUp(end),
+            (false, 0) => Kind::ReRun(end),
+            (false, _) => Kind::SubmitOnly(end),
+            (true, _) => Kind::Full,
+        }
     }
 
     /// [`try_schedule_probed`](BatchScheduler::try_schedule_probed) on a
@@ -623,47 +713,71 @@ impl BatchScheduler {
         now: SimTime,
         probe: &mut dyn CycleProbe,
     ) -> Vec<StartedJob> {
-        let follow_up = self.follow_up.take();
-        let carried = self.carried.take();
+        let kind = self.kind(cluster);
+        let since = std::mem::take(&mut self.since);
         self.keys.clear();
         let depth = self.pending.len();
         probe.cycle_start(now, depth);
         let scoring = Scoring::of(self.spec.discipline, cluster);
-        // Conservative slots read releases due by now; the other arms'
-        // follow-ups do not (see `follow_up_holds`).
-        let slots_read_due = match self.spec.discipline {
+        // Conservative slots read releases due by now, which the other
+        // arms' follow-ups do not (see `follow_up_holds`), and a job that
+        // joins its queue may move every later reservation, which the
+        // other arms' plans never do (see `submit_only`).
+        let conservative = match self.spec.discipline {
             Discipline::ConservativeBackfill => true,
             Discipline::Fcfs
             | Discipline::EasyBackfill
             | Discipline::PriorityBackfill { .. }
             | Discipline::QuantumAware { .. } => false,
         };
-        if let Some(end) = follow_up.filter(|end| {
-            end.now == now
-                && end.qpu_boost == scoring.boosts()
-                && self.unchanged(end, cluster)
-                && !(slots_read_due && self.release_due(now))
-        }) {
-            let any_fits = self.follow_up_holds(cluster, &end.free, probe);
-            self.end_idle(cluster, CycleEnd { any_fits, ..end }, true);
-            probe.cycle_end(0, self.pending.len());
-            return Vec::new();
-        }
-        if let Some(end) = carried.filter(|end| {
-            end.now <= now
-                && self.unchanged(end, cluster)
-                && !self.release_due(now)
-                && self.in_order(&scoring, now)
-        }) {
-            self.carry_holds(probe);
-            let end = CycleEnd {
-                now,
-                qpu_boost: scoring.boosts(),
-                ..end
-            };
-            self.end_idle(cluster, end, true);
-            probe.cycle_end(0, depth);
-            return Vec::new();
+        match kind {
+            Kind::FollowUp(end)
+                if end.now == now
+                    && end.qpu_boost == scoring.boosts()
+                    && !(conservative && self.release_due(now)) =>
+            {
+                let any_fits = self.follow_up_holds(cluster, &end.free, probe);
+                let end = CycleEnd {
+                    any_fits,
+                    started: false,
+                    ..end
+                };
+                self.close(cluster, end, false);
+                probe.cycle_end(0, self.pending.len());
+                return Vec::new();
+            }
+            // A finish moves the head's shadow, which the re-run keeps.
+            Kind::Settled(end) | Kind::ReRun(end)
+                if !since.finished
+                    && end.now <= now
+                    && !self.release_due(now)
+                    && self.in_order(&scoring, now, depth) =>
+            {
+                self.carry_holds(probe);
+                let end = CycleEnd {
+                    now,
+                    qpu_boost: scoring.boosts(),
+                    ..end
+                };
+                self.close(cluster, end, false);
+                probe.cycle_end(0, depth);
+                return Vec::new();
+            }
+            Kind::SubmitOnly(end)
+                if !conservative
+                    && end.now <= now
+                    && !self.release_due(now)
+                    && self.in_order(&scoring, now, depth - since.submitted)
+                    && self.head_stays_first(&scoring, now) =>
+            {
+                let end = CycleEnd {
+                    now,
+                    qpu_boost: scoring.boosts(),
+                    ..end
+                };
+                return self.submit_only(cluster, end, depth - since.submitted, probe);
+            }
+            _ => {}
         }
 
         self.last_holds.clear();
@@ -679,6 +793,7 @@ impl BatchScheduler {
         // FCFS: a job was held, so every later one waits. The EASY arm:
         // the head was held and its shadow reserved.
         let mut blocked = false;
+        let mut shadow = SimTime::MAX;
 
         let mut started = Vec::new();
         // Whether some queued demand fitted the free vector at its admit.
@@ -701,26 +816,19 @@ impl BatchScheduler {
             probe.phase_end(CyclePhase::Admit);
             let reason = match admitted {
                 Admit::Start => {
-                    probe.phase_start(CyclePhase::Allocate);
-                    let granted = cluster.allocate(&job.request, now);
-                    probe.phase_end(CyclePhase::Allocate);
-                    match granted {
+                    let launched = launch(
+                        &mut self.queued,
+                        &mut self.starting,
+                        cluster,
+                        job,
+                        &entry,
+                        now,
+                        probe,
+                    );
+                    match launched {
                         Ok(alloc) => {
                             free.subtract(&demand);
-                            self.queued.remove(job.id.raw());
                             profile.reserve(&demand, now, job.walltime);
-                            self.starting.push((
-                                alloc,
-                                Running {
-                                    job: job.id,
-                                    user: entry.user,
-                                    demand,
-                                    expected_end: now + job.walltime,
-                                    node_count: entry.nodes,
-                                    started: now,
-                                },
-                            ));
-                            self.total_started += 1;
                             started.push(StartedJob { job: job.id, alloc });
                             continue;
                         }
@@ -733,74 +841,52 @@ impl BatchScheduler {
                         }
                     }
                 }
-                Admit::Hold => shortage(cluster, &free, &demand),
-                // The machine may fit the job: then only a protected
-                // reservation stands in the way.
-                Admit::Reserved => match shortage(cluster, &free, &demand) {
-                    HoldReason::PolicyHold => HoldReason::HeadShadow,
-                    reason => reason,
-                },
+                verdict => hold_reason(verdict, cluster, &free, &demand),
             };
             self.last_holds.push((job.id, reason));
             if entry.reported != Some(reason) {
                 self.hold_changes.push((job.id, reason));
             }
-            held(discipline, &mut blocked, job, &demand, &mut profile, now);
+            if let Some(at) = held(discipline, &mut blocked, job, &demand, &mut profile, now) {
+                shadow = at;
+            }
             self.pending.swap(kept, i);
             kept += 1;
         }
         self.pending.truncate(kept);
         self.running.extend(self.starting.drain(..));
+        self.total_started += started.len() as u64;
         let end = CycleEnd {
             now,
             version: cluster.version(),
             free,
             qpu_boost: scoring.boosts(),
             any_fits,
+            started: !started.is_empty(),
+            shadow,
         };
-        if started.is_empty() {
-            self.end_idle(cluster, end, !refused);
-        } else if !refused {
-            self.follow_up = Some(end);
-        }
+        self.close(cluster, end, refused);
         probe.cycle_end(started.len(), self.pending.len());
         started
     }
 
-    /// Clears what the last cycle proved: a submit or a cancel may change
-    /// any verdict.
-    fn forget_last_cycle(&mut self) {
-        self.settled = None;
-        self.follow_up = None;
-        self.carried = None;
-    }
-
-    /// Closes a cycle that started nothing and ended as `end`: commits
-    /// the reasons it reported (see `hold_changes`), marks the queue
-    /// settled if no held demand fits the free vector (see `is_settled`),
-    /// and, with `carry`, keeps `end` for a clock-only re-run.
-    fn end_idle(&mut self, cluster: &Cluster, end: CycleEnd, carry: bool) {
-        for &(id, reason) in &self.hold_changes {
-            if let Some(entry) = self.queued.get_mut(id.raw()) {
-                entry.reported = Some(reason);
+    /// Closes a cycle that ended as `end`: one that started nothing
+    /// commits the reasons it reported (see `hold_changes`), and `end`
+    /// opens the change record, unless the cycle refused an allocation.
+    fn close(&mut self, cluster: &Cluster, end: CycleEnd, refused: bool) {
+        if !end.started {
+            for &(id, reason) in &self.hold_changes {
+                if let Some(entry) = self.queued.get_mut(id.raw()) {
+                    entry.reported = Some(reason);
+                }
             }
         }
-        if !end.any_fits {
-            self.settled = Some((cluster.version(), end.free));
-        }
-        if carry {
-            self.carried = Some(CycleEnd {
+        if !refused {
+            self.since.end = Some(CycleEnd {
                 version: cluster.version(),
                 ..end
             });
         }
-    }
-
-    /// Whether `cluster` is as the cycle that ended as `end` left it: its
-    /// version is that cycle's, or else its free vector is (as in
-    /// [`is_settled`](BatchScheduler::is_settled)).
-    fn unchanged(&self, end: &CycleEnd, cluster: &Cluster) -> bool {
-        end.version == cluster.version() || end.free == Demand::free_of(cluster)
     }
 
     /// Whether a running job's expected end lies at or before `now`. If
@@ -834,16 +920,16 @@ impl BatchScheduler {
         order_key(score, job)
     }
 
-    /// Scores the queue at `now` into `keys`, in queue order, until a key
-    /// does not rise above the one before it. `true` if none fell: the
-    /// queue is in the order a full cycle would sort it into, since the
-    /// keys are a total order. The keys scored so far stay for
-    /// [`order`](Self::order) to finish.
-    fn in_order(&mut self, scoring: &Scoring, now: SimTime) -> bool {
-        if self.pending.len() < 2 {
+    /// Scores the first `len` queued jobs at `now` into `keys`, in queue
+    /// order, until a key does not rise above the one before it. `true`
+    /// if none fell: those jobs are in the order a full cycle would sort
+    /// them into, since the keys are a total order. The keys scored so
+    /// far stay for [`order`](Self::order) to finish.
+    fn in_order(&mut self, scoring: &Scoring, now: SimTime, len: usize) -> bool {
+        if len < 2 {
             return true;
         }
-        for (i, job) in self.pending.iter().enumerate() {
+        for (i, job) in self.pending[..len].iter().enumerate() {
             let key = self.key_of(scoring, job, now);
             let rises = self.keys.last().is_none_or(|&(last, _)| last < key);
             self.keys.push((key, i));
@@ -854,39 +940,43 @@ impl BatchScheduler {
         true
     }
 
+    /// Scores the queued jobs that have no key yet, at `now`.
+    fn score(&mut self, scoring: &Scoring, now: SimTime) {
+        for i in self.keys.len()..self.pending.len() {
+            let key = self.key_of(scoring, &self.pending[i], now);
+            self.keys.push((key, i));
+        }
+    }
+
+    /// Scores the jobs submitted since the last cycle and sorts every
+    /// key. `true` if the old head stays first, that is, every new job
+    /// sorts behind it: `in_order` found the old jobs in order, so the
+    /// head's key is the least of theirs. The keys stay sorted for
+    /// [`order`](Self::order) either way.
+    fn head_stays_first(&mut self, scoring: &Scoring, now: SimTime) -> bool {
+        // `in_order` scores nothing for a single old job: this scores it.
+        self.score(scoring, now);
+        self.keys.sort();
+        self.keys[0].1 == 0
+    }
+
     /// Sorts the queue for this cycle, most preferred first, on each
     /// job's [`OrderKey`] at `now`. The queue arrives in the last cycle's
     /// order with new submissions behind, nearly sorted, so the stable
     /// adaptive sort runs in about one pass; the jobs are then permuted
     /// in place. A queue of 0 or 1 jobs is left alone.
     fn order(&mut self, scoring: &Scoring, now: SimTime) {
-        let depth = self.pending.len();
-        if depth < 2 {
+        if self.pending.len() < 2 {
             return;
         }
-        // `in_order` may have scored a prefix already.
-        for i in self.keys.len()..depth {
-            let key = self.key_of(scoring, &self.pending[i], now);
-            self.keys.push((key, i));
-        }
+        // `in_order` may have scored a prefix already, and
+        // `head_stays_first` all.
+        self.score(scoring, now);
         self.keys.sort();
-        // `keys[k].1` is the position of the job that belongs at `k`.
-        // Follow each cycle of the permutation, swapping its jobs into
-        // place and marking each placed position with its own index.
-        for first in 0..depth {
-            let mut at = first;
-            loop {
-                let from = std::mem::replace(&mut self.keys[at].1, at);
-                if from == first {
-                    break;
-                }
-                self.pending.swap(at, from);
-                at = from;
-            }
-        }
+        permute(&mut self.keys, |a, b| self.pending.swap(a, b));
     }
 
-    /// The same-instant follow-up (fast path 1 of
+    /// The same-instant follow-up (kind 2 of
     /// [`try_schedule_probed`](BatchScheduler::try_schedule_probed)):
     /// holds every queued job, in queue order, for the binding shortage
     /// of `free` against its demand, with [`HoldReason::PolicyHold`]
@@ -895,10 +985,9 @@ impl BatchScheduler {
     ///
     /// `free` is the final free vector `F` of the last cycle `C`, which
     /// ran at this instant and started the jobs `S`; the queue is the
-    /// jobs `H` it held, in its order. The caller has checked that
-    /// nothing moved since (see `unchanged`), that the idle-QPU flag is
-    /// `C`'s, and, under conservative, that no release is due (see
-    /// `release_due`).
+    /// jobs `H` it held, in its order. The record shows that nothing
+    /// moved since, and the caller has checked that the idle-QPU flag is
+    /// `C`'s and, under conservative, that no release is due.
     ///
     /// Why this is the full cycle's verdict. The order `match` scores a
     /// job from `now`, its submit-time entry, fairshare usage (charged
@@ -919,10 +1008,10 @@ impl BatchScheduler {
     ///   because `C` admitted each later start only where it fitted
     ///   around the shadow, so `P` less the shadow is nowhere negative.
     ///   `C`'s shadow is one of `P`'s breakpoints, so `find_slot` returns
-    ///   it. Every later job that `F` covers was held by `C` because it
-    ///   did not fit `C`'s reserved profile over `[now, now + w)`; the
-    ///   full cycle's reserved profile is lower still. So every later
-    ///   job is `Reserved`.
+    ///   it, and this cycle keeps it as its own. Every later job that `F`
+    ///   covers was held by `C` because it did not fit `C`'s reserved
+    ///   profile over `[now, now + w)`; the full cycle's reserved profile
+    ///   is lower still. So every later job is `Reserved`.
     /// * Conservative: with no release at or before `now`, a profile's
     ///   capacity at `now` is the live free vector, so a slot at `now` is
     ///   a start, and `C` reserved every job it held at a slot after
@@ -953,12 +1042,12 @@ impl BatchScheduler {
         free: &Demand,
         probe: &mut dyn CycleProbe,
     ) -> bool {
-        let relabel = match self.spec.discipline {
-            Discipline::Fcfs => false,
+        let verdict = match self.spec.discipline {
+            Discipline::Fcfs => Admit::Hold,
             Discipline::EasyBackfill
             | Discipline::ConservativeBackfill
             | Discipline::PriorityBackfill { .. }
-            | Discipline::QuantumAware { .. } => true,
+            | Discipline::QuantumAware { .. } => Admit::Reserved,
         };
         self.last_holds.clear();
         self.hold_changes.clear();
@@ -970,10 +1059,7 @@ impl BatchScheduler {
                 continue;
             };
             probe.phase_start(CyclePhase::Admit);
-            let reason = match shortage(cluster, free, &entry.demand) {
-                HoldReason::PolicyHold if relabel => HoldReason::HeadShadow,
-                reason => reason,
-            };
+            let reason = hold_reason(verdict, cluster, free, &entry.demand);
             probe.phase_end(CyclePhase::Admit);
             any_fits = any_fits || free.covers(&entry.demand);
             self.last_holds.push((id, reason));
@@ -987,25 +1073,24 @@ impl BatchScheduler {
         any_fits
     }
 
-    /// The clock-only re-run (fast path 2 of
+    /// The clock-only re-run (kind 3 of
     /// [`try_schedule_probed`](BatchScheduler::try_schedule_probed)):
     /// keeps [`last_holds`](BatchScheduler::last_holds) and lists no
     /// hold change.
     ///
     /// The last cycle `C`, at `t0 ≤ now`, started nothing and held the
-    /// queue in its order; the caller has checked that nothing but the
-    /// clock moved since (see `unchanged`), that no release is due (see
-    /// `release_due`) and that the queue scored at `now` is still in that
-    /// order. Fairshare decay, aging escalation and the
-    /// idle-QPU flag are time's only effects on the order, and the check
-    /// reads them all.
+    /// queue in its order; the record shows that only the clock moved
+    /// since, and the caller has checked that no release is due and that
+    /// the queue scored at `now` is still in that order. Fairshare decay,
+    /// aging escalation and the idle-QPU flag are time's only effects on
+    /// the order, and the check reads them all.
     ///
     /// Why this is the full cycle's verdict. `C` started nothing, so its
     /// live free vector was the cluster's `F` throughout, as it is now.
     /// Its profile was built at `t0` and the full cycle's at `now` from
-    /// the same running set, whose earliest expected end `e` lies after
-    /// `now`. Both read `F` until `e`, and they agree from `now` on. By
-    /// the admit `match`'s arm:
+    /// the same running set, and with no release due they agree from
+    /// `now` on, the first release `e` lying after `now`. By the admit
+    /// `match`'s arm:
     ///
     /// * FCFS reads only `F` and the order.
     /// * The EASY arm: `C`'s first job was the head, short of `F`, so it
@@ -1028,6 +1113,156 @@ impl BatchScheduler {
             probe.phase_end(CyclePhase::Admit);
         }
         self.hold_changes.clear();
+    }
+
+    /// The submit-only cycle (kind 4 of
+    /// [`try_schedule_probed`](BatchScheduler::try_schedule_probed)),
+    /// ending as `end`: admits only the jobs submitted since the last
+    /// cycle, each at its place in the sorted queue, against the live
+    /// free vector and, under the EASY arm, the profile at `now` with
+    /// the head's kept shadow. Every old job keeps its verdict, and one
+    /// behind a started new job is re-diagnosed for its shortage.
+    ///
+    /// The last cycle `C`, at `t0 ≤ now`, started nothing and held the
+    /// first `old` queued jobs in its order, with free vector `F`. The
+    /// record shows that only submits came since, and the caller has
+    /// checked that no release is due and that the old jobs, scored at
+    /// `now`, keep `C`'s order; it has sorted every key into `keys`, and
+    /// `C`'s head `h` is first. The discipline is not conservative.
+    ///
+    /// Why this is the full cycle's verdict. The order `match` reads the
+    /// clock, fairshare usage and the idle-QPU flag, all read at `now`
+    /// here, so `keys` is the full cycle's order: the old jobs in `C`'s
+    /// order with the new ones merged in, `h` first. `C` started
+    /// nothing, so `F` does not cover `h`. By the admit `match`'s arm:
+    ///
+    /// * FCFS holds `h` and blocks; every later job is held for its
+    ///   shortage of `F`, and nothing starts.
+    /// * The EASY arm holds `h`, and the held `match` reserves its
+    ///   shadow, `C`'s: `h` fits nowhere before the first release, and
+    ///   the profiles at `t0` and at `now` agree from there on (see the
+    ///   cycle kinds). After `h` the held `match` reserves nothing, so
+    ///   each later job is admitted against `F` and that profile, both
+    ///   less the jobs started before it. An old job did not fit `C`'s
+    ///   profile, by the re-run's argument (see `carry_holds`), and the
+    ///   full cycle's lies lower still: it is `Reserved` again. A new
+    ///   job gets exactly the verdict `admit` gives it here.
+    ///
+    /// So the starts are the full cycle's, and so is every new job's
+    /// reason. An old job ahead of every start sees `F`, as in `C`, and
+    /// keeps `C`'s reason, which `C` committed; one behind a start sees
+    /// `F` less those starts, and its shortage is read again.
+    ///
+    /// Conservative backfill takes the full path: a new job reserves a
+    /// slot, which may move every later reservation, and so a later
+    /// job's start.
+    fn submit_only(
+        &mut self,
+        cluster: &mut Cluster,
+        end: CycleEnd,
+        old: usize,
+        probe: &mut dyn CycleProbe,
+    ) -> Vec<StartedJob> {
+        let depth = self.pending.len();
+        let discipline = self.spec.discipline;
+        let now = end.now;
+        // `C`'s holds, by queue position; the new jobs' entries follow.
+        let new = self.pending[old..].iter();
+        self.last_holds
+            .extend(new.map(|job| (job.id, HoldReason::PolicyHold)));
+        self.hold_changes.clear();
+        let mut free = end.free;
+        let mut profile = Profile::deferred(now, free, &self.running);
+        // The head's shadow, reserved when a new job first reads the
+        // profile.
+        let head = &self.pending[0];
+        let mut shadow = self
+            .queued
+            .get(head.id.raw())
+            .filter(|_| end.shadow != SimTime::MAX)
+            .map(|entry| (entry.demand, head.walltime));
+        let mut started = Vec::new();
+        let mut any_fits = end.any_fits;
+        let mut refused = false;
+        for p in 0..depth {
+            let i = self.keys[p].1;
+            if i < old && started.is_empty() {
+                // Ahead of every start: `C`'s verdict and reason stand.
+                probe.phase_start(CyclePhase::Admit);
+                probe.phase_end(CyclePhase::Admit);
+                continue;
+            }
+            let job = &self.pending[i];
+            let Some(&entry) = self.queued.get(job.id.raw()) else {
+                continue;
+            };
+            let demand = entry.demand;
+            probe.phase_start(CyclePhase::Admit);
+            let admitted = if i < old {
+                // Behind a start: `C`'s verdict, under the EASY arm.
+                Admit::Reserved
+            } else {
+                let fits = free.covers(&demand);
+                any_fits = any_fits || fits;
+                if let Some((head, walltime)) = shadow.take_if(|_| fits) {
+                    profile.reserve(&head, end.shadow, walltime);
+                }
+                admit(discipline, true, job, &demand, &mut profile, &free, now)
+            };
+            probe.phase_end(CyclePhase::Admit);
+            let reason = match admitted {
+                Admit::Start => {
+                    let launched = launch(
+                        &mut self.queued,
+                        &mut self.starting,
+                        cluster,
+                        job,
+                        &entry,
+                        now,
+                        probe,
+                    );
+                    match launched {
+                        Ok(alloc) => {
+                            free.subtract(&demand);
+                            profile.reserve(&demand, now, job.walltime);
+                            started.push(StartedJob { job: job.id, alloc });
+                            continue;
+                        }
+                        Err(err) => {
+                            refused = true;
+                            Self::classify(&err)
+                        }
+                    }
+                }
+                verdict => hold_reason(verdict, cluster, &free, &demand),
+            };
+            self.last_holds[i] = (job.id, reason);
+            if entry.reported != Some(reason) {
+                self.hold_changes.push((job.id, reason));
+            }
+        }
+        permute(&mut self.keys, |a, b| {
+            self.pending.swap(a, b);
+            self.last_holds.swap(a, b);
+        });
+        if !started.is_empty() {
+            let queued = &self.queued;
+            self.pending
+                .retain(|job| queued.get(job.id.raw()).is_some());
+            self.last_holds
+                .retain(|(id, _)| queued.get(id.raw()).is_some());
+        }
+        self.running.extend(self.starting.drain(..));
+        self.total_started += started.len() as u64;
+        let end = CycleEnd {
+            free,
+            any_fits,
+            started: !started.is_empty(),
+            ..end
+        };
+        self.close(cluster, end, refused);
+        probe.cycle_end(started.len(), self.pending.len());
+        started
     }
 
     /// Maps a live-allocation failure (a policy started a job the live
@@ -1110,7 +1345,8 @@ fn admit(
 }
 
 /// The held `match`: updates the cycle's plan after `job` stays queued,
-/// whether admit held it or the live cluster refused its start.
+/// whether admit held it or the live cluster refused its start. Returns
+/// the head's shadow when the EASY arm computes it.
 fn held(
     discipline: Discipline,
     blocked: &mut bool,
@@ -1118,23 +1354,88 @@ fn held(
     demand: &Demand,
     profile: &mut Profile<'_>,
     now: SimTime,
-) {
+) -> Option<SimTime> {
     match discipline {
-        Discipline::Fcfs => *blocked = true,
+        Discipline::Fcfs => {
+            *blocked = true;
+            None
+        }
         // Conservative reserved in admit already.
-        Discipline::ConservativeBackfill => {}
+        Discipline::ConservativeBackfill => None,
         // The first held job is the head: reserve its earliest slot, the
         // shadow, so nothing backfilled later in the cycle delays it.
         Discipline::EasyBackfill
         | Discipline::PriorityBackfill { .. }
         | Discipline::QuantumAware { .. } => {
-            if !*blocked {
-                *blocked = true;
-                let shadow = profile.find_slot(demand, job.walltime, now);
-                if shadow != SimTime::MAX {
-                    profile.reserve(demand, shadow, job.walltime);
-                }
+            if *blocked {
+                return None;
             }
+            *blocked = true;
+            let shadow = profile.find_slot(demand, job.walltime, now);
+            if shadow != SimTime::MAX {
+                profile.reserve(demand, shadow, job.walltime);
+            }
+            Some(shadow)
+        }
+    }
+}
+
+/// Places `job`, which the admit `match` started, on the live `cluster`.
+/// On success its submit-time `entry` leaves `queued` for `starting`,
+/// whose jobs join the running set when the cycle ends.
+fn launch(
+    queued: &mut QueuedTable,
+    starting: &mut Vec<(AllocationId, Running)>,
+    cluster: &mut Cluster,
+    job: &PendingJob,
+    entry: &Queued,
+    now: SimTime,
+    probe: &mut dyn CycleProbe,
+) -> Result<AllocationId, ClusterError> {
+    probe.phase_start(CyclePhase::Allocate);
+    let granted = cluster.allocate(&job.request, now);
+    probe.phase_end(CyclePhase::Allocate);
+    let alloc = granted?;
+    queued.remove(job.id.raw());
+    starting.push((
+        alloc,
+        Running {
+            job: job.id,
+            user: entry.user,
+            demand: entry.demand,
+            expected_end: now + job.walltime,
+            node_count: entry.nodes,
+            started: now,
+        },
+    ));
+    Ok(alloc)
+}
+
+/// The reason a job that the admit `match` held with `verdict` reports:
+/// the binding shortage of the live free vector `free` against its
+/// demand. A `Reserved` job the machine fits waits only on a reservation
+/// carved earlier in the cycle, and blames [`HoldReason::HeadShadow`].
+fn hold_reason(verdict: Admit, cluster: &Cluster, free: &Demand, demand: &Demand) -> HoldReason {
+    match (verdict, shortage(cluster, free, demand)) {
+        (Admit::Reserved, HoldReason::PolicyHold) => HoldReason::HeadShadow,
+        (_, reason) => reason,
+    }
+}
+
+/// Applies sorted `keys` to the queue as a permutation: `keys[k].1` is
+/// the position of the job that belongs at `k`. Follows each cycle of
+/// the permutation, moving its jobs into place with `swap` and marking
+/// each placed position with its own index.
+fn permute(keys: &mut [(OrderKey, usize)], mut swap: impl FnMut(usize, usize)) {
+    for first in 0..keys.len() {
+        let mut at = first;
+        loop {
+            let from = std::mem::replace(&mut keys[at].1, at);
+            if from == first {
+                break;
+            }
+            swap(at, from);
+            at = from;
         }
     }
 }
@@ -1714,6 +2015,106 @@ mod tests {
         assert_eq!(ids(s.try_schedule(&mut c, now)), [3]);
         assert_eq!(ids(s.try_schedule(&mut c, now)), [5]);
         assert!(s.try_schedule(&mut c, now).is_empty());
+    }
+
+    /// Counts the cycles that sorted the queue.
+    #[derive(Debug, Default)]
+    struct Orders(u32);
+
+    impl CycleProbe for Orders {
+        fn phase_start(&mut self, phase: CyclePhase) {
+            if phase == CyclePhase::Order {
+                self.0 += 1;
+            }
+        }
+    }
+
+    /// EASY on `cluster(10)`: job 10 runs on 6 nodes until t=100; head
+    /// job 1 (all 10 nodes) is held with its shadow at t=100, and job 3
+    /// (4 nodes for 1000 s) fits the 4 free nodes but not around the
+    /// shadow. Both holds are committed. The priorities are QoS boosts.
+    fn held_behind_a_shadow() -> (Cluster, BatchScheduler) {
+        let mut c = cluster(10);
+        let mut s = BatchScheduler::new(PolicySpec::easy());
+        s.submit(ranked(10, 6, 100, 300.0), &c).unwrap();
+        s.submit(ranked(1, 10, 1_000, 200.0), &c).unwrap();
+        s.submit(ranked(3, 4, 1_000, 0.0), &c).unwrap();
+        assert_eq!(s.try_schedule(&mut c, SimTime::ZERO).len(), 1);
+        assert!(s.try_schedule(&mut c, SimTime::ZERO).is_empty());
+        assert_eq!(
+            s.last_holds(),
+            &[
+                (JobId::new(1), HoldReason::InsufficientNodes),
+                (JobId::new(3), HoldReason::HeadShadow)
+            ]
+        );
+        (c, s)
+    }
+
+    /// A job with `id`, `nodes`, `walltime_s` and a QoS boost, submitted
+    /// at t=0.
+    fn ranked(id: u64, nodes: u32, walltime_s: u64, qos_boost: f64) -> PendingJob {
+        PendingJob {
+            qos_boost,
+            ..job(id, nodes, walltime_s, 0)
+        }
+    }
+
+    #[test]
+    fn submit_only_start_re_diagnoses_the_jobs_behind_it() {
+        let (mut c, mut s) = held_behind_a_shadow();
+        // Job 2 (2 nodes, ends before the shadow) ranks between the head
+        // and job 3: it backfills, and job 3 is now short of nodes.
+        s.submit(ranked(2, 2, 50, 100.0), &c).unwrap();
+        let mut orders = Orders::default();
+        let now = SimTime::from_secs(1);
+        let started = s.try_schedule_probed(&mut c, now, &mut orders);
+        assert_eq!(orders.0, 0, "a submit-only cycle sorts nothing");
+        assert_eq!(started.len(), 1);
+        assert_eq!(started[0].job, JobId::new(2));
+        let short = [
+            (JobId::new(1), HoldReason::InsufficientNodes),
+            (JobId::new(3), HoldReason::InsufficientNodes),
+        ];
+        assert_eq!(s.last_holds(), &short);
+        assert_eq!(s.hold_changes(), &short[1..]);
+        // After the follow-up, two more jobs queue behind the head: the
+        // first backfills into the last 2 nodes, the second finds none.
+        assert!(s.try_schedule(&mut c, now).is_empty());
+        s.submit(ranked(4, 2, 50, 50.0), &c).unwrap();
+        s.submit(ranked(5, 1, 50, 40.0), &c).unwrap();
+        let started = s.try_schedule_probed(&mut c, now, &mut orders);
+        assert_eq!(orders.0, 0);
+        assert_eq!(started[0].job, JobId::new(4));
+        let ids: Vec<u64> = s.pending().iter().map(|p| p.id.raw()).collect();
+        assert_eq!(ids, [1, 5, 3]);
+        assert_eq!(
+            s.hold_changes(),
+            &[(JobId::new(5), HoldReason::InsufficientNodes)]
+        );
+    }
+
+    #[test]
+    fn submit_only_admits_every_new_job() {
+        let (mut c, mut s) = held_behind_a_shadow();
+        // Both new jobs end before the shadow and fit the 4 free nodes.
+        s.submit(ranked(4, 2, 50, 50.0), &c).unwrap();
+        s.submit(ranked(5, 2, 50, 40.0), &c).unwrap();
+        let mut orders = Orders::default();
+        let started = s.try_schedule_probed(&mut c, SimTime::from_secs(1), &mut orders);
+        assert_eq!(orders.0, 0);
+        let ids: Vec<u64> = started.iter().map(|st| st.job.raw()).collect();
+        assert_eq!(ids, [4, 5]);
+    }
+
+    #[test]
+    fn new_job_ahead_of_the_head_plans_in_full() {
+        let (mut c, mut s) = held_behind_a_shadow();
+        s.submit(ranked(2, 2, 50, 1_000.0), &c).unwrap();
+        let mut orders = Orders::default();
+        let started = s.try_schedule_probed(&mut c, SimTime::from_secs(1), &mut orders);
+        assert_eq!(orders.0, 1, "the new job is the head");
+        assert_eq!(started[0].job, JobId::new(2));
     }
 
     #[test]

@@ -1,12 +1,14 @@
-//! Differential oracle for the cycles that re-plan nothing: the library's
-//! [`BatchScheduler`], which answers a same-instant follow-up to a
-//! starting cycle and a clock-only re-run of a non-starting one without
-//! sorting, profiling or admitting, against the reference scheduler in
-//! `reference/`, which runs every cycle in full. Both drive their own
-//! copy of the same machine (six partitions, four gres pools, as in
-//! `oracle_cycle.rs`) under all five policies.
+//! Differential oracle for the cycles that re-plan little or nothing:
+//! the library's [`BatchScheduler`], which answers a same-instant
+//! follow-up to a starting cycle and a clock-only re-run of a
+//! non-starting one without sorting, profiling or admitting, and a
+//! cycle after submits onto a held queue by admitting only the new
+//! jobs, against the reference scheduler in `reference/`, which runs
+//! every cycle in full. Both drive their own copy of the same machine
+//! (six partitions, four gres pools, as in `oracle_cycle.rs`) under all
+//! five policies.
 //!
-//! The steps lean on the fast paths' preconditions:
+//! The steps lean on the fast kinds' preconditions:
 //!
 //! * most steps call the cycle more than once at the same instant, after
 //!   a submit, a withdrawn submission, a node failure or repair, an early
@@ -16,7 +18,12 @@
 //!   walltime, so an expected end passes with the job still running;
 //! * with `fairshare`, usage weighs heavily and decays with a 15-minute
 //!   half-life, and priority backfill escalates after half an hour, so
-//!   the queue order drifts with time alone.
+//!   the queue order drifts with time alone;
+//! * a second, submit-weighted action mix trickles jobs in one at a
+//!   time, each after a clock advance of up to two minutes and followed
+//!   by a cycle, as a simulation loop does, so that queues grow deep and
+//!   held and new jobs land both ahead of and behind the head (the QoS
+//!   boost is worth up to an hour of age).
 //!
 //! After every cycle the two must agree on the starts, the allocation
 //! ids, `last_holds` and the queue order, and the library's
@@ -33,7 +40,7 @@ use hpcqc_cluster::gres::GresKind;
 use hpcqc_cluster::ids::{AllocationId, NodeId};
 use hpcqc_sched::probe::{CyclePhase, CycleProbe};
 use hpcqc_sched::scheduler::{BatchScheduler, PendingJob};
-use hpcqc_sched::{HoldReason, PolicySpec, PriorityWeights};
+use hpcqc_sched::{Discipline, HoldReason, PolicySpec, PriorityWeights};
 use hpcqc_simcore::time::{SimDuration, SimTime};
 use hpcqc_workload::job::JobId;
 use proptest::prelude::*;
@@ -157,6 +164,9 @@ enum Action {
     /// The clock advances to the earliest expected end of a running job
     /// after `now`, shifted by this many seconds (−1, 0 or +1).
     ToExpectedEnd(i64),
+    /// Each job is submitted after the clock advances by its seconds
+    /// (possibly none), and a cycle follows it.
+    Trickle(Vec<(u64, JobSpec)>),
 }
 
 fn action() -> impl Strategy<Value = Action> {
@@ -174,11 +184,33 @@ fn action() -> impl Strategy<Value = Action> {
     ]
 }
 
+/// The submit-weighted mix: mostly submits, one at a time or a few at
+/// once, with releases rare enough that the queue grows deep.
+fn submit_weighted_action() -> impl Strategy<Value = Action> {
+    let trickle = || prop::collection::vec((0u64..120, job_spec()), 1..6).prop_map(Action::Trickle);
+    let submit = || prop::collection::vec(job_spec(), 1..4).prop_map(Action::Submit);
+    prop_oneof![
+        trickle(),
+        trickle(),
+        trickle(),
+        submit(),
+        submit(),
+        (1u64..900).prop_map(Action::Advance),
+        (-1i64..=1).prop_map(Action::ToExpectedEnd),
+        (0usize..8).prop_map(Action::Release),
+        Just(Action::Nothing),
+    ]
+}
+
 /// One step: an action, then this many cycles at the instant it leaves.
 type Step = (Action, u8);
 
 fn step() -> impl Strategy<Value = Step> {
     (action(), 1u8..4)
+}
+
+fn submit_weighted_step() -> impl Strategy<Value = Step> {
+    (submit_weighted_action(), 1u8..3)
 }
 
 /// Counts cycles and the phases in them.
@@ -205,11 +237,12 @@ impl CycleProbe for Counter {
     }
 }
 
-/// How many cycles took each fast path.
+/// How many cycles took each fast kind.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 struct FastPaths {
     follow_ups: u64,
     re_runs: u64,
+    submit_onlys: u64,
 }
 
 /// The library and the reference, each with its machine, and what both
@@ -233,6 +266,8 @@ struct Replay {
     fast: FastPaths,
     /// Whether the last cycle started a job, and its instant.
     last_started: Option<SimTime>,
+    /// Whether a job was queued since the last cycle.
+    submitted: bool,
 }
 
 impl Replay {
@@ -250,6 +285,7 @@ impl Replay {
             probe: Counter::default(),
             fast: FastPaths::default(),
             last_started: None,
+            submitted: false,
         }
     }
 
@@ -299,9 +335,14 @@ impl Replay {
             Action::Nothing => {}
             Action::Submit(jobs) => {
                 for spec in jobs {
-                    let job = self.job(spec);
-                    let queued = self.lib.submit(job.clone(), &self.lib_cluster).is_ok();
-                    assert_eq!(queued, self.reference.submit(job, &self.ref_cluster));
+                    self.submit(spec);
+                }
+            }
+            Action::Trickle(jobs) => {
+                for (secs, spec) in jobs {
+                    self.advance(self.now + SimDuration::from_secs(*secs));
+                    self.submit(spec);
+                    self.cycle();
                 }
             }
             Action::Withdraw(spec) => {
@@ -351,6 +392,14 @@ impl Replay {
         }
     }
 
+    /// Submits a job on both sides, which must agree whether it queues.
+    fn submit(&mut self, spec: &JobSpec) {
+        let job = self.job(spec);
+        let queued = self.lib.submit(job.clone(), &self.lib_cluster).is_ok();
+        assert_eq!(queued, self.reference.submit(job, &self.ref_cluster));
+        self.submitted |= queued;
+    }
+
     /// One cycle on both sides, asserting that they agree.
     fn cycle(&mut self) {
         let (orders, cycles) = (self.probe.orders, self.probe.cycles);
@@ -386,15 +435,18 @@ impl Replay {
             self.reported.extend(changes);
         }
 
-        // A cycle without an order phase took a fast path.
+        // A cycle without an order phase took a fast kind.
         if self.probe.cycles > cycles && self.probe.orders == orders {
             if self.last_started == Some(at) {
                 self.fast.follow_ups += 1;
+            } else if self.submitted {
+                self.fast.submit_onlys += 1;
             } else {
                 self.fast.re_runs += 1;
             }
         }
         self.last_started = (!started.is_empty()).then_some(at);
+        self.submitted = false;
         for st in started {
             self.reported.remove(&st.job);
             let (walltime, pct) = self.runs[&st.job];
@@ -406,7 +458,7 @@ impl Replay {
 }
 
 /// Replays `steps` under `policy`, asserting after every cycle that the
-/// library and the reference agree; returns how often each fast path ran.
+/// library and the reference agree; returns how often each fast kind ran.
 fn replay(steps: &[Step], policy: PolicySpec) -> FastPaths {
     let mut r = Replay::new(policy);
     for (action, cycles) in steps {
@@ -449,23 +501,58 @@ proptest! {
     }
 }
 
-/// The oracle must exercise both fast paths, not only full cycles: a
-/// machine-wide job starts and two more queue behind it; the cycle
-/// repeats at that instant (a follow-up), then a minute later (a re-run).
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn submit_only_cycles_match_the_reference(
+        steps in prop::collection::vec(submit_weighted_step(), 1..60),
+        policy_idx in 0usize..5,
+        fairshare in any::<bool>(),
+    ) {
+        replay(&steps, policies(fairshare)[policy_idx]);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(1_000))]
+
+    /// The submit-weighted oracle at four times the cases and longer
+    /// step sequences, for release builds (see
+    /// `fast_paths_match_the_reference_at_depth`).
+    #[test]
+    #[ignore = "1,000 cases; run in release"]
+    fn submit_only_cycles_match_the_reference_at_depth(
+        steps in prop::collection::vec(submit_weighted_step(), 1..80),
+        policy_idx in 0usize..5,
+        fairshare in any::<bool>(),
+    ) {
+        replay(&steps, policies(fairshare)[policy_idx]);
+    }
+}
+
+/// The oracle must exercise every fast kind a policy supports, not only
+/// full cycles: a machine-wide job starts and two more queue behind it;
+/// the cycle repeats at that instant (a follow-up), then a minute later
+/// (a re-run); then a fourth such job queues behind them (submit-only,
+/// which conservative backfill plans in full).
 #[test]
-fn every_policy_takes_both_fast_paths() {
+fn every_policy_takes_every_kind_it_supports() {
     let whole_cpu: JobSpec = (vec![(0, 100, vec![])], 0, 3_600, 100, 0, 0);
     let steps = [
         (Action::Submit(vec![whole_cpu.clone(); 3]), 2),
         (Action::Advance(60), 1),
+        (Action::Submit(vec![whole_cpu.clone()]), 1),
     ];
     for fairshare in [false, true] {
         for policy in policies(fairshare) {
+            let conservative = policy.discipline == Discipline::ConservativeBackfill;
             assert_eq!(
                 replay(&steps, policy),
                 FastPaths {
                     follow_ups: 1,
-                    re_runs: 1
+                    re_runs: 1,
+                    submit_onlys: u64::from(!conservative),
                 },
                 "{policy}"
             );
