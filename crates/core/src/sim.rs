@@ -2042,7 +2042,7 @@ impl<'o> SimState<'o> {
         }
         let key = self
             .events
-            .schedule(now + walltime, Event::KillJob(job, epoch));
+            .schedule(now.saturating_add(walltime), Event::KillJob(job, epoch));
         self.live_mut(job).kill_event = Some(key);
     }
 

@@ -28,7 +28,7 @@ use hpcqc_simcore::time::SimTime;
 pub enum CyclePhase {
     /// Queue ordering: scoring and sorting. The availability profile is
     /// not built here: it is built by the first admit or held step that
-    /// reads it (see [`Profile`](crate::Profile#deferred-profiles)), so
+    /// reads it (see [`Profile`](crate::Profile#building-after-starts)), so
     /// its cost lands in `Admit` when admit reads first (conservative
     /// backfill), outside the three phases when held does (EASY and its
     /// variants, once a head blocks), and nowhere for FCFS. The order

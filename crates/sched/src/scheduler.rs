@@ -12,7 +12,7 @@
 //! pays one queue wait per step, and that wait depends directly on the
 //! queue policy in force.
 
-use crate::demand::{Demand, Profile, Releases};
+use crate::demand::{Demand, Profile};
 use crate::policy::{Discipline, HoldReason, PolicySpec};
 use crate::priority::{PriorityCalculator, UserId};
 use crate::probe::{CyclePhase, CycleProbe, NoProbe};
@@ -302,9 +302,92 @@ struct Running {
     started: SimTime,
 }
 
-impl Releases for IdMap<AllocationId, Running> {
-    fn releases(&self) -> Box<dyn Iterator<Item = (SimTime, &Demand)> + '_> {
-        Box::new(self.values().map(|r| (r.expected_end, &r.demand)))
+/// The running jobs, by allocation.
+type RunningSet = IdMap<AllocationId, Running>;
+
+/// The availability profile at `now`: `free` plus each running job's
+/// demand from its expected end. A cycle builds at most one, so the build
+/// stays out of line, off the admit and held steps that may call it
+/// (perfbench `deep-queue` ran ~1% slower with it inline).
+#[cold]
+#[inline(never)]
+fn profile_of(now: SimTime, free: Demand, running: &RunningSet) -> Profile {
+    Profile::from_releases(
+        now,
+        free,
+        running.values().map(|r| (r.expected_end, &r.demand)),
+    )
+}
+
+/// One cycle's plan: its instant, the live free vector, and the
+/// availability profile, built when a policy first reads it. FCFS never
+/// does, so its cycles build none.
+#[derive(Debug)]
+struct Plan {
+    now: SimTime,
+    /// The cluster's free capacity, less what each start of the cycle
+    /// allocates.
+    free: Demand,
+    /// The profile at `now`, less every reservation of the cycle; `None`
+    /// until first read.
+    profile: Option<Profile>,
+}
+
+impl Plan {
+    fn new(now: SimTime, free: Demand) -> Self {
+        Plan {
+            now,
+            free,
+            profile: None,
+        }
+    }
+
+    /// The cycle's profile, built on first read from the free vector and
+    /// `running`, which already holds the cycle's starts: the profile
+    /// built before them with each reserved (see
+    /// [Building after starts](Profile#building-after-starts)).
+    fn profile(&mut self, running: &RunningSet) -> &mut Profile {
+        self.profile
+            .get_or_insert_with(|| profile_of(self.now, self.free, running))
+    }
+
+    /// Starts `job`, which the admit `match` admitted, on the live
+    /// `cluster`: its submit-time `entry` leaves `queued`, the job joins
+    /// `running`, and its demand leaves the free vector and, once built,
+    /// the profile. A start the live cluster refuses (the admit `match`
+    /// said yes, but e.g. nodes failed) is held instead, blaming the
+    /// concrete shortage the allocator reported.
+    fn start(
+        &mut self,
+        cluster: &mut Cluster,
+        queued: &mut QueuedTable,
+        running: &mut RunningSet,
+        job: &PendingJob,
+        entry: &Queued,
+        probe: &mut dyn CycleProbe,
+    ) -> Result<AllocationId, HoldReason> {
+        probe.phase_start(CyclePhase::Allocate);
+        let granted = cluster.allocate(&job.request, self.now);
+        probe.phase_end(CyclePhase::Allocate);
+        let alloc = granted.map_err(|err| classify(&err))?;
+        queued.remove(job.id.raw());
+        running.insert(
+            alloc,
+            Running {
+                job: job.id,
+                user: entry.user,
+                demand: entry.demand,
+                // The end a reserve to the horizon carves to.
+                expected_end: self.now.saturating_add(job.walltime),
+                node_count: entry.nodes,
+                started: self.now,
+            },
+        );
+        self.free.subtract(&entry.demand);
+        if let Some(profile) = &mut self.profile {
+            profile.reserve(&entry.demand, self.now, job.walltime);
+        }
+        Ok(alloc)
     }
 }
 
@@ -332,10 +415,7 @@ pub struct BatchScheduler {
     pending: Vec<PendingJob>,
     /// Each queued job's submit-time entry, by [`JobId::raw`].
     queued: QueuedTable,
-    running: IdMap<AllocationId, Running>,
-    /// The jobs a cycle starts, moved into `running` when it ends: the
-    /// cycle's deferred profile borrows `running` until then.
-    starting: Vec<(AllocationId, Running)>,
+    running: RunningSet,
     total_started: u64,
     total_finished: u64,
     last_holds: Vec<(JobId, HoldReason)>,
@@ -361,7 +441,6 @@ impl BatchScheduler {
             pending: Vec::new(),
             queued: IdWindow::new(),
             running: IdMap::new(),
-            starting: Vec::new(),
             total_started: 0,
             total_finished: 0,
             last_holds: Vec::new(),
@@ -446,8 +525,8 @@ impl BatchScheduler {
     /// running job, before any reservations. Useful for asserting
     /// backfill invariants from the outside (see
     /// `crates/sched/tests/proptest_sched.rs`).
-    pub fn availability_profile(&self, cluster: &Cluster, now: SimTime) -> Profile<'static> {
-        Profile::build_from(now, Demand::free_of(cluster), &self.running)
+    pub fn availability_profile(&self, cluster: &Cluster, now: SimTime) -> Profile {
+        profile_of(now, Demand::free_of(cluster), &self.running)
     }
 
     /// Enqueues a job, resolving its request against `cluster` — the
@@ -593,10 +672,10 @@ impl BatchScheduler {
     ///
     /// The policy plans against the
     /// [`availability_profile`](BatchScheduler::availability_profile) at
-    /// `now`, deferred until it first reads it (see
-    /// [Deferred profiles](Profile#deferred-profiles)): a cycle whose
-    /// policy never looks at the timeline neither copies the running set
-    /// nor builds one.
+    /// `now`, built when it first reads it, from the running set and the
+    /// free vector as the cycle's starts so far left them (see
+    /// [Building after starts](Profile#building-after-starts)): a cycle
+    /// whose policy never looks at the timeline builds none.
     ///
     /// # Cycle kinds
     ///
@@ -785,10 +864,7 @@ impl BatchScheduler {
         probe.phase_start(CyclePhase::Order);
         self.order(&scoring, now);
         probe.phase_end(CyclePhase::Order);
-        // The live free vector: the cluster's free capacity, less what
-        // each start of this cycle allocates.
-        let mut free = Demand::free_of(cluster);
-        let mut profile = Profile::deferred(now, free, &self.running);
+        let mut plan = Plan::new(now, Demand::free_of(cluster));
         let discipline = self.spec.discipline;
         // FCFS: a job was held, so every later one waits. The EASY arm:
         // the head was held and its shadow reserved.
@@ -810,56 +886,49 @@ impl BatchScheduler {
                 continue;
             };
             let demand = entry.demand;
-            any_fits = any_fits || free.covers(&demand);
+            any_fits = any_fits || plan.free.covers(&demand);
             probe.phase_start(CyclePhase::Admit);
-            let admitted = admit(discipline, blocked, job, &demand, &mut profile, &free, now);
+            let admitted = admit(discipline, blocked, job, &demand, &mut plan, &self.running);
             probe.phase_end(CyclePhase::Admit);
             let reason = match admitted {
                 Admit::Start => {
-                    let launched = launch(
-                        &mut self.queued,
-                        &mut self.starting,
-                        cluster,
-                        job,
-                        &entry,
-                        now,
-                        probe,
-                    );
-                    match launched {
+                    let (queued, running) = (&mut self.queued, &mut self.running);
+                    match plan.start(cluster, queued, running, job, &entry, probe) {
                         Ok(alloc) => {
-                            free.subtract(&demand);
-                            profile.reserve(&demand, now, job.walltime);
                             started.push(StartedJob { job: job.id, alloc });
                             continue;
                         }
-                        // Profile said yes but the live cluster disagrees
-                        // (e.g. failed nodes): treat as held, blaming the
-                        // concrete shortage the allocator reported.
-                        Err(err) => {
+                        Err(reason) => {
                             refused = true;
-                            Self::classify(&err)
+                            reason
                         }
                     }
                 }
-                verdict => hold_reason(verdict, cluster, &free, &demand),
+                verdict => hold_reason(verdict, cluster, &plan.free, &demand),
             };
             self.last_holds.push((job.id, reason));
             if entry.reported != Some(reason) {
                 self.hold_changes.push((job.id, reason));
             }
-            if let Some(at) = held(discipline, &mut blocked, job, &demand, &mut profile, now) {
+            if let Some(at) = held(
+                discipline,
+                &mut blocked,
+                job,
+                &demand,
+                &mut plan,
+                &self.running,
+            ) {
                 shadow = at;
             }
             self.pending.swap(kept, i);
             kept += 1;
         }
         self.pending.truncate(kept);
-        self.running.extend(self.starting.drain(..));
         self.total_started += started.len() as u64;
         let end = CycleEnd {
             now,
             version: cluster.version(),
-            free,
+            free: plan.free,
             qpu_boost: scoring.boosts(),
             any_fits,
             started: !started.is_empty(),
@@ -1001,17 +1070,19 @@ impl BatchScheduler {
     /// * The EASY arm: `C`'s first hold is its head, which `C`'s free
     ///   vector, covering `F`, did not cover; so `F` does not, and the
     ///   head is first and held again. The full cycle's profile `P` is
-    ///   the deferred fold of `S` over `C`'s (see
-    ///   [Deferred profiles](Profile#deferred-profiles)): `C`'s profile
-    ///   when it reserved the shadow, less `S`'s later starts. So the
-    ///   head fits `P` no earlier than `C`'s shadow; and it fits there,
-    ///   because `C` admitted each later start only where it fitted
-    ///   around the shadow, so `P` less the shadow is nowhere negative.
-    ///   `C`'s shadow is one of `P`'s breakpoints, so `find_slot` returns
-    ///   it, and this cycle keeps it as its own. Every later job that `F`
-    ///   covers was held by `C` because it did not fit `C`'s reserved
-    ///   profile over `[now, now + w)`; the full cycle's reserved profile
-    ///   is lower still. So every later job is `Reserved`.
+    ///   built from a running set that holds `S`, so it is `C`'s
+    ///   profile with every start of `S` reserved (see
+    ///   [Building after starts](Profile#building-after-starts)): `C`'s
+    ///   profile when it reserved the shadow, less `S`'s later starts.
+    ///   So the head fits `P` no earlier than `C`'s shadow; and it fits
+    ///   there, because `C` admitted each later start only where it
+    ///   fitted around the shadow, so `P` less the shadow is nowhere
+    ///   negative. `C`'s shadow is one of `P`'s breakpoints, so
+    ///   `find_slot` returns it, and this cycle keeps it as its own.
+    ///   Every later job that `F` covers was held by `C` because it did
+    ///   not fit `C`'s reserved profile over `[now, now + w)`; the full
+    ///   cycle's reserved profile is lower still. So every later job is
+    ///   `Reserved`.
     /// * Conservative: with no release at or before `now`, a profile's
     ///   capacity at `now` is the live free vector, so a slot at `now` is
     ///   a start, and `C` reserved every job it held at a slot after
@@ -1171,8 +1242,7 @@ impl BatchScheduler {
         self.last_holds
             .extend(new.map(|job| (job.id, HoldReason::PolicyHold)));
         self.hold_changes.clear();
-        let mut free = end.free;
-        let mut profile = Profile::deferred(now, free, &self.running);
+        let mut plan = Plan::new(now, end.free);
         // The head's shadow, reserved when a new job first reads the
         // profile.
         let head = &self.pending[0];
@@ -1202,39 +1272,30 @@ impl BatchScheduler {
                 // Behind a start: `C`'s verdict, under the EASY arm.
                 Admit::Reserved
             } else {
-                let fits = free.covers(&demand);
+                let fits = plan.free.covers(&demand);
                 any_fits = any_fits || fits;
                 if let Some((head, walltime)) = shadow.take_if(|_| fits) {
-                    profile.reserve(&head, end.shadow, walltime);
+                    plan.profile(&self.running)
+                        .reserve(&head, end.shadow, walltime);
                 }
-                admit(discipline, true, job, &demand, &mut profile, &free, now)
+                admit(discipline, true, job, &demand, &mut plan, &self.running)
             };
             probe.phase_end(CyclePhase::Admit);
             let reason = match admitted {
                 Admit::Start => {
-                    let launched = launch(
-                        &mut self.queued,
-                        &mut self.starting,
-                        cluster,
-                        job,
-                        &entry,
-                        now,
-                        probe,
-                    );
-                    match launched {
+                    let (queued, running) = (&mut self.queued, &mut self.running);
+                    match plan.start(cluster, queued, running, job, &entry, probe) {
                         Ok(alloc) => {
-                            free.subtract(&demand);
-                            profile.reserve(&demand, now, job.walltime);
                             started.push(StartedJob { job: job.id, alloc });
                             continue;
                         }
-                        Err(err) => {
+                        Err(reason) => {
                             refused = true;
-                            Self::classify(&err)
+                            reason
                         }
                     }
                 }
-                verdict => hold_reason(verdict, cluster, &free, &demand),
+                verdict => hold_reason(verdict, cluster, &plan.free, &demand),
             };
             self.last_holds[i] = (job.id, reason);
             if entry.reported != Some(reason) {
@@ -1252,10 +1313,9 @@ impl BatchScheduler {
             self.last_holds
                 .retain(|(id, _)| queued.get(id.raw()).is_some());
         }
-        self.running.extend(self.starting.drain(..));
         self.total_started += started.len() as u64;
         let end = CycleEnd {
-            free,
+            free: plan.free,
             any_fits,
             started: !started.is_empty(),
             ..end
@@ -1264,18 +1324,18 @@ impl BatchScheduler {
         probe.cycle_end(started.len(), self.pending.len());
         started
     }
+}
 
-    /// Maps a live-allocation failure (a policy started a job the live
-    /// cluster cannot place) onto the same causes a hold's shortage
-    /// reports, so the ledger downstream never sees an unlabeled hold.
-    fn classify(err: &ClusterError) -> HoldReason {
-        match err {
-            ClusterError::InsufficientNodes { .. } => HoldReason::InsufficientNodes,
-            ClusterError::InsufficientGres { .. } | ClusterError::NoSuchGres { .. } => {
-                HoldReason::InsufficientGres
-            }
-            _ => HoldReason::PolicyHold,
+/// Maps a live-allocation failure (a policy started a job the live
+/// cluster cannot place) onto the same causes a hold's shortage reports,
+/// so the ledger downstream never sees an unlabeled hold.
+fn classify(err: &ClusterError) -> HoldReason {
+    match err {
+        ClusterError::InsufficientNodes { .. } => HoldReason::InsufficientNodes,
+        ClusterError::InsufficientGres { .. } | ClusterError::NoSuchGres { .. } => {
+            HoldReason::InsufficientGres
         }
+        _ => HoldReason::PolicyHold,
     }
 }
 
@@ -1294,21 +1354,24 @@ enum Admit {
     Reserved,
 }
 
-/// The admit `match`: whether `job`, next in order, starts now. `free` is
-/// the live free vector; `profile` carries every reservation made earlier
-/// in the cycle; `blocked` is the held `match`'s flag.
+/// The admit `match`: whether `job`, next in order, starts now. `plan`
+/// holds the live free vector and a profile of `running` with every
+/// reservation made earlier in the cycle; `blocked` is the held `match`'s
+/// flag. Inlined into both cycle loops, which call it once per job they
+/// admit: as a call, perfbench `deep-queue` ran ~1.5% slower.
+#[inline(always)]
 fn admit(
     discipline: Discipline,
     blocked: bool,
     job: &PendingJob,
     demand: &Demand,
-    profile: &mut Profile<'_>,
-    free: &Demand,
-    now: SimTime,
+    plan: &mut Plan,
+    running: &RunningSet,
 ) -> Admit {
+    let now = plan.now;
     match discipline {
         Discipline::Fcfs => {
-            if !blocked && free.covers(demand) {
+            if !blocked && plan.free.covers(demand) {
                 Admit::Start
             } else {
                 Admit::Hold
@@ -1317,11 +1380,12 @@ fn admit(
         // Reserve the job's earliest slot if it lies ahead, so no later
         // job can delay it.
         Discipline::ConservativeBackfill => {
+            let profile = plan.profile(running);
             let slot = profile.find_slot(demand, job.walltime, now);
             if slot > now {
                 profile.reserve(demand, slot, job.walltime);
                 Admit::Reserved
-            } else if free.covers(demand) {
+            } else if plan.free.covers(demand) {
                 Admit::Start
             } else {
                 Admit::Hold
@@ -1333,7 +1397,9 @@ fn admit(
         Discipline::EasyBackfill
         | Discipline::PriorityBackfill { .. }
         | Discipline::QuantumAware { .. } => {
-            if free.covers(demand) && (!blocked || profile.fits(demand, now, job.walltime)) {
+            if plan.free.covers(demand)
+                && (!blocked || plan.profile(running).fits(demand, now, job.walltime))
+            {
                 Admit::Start
             } else if blocked {
                 Admit::Reserved
@@ -1352,8 +1418,8 @@ fn held(
     blocked: &mut bool,
     job: &PendingJob,
     demand: &Demand,
-    profile: &mut Profile<'_>,
-    now: SimTime,
+    plan: &mut Plan,
+    running: &RunningSet,
 ) -> Option<SimTime> {
     match discipline {
         Discipline::Fcfs => {
@@ -1371,6 +1437,8 @@ fn held(
                 return None;
             }
             *blocked = true;
+            let now = plan.now;
+            let profile = plan.profile(running);
             let shadow = profile.find_slot(demand, job.walltime, now);
             if shadow != SimTime::MAX {
                 profile.reserve(demand, shadow, job.walltime);
@@ -1378,37 +1446,6 @@ fn held(
             Some(shadow)
         }
     }
-}
-
-/// Places `job`, which the admit `match` started, on the live `cluster`.
-/// On success its submit-time `entry` leaves `queued` for `starting`,
-/// whose jobs join the running set when the cycle ends.
-fn launch(
-    queued: &mut QueuedTable,
-    starting: &mut Vec<(AllocationId, Running)>,
-    cluster: &mut Cluster,
-    job: &PendingJob,
-    entry: &Queued,
-    now: SimTime,
-    probe: &mut dyn CycleProbe,
-) -> Result<AllocationId, ClusterError> {
-    probe.phase_start(CyclePhase::Allocate);
-    let granted = cluster.allocate(&job.request, now);
-    probe.phase_end(CyclePhase::Allocate);
-    let alloc = granted?;
-    queued.remove(job.id.raw());
-    starting.push((
-        alloc,
-        Running {
-            job: job.id,
-            user: entry.user,
-            demand: entry.demand,
-            expected_end: now + job.walltime,
-            node_count: entry.nodes,
-            started: now,
-        },
-    ));
-    Ok(alloc)
 }
 
 /// The reason a job that the admit `match` held with `verdict` reports:
@@ -2146,6 +2183,86 @@ mod tests {
         // Ties fall to the submit time, then the id.
         assert!(order_key(1.0, &job(5, 1, 100, 0)) < order_key(1.0, &job(1, 1, 100, 1)));
         assert!(order_key(1.0, &job(1, 1, 100, 0)) < order_key(1.0, &job(5, 1, 100, 0)));
+    }
+
+    #[test]
+    fn walltime_past_the_horizon_starts() {
+        for spec in [
+            PolicySpec::fcfs(),
+            PolicySpec::easy(),
+            PolicySpec::conservative(),
+            PolicySpec::priority_backfill(1.0),
+            PolicySpec::quantum_aware(100.0),
+        ] {
+            let mut c = cluster(10);
+            let mut s = BatchScheduler::new(spec);
+            // Job 0 never ends: `now + walltime` saturates. Head job 1
+            // then never fits, and job 2 plans against a profile whose
+            // last release lies at the horizon.
+            let forever = PendingJob {
+                walltime: SimDuration::MAX,
+                qos_boost: 100.0,
+                ..job(0, 6, 0, 0)
+            };
+            s.submit(forever, &c).unwrap();
+            s.submit(ranked(1, 6, 100, 50.0), &c).unwrap();
+            s.submit(job(2, 2, 100, 0), &c).unwrap();
+            let started = s.try_schedule(&mut c, SimTime::from_secs(10));
+            let ids: Vec<u64> = started.iter().map(|st| st.job.raw()).collect();
+            let backfills = spec.discipline != Discipline::Fcfs;
+            let expected: &[u64] = if backfills { &[0, 2] } else { &[0] };
+            assert_eq!(ids, expected, "{spec:?}");
+            // Only job 0's release lies at the horizon.
+            let p = s.availability_profile(&c, SimTime::from_secs(20));
+            assert_eq!(p.free_at(SimTime::from_secs(1_000_000)).get(0), 4);
+        }
+    }
+
+    #[test]
+    fn plan_builds_its_profile_on_first_read() {
+        let mut c = cluster(10);
+        let mut s = BatchScheduler::new(PolicySpec::fcfs());
+        s.submit(job(0, 4, 100, 0), &c).unwrap();
+        assert_eq!(s.try_schedule(&mut c, SimTime::ZERO).len(), 1);
+        let jobs = [job(1, 2, 50, 1), job(2, 1, 500, 1), job(3, 1, 20, 1)];
+        for j in &jobs {
+            s.submit(j.clone(), &c).unwrap();
+        }
+        let now = SimTime::from_secs(10);
+        let mut eager = s.availability_profile(&c, now);
+        let mut plan = Plan::new(now, Demand::free_of(&c));
+        let start = |plan: &mut Plan, s: &mut BatchScheduler, c: &mut Cluster, j: &PendingJob| {
+            let entry = *s.queued.get(j.id.raw()).unwrap();
+            let (queued, running) = (&mut s.queued, &mut s.running);
+            plan.start(c, queued, running, j, &entry, &mut NoProbe)
+                .unwrap();
+            entry.demand
+        };
+        // FCFS reads only the free vector, so neither its starts nor its
+        // holds build a profile.
+        let fcfs = |plan: &mut Plan, s: &BatchScheduler, blocked: bool, j: &PendingJob| {
+            let demand = s.queued.get(j.id.raw()).unwrap().demand;
+            admit(Discipline::Fcfs, blocked, j, &demand, plan, &s.running)
+        };
+        for j in &jobs[..2] {
+            assert_eq!(fcfs(&mut plan, &s, false, j), Admit::Start);
+            let demand = start(&mut plan, &mut s, &mut c, j);
+            eager.reserve(&demand, now, j.walltime);
+        }
+        assert_eq!(fcfs(&mut plan, &s, true, &jobs[2]), Admit::Hold);
+        assert!(
+            plan.profile.is_none(),
+            "starts before the first read build nothing"
+        );
+        assert_eq!(plan.free, Demand::free_of(&c));
+        // The first read builds the profile after the starts: the one
+        // built before them, with each start reserved.
+        assert_eq!(plan.profile(&s.running), &eager);
+        // A start after the build is reserved into it.
+        let demand = start(&mut plan, &mut s, &mut c, &jobs[2]);
+        eager.reserve(&demand, now, jobs[2].walltime);
+        assert_eq!(plan.profile.as_ref(), Some(&eager));
+        assert_eq!(plan.profile(&s.running), &s.availability_profile(&c, now));
     }
 
     #[test]

@@ -183,12 +183,12 @@ pub fn from_hqwf(text: &str) -> Result<Workload, ParseTraceError> {
         jobs.push(
             JobSpec::builder(name)
                 .user(user)
-                .submit(SimTime::ZERO + secs_to_duration(submit))
+                .submit(SimTime::ZERO + submit)
                 .nodes(nodes)
                 .partition(partition)
                 .qpus(qpus)
                 .qpu_partition(qpu_partition)
-                .walltime(secs_to_duration(walltime))
+                .walltime(walltime)
                 .phases(phases)
                 .build(),
         );
@@ -201,10 +201,6 @@ pub fn from_hqwf(text: &str) -> Result<Workload, ParseTraceError> {
 }
 
 /// Nearest-nanosecond duration from parsed seconds (validated `>= 0`).
-fn secs_to_duration(secs: f64) -> SimDuration {
-    SimDuration::from_nanos((secs * 1e9).round() as u64)
-}
-
 fn parse_num<T: std::str::FromStr>(s: &str, what: &str, line: usize) -> Result<T, ParseTraceError> {
     s.parse().map_err(|_| ParseTraceError {
         line,
@@ -212,22 +208,34 @@ fn parse_num<T: std::str::FromStr>(s: &str, what: &str, line: usize) -> Result<T
     })
 }
 
-/// Parses a non-negative, finite seconds field.
-fn parse_secs(s: &str, what: &str, line: usize) -> Result<f64, ParseTraceError> {
+/// Parses a seconds field into a duration, rounded to the nanosecond.
+/// The field must be a non-negative finite number short of `u64::MAX`
+/// nanoseconds (about 1.8e10 s), the longest span a [`SimDuration`]
+/// holds: a longer one would saturate to it silently.
+fn parse_secs(s: &str, what: &str, line: usize) -> Result<SimDuration, ParseTraceError> {
     let secs: f64 = parse_num(s, what, line)?;
+    let reject = |reason| Err(ParseTraceError { line, reason });
     if !secs.is_finite() || secs < 0.0 {
-        return Err(ParseTraceError {
-            line,
-            reason: format!("{what} must be a non-negative finite number, got `{s}`"),
-        });
+        return reject(format!(
+            "{what} must be a non-negative finite number, got `{s}`"
+        ));
     }
-    Ok(secs)
+    let nanos = (secs * 1e9).round();
+    if nanos >= u64::MAX as f64 {
+        return reject(format!(
+            "{what} must be below 1.8e10 s, the longest span the simulator holds, got `{s}`"
+        ));
+    }
+    Ok(SimDuration::from_nanos(nanos as u64))
 }
 
 fn parse_phase(tok: &str, line: usize) -> Result<Phase, ParseTraceError> {
     if let Some(secs) = tok.strip_prefix("C:") {
-        let secs = parse_secs(secs, "classical phase seconds", line)?;
-        return Ok(Phase::Classical(secs_to_duration(secs)));
+        return Ok(Phase::Classical(parse_secs(
+            secs,
+            "classical phase seconds",
+            line,
+        )?));
     }
     if let Some(spec) = tok.strip_prefix("Q:") {
         let parts: Vec<&str> = spec.split(',').collect();
@@ -364,6 +372,29 @@ mod tests {
         assert!(err.reason.contains("non-negative"));
         let err = from_hqwf("1.0 u j 1 classical 0 quantum 600 C:-5.0\n").unwrap_err();
         assert!(err.reason.contains("non-negative"));
+    }
+
+    #[test]
+    fn hqwf_rejects_times_past_the_longest_span() {
+        for (line, what) in [
+            ("1e30 u j 1 classical 0 quantum 600 C:5\n", "submit_s"),
+            ("10 u j 1 classical 0 quantum 1e30 C:5\n", "walltime_s"),
+            (
+                "10 u j 1 classical 0 quantum 600 C:1.9e10\n",
+                "classical phase seconds",
+            ),
+        ] {
+            let err = from_hqwf(&format!("; header\n{line}")).unwrap_err();
+            assert_eq!(err.line, 2);
+            assert!(err.reason.contains(what), "{}", err.reason);
+            assert!(err.reason.contains("longest span"), "{}", err.reason);
+        }
+        // The longest span still parses.
+        let ok = from_hqwf("0 u j 1 classical 0 quantum 1.8e10 C:5\n").unwrap();
+        assert_eq!(
+            ok.jobs()[0].walltime(),
+            SimDuration::from_secs(18_000_000_000)
+        );
     }
 
     #[test]

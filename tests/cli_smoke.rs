@@ -1188,3 +1188,42 @@ fn sweep_rejects_invalid_generated_workloads() {
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+#[test]
+fn hqwf_times_past_the_longest_span_exit_1_with_their_line() {
+    let dir = std::env::temp_dir().join(format!("hpcqc_cli_long_span_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    for (tag, job, field) in [
+        (
+            "walltime",
+            "10 u a 2 classical 0 quantum 1e30 C:5",
+            "walltime_s",
+        ),
+        (
+            "phase",
+            "10 u a 2 classical 0 quantum 600 C:1e30",
+            "classical phase seconds",
+        ),
+    ] {
+        let path = dir.join(format!("{tag}.hqwf"));
+        std::fs::write(
+            &path,
+            format!(
+                "; one job, then one past the span\n0 u ok 1 classical 0 quantum 60 C:5\n{job}\n"
+            ),
+        )
+        .unwrap();
+        let out = Command::new(env!("CARGO_BIN_EXE_hpcqc-sim"))
+            .args(["run", "--nodes", "4", "--policy", "easy", "--workload"])
+            .arg(&path)
+            .output()
+            .expect("hpcqc-sim runs");
+        assert_eq!(out.status.code(), Some(1), "{tag}: {out:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains("line 3") && stderr.contains(field) && stderr.contains("1e30"),
+            "{tag}: {stderr}"
+        );
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
