@@ -288,13 +288,6 @@ impl SimCtx<'_, '_> {
     pub fn expand_toward(&mut self, job: JobId, target: u32) -> Result<u32, SimError> {
         self.state.expand_toward(job, target, self.now)
     }
-
-    /// Re-arms the job's walltime-kill timer to fire `walltime` from now
-    /// (no-op under an advisory walltime policy). Lets drivers model
-    /// per-step or extended walltime grants.
-    pub fn rearm_walltime(&mut self, job: JobId, walltime: SimDuration) {
-        self.state.rearm_walltime(job, walltime, self.now);
-    }
 }
 
 #[cfg(test)]

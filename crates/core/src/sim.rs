@@ -40,7 +40,7 @@ use hpcqc_qpu::kernel::Kernel;
 use hpcqc_sched::policy::HoldReason;
 use hpcqc_sched::probe::{CycleProbe, NoProbe};
 use hpcqc_sched::scheduler::{BatchScheduler, PendingJob, SchedError};
-use hpcqc_simcore::events::EventQueue;
+use hpcqc_simcore::events::{EventKey, EventQueue, Scheduled};
 use hpcqc_simcore::rng::SimRng;
 use hpcqc_simcore::time::{SimDuration, SimTime};
 use hpcqc_simcore::{IdMap, IdWindow};
@@ -88,25 +88,44 @@ impl From<QpuError> for SimError {
     }
 }
 
+/// A calendar event.
+///
+/// Two fences retire an event that was replaced while pending (see
+/// [`SimState::drive`]):
+///
+/// * the *key fence* covers [`Event::PhaseDone`], [`Event::KernelDone`],
+///   [`Event::KernelFault`], [`Event::KernelRetry`] and
+///   [`Event::KillJob`]. Each fires only while its job is live and still
+///   holds the event's [`EventKey`] in [`JobRun::pending_event`] (in
+///   [`JobRun::kill_event`] for `KillJob`); replacing or dropping that key
+///   retires the event, and it carries no epoch;
+/// * the *epoch fence* covers [`Event::StepSubmit`] and
+///   [`Event::Checkpoint`], which no key tracks: each carries the epoch
+///   of the attempt that scheduled it and is ignored once an abort has
+///   bumped [`JobRun::epoch`].
+///
+/// The other events are not fenced.
 #[derive(Debug)]
 enum Event {
     /// A job reaches its submission time.
     Submit(JobId),
-    /// A classical phase completes. Carries the job's epoch so events of a
-    /// killed attempt are ignored.
-    PhaseDone(JobId, u32),
+    /// A classical phase completes (key-fenced).
+    PhaseDone(JobId),
     /// A kernel starts executing on the device (device accounting; fires
     /// even if the submitting job was killed — hardware queues don't abort).
     /// Carries the executing device's index for per-device observation.
     KernelExecStart(JobId, usize),
     /// A kernel finishes executing on the device (device accounting).
     KernelExecEnd(JobId, usize),
-    /// The job observes kernel completion (after any access overhead).
-    KernelDone(JobId, u32),
-    /// Per-step plans: submit the job's next step to the batch queue.
+    /// The job observes kernel completion (after any access overhead;
+    /// key-fenced).
+    KernelDone(JobId),
+    /// Per-step plans: submit the job's next step to the batch queue
+    /// (epoch-fenced).
     StepSubmit(JobId, u32),
-    /// Walltime enforcement: kill the job's current attempt.
-    KillJob(JobId, u32),
+    /// Walltime enforcement: kill the job's current attempt (key-fenced
+    /// by the kill timer).
+    KillJob(JobId),
     /// Failure injection: a random node goes down.
     NodeFailure,
     /// Failure injection: a failed node returns to service.
@@ -117,11 +136,11 @@ enum Event {
     /// forced recalibration done).
     DeviceRepairDone(usize),
     /// The job observes a transient kernel failure — fires in place of
-    /// [`Event::KernelDone`]. Carries the epoch and the executing device.
-    KernelFault(JobId, u32, usize),
+    /// [`Event::KernelDone`]. Carries the executing device (key-fenced).
+    KernelFault(JobId, usize),
     /// Retry backoff expired: re-dispatch the job's current kernel
-    /// (epoch-fenced).
-    KernelRetry(JobId, u32),
+    /// (key-fenced).
+    KernelRetry(JobId),
     /// Periodic classical checkpoint (fenced on epoch *and* phase index,
     /// since phases advance without an epoch bump).
     Checkpoint(JobId, u32, usize),
@@ -168,10 +187,18 @@ struct JobRun {
     qpu_alloc_since: SimTime,
     qpu_seconds_alloc: f64,
     qpu_seconds_used: f64,
-    // Walltime enforcement (see WalltimePolicy::Kill).
+    /// Bumped by every abort; fences the events no key tracks
+    /// ([`Event::StepSubmit`], [`Event::Checkpoint`]).
     epoch: u32,
-    pending_event: Option<hpcqc_simcore::events::EventKey>,
-    kill_event: Option<hpcqc_simcore::events::EventKey>,
+    /// The key of the one event that moves the job's current phase on: a
+    /// [`Event::PhaseDone`], [`Event::KernelDone`], [`Event::KernelFault`]
+    /// or [`Event::KernelRetry`]. Such an event fires only while its key
+    /// is held here, so overwriting or clearing the key retires it.
+    pending_event: Option<EventKey>,
+    /// The key of the armed walltime-kill timer ([`Event::KillJob`]),
+    /// fenced the same way; `None` while no timer is armed.
+    kill_event: Option<EventKey>,
+    // Walltime enforcement (see WalltimePolicy::Kill).
     current_walltime: SimDuration,
     classical_started: Option<SimTime>,
     classical_active_nodes: f64,
@@ -273,8 +300,8 @@ fn nth_cyclic(mut devices: impl Iterator<Item = usize> + Clone, unit: u32) -> Op
 }
 
 /// The live state of `job` in `jobs`. Every caller holds a liveness
-/// proof: the event loop fences each handler behind the epoch/liveness
-/// check in [`SimState::drive`], and intra-handler code never finalizes a
+/// proof: the event loop fences each handler behind the key or epoch
+/// fence in [`SimState::drive`] (see [`Event`]), and intra-handler code never finalizes a
 /// job before its last lookup. A miss is therefore a simulator bug, not a
 /// recoverable condition. A function of the table rather than of
 /// [`SimState`], so an `emit!` payload can borrow a job's name while
@@ -660,6 +687,29 @@ impl<'o> SimState<'o> {
         self.events.schedule_front(submit, Event::Submit(id));
     }
 
+    /// Whether `ev` was replaced while pending, by the key fence (see
+    /// [`Event`]): a key-fenced event whose job finalized, or whose job
+    /// no longer holds its key. Events the key fence does not cover are
+    /// never replaced.
+    fn replaced(&self, ev: &Scheduled<Event>) -> bool {
+        let (job, kill_timer) = match ev.payload {
+            Event::PhaseDone(job)
+            | Event::KernelDone(job)
+            | Event::KernelFault(job, _)
+            | Event::KernelRetry(job) => (job, false),
+            Event::KillJob(job) => (job, true),
+            _ => return false,
+        };
+        self.jobs.get(job.raw()).is_none_or(|run| {
+            let held = if kill_timer {
+                run.kill_event
+            } else {
+                run.pending_event
+            };
+            held != Some(ev.key)
+        })
+    }
+
     fn drive(
         &mut self,
         driver: &mut dyn StrategyDriver,
@@ -667,6 +717,15 @@ impl<'o> SimState<'o> {
         probe: &mut dyn CycleProbe,
     ) -> Result<(), SimError> {
         while let Some(ev) = self.events.pop() {
+            // An event the key fence retires leaves no trace: no handler,
+            // no cycle, as if the calendar had never held it. Nor can it
+            // be the last pop, since the loop breaks right after the
+            // event that finalizes the last job, so the clock
+            // `into_outcome` reads is the same as if it had never been
+            // scheduled. (An epoch-fenced event skips only its handler.)
+            if self.replaced(&ev) {
+                continue;
+            }
             let now = ev.time;
             match ev.payload {
                 Event::Submit(job) => {
@@ -676,11 +735,7 @@ impl<'o> SimState<'o> {
                     self.spawn_next(source);
                     self.on_submit(driver, job, now)?;
                 }
-                Event::PhaseDone(job, epoch) => {
-                    if self.jobs.get(job.raw()).is_some_and(|r| r.epoch == epoch) {
-                        self.on_phase_done(driver, job, now)?;
-                    }
-                }
+                Event::PhaseDone(job) => self.on_phase_done(driver, job, now)?,
                 // Device accounting events outlive their job (a killed
                 // job's kernel still executes), so no liveness check.
                 Event::KernelExecStart(job, device) => {
@@ -689,25 +744,16 @@ impl<'o> SimState<'o> {
                 Event::KernelExecEnd(job, device) => {
                     emit!(self, now, SimEvent::KernelExecEnded { job, device });
                 }
-                Event::KernelDone(job, epoch) => {
-                    if self.jobs.get(job.raw()).is_some_and(|r| r.epoch == epoch) {
-                        self.on_kernel_done(driver, job, now)?;
-                    }
-                }
+                Event::KernelDone(job) => self.on_kernel_done(driver, job, now)?,
                 Event::StepSubmit(job, epoch) => {
                     if self.jobs.get(job.raw()).is_some_and(|r| r.epoch == epoch) {
                         self.submit_step(job, now)?;
                     }
                 }
-                Event::KillJob(job, epoch) => {
-                    if let Some(run) = self.jobs.get_mut(job.raw()).filter(|r| r.epoch == epoch) {
-                        // The timer just fired: forget its key, so the
-                        // abort does not cancel an event that is gone.
-                        if run.kill_event == Some(ev.key) {
-                            run.kill_event = None;
-                        }
-                        self.kill_job(driver, job, now)?;
-                    }
+                Event::KillJob(job) => {
+                    // The timer just fired: disarm it.
+                    self.live_mut(job).kill_event = None;
+                    self.kill_job(driver, job, now)?;
                 }
                 Event::NodeFailure => self.on_node_failure(driver, now)?,
                 Event::NodeRepair(node) => {
@@ -716,16 +762,10 @@ impl<'o> SimState<'o> {
                 }
                 Event::DeviceFailure(device) => self.on_device_failure(driver, device, now)?,
                 Event::DeviceRepairDone(device) => self.on_device_repair(device, now),
-                Event::KernelFault(job, epoch, device) => {
-                    if self.jobs.get(job.raw()).is_some_and(|r| r.epoch == epoch) {
-                        self.on_kernel_fault(driver, job, device, now)?;
-                    }
+                Event::KernelFault(job, device) => {
+                    self.on_kernel_fault(driver, job, device, now)?;
                 }
-                Event::KernelRetry(job, epoch) => {
-                    if self.jobs.get(job.raw()).is_some_and(|r| r.epoch == epoch) {
-                        self.on_kernel_retry(driver, job, now)?;
-                    }
-                }
+                Event::KernelRetry(job) => self.on_kernel_retry(driver, job, now)?,
                 Event::Checkpoint(job, epoch, phase_idx) => {
                     if self.jobs.get(job.raw()).is_some_and(|r| {
                         r.epoch == epoch
@@ -1007,10 +1047,9 @@ impl<'o> SimState<'o> {
     /// consume a retry attempt — the kernel never ran.
     fn park_for_recovery(&mut self, job: JobId, now: SimTime) -> Result<(), SimError> {
         let delay = self.recovery().backoff(1).max_of(SimDuration::from_secs(1));
-        let epoch = self.live(job).epoch;
         let key = self
             .events
-            .schedule(now + delay, Event::KernelRetry(job, epoch));
+            .schedule(now.saturating_add(delay), Event::KernelRetry(job));
         self.live_mut(job).pending_event = Some(key);
         emit!(
             self,
@@ -1038,9 +1077,9 @@ impl<'o> SimState<'o> {
         self.handle_kernel_failure(driver, job, device, now)
     }
 
-    /// A device outage interrupts `job`'s in-flight kernel: cancel its
-    /// completion event and run the same failure path a transient error
-    /// takes.
+    /// A device outage interrupts `job`'s in-flight kernel: retire its
+    /// completion event (by dropping its key) and run the same failure
+    /// path a transient error takes.
     fn fail_kernel(
         &mut self,
         driver: &mut dyn StrategyDriver,
@@ -1050,9 +1089,7 @@ impl<'o> SimState<'o> {
     ) -> Result<(), SimError> {
         let run = self.live_mut(job);
         run.in_flight = None;
-        if let Some(key) = run.pending_event.take() {
-            self.events.cancel(key);
-        }
+        run.pending_event = None;
         self.handle_kernel_failure(driver, job, device, now)
     }
 
@@ -1098,10 +1135,9 @@ impl<'o> SimState<'o> {
             run.kernel_attempts
         };
         if attempts <= recovery.kernel_retry_cap() {
-            let epoch = self.live(job).epoch;
             let key = self.events.schedule(
-                now + recovery.backoff(attempts),
-                Event::KernelRetry(job, epoch),
+                now.saturating_add(recovery.backoff(attempts)),
+                Event::KernelRetry(job),
             );
             self.live_mut(job).pending_event = Some(key);
             emit!(
@@ -1150,7 +1186,7 @@ impl<'o> SimState<'o> {
         let Some(cp) = self.checkpoint_cfg() else {
             return;
         };
-        let (progress, epoch, index, old_key, new_end) = {
+        let (progress, epoch, index, new_end) = {
             let run = self.live_mut(job);
             let Some(started) = run.classical_started else {
                 return;
@@ -1165,24 +1201,16 @@ impl<'o> SimState<'o> {
             run.completed_frac = frac;
             run.last_checkpoint_at = Some(now);
             run.ckpt_cost_secs += cp.cost_secs;
-            let end = run.classical_end.unwrap_or(now) + cp.cost();
+            let end = run.classical_end.unwrap_or(now).saturating_add(cp.cost());
             run.classical_end = Some(end);
-            (
-                frac,
-                run.epoch,
-                run.phase_idx,
-                run.pending_event.take(),
-                end,
-            )
+            (frac, run.epoch, run.phase_idx, end)
         };
         // The checkpoint stalls the phase for its cost: push the end out.
-        if let Some(key) = old_key {
-            self.events.cancel(key);
-        }
-        let key = self.events.schedule(new_end, Event::PhaseDone(job, epoch));
+        // The new key retires the old `PhaseDone`.
+        let key = self.events.schedule(new_end, Event::PhaseDone(job));
         self.live_mut(job).pending_event = Some(key);
         emit!(self, now, SimEvent::CheckpointTaken { job, progress });
-        let next = now + cp.cost() + cp.interval();
+        let next = now.saturating_add(cp.cost()).saturating_add(cp.interval());
         if next < new_end {
             self.events
                 .schedule(next, Event::Checkpoint(job, epoch, index));
@@ -1384,7 +1412,7 @@ impl<'o> SimState<'o> {
             match &spec.phases()[run.phase_idx] {
                 Phase::Classical(d) => (
                     AllocRequest::new().group(GroupRequest::nodes(spec.partition(), spec.nodes())),
-                    (*d + SimDuration::from_secs(60)).max_of(SimDuration::from_secs(60)),
+                    d.saturating_add(SimDuration::from_secs(60)),
                 ),
                 Phase::Quantum(kernel) => {
                     // Planning estimate: the slowest *capable* device's mean
@@ -1612,16 +1640,16 @@ impl<'o> SimState<'o> {
                 busy_nodes: nodes,
             }
         );
-        let end = now + duration;
-        let epoch = self.live(job).epoch;
-        let key = self.events.schedule(end, Event::PhaseDone(job, epoch));
-        {
+        let end = now.saturating_add(duration);
+        let key = self.events.schedule(end, Event::PhaseDone(job));
+        let epoch = {
             let run = self.live_mut(job);
             run.pending_event = Some(key);
             run.classical_end = Some(end);
-        }
+            run.epoch
+        };
         if let Some(cp) = checkpoint {
-            let first = now + cp.interval();
+            let first = now.saturating_add(cp.interval());
             if first < end {
                 self.events
                     .schedule(first, Event::Checkpoint(job, epoch, index));
@@ -1816,19 +1844,18 @@ impl<'o> SimState<'o> {
             .schedule(exec.start, Event::KernelExecStart(job, device_idx));
         self.events
             .schedule(exec.end, Event::KernelExecEnd(job, device_idx));
-        let epoch = self.live(job).epoch;
         // Transient kernel errors surface at completion time: the device
         // executed the shots, the result is garbage. The coin only flips
         // when a rate is configured, so fault-free runs never touch the
         // kernel-error stream.
         let rate = self.device_faults().map_or(0.0, DeviceFaults::error_rate);
         let failed = rate > 0.0 && self.kernel_error_rng.chance(rate);
-        let done = exec.end + overhead;
+        let done = exec.end.saturating_add(overhead);
         let key = if failed {
             self.events
-                .schedule(done, Event::KernelFault(job, epoch, device_idx))
+                .schedule(done, Event::KernelFault(job, device_idx))
         } else {
-            self.events.schedule(done, Event::KernelDone(job, epoch))
+            self.events.schedule(done, Event::KernelDone(job))
         };
         let run = self.live_mut(job);
         run.pending_event = Some(key);
@@ -1915,7 +1942,7 @@ impl<'o> SimState<'o> {
                 } else {
                     let epoch = self.live(job).epoch;
                     self.events.schedule(
-                        now + self.scenario.workflow_overhead,
+                        now.saturating_add(self.scenario.workflow_overhead),
                         Event::StepSubmit(job, epoch),
                     );
                     Ok(())
@@ -1940,14 +1967,13 @@ impl<'o> SimState<'o> {
     ) -> Result<(), SimError> {
         // Walltime enforcement tracks the *active* allocation: a released
         // step's timer must not keep ticking into the next queue wait
-        // (SLURM bills walltime per job step, not across the gaps).
-        let (kill, alloc_taken) = {
+        // (SLURM bills walltime per job step, not across the gaps), so
+        // the release disarms the timer.
+        let alloc_taken = {
             let run = self.live_mut(job);
-            (run.kill_event.take(), run.alloc.take())
+            run.kill_event = None;
+            run.alloc.take()
         };
-        if let Some(key) = kill {
-            self.events.cancel(key);
-        }
         let Some(alloc) = alloc_taken else {
             return Ok(());
         };
@@ -1996,15 +2022,13 @@ impl<'o> SimState<'o> {
 
     /// Terminal bookkeeping shared by completion and final kill. Retires
     /// the job's live state entirely — after this the simulator holds no
-    /// per-job memory for it (the streaming-memory contract).
+    /// per-job memory for it (the streaming-memory contract), and the key
+    /// fence drops any event of its still in the calendar.
     fn finalize(&mut self, job: JobId, now: SimTime, completed: bool) {
-        let Some(mut run) = self.jobs.remove(job.raw()) else {
+        let Some(run) = self.jobs.remove(job.raw()) else {
             debug_assert!(false, "{job} finalized twice");
             return;
         };
-        if let Some(key) = run.kill_event.take() {
-            self.events.cancel(key);
-        }
         self.completed += 1;
         let record = JobRecord {
             name: run.spec.name().to_string(),
@@ -2024,31 +2048,29 @@ impl<'o> SimState<'o> {
         emit!(self, now, SimEvent::JobFinalized { record: &record });
     }
 
-    /// Arms a walltime-kill timer for the just-started job/step, replacing
-    /// any previous timer.
+    /// Arms a walltime-kill timer for the just-started job/step. The
+    /// previous attempt's or step's timer was disarmed when it released
+    /// its allocation, so none is armed.
     fn arm_walltime_kill(&mut self, job: JobId, now: SimTime) {
         let crate::scenario::WalltimePolicy::Kill { .. } = self.scenario.walltime_policy else {
             return;
         };
-        let (walltime, epoch, old) = {
-            let run = self.live_mut(job);
-            (run.current_walltime, run.epoch, run.kill_event.take())
-        };
-        if let Some(key) = old {
-            self.events.cancel(key);
-        }
+        let run = self.live(job);
+        debug_assert!(run.kill_event.is_none(), "{job} already has a kill timer");
+        let walltime = run.current_walltime;
         if walltime.is_zero() {
             return;
         }
         let key = self
             .events
-            .schedule(now.saturating_add(walltime), Event::KillJob(job, epoch));
+            .schedule(now.saturating_add(walltime), Event::KillJob(job));
         self.live_mut(job).kill_event = Some(key);
     }
 
     /// Aborts the job's in-flight attempt: stops the current phase, fences
-    /// off its pending events (a kernel already on the device keeps
-    /// executing — hardware queues don't abort), and releases resources.
+    /// off its pending events (dropping their keys and bumping the epoch;
+    /// a kernel already on the device keeps executing — hardware queues
+    /// don't abort), and releases resources.
     fn abort_attempt(
         &mut self,
         driver: &mut dyn StrategyDriver,
@@ -2056,22 +2078,14 @@ impl<'o> SimState<'o> {
         now: SimTime,
     ) -> Result<(), SimError> {
         self.close_classical(job, now);
-        let (pending, kill, queued) = {
+        let queued = {
             let run = self.live_mut(job);
             run.epoch += 1;
             run.in_flight = None;
-            (
-                run.pending_event.take(),
-                run.kill_event.take(),
-                run.queued_qid.take(),
-            )
+            run.pending_event = None;
+            run.kill_event = None;
+            run.queued_qid.take()
         };
-        if let Some(key) = pending {
-            self.events.cancel(key);
-        }
-        if let Some(key) = kill {
-            self.events.cancel(key);
-        }
         // A not-yet-started submission must leave the batch queue with the
         // attempt, or it would later start a job that no longer exists.
         if let Some(qid) = queued {
@@ -2221,12 +2235,6 @@ impl<'o> SimState<'o> {
             }
         );
         Ok(count)
-    }
-
-    /// Re-arms the walltime-kill timer to fire `walltime` from `now`.
-    pub(crate) fn rearm_walltime(&mut self, job: JobId, walltime: SimDuration, now: SimTime) {
-        self.live_mut(job).current_walltime = walltime;
-        self.arm_walltime_kill(job, now);
     }
 }
 
@@ -2568,7 +2576,8 @@ mod tests {
         use crate::scenario::WalltimePolicy;
         // Neutral-atom kernel runs ~45 min; walltime 60 s kills the job
         // while the kernel is still on the device. The device finishes its
-        // work; the job's completion event is epoch-fenced away.
+        // work; the kill drops the key of the job's completion event, so
+        // the key fence retires it.
         let job = JobSpec::builder("h")
             .nodes(4)
             .walltime(SimDuration::from_secs(60))
@@ -2864,6 +2873,94 @@ mod tests {
         .unwrap();
         assert_eq!(out.stats.len(), 8);
         assert!(counter.skipped > 0, "no settled cycle was skipped");
+    }
+
+    #[test]
+    fn replaced_events_run_no_cycle() {
+        use crate::scenario::WalltimePolicy;
+        use hpcqc_faults::NodeFaults;
+
+        /// Every instant a cycle ran or was skipped at.
+        #[derive(Debug, Default)]
+        struct Instants(Vec<SimTime>);
+        impl CycleProbe for Instants {
+            fn cycle_start(&mut self, now: SimTime, _queue_depth: usize) {
+                self.0.push(now);
+            }
+            fn cycle_skipped(&mut self, now: SimTime, _queue_depth: usize) {
+                self.0.push(now);
+            }
+        }
+        fn probed(sc: &Scenario, jobs: Vec<JobSpec>) -> Vec<SimTime> {
+            let mut probe = Instants::default();
+            let out = FacilitySim::run_streamed_probed(
+                sc,
+                &mut jobs.into_iter(),
+                driver_for(&sc.strategy),
+                &mut [],
+                &mut probe,
+            )
+            .unwrap();
+            assert_eq!(out.stats.failed_count(), 0);
+            probe.0
+        }
+        let secs = SimTime::from_secs;
+        let full_machine = |name: &str, submit_s: u64, walltime_s: u64| {
+            JobSpec::builder(name)
+                .nodes(4)
+                .submit(SimTime::from_secs(submit_s))
+                .walltime(SimDuration::from_secs(walltime_s))
+                .phases(vec![Phase::Classical(SimDuration::from_secs(1_000))])
+                .build()
+        };
+
+        // Checkpoints every 200 s of a 1,000 s phase, 5 s each: the
+        // checkpoints at 200, 405, 610 and 815 s each replace the pending
+        // `PhaseDone`, so the replaced ones pop at 1,000, 1,005, 1,010 and
+        // 1,015 s while `b` is queued; the phase ends at 1,020 s. The node
+        // process never fires before the run ends.
+        let mut sc = scenario(Strategy::CoSchedule);
+        sc.classical_nodes = 4;
+        sc.faults = Some(
+            FaultPlan::named("ckpt")
+                .node(NodeFaults {
+                    mtbf: Dist::constant(1e6),
+                    repair: Dist::constant(100.0),
+                })
+                .recovery(RecoverySpec::new().checkpoint(CheckpointSpec::new(200.0, 5.0))),
+        );
+        let seen = probed(
+            &sc,
+            vec![full_machine("a", 0, 14_400), full_machine("b", 1, 14_400)],
+        );
+        assert!(
+            seen.contains(&secs(200)),
+            "a checkpoint with `b` queued cycles"
+        );
+        for stale in [1_000, 1_005, 1_010, 1_015] {
+            assert!(!seen.contains(&secs(stale)), "a cycle ran at {stale} s");
+        }
+        assert!(seen.contains(&secs(1_020)));
+
+        // Walltime kills: `a` ends at 1,000 s, which disarms its kill
+        // timer, and the replaced timer pops at 1,500 s while `c` is
+        // queued behind `b` (1,000–2,000 s).
+        let mut sc = scenario(Strategy::CoSchedule);
+        sc.classical_nodes = 4;
+        sc.walltime_policy = WalltimePolicy::Kill { max_requeues: 0 };
+        let seen = probed(
+            &sc,
+            vec![
+                full_machine("a", 0, 1_500),
+                full_machine("b", 1, 1_500),
+                full_machine("c", 2, 1_500),
+            ],
+        );
+        assert!(seen.contains(&secs(1_000)));
+        assert!(
+            !seen.contains(&secs(1_500)),
+            "a cycle ran at the replaced kill"
+        );
     }
 
     #[test]

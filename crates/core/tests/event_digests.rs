@@ -57,6 +57,18 @@
 //! The table was recorded before scheduler cycles began to plan a
 //! submitted job alone.
 //!
+//! A fifth table pins the paths that replace a pending event, at 240
+//! jobs/h under EASY:
+//!
+//! * workflow under walltime kills with one requeue, on tight walltime
+//!   margins, with the exponential node plan of `node_fault_digests.rs`'s
+//!   `exp-kill` profile: each step's release disarms its kill timer, and
+//!   node failures abort steps with a phase and a timer pending;
+//! * co-schedule and workflow under `examples/faults/checkpoint.json`:
+//!   each checkpoint replaces the phase's `PhaseDone`.
+//!
+//! The table was recorded before the event calendar lost cancellation.
+//!
 //! If a change is *supposed* to move these results, run
 //!
 //! ```text
@@ -64,19 +76,20 @@
 //! ```
 //!
 //! paste the table the failure prints over `GOLDEN`, `BREADTH`,
-//! `FAULTS` or `GAPS`, and
+//! `FAULTS`, `GAPS` or `FENCES`, and
 //! say in the change log which digests moved and why.
 
 use hpcqc_core::observer::{SimEvent, SimObserver};
 use hpcqc_core::outcome::Outcome;
-use hpcqc_core::scenario::Scenario;
+use hpcqc_core::scenario::{Scenario, WalltimePolicy};
 use hpcqc_core::sim::FacilitySim;
 use hpcqc_core::strategy::Strategy;
-use hpcqc_faults::FaultPlan;
+use hpcqc_faults::{FaultPlan, NodeFaults, RecoverySpec};
 use hpcqc_fleet::FleetSpec;
 use hpcqc_gen::{GeneratorSpec, Horizon};
 use hpcqc_qpu::technology::Technology;
 use hpcqc_sched::PolicySpec;
+use hpcqc_simcore::dist::Dist;
 use hpcqc_simcore::time::{SimDuration, SimTime};
 use hpcqc_workload::campaign::Workload;
 
@@ -166,6 +179,18 @@ const GAPS: [GapCase; 17] = [
     ("quantum-aware vqpu:8 trickle", 180, 60.0, 3913, "ed141d083a2dc110", "4cc49a7c668686df"),
 ];
 
+/// `(case, jobs, events, event digest, outcome digest)` per fence case:
+/// a breadth case name, run under EASY; the jobs arrive at 240/h, with
+/// every walltime margin at 1.0 in the `exp-kill` case.
+type FenceCase = (&'static str, u64, u64, &'static str, &'static str);
+
+#[rustfmt::skip]
+const FENCES: [FenceCase; 3] = [
+    ("workflow exp-kill", 120, 5255, "e3f8d6ad072fbad9", "bf312aaa25371dd5"),
+    ("co-schedule checkpoint", 120, 2619, "b57e283cf91e49eb", "b278b943ab023352"),
+    ("workflow checkpoint", 120, 5576, "e63c6e2b6741ab39", "7b28012f4143ca2f"),
+];
+
 /// The burst that opens a trickle: enough jobs to hold about a hundred
 /// in the queue on 64 nodes.
 const TRICKLE_BURST: usize = 110;
@@ -227,13 +252,18 @@ fn example<T: serde::Deserialize>(path: &str) -> T {
     serde_json::from_str(&text).unwrap_or_else(|e| panic!("{path}: {e}"))
 }
 
-/// The burst: `day_small`'s job mix, `jobs` jobs at `per_hour`
-/// arrivals/h.
-fn burst(jobs: u64, per_hour: f64) -> Workload {
+/// The generator of a burst: `day_small`'s job mix, `jobs` jobs at
+/// `per_hour` arrivals/h.
+fn burst_spec(jobs: u64, per_hour: f64) -> GeneratorSpec {
     let mut spec: GeneratorSpec = example("gen/day_small.json");
     spec.horizon = Horizon::Jobs { count: jobs };
     spec.arrival.base_per_hour = per_hour;
-    Workload::from_jobs(spec.stream(7).collect())
+    spec
+}
+
+/// The burst [`burst_spec`] generates from seed 7.
+fn burst(jobs: u64, per_hour: f64) -> Workload {
+    Workload::from_jobs(burst_spec(jobs, per_hour).stream(7).collect())
 }
 
 /// A trickle of `jobs` `day_small` jobs: the first [`TRICKLE_BURST`]
@@ -257,6 +287,7 @@ fn trickle(jobs: u64, per_hour: f64) -> Workload {
 /// The scenario of one breadth case under `policy`: 64 nodes, seed 7,
 /// one superconducting device unless the case names the `hetero` fleet
 /// (with the route it names), and the fault plan the case names, if any.
+/// `exp-kill` names a plan built here, and walltime kills with it.
 fn breadth_scenario(policy: PolicySpec, case: &str) -> Scenario {
     let mut words = case.split(' ');
     let strategy = match words.next() {
@@ -280,7 +311,17 @@ fn breadth_scenario(policy: PolicySpec, case: &str) -> Scenario {
                 let fleet: FleetSpec = example("fleets/hetero.json");
                 builder.fleet(fleet.route(route.parse().expect("known route")))
             }
-            "nodes" | "degraded" => {
+            "exp-kill" => builder
+                .walltime_policy(WalltimePolicy::Kill { max_requeues: 1 })
+                .faults(
+                    FaultPlan::named(word)
+                        .node(NodeFaults {
+                            mtbf: Dist::exponential(900.0),
+                            repair: Dist::log_normal_mean_cv(1_800.0, 0.5).clamped(300.0, 14_400.0),
+                        })
+                        .recovery(RecoverySpec::new().max_requeues(3)),
+                ),
+            "nodes" | "degraded" | "checkpoint" => {
                 builder.faults(example::<FaultPlan>(&format!("faults/{word}.json")))
             }
             other => panic!("unknown case word `{other}`"),
@@ -406,5 +447,34 @@ fn gap_event_streams_reproduce_recorded_digests() {
     assert!(
         moved.is_empty(),
         "event digests moved for {moved:?}; if intended, replace GAPS with:\n{table}"
+    );
+}
+
+#[test]
+fn fence_event_streams_reproduce_recorded_digests() {
+    let mut table = String::new();
+    let mut moved = Vec::new();
+    for (case, jobs, events, want_events, want_outcome) in FENCES {
+        let mut spec = burst_spec(jobs, 240.0);
+        if case.ends_with("exp-kill") {
+            // Tight margins, so walltime kills and node-fault requeues
+            // interleave.
+            for class in &mut spec.classes {
+                class.walltime_margin = 1.0;
+            }
+        }
+        let workload = Workload::from_jobs(spec.stream(7).collect());
+        let got = run_case(&breadth_scenario(PolicySpec::easy(), case), &workload);
+        table.push_str(&format!(
+            "    (\"{case}\", {jobs}, {}, \"{}\", \"{}\"),\n",
+            got.0, got.1, got.2
+        ));
+        if got != (events, want_events.to_string(), want_outcome.to_string()) {
+            moved.push(case);
+        }
+    }
+    assert!(
+        moved.is_empty(),
+        "event digests moved for {moved:?}; if intended, replace FENCES with:\n{table}"
     );
 }

@@ -193,13 +193,14 @@ impl QpuDevice {
             .as_ref()
             .and_then(|pol| pol.due(self.last_calibration, queue_start, &mut self.rng))
             .unwrap_or(SimDuration::ZERO);
+        // Instants saturate at the end of time, as the calendar's do.
+        let start = queue_start.saturating_add(recalibration);
         if !recalibration.is_zero() {
-            self.last_calibration = queue_start + recalibration;
+            self.last_calibration = start;
             self.total_recalibration += recalibration;
         }
-        let start = queue_start + recalibration;
         let timing = self.timing.sample_task(kernel.shots(), &mut self.rng);
-        let end = start + timing.total();
+        let end = start.saturating_add(timing.total());
         self.busy_until = end;
         self.total_busy += timing.total();
         self.tasks_executed += 1;

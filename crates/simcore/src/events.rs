@@ -6,22 +6,25 @@
 //! sequence — the determinism invariant every experiment in this repository
 //! relies on.
 //!
-//! Events can be cancelled through the [`EventKey`] returned at scheduling
-//! time; cancellation is lazy (the heap entry stays until it surfaces) and
-//! O(1), and it only ever affects an event that is still pending.
+//! The queue never cancels: every scheduled event pops, and a heap entry
+//! is only its sort key and its payload. A caller that replaces a pending
+//! event keeps the [`EventKey`] of the replacement and drops a popped
+//! event whose key is not the one it kept.
 
 use crate::time::SimTime;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 use std::fmt;
 
-/// Opaque handle identifying a scheduled event, used for cancellation.
+/// Opaque handle identifying a scheduled event: its insertion sequence
+/// number. A caller keeps the key of the event it expects and compares
+/// it with [`Scheduled::key`] to tell a replaced event from the current
+/// one.
 ///
 /// Keys are unique for the lifetime of the queue that issued them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct EventKey {
     seq: u64,
-    slot: u32,
 }
 
 impl fmt::Display for EventKey {
@@ -41,7 +44,6 @@ struct Entry<E> {
     /// insertion sequence number below it. Ascending keys are exactly
     /// ascending `(time, lane, seq)`.
     key: u128,
-    slot: u32,
     payload: E,
 }
 
@@ -75,25 +77,12 @@ impl<E> Ord for Entry<E> {
     }
 }
 
-/// The state of one heap entry, found by its slot: which event holds the
-/// slot and whether it was cancelled. A slot is handed out at schedule and
-/// returned when its entry leaves the heap, so a key whose event already
-/// fired (or was purged) no longer matches its slot.
-#[derive(Debug, Clone, Copy)]
-struct SlotState {
-    seq: u64,
-    cancelled: bool,
-}
-
-/// `SlotState::seq` of a slot no heap entry holds; no event gets this seq.
-const VACANT: u64 = u64::MAX;
-
 /// A scheduled event popped from the queue.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Scheduled<E> {
     /// When the event fires.
     pub time: SimTime,
-    /// The cancellation key it was scheduled under.
+    /// The key it was scheduled under.
     pub key: EventKey,
     /// The event payload.
     pub payload: E,
@@ -112,6 +101,13 @@ pub struct Scheduled<E> {
 /// single integer compare. Sequence numbers are checked to stay below
 /// 2⁶³, where they would spill into the lane bit.
 ///
+/// # Replaced events
+///
+/// There is no cancellation: every scheduled event pops. A caller that
+/// replaces a pending event schedules the new one, keeps its
+/// [`EventKey`], and drops any popped event whose key is not the one it
+/// kept. The stale entry costs one heap slot until it surfaces.
+///
 /// # Examples
 ///
 /// ```
@@ -128,12 +124,6 @@ pub struct Scheduled<E> {
 #[derive(Debug)]
 pub struct EventQueue<E> {
     heap: BinaryHeap<Entry<E>>,
-    /// Indexed by [`Entry::slot`]; as long as the largest heap ever was.
-    slots: Vec<SlotState>,
-    /// Slots no heap entry holds, reused before `slots` grows.
-    free_slots: Vec<u32>,
-    /// Pending (scheduled, not fired, not cancelled) events.
-    live: usize,
     next_seq: u64,
     last_popped: SimTime,
 }
@@ -149,15 +139,12 @@ impl<E> EventQueue<E> {
     pub fn new() -> Self {
         EventQueue {
             heap: BinaryHeap::new(),
-            slots: Vec::new(),
-            free_slots: Vec::new(),
-            live: 0,
             next_seq: 0,
             last_popped: SimTime::ZERO,
         }
     }
 
-    /// Schedules `payload` to fire at `time` and returns its cancellation key.
+    /// Schedules `payload` to fire at `time` and returns its key.
     ///
     /// Events scheduled for a time earlier than the last popped event would
     /// travel backwards in time; that is a simulation-logic bug.
@@ -199,96 +186,34 @@ impl<E> EventQueue<E> {
         // A seq reaching the lane bit would sort into the wrong lane.
         assert!(seq < LANE_BIT, "event sequence numbers exhausted");
         self.next_seq += 1;
-        let state = SlotState {
-            seq,
-            cancelled: false,
-        };
-        let slot = match self.free_slots.pop() {
-            Some(slot) => {
-                self.slots[slot as usize] = state;
-                slot
-            }
-            None => {
-                self.slots.push(state);
-                (self.slots.len() - 1) as u32
-            }
-        };
-        self.live += 1;
         self.heap.push(Entry {
             key: u128::from(time.as_nanos()) << 64 | u128::from(lane | seq),
-            slot,
             payload,
         });
-        EventKey { seq, slot }
+        EventKey { seq }
     }
 
-    /// Cancels a scheduled event. Returns `true` if the event was still
-    /// pending, i.e. this call prevented it from firing; `false` for an
-    /// event that already fired or was already cancelled.
-    pub fn cancel(&mut self, key: EventKey) -> bool {
-        match self.slots.get_mut(key.slot as usize) {
-            Some(state) if state.seq == key.seq && !state.cancelled => {
-                state.cancelled = true;
-                self.live -= 1;
-                true
-            }
-            _ => false,
-        }
-    }
-
-    /// Hands `entry`'s slot back and reports whether it was cancelled.
-    fn retire(&mut self, entry: &Entry<E>) -> bool {
-        let state = &mut self.slots[entry.slot as usize];
-        let cancelled = state.cancelled;
-        state.seq = VACANT;
-        self.free_slots.push(entry.slot);
-        cancelled
-    }
-
-    /// Removes and returns the earliest pending event, skipping cancelled
-    /// ones, or `None` when the calendar is exhausted.
+    /// Removes and returns the earliest pending event, or `None` when the
+    /// calendar is exhausted.
     pub fn pop(&mut self) -> Option<Scheduled<E>> {
-        while let Some(entry) = self.heap.pop() {
-            if self.retire(&entry) {
-                continue;
-            }
-            self.live -= 1;
-            let time = entry.time();
-            self.last_popped = time;
-            return Some(Scheduled {
-                time,
-                key: EventKey {
-                    seq: entry.seq(),
-                    slot: entry.slot,
-                },
-                payload: entry.payload,
-            });
-        }
-        None
+        let entry = self.heap.pop()?;
+        let time = entry.time();
+        self.last_popped = time;
+        Some(Scheduled {
+            time,
+            key: EventKey { seq: entry.seq() },
+            payload: entry.payload,
+        })
     }
 
-    /// The timestamp of the next pending event, if any.
-    pub fn peek_time(&mut self) -> Option<SimTime> {
-        // Purge cancelled heads so the peeked time is a live event.
-        while let Some(entry) = self.heap.peek() {
-            if !self.slots[entry.slot as usize].cancelled {
-                return Some(entry.time());
-            }
-            if let Some(dead) = self.heap.pop() {
-                self.retire(&dead);
-            }
-        }
-        None
-    }
-
-    /// Number of pending (scheduled, not yet fired, not cancelled) events.
+    /// Number of pending (scheduled, not yet popped) events.
     pub fn len(&self) -> usize {
-        self.live
+        self.heap.len()
     }
 
-    /// `true` if no live events remain.
+    /// `true` if no pending events remain.
     pub fn is_empty(&self) -> bool {
-        self.live == 0
+        self.heap.is_empty()
     }
 
     /// The timestamp of the most recently popped event ([`SimTime::ZERO`]
@@ -376,70 +301,6 @@ mod tests {
     }
 
     #[test]
-    fn front_lane_events_cancel() {
-        let mut q = EventQueue::new();
-        let k = q.schedule_front(SimTime::from_secs(1), "a");
-        q.schedule(SimTime::from_secs(1), "b");
-        assert!(q.cancel(k));
-        assert_eq!(q.pop().unwrap().payload, "b");
-    }
-
-    #[test]
-    fn cancel_prevents_firing() {
-        let mut q = EventQueue::new();
-        let k1 = q.schedule(SimTime::from_secs(1), "a");
-        q.schedule(SimTime::from_secs(2), "b");
-        assert!(q.cancel(k1));
-        assert!(!q.cancel(k1), "double-cancel must report false");
-        assert_eq!(q.len(), 1);
-        assert_eq!(q.pop().unwrap().payload, "b");
-        assert!(q.pop().is_none());
-    }
-
-    #[test]
-    fn cancel_unknown_key_is_false() {
-        let mut q: EventQueue<()> = EventQueue::new();
-        assert!(!q.cancel(EventKey { seq: 42, slot: 0 }));
-        let mut other = EventQueue::new();
-        let foreign = other.schedule(SimTime::from_secs(1), ());
-        q.schedule(SimTime::from_secs(1), ());
-        assert!(
-            !q.cancel(EventKey { seq: 7, ..foreign }),
-            "a slot held by another seq does not match"
-        );
-    }
-
-    #[test]
-    fn cancel_after_pop_is_false_and_len_stays_exact() {
-        let mut q = EventQueue::new();
-        let fired = q.schedule(SimTime::from_secs(1), "kill");
-        q.schedule(SimTime::from_secs(2), "later");
-        assert_eq!(q.pop().unwrap().key, fired);
-        assert!(!q.cancel(fired), "an event that fired is not pending");
-        assert_eq!(q.len(), 1);
-        // The fired event's slot is reused; the stale key must not hit
-        // the event that now holds it.
-        let reused = q.schedule(SimTime::from_secs(3), "reused");
-        assert!(!q.cancel(fired));
-        assert_eq!(q.len(), 2);
-        assert!(q.cancel(reused));
-        assert_eq!(q.len(), 1);
-        assert_eq!(q.pop().unwrap().payload, "later");
-        assert!(q.pop().is_none());
-        assert!(q.is_empty());
-    }
-
-    #[test]
-    fn peek_skips_cancelled() {
-        let mut q = EventQueue::new();
-        let k = q.schedule(SimTime::from_secs(1), "a");
-        q.schedule(SimTime::from_secs(5), "b");
-        q.cancel(k);
-        assert_eq!(q.peek_time(), Some(SimTime::from_secs(5)));
-        assert_eq!(q.len(), 1);
-    }
-
-    #[test]
     fn now_tracks_last_pop() {
         let mut q = EventQueue::new();
         q.schedule(SimTime::from_secs(7), ());
@@ -472,8 +333,9 @@ mod tests {
         let end = SimTime::ZERO + SimDuration::from_secs(1);
         q.schedule(end, ());
         assert!(!q.is_empty());
+        assert_eq!(q.len(), 1);
         q.pop();
         assert!(q.is_empty());
-        assert_eq!(q.peek_time(), None);
+        assert!(q.pop().is_none());
     }
 }

@@ -9,7 +9,8 @@
 //! * [`time`] — integer-nanosecond [`SimTime`]/[`SimDuration`] newtypes, so
 //!   event ordering is exact and platform-independent;
 //! * [`events`] — the [`EventQueue`] future-event list with FIFO-stable tie
-//!   breaking and O(1) cancellation;
+//!   breaking; it never cancels, so a caller that replaces an event
+//!   fences the stale one by the [`EventKey`] it kept;
 //! * [`idmap`] — [`IdMap`], an ordered map over a sorted `Vec` for ids
 //!   issued in increasing order;
 //! * [`idwindow`] — [`IdWindow`], an id-indexed table over the live id

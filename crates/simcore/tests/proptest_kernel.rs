@@ -48,33 +48,6 @@ proptest! {
         prop_assert_eq!(popped, expected);
     }
 
-    /// Cancelled events never fire; exactly the uncancelled remainder pops.
-    #[test]
-    fn cancellation_is_exact(
-        times in prop::collection::vec(0u64..1_000, 1..100),
-        cancel_mask in prop::collection::vec(any::<bool>(), 1..100),
-    ) {
-        let mut q = EventQueue::new();
-        let keys: Vec<_> = times
-            .iter()
-            .enumerate()
-            .map(|(i, t)| q.schedule(SimTime::from_nanos(*t), i))
-            .collect();
-        let mut cancelled = std::collections::HashSet::new();
-        for (key, flag) in keys.iter().zip(cancel_mask.iter().cycle()) {
-            if *flag {
-                q.cancel(*key);
-                cancelled.insert(*key);
-            }
-        }
-        let mut fired = 0;
-        while let Some(ev) = q.pop() {
-            prop_assert!(!cancelled.contains(&ev.key), "cancelled event fired");
-            fired += 1;
-        }
-        prop_assert_eq!(fired, times.len() - cancelled.len());
-    }
-
     /// Every distribution sample is non-negative and finite.
     #[test]
     fn dist_samples_nonnegative(seed in any::<u64>(), mean in 0.001f64..1e6) {

@@ -18,17 +18,10 @@ struct NaiveQueue {
 }
 
 impl NaiveQueue {
-    fn schedule(&mut self, time: SimTime, lane: u8, payload: u32) -> u64 {
+    fn schedule(&mut self, time: SimTime, lane: u8, payload: u32) {
         let seq = self.next_seq;
         self.next_seq += 1;
         self.pending.push((time, lane, seq, payload));
-        seq
-    }
-
-    fn cancel(&mut self, seq: u64) -> bool {
-        let before = self.pending.len();
-        self.pending.retain(|e| e.2 != seq);
-        self.pending.len() < before
     }
 
     fn pop(&mut self) -> Option<(SimTime, u32)> {
@@ -40,14 +33,6 @@ impl NaiveQueue {
         let (t, _, _, payload) = self.pending.remove(i);
         Some((t, payload))
     }
-
-    fn peek_time(&self) -> Option<SimTime> {
-        self.pending
-            .iter()
-            .map(|e| (e.0, e.1, e.2))
-            .min()
-            .map(|e| e.0)
-    }
 }
 
 #[derive(Debug, Clone)]
@@ -58,11 +43,6 @@ enum QueueOp {
         front: bool,
     },
     Pop,
-    Peek,
-    /// Cancel the key issued `back` schedules ago (fired or not).
-    Cancel {
-        back: usize,
-    },
 }
 
 fn queue_op() -> impl Strategy<Value = QueueOp> {
@@ -71,8 +51,6 @@ fn queue_op() -> impl Strategy<Value = QueueOp> {
         (0u64..4, any::<bool>()).prop_map(|(delay, front)| QueueOp::Schedule { delay, front }),
         (0u64..4, any::<bool>()).prop_map(|(delay, front)| QueueOp::Schedule { delay, front }),
         Just(QueueOp::Pop),
-        Just(QueueOp::Peek),
-        (0usize..6).prop_map(|back| QueueOp::Cancel { back }),
     ]
 }
 
@@ -108,13 +86,15 @@ fn map_op() -> impl Strategy<Value = MapOp> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// Pops, peeks, cancels and `len` agree with the naive calendar on
-    /// both lanes, at tied instants and for keys whose event already fired.
+    /// Pops and `len` agree with the naive calendar on both lanes and at
+    /// tied instants, and each popped event carries the key its schedule
+    /// returned.
     #[test]
     fn event_queue_matches_naive_model(ops in prop::collection::vec(queue_op(), 1..120)) {
         let mut real = EventQueue::new();
         let mut model = NaiveQueue::default();
-        let mut keys: Vec<(EventKey, u64)> = Vec::new();
+        // The key of payload `p` is `keys[p - 1]`.
+        let mut keys: Vec<EventKey> = Vec::new();
         let mut payload = 0u32;
         for op in ops {
             match op {
@@ -126,26 +106,22 @@ proptest! {
                     } else {
                         real.schedule(at, payload)
                     };
-                    let seq = model.schedule(at, u8::from(!front), payload);
-                    keys.push((key, seq));
+                    model.schedule(at, u8::from(!front), payload);
+                    keys.push(key);
                 }
                 QueueOp::Pop => {
-                    let got = real.pop().map(|s| (s.time, s.payload));
-                    prop_assert_eq!(got, model.pop());
-                }
-                QueueOp::Peek => {
-                    prop_assert_eq!(real.peek_time(), model.peek_time());
-                }
-                QueueOp::Cancel { back } => {
-                    if let Some(&(key, seq)) = keys.iter().rev().nth(back) {
-                        prop_assert_eq!(real.cancel(key), model.cancel(seq));
+                    let got = real.pop();
+                    if let Some(s) = &got {
+                        prop_assert_eq!(s.key, keys[s.payload as usize - 1]);
                     }
+                    prop_assert_eq!(got.map(|s| (s.time, s.payload)), model.pop());
                 }
             }
             prop_assert_eq!(real.len(), model.pending.len());
             prop_assert_eq!(real.is_empty(), model.pending.is_empty());
         }
         while let Some(s) = real.pop() {
+            prop_assert_eq!(s.key, keys[s.payload as usize - 1]);
             prop_assert_eq!(Some((s.time, s.payload)), model.pop());
         }
         prop_assert!(model.pop().is_none());

@@ -1227,3 +1227,42 @@ fn hqwf_times_past_the_longest_span_exit_1_with_their_line() {
     }
     std::fs::remove_dir_all(&dir).ok();
 }
+
+#[test]
+fn hqwf_sums_past_the_end_of_time_saturate() {
+    let dir = std::env::temp_dir().join(format!("hpcqc_cli_end_of_time_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    // Each field is within bounds, but submit + phases runs past
+    // `SimTime::MAX`: the job's instants saturate there instead of
+    // overflowing.
+    for (tag, job) in [
+        (
+            "two-phases",
+            "1 u a 1 classical 0 quantum 1e3 C:1e10 C:1e10",
+        ),
+        (
+            "late-submit",
+            "1.7e10 u a 1 classical 0 quantum 1e3 C:1.7e10",
+        ),
+        (
+            "kernel-after",
+            "0 u a 1 classical 0 quantum 1e3 C:1.8e10 Q:sampling,8,32,1000",
+        ),
+        // The phase saturates, so the kernel reaches the device at the
+        // end of time.
+        (
+            "kernel-at-the-end",
+            "1e5 u a 1 classical 0 quantum 1e3 C:1.84467e10 Q:sampling,8,32,1000",
+        ),
+    ] {
+        let path = dir.join(format!("{tag}.hqwf"));
+        std::fs::write(&path, format!("{job}\n")).unwrap();
+        let out = Command::new(env!("CARGO_BIN_EXE_hpcqc-sim"))
+            .args(["run", "--nodes", "4", "--policy", "easy", "--workload"])
+            .arg(&path)
+            .output()
+            .expect("hpcqc-sim runs");
+        assert_eq!(out.status.code(), Some(0), "{tag}: {out:?}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
