@@ -489,19 +489,20 @@ impl<'o> FacilitySim<'o> {
     /// discipline expressible through the driver hooks runs on the
     /// unmodified loop. Every planning cycle reports its queue depth,
     /// phase boundaries and start/hold outcome to `probe`; pass
-    /// [`NoProbe`] for none. The probe only watches: simulation results
+    /// [`NoProbe`] for none, which compiles the hooks away (a `&mut dyn
+    /// CycleProbe` works too). The probe only watches: simulation results
     /// are byte-identical to the unprobed run (see `hpcqc-trace`'s
     /// `SchedProfiler` for the wall-clock profiler built on this hook).
     ///
     /// # Errors
     ///
     /// See [`FacilitySim::run`].
-    pub fn run_streamed_probed(
+    pub fn run_streamed_probed<P: CycleProbe + ?Sized>(
         scenario: &Scenario,
         source: &mut dyn JobSource,
         driver: Box<dyn StrategyDriver>,
         observers: &'o mut [&'o mut dyn SimObserver],
-        probe: &mut dyn CycleProbe,
+        probe: &mut P,
     ) -> Result<Outcome, SimError> {
         let mut sim = FacilitySim::new(scenario.clone(), driver, observers);
         {
@@ -710,11 +711,11 @@ impl<'o> SimState<'o> {
         })
     }
 
-    fn drive(
+    fn drive<P: CycleProbe + ?Sized>(
         &mut self,
         driver: &mut dyn StrategyDriver,
         source: &mut dyn JobSource,
-        probe: &mut dyn CycleProbe,
+        probe: &mut P,
     ) -> Result<(), SimError> {
         while let Some(ev) = self.events.pop() {
             // An event the key fence retires leaves no trace: no handler,
@@ -822,8 +823,12 @@ impl<'o> SimState<'o> {
             let owner = self.cluster.fail_node(node)?;
             emit!(self, now, SimEvent::NodeFailed { node });
             let repair_in = process.repair.sample_duration(&mut self.failure_rng);
-            self.events
-                .schedule(now + repair_in, Event::NodeRepair(node));
+            // An instant past `SimTime::MAX` never comes (here and for every
+            // fault-process instant): saturated, it would fire at the end
+            // of time.
+            if let Some(at) = now.checked_add(repair_in) {
+                self.events.schedule(at, Event::NodeRepair(node));
+            }
             // The owner's job is the live job holding that allocation.
             let victim = owner.and_then(|alloc| {
                 self.jobs
@@ -846,7 +851,9 @@ impl<'o> SimState<'o> {
             }
         }
         let next = process.mtbf.sample_duration(&mut self.failure_rng);
-        self.events.schedule(now + next, Event::NodeFailure);
+        if let Some(at) = now.checked_add(next) {
+            self.events.schedule(at, Event::NodeFailure);
+        }
         Ok(())
     }
 
@@ -985,11 +992,14 @@ impl<'o> SimState<'o> {
                 recalibration: false,
             }
         );
-        self.events
-            .schedule(now + repair_in, Event::DeviceRepairDone(device));
+        let repaired = now.checked_add(repair_in);
+        if let Some(at) = repaired {
+            self.events.schedule(at, Event::DeviceRepairDone(device));
+        }
         // The next outage clock starts once the device is back up.
-        self.events
-            .schedule(now + repair_in + next, Event::DeviceFailure(device));
+        if let Some(at) = repaired.and_then(|t| t.checked_add(next)) {
+            self.events.schedule(at, Event::DeviceFailure(device));
+        }
         let victims: Vec<JobId> = self
             .jobs
             .iter()
@@ -1037,8 +1047,9 @@ impl<'o> SimState<'o> {
                 recalibration: true,
             }
         );
-        self.events
-            .schedule(now + down, Event::DeviceRepairDone(device));
+        if let Some(at) = now.checked_add(down) {
+            self.events.schedule(at, Event::DeviceRepairDone(device));
+        }
     }
 
     /// No routable device right now (outage or recalibration): hold the
@@ -1228,11 +1239,11 @@ impl<'o> SimState<'o> {
     /// its last cycle: after a submit alone onto a held queue it plans
     /// only the new job, after nothing but the clock it keeps its holds
     /// (see [`BatchScheduler::try_schedule_probed`]).
-    fn cycle(
+    fn cycle<P: CycleProbe + ?Sized>(
         &mut self,
         driver: &mut dyn StrategyDriver,
         now: SimTime,
-        probe: &mut dyn CycleProbe,
+        probe: &mut P,
     ) -> Result<(), SimError> {
         if self.scheduler.is_settled(&self.cluster) {
             probe.cycle_skipped(now, self.scheduler.pending_len());
@@ -1261,9 +1272,10 @@ impl<'o> SimState<'o> {
             // `on_quantum_enter` shrinks a job that opens with a quantum
             // phase, inside the handler. So plan again until a pass starts
             // nothing. If no handler touched the cluster or the queue, the
-            // re-run is the scheduler's same-instant follow-up, a linear
-            // re-diagnosis of the held jobs with no sort, profile or admit
-            // loop (see `BatchScheduler::try_schedule_probed`).
+            // re-run is the scheduler's same-instant follow-up: it
+            // re-diagnoses only the jobs held ahead of the last start, with
+            // no sort, profile or admit loop (see
+            // `BatchScheduler::try_schedule_probed`).
         }
     }
 

@@ -8,8 +8,9 @@
 //! because the scheduler is settled. The scheduler itself never reads a
 //! clock; a probe that wants wall-clock timings takes them in its own
 //! crate (see `hpcqc-trace`'s `SchedProfiler`), so the deterministic core
-//! stays free of wall time and the no-op default ([`NoProbe`]) costs two
-//! virtual calls per queued job.
+//! stays free of wall time. The cycle is generic over its probe, so the
+//! no-op default ([`NoProbe`]) compiles every hook away; a `&mut dyn
+//! CycleProbe` costs two virtual calls per queued job.
 //!
 //! [`BatchScheduler::try_schedule`]: crate::scheduler::BatchScheduler::try_schedule
 
@@ -38,11 +39,12 @@ pub enum CyclePhase {
     /// scores the rest and sorts.
     Order,
     /// Per-job admission decisions (the held step runs between phases).
-    /// In a same-instant follow-up, each is the job's re-diagnosis; in a
-    /// clock-only re-run, which keeps the last holds, each is empty; in a
-    /// submit-only cycle, a new job's is its admission, an old job's its
-    /// re-diagnosis if it sorts behind a started new job, and otherwise
-    /// empty.
+    /// In a same-instant follow-up, a job held ahead of the last cycle's
+    /// last start gets its re-diagnosis, and every other job an empty
+    /// one; in a clock-only re-run, which keeps the last holds, each is
+    /// empty; in a submit-only cycle, a new job's is its admission, an old
+    /// job's its re-diagnosis if it sorts behind a started new job, and
+    /// otherwise empty.
     Admit,
     /// Live-cluster allocation attempts for admitted jobs.
     Allocate,

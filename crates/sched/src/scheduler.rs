@@ -234,11 +234,18 @@ struct CycleEnd {
     free: Demand,
     /// The cycle's [`Scoring::boosts`] flag, read before any start.
     qpu_boost: bool,
-    /// Whether some held job's demand fitted `free`; meaningful only for
-    /// a cycle that started nothing.
+    /// Whether the demand of some job held after the cycle's last start
+    /// (every held job, if it started none) fitted `free`.
     any_fits: bool,
     /// Whether the cycle started a job.
     started: bool,
+    /// How many holds the cycle made before its last start; 0 if it
+    /// started none. They lead [`BatchScheduler::last_holds`].
+    holds_ahead: usize,
+    /// How many [`BatchScheduler::hold_changes`] entries the cycle had
+    /// listed by its last start: the entries of the first `holds_ahead`
+    /// holds.
+    changes_ahead: usize,
     /// The slot the EASY arm reserved for the head, the queue's first
     /// held job: its shadow, or [`SimTime::MAX`] if it never fits, and
     /// under FCFS and conservative backfill.
@@ -357,14 +364,14 @@ impl Plan {
     /// the profile. A start the live cluster refuses (the admit `match`
     /// said yes, but e.g. nodes failed) is held instead, blaming the
     /// concrete shortage the allocator reported.
-    fn start(
+    fn start<P: CycleProbe + ?Sized>(
         &mut self,
         cluster: &mut Cluster,
         queued: &mut QueuedTable,
         running: &mut RunningSet,
         job: &PendingJob,
         entry: &Queued,
-        probe: &mut dyn CycleProbe,
+        probe: &mut P,
     ) -> Result<AllocationId, HoldReason> {
         probe.phase_start(CyclePhase::Allocate);
         let granted = cluster.allocate(&job.request, self.now);
@@ -639,7 +646,8 @@ impl BatchScheduler {
     /// order the queue sorts into now. If nothing finished, that cycle
     /// may be a clock-only re-run, whose proof is the stronger one: it
     /// keeps every verdict, not only the starts, so it also needs the
-    /// queue's order unchanged and no release due.
+    /// queue's order unchanged and, unless the discipline is FCFS, no
+    /// release due.
     pub fn is_settled(&self, cluster: &Cluster) -> bool {
         matches!(self.recorded_kind(), Kind::Settled(end) if end.left_as_is(cluster))
     }
@@ -699,18 +707,22 @@ impl BatchScheduler {
     /// 2. *Same-instant follow-up*: `C` started jobs, and nothing was
     ///    submitted or finished since. At `C`'s instant, under
     ///    quantum-aware with the idle-QPU flag `C`'s order read, and under
-    ///    conservative with no release due, it re-diagnoses the held jobs
-    ///    in one pass (see `follow_up_holds`).
+    ///    conservative with no release due, it re-diagnoses the jobs `C`
+    ///    held ahead of its last start, and keeps `C`'s reasons and hold
+    ///    changes for the rest, which `C` diagnosed against `F` (see
+    ///    `follow_up_holds`). Under FCFS, which starts nothing after its
+    ///    first hold, it re-diagnoses nothing.
     /// 3. *Clock-only re-run*: `C` started nothing, and nothing was
-    ///    submitted or finished since. With no release due and the queue,
-    ///    scored at `now`, still in `C`'s order (checked in one pass, no
-    ///    sort), it keeps `C`'s holds (see `carry_holds`).
+    ///    submitted or finished since. With the queue, scored at `now`,
+    ///    still in `C`'s order (checked in one pass, no sort) and, unless
+    ///    the discipline is FCFS, no release due, it keeps `C`'s holds
+    ///    (see `carry_holds`).
     /// 4. *Submit-only*: as a re-run, but jobs were submitted since onto
-    ///    `C`'s queue, which was not empty. With no release due, the old
-    ///    jobs still in `C`'s order, every new job sorting behind `C`'s
-    ///    head, and any discipline but conservative, it admits only the
-    ///    new jobs, at their places in the sorted queue (see
-    ///    `submit_only`).
+    ///    `C`'s queue, which was not empty. With the old jobs still in
+    ///    `C`'s order, every new job sorting behind `C`'s head, any
+    ///    discipline but conservative and, unless it is FCFS, no release
+    ///    due, it admits only the new jobs, at their places in the sorted
+    ///    queue (see `submit_only`).
     /// 5. *Full*: anything else, or a kind whose conditions fail. It
     ///    scores and sorts the queue, then admits every job.
     ///
@@ -719,7 +731,8 @@ impl BatchScheduler {
     /// first release `e > now`, and from `now` on it agrees with the
     /// profile of any earlier cycle over the same running set: a demand
     /// that `F` does not cover fits in neither before `e`, so its earliest
-    /// slot is the same in both.
+    /// slot is the same in both. Only a plan that reads the profile needs
+    /// this: FCFS reads `F` and the queue order alone.
     ///
     /// Each fast kind proves its starts, holds and hold changes equal to
     /// the full cycle's, case by case over the three `match`es (order,
@@ -728,11 +741,11 @@ impl BatchScheduler {
     /// arm must keep every argument. Each fast kind reports to `probe` as
     /// one cycle with one [`CyclePhase::Admit`] per queued job and no
     /// [`CyclePhase::Order`].
-    pub fn try_schedule_probed(
+    pub fn try_schedule_probed<P: CycleProbe + ?Sized>(
         &mut self,
         cluster: &mut Cluster,
         now: SimTime,
-        probe: &mut dyn CycleProbe,
+        probe: &mut P,
     ) -> Vec<StartedJob> {
         if self.pending.is_empty() {
             // Only a submit refills the queue, and a cycle after it plans
@@ -786,11 +799,11 @@ impl BatchScheduler {
     /// frame stays off that early return (perfbench `qpu-stream` runs
     /// ~147 events per job and was ~1% slower with the body inline).
     #[inline(never)]
-    fn cycle(
+    fn cycle<P: CycleProbe + ?Sized>(
         &mut self,
         cluster: &mut Cluster,
         now: SimTime,
-        probe: &mut dyn CycleProbe,
+        probe: &mut P,
     ) -> Vec<StartedJob> {
         let kind = self.kind(cluster);
         let since = std::mem::take(&mut self.since);
@@ -798,16 +811,19 @@ impl BatchScheduler {
         let depth = self.pending.len();
         probe.cycle_start(now, depth);
         let scoring = Scoring::of(self.spec.discipline, cluster);
-        // Conservative slots read releases due by now, which the other
-        // arms' follow-ups do not (see `follow_up_holds`), and a job that
-        // joins its queue may move every later reservation, which the
-        // other arms' plans never do (see `submit_only`).
-        let conservative = match self.spec.discipline {
-            Discipline::ConservativeBackfill => true,
-            Discipline::Fcfs
-            | Discipline::EasyBackfill
+        // Whether the plan reads the profile: FCFS does not, so a release
+        // due by now leaves its verdicts alone (see the cycle kinds).
+        // Conservative slots read such a release even at the last cycle's
+        // instant, which the EASY arm's do not (see `follow_up_holds`),
+        // and a job that joins its queue may move every later
+        // reservation, which the other arms' plans never do (see
+        // `submit_only`).
+        let (profiled, conservative) = match self.spec.discipline {
+            Discipline::Fcfs => (false, false),
+            Discipline::ConservativeBackfill => (true, true),
+            Discipline::EasyBackfill
             | Discipline::PriorityBackfill { .. }
-            | Discipline::QuantumAware { .. } => false,
+            | Discipline::QuantumAware { .. } => (true, false),
         };
         match kind {
             Kind::FollowUp(end)
@@ -815,7 +831,7 @@ impl BatchScheduler {
                     && end.qpu_boost == scoring.boosts()
                     && !(conservative && self.release_due(now)) =>
             {
-                let any_fits = self.follow_up_holds(cluster, &end.free, probe);
+                let any_fits = self.follow_up_holds(cluster, &end, probe);
                 let end = CycleEnd {
                     any_fits,
                     started: false,
@@ -829,7 +845,7 @@ impl BatchScheduler {
             Kind::Settled(end) | Kind::ReRun(end)
                 if !since.finished
                     && end.now <= now
-                    && !self.release_due(now)
+                    && !(profiled && self.release_due(now))
                     && self.in_order(&scoring, now, depth) =>
             {
                 self.carry_holds(probe);
@@ -845,7 +861,7 @@ impl BatchScheduler {
             Kind::SubmitOnly(end)
                 if !conservative
                     && end.now <= now
-                    && !self.release_due(now)
+                    && !(profiled && self.release_due(now))
                     && self.in_order(&scoring, now, depth - since.submitted)
                     && self.head_stays_first(&scoring, now) =>
             {
@@ -872,8 +888,11 @@ impl BatchScheduler {
         let mut shadow = SimTime::MAX;
 
         let mut started = Vec::new();
-        // Whether some queued demand fitted the free vector at its admit.
+        // Whether a demand since the last start fitted the free vector at
+        // its admit.
         let mut any_fits = false;
+        // The holds and hold-change entries made before the last start.
+        let (mut holds_ahead, mut changes_ahead) = (0, 0);
         // Whether the live cluster refused an admitted start.
         let mut refused = false;
         // Held jobs are compacted to the front of `pending`, in order.
@@ -896,6 +915,9 @@ impl BatchScheduler {
                     match plan.start(cluster, queued, running, job, &entry, probe) {
                         Ok(alloc) => {
                             started.push(StartedJob { job: job.id, alloc });
+                            any_fits = false;
+                            holds_ahead = self.last_holds.len();
+                            changes_ahead = self.hold_changes.len();
                             continue;
                         }
                         Err(reason) => {
@@ -933,6 +955,8 @@ impl BatchScheduler {
             any_fits,
             started: !started.is_empty(),
             shadow,
+            holds_ahead,
+            changes_ahead,
         };
         self.close(cluster, end, refused);
         probe.cycle_end(started.len(), self.pending.len());
@@ -1046,15 +1070,18 @@ impl BatchScheduler {
     }
 
     /// The same-instant follow-up (kind 2 of
-    /// [`try_schedule_probed`](BatchScheduler::try_schedule_probed)):
-    /// holds every queued job, in queue order, for the binding shortage
-    /// of `free` against its demand, with [`HoldReason::PolicyHold`]
+    /// [`try_schedule_probed`](BatchScheduler::try_schedule_probed)) to
+    /// the starting cycle that ended as `end`: re-diagnoses the holds it
+    /// made before its last start, each for the binding shortage of
+    /// `end.free` against its demand, with [`HoldReason::PolicyHold`]
     /// relabelled [`HoldReason::HeadShadow`] under every discipline but
-    /// FCFS. Returns whether some demand fits `free`.
+    /// FCFS, and keeps the reasons and the
+    /// [`hold_changes`](BatchScheduler::hold_changes) entries of the
+    /// rest. Returns whether some held demand fits `end.free`.
     ///
-    /// `free` is the final free vector `F` of the last cycle `C`, which
-    /// ran at this instant and started the jobs `S`; the queue is the
-    /// jobs `H` it held, in its order. The record shows that nothing
+    /// `end.free` is the final free vector `F` of the last cycle `C`,
+    /// which ran at this instant and started the jobs `S`; the queue is
+    /// the jobs `H` it held, in its order. The record shows that nothing
     /// moved since, and the caller has checked that the idle-QPU flag is
     /// `C`'s and, under conservative, that no release is due.
     ///
@@ -1097,6 +1124,21 @@ impl BatchScheduler {
     /// and the demand: `Hold` (FCFS, and the EASY head, short of `F`)
     /// reports the shortage; `Reserved` relabels `PolicyHold`.
     ///
+    /// Why only the holds ahead of `C`'s last start change. `C` diagnosed
+    /// every later hold against its free vector after that start, `F`,
+    /// and its relabel agrees with the full cycle's: FCFS holds with
+    /// `Hold` in both; under the EASY arm `C` gave such a hold `Reserved`
+    /// unless it was the head, and the head is short of `F`, so its
+    /// shortage is never relabelled; under conservative, with no release
+    /// due (nor in `C`, whose running set lacked only `S`), every hold is
+    /// `Reserved` in both, since a slot at `now` is a start. So its
+    /// reason is the full cycle's. `C` started jobs, so
+    /// it committed no reported reason, and the entry it listed for that
+    /// hold, if any, is the one the full cycle lists. `C` also recorded
+    /// whether such a hold's demand fits `F`, which this cycle ORs in.
+    /// Under FCFS every start comes before the first hold, so nothing is
+    /// re-diagnosed.
+    ///
     /// Only conservative needs the release guard. FCFS reads no profile,
     /// and the EASY arm's argument compares two profiles at the same
     /// instant, whatever they hold. With a release due, conservative's
@@ -1107,11 +1149,11 @@ impl BatchScheduler {
     /// reservation off a window that a job behind both then fits now:
     /// it starts (see the unit test
     /// `conservative_follow_up_with_a_release_due_starts_a_job`).
-    fn follow_up_holds(
+    fn follow_up_holds<P: CycleProbe + ?Sized>(
         &mut self,
         cluster: &Cluster,
-        free: &Demand,
-        probe: &mut dyn CycleProbe,
+        end: &CycleEnd,
+        probe: &mut P,
     ) -> bool {
         let verdict = match self.spec.discipline {
             Discipline::Fcfs => Admit::Hold,
@@ -1120,12 +1162,11 @@ impl BatchScheduler {
             | Discipline::PriorityBackfill { .. }
             | Discipline::QuantumAware { .. } => Admit::Reserved,
         };
-        self.last_holds.clear();
-        self.hold_changes.clear();
-        let mut any_fits = false;
-        let mut kept = 0;
-        for i in 0..self.pending.len() {
-            let id = self.pending[i].id;
+        let free = &end.free;
+        let mut any_fits = end.any_fits;
+        let listed = self.hold_changes.len();
+        for i in 0..end.holds_ahead {
+            let id = self.last_holds[i].0;
             let Some(&entry) = self.queued.get(id.raw()) else {
                 continue;
             };
@@ -1133,14 +1174,20 @@ impl BatchScheduler {
             let reason = hold_reason(verdict, cluster, free, &entry.demand);
             probe.phase_end(CyclePhase::Admit);
             any_fits = any_fits || free.covers(&entry.demand);
-            self.last_holds.push((id, reason));
+            self.last_holds[i].1 = reason;
             if entry.reported != Some(reason) {
                 self.hold_changes.push((id, reason));
             }
-            self.pending.swap(kept, i);
-            kept += 1;
         }
-        self.pending.truncate(kept);
+        for _ in end.holds_ahead..self.pending.len() {
+            probe.phase_start(CyclePhase::Admit);
+            probe.phase_end(CyclePhase::Admit);
+        }
+        // `C`'s entries ahead of its last start, `C`'s later ones, then
+        // the re-diagnosed ones: these replace the first.
+        let fresh = self.hold_changes.len() - listed;
+        self.hold_changes[end.changes_ahead..].rotate_right(fresh);
+        self.hold_changes.drain(..end.changes_ahead);
         any_fits
     }
 
@@ -1151,10 +1198,11 @@ impl BatchScheduler {
     ///
     /// The last cycle `C`, at `t0 ≤ now`, started nothing and held the
     /// queue in its order; the record shows that only the clock moved
-    /// since, and the caller has checked that no release is due and that
-    /// the queue scored at `now` is still in that order. Fairshare decay,
-    /// aging escalation and the idle-QPU flag are time's only effects on
-    /// the order, and the check reads them all.
+    /// since, and the caller has checked that the queue scored at `now`
+    /// is still in that order and, unless the discipline is FCFS, that no
+    /// release is due. Fairshare decay, aging escalation and the idle-QPU
+    /// flag are time's only effects on the order, and the check reads
+    /// them all.
     ///
     /// Why this is the full cycle's verdict. `C` started nothing, so its
     /// live free vector was the cluster's `F` throughout, as it is now.
@@ -1163,7 +1211,8 @@ impl BatchScheduler {
     /// `now` on, the first release `e` lying after `now`. By the admit
     /// `match`'s arm:
     ///
-    /// * FCFS reads only `F` and the order.
+    /// * FCFS reads only `F` and the order, never the profile, so a
+    ///   release due changes none of its verdicts.
     /// * The EASY arm: `C`'s first job was the head, short of `F`, so it
     ///   fits nowhere before `e`; the profiles agree from there, so its
     ///   shadow is `C`'s. A later job that `F` covers did not fit `C`'s
@@ -1178,7 +1227,7 @@ impl BatchScheduler {
     /// So the held `match` repeats `C`'s, nothing starts, and each
     /// reason, a function of the verdict, `F` and the demand, is `C`'s.
     /// `C` committed every reason it reported, so none changes.
-    fn carry_holds(&mut self, probe: &mut dyn CycleProbe) {
+    fn carry_holds<P: CycleProbe + ?Sized>(&mut self, probe: &mut P) {
         for _ in 0..self.pending.len() {
             probe.phase_start(CyclePhase::Admit);
             probe.phase_end(CyclePhase::Admit);
@@ -1197,9 +1246,10 @@ impl BatchScheduler {
     /// The last cycle `C`, at `t0 ≤ now`, started nothing and held the
     /// first `old` queued jobs in its order, with free vector `F`. The
     /// record shows that only submits came since, and the caller has
-    /// checked that no release is due and that the old jobs, scored at
-    /// `now`, keep `C`'s order; it has sorted every key into `keys`, and
-    /// `C`'s head `h` is first. The discipline is not conservative.
+    /// checked that the old jobs, scored at `now`, keep `C`'s order and,
+    /// unless the discipline is FCFS, that no release is due; it has
+    /// sorted every key into `keys`, and `C`'s head `h` is first. The
+    /// discipline is not conservative.
     ///
     /// Why this is the full cycle's verdict. The order `match` reads the
     /// clock, fairshare usage and the idle-QPU flag, all read at `now`
@@ -1208,7 +1258,8 @@ impl BatchScheduler {
     /// nothing, so `F` does not cover `h`. By the admit `match`'s arm:
     ///
     /// * FCFS holds `h` and blocks; every later job is held for its
-    ///   shortage of `F`, and nothing starts.
+    ///   shortage of `F`, and nothing starts. No profile is read, so a
+    ///   release due changes nothing.
     /// * The EASY arm holds `h`, and the held `match` reserves its
     ///   shadow, `C`'s: `h` fits nowhere before the first release, and
     ///   the profiles at `t0` and at `now` agree from there on (see the
@@ -1227,12 +1278,12 @@ impl BatchScheduler {
     /// Conservative backfill takes the full path: a new job reserves a
     /// slot, which may move every later reservation, and so a later
     /// job's start.
-    fn submit_only(
+    fn submit_only<P: CycleProbe + ?Sized>(
         &mut self,
         cluster: &mut Cluster,
         end: CycleEnd,
         old: usize,
-        probe: &mut dyn CycleProbe,
+        probe: &mut P,
     ) -> Vec<StartedJob> {
         let depth = self.pending.len();
         let discipline = self.spec.discipline;
@@ -1253,6 +1304,7 @@ impl BatchScheduler {
             .map(|entry| (entry.demand, head.walltime));
         let mut started = Vec::new();
         let mut any_fits = end.any_fits;
+        let (mut holds_ahead, mut changes_ahead) = (0, 0);
         let mut refused = false;
         for p in 0..depth {
             let i = self.keys[p].1;
@@ -1268,12 +1320,12 @@ impl BatchScheduler {
             };
             let demand = entry.demand;
             probe.phase_start(CyclePhase::Admit);
+            let fits = plan.free.covers(&demand);
+            any_fits = any_fits || fits;
             let admitted = if i < old {
                 // Behind a start: `C`'s verdict, under the EASY arm.
                 Admit::Reserved
             } else {
-                let fits = plan.free.covers(&demand);
-                any_fits = any_fits || fits;
                 if let Some((head, walltime)) = shadow.take_if(|_| fits) {
                     plan.profile(&self.running)
                         .reserve(&head, end.shadow, walltime);
@@ -1286,7 +1338,11 @@ impl BatchScheduler {
                     let (queued, running) = (&mut self.queued, &mut self.running);
                     match plan.start(cluster, queued, running, job, &entry, probe) {
                         Ok(alloc) => {
+                            // Every earlier position holds a job or a start.
+                            holds_ahead = p - started.len();
+                            changes_ahead = self.hold_changes.len();
                             started.push(StartedJob { job: job.id, alloc });
+                            any_fits = false;
                             continue;
                         }
                         Err(reason) => {
@@ -1318,6 +1374,8 @@ impl BatchScheduler {
             free: plan.free,
             any_fits,
             started: !started.is_empty(),
+            holds_ahead,
+            changes_ahead,
             ..end
         };
         self.close(cluster, end, refused);
@@ -2152,6 +2210,149 @@ mod tests {
         let started = s.try_schedule_probed(&mut c, SimTime::from_secs(1), &mut orders);
         assert_eq!(orders.0, 1, "the new job is the head");
         assert_eq!(started[0].job, JobId::new(2));
+    }
+
+    /// Asserts that a full plan at `now` holds what the last cycle held:
+    /// a cancel, even of an id never queued, makes the next cycle plan in
+    /// full.
+    fn assert_full_plan_agrees(c: &mut Cluster, s: &mut BatchScheduler, now: SimTime) {
+        let holds = s.last_holds().to_vec();
+        assert!(!s.cancel(JobId::new(999)));
+        let mut orders = Orders::default();
+        assert!(s.try_schedule_probed(c, now, &mut orders).is_empty());
+        assert_eq!(orders.0, 1, "a full plan sorts");
+        assert_eq!(s.last_holds(), holds);
+    }
+
+    #[test]
+    fn follow_up_re_diagnoses_only_the_holds_ahead_of_the_last_start() {
+        let mut c = cluster(10);
+        let mut s = BatchScheduler::new(PolicySpec::easy());
+        // In order: job 10 starts on 6 nodes until t=100; head job 1 (all
+        // 10 nodes) is held with its shadow at t=100; job 2 backfills on
+        // 1 node; job 3 (3 nodes for 1000 s) fits the 3 free nodes but
+        // not around the shadow; job 4 backfills on 2 of them; job 5 (2
+        // nodes) finds 1.
+        for (id, nodes, walltime_s, rank) in [
+            (10, 6, 100, 5),
+            (1, 10, 1_000, 4),
+            (2, 1, 50, 3),
+            (3, 3, 1_000, 2),
+            (4, 2, 50, 1),
+            (5, 2, 1_000, 0),
+        ] {
+            s.submit(ranked(id, nodes, walltime_s, f64::from(rank) * 1_000.0), &c)
+                .unwrap();
+        }
+        let ids =
+            |started: Vec<StartedJob>| started.iter().map(|st| st.job.raw()).collect::<Vec<_>>();
+        assert_eq!(ids(s.try_schedule(&mut c, SimTime::ZERO)), [10, 2, 4]);
+        let (insufficient, shadowed) = (HoldReason::InsufficientNodes, HoldReason::HeadShadow);
+        let diagnosed = [
+            (JobId::new(1), insufficient),
+            (JobId::new(3), shadowed),
+            (JobId::new(5), insufficient),
+        ];
+        assert_eq!(s.last_holds(), &diagnosed);
+        assert_eq!(s.hold_changes(), &diagnosed);
+        // Job 4's start left job 3, held ahead of it, short of nodes; job
+        // 5, held behind it, keeps its reason and its entry.
+        let mut orders = Orders::default();
+        assert!(s
+            .try_schedule_probed(&mut c, SimTime::ZERO, &mut orders)
+            .is_empty());
+        assert_eq!(orders.0, 0, "a follow-up sorts nothing");
+        let short = [
+            (JobId::new(1), insufficient),
+            (JobId::new(3), insufficient),
+            (JobId::new(5), insufficient),
+        ];
+        assert_eq!(s.last_holds(), &short);
+        assert_eq!(s.hold_changes(), &short);
+        assert!(s.is_settled(&c), "no held job fits the one free node");
+        assert_full_plan_agrees(&mut c, &mut s, SimTime::ZERO);
+    }
+
+    #[test]
+    fn follow_up_to_a_submit_only_start() {
+        let mut c = cluster(10);
+        let mut s = BatchScheduler::new(PolicySpec::easy());
+        s.submit(ranked(10, 6, 100, 5_000.0), &c).unwrap();
+        s.submit(ranked(1, 10, 1_000, 4_000.0), &c).unwrap();
+        s.submit(ranked(3, 2, 1_000, 2_000.0), &c).unwrap();
+        assert_eq!(s.try_schedule(&mut c, SimTime::ZERO).len(), 1);
+        assert!(s.try_schedule(&mut c, SimTime::ZERO).is_empty());
+        let (insufficient, shadowed) = (HoldReason::InsufficientNodes, HoldReason::HeadShadow);
+        assert_eq!(
+            s.last_holds(),
+            &[(JobId::new(1), insufficient), (JobId::new(3), shadowed)]
+        );
+        // Behind both holds, job 4 (3 nodes, ends before the shadow)
+        // backfills, and job 5 (2 nodes) finds the 1 node left.
+        s.submit(ranked(4, 3, 50, 1_000.0), &c).unwrap();
+        s.submit(ranked(5, 2, 1_000, 0.0), &c).unwrap();
+        let now = SimTime::from_secs(1);
+        let mut orders = Orders::default();
+        let started = s.try_schedule_probed(&mut c, now, &mut orders);
+        assert_eq!(orders.0, 0, "a submit-only cycle sorts nothing");
+        assert_eq!(started.len(), 1);
+        assert_eq!(started[0].job, JobId::new(4));
+        assert_eq!(s.hold_changes(), &[(JobId::new(5), insufficient)]);
+        // The follow-up finds job 3, held ahead of the start, short of
+        // nodes, and lists it ahead of job 5's kept entry.
+        assert!(s.try_schedule_probed(&mut c, now, &mut orders).is_empty());
+        assert_eq!(orders.0, 0);
+        let short = [
+            (JobId::new(1), insufficient),
+            (JobId::new(3), insufficient),
+            (JobId::new(5), insufficient),
+        ];
+        assert_eq!(s.last_holds(), &short);
+        assert_eq!(s.hold_changes(), &short[1..]);
+        assert_full_plan_agrees(&mut c, &mut s, now);
+    }
+
+    /// FCFS reads no profile, so a running job past its expected end
+    /// keeps none of its fast kinds from it.
+    #[test]
+    fn fcfs_takes_every_fast_kind_with_a_release_due() {
+        let mut c = cluster(10);
+        let mut s = BatchScheduler::new(PolicySpec::fcfs());
+        // Jobs 0 (2 nodes, due at t=10) and 9 (8 nodes) start; jobs 1 and
+        // 2 are held behind them.
+        s.submit(ranked(0, 2, 10, 5_000.0), &c).unwrap();
+        s.submit(ranked(9, 8, 100, 4_000.0), &c).unwrap();
+        s.submit(ranked(1, 6, 100, 3_000.0), &c).unwrap();
+        s.submit(ranked(2, 10, 100, 2_000.0), &c).unwrap();
+        let started = s.try_schedule(&mut c, SimTime::ZERO);
+        assert_eq!(started.len(), 2);
+        assert!(s.try_schedule(&mut c, SimTime::ZERO).is_empty());
+        // Job 0 overruns: each cycle from here has a release due.
+        let mut orders = Orders::default();
+        let at = SimTime::from_secs(20);
+        assert!(s.try_schedule_probed(&mut c, at, &mut orders).is_empty());
+        assert_eq!(orders.0, 0, "a clock-only re-run");
+        assert_full_plan_agrees(&mut c, &mut s, at);
+        s.submit(ranked(3, 1, 100, 1_000.0), &c).unwrap();
+        let at = SimTime::from_secs(21);
+        assert!(s.try_schedule_probed(&mut c, at, &mut orders).is_empty());
+        assert_eq!(orders.0, 0, "a submit-only cycle");
+        assert_full_plan_agrees(&mut c, &mut s, at);
+        // Job 9 ends: job 1 starts, and the follow-up holds jobs 2 and 3.
+        let at = SimTime::from_secs(30);
+        c.release(started[1].alloc, at).unwrap();
+        s.finished(started[1].alloc, at);
+        assert_eq!(s.try_schedule(&mut c, at).len(), 1);
+        assert!(s.try_schedule_probed(&mut c, at, &mut orders).is_empty());
+        assert_eq!(orders.0, 0, "a same-instant follow-up");
+        assert_eq!(
+            s.last_holds(),
+            &[
+                (JobId::new(2), HoldReason::InsufficientNodes),
+                (JobId::new(3), HoldReason::PolicyHold)
+            ]
+        );
+        assert_full_plan_agrees(&mut c, &mut s, at);
     }
 
     #[test]

@@ -28,9 +28,13 @@
 //! After every cycle the two must agree on the starts, the allocation
 //! ids, `last_holds` and the queue order, and the library's
 //! `hold_changes` must be what a ledger of reported reasons, kept here
-//! from the reference's holds, predicts. A withdrawn submission reaches
-//! only the library, since the reference has no cancel: the library
-//! queues it and cancels it before the next cycle.
+//! from the reference's holds, predicts. After every cycle and every
+//! action, the library's `is_settled` must be what a second ledger
+//! predicts: the last cycle started nothing, nothing was queued or
+//! withdrawn since, the live free vector is that cycle's, and no queued
+//! demand fits it. A withdrawn submission reaches only the library,
+//! since the reference has no cancel: the library queues it and cancels
+//! it before the next cycle.
 
 mod reference;
 
@@ -268,6 +272,10 @@ struct Replay {
     last_started: Option<SimTime>,
     /// Whether a job was queued since the last cycle.
     submitted: bool,
+    /// The free vector the last cycle left, if it ran on a non-empty
+    /// queue and started nothing, and no job was queued or withdrawn
+    /// since.
+    settled_free: Option<reference::Demand>,
 }
 
 impl Replay {
@@ -286,6 +294,7 @@ impl Replay {
             fast: FastPaths::default(),
             last_started: None,
             submitted: false,
+            settled_free: None,
         }
     }
 
@@ -349,6 +358,7 @@ impl Replay {
                 let job = self.job(spec);
                 if self.lib.submit(job.clone(), &self.lib_cluster).is_ok() {
                     assert!(self.lib.cancel(job.id));
+                    self.settled_free = None;
                 }
             }
             Action::Fault(repair, node) => {
@@ -398,6 +408,27 @@ impl Replay {
         let queued = self.lib.submit(job.clone(), &self.lib_cluster).is_ok();
         assert_eq!(queued, self.reference.submit(job, &self.ref_cluster));
         self.submitted |= queued;
+        if queued {
+            self.settled_free = None;
+        }
+    }
+
+    /// Asserts that the library may skip the next cycle exactly when the
+    /// settled ledger says so.
+    fn check_settled(&self) {
+        let free = reference::free_of(&self.lib_cluster);
+        let expected = self.settled_free.as_ref() == Some(&free)
+            && self
+                .lib
+                .pending()
+                .iter()
+                .all(|job| !free.covers(&reference::demand_of_request(&job.request)));
+        assert_eq!(
+            self.lib.is_settled(&self.lib_cluster),
+            expected,
+            "is_settled at {}",
+            self.now
+        );
     }
 
     /// One cycle on both sides, asserting that they agree.
@@ -447,6 +478,9 @@ impl Replay {
         }
         self.last_started = (!started.is_empty()).then_some(at);
         self.submitted = false;
+        let ran = self.probe.cycles > cycles;
+        self.settled_free =
+            (ran && started.is_empty()).then(|| reference::free_of(&self.lib_cluster));
         for st in started {
             self.reported.remove(&st.job);
             let (walltime, pct) = self.runs[&st.job];
@@ -454,15 +488,18 @@ impl Replay {
             let expected = at + SimDuration::from_secs(walltime);
             self.running.push((at + runtime, expected, st.alloc));
         }
+        self.check_settled();
     }
 }
 
 /// Replays `steps` under `policy`, asserting after every cycle that the
-/// library and the reference agree; returns how often each fast kind ran.
+/// library and the reference agree, and after every cycle and action that
+/// `is_settled` is the ledger's; returns how often each fast kind ran.
 fn replay(steps: &[Step], policy: PolicySpec) -> FastPaths {
     let mut r = Replay::new(policy);
     for (action, cycles) in steps {
         r.act(action);
+        r.check_settled();
         for _ in 0..*cycles {
             r.cycle();
         }

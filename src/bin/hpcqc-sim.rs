@@ -551,11 +551,11 @@ enum RunInput {
 /// `probe` watching the scheduler: the one way the CLI enters the event
 /// loop. A generator input streams a fresh sequence per call, so every
 /// strategy replays the identical generated jobs (common random numbers).
-fn simulate<'o>(
+fn simulate<'o, P: CycleProbe + ?Sized>(
     sc: &Scenario,
     input: &RunInput,
     extras: &'o mut [&'o mut dyn SimObserver],
-    probe: &mut dyn CycleProbe,
+    probe: &mut P,
 ) -> Result<Outcome, String> {
     let driver = driver_for(&sc.strategy);
     match input {
@@ -634,12 +634,12 @@ fn run_instrumented(
         if let Some(g) = gantt.as_mut() {
             extras.push(g);
         }
-        let mut no_probe = NoProbe;
-        let probe: &mut dyn CycleProbe = match profiler.as_mut() {
-            Some(profiler) => profiler,
-            None => &mut no_probe,
-        };
-        simulate(sc, input, &mut extras, probe)?
+        // Unprofiled, `NoProbe` compiles the scheduler's probe hooks
+        // away; the profiler watches through the `dyn` instantiation.
+        match profiler.as_mut() {
+            Some(profiler) => simulate(sc, input, &mut extras, profiler as &mut dyn CycleProbe)?,
+            None => simulate(sc, input, &mut extras, &mut NoProbe)?,
+        }
     };
     if let (Some(path), Some(tracer)) = (trace_out, tracer) {
         let trace = tracer.into_trace();

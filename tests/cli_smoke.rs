@@ -1266,3 +1266,38 @@ fn hqwf_sums_past_the_end_of_time_saturate() {
     }
     std::fs::remove_dir_all(&dir).ok();
 }
+
+#[test]
+fn fault_instants_past_the_end_of_time_are_not_scheduled() {
+    let dir = std::env::temp_dir().join(format!("hpcqc_cli_fault_end_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    // The job runs to `SimTime::MAX`, and the fault processes keep drawing
+    // failures and repairs until then: one that lands past it is dropped.
+    for (tag, job) in [
+        (
+            "two-phases",
+            "1 u a 1 classical 0 quantum 1e3 C:1e10 C:1e10",
+        ),
+        (
+            "late-submit",
+            "1.7e10 u a 1 classical 0 quantum 1e3 C:1.7e10",
+        ),
+    ] {
+        let path = dir.join(format!("{tag}.hqwf"));
+        std::fs::write(&path, format!("{job}\n")).unwrap();
+        for plan in ["degraded", "nodes"] {
+            let out = Command::new(env!("CARGO_BIN_EXE_hpcqc-sim"))
+                .args(["run", "--nodes", "4", "--policy", "easy", "--workload"])
+                .arg(&path)
+                .arg("--faults")
+                .arg(
+                    std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+                        .join(format!("examples/faults/{plan}.json")),
+                )
+                .output()
+                .expect("hpcqc-sim runs");
+            assert_eq!(out.status.code(), Some(0), "{tag} under {plan}: {out:?}");
+        }
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
