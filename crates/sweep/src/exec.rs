@@ -1,20 +1,25 @@
 //! The multi-threaded sweep executor.
 //!
-//! Cells are distributed over worker threads through an `mpsc` work queue
-//! inside a [`std::thread::scope`]; results are reassembled **in cell-index
-//! order**, and every cell's seeds are pure functions of
-//! `(base_seed, cell_index)` — so output is byte-identical at any thread
-//! count, only wall-clock time changes.
+//! Worker threads inside a [`std::thread::scope`] pop cells from one shared
+//! cursor over the *dispatch order*: cells sorted by replay key (the
+//! cell's workload entry, load and replica; see [`Grid`]), index order
+//! within a key. Results are reassembled **in cell-index order**, and every
+//! cell's seeds are pure functions of `(base_seed, cell_index)` — so output
+//! is byte-identical at any thread count, only wall-clock time changes.
+//!
+//! Cells with one replay key replay the identical workload, so each worker
+//! keeps the last workload it built and rebuilds only when the key
+//! changes. Keys reach a worker in non-decreasing order, so a worker
+//! builds each key at most once, and holds one workload at a time.
 
 use crate::grid::{Cell, Grid};
 use crate::result::{CellResult, CellTiming, SweepResult, WaitShares};
 use hpcqc_core::observer::SimObserver;
 use hpcqc_core::sim::FacilitySim;
 use hpcqc_trace::AttributionObserver;
+use hpcqc_workload::campaign::Workload;
 use std::fmt;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::mpsc;
-use std::sync::Mutex;
 
 #[allow(clippy::disallowed_methods)] // mirrors the audited hpcqc-lint D001 suppression
 fn wall_now() -> std::time::Instant {
@@ -72,6 +77,10 @@ impl Executor {
     /// Evaluates `eval` on every cell, returning results in cell-index
     /// order regardless of thread count or completion order.
     ///
+    /// Workers take cells in the order of their replay key (the cell's
+    /// workload entry, load and replica), index order within a key, so the
+    /// cells that replay one workload run back to back.
+    ///
     /// # Panics
     ///
     /// Propagates panics from `eval`.
@@ -80,56 +89,59 @@ impl Executor {
         T: Send,
         F: Fn(&Cell) -> T + Sync,
     {
+        self.run_cells_with(grid, || (), |(), cell| eval(cell))
+    }
+
+    /// [`Executor::run_cells`] where each worker carries a state of its
+    /// own, made by `init` and handed to every `eval` call on that worker.
+    /// A worker pops cells from one shared cursor over the dispatch order,
+    /// so the replay keys it sees never decrease.
+    fn run_cells_with<S, T, I, F>(&self, grid: &Grid, init: I, eval: F) -> Vec<T>
+    where
+        T: Send,
+        I: Fn() -> S + Sync,
+        F: Fn(&mut S, &Cell) -> T + Sync,
+    {
         let n = grid.len();
-        let workers = self.threads.min(n).max(1);
-        if workers == 1 {
-            return grid.cells().map(|c| eval(&c)).collect();
-        }
+        let mut order: Vec<usize> = (0..n).collect();
+        // Stable: index order within a key.
+        order.sort_by_key(|&index| grid.replay_key(index));
+        // Relaxed: the cursor publishes no data; `order` is shared before
+        // the spawns and results come back through `join`.
+        let next = AtomicUsize::new(0);
+        let work = || {
+            let mut state = init();
+            let mut done = Vec::new();
+            while let Some(&index) = order.get(next.fetch_add(1, Ordering::Relaxed)) {
+                done.push((index, eval(&mut state, &grid.cell(index))));
+            }
+            done
+        };
 
         let mut slots: Vec<Option<T>> = (0..n).map(|_| None).collect();
-        let (work_tx, work_rx) = mpsc::channel::<usize>();
-        for index in 0..n {
-            work_tx.send(index).expect("receiver alive");
-        }
-        drop(work_tx);
-        let work_rx = Mutex::new(work_rx);
-        let (done_tx, done_rx) = mpsc::channel::<(usize, T)>();
-
         std::thread::scope(|scope| {
-            for _ in 0..workers {
-                let done_tx = done_tx.clone();
-                let work_rx = &work_rx;
-                let grid = &grid;
-                let eval = &eval;
-                scope.spawn(move || loop {
-                    // Hold the queue lock only for the pop, not the work.
-                    let index = match work_rx.lock().expect("queue lock").try_recv() {
-                        Ok(index) => index,
-                        Err(_) => break,
-                    };
-                    let cell = grid.cell(index);
-                    // If the main thread is gone the sweep is unwinding;
-                    // just stop.
-                    if done_tx.send((index, eval(&cell))).is_err() {
-                        break;
-                    }
-                });
-            }
-            drop(done_tx);
-            for (index, value) in done_rx {
-                slots[index] = Some(value);
+            let workers: Vec<_> = (0..self.threads.min(n).max(1))
+                .map(|_| scope.spawn(work))
+                .collect();
+            for worker in workers {
+                let done = worker
+                    .join()
+                    .unwrap_or_else(|panic| std::panic::resume_unwind(panic));
+                for (index, value) in done {
+                    slots[index] = Some(value);
+                }
             }
         });
-
         slots
             .into_iter()
-            .map(|slot| slot.expect("every queued cell was evaluated"))
+            .map(|slot| slot.expect("every dispatched cell was evaluated"))
             .collect()
     }
 
     /// Runs the facility simulator on every cell: builds the cell's
-    /// scenario and its workload at `(load, replica_seed)`, simulates,
-    /// and aggregates the outcomes into a [`SweepResult`].
+    /// scenario and its workload at `(load, replica_seed)` (once per worker
+    /// for all cells sharing a replay key), simulates, and aggregates the
+    /// outcomes into a [`SweepResult`].
     ///
     /// # Errors
     ///
@@ -147,6 +159,7 @@ impl Executor {
     ///
     /// `progress` is invoked from worker threads after each cell
     /// completes with `(completed_so_far, total)`. Each cell's wall time
+    /// (which includes the workload build only on the cell that built it)
     /// and the process RSS high-water mark are recorded into
     /// [`SweepResult::timings`]; the simulation outcomes themselves are
     /// unaffected (byte-identical to an untimed run).
@@ -163,23 +176,47 @@ impl Executor {
     where
         P: Fn(usize, usize) + Sync,
     {
+        self.run_sim_built(grid, attribution, progress, |cell| {
+            grid.workload_of(cell)
+                .build(cell.load_per_hour, cell.replica_seed)
+        })
+    }
+
+    /// [`Executor::run_sim_with`] with the workload build passed in, so a
+    /// test can count the builds a sweep makes.
+    fn run_sim_built<P, B>(
+        &self,
+        grid: &Grid,
+        attribution: bool,
+        progress: P,
+        build: B,
+    ) -> Result<SweepResult, SweepError>
+    where
+        P: Fn(usize, usize) + Sync,
+        B: Fn(&Cell) -> Workload + Sync,
+    {
         grid.validate().map_err(|message| SweepError {
             cell_index: 0,
             message,
         })?;
         let total = grid.len();
         let completed = AtomicUsize::new(0);
-        let outcomes = self.run_cells(grid, |cell| {
+        // Each worker keeps the last workload it built, keyed by replay key.
+        let init = || None::<(usize, Workload)>;
+        let outcomes = self.run_cells_with(grid, init, |last, cell| {
             let started = wall_now();
-            let workload = grid
-                .workload_of(cell)
-                .build(cell.load_per_hour, cell.replica_seed);
+            let key = grid.replay_key(cell.index);
+            if last.as_ref().is_some_and(|(built, _)| *built != key) {
+                // Free the old workload before building its successor.
+                *last = None;
+            }
+            let (_, workload) = last.get_or_insert_with(|| (key, build(cell)));
             let mut attributor = attribution.then(AttributionObserver::new);
             let mut extras: Vec<&mut dyn SimObserver> = Vec::new();
             if let Some(a) = attributor.as_mut() {
                 extras.push(a);
             }
-            let outcome = FacilitySim::run_observed(&cell.scenario(), &workload, &mut extras)
+            let outcome = FacilitySim::run_observed(&cell.scenario(), workload, &mut extras)
                 .map(|outcome| {
                     let shares = attributor.map(|a| WaitShares {
                         qpu_frac: a.qpu_contention_frac(),
@@ -230,17 +267,81 @@ impl Default for Executor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::grid::AccessSpec;
+    use crate::spec::WorkloadSpec;
+    use hpcqc_core::scenario::WalltimePolicy;
     use hpcqc_core::strategy::Strategy;
+    use std::collections::HashSet;
+    use std::sync::Mutex;
+
+    /// A grid whose replay keys interleave with the other axes: two
+    /// workloads, two loads and two replicas under two strategies, two
+    /// access modes and two walltime policies (64 cells, 8 keys).
+    fn keyed_grid() -> Grid {
+        let tenants = |classical_secs| WorkloadSpec::Tenants {
+            count: 2,
+            nodes: 1,
+            iterations: 1,
+            classical_secs,
+            shots: 100,
+        };
+        Grid::builder()
+            .strategies(vec![Strategy::CoSchedule, Strategy::Workflow])
+            .workloads(vec![tenants(10), tenants(20)])
+            .access(vec![AccessSpec::OnPrem, AccessSpec::Integrated])
+            .walltime(vec![
+                WalltimePolicy::Advisory,
+                WalltimePolicy::Kill { max_requeues: 1 },
+            ])
+            .loads_per_hour(vec![2.0, 4.0])
+            .replicas(2)
+            .build()
+    }
 
     #[test]
     fn results_arrive_in_cell_order() {
-        let grid = Grid::builder()
-            .strategies(vec![Strategy::CoSchedule])
-            .loads_per_hour((0..17).map(f64::from).collect())
-            .build();
+        let grid = keyed_grid();
         for threads in [1, 3, 8] {
             let indices = Executor::new(threads).run_cells(&grid, |c| c.index);
             assert_eq!(indices, (0..grid.len()).collect::<Vec<_>>());
+        }
+        // One worker visits each key's cells back to back, in index order.
+        let visits = Mutex::new(Vec::new());
+        Executor::new(1).run_cells(&grid, |c| visits.lock().expect("lock").push(c.index));
+        let visits = visits.into_inner().expect("lock");
+        let mut by_key = visits.clone();
+        by_key.sort_by_key(|&i| (grid.replay_key(i), i));
+        assert_eq!(visits, by_key);
+        let mut keys: Vec<usize> = visits.iter().map(|&i| grid.replay_key(i)).collect();
+        keys.dedup();
+        assert_eq!(keys, (0..8).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn each_worker_builds_each_replay_key_once() {
+        let grid = keyed_grid();
+        for threads in [1, 3] {
+            let builds = Mutex::new(Vec::new());
+            Executor::new(threads)
+                .run_sim_built(
+                    &grid,
+                    false,
+                    |_, _| {},
+                    |cell| {
+                        let key = grid.replay_key(cell.index);
+                        let worker = std::thread::current().id();
+                        builds.lock().expect("lock").push((worker, key));
+                        grid.workload_of(cell)
+                            .build(cell.load_per_hour, cell.replica_seed)
+                    },
+                )
+                .expect("sweep runs");
+            let builds = builds.into_inner().expect("lock");
+            let distinct: HashSet<_> = builds.iter().collect();
+            assert_eq!(distinct.len(), builds.len(), "a worker rebuilt a key");
+            if threads == 1 {
+                assert_eq!(builds.len(), 8, "one build per distinct replay key");
+            }
         }
     }
 

@@ -30,7 +30,10 @@
 //!   of the same replica, so all points being *compared* (strategies,
 //!   policies, …) replay the identical workload: the common-random-numbers
 //!   discipline the paper's comparisons rely on. Replica 0 uses `base_seed`
-//!   itself, so a single-replica sweep reproduces a hand-rolled run.
+//!   itself, so a single-replica sweep reproduces a hand-rolled run. The
+//!   workload depends on the cell's workload entry, load and replica only,
+//!   so the executor builds it once per worker and replays it in every
+//!   cell that shares those three positions.
 //! * [`Cell::cell_seed`] — an injective hash of `(base_seed, index)` for
 //!   cell-local randomness that must not collide between cells.
 
@@ -376,6 +379,18 @@ impl Grid {
     /// Iterates all cells in index order.
     pub fn cells(&self) -> impl Iterator<Item = Cell> + '_ {
         (0..self.len()).map(|i| self.cell(i))
+    }
+
+    /// The replay key of the cell at `index`: `(workload · L + load) · R +
+    /// replica`, the three axes [`WorkloadSpec::build`] reads. Cells with
+    /// equal keys replay the identical workload. Keys are axis positions,
+    /// not values, so two equal loads get two keys.
+    pub(crate) fn replay_key(&self, index: usize) -> usize {
+        let [.., k, a, w, l, r] = self.axis_lengths();
+        let replica = index % r;
+        let load = index / r % l;
+        let workload = index / (r * l * w * a) % k;
+        (workload * l + load) * r + replica
     }
 }
 

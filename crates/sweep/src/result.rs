@@ -39,17 +39,20 @@ pub struct WaitShares {
 /// Harness-layer cost of simulating one cell.
 ///
 /// Wall time is measured around the cell's simulation on its worker
-/// thread; the RSS figure is the *process-wide* high-water mark
-/// (`VmHWM` from `/proc/self/status`) sampled when the cell finished,
-/// so it is monotone across cells and `None` off Linux. Timings live
-/// beside — never inside — the deterministic per-cell metric rows:
-/// [`SweepResult::to_csv`] and friends are byte-identical across runs
-/// and machines, while [`SweepResult::timing_table`] is not.
+/// thread, and includes the workload build only on the cell that built
+/// it: the other cells sharing its replay key reuse that workload. The
+/// RSS figure is the *process-wide* high-water mark (`VmHWM` from
+/// `/proc/self/status`) sampled when the cell finished, so it is monotone
+/// in completion order (which is not index order) and `None` off Linux.
+/// Timings live beside — never inside — the deterministic per-cell metric
+/// rows: [`SweepResult::to_csv`] and friends are byte-identical across
+/// runs and machines, while [`SweepResult::timing_table`] is not.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct CellTiming {
     /// Cell index in grid order.
     pub index: usize,
-    /// Wall-clock seconds spent simulating this cell.
+    /// Wall-clock seconds spent on this cell: its simulation, plus the
+    /// workload build when this cell made it.
     pub wall_secs: f64,
     /// Process peak RSS in kilobytes when the cell completed, if known.
     pub peak_rss_kb: Option<u64>,
