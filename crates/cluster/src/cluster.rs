@@ -2,9 +2,9 @@
 //!
 //! All mutating operations are **atomic**: either the whole request is
 //! granted (every group of a heterogeneous request) or the cluster state is
-//! untouched. Allocated-node and gres accounting is exact time-weighted
-//! integration, so utilization figures in the experiments carry no sampling
-//! error.
+//! untouched. The cluster keeps state only: who holds which node and gres
+//! unit right now. Occupancy over time is measured from the event stream
+//! (`hpcqc_core::observer::WasteObserver`), not here.
 //!
 //! `allocate` resolves a request's names to ids once, in the step it shares
 //! with `can_allocate`; `release`, `shrink` and `expand` then work on the
@@ -18,7 +18,6 @@ use crate::node::{Node, NodeShape, NodeState};
 use crate::nodeset::NodeSet;
 use crate::partition::Partition;
 use crate::slot::Slot;
-use hpcqc_simcore::stats::BusyTracker;
 use hpcqc_simcore::time::SimTime;
 use hpcqc_simcore::IdMap;
 
@@ -100,7 +99,7 @@ impl ClusterBuilder {
         self
     }
 
-    /// Builds the cluster, with accounting starting at `start`.
+    /// Builds the cluster as of `start`.
     ///
     /// # Panics
     ///
@@ -114,8 +113,6 @@ impl ClusterBuilder {
         let mut partitions: Vec<Partition> = Vec::new();
         let mut free = Vec::new();
         let mut node_partition = Vec::new();
-        let mut node_busy = Vec::new();
-        let mut gres_busy = Vec::new();
         let mut slots = Vec::new();
 
         for (idx, (name, count, shape, gres)) in self.partitions.into_iter().enumerate() {
@@ -133,19 +130,14 @@ impl ClusterBuilder {
                 ids.push(nid);
             }
             free.push(NodeSet::full(first, count));
-            // A node-less partition still needs a non-zero tracker capacity.
-            node_busy.push(BusyTracker::new(start, f64::from(count.max(1))));
             if count > 0 {
                 slots.push(Slot::nodes(pid, count));
             }
             let mut part = Partition::new(pid, name, ids);
-            let mut pools = Vec::with_capacity(gres.len());
             for (pool, (kind, n)) in gres.into_iter().enumerate() {
                 slots.push(Slot::gres(pid, pool, n));
-                pools.push(BusyTracker::new(start, f64::from(n.max(1))));
                 part = part.with_gres(kind, n);
             }
-            gres_busy.push(pools);
             partitions.push(part);
         }
 
@@ -158,8 +150,6 @@ impl ClusterBuilder {
             allocations: IdMap::new(),
             next_alloc: 0,
             start,
-            node_busy,
-            gres_busy,
             slots,
             version: 0,
         }
@@ -181,10 +171,6 @@ pub struct Cluster {
     allocations: IdMap<AllocationId, Allocation>,
     next_alloc: u32,
     start: SimTime,
-    node_busy: Vec<BusyTracker>,
-    /// Allocated-unit trackers, indexed by partition and then by pool in
-    /// the partition's pool order.
-    gres_busy: Vec<Vec<BusyTracker>>,
     slots: Vec<Slot>,
     /// Bumped by every method that mutates the cluster; see
     /// [`Cluster::version`].
@@ -192,7 +178,7 @@ pub struct Cluster {
 }
 
 impl Cluster {
-    /// The time accounting started.
+    /// The instant the cluster was built for.
     pub fn start(&self) -> SimTime {
         self.start
     }
@@ -454,15 +440,11 @@ impl Cluster {
                     for &n in &ids[line.start..] {
                         self.node_owner[n as usize] = Some(id);
                     }
-                    if line.count > 0 {
-                        self.node_busy[pidx].acquire(now, f64::from(line.count));
-                    }
                 }
-                Pool::Gres(pool) if line.count > 0 => {
+                Pool::Gres(pool) => {
                     self.partitions[pidx].gres_pools_mut()[pool].take_lowest(line.count, &mut ids);
-                    self.gres_busy[pidx][pool].acquire(now, f64::from(line.count));
                 }
-                Pool::Gres(_) | Pool::Missing => {}
+                Pool::Missing => {}
             }
             debug_assert_eq!(
                 ids.len() - line.start,
@@ -485,6 +467,7 @@ impl Cluster {
             .allocations
             .remove(&id)
             .ok_or(ClusterError::UnknownAllocation(id))?;
+        debug_assert!(now >= alloc.granted_at(), "released before granted");
         self.version += 1;
         for line in alloc.lines() {
             let pidx = line.partition.raw() as usize;
@@ -501,12 +484,8 @@ impl Cluster {
                             self.free[pidx].insert(NodeId::new(n));
                         }
                     }
-                    self.node_busy[pidx].release(now, held.len() as f64);
                 }
-                Pool::Gres(pool) => {
-                    self.partitions[pidx].gres_pools_mut()[pool].give_back(held);
-                    self.gres_busy[pidx][pool].release(now, held.len() as f64);
-                }
+                Pool::Gres(pool) => self.partitions[pidx].gres_pools_mut()[pool].give_back(held),
                 Pool::Missing => {}
             }
         }
@@ -538,6 +517,7 @@ impl Cluster {
             .allocations
             .get_mut(&id)
             .ok_or(ClusterError::UnknownAllocation(id))?;
+        debug_assert!(now >= alloc.granted_at(), "resized before granted");
         let line = alloc
             .nodes_line(pid)
             .ok_or_else(|| ClusterError::InvalidResize {
@@ -563,7 +543,6 @@ impl Cluster {
                 self.free[pidx].insert(*n);
             }
         }
-        self.node_busy[pidx].release(now, released.len() as f64);
         Ok(released)
     }
 
@@ -589,6 +568,7 @@ impl Cluster {
             .allocations
             .get_mut(&id)
             .ok_or(ClusterError::UnknownAllocation(id))?;
+        debug_assert!(now >= alloc.granted_at(), "resized before granted");
         let have = self.free[pidx].len();
         if have < add_nodes {
             return Err(ClusterError::InsufficientNodes {
@@ -602,9 +582,6 @@ impl Cluster {
         self.free[pidx].take_lowest(add_nodes, &mut picked);
         for &n in &picked {
             self.node_owner[n as usize] = Some(id);
-        }
-        if add_nodes > 0 {
-            self.node_busy[pidx].acquire(now, f64::from(add_nodes));
         }
         alloc.add_nodes(pid, &picked);
         Ok(picked.into_iter().map(NodeId::new).collect())
@@ -686,49 +663,6 @@ impl Cluster {
         Ok(())
     }
 
-    /// Allocated-node utilization of a partition over `[start, until]`,
-    /// in `[0, 1]`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ClusterError::UnknownPartition`] if the name is unknown.
-    pub fn node_utilization(&self, partition: &str, until: SimTime) -> Result<f64, ClusterError> {
-        let pid = self.pid(partition)?;
-        Ok(self.node_busy[pid.raw() as usize].utilization(until))
-    }
-
-    /// Allocated node-seconds of a partition over `[start, until]`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ClusterError::UnknownPartition`] if the name is unknown.
-    pub fn node_seconds(&self, partition: &str, until: SimTime) -> Result<f64, ClusterError> {
-        let pid = self.pid(partition)?;
-        Ok(self.node_busy[pid.raw() as usize].busy_unit_seconds(until))
-    }
-
-    /// Allocated-gres utilization of `kind` in a partition over
-    /// `[start, until]`, in `[0, 1]`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ClusterError::UnknownPartition`] or [`ClusterError::NoSuchGres`].
-    pub fn gres_utilization(
-        &self,
-        partition: &str,
-        kind: &GresKind,
-        until: SimTime,
-    ) -> Result<f64, ClusterError> {
-        let pidx = self.pid(partition)?.raw() as usize;
-        self.partitions[pidx]
-            .gres_pool_index(kind)
-            .map(|pool| self.gres_busy[pidx][pool].utilization(until))
-            .ok_or_else(|| ClusterError::NoSuchGres {
-                partition: partition.to_string(),
-                kind: kind.clone(),
-            })
-    }
-
     /// Consistency check: every node is either free, allocated, or
     /// unschedulable; no node is both free and allocated. Used by tests and
     /// debug assertions.
@@ -805,22 +739,6 @@ mod tests {
         assert!(matches!(err, ClusterError::InsufficientGres { .. }));
         assert_eq!(c.free_nodes("classical").unwrap(), 10);
         c.check_invariants().unwrap();
-    }
-
-    #[test]
-    fn utilization_integrates_exactly() {
-        let mut c = listing1_cluster();
-        let id = c.allocate(&listing1_request(), SimTime::ZERO).unwrap();
-        c.release(id, SimTime::from_secs(1800)).unwrap();
-        // 10 nodes busy half of the hour.
-        let u = c
-            .node_utilization("classical", SimTime::from_secs(3600))
-            .unwrap();
-        assert!((u - 0.5).abs() < 1e-12);
-        let q = c
-            .gres_utilization("quantum", &GresKind::qpu(), SimTime::from_secs(3600))
-            .unwrap();
-        assert!((q - 0.5).abs() < 1e-12);
     }
 
     #[test]

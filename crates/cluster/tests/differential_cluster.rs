@@ -4,8 +4,7 @@
 //! for public ones), with the `BTreeSet` gres pool it used copied in as
 //! [`btree::GresPool`]. Random allocate, release, shrink, expand, node
 //! failure and repair sequences must pick the same node ids and gres
-//! units, fail with the same errors, leave the same free counts and
-//! integrate bit-identical utilization.
+//! units, fail with the same errors and leave the same free counts.
 
 use hpcqc_cluster::alloc::{AllocRequest, AllocatedGroup, GroupRequest};
 use hpcqc_cluster::cluster::{Cluster, ClusterBuilder};
@@ -22,8 +21,6 @@ mod btree {
     use hpcqc_cluster::gres::GresKind;
     use hpcqc_cluster::ids::{AllocationId, NodeId, PartitionId};
     use hpcqc_cluster::node::{Node, NodeShape, NodeState};
-    use hpcqc_simcore::stats::BusyTracker;
-    use hpcqc_simcore::time::SimTime;
     use std::collections::{BTreeMap, BTreeSet};
 
     /// The gres pool as it was before the bitset rewrite: free units in a
@@ -106,20 +103,16 @@ mod btree {
         node_owner: BTreeMap<NodeId, AllocationId>,
         allocations: BTreeMap<AllocationId, Vec<AllocatedGroup>>,
         next_alloc: u32,
-        node_busy: Vec<BusyTracker>,
-        gres_busy: BTreeMap<(PartitionId, GresKind), BusyTracker>,
     }
 
     impl Cluster {
         /// Mirrors `ClusterBuilder::build` for `(name, nodes, pools)`.
-        pub fn build(spec: &[PartSpec], start: SimTime) -> Self {
+        pub fn build(spec: &[PartSpec]) -> Self {
             let mut nodes = Vec::new();
             let mut partitions = Vec::new();
             let mut by_name = BTreeMap::new();
             let mut free = Vec::new();
             let mut node_partition = Vec::new();
-            let mut node_busy = Vec::new();
-            let mut gres_busy = BTreeMap::new();
             for (idx, (name, count, gres)) in spec.iter().enumerate() {
                 let pid = PartitionId::new(idx as u32);
                 by_name.insert(name.to_string(), pid);
@@ -131,13 +124,8 @@ mod btree {
                     ids.push(nid);
                 }
                 free.push(ids.iter().copied().collect::<BTreeSet<_>>());
-                node_busy.push(BusyTracker::new(start, f64::from((*count).max(1))));
                 let mut pools = Vec::new();
                 for (kind, n) in gres {
-                    gres_busy.insert(
-                        (pid, kind.clone()),
-                        BusyTracker::new(start, f64::from((*n).max(1))),
-                    );
                     pools.push(GresPool::new(kind.clone(), *n));
                 }
                 partitions.push(Part {
@@ -154,8 +142,6 @@ mod btree {
                 node_owner: BTreeMap::new(),
                 allocations: BTreeMap::new(),
                 next_alloc: 0,
-                node_busy,
-                gres_busy,
             }
         }
 
@@ -226,11 +212,7 @@ mod btree {
             Ok(())
         }
 
-        pub fn allocate(
-            &mut self,
-            request: &AllocRequest,
-            now: SimTime,
-        ) -> Result<AllocationId, ClusterError> {
+        pub fn allocate(&mut self, request: &AllocRequest) -> Result<AllocationId, ClusterError> {
             self.can_allocate(request)?;
             let id = AllocationId::new(self.next_alloc);
             self.next_alloc += 1;
@@ -248,9 +230,6 @@ mod btree {
                     self.free[pidx].remove(n);
                     self.node_owner.insert(*n, id);
                 }
-                if g.nodes > 0 {
-                    self.node_busy[pidx].acquire(now, f64::from(g.nodes));
-                }
                 let mut granted_gres = Vec::new();
                 for (kind, count) in &g.gres {
                     if *count == 0 {
@@ -261,10 +240,6 @@ mod btree {
                         .expect("validated above")
                         .take(*count)
                         .expect("validated above");
-                    self.gres_busy
-                        .get_mut(&(pid, kind.clone()))
-                        .expect("tracker exists for every pool")
-                        .acquire(now, f64::from(*count));
                     granted_gres.push((kind.clone(), units));
                 }
                 groups.push(AllocatedGroup {
@@ -277,7 +252,7 @@ mod btree {
             Ok(id)
         }
 
-        pub fn release(&mut self, id: AllocationId, now: SimTime) -> Result<(), ClusterError> {
+        pub fn release(&mut self, id: AllocationId) -> Result<(), ClusterError> {
             let alloc = self
                 .allocations
                 .remove(&id)
@@ -292,18 +267,11 @@ mod btree {
                         self.free[pidx].insert(*n);
                     }
                 }
-                if !group.nodes.is_empty() {
-                    self.node_busy[pidx].release(now, group.nodes.len() as f64);
-                }
                 for (kind, units) in &group.gres {
                     self.partitions[pidx]
                         .gres_pool_mut(kind)
                         .expect("pool cannot vanish")
                         .give_back(units);
-                    self.gres_busy
-                        .get_mut(&(pid, kind.clone()))
-                        .expect("tracker exists")
-                        .release(now, units.len() as f64);
                 }
             }
             Ok(())
@@ -314,7 +282,6 @@ mod btree {
             id: AllocationId,
             partition: &str,
             keep_nodes: u32,
-            now: SimTime,
         ) -> Result<Vec<NodeId>, ClusterError> {
             let pid = self.pid(partition)?;
             let pidx = pid.raw() as usize;
@@ -349,7 +316,6 @@ mod btree {
                     self.free[pidx].insert(*n);
                 }
             }
-            self.node_busy[pidx].release(now, released.len() as f64);
             Ok(released)
         }
 
@@ -358,7 +324,6 @@ mod btree {
             id: AllocationId,
             partition: &str,
             add_nodes: u32,
-            now: SimTime,
         ) -> Result<Vec<NodeId>, ClusterError> {
             let pid = self.pid(partition)?;
             let pidx = pid.raw() as usize;
@@ -381,9 +346,6 @@ mod btree {
             for n in &picked {
                 self.free[pidx].remove(n);
                 self.node_owner.insert(*n, id);
-            }
-            if add_nodes > 0 {
-                self.node_busy[pidx].acquire(now, f64::from(add_nodes));
             }
             let alloc = self.allocations.get_mut(&id).expect("checked above");
             if let Some(group) = alloc.iter_mut().find(|g| g.partition == partition) {
@@ -429,36 +391,6 @@ mod btree {
             }
             Ok(())
         }
-
-        pub fn node_utilization(
-            &self,
-            partition: &str,
-            until: SimTime,
-        ) -> Result<f64, ClusterError> {
-            let pid = self.pid(partition)?;
-            Ok(self.node_busy[pid.raw() as usize].utilization(until))
-        }
-
-        pub fn node_seconds(&self, partition: &str, until: SimTime) -> Result<f64, ClusterError> {
-            let pid = self.pid(partition)?;
-            Ok(self.node_busy[pid.raw() as usize].busy_unit_seconds(until))
-        }
-
-        pub fn gres_utilization(
-            &self,
-            partition: &str,
-            kind: &GresKind,
-            until: SimTime,
-        ) -> Result<f64, ClusterError> {
-            let pid = self.pid(partition)?;
-            self.gres_busy
-                .get(&(pid, kind.clone()))
-                .map(|b| b.utilization(until))
-                .ok_or_else(|| ClusterError::NoSuchGres {
-                    partition: partition.to_string(),
-                    kind: kind.clone(),
-                })
-        }
     }
 }
 
@@ -479,17 +411,14 @@ fn pair() -> (Cluster, btree::Cluster) {
         .partition_with_gres("quantum", QUANTUM, GresKind::qpu(), 3)
         .gres(GresKind::new("aux"), 2)
         .build(SimTime::ZERO);
-    let model = btree::Cluster::build(
-        &[
-            ("classical", CLASSICAL, Vec::new()),
-            (
-                "quantum",
-                QUANTUM,
-                vec![(GresKind::qpu(), 3), (GresKind::new("aux"), 2)],
-            ),
-        ],
-        SimTime::ZERO,
-    );
+    let model = btree::Cluster::build(&[
+        ("classical", CLASSICAL, Vec::new()),
+        (
+            "quantum",
+            QUANTUM,
+            vec![(GresKind::qpu(), 3), (GresKind::new("aux"), 2)],
+        ),
+    ]);
     (real, model)
 }
 
@@ -553,24 +482,12 @@ fn request(groups: &[GroupSpec]) -> AllocRequest {
     req
 }
 
-/// Asserts every observable the two clusters share is identical at `now`.
-fn same_state(real: &Cluster, model: &btree::Cluster, now: SimTime) -> Result<(), TestCaseError> {
+/// Asserts every observable the two clusters share is identical.
+fn same_state(real: &Cluster, model: &btree::Cluster) -> Result<(), TestCaseError> {
     for part in PARTITIONS {
         prop_assert_eq!(real.free_nodes(part), model.free_nodes(part));
-        prop_assert_eq!(
-            real.node_utilization(part, now).map(f64::to_bits),
-            model.node_utilization(part, now).map(f64::to_bits)
-        );
-        prop_assert_eq!(
-            real.node_seconds(part, now).map(f64::to_bits),
-            model.node_seconds(part, now).map(f64::to_bits)
-        );
         for kind in kinds() {
             prop_assert_eq!(real.free_gres(part, &kind), model.free_gres(part, &kind));
-            prop_assert_eq!(
-                real.gres_utilization(part, &kind, now).map(f64::to_bits),
-                model.gres_utilization(part, &kind, now).map(f64::to_bits)
-            );
         }
     }
     prop_assert_eq!(real.live_allocations(), model.live_allocations());
@@ -597,7 +514,7 @@ proptest! {
                 Op::Allocate(groups) => {
                     let req = request(&groups);
                     let got = real.allocate(&req, now);
-                    prop_assert_eq!(&got, &model.allocate(&req, now));
+                    prop_assert_eq!(&got, &model.allocate(&req));
                     if let Ok(id) = got {
                         prop_assert_eq!(groups_of(&real, id).as_ref(), model.allocation(id));
                         ids.push(id);
@@ -609,7 +526,7 @@ proptest! {
                 }
                 Op::Release { idx } => {
                     if let Some(&id) = ids.get(idx % ids.len().max(1)) {
-                        prop_assert_eq!(real.release(id, now), model.release(id, now));
+                        prop_assert_eq!(real.release(id, now), model.release(id));
                     }
                 }
                 Op::Shrink { idx, part, keep } => {
@@ -617,7 +534,7 @@ proptest! {
                         let part = PARTITIONS[part];
                         prop_assert_eq!(
                             real.shrink(id, part, keep, now),
-                            model.shrink(id, part, keep, now)
+                            model.shrink(id, part, keep)
                         );
                         prop_assert_eq!(groups_of(&real, id).as_ref(), model.allocation(id));
                     }
@@ -627,7 +544,7 @@ proptest! {
                         let part = PARTITIONS[part];
                         prop_assert_eq!(
                             real.expand(id, part, add, now),
-                            model.expand(id, part, add, now)
+                            model.expand(id, part, add)
                         );
                         prop_assert_eq!(groups_of(&real, id).as_ref(), model.allocation(id));
                     }
@@ -641,7 +558,7 @@ proptest! {
                     prop_assert_eq!(real.restore_node(node), model.restore_node(node));
                 }
             }
-            same_state(&real, &model, now)?;
+            same_state(&real, &model)?;
         }
     }
 }
@@ -653,10 +570,7 @@ proptest! {
 fn error_precedence_matches_the_btree_cluster() {
     let (mut real, mut model) = pair();
     let fill = request(&[(1, QUANTUM, [3, 0, 0])]);
-    assert_eq!(
-        real.allocate(&fill, SimTime::ZERO),
-        model.allocate(&fill, SimTime::ZERO)
-    );
+    assert_eq!(real.allocate(&fill, SimTime::ZERO), model.allocate(&fill));
     for groups in [
         vec![(1, 1, [1, 1, 0]), (2, 0, [0, 0, 0])],
         vec![(0, 80, [0, 0, 0]), (1, 0, [1, 0, 0])],

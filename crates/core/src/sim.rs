@@ -763,9 +763,7 @@ impl<'o> SimState<'o> {
                 }
                 Event::DeviceFailure(device) => self.on_device_failure(driver, device, now)?,
                 Event::DeviceRepairDone(device) => self.on_device_repair(device, now),
-                Event::KernelFault(job, device) => {
-                    self.on_kernel_fault(driver, job, device, now)?;
-                }
+                Event::KernelFault(job, device) => self.fail_kernel(driver, job, device, now)?,
                 Event::KernelRetry(job) => self.on_kernel_retry(driver, job, now)?,
                 Event::Checkpoint(job, epoch, phase_idx) => {
                     if self.jobs.get(job.raw()).is_some_and(|r| {
@@ -1074,23 +1072,10 @@ impl<'o> SimState<'o> {
         Ok(())
     }
 
-    /// The completion event of a transiently failed kernel execution.
-    fn on_kernel_fault(
-        &mut self,
-        driver: &mut dyn StrategyDriver,
-        job: JobId,
-        device: usize,
-        now: SimTime,
-    ) -> Result<(), SimError> {
-        let run = self.live_mut(job);
-        run.pending_event = None;
-        run.in_flight = None;
-        self.handle_kernel_failure(driver, job, device, now)
-    }
-
-    /// A device outage interrupts `job`'s in-flight kernel: retire its
-    /// completion event (by dropping its key) and run the same failure
-    /// path a transient error takes.
+    /// `job`'s in-flight kernel failed: a transient error fired its
+    /// `KernelFault` completion, or a device outage interrupted it.
+    /// Retires the completion event (by dropping its key) and runs the
+    /// kernel failure path.
     fn fail_kernel(
         &mut self,
         driver: &mut dyn StrategyDriver,

@@ -81,7 +81,7 @@ pub use events::{EventKey, EventQueue, Scheduled};
 pub use idmap::IdMap;
 pub use idwindow::IdWindow;
 pub use rng::SimRng;
-pub use stats::{BusyTracker, Histogram, Samples, TimeWeighted, Welford};
+pub use stats::{Samples, TimeWeighted};
 pub use time::{SimDuration, SimTime};
 
 /// Glob-import convenience for downstream crates and examples.
@@ -91,6 +91,6 @@ pub mod prelude {
     pub use crate::idmap::IdMap;
     pub use crate::idwindow::IdWindow;
     pub use crate::rng::SimRng;
-    pub use crate::stats::{BusyTracker, Histogram, Samples, TimeWeighted, Welford};
+    pub use crate::stats::{Samples, TimeWeighted};
     pub use crate::time::{SimDuration, SimTime};
 }

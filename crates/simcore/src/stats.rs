@@ -1,120 +1,14 @@
 //! Online statistics used by the metrics layer.
 //!
-//! * [`Welford`] — numerically stable streaming mean/variance with merge.
 //! * [`Samples`] — exact quantiles over a retained sample set.
 //! * [`P2Quantile`] — constant-memory streaming quantile estimate (the P²
 //!   algorithm), for facility-scale runs where retaining samples is not
 //!   an option.
-//! * [`Histogram`] — fixed-bin counting for dense reporting.
 //! * [`TimeWeighted`] — exact time integrals of piecewise-constant signals,
 //!   the workhorse behind every utilization number in the experiments.
 
 use crate::time::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
-
-/// Streaming mean/variance via Welford's algorithm.
-///
-/// # Examples
-///
-/// ```
-/// use hpcqc_simcore::stats::Welford;
-///
-/// let mut w = Welford::new();
-/// for x in [2.0, 4.0, 6.0] {
-///     w.record(x);
-/// }
-/// assert_eq!(w.mean(), 4.0);
-/// assert_eq!(w.count(), 3);
-/// ```
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
-pub struct Welford {
-    count: u64,
-    mean: f64,
-    m2: f64,
-    min: f64,
-    max: f64,
-}
-
-impl Welford {
-    /// Creates an empty accumulator.
-    pub fn new() -> Self {
-        Welford {
-            count: 0,
-            mean: 0.0,
-            m2: 0.0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-        }
-    }
-
-    /// Records one observation.
-    pub fn record(&mut self, x: f64) {
-        self.count += 1;
-        let delta = x - self.mean;
-        self.mean += delta / self.count as f64;
-        self.m2 += delta * (x - self.mean);
-        self.min = self.min.min(x);
-        self.max = self.max.max(x);
-    }
-
-    /// Number of observations.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Sample mean (0.0 when empty).
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.mean
-        }
-    }
-
-    /// Population variance (0.0 with fewer than two observations).
-    pub fn variance(&self) -> f64 {
-        if self.count < 2 {
-            0.0
-        } else {
-            self.m2 / self.count as f64
-        }
-    }
-
-    /// Population standard deviation.
-    pub fn std_dev(&self) -> f64 {
-        self.variance().sqrt()
-    }
-
-    /// Smallest observation (`None` when empty).
-    pub fn min(&self) -> Option<f64> {
-        (self.count > 0).then_some(self.min)
-    }
-
-    /// Largest observation (`None` when empty).
-    pub fn max(&self) -> Option<f64> {
-        (self.count > 0).then_some(self.max)
-    }
-
-    /// Merges another accumulator into this one (parallel-sweep support).
-    pub fn merge(&mut self, other: &Welford) {
-        if other.count == 0 {
-            return;
-        }
-        if self.count == 0 {
-            *self = *other;
-            return;
-        }
-        let total = self.count + other.count;
-        let delta = other.mean - self.mean;
-        let new_mean = self.mean + delta * other.count as f64 / total as f64;
-        self.m2 +=
-            other.m2 + delta * delta * (self.count as f64 * other.count as f64) / total as f64;
-        self.mean = new_mean;
-        self.count = total;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
-}
 
 /// A retained sample set with exact quantiles.
 ///
@@ -394,83 +288,6 @@ impl P2Quantile {
     }
 }
 
-/// A fixed-bin histogram over `[lo, hi)` with overflow/underflow bins.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct Histogram {
-    lo: f64,
-    hi: f64,
-    bins: Vec<u64>,
-    underflow: u64,
-    overflow: u64,
-    count: u64,
-}
-
-impl Histogram {
-    /// Creates a histogram with `n_bins` equal bins over `[lo, hi)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `lo < hi` and `n_bins ≥ 1`.
-    pub fn new(lo: f64, hi: f64, n_bins: usize) -> Self {
-        assert!(lo < hi, "histogram: need lo < hi");
-        assert!(n_bins >= 1, "histogram: need at least one bin");
-        Histogram {
-            lo,
-            hi,
-            bins: vec![0; n_bins],
-            underflow: 0,
-            overflow: 0,
-            count: 0,
-        }
-    }
-
-    /// Records one observation.
-    pub fn record(&mut self, x: f64) {
-        self.count += 1;
-        if x < self.lo {
-            self.underflow += 1;
-        } else if x >= self.hi {
-            self.overflow += 1;
-        } else {
-            let w = (self.hi - self.lo) / self.bins.len() as f64;
-            let idx = ((x - self.lo) / w) as usize;
-            let idx = idx.min(self.bins.len() - 1);
-            self.bins[idx] += 1;
-        }
-    }
-
-    /// Counts per bin (excluding under/overflow).
-    pub fn bins(&self) -> &[u64] {
-        &self.bins
-    }
-
-    /// Observations below the range.
-    pub fn underflow(&self) -> u64 {
-        self.underflow
-    }
-
-    /// Observations at or above the range end.
-    pub fn overflow(&self) -> u64 {
-        self.overflow
-    }
-
-    /// Total observations recorded.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// The `[lo, hi)` bounds of bin `i`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i` is out of range.
-    pub fn bin_bounds(&self, i: usize) -> (f64, f64) {
-        assert!(i < self.bins.len(), "bin index out of range");
-        let w = (self.hi - self.lo) / self.bins.len() as f64;
-        (self.lo + w * i as f64, self.lo + w * (i + 1) as f64)
-    }
-}
-
 /// Exact time integral of a piecewise-constant signal.
 ///
 /// Utilization, queue depth and allocated-node counts are all step
@@ -559,93 +376,6 @@ impl TimeWeighted {
     }
 }
 
-/// Integrates busy time of a binary (busy/idle) resource.
-///
-/// A thin wrapper around [`TimeWeighted`] specialized to produce
-/// busy-duration and utilization-fraction reports.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct BusyTracker {
-    tw: TimeWeighted,
-    busy_units: f64,
-    capacity: f64,
-}
-
-impl BusyTracker {
-    /// Creates a tracker for a resource with `capacity` units, all idle.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity` is not positive.
-    pub fn new(start: SimTime, capacity: f64) -> Self {
-        assert!(capacity > 0.0, "BusyTracker: capacity must be positive");
-        BusyTracker {
-            tw: TimeWeighted::new(start, 0.0),
-            busy_units: 0.0,
-            capacity,
-        }
-    }
-
-    /// Marks `units` additional units busy at `now`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if that would exceed capacity (allocation bug).
-    pub fn acquire(&mut self, now: SimTime, units: f64) {
-        let next = self.busy_units + units;
-        assert!(
-            next <= self.capacity + 1e-9,
-            "BusyTracker: acquiring {units} exceeds capacity ({next} > {})",
-            self.capacity
-        );
-        self.busy_units = next;
-        self.tw.set(now, self.busy_units);
-    }
-
-    /// Releases `units` at `now`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if more units are released than are busy.
-    pub fn release(&mut self, now: SimTime, units: f64) {
-        assert!(
-            units <= self.busy_units + 1e-9,
-            "BusyTracker: releasing {units} but only {} busy",
-            self.busy_units
-        );
-        self.busy_units = (self.busy_units - units).max(0.0);
-        self.tw.set(now, self.busy_units);
-    }
-
-    /// Currently busy units.
-    pub fn busy(&self) -> f64 {
-        self.busy_units
-    }
-
-    /// Total capacity.
-    pub fn capacity(&self) -> f64 {
-        self.capacity
-    }
-
-    /// Busy integral in unit-seconds over `[start, until]`.
-    pub fn busy_unit_seconds(&self, until: SimTime) -> f64 {
-        self.tw.integral(until)
-    }
-
-    /// Utilization fraction in `[0,1]` over `[start, until]`.
-    pub fn utilization(&self, until: SimTime) -> f64 {
-        self.tw.time_average(until) / self.capacity
-    }
-}
-
-/// Convenience: mean of a slice (0.0 when empty). Used by report code.
-pub fn mean_of(xs: &[f64]) -> f64 {
-    if xs.is_empty() {
-        0.0
-    } else {
-        xs.iter().sum::<f64>() / xs.len() as f64
-    }
-}
-
 /// Bounded slowdown of a job, the standard batch-scheduling metric:
 /// `max(1, (wait + run) / max(run, tau))` with threshold `tau` guarding
 /// against division-by-tiny-runtime explosions.
@@ -658,47 +388,6 @@ pub fn bounded_slowdown(wait: SimDuration, run: SimDuration, tau: SimDuration) -
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn welford_basic_moments() {
-        let mut w = Welford::new();
-        for x in [1.0, 2.0, 3.0, 4.0, 5.0] {
-            w.record(x);
-        }
-        assert_eq!(w.mean(), 3.0);
-        assert_eq!(w.variance(), 2.0);
-        assert_eq!(w.min(), Some(1.0));
-        assert_eq!(w.max(), Some(5.0));
-    }
-
-    #[test]
-    fn welford_empty_is_zero() {
-        let w = Welford::new();
-        assert_eq!(w.mean(), 0.0);
-        assert_eq!(w.variance(), 0.0);
-        assert_eq!(w.min(), None);
-    }
-
-    #[test]
-    fn welford_merge_equals_sequential() {
-        let data: Vec<f64> = (0..100).map(|i| (i as f64).sin() * 10.0).collect();
-        let mut whole = Welford::new();
-        for &x in &data {
-            whole.record(x);
-        }
-        let mut a = Welford::new();
-        let mut b = Welford::new();
-        for &x in &data[..37] {
-            a.record(x);
-        }
-        for &x in &data[37..] {
-            b.record(x);
-        }
-        a.merge(&b);
-        assert_eq!(a.count(), whole.count());
-        assert!((a.mean() - whole.mean()).abs() < 1e-12);
-        assert!((a.variance() - whole.variance()).abs() < 1e-12);
-    }
 
     #[test]
     fn samples_quantiles() {
@@ -799,19 +488,6 @@ mod tests {
     }
 
     #[test]
-    fn histogram_bins_and_flows() {
-        let mut h = Histogram::new(0.0, 10.0, 5);
-        for x in [-1.0, 0.0, 1.9, 2.0, 9.99, 10.0, 55.0] {
-            h.record(x);
-        }
-        assert_eq!(h.underflow(), 1);
-        assert_eq!(h.overflow(), 2);
-        assert_eq!(h.bins(), &[2, 1, 0, 0, 1]);
-        assert_eq!(h.count(), 7);
-        assert_eq!(h.bin_bounds(0), (0.0, 2.0));
-    }
-
-    #[test]
     fn time_weighted_integral_exact() {
         let mut tw = TimeWeighted::new(SimTime::ZERO, 1.0);
         tw.set(SimTime::from_secs(5), 3.0);
@@ -830,30 +506,6 @@ mod tests {
         tw.add(SimTime::from_secs(1), 2.0);
         tw.add(SimTime::from_secs(2), -1.0);
         assert_eq!(tw.current(), 1.0);
-    }
-
-    #[test]
-    fn busy_tracker_utilization() {
-        let mut b = BusyTracker::new(SimTime::ZERO, 4.0);
-        b.acquire(SimTime::ZERO, 4.0);
-        b.release(SimTime::from_secs(30), 4.0);
-        // busy 30 s of 60 s at full capacity → 50 %
-        assert!((b.utilization(SimTime::from_secs(60)) - 0.5).abs() < 1e-12);
-        assert_eq!(b.busy_unit_seconds(SimTime::from_secs(60)), 120.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "exceeds capacity")]
-    fn busy_tracker_overflow_panics() {
-        let mut b = BusyTracker::new(SimTime::ZERO, 1.0);
-        b.acquire(SimTime::ZERO, 2.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "only")]
-    fn busy_tracker_over_release_panics() {
-        let mut b = BusyTracker::new(SimTime::ZERO, 1.0);
-        b.release(SimTime::ZERO, 1.0);
     }
 
     #[test]

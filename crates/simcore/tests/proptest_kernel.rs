@@ -3,7 +3,7 @@
 use hpcqc_simcore::dist::Dist;
 use hpcqc_simcore::events::EventQueue;
 use hpcqc_simcore::rng::SimRng;
-use hpcqc_simcore::stats::{Samples, TimeWeighted, Welford};
+use hpcqc_simcore::stats::{Samples, TimeWeighted};
 use hpcqc_simcore::time::{SimDuration, SimTime};
 use proptest::prelude::*;
 
@@ -86,24 +86,6 @@ proptest! {
         let a = SimRng::seed_from(seed).fork(&label).f64();
         let b = SimRng::seed_from(seed).fork(&label).f64();
         prop_assert_eq!(a, b);
-    }
-
-    /// Welford merge equals sequential accumulation.
-    #[test]
-    fn welford_merge_associative(
-        xs in prop::collection::vec(-1e6f64..1e6, 1..100),
-        split in 0usize..100,
-    ) {
-        let split = split % xs.len();
-        let mut whole = Welford::new();
-        xs.iter().for_each(|x| whole.record(*x));
-        let mut left = Welford::new();
-        let mut right = Welford::new();
-        xs[..split].iter().for_each(|x| left.record(*x));
-        xs[split..].iter().for_each(|x| right.record(*x));
-        left.merge(&right);
-        prop_assert_eq!(left.count(), whole.count());
-        prop_assert!((left.mean() - whole.mean()).abs() < 1e-6 * (1.0 + whole.mean().abs()));
     }
 
     /// Quantiles are monotone in q and bounded by min/max.

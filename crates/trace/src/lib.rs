@@ -34,6 +34,7 @@
 
 pub mod attribution;
 pub mod chrome;
+mod facility;
 pub mod metrics;
 pub mod observer;
 pub mod profile;

@@ -12,6 +12,7 @@
 //! QPUs, cumulative submit/start/finish/fail counts, kernels executed,
 //! node failures, and a queue-wait histogram.
 
+use crate::facility::FacilityState;
 use hpcqc_core::observer::{SimEvent, SimObserver};
 use hpcqc_core::scenario::Scenario;
 use hpcqc_metrics::report::Table;
@@ -170,17 +171,6 @@ impl MetricsRegistry {
         }
     }
 
-    /// Adds `delta` to a gauge.
-    pub fn add(&mut self, id: GaugeId, delta: f64) {
-        if let Some(Metric {
-            state: MetricState::Gauge { value: v },
-            ..
-        }) = self.metrics.get_mut(id.0)
-        {
-            *v += delta;
-        }
-    }
-
     /// Records one observation into a histogram.
     pub fn observe(&mut self, id: HistogramId, value: f64) {
         if let Some(Metric {
@@ -287,6 +277,8 @@ impl MetricsRegistry {
 #[derive(Debug)]
 pub struct MetricsObserver {
     reg: MetricsRegistry,
+    // The state behind the four facility gauges.
+    facility: FacilityState,
     queue_depth: GaugeId,
     running_jobs: GaugeId,
     free_nodes: GaugeId,
@@ -331,8 +323,9 @@ impl MetricsObserver {
         let running_jobs = reg.gauge("running_jobs");
         let free_nodes = reg.gauge("free_nodes");
         let idle_qpus = reg.gauge("idle_qpus");
-        reg.set(free_nodes, f64::from(classical_nodes));
-        reg.set(idle_qpus, devices as f64);
+        let facility = FacilityState::new(classical_nodes, devices);
+        reg.set(free_nodes, facility.free_nodes());
+        reg.set(idle_qpus, facility.idle_qpus());
         let jobs_submitted = reg.counter("jobs_submitted");
         let jobs_started = reg.counter("jobs_started");
         let jobs_finished = reg.counter("jobs_finished");
@@ -346,6 +339,7 @@ impl MetricsObserver {
             .collect();
         MetricsObserver {
             reg,
+            facility,
             queue_depth,
             running_jobs,
             free_nodes,
@@ -390,29 +384,25 @@ impl MetricsObserver {
 impl SimObserver for MetricsObserver {
     fn on_event(&mut self, now: SimTime, event: &SimEvent<'_>) {
         self.reg.advance(now);
+        self.facility.apply(event);
+        self.reg.set(self.queue_depth, self.facility.queue_depth());
+        self.reg
+            .set(self.running_jobs, self.facility.running_jobs());
+        self.reg.set(self.free_nodes, self.facility.free_nodes());
+        self.reg.set(self.idle_qpus, self.facility.idle_qpus());
         match event {
-            SimEvent::JobSubmitted { .. } => {
-                self.reg.inc(self.jobs_submitted, 1);
-                self.reg.add(self.queue_depth, 1.0);
-            }
+            SimEvent::JobSubmitted { .. } => self.reg.inc(self.jobs_submitted, 1),
             SimEvent::JobStarted { wait, .. } => {
                 self.reg.inc(self.jobs_started, 1);
-                self.reg.add(self.queue_depth, -1.0);
-                self.reg.add(self.running_jobs, 1.0);
                 self.reg.observe(self.wait_s, wait.as_secs_f64());
             }
-            SimEvent::AllocationChanged { node_delta, .. } => {
-                self.reg.add(self.free_nodes, -node_delta);
-            }
             SimEvent::KernelExecStarted { device, .. } => {
-                self.reg.add(self.idle_qpus, -1.0);
                 if let Some(slot) = self.device_exec_start.get_mut(*device) {
                     *slot = Some(now);
                 }
             }
             SimEvent::KernelExecEnded { device, .. } => {
                 self.reg.inc(self.kernels_executed, 1);
-                self.reg.add(self.idle_qpus, 1.0);
                 if let Some(start) = self
                     .device_exec_start
                     .get_mut(*device)
@@ -431,7 +421,6 @@ impl SimObserver for MetricsObserver {
                 }
             }
             SimEvent::JobFinalized { record } => {
-                self.reg.add(self.running_jobs, -1.0);
                 self.reg.inc(self.jobs_finished, 1);
                 if !record.completed {
                     self.reg.inc(self.jobs_failed, 1);

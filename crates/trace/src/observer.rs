@@ -23,12 +23,13 @@
 //! runs.
 
 use crate::chrome::{ArgValue, ChromeTrace, EventArgs};
+use crate::facility::FacilityState;
 use hpcqc_core::observer::{PhaseKind, SimEvent, SimObserver};
 use hpcqc_core::scenario::Scenario;
 use hpcqc_simcore::time::SimTime;
 use hpcqc_workload::job::JobId;
 use std::borrow::Cow;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 
 /// Process track holding the scheduler-level counter tracks.
 pub const PID_SCHEDULER: u32 = 1;
@@ -116,13 +117,8 @@ fn phase_name(kind: PhaseKind, index: usize) -> std::borrow::Cow<'static, str> {
 #[derive(Debug)]
 pub struct TraceObserver {
     trace: ChromeTrace,
-    nodes_total: f64,
-    devices_total: i64,
-    // Live counter state, updated from events.
-    queue_depth: i64,
-    running: i64,
-    nodes_alloc: f64,
-    execs: i64,
+    // The state behind the COUNTER_TRACKS.
+    facility: FacilityState,
     // Per-device running-execution count (0/1 on the serial device
     // queue), behind the `idle[..]`/`busy[..]` tracks.
     device_execs: Vec<i64>,
@@ -139,8 +135,6 @@ pub struct TraceObserver {
     // retired: a killed job's kernel can outlive its finalization.
     jobs: Vec<Option<JobSlot>>,
     next_job_tid: u32,
-    // `JobFinalized` carries only the record (name), not the id.
-    by_name: BTreeMap<String, u64>,
     node_tracks: BTreeSet<u32>,
 }
 
@@ -195,18 +189,12 @@ impl TraceObserver {
         // exist (and start from the idle state) even in a trivial trace.
         let mut obs = TraceObserver {
             trace,
-            nodes_total: f64::from(classical_nodes),
-            devices_total: devices as i64,
-            queue_depth: 0,
-            running: 0,
-            nodes_alloc: 0.0,
-            execs: 0,
+            facility: FacilityState::new(classical_nodes, devices),
             device_execs: vec![0; devices],
             device_track_names,
             last_counter: vec![None; SCHED_TRACKS + DEVICE_TRACK_KINDS.len() * devices],
             jobs: Vec::new(),
             next_job_tid: 0,
-            by_name: BTreeMap::new(),
             node_tracks: BTreeSet::new(),
         };
         obs.sample_counters(SimTime::ZERO);
@@ -268,10 +256,10 @@ impl TraceObserver {
     }
 
     fn sample_counters(&mut self, now: SimTime) {
-        self.counter(now, 0, self.queue_depth as f64);
-        self.counter(now, 1, self.running as f64);
-        self.counter(now, 2, self.nodes_total - self.nodes_alloc);
-        self.counter(now, 3, (self.devices_total - self.execs) as f64);
+        self.counter(now, 0, self.facility.queue_depth());
+        self.counter(now, 1, self.facility.running_jobs());
+        self.counter(now, 2, self.facility.free_nodes());
+        self.counter(now, 3, self.facility.idle_qpus());
     }
 
     /// Samples device `d`'s `idle[..]`/`busy[..]` tracks from its live
@@ -296,7 +284,6 @@ impl TraceObserver {
         }
         let tid = self.next_job_tid;
         self.next_job_tid += 1;
-        self.by_name.insert(name.to_string(), job.raw());
         self.trace.thread_name(PID_JOBS, tid, name.to_string());
         self.jobs[raw] = Some(JobSlot {
             tid,
@@ -323,13 +310,13 @@ impl TraceObserver {
 
 impl SimObserver for TraceObserver {
     fn on_event(&mut self, now: SimTime, event: &SimEvent<'_>) {
+        let finalized = self.facility.apply(event);
         match event {
             SimEvent::JobSubmitted { job, name, step } => {
                 let tid = self.job_tid(*job, name);
                 let label = if *step { "step submitted" } else { "submitted" };
                 self.trace
                     .instant(label, "queue", now, PID_JOBS, tid, EventArgs::None);
-                self.queue_depth += 1;
                 self.sample_counters(now);
             }
             SimEvent::JobStarted { job, name, wait } => {
@@ -342,14 +329,9 @@ impl SimObserver for TraceObserver {
                     tid,
                     EventArgs::single("wait_s", ArgValue::F64(wait.as_secs_f64())),
                 );
-                self.queue_depth -= 1;
-                self.running += 1;
                 self.sample_counters(now);
             }
-            SimEvent::AllocationChanged { node_delta, .. } => {
-                self.nodes_alloc += node_delta;
-                self.sample_counters(now);
-            }
+            SimEvent::AllocationChanged { .. } => self.sample_counters(now),
             SimEvent::PhaseEnded {
                 job,
                 name,
@@ -419,7 +401,6 @@ impl SimObserver for TraceObserver {
                 if let Some(slot) = self.slot_mut(*job) {
                     slot.exec_start = Some(now);
                 }
-                self.execs += 1;
                 if let Some(execs) = self.device_execs.get_mut(*device) {
                     *execs += 1;
                 }
@@ -441,7 +422,6 @@ impl SimObserver for TraceObserver {
                         EventArgs::None,
                     );
                 }
-                self.execs -= 1;
                 if let Some(execs) = self.device_execs.get_mut(*device) {
                     *execs -= 1;
                 }
@@ -449,10 +429,7 @@ impl SimObserver for TraceObserver {
                 self.sample_device(*device, now);
             }
             SimEvent::JobFinalized { record } => {
-                if let Some(tid) = self
-                    .by_name
-                    .get(record.name.as_str())
-                    .copied()
+                if let Some(tid) = finalized
                     .and_then(|raw| self.jobs.get(raw as usize))
                     .and_then(|slot| slot.as_ref().map(|s| s.tid))
                 {
@@ -487,7 +464,6 @@ impl SimObserver for TraceObserver {
                         );
                     }
                 }
-                self.running -= 1;
                 self.sample_counters(now);
             }
             SimEvent::NodeFailed { node } => {
