@@ -146,14 +146,6 @@ enum Event {
     Checkpoint(JobId, u32, usize),
 }
 
-#[derive(Debug, Clone, Copy)]
-enum QueueEntry {
-    /// A whole-job submission.
-    JobStart(JobId),
-    /// A single per-step submission of the job.
-    Step(JobId),
-}
-
 /// Per-job live state. A `JobRun` exists from the moment the job is pulled
 /// from its [`JobSource`] until it finalizes; [`SimState::jobs`] holding
 /// them is the simulator's only per-job storage, so peak memory tracks
@@ -203,11 +195,16 @@ struct JobRun {
     classical_started: Option<SimTime>,
     classical_active_nodes: f64,
     quantum_started: Option<SimTime>,
+    /// Requeues spent so far. Walltime kills and fault requeues spend the
+    /// same counter, each against its own budget (see [`SimState::requeue`]).
     requeues: u32,
     // Fault recovery (see Scenario::faults). `kernel_attempts` counts the
     // failed tries of the *current* kernel; `completed_frac` is the
     // checkpoint-durable progress of the current classical phase, which a
-    // fault-driven restart resumes from instead of zero.
+    // fault-driven restart resumes from instead of zero. Every requeue
+    // resets `kernel_attempts`, `last_exec_device` and `attempt_used_base`,
+    // and, unless it keeps the phase, `completed_frac` and
+    // `last_checkpoint_at` (see [`SimState::requeue`]).
     kernel_attempts: u32,
     last_exec_device: Option<usize>,
     completed_frac: f64,
@@ -218,6 +215,7 @@ struct JobRun {
     last_checkpoint_at: Option<SimTime>,
     /// `node_seconds_used` at the start of the current attempt, so a
     /// restart-from-zero can report exactly this attempt's work as rewound.
+    /// Every requeue, walltime kill or fault, resets it.
     attempt_used_base: f64,
 }
 
@@ -357,10 +355,11 @@ pub(crate) struct SimState<'o> {
     /// node failure only) in id order. Its memory is the live jobs plus one
     /// pointer per id between the oldest live and the newest spawned job.
     jobs: IdWindow<JobRun>,
-    /// What each queued submission starts, keyed by raw qid (the
+    /// The job each queued submission starts, keyed by raw qid (the
     /// scheduler's [`JobId`]): inserted at submit, removed at start or
-    /// abort.
-    queue_map: IdMap<u64, QueueEntry>,
+    /// abort. Whether it starts a step or the whole job is the job's
+    /// [`JobRun::plan`].
+    queue_map: IdMap<u64, JobId>,
     /// The next fresh qid; qids are never reused.
     next_qid: u64,
     /// Built-in observer assembling the outcome's job statistics.
@@ -855,13 +854,46 @@ impl<'o> SimState<'o> {
         Ok(())
     }
 
-    /// Shared fault-requeue tail (node failure, or kernel retries
-    /// exhausted): aborts the attempt, then fails the job once it has
-    /// spent the recovery policy's requeue budget. Otherwise it resets the
-    /// per-attempt recovery state, reports the rewound work in
-    /// [`SimEvent::JobRestarted`] and resubmits. `checkpoint_rewind` keeps
-    /// the job's phase and rewinds that much node work; `None` restarts
-    /// from phase 0 and rewinds the whole attempt.
+    /// The one requeue path, for walltime kills and faults alike: aborts
+    /// the attempt, then fails the job if it has spent `budget` requeues
+    /// (the counter is shared; each caller brings its own budget).
+    /// Otherwise it resets every per-attempt field, keeping the job's
+    /// phase and its checkpointed progress only when `keep_phase`, and
+    /// returns the node work the attempt did; the caller resubmits.
+    fn requeue(
+        &mut self,
+        driver: &mut dyn StrategyDriver,
+        job: JobId,
+        budget: u32,
+        keep_phase: bool,
+        now: SimTime,
+    ) -> Result<Option<f64>, SimError> {
+        self.abort_attempt(driver, job, now)?;
+        if self.live(job).requeues >= budget {
+            self.finalize(job, now, false);
+            return Ok(None);
+        }
+        let run = self.live_mut(job);
+        let attempt_work = (run.node_seconds_used - run.attempt_used_base).max(0.0);
+        run.requeues += 1;
+        run.kernel_attempts = 0;
+        run.last_exec_device = None;
+        run.device = None;
+        run.prev_phase_end = None;
+        if !keep_phase {
+            run.phase_idx = 0;
+            run.completed_frac = 0.0;
+            run.last_checkpoint_at = None;
+        }
+        run.attempt_used_base = run.node_seconds_used;
+        Ok(Some(attempt_work))
+    }
+
+    /// Fault requeue (node failure, or kernel retries exhausted) within the
+    /// recovery policy's budget. `checkpoint_rewind` keeps the job's phase
+    /// and rewinds that much node work; `None` restarts from phase 0 and
+    /// rewinds the whole attempt. A requeued job reports the rewound work
+    /// in [`SimEvent::JobRestarted`] and resubmits.
     fn requeue_after_fault(
         &mut self,
         driver: &mut dyn StrategyDriver,
@@ -869,28 +901,10 @@ impl<'o> SimState<'o> {
         checkpoint_rewind: Option<f64>,
         now: SimTime,
     ) -> Result<(), SimError> {
-        self.abort_attempt(driver, job, now)?;
-        if self.live(job).requeues >= self.recovery().requeue_budget() {
-            self.finalize(job, now, false);
-            return Ok(());
-        }
+        let budget = self.recovery().requeue_budget();
         let keep_phase = checkpoint_rewind.is_some();
-        let rewound = {
-            let run = self.live_mut(job);
-            let rewound = checkpoint_rewind
-                .unwrap_or((run.node_seconds_used - run.attempt_used_base).max(0.0));
-            run.requeues += 1;
-            run.kernel_attempts = 0;
-            run.last_exec_device = None;
-            run.device = None;
-            run.prev_phase_end = None;
-            if !keep_phase {
-                run.phase_idx = 0;
-                run.completed_frac = 0.0;
-                run.last_checkpoint_at = None;
-            }
-            run.attempt_used_base = run.node_seconds_used;
-            rewound
+        let Some(attempt_work) = self.requeue(driver, job, budget, keep_phase, now)? else {
+            return Ok(());
         };
         emit!(
             self,
@@ -898,7 +912,7 @@ impl<'o> SimState<'o> {
             SimEvent::JobRestarted {
                 job,
                 name: run_of(&self.jobs, job).spec.name(),
-                rewound_node_seconds: rewound,
+                rewound_node_seconds: checkpoint_rewind.unwrap_or(attempt_work),
             }
         );
         self.on_submit(driver, job, now)
@@ -1099,22 +1113,7 @@ impl<'o> SimState<'o> {
         device: usize,
         now: SimTime,
     ) -> Result<(), SimError> {
-        let (index, started) = {
-            let run = self.live_mut(job);
-            (run.phase_idx, run.quantum_started.take().unwrap_or(now))
-        };
-        emit!(
-            self,
-            now,
-            SimEvent::PhaseEnded {
-                job,
-                name: run_of(&self.jobs, job).spec.name(),
-                kind: PhaseKind::Quantum,
-                index,
-                busy_nodes: 0.0,
-                started,
-            }
-        );
+        self.close_quantum(job, now);
         emit!(
             self,
             now,
@@ -1243,15 +1242,12 @@ impl<'o> SimState<'o> {
                 return Ok(());
             }
             for st in started {
-                let entry = self
+                let job = self
                     .queue_map
                     .remove(&st.job.raw())
-                    // hpcqc-lint: allow(D004, reason = "fresh_qid() registered the entry at submit; only a start (here) or an abort removes it")
+                    // hpcqc-lint: allow(D004, reason = "enqueue() registered the qid at submit; only a start (here) or an abort removes it")
                     .expect("started job must have a queue entry");
-                match entry {
-                    QueueEntry::JobStart(job) => self.on_job_started(driver, job, st.alloc, now)?,
-                    QueueEntry::Step(job) => self.on_step_started(driver, job, st.alloc, now)?,
-                }
+                self.on_started(driver, job, st.alloc, now)?;
             }
             // A start handler can free capacity: malleable's
             // `on_quantum_enter` shrinks a job that opens with a quantum
@@ -1272,9 +1268,8 @@ impl<'o> SimState<'o> {
     /// into scheduling state.
     fn emit_hold_changes(&mut self, now: SimTime) {
         for &(qid, reason) in self.scheduler.hold_changes() {
-            let job = match self.queue_map.get(&qid.raw()) {
-                Some(QueueEntry::JobStart(job) | QueueEntry::Step(job)) => *job,
-                None => continue,
+            let Some(&job) = self.queue_map.get(&qid.raw()) else {
+                continue;
             };
             emit!(
                 self,
@@ -1286,13 +1281,6 @@ impl<'o> SimState<'o> {
                 }
             );
         }
-    }
-
-    fn fresh_qid(&mut self, entry: QueueEntry) -> JobId {
-        let qid = JobId::new(self.next_qid);
-        self.next_qid += 1;
-        self.queue_map.insert(qid.raw(), entry);
-        qid
     }
 
     /// The first QPU gres unit `allocation` holds and how many it holds,
@@ -1357,81 +1345,67 @@ impl<'o> SimState<'o> {
     ) -> Result<(), SimError> {
         let plan = driver.submission_plan(&mut SimCtx { state: self, now }, job);
         self.live_mut(job).plan = plan;
-        match plan {
-            SubmissionPlan::PerStep => self.submit_step(job, now),
-            SubmissionPlan::WholeJob { hold_qpu } => {
-                let (request, walltime, user) = {
-                    let spec = &self.live(job).spec;
-                    let mut request = AllocRequest::new()
-                        .group(GroupRequest::nodes(spec.partition(), spec.nodes()));
-                    if hold_qpu && spec.is_hybrid() {
-                        request = request.group(GroupRequest::gres(
-                            spec.qpu_partition(),
-                            GresKind::qpu(),
-                            spec.qpu_count(),
-                        ));
-                    }
-                    (request, spec.walltime(), spec.user().to_string())
-                };
-                let qid = self.fresh_qid(QueueEntry::JobStart(job));
-                let pending = PendingJob {
-                    id: qid,
-                    request,
-                    walltime,
-                    submit: now,
-                    user,
-                    qos_boost: 0.0,
-                };
-                let run = self.live_mut(job);
-                run.queued_qid = Some(qid.raw());
-                run.queued_at = now;
-                run.current_walltime = walltime;
-                self.scheduler.submit(pending, &self.cluster)?;
-                emit!(
-                    self,
-                    now,
-                    SimEvent::JobSubmitted {
-                        job,
-                        name: run_of(&self.jobs, job).spec.name(),
-                        step: false,
-                    }
-                );
-                Ok(())
-            }
+        let SubmissionPlan::WholeJob { hold_qpu } = plan else {
+            return self.submit_step(job, now);
+        };
+        let spec = &self.live(job).spec;
+        let mut request =
+            AllocRequest::new().group(GroupRequest::nodes(spec.partition(), spec.nodes()));
+        if hold_qpu && spec.is_hybrid() {
+            request = request.group(GroupRequest::gres(
+                spec.qpu_partition(),
+                GresKind::qpu(),
+                spec.qpu_count(),
+            ));
         }
+        let walltime = spec.walltime();
+        self.enqueue(job, request, walltime, now)
     }
 
     /// Per-step plans: submit the step for the job's current phase.
     fn submit_step(&mut self, job: JobId, now: SimTime) -> Result<(), SimError> {
-        let (request, walltime) = {
-            let run = self.live(job);
-            let spec = &run.spec;
-            match &spec.phases()[run.phase_idx] {
-                Phase::Classical(d) => (
-                    AllocRequest::new().group(GroupRequest::nodes(spec.partition(), spec.nodes())),
-                    d.saturating_add(SimDuration::from_secs(60)),
-                ),
-                Phase::Quantum(kernel) => {
-                    // Planning estimate: the slowest *capable* device's mean
-                    // job time with headroom; actual duration comes from the
-                    // device.
-                    let est = self.worst_case_device_secs(kernel);
-                    (
-                        AllocRequest::new().group(GroupRequest::gres(
-                            spec.qpu_partition(),
-                            GresKind::qpu(),
-                            1,
-                        )),
-                        SimDuration::from_secs_f64(est * 1.5 + 60.0),
-                    )
-                }
+        let run = self.live(job);
+        let spec = &run.spec;
+        let (request, walltime) = match &spec.phases()[run.phase_idx] {
+            Phase::Classical(d) => (
+                AllocRequest::new().group(GroupRequest::nodes(spec.partition(), spec.nodes())),
+                d.saturating_add(SimDuration::from_secs(60)),
+            ),
+            Phase::Quantum(kernel) => {
+                // Planning estimate: the slowest *capable* device's mean
+                // job time with headroom; actual duration comes from the
+                // device.
+                let est = self.worst_case_device_secs(kernel);
+                (
+                    AllocRequest::new().group(GroupRequest::gres(
+                        spec.qpu_partition(),
+                        GresKind::qpu(),
+                        1,
+                    )),
+                    SimDuration::from_secs_f64(est * 1.5 + 60.0),
+                )
             }
         };
-        let qid = self.fresh_qid(QueueEntry::Step(job));
+        self.enqueue(job, request, walltime, now)
+    }
+
+    /// Queues one submission of `job` (the whole job, or its current step
+    /// under a per-step plan) under a fresh qid; qids are never reused.
+    fn enqueue(
+        &mut self,
+        job: JobId,
+        request: AllocRequest,
+        walltime: SimDuration,
+        now: SimTime,
+    ) -> Result<(), SimError> {
+        let qid = JobId::new(self.next_qid);
+        self.next_qid += 1;
+        self.queue_map.insert(qid.raw(), job);
         let run = self.live_mut(job);
         run.queued_qid = Some(qid.raw());
         run.queued_at = now;
         run.current_walltime = walltime;
+        let step = run.plan == SubmissionPlan::PerStep;
         let pending = PendingJob {
             id: qid,
             request,
@@ -1447,15 +1421,18 @@ impl<'o> SimState<'o> {
             SimEvent::JobSubmitted {
                 job,
                 name: run_of(&self.jobs, job).spec.name(),
-                step: true,
+                step,
             }
         );
         Ok(())
     }
 
-    // ----- start handlers -------------------------------------------------
+    // ----- start handler --------------------------------------------------
 
-    fn on_job_started(
+    /// A queued submission started on `alloc`: records the grant, binds
+    /// the QPU device from a granted gres unit, arms the walltime timer and
+    /// begins the job's current phase.
+    fn on_started(
         &mut self,
         driver: &mut dyn StrategyDriver,
         job: JobId,
@@ -1472,89 +1449,32 @@ impl<'o> SimState<'o> {
             }
         );
         self.arm_walltime_kill(job, now);
+        // hpcqc-lint: allow(D004, reason = "the scheduler granted this allocation in the current cycle; nothing released it yet")
+        let allocation = self.cluster.allocation(alloc).expect("alloc just granted");
+        let nodes = allocation.node_count() as u32;
+        let units = self.qpu_units(allocation);
         let run = self.live_mut(job);
         run.queued_qid = None;
         run.alloc = Some(alloc);
-        run.first_start.get_or_insert(now);
-        run.set_alloc_nodes(now, run.spec.nodes());
-        let nodes = f64::from(run.spec.nodes());
-        emit!(
-            self,
-            now,
-            SimEvent::AllocationChanged {
-                job,
-                node_delta: nodes,
-                qpu_delta: 0.0,
-            }
-        );
-
-        // Bind the QPU device from the granted gres unit (if any).
-        // hpcqc-lint: allow(D004, reason = "the scheduler granted this allocation in the current cycle; nothing released it yet")
-        let allocation = self.cluster.allocation(alloc).expect("alloc just granted");
-        if let Some((unit, count)) = self.qpu_units(allocation) {
-            let device = self.bind_device(job, unit)?;
-            let run = self.live_mut(job);
-            run.device = Some(device);
-            run.set_qpu_units(now, count);
-            if driver.holds_qpu_exclusively(job) {
-                emit!(
-                    self,
-                    now,
-                    SimEvent::AllocationChanged {
-                        job,
-                        node_delta: 0.0,
-                        qpu_delta: f64::from(count),
-                    }
-                );
-            }
+        if run.first_start.is_none() {
+            run.first_start = Some(now);
+        } else if let Some(prev) = run.prev_phase_end {
+            // Everything between the previous step's end and this start is
+            // inter-step overhead: workflow-manager delay + queue wait. A
+            // whole job starts with no `prev_phase_end`: its phases run on
+            // in one allocation, and every requeue clears it.
+            run.phase_wait += now.saturating_since(prev);
         }
-        // The hook fires with the grant fully recorded, so ctx.held_nodes /
-        // shrink_to / expand_toward act on the live allocation.
-        driver.on_started(&mut SimCtx { state: self, now }, job)?;
-        self.begin_phase(driver, job, now)
-    }
-
-    fn on_step_started(
-        &mut self,
-        driver: &mut dyn StrategyDriver,
-        job: JobId,
-        alloc: AllocationId,
-        now: SimTime,
-    ) -> Result<(), SimError> {
-        emit!(
-            self,
-            now,
-            SimEvent::JobStarted {
-                job,
-                name: run_of(&self.jobs, job).spec.name(),
-                wait: self.last_wait(job, now),
-            }
-        );
-        self.arm_walltime_kill(job, now);
-        {
-            let run = self.live_mut(job);
-            run.queued_qid = None;
-            run.alloc = Some(alloc);
-            if run.first_start.is_none() {
-                run.first_start = Some(now);
-            } else if let Some(prev) = run.prev_phase_end {
-                // Everything between the previous phase's end and this start
-                // is inter-step overhead: workflow-manager delay + queue wait.
-                run.phase_wait += now.saturating_since(prev);
-            }
-        }
-        // hpcqc-lint: allow(D004, reason = "the scheduler granted this allocation in the current cycle; nothing released it yet")
-        let allocation = self.cluster.allocation(alloc).expect("alloc just granted");
-        let node_count = allocation.node_count() as u32;
-        let units = self.qpu_units(allocation);
-        if node_count > 0 {
-            self.live_mut(job).set_alloc_nodes(now, node_count);
+        run.set_alloc_nodes(now, nodes);
+        // A whole job reports its node grant even at 0 nodes (a hybrid job
+        // may hold only its QPU); a step without nodes reports none.
+        if nodes > 0 || run.plan != SubmissionPlan::PerStep {
             emit!(
                 self,
                 now,
                 SimEvent::AllocationChanged {
                     job,
-                    node_delta: f64::from(node_count),
+                    node_delta: f64::from(nodes),
                     qpu_delta: 0.0,
                 }
             );
@@ -1576,7 +1496,8 @@ impl<'o> SimState<'o> {
                 );
             }
         }
-        // As in on_job_started: the grant is fully recorded before the hook.
+        // The hook fires with the grant fully recorded, so ctx.held_nodes /
+        // shrink_to / expand_toward act on the live allocation.
         driver.on_started(&mut SimCtx { state: self, now }, job)?;
         self.begin_phase(driver, job, now)
     }
@@ -1676,6 +1597,27 @@ impl<'o> SimState<'o> {
                 kind: PhaseKind::Classical,
                 index,
                 busy_nodes: nodes,
+                started,
+            }
+        );
+    }
+
+    /// Closes the job's quantum phase (kernel done or failed) with the
+    /// [`SimEvent::PhaseEnded`] the waste and Gantt observers consume; the
+    /// quantum phase holds no node work.
+    fn close_quantum(&mut self, job: JobId, now: SimTime) {
+        let run = self.live_mut(job);
+        let started = run.quantum_started.take().unwrap_or(now);
+        let index = run.phase_idx;
+        emit!(
+            self,
+            now,
+            SimEvent::PhaseEnded {
+                job,
+                name: run_of(&self.jobs, job).spec.name(),
+                kind: PhaseKind::Quantum,
+                index,
+                busy_nodes: 0.0,
                 started,
             }
         );
@@ -1868,16 +1810,11 @@ impl<'o> SimState<'o> {
         now: SimTime,
     ) -> Result<(), SimError> {
         self.close_classical(job, now);
-        {
-            let run = self.live_mut(job);
-            run.pending_event = None;
-            run.phase_idx += 1;
-            run.prev_phase_end = Some(now);
-            // Checkpoint progress is per-phase: a finished phase resets it.
-            run.completed_frac = 0.0;
-            run.last_checkpoint_at = None;
-            run.classical_end = None;
-        }
+        let run = self.next_phase(job, now);
+        // Checkpoint progress is per-phase: a finished phase resets it.
+        run.completed_frac = 0.0;
+        run.last_checkpoint_at = None;
+        run.classical_end = None;
         driver.on_phase_advanced(&mut SimCtx { state: self, now }, job)?;
         self.advance(driver, job, now)
     }
@@ -1888,35 +1825,26 @@ impl<'o> SimState<'o> {
         job: JobId,
         now: SimTime,
     ) -> Result<(), SimError> {
-        let (index, started) = {
-            let run = self.live_mut(job);
-            run.in_flight = None;
-            run.kernel_attempts = 0;
-            (run.phase_idx, run.quantum_started.take().unwrap_or(now))
-        };
-        emit!(
-            self,
-            now,
-            SimEvent::PhaseEnded {
-                job,
-                name: run_of(&self.jobs, job).spec.name(),
-                kind: PhaseKind::Quantum,
-                index,
-                busy_nodes: 0.0,
-                started,
-            }
-        );
-        {
-            let run = self.live_mut(job);
-            run.pending_event = None;
-            run.phase_idx += 1;
-            run.prev_phase_end = Some(now);
-        }
+        let run = self.live_mut(job);
+        run.in_flight = None;
+        run.kernel_attempts = 0;
+        self.close_quantum(job, now);
+        self.next_phase(job, now);
         // Malleable-style drivers re-expand (best-effort) before the next
         // classical phase; shortfall is absorbed by stretching.
         driver.on_quantum_exit(&mut SimCtx { state: self, now }, job)?;
         driver.on_phase_advanced(&mut SimCtx { state: self, now }, job)?;
         self.advance(driver, job, now)
+    }
+
+    /// The current phase is over: retires its completion key and moves the
+    /// job to its next phase, remembering when this one ended.
+    fn next_phase(&mut self, job: JobId, now: SimTime) -> &mut JobRun {
+        let run = self.live_mut(job);
+        run.pending_event = None;
+        run.phase_idx += 1;
+        run.prev_phase_end = Some(now);
+        run
     }
 
     /// After a phase completes: next phase, next step, or done.
@@ -2095,7 +2023,7 @@ impl<'o> SimState<'o> {
 
     /// SLURM-style walltime kill: abort the current attempt, release its
     /// resources, and requeue the whole job (from phase 0) while the
-    /// requeue budget lasts; record it failed afterwards.
+    /// walltime policy's requeue budget lasts; record it failed afterwards.
     fn kill_job(
         &mut self,
         driver: &mut dyn StrategyDriver,
@@ -2106,18 +2034,9 @@ impl<'o> SimState<'o> {
         else {
             return Ok(());
         };
-        self.abort_attempt(driver, job, now)?;
-        let requeues = self.live(job).requeues;
-        if requeues < max_requeues {
-            let run = self.live_mut(job);
-            run.requeues += 1;
-            run.phase_idx = 0;
-            run.prev_phase_end = None;
-            run.device = None;
-            self.on_submit(driver, job, now)
-        } else {
-            self.finalize(job, now, false);
-            Ok(())
+        match self.requeue(driver, job, max_requeues, false, now)? {
+            Some(_) => self.on_submit(driver, job, now),
+            None => Ok(()),
         }
     }
 
@@ -2524,6 +2443,91 @@ mod tests {
         assert_eq!(r.end, SimTime::from_secs(200));
         // Both attempts' held node time is accounted.
         assert!((r.node_seconds_allocated - 4.0 * 200.0).abs() < 1e-6);
+    }
+
+    /// Records each run of a job's classical phase 0 as `(start, end)` and
+    /// the attempt number of each kernel retry.
+    #[derive(Debug, Default)]
+    struct AttemptLog {
+        phase0_runs: Vec<(SimTime, SimTime)>,
+        retry_attempts: Vec<u32>,
+    }
+
+    impl SimObserver for AttemptLog {
+        fn on_event(&mut self, now: SimTime, event: &SimEvent<'_>) {
+            match event {
+                SimEvent::PhaseEnded {
+                    kind: PhaseKind::Classical,
+                    index: 0,
+                    started,
+                    ..
+                } => self.phase0_runs.push((*started, now)),
+                SimEvent::KernelRetried { attempt, .. } => self.retry_attempts.push(*attempt),
+                _ => {}
+            }
+        }
+    }
+
+    #[test]
+    fn walltime_requeue_forgets_the_killed_phase_checkpoint() {
+        use crate::scenario::WalltimePolicy;
+        // Phase 1 checkpoints half its work by 600 s; the kill at 700 s
+        // restarts the job from phase 0, which owns none of that progress.
+        let job = JobSpec::builder("ckpt")
+            .nodes(4)
+            .walltime(SimDuration::from_secs(700))
+            .phases(vec![
+                Phase::Classical(SimDuration::from_secs(100)),
+                Phase::Classical(SimDuration::from_secs(1_000)),
+            ])
+            .build();
+        let mut sc = scenario(Strategy::CoSchedule);
+        sc.walltime_policy = WalltimePolicy::Kill { max_requeues: 1 };
+        // A node process that never fires keeps the plan active, so its
+        // checkpoints run.
+        sc.faults = Some(
+            FaultPlan::named("ckpt")
+                .node(NodeFaults::exponential(1e12, 60.0))
+                .recovery(RecoverySpec::new().checkpoint(CheckpointSpec::new(100.0, 0.0))),
+        );
+        let mut log = AttemptLog::default();
+        FacilitySim::run_observed(&sc, &Workload::from_jobs(vec![job]), &mut [&mut log]).unwrap();
+        let secs = SimTime::from_secs;
+        assert_eq!(
+            log.phase0_runs,
+            vec![(secs(0), secs(100)), (secs(700), secs(800))],
+            "the requeued phase 0 runs in full"
+        );
+    }
+
+    #[test]
+    fn walltime_requeue_restarts_the_kernel_retry_count() {
+        use crate::scenario::WalltimePolicy;
+        // Every kernel fails; retries back off 100, 200 and 400 s, so the
+        // kill at 500 s lands in the third backoff. The requeued attempt
+        // retries from attempt 1 again before its own kill at 1,000 s.
+        let job = JobSpec::builder("flaky")
+            .nodes(4)
+            .walltime(SimDuration::from_secs(500))
+            .phases(vec![Phase::Quantum(Kernel::sampling(1_000))])
+            .build();
+        let mut sc = scenario(Strategy::CoSchedule);
+        sc.walltime_policy = WalltimePolicy::Kill { max_requeues: 1 };
+        sc.faults = Some(
+            FaultPlan::named("flaky")
+                .device(DeviceFaults::new().kernel_error_rate(1.0))
+                .recovery(
+                    RecoverySpec::new()
+                        .max_kernel_retries(20)
+                        .retry_backoff_secs(100.0)
+                        .failover(false),
+                ),
+        );
+        let mut log = AttemptLog::default();
+        let out = FacilitySim::run_observed(&sc, &Workload::from_jobs(vec![job]), &mut [&mut log])
+            .unwrap();
+        assert_eq!(out.stats.failed_count(), 1);
+        assert_eq!(log.retry_attempts, vec![1, 2, 1, 2]);
     }
 
     #[test]

@@ -65,9 +65,17 @@
 //!   `exp-kill` profile: each step's release disarms its kill timer, and
 //!   node failures abort steps with a phase and a timer pending;
 //! * co-schedule and workflow under `examples/faults/checkpoint.json`:
-//!   each checkpoint replaces the phase's `PhaseDone`.
+//!   each checkpoint replaces the phase's `PhaseDone`;
+//! * walltime kills with one requeue, on the same tight margins, under
+//!   `checkpoint.json` (co-schedule, workflow) and under
+//!   `examples/faults/degraded.json` (workflow, and adaptive on the
+//!   heterogeneous fleet's pin-first route): a kill that lands after a
+//!   checkpoint, or during a kernel's retries, must leave the requeued
+//!   attempt none of that progress or retry state.
 //!
-//! The table was recorded before the event calendar lost cancellation.
+//! The first three rows were recorded before the event calendar lost
+//! cancellation, the kill rows when walltime kills and fault requeues
+//! came to share one reset.
 //!
 //! If a change is *supposed* to move these results, run
 //!
@@ -181,14 +189,18 @@ const GAPS: [GapCase; 17] = [
 
 /// `(case, jobs, events, event digest, outcome digest)` per fence case:
 /// a breadth case name, run under EASY; the jobs arrive at 240/h, with
-/// every walltime margin at 1.0 in the `exp-kill` case.
+/// every walltime margin at 1.0 in the `kill` and `exp-kill` cases.
 type FenceCase = (&'static str, u64, u64, &'static str, &'static str);
 
 #[rustfmt::skip]
-const FENCES: [FenceCase; 3] = [
+const FENCES: [FenceCase; 7] = [
     ("workflow exp-kill", 120, 5255, "e3f8d6ad072fbad9", "bf312aaa25371dd5"),
     ("co-schedule checkpoint", 120, 2619, "b57e283cf91e49eb", "b278b943ab023352"),
     ("workflow checkpoint", 120, 5576, "e63c6e2b6741ab39", "7b28012f4143ca2f"),
+    ("co-schedule kill checkpoint", 120, 2723, "037cd4f5de0c3d30", "72f1a1734c307f6f"),
+    ("workflow kill checkpoint", 120, 5602, "f10cabb140f2f83a", "2ff06f02dabc2a0d"),
+    ("workflow kill degraded", 240, 11124, "333811608b83ed21", "0bc51615223c5c5b"),
+    ("adaptive hetero pin-first kill degraded", 120, 4988, "7b66062e4d509a80", "d75220c7863f5f21"),
 ];
 
 /// The burst that opens a trickle: enough jobs to hold about a hundred
@@ -287,7 +299,8 @@ fn trickle(jobs: u64, per_hour: f64) -> Workload {
 /// The scenario of one breadth case under `policy`: 64 nodes, seed 7,
 /// one superconducting device unless the case names the `hetero` fleet
 /// (with the route it names), and the fault plan the case names, if any.
-/// `exp-kill` names a plan built here, and walltime kills with it.
+/// `kill` adds walltime kills with one requeue; `exp-kill` names a plan
+/// built here, and walltime kills with it.
 fn breadth_scenario(policy: PolicySpec, case: &str) -> Scenario {
     let mut words = case.split(' ');
     let strategy = match words.next() {
@@ -311,6 +324,7 @@ fn breadth_scenario(policy: PolicySpec, case: &str) -> Scenario {
                 let fleet: FleetSpec = example("fleets/hetero.json");
                 builder.fleet(fleet.route(route.parse().expect("known route")))
             }
+            "kill" => builder.walltime_policy(WalltimePolicy::Kill { max_requeues: 1 }),
             "exp-kill" => builder
                 .walltime_policy(WalltimePolicy::Kill { max_requeues: 1 })
                 .faults(
@@ -456,7 +470,7 @@ fn fence_event_streams_reproduce_recorded_digests() {
     let mut moved = Vec::new();
     for (case, jobs, events, want_events, want_outcome) in FENCES {
         let mut spec = burst_spec(jobs, 240.0);
-        if case.ends_with("exp-kill") {
+        if case.contains("kill") {
             // Tight margins, so walltime kills and node-fault requeues
             // interleave.
             for class in &mut spec.classes {

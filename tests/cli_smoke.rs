@@ -1273,6 +1273,8 @@ fn fault_instants_past_the_end_of_time_are_not_scheduled() {
     std::fs::create_dir_all(&dir).unwrap();
     // The job runs to `SimTime::MAX`, and the fault processes keep drawing
     // failures and repairs until then: one that lands past it is dropped.
+    // Each run takes seconds, so all four run at once.
+    let mut runs = Vec::new();
     for (tag, job) in [
         (
             "two-phases",
@@ -1286,7 +1288,7 @@ fn fault_instants_past_the_end_of_time_are_not_scheduled() {
         let path = dir.join(format!("{tag}.hqwf"));
         std::fs::write(&path, format!("{job}\n")).unwrap();
         for plan in ["degraded", "nodes"] {
-            let out = Command::new(env!("CARGO_BIN_EXE_hpcqc-sim"))
+            let child = Command::new(env!("CARGO_BIN_EXE_hpcqc-sim"))
                 .args(["run", "--nodes", "4", "--policy", "easy", "--workload"])
                 .arg(&path)
                 .arg("--faults")
@@ -1294,10 +1296,16 @@ fn fault_instants_past_the_end_of_time_are_not_scheduled() {
                     std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
                         .join(format!("examples/faults/{plan}.json")),
                 )
-                .output()
+                .stdout(std::process::Stdio::piped())
+                .stderr(std::process::Stdio::piped())
+                .spawn()
                 .expect("hpcqc-sim runs");
-            assert_eq!(out.status.code(), Some(0), "{tag} under {plan}: {out:?}");
+            runs.push((tag, plan, child));
         }
+    }
+    for (tag, plan, child) in runs {
+        let out = child.wait_with_output().expect("hpcqc-sim runs");
+        assert_eq!(out.status.code(), Some(0), "{tag} under {plan}: {out:?}");
     }
     std::fs::remove_dir_all(&dir).ok();
 }
