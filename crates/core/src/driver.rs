@@ -66,8 +66,8 @@
 
 use crate::sim::{SimError, SimState};
 use crate::strategy::Strategy;
-use hpcqc_simcore::time::{SimDuration, SimTime};
-use hpcqc_workload::job::{JobId, JobSpec, Phase};
+use hpcqc_simcore::time::SimTime;
+use hpcqc_workload::job::JobId;
 use std::fmt;
 
 /// How a driver routes one job into the batch queue.
@@ -180,114 +180,6 @@ pub fn driver_for(strategy: &Strategy) -> Box<dyn StrategyDriver> {
 pub struct SimCtx<'a, 'o> {
     pub(crate) state: &'a mut SimState<'o>,
     pub(crate) now: SimTime,
-}
-
-impl SimCtx<'_, '_> {
-    /// The current simulation time.
-    pub fn now(&self) -> SimTime {
-        self.now
-    }
-
-    /// The job's immutable specification.
-    pub fn spec(&self, job: JobId) -> &JobSpec {
-        self.state.spec(job)
-    }
-
-    /// Classical nodes the job currently holds (0 while queued).
-    pub fn held_nodes(&self, job: JobId) -> u32 {
-        self.state.held_nodes(job)
-    }
-
-    /// The job's current phase index.
-    pub fn phase_index(&self, job: JobId) -> usize {
-        self.state.phase_index(job)
-    }
-
-    /// `true` if the job has a next phase and it is classical.
-    pub fn next_phase_is_classical(&self, job: JobId) -> bool {
-        let spec = self.state.spec(job);
-        matches!(
-            spec.phases().get(self.state.phase_index(job)),
-            Some(Phase::Classical(_))
-        )
-    }
-
-    /// Queue wait of the job's most recent submission up to now.
-    pub fn last_wait(&self, job: JobId) -> SimDuration {
-        self.state.last_wait(job, self.now)
-    }
-
-    /// Currently free nodes in the classical partition.
-    ///
-    /// # Errors
-    ///
-    /// [`SimError::Cluster`] if the machine has no classical partition
-    /// (configuration inconsistency).
-    pub fn free_nodes(&self) -> Result<u32, SimError> {
-        self.state.free_classical_nodes()
-    }
-
-    /// Jobs waiting in the batch queue right now.
-    pub fn queue_depth(&self) -> usize {
-        self.state.queue_depth()
-    }
-
-    /// Physical QPU devices on the machine.
-    pub fn device_count(&self) -> usize {
-        self.state.device_count()
-    }
-
-    /// Planning estimate of one quantum phase of `job`, seconds: the mean
-    /// over its kernels of the slowest capable device's mean job time.
-    /// Zero for jobs without quantum phases.
-    pub fn estimate_quantum_secs(&self, job: JobId) -> f64 {
-        let spec = self.state.spec(job);
-        let mut total = 0.0;
-        let mut count = 0u32;
-        for kernel in spec.kernels() {
-            total += self.state.worst_case_device_secs(kernel);
-            count += 1;
-        }
-        if count == 0 {
-            0.0
-        } else {
-            total / f64::from(count)
-        }
-    }
-
-    /// Mean duration of the job's classical phases, seconds (zero when it
-    /// has none).
-    pub fn mean_classical_secs(&self, job: JobId) -> f64 {
-        let spec = self.state.spec(job);
-        let classical = spec.phases().len() - spec.quantum_phase_count();
-        if classical == 0 {
-            0.0
-        } else {
-            spec.total_classical().as_secs_f64() / classical as f64
-        }
-    }
-
-    /// Shrinks the job's node allocation down to `target` nodes (no-op if
-    /// it already holds `target` or fewer, or holds no allocation).
-    /// Returns the number of nodes released.
-    ///
-    /// # Errors
-    ///
-    /// [`SimError::Cluster`] if the cluster rejects the shrink.
-    pub fn shrink_to(&mut self, job: JobId, target: u32) -> Result<u32, SimError> {
-        self.state.shrink_to(job, target, self.now)
-    }
-
-    /// Best-effort expansion of the job's node allocation toward `target`:
-    /// grants `min(free, target - held)` nodes, zero when the machine is
-    /// busy or the job holds no allocation. Returns the nodes granted.
-    ///
-    /// # Errors
-    ///
-    /// [`SimError::Cluster`] if the cluster rejects the expansion.
-    pub fn expand_toward(&mut self, job: JobId, target: u32) -> Result<u32, SimError> {
-        self.state.expand_toward(job, target, self.now)
-    }
 }
 
 #[cfg(test)]

@@ -45,8 +45,9 @@ impl StrategyDriver for MalleableDriver {
 }
 
 /// Gives back everything above `min_nodes` (clamped to the job's own
-/// size) before quantum work starts. Shared with [`AdaptiveDriver`]
-/// (crate::drivers::AdaptiveDriver) for jobs it routes to malleability.
+/// size) before quantum work starts. Shared with
+/// [`AdaptiveDriver`](crate::drivers::AdaptiveDriver) for jobs it routes
+/// to malleability.
 pub(crate) fn shrink_for_quantum(
     ctx: &mut SimCtx<'_, '_>,
     job: JobId,

@@ -30,7 +30,7 @@ use hpcqc_cluster::error::ClusterError;
 use hpcqc_cluster::gres::GresKind;
 use hpcqc_cluster::ids::AllocationId;
 use hpcqc_cluster::slot::Slot;
-use hpcqc_faults::{CheckpointSpec, DeviceFaults, FaultPlan, RecoverySpec};
+use hpcqc_faults::{CheckpointSpec, DeviceFaults, DriftModel, FaultPlan, NodeFaults, RecoverySpec};
 use hpcqc_fleet::{DeviceId, QpuFleet};
 use hpcqc_metrics::jobstats::JobRecord;
 use hpcqc_metrics::waste::WasteTracker;
@@ -40,6 +40,7 @@ use hpcqc_qpu::kernel::Kernel;
 use hpcqc_sched::policy::HoldReason;
 use hpcqc_sched::probe::{CycleProbe, NoProbe};
 use hpcqc_sched::scheduler::{BatchScheduler, PendingJob, SchedError};
+use hpcqc_simcore::dist::Dist;
 use hpcqc_simcore::events::{EventKey, EventQueue, Scheduled};
 use hpcqc_simcore::rng::SimRng;
 use hpcqc_simcore::time::{SimDuration, SimTime};
@@ -96,8 +97,8 @@ impl From<QpuError> for SimError {
 /// * the *key fence* covers [`Event::PhaseDone`], [`Event::KernelDone`],
 ///   [`Event::KernelFault`], [`Event::KernelRetry`] and
 ///   [`Event::KillJob`]. Each fires only while its job is live and still
-///   holds the event's [`EventKey`] in [`JobRun::pending_event`] (in
-///   [`JobRun::kill_event`] for `KillJob`); replacing or dropping that key
+///   holds the event's [`EventKey`] in [`Attempt::pending_event`] (in
+///   [`Attempt::kill_event`] for `KillJob`); replacing or dropping that key
 ///   retires the event, and it carries no epoch;
 /// * the *epoch fence* covers [`Event::StepSubmit`] and
 ///   [`Event::Checkpoint`], which no key tracks: each carries the epoch
@@ -152,11 +153,29 @@ enum Event {
 /// jobs *in flight*, not jobs simulated. The table boxes each `JobRun`:
 /// a finalized job whose id still lies inside the live id window costs
 /// one pointer there, not a whole `JobRun`.
+///
+/// Its state is grouped by lifetime: [`Usage`] lasts the job's life,
+/// [`Attempt`] one attempt (every requeue replaces it), and [`Progress`]
+/// as long as the job keeps its phase (a requeue that restarts from
+/// phase 0 replaces it too).
 #[derive(Debug)]
 struct JobRun {
     spec: JobSpec,
     plan: SubmissionPlan,
-    phase_idx: usize,
+    /// Bumped by every abort; fences the events no key tracks
+    /// ([`Event::StepSubmit`], [`Event::Checkpoint`]).
+    epoch: u32,
+    /// Requeues spent so far. Walltime kills and fault requeues spend the
+    /// same counter, each against its own budget (see [`SimState::requeue`]).
+    requeues: u32,
+    usage: Usage,
+    attempt: Attempt,
+    progress: Progress,
+}
+
+/// One attempt of a job: from its submission to its completion or abort.
+#[derive(Debug, Default)]
+struct Attempt {
     alloc: Option<AllocationId>,
     device: Option<usize>,
     /// The device running this job's current kernel, from dispatch until
@@ -168,20 +187,6 @@ struct JobRun {
     queued_qid: Option<u64>,
     queued_at: SimTime,
     prev_phase_end: Option<SimTime>,
-    first_start: Option<SimTime>,
-    phase_wait: SimDuration,
-    // Exact per-job integrals, maintained at every transition.
-    alloc_nodes: u32,
-    alloc_nodes_since: SimTime,
-    node_seconds_alloc: f64,
-    node_seconds_used: f64,
-    qpu_alloc_units: u32,
-    qpu_alloc_since: SimTime,
-    qpu_seconds_alloc: f64,
-    qpu_seconds_used: f64,
-    /// Bumped by every abort; fences the events no key tracks
-    /// ([`Event::StepSubmit`], [`Event::Checkpoint`]).
-    epoch: u32,
     /// The key of the one event that moves the job's current phase on: a
     /// [`Event::PhaseDone`], [`Event::KernelDone`], [`Event::KernelFault`]
     /// or [`Event::KernelRetry`]. Such an event fires only while its key
@@ -194,73 +199,50 @@ struct JobRun {
     current_walltime: SimDuration,
     classical_started: Option<SimTime>,
     classical_active_nodes: f64,
-    quantum_started: Option<SimTime>,
-    /// Requeues spent so far. Walltime kills and fault requeues spend the
-    /// same counter, each against its own budget (see [`SimState::requeue`]).
-    requeues: u32,
-    // Fault recovery (see Scenario::faults). `kernel_attempts` counts the
-    // failed tries of the *current* kernel; `completed_frac` is the
-    // checkpoint-durable progress of the current classical phase, which a
-    // fault-driven restart resumes from instead of zero. Every requeue
-    // resets `kernel_attempts`, `last_exec_device` and `attempt_used_base`,
-    // and, unless it keeps the phase, `completed_frac` and
-    // `last_checkpoint_at` (see [`SimState::requeue`]).
-    kernel_attempts: u32,
-    last_exec_device: Option<usize>,
-    completed_frac: f64,
     classical_entry_frac: f64,
     classical_full_secs: f64,
     ckpt_cost_secs: f64,
-    classical_end: Option<SimTime>,
+    /// When the running classical phase ends, checkpoint stalls included;
+    /// read only while `classical_started` is set.
+    classical_end: SimTime,
+    quantum_started: Option<SimTime>,
+    /// The failed tries of the current kernel.
+    kernel_attempts: u32,
+    last_exec_device: Option<usize>,
+}
+
+/// How far a job has got: its phase, and the checkpoint-durable progress
+/// of that phase, which a fault-driven restart resumes from instead of
+/// zero.
+#[derive(Debug, Default)]
+struct Progress {
+    phase_idx: usize,
+    completed_frac: f64,
     last_checkpoint_at: Option<SimTime>,
+}
+
+/// A job's usage over its whole life, which no requeue resets: the exact
+/// per-job integrals, maintained at every transition, that
+/// [`SimState::finalize`] reports in the job's [`JobRecord`].
+#[derive(Debug, Default)]
+struct Usage {
+    first_start: Option<SimTime>,
+    phase_wait: SimDuration,
+    alloc_nodes: u32,
+    alloc_nodes_since: SimTime,
+    node_seconds_alloc: f64,
+    node_seconds_used: f64,
+    qpu_alloc_units: u32,
+    qpu_alloc_since: SimTime,
+    qpu_seconds_alloc: f64,
+    qpu_seconds_used: f64,
     /// `node_seconds_used` at the start of the current attempt, so a
     /// restart-from-zero can report exactly this attempt's work as rewound.
     /// Every requeue, walltime kill or fault, resets it.
     attempt_used_base: f64,
 }
 
-impl JobRun {
-    fn new(spec: JobSpec) -> Self {
-        JobRun {
-            spec,
-            plan: SubmissionPlan::WholeJob { hold_qpu: false },
-            phase_idx: 0,
-            alloc: None,
-            device: None,
-            in_flight: None,
-            queued_qid: None,
-            queued_at: SimTime::ZERO,
-            prev_phase_end: None,
-            first_start: None,
-            phase_wait: SimDuration::ZERO,
-            alloc_nodes: 0,
-            alloc_nodes_since: SimTime::ZERO,
-            node_seconds_alloc: 0.0,
-            node_seconds_used: 0.0,
-            qpu_alloc_units: 0,
-            qpu_alloc_since: SimTime::ZERO,
-            qpu_seconds_alloc: 0.0,
-            qpu_seconds_used: 0.0,
-            epoch: 0,
-            pending_event: None,
-            kill_event: None,
-            current_walltime: SimDuration::ZERO,
-            classical_started: None,
-            classical_active_nodes: 0.0,
-            quantum_started: None,
-            requeues: 0,
-            kernel_attempts: 0,
-            last_exec_device: None,
-            completed_frac: 0.0,
-            classical_entry_frac: 0.0,
-            classical_full_secs: 0.0,
-            ckpt_cost_secs: 0.0,
-            classical_end: None,
-            last_checkpoint_at: None,
-            attempt_used_base: 0.0,
-        }
-    }
-
+impl Usage {
     /// Closes the running node-allocation integral at `now` and sets a new
     /// allocated-node count.
     fn set_alloc_nodes(&mut self, now: SimTime, nodes: u32) {
@@ -277,10 +259,24 @@ impl JobRun {
         self.qpu_alloc_units = units;
         self.qpu_alloc_since = now;
     }
+}
+
+impl JobRun {
+    fn new(spec: JobSpec) -> Self {
+        JobRun {
+            spec,
+            plan: SubmissionPlan::WholeJob { hold_qpu: false },
+            epoch: 0,
+            requeues: 0,
+            usage: Usage::default(),
+            attempt: Attempt::default(),
+            progress: Progress::default(),
+        }
+    }
 
     /// The kernel of the current phase; `None` outside a quantum phase.
     fn current_kernel(&self) -> Option<&Kernel> {
-        match self.spec.phases().get(self.phase_idx)? {
+        match self.spec.phases().get(self.progress.phase_idx)? {
             Phase::Quantum(kernel) => Some(kernel),
             Phase::Classical(_) => None,
         }
@@ -370,22 +366,8 @@ pub(crate) struct SimState<'o> {
     extras: &'o mut [&'o mut dyn SimObserver],
     /// Access-mode overhead stream: one draw per dispatched kernel.
     access_rng: SimRng,
-    /// Node-failure stream (a fault plan's node section): failure times,
-    /// victims and repair times.
-    failure_rng: SimRng,
-    /// Per-device fault-process streams (outage timing, recalibration
-    /// durations), forked by `(seed, label, index)` alone so their mere
-    /// existence cannot perturb any pre-existing stream.
-    device_fault_rngs: Vec<SimRng>,
-    /// Transient kernel-error stream: one draw per dispatched kernel when
-    /// an active fault plan sets a nonzero error rate.
-    kernel_error_rng: SimRng,
-    /// Fault-injected downtime per device, as a counter: an outage and a
-    /// forced recalibration may overlap, and the device is back in service
-    /// only once every pending repair has completed.
-    device_down: Vec<u32>,
-    /// Accumulated calibration drift per device, in fault-plan units.
-    device_drift: Vec<f64>,
+    /// The scenario's fault plan, resolved once, and its processes' state.
+    faults: Faults,
     /// Jobs finalized so far; the run ends when this reaches `spawned`
     /// after the source is drained.
     completed: u64,
@@ -399,6 +381,95 @@ pub(crate) struct SimState<'o> {
     /// High-water mark of concurrently live jobs — the streaming memory
     /// bound reported in [`Outcome::peak_in_flight_jobs`].
     peak_live: usize,
+}
+
+/// The scenario's fault plan, resolved once when the simulator is built,
+/// and the state of the fault processes it drives. A section acts only
+/// under an *active* plan: one that is present and not
+/// [inert](FaultPlan::is_inert). The recovery policy is read from any
+/// plan, inert or not.
+#[derive(Debug)]
+struct Faults {
+    /// Whether the plan is active.
+    active: bool,
+    /// The node fault process.
+    node: Option<NodeFaults>,
+    /// The device outage process: time between outages, repair time.
+    outage: Option<(Dist, Dist)>,
+    /// The calibration drift model.
+    drift: Option<DriftModel>,
+    /// The transient kernel error rate; 0 never flips the coin.
+    error_rate: f64,
+    /// The plan's recovery policy, or the defaults.
+    recovery: RecoverySpec,
+    /// Checkpoint-restart, under an active plan only.
+    checkpoint: Option<CheckpointSpec>,
+    /// Node-failure stream: failure times, victims and repair times.
+    failure_rng: SimRng,
+    /// Per-device fault-process streams (outage timing, recalibration
+    /// durations), forked by `(seed, label, index)` alone so their mere
+    /// existence cannot perturb any pre-existing stream.
+    device_rngs: Vec<SimRng>,
+    /// Transient kernel-error stream: one draw per dispatched kernel when
+    /// the error rate is nonzero.
+    kernel_error_rng: SimRng,
+    /// Fault-injected downtime per device, as a counter: an outage and a
+    /// forced recalibration may overlap, and the device is back in service
+    /// only once every pending repair has completed.
+    device_down: Vec<u32>,
+    /// Accumulated calibration drift per device, in fault-plan units.
+    device_drift: Vec<f64>,
+}
+
+impl Faults {
+    /// Resolves `plan` for `devices` devices and puts the first node
+    /// failure, then each device's first outage, on the calendar.
+    fn new(
+        plan: Option<&FaultPlan>,
+        root: &SimRng,
+        devices: usize,
+        events: &mut EventQueue<Event>,
+    ) -> Faults {
+        let active = plan.filter(|p| !p.is_inert());
+        let device = active.and_then(|p| p.device.as_ref());
+        let mut faults = Faults {
+            active: active.is_some(),
+            node: active.and_then(|p| p.node.clone()),
+            outage: device
+                .and_then(DeviceFaults::outage_process)
+                .map(|(mtbf, repair)| (mtbf.clone(), repair.clone())),
+            drift: device.and_then(|d| d.drift.clone()),
+            error_rate: device.map_or(0.0, DeviceFaults::error_rate),
+            recovery: plan.map_or_else(RecoverySpec::default, FaultPlan::recovery_or_default),
+            checkpoint: active
+                .and_then(|p| p.recovery.as_ref())
+                .and_then(|r| r.checkpoint.clone()),
+            failure_rng: root.fork("failures"),
+            device_rngs: (0..devices)
+                .map(|i| root.fork_indexed("device-faults", i as u64))
+                .collect(),
+            kernel_error_rng: root.fork("kernel-errors"),
+            device_down: vec![0; devices],
+            device_drift: vec![0.0; devices],
+        };
+        if let Some(node) = &faults.node {
+            let first = node.mtbf.sample_duration(&mut faults.failure_rng);
+            events.schedule(SimTime::ZERO + first, Event::NodeFailure);
+        }
+        if let Some((mtbf, _)) = &faults.outage {
+            for (i, rng) in faults.device_rngs.iter_mut().enumerate() {
+                let first = mtbf.sample_duration(rng);
+                events.schedule(SimTime::ZERO + first, Event::DeviceFailure(i));
+            }
+        }
+        faults
+    }
+
+    /// `true` when `device` is currently out of service through fault
+    /// injection (outage or forced recalibration).
+    fn injected_down(&self, device: usize) -> bool {
+        self.device_down.get(device).copied().unwrap_or(0) > 0
+    }
 }
 
 /// The facility simulator. Five entry points run it, and every one of
@@ -556,33 +627,11 @@ impl<'o> FacilitySim<'o> {
             f64::from(scenario.classical_nodes),
             devices.len() as f64,
         );
-        let mut failure_rng = root.fork("failures");
-        if let Some(node) = scenario.faults.as_ref().and_then(|p| p.node.as_ref()) {
-            let first = node.mtbf.sample_duration(&mut failure_rng);
-            events.schedule(SimTime::ZERO + first, Event::NodeFailure);
-        }
-        let mut device_fault_rngs: Vec<SimRng> = (0..devices.len())
-            .map(|i| root.fork_indexed("device-faults", i as u64))
-            .collect();
-        if let Some((mtbf, _)) = scenario
-            .faults
-            .as_ref()
-            .and_then(|p| p.device.as_ref())
-            .and_then(DeviceFaults::outage_process)
-        {
-            for (i, rng) in device_fault_rngs.iter_mut().enumerate() {
-                let first = mtbf.sample_duration(rng);
-                events.schedule(SimTime::ZERO + first, Event::DeviceFailure(i));
-            }
-        }
+        let faults = Faults::new(scenario.faults.as_ref(), &root, devices.len(), &mut events);
         FacilitySim {
             state: SimState {
                 access_rng: root.fork("access"),
-                failure_rng,
-                kernel_error_rng: root.fork("kernel-errors"),
-                device_fault_rngs,
-                device_down: vec![0; devices.len()],
-                device_drift: vec![0.0; devices.len()],
+                faults,
                 scenario,
                 cluster,
                 qpu_slot,
@@ -702,9 +751,9 @@ impl<'o> SimState<'o> {
         };
         self.jobs.get(job.raw()).is_none_or(|run| {
             let held = if kill_timer {
-                run.kill_event
+                run.attempt.kill_event
             } else {
-                run.pending_event
+                run.attempt.pending_event
             };
             held != Some(ev.key)
         })
@@ -752,7 +801,7 @@ impl<'o> SimState<'o> {
                 }
                 Event::KillJob(job) => {
                     // The timer just fired: disarm it.
-                    self.live_mut(job).kill_event = None;
+                    self.live_mut(job).attempt.kill_event = None;
                     self.kill_job(driver, job, now)?;
                 }
                 Event::NodeFailure => self.on_node_failure(driver, now)?,
@@ -767,8 +816,8 @@ impl<'o> SimState<'o> {
                 Event::Checkpoint(job, epoch, phase_idx) => {
                     if self.jobs.get(job.raw()).is_some_and(|r| {
                         r.epoch == epoch
-                            && r.phase_idx == phase_idx
-                            && r.classical_started.is_some()
+                            && r.progress.phase_idx == phase_idx
+                            && r.attempt.classical_started.is_some()
                     }) {
                         self.on_checkpoint(job, now);
                     }
@@ -804,7 +853,8 @@ impl<'o> SimState<'o> {
         driver: &mut dyn StrategyDriver,
         now: SimTime,
     ) -> Result<(), SimError> {
-        let Some(process) = self.scenario.faults.as_ref().and_then(|p| p.node.clone()) else {
+        let faults = &mut self.faults;
+        let Some(process) = &faults.node else {
             return Ok(());
         };
         // Pick among currently-up nodes (failed ones cannot fail again).
@@ -815,11 +865,17 @@ impl<'o> SimState<'o> {
             .filter(|n| n.is_schedulable())
             .map(|n| n.id())
             .collect();
-        if !up.is_empty() {
-            let node = *self.failure_rng.pick(&up);
+        // The stream draws the victim, its repair time, then the next
+        // failure; the requeue below draws from none of it.
+        let failed = (!up.is_empty()).then(|| {
+            let node = *faults.failure_rng.pick(&up);
+            let repair_in = process.repair.sample_duration(&mut faults.failure_rng);
+            (node, repair_in)
+        });
+        let next = process.mtbf.sample_duration(&mut faults.failure_rng);
+        if let Some((node, repair_in)) = failed {
             let owner = self.cluster.fail_node(node)?;
             emit!(self, now, SimEvent::NodeFailed { node });
-            let repair_in = process.repair.sample_duration(&mut self.failure_rng);
             // An instant past `SimTime::MAX` never comes (here and for every
             // fault-process instant): saturated, it would fire at the end
             // of time.
@@ -830,24 +886,30 @@ impl<'o> SimState<'o> {
             let victim = owner.and_then(|alloc| {
                 self.jobs
                     .iter()
-                    .find(|(_, run)| run.alloc == Some(alloc))
+                    .find(|(_, run)| run.attempt.alloc == Some(alloc))
                     .map(|(raw, _)| JobId::new(raw))
             });
             if let Some(job) = victim {
                 // With checkpoint-restart the job keeps its phase and
                 // re-does only the work since its last durable checkpoint.
                 let run = self.live(job);
-                let checkpoint_rewind = match (self.checkpoint_cfg(), run.classical_started) {
+                let attempt = &run.attempt;
+                let checkpoint_rewind = match (&self.faults.checkpoint, attempt.classical_started) {
                     (Some(_), Some(started)) => {
-                        let from = run.last_checkpoint_at.map_or(started, |c| c.max(started));
-                        Some(run.classical_active_nodes * now.saturating_since(from).as_secs_f64())
+                        let from = run
+                            .progress
+                            .last_checkpoint_at
+                            .map_or(started, |c| c.max(started));
+                        Some(
+                            attempt.classical_active_nodes
+                                * now.saturating_since(from).as_secs_f64(),
+                        )
                     }
                     _ => None,
                 };
                 self.requeue_after_fault(driver, job, checkpoint_rewind, now)?;
             }
         }
-        let next = process.mtbf.sample_duration(&mut self.failure_rng);
         if let Some(at) = now.checked_add(next) {
             self.events.schedule(at, Event::NodeFailure);
         }
@@ -857,9 +919,9 @@ impl<'o> SimState<'o> {
     /// The one requeue path, for walltime kills and faults alike: aborts
     /// the attempt, then fails the job if it has spent `budget` requeues
     /// (the counter is shared; each caller brings its own budget).
-    /// Otherwise it resets every per-attempt field, keeping the job's
-    /// phase and its checkpointed progress only when `keep_phase`, and
-    /// returns the node work the attempt did; the caller resubmits.
+    /// Otherwise it starts a fresh [`Attempt`], keeps the job's
+    /// [`Progress`] only when `keep_phase`, and returns the node work the
+    /// attempt did; the caller resubmits.
     fn requeue(
         &mut self,
         driver: &mut dyn StrategyDriver,
@@ -874,18 +936,13 @@ impl<'o> SimState<'o> {
             return Ok(None);
         }
         let run = self.live_mut(job);
-        let attempt_work = (run.node_seconds_used - run.attempt_used_base).max(0.0);
+        let attempt_work = (run.usage.node_seconds_used - run.usage.attempt_used_base).max(0.0);
         run.requeues += 1;
-        run.kernel_attempts = 0;
-        run.last_exec_device = None;
-        run.device = None;
-        run.prev_phase_end = None;
+        run.attempt = Attempt::default();
         if !keep_phase {
-            run.phase_idx = 0;
-            run.completed_frac = 0.0;
-            run.last_checkpoint_at = None;
+            run.progress = Progress::default();
         }
-        run.attempt_used_base = run.node_seconds_used;
+        run.usage.attempt_used_base = run.usage.node_seconds_used;
         Ok(Some(attempt_work))
     }
 
@@ -901,7 +958,7 @@ impl<'o> SimState<'o> {
         checkpoint_rewind: Option<f64>,
         now: SimTime,
     ) -> Result<(), SimError> {
-        let budget = self.recovery().requeue_budget();
+        let budget = self.faults.recovery.requeue_budget();
         let keep_phase = checkpoint_rewind.is_some();
         let Some(attempt_work) = self.requeue(driver, job, budget, keep_phase, now)? else {
             return Ok(());
@@ -920,42 +977,11 @@ impl<'o> SimState<'o> {
 
     // ----- fault machinery -------------------------------------------------
 
-    /// The scenario's fault plan, when it actually injects something.
-    fn fault_plan(&self) -> Option<&FaultPlan> {
-        self.scenario.faults.as_ref().filter(|p| !p.is_inert())
-    }
-
-    /// The active device fault process, if any.
-    fn device_faults(&self) -> Option<&DeviceFaults> {
-        self.fault_plan().and_then(|p| p.device.as_ref())
-    }
-
-    /// The effective recovery policy (defaults when the plan omits one).
-    fn recovery(&self) -> RecoverySpec {
-        self.scenario
-            .faults
-            .as_ref()
-            .map_or_else(RecoverySpec::default, FaultPlan::recovery_or_default)
-    }
-
-    /// Checkpoint-restart configuration, when an active plan enables it.
-    fn checkpoint_cfg(&self) -> Option<CheckpointSpec> {
-        self.fault_plan()
-            .and_then(|p| p.recovery.as_ref())
-            .and_then(|r| r.checkpoint.clone())
-    }
-
-    /// `true` when `device` is currently out of service through fault
-    /// injection (outage or forced recalibration).
-    fn device_injected_down(&self, device: usize) -> bool {
-        self.device_down.get(device).copied().unwrap_or(0) > 0
-    }
-
     /// Adjusts the injected-downtime counter for `device` and mirrors the
     /// resulting service state into the fleet's routing metadata (a
     /// spec'd-down device stays down regardless of repairs).
     fn set_device_down(&mut self, device: usize, down: bool) {
-        let Some(counter) = self.device_down.get_mut(device) else {
+        let Some(counter) = self.faults.device_down.get_mut(device) else {
             return;
         };
         if down {
@@ -985,14 +1011,10 @@ impl<'o> SimState<'o> {
         device: usize,
         now: SimTime,
     ) -> Result<(), SimError> {
-        let Some((mtbf, repair)) = self
-            .device_faults()
-            .and_then(DeviceFaults::outage_process)
-            .map(|(m, r)| (m.clone(), r.clone()))
-        else {
+        let Some((mtbf, repair)) = &self.faults.outage else {
             return Ok(());
         };
-        let rng = &mut self.device_fault_rngs[device];
+        let rng = &mut self.faults.device_rngs[device];
         let repair_in = repair.sample_duration(rng);
         let next = mtbf.sample_duration(rng);
         self.set_device_down(device, true);
@@ -1015,7 +1037,7 @@ impl<'o> SimState<'o> {
         let victims: Vec<JobId> = self
             .jobs
             .iter()
-            .filter(|(_, run)| run.in_flight == Some(device))
+            .filter(|(_, run)| run.attempt.in_flight == Some(device))
             .map(|(raw, _)| JobId::new(raw))
             .collect();
         for job in victims {
@@ -1028,7 +1050,7 @@ impl<'o> SimState<'o> {
     /// returns to service once *all* overlapping downtimes have cleared.
     fn on_device_repair(&mut self, device: usize, now: SimTime) {
         self.set_device_down(device, false);
-        if !self.device_injected_down(device) {
+        if !self.faults.injected_down(device) {
             emit!(self, now, SimEvent::DeviceRepaired { device });
         }
     }
@@ -1039,17 +1061,19 @@ impl<'o> SimState<'o> {
     /// recalibration starts once the device drains, and only future
     /// routing sees the downtime.
     fn accrue_drift(&mut self, device: usize, shots: u32, now: SimTime) {
-        let Some(drift) = self.device_faults().and_then(|d| d.drift.clone()) else {
+        let faults = &mut self.faults;
+        let Some(drift) = &faults.drift else {
             return;
         };
-        self.device_drift[device] += drift.per_shot * f64::from(shots);
-        if self.device_drift[device] < drift.threshold {
+        let accrued = &mut faults.device_drift[device];
+        *accrued += drift.per_shot * f64::from(shots);
+        if *accrued < drift.threshold {
             return;
         }
-        self.device_drift[device] = 0.0;
+        *accrued = 0.0;
         let down = drift
             .recalibration_dist()
-            .sample_duration(&mut self.device_fault_rngs[device]);
+            .sample_duration(&mut faults.device_rngs[device]);
         self.set_device_down(device, true);
         emit!(
             self,
@@ -1069,11 +1093,19 @@ impl<'o> SimState<'o> {
     /// zero-backoff policy cannot spin the clock in place). Does not
     /// consume a retry attempt — the kernel never ran.
     fn park_for_recovery(&mut self, job: JobId, now: SimTime) -> Result<(), SimError> {
-        let delay = self.recovery().backoff(1).max_of(SimDuration::from_secs(1));
+        let delay = self.faults.recovery.backoff(1);
+        self.retry_kernel(job, delay.max_of(SimDuration::from_secs(1)), now);
+        Ok(())
+    }
+
+    /// Holds `job` in fault recovery and re-dispatches its kernel after
+    /// `delay`, through an [`Event::KernelRetry`] that holds the job's
+    /// pending key.
+    fn retry_kernel(&mut self, job: JobId, delay: SimDuration, now: SimTime) {
         let key = self
             .events
             .schedule(now.saturating_add(delay), Event::KernelRetry(job));
-        self.live_mut(job).pending_event = Some(key);
+        self.live_mut(job).attempt.pending_event = Some(key);
         emit!(
             self,
             now,
@@ -1083,13 +1115,14 @@ impl<'o> SimState<'o> {
                 reason: HoldReason::FaultRecovery,
             }
         );
-        Ok(())
     }
 
     /// `job`'s in-flight kernel failed: a transient error fired its
     /// `KernelFault` completion, or a device outage interrupted it.
-    /// Retires the completion event (by dropping its key) and runs the
-    /// kernel failure path.
+    /// Retires the completion event (by dropping its key), books the
+    /// failure and either schedules a capped, exponentially backed-off
+    /// retry or escalates to a fault requeue (resuming at this phase when
+    /// classical progress is checkpointed).
     fn fail_kernel(
         &mut self,
         driver: &mut dyn StrategyDriver,
@@ -1098,21 +1131,8 @@ impl<'o> SimState<'o> {
         now: SimTime,
     ) -> Result<(), SimError> {
         let run = self.live_mut(job);
-        run.in_flight = None;
-        run.pending_event = None;
-        self.handle_kernel_failure(driver, job, device, now)
-    }
-
-    /// Books a kernel failure and either schedules a capped, exponentially
-    /// backed-off retry or escalates to a fault requeue (resuming at this
-    /// phase when classical progress is checkpointed).
-    fn handle_kernel_failure(
-        &mut self,
-        driver: &mut dyn StrategyDriver,
-        job: JobId,
-        device: usize,
-        now: SimTime,
-    ) -> Result<(), SimError> {
+        run.attempt.in_flight = None;
+        run.attempt.pending_event = None;
         self.close_quantum(job, now);
         emit!(
             self,
@@ -1123,32 +1143,20 @@ impl<'o> SimState<'o> {
                 device,
             }
         );
-        let recovery = self.recovery();
         let attempts = {
             let run = self.live_mut(job);
-            run.kernel_attempts += 1;
-            run.kernel_attempts
+            run.attempt.kernel_attempts += 1;
+            run.attempt.kernel_attempts
         };
+        let recovery = &self.faults.recovery;
         if attempts <= recovery.kernel_retry_cap() {
-            let key = self.events.schedule(
-                now.saturating_add(recovery.backoff(attempts)),
-                Event::KernelRetry(job),
-            );
-            self.live_mut(job).pending_event = Some(key);
-            emit!(
-                self,
-                now,
-                SimEvent::JobHeld {
-                    job,
-                    name: run_of(&self.jobs, job).spec.name(),
-                    reason: HoldReason::FaultRecovery,
-                }
-            );
+            let delay = recovery.backoff(attempts);
+            self.retry_kernel(job, delay, now);
             return Ok(());
         }
         // Checkpointed classical progress survives; the quantum phase
         // itself holds no node work to rewind.
-        let checkpoint_rewind = self.checkpoint_cfg().map(|_| 0.0);
+        let checkpoint_rewind = self.faults.checkpoint.as_ref().map(|_| 0.0);
         self.requeue_after_fault(driver, job, checkpoint_rewind, now)
     }
 
@@ -1163,8 +1171,8 @@ impl<'o> SimState<'o> {
     ) -> Result<(), SimError> {
         let attempt = {
             let run = self.live_mut(job);
-            run.pending_event = None;
-            run.kernel_attempts
+            run.attempt.pending_event = None;
+            run.attempt.kernel_attempts
         };
         // Parked first dispatches (attempt 0) are waits, not retries.
         if attempt > 0 {
@@ -1178,34 +1186,39 @@ impl<'o> SimState<'o> {
     /// checkpoint cost, and the next checkpoint is scheduled if it still
     /// fits before the phase ends.
     fn on_checkpoint(&mut self, job: JobId, now: SimTime) {
-        let Some(cp) = self.checkpoint_cfg() else {
+        let Some(cp) = &self.faults.checkpoint else {
             return;
         };
+        let (cost_secs, cost, interval) = (cp.cost_secs, cp.cost(), cp.interval());
         let (progress, epoch, index, new_end) = {
-            let run = self.live_mut(job);
-            let Some(started) = run.classical_started else {
+            let JobRun {
+                epoch,
+                attempt,
+                progress,
+                ..
+            } = self.live_mut(job);
+            let Some(started) = attempt.classical_started else {
                 return;
             };
             let worked =
-                (now.saturating_since(started).as_secs_f64() - run.ckpt_cost_secs).max(0.0);
-            let frac = if run.classical_full_secs > 0.0 {
-                (run.classical_entry_frac + worked / run.classical_full_secs).min(1.0)
+                (now.saturating_since(started).as_secs_f64() - attempt.ckpt_cost_secs).max(0.0);
+            let frac = if attempt.classical_full_secs > 0.0 {
+                (attempt.classical_entry_frac + worked / attempt.classical_full_secs).min(1.0)
             } else {
                 1.0
             };
-            run.completed_frac = frac;
-            run.last_checkpoint_at = Some(now);
-            run.ckpt_cost_secs += cp.cost_secs;
-            let end = run.classical_end.unwrap_or(now).saturating_add(cp.cost());
-            run.classical_end = Some(end);
-            (frac, run.epoch, run.phase_idx, end)
+            progress.completed_frac = frac;
+            progress.last_checkpoint_at = Some(now);
+            attempt.ckpt_cost_secs += cost_secs;
+            attempt.classical_end = attempt.classical_end.saturating_add(cost);
+            (frac, *epoch, progress.phase_idx, attempt.classical_end)
         };
         // The checkpoint stalls the phase for its cost: push the end out.
         // The new key retires the old `PhaseDone`.
         let key = self.events.schedule(new_end, Event::PhaseDone(job));
-        self.live_mut(job).pending_event = Some(key);
+        self.live_mut(job).attempt.pending_event = Some(key);
         emit!(self, now, SimEvent::CheckpointTaken { job, progress });
-        let next = now.saturating_add(cp.cost()).saturating_add(cp.interval());
+        let next = now.saturating_add(cost).saturating_add(interval);
         if next < new_end {
             self.events
                 .schedule(next, Event::Checkpoint(job, epoch, index));
@@ -1318,7 +1331,7 @@ impl<'o> SimState<'o> {
         // down right at bind time. Bind among the capable devices that are
         // not *permanently* out (spec'd down); dispatch parks until one
         // returns to service.
-        if self.fault_plan().is_some() {
+        if self.faults.active {
             if let Some(device) = nth_cyclic(capable.filter(|i| !self.spec_down(*i)), unit) {
                 return Ok(device);
             }
@@ -1366,7 +1379,7 @@ impl<'o> SimState<'o> {
     fn submit_step(&mut self, job: JobId, now: SimTime) -> Result<(), SimError> {
         let run = self.live(job);
         let spec = &run.spec;
-        let (request, walltime) = match &spec.phases()[run.phase_idx] {
+        let (request, walltime) = match &spec.phases()[run.progress.phase_idx] {
             Phase::Classical(d) => (
                 AllocRequest::new().group(GroupRequest::nodes(spec.partition(), spec.nodes())),
                 d.saturating_add(SimDuration::from_secs(60)),
@@ -1402,9 +1415,9 @@ impl<'o> SimState<'o> {
         self.next_qid += 1;
         self.queue_map.insert(qid.raw(), job);
         let run = self.live_mut(job);
-        run.queued_qid = Some(qid.raw());
-        run.queued_at = now;
-        run.current_walltime = walltime;
+        run.attempt.queued_qid = Some(qid.raw());
+        run.attempt.queued_at = now;
+        run.attempt.current_walltime = walltime;
         let step = run.plan == SubmissionPlan::PerStep;
         let pending = PendingJob {
             id: qid,
@@ -1454,18 +1467,18 @@ impl<'o> SimState<'o> {
         let nodes = allocation.node_count() as u32;
         let units = self.qpu_units(allocation);
         let run = self.live_mut(job);
-        run.queued_qid = None;
-        run.alloc = Some(alloc);
-        if run.first_start.is_none() {
-            run.first_start = Some(now);
-        } else if let Some(prev) = run.prev_phase_end {
+        run.attempt.queued_qid = None;
+        run.attempt.alloc = Some(alloc);
+        if run.usage.first_start.is_none() {
+            run.usage.first_start = Some(now);
+        } else if let Some(prev) = run.attempt.prev_phase_end {
             // Everything between the previous step's end and this start is
             // inter-step overhead: workflow-manager delay + queue wait. A
             // whole job starts with no `prev_phase_end`: its phases run on
             // in one allocation, and every requeue clears it.
-            run.phase_wait += now.saturating_since(prev);
+            run.usage.phase_wait += now.saturating_since(prev);
         }
-        run.set_alloc_nodes(now, nodes);
+        run.usage.set_alloc_nodes(now, nodes);
         // A whole job reports its node grant even at 0 nodes (a hybrid job
         // may hold only its QPU); a step without nodes reports none.
         if nodes > 0 || run.plan != SubmissionPlan::PerStep {
@@ -1482,8 +1495,8 @@ impl<'o> SimState<'o> {
         if let Some((unit, count)) = units {
             let device = self.bind_device(job, unit)?;
             let run = self.live_mut(job);
-            run.device = Some(device);
-            run.set_qpu_units(now, count);
+            run.attempt.device = Some(device);
+            run.usage.set_qpu_units(now, count);
             if driver.holds_qpu_exclusively(job) {
                 emit!(
                     self,
@@ -1511,7 +1524,7 @@ impl<'o> SimState<'o> {
         now: SimTime,
     ) -> Result<(), SimError> {
         let run = self.live(job);
-        match run.spec.phases().get(run.phase_idx) {
+        match run.spec.phases().get(run.progress.phase_idx) {
             None => self.complete_job(driver, job, now),
             Some(&Phase::Classical(d)) => self.begin_classical(job, d, now),
             Some(Phase::Quantum(_)) => self.begin_quantum(driver, job, now),
@@ -1524,29 +1537,28 @@ impl<'o> SimState<'o> {
         nominal: SimDuration,
         now: SimTime,
     ) -> Result<(), SimError> {
-        let checkpoint = self.checkpoint_cfg();
         let run = self.live_mut(job);
         // Linear-speedup stretch when malleably running on fewer nodes.
-        let full = if run.alloc_nodes > 0 && run.alloc_nodes < run.spec.nodes() {
-            nominal.mul_f64(f64::from(run.spec.nodes()) / f64::from(run.alloc_nodes))
+        let full = if run.usage.alloc_nodes > 0 && run.usage.alloc_nodes < run.spec.nodes() {
+            nominal.mul_f64(f64::from(run.spec.nodes()) / f64::from(run.usage.alloc_nodes))
         } else {
             nominal
         };
         // Checkpoint-restart resume: only the not-yet-durable fraction of
         // the phase is re-run.
-        let entry_frac = run.completed_frac.clamp(0.0, 1.0);
+        let entry_frac = run.progress.completed_frac.clamp(0.0, 1.0);
         let duration = if entry_frac > 0.0 {
             full.mul_f64(1.0 - entry_frac)
         } else {
             full
         };
-        let nodes = f64::from(run.alloc_nodes);
-        run.classical_started = Some(now);
-        run.classical_active_nodes = nodes;
-        run.classical_entry_frac = entry_frac;
-        run.classical_full_secs = full.as_secs_f64();
-        run.ckpt_cost_secs = 0.0;
-        let index = run.phase_idx;
+        let nodes = f64::from(run.usage.alloc_nodes);
+        run.attempt.classical_started = Some(now);
+        run.attempt.classical_active_nodes = nodes;
+        run.attempt.classical_entry_frac = entry_frac;
+        run.attempt.classical_full_secs = full.as_secs_f64();
+        run.attempt.ckpt_cost_secs = 0.0;
+        let index = run.progress.phase_idx;
         emit!(
             self,
             now,
@@ -1562,11 +1574,11 @@ impl<'o> SimState<'o> {
         let key = self.events.schedule(end, Event::PhaseDone(job));
         let epoch = {
             let run = self.live_mut(job);
-            run.pending_event = Some(key);
-            run.classical_end = Some(end);
+            run.attempt.pending_event = Some(key);
+            run.attempt.classical_end = end;
             run.epoch
         };
-        if let Some(cp) = checkpoint {
+        if let Some(cp) = &self.faults.checkpoint {
             let first = now.saturating_add(cp.interval());
             if first < end {
                 self.events
@@ -1581,13 +1593,13 @@ impl<'o> SimState<'o> {
     /// waste and Gantt observers consume.
     fn close_classical(&mut self, job: JobId, now: SimTime) {
         let run = self.live_mut(job);
-        let Some(started) = run.classical_started.take() else {
+        let Some(started) = run.attempt.classical_started.take() else {
             return;
         };
-        let nodes = run.classical_active_nodes;
-        run.classical_active_nodes = 0.0;
-        run.node_seconds_used += nodes * now.saturating_since(started).as_secs_f64();
-        let index = run.phase_idx;
+        let nodes = run.attempt.classical_active_nodes;
+        run.attempt.classical_active_nodes = 0.0;
+        run.usage.node_seconds_used += nodes * now.saturating_since(started).as_secs_f64();
+        let index = run.progress.phase_idx;
         emit!(
             self,
             now,
@@ -1602,13 +1614,15 @@ impl<'o> SimState<'o> {
         );
     }
 
-    /// Closes the job's quantum phase (kernel done or failed) with the
-    /// [`SimEvent::PhaseEnded`] the waste and Gantt observers consume; the
-    /// quantum phase holds no node work.
+    /// Closes an open quantum phase (kernel done, failed or aborted) with
+    /// the [`SimEvent::PhaseEnded`] the waste and Gantt observers consume;
+    /// the quantum phase holds no node work.
     fn close_quantum(&mut self, job: JobId, now: SimTime) {
         let run = self.live_mut(job);
-        let started = run.quantum_started.take().unwrap_or(now);
-        let index = run.phase_idx;
+        let Some(started) = run.attempt.quantum_started.take() else {
+            return;
+        };
+        let index = run.progress.phase_idx;
         emit!(
             self,
             now,
@@ -1641,8 +1655,8 @@ impl<'o> SimState<'o> {
         };
         // A retry under a no-failover recovery policy must go back to the
         // device that ran the failed attempt — or wait until it returns.
-        if self.live(job).kernel_attempts > 0 && !self.recovery().failover_enabled() {
-            if let Some(prev) = self.live(job).last_exec_device {
+        if self.live(job).attempt.kernel_attempts > 0 && !self.faults.recovery.failover_enabled() {
+            if let Some(prev) = self.live(job).attempt.last_exec_device {
                 if self.fleet.serves(prev, kernel) {
                     return self.dispatch_kernel(job, prev, now);
                 }
@@ -1664,7 +1678,7 @@ impl<'o> SimState<'o> {
                 .devices
                 .iter()
                 .enumerate()
-                .any(|(i, d)| d.qubits() >= kernel.qubits() && self.device_injected_down(i));
+                .any(|(i, d)| d.qubits() >= kernel.qubits() && self.faults.injected_down(i));
             if transient_down {
                 return self.park_for_recovery(job, now);
             }
@@ -1692,7 +1706,7 @@ impl<'o> SimState<'o> {
                 }
             }));
         }
-        let pin = self.live(job).device.map(DeviceId::new);
+        let pin = self.live(job).attempt.device.map(DeviceId::new);
         let device_idx = self.fleet.route(kernel, now, &self.devices, pin).index();
         self.dispatch_kernel(job, device_idx, now)
     }
@@ -1710,8 +1724,8 @@ impl<'o> SimState<'o> {
     ) -> Result<(), SimError> {
         let rerouted_from = {
             let run = self.live(job);
-            match run.last_exec_device {
-                Some(prev) if run.kernel_attempts > 0 && prev != device_idx => Some(prev),
+            match run.attempt.last_exec_device {
+                Some(prev) if run.attempt.kernel_attempts > 0 && prev != device_idx => Some(prev),
                 _ => None,
             }
         };
@@ -1726,7 +1740,7 @@ impl<'o> SimState<'o> {
                 }
             );
         }
-        self.live_mut(job).last_exec_device = Some(device_idx);
+        self.live_mut(job).attempt.last_exec_device = Some(device_idx);
         let Some(kernel) = run_of(&self.jobs, job).current_kernel() else {
             debug_assert!(false, "kernel dispatch outside a quantum phase");
             return Ok(());
@@ -1750,11 +1764,11 @@ impl<'o> SimState<'o> {
         };
         let index = {
             let run = self.live_mut(job);
-            run.phase_wait += exec.wait();
-            run.qpu_seconds_used += exec.service().as_secs_f64();
-            run.classical_started = None;
-            run.quantum_started = Some(now);
-            run.phase_idx
+            run.usage.phase_wait += exec.wait();
+            run.usage.qpu_seconds_used += exec.service().as_secs_f64();
+            run.attempt.classical_started = None;
+            run.attempt.quantum_started = Some(now);
+            run.progress.phase_idx
         };
         emit!(
             self,
@@ -1787,8 +1801,8 @@ impl<'o> SimState<'o> {
         // executed the shots, the result is garbage. The coin only flips
         // when a rate is configured, so fault-free runs never touch the
         // kernel-error stream.
-        let rate = self.device_faults().map_or(0.0, DeviceFaults::error_rate);
-        let failed = rate > 0.0 && self.kernel_error_rng.chance(rate);
+        let rate = self.faults.error_rate;
+        let failed = rate > 0.0 && self.faults.kernel_error_rng.chance(rate);
         let done = exec.end.saturating_add(overhead);
         let key = if failed {
             self.events
@@ -1797,8 +1811,8 @@ impl<'o> SimState<'o> {
             self.events.schedule(done, Event::KernelDone(job))
         };
         let run = self.live_mut(job);
-        run.pending_event = Some(key);
-        run.in_flight = Some(device_idx);
+        run.attempt.pending_event = Some(key);
+        run.attempt.in_flight = Some(device_idx);
         self.accrue_drift(device_idx, shots, now);
         Ok(())
     }
@@ -1810,11 +1824,7 @@ impl<'o> SimState<'o> {
         now: SimTime,
     ) -> Result<(), SimError> {
         self.close_classical(job, now);
-        let run = self.next_phase(job, now);
-        // Checkpoint progress is per-phase: a finished phase resets it.
-        run.completed_frac = 0.0;
-        run.last_checkpoint_at = None;
-        run.classical_end = None;
+        self.next_phase(job, now);
         driver.on_phase_advanced(&mut SimCtx { state: self, now }, job)?;
         self.advance(driver, job, now)
     }
@@ -1826,8 +1836,8 @@ impl<'o> SimState<'o> {
         now: SimTime,
     ) -> Result<(), SimError> {
         let run = self.live_mut(job);
-        run.in_flight = None;
-        run.kernel_attempts = 0;
+        run.attempt.in_flight = None;
+        run.attempt.kernel_attempts = 0;
         self.close_quantum(job, now);
         self.next_phase(job, now);
         // Malleable-style drivers re-expand (best-effort) before the next
@@ -1838,13 +1848,16 @@ impl<'o> SimState<'o> {
     }
 
     /// The current phase is over: retires its completion key and moves the
-    /// job to its next phase, remembering when this one ended.
-    fn next_phase(&mut self, job: JobId, now: SimTime) -> &mut JobRun {
+    /// job to its next phase, remembering when this one ended. Checkpoint
+    /// progress is per-phase, so the next phase starts without any.
+    fn next_phase(&mut self, job: JobId, now: SimTime) {
         let run = self.live_mut(job);
-        run.pending_event = None;
-        run.phase_idx += 1;
-        run.prev_phase_end = Some(now);
-        run
+        run.attempt.pending_event = None;
+        run.attempt.prev_phase_end = Some(now);
+        run.progress = Progress {
+            phase_idx: run.progress.phase_idx + 1,
+            ..Progress::default()
+        };
     }
 
     /// After a phase completes: next phase, next step, or done.
@@ -1856,7 +1869,7 @@ impl<'o> SimState<'o> {
     ) -> Result<(), SimError> {
         let (finished, plan) = {
             let run = self.live(job);
-            (run.phase_idx >= run.spec.phases().len(), run.plan)
+            (run.progress.phase_idx >= run.spec.phases().len(), run.plan)
         };
         match plan {
             SubmissionPlan::PerStep => {
@@ -1896,18 +1909,18 @@ impl<'o> SimState<'o> {
         // the release disarms the timer.
         let alloc_taken = {
             let run = self.live_mut(job);
-            run.kill_event = None;
-            run.alloc.take()
+            run.attempt.kill_event = None;
+            run.attempt.alloc.take()
         };
         let Some(alloc) = alloc_taken else {
             return Ok(());
         };
         let (nodes, qpus) = {
             let run = self.live_mut(job);
-            let nodes = run.alloc_nodes;
-            let qpus = run.qpu_alloc_units;
-            run.set_alloc_nodes(now, 0);
-            run.set_qpu_units(now, 0);
+            let nodes = run.usage.alloc_nodes;
+            let qpus = run.usage.qpu_alloc_units;
+            run.usage.set_alloc_nodes(now, 0);
+            run.usage.set_qpu_units(now, 0);
             (nodes, qpus)
         };
         // Shared (virtual) tokens are tracked per-job only: they are not
@@ -1959,16 +1972,16 @@ impl<'o> SimState<'o> {
             name: run.spec.name().to_string(),
             user: run.spec.user().to_string(),
             submit: run.spec.submit(),
-            start: run.first_start.unwrap_or(run.spec.submit()),
+            start: run.usage.first_start.unwrap_or(run.spec.submit()),
             end: now,
             nodes: run.spec.nodes(),
             hybrid: run.spec.is_hybrid(),
             completed,
-            node_seconds_allocated: run.node_seconds_alloc,
-            node_seconds_used: run.node_seconds_used,
-            qpu_seconds_allocated: run.qpu_seconds_alloc,
-            qpu_seconds_used: run.qpu_seconds_used,
-            phase_wait: run.phase_wait,
+            node_seconds_allocated: run.usage.node_seconds_alloc,
+            node_seconds_used: run.usage.node_seconds_used,
+            qpu_seconds_allocated: run.usage.qpu_seconds_alloc,
+            qpu_seconds_used: run.usage.qpu_seconds_used,
+            phase_wait: run.usage.phase_wait,
         };
         emit!(self, now, SimEvent::JobFinalized { record: &record });
     }
@@ -1980,22 +1993,26 @@ impl<'o> SimState<'o> {
         let crate::scenario::WalltimePolicy::Kill { .. } = self.scenario.walltime_policy else {
             return;
         };
-        let run = self.live(job);
-        debug_assert!(run.kill_event.is_none(), "{job} already has a kill timer");
-        let walltime = run.current_walltime;
+        let attempt = &self.live(job).attempt;
+        debug_assert!(
+            attempt.kill_event.is_none(),
+            "{job} already has a kill timer"
+        );
+        let walltime = attempt.current_walltime;
         if walltime.is_zero() {
             return;
         }
         let key = self
             .events
             .schedule(now.saturating_add(walltime), Event::KillJob(job));
-        self.live_mut(job).kill_event = Some(key);
+        self.live_mut(job).attempt.kill_event = Some(key);
     }
 
     /// Aborts the job's in-flight attempt: stops the current phase, fences
-    /// off its pending events (dropping their keys and bumping the epoch;
-    /// a kernel already on the device keeps executing — hardware queues
-    /// don't abort), and releases resources.
+    /// off the events no key tracks by bumping the epoch, and releases
+    /// resources. A kernel already on the device keeps executing (hardware
+    /// queues don't abort). The caller, [`SimState::requeue`], drops the
+    /// attempt and with it the keys of its pending events.
     fn abort_attempt(
         &mut self,
         driver: &mut dyn StrategyDriver,
@@ -2003,17 +2020,12 @@ impl<'o> SimState<'o> {
         now: SimTime,
     ) -> Result<(), SimError> {
         self.close_classical(job, now);
-        let queued = {
-            let run = self.live_mut(job);
-            run.epoch += 1;
-            run.in_flight = None;
-            run.pending_event = None;
-            run.kill_event = None;
-            run.queued_qid.take()
-        };
+        self.close_quantum(job, now);
+        let run = self.live_mut(job);
+        run.epoch += 1;
         // A not-yet-started submission must leave the batch queue with the
         // attempt, or it would later start a job that no longer exists.
-        if let Some(qid) = queued {
+        if let Some(qid) = run.attempt.queued_qid.take() {
             self.scheduler.cancel(JobId::new(qid));
             self.queue_map.remove(&qid);
         }
@@ -2040,34 +2052,9 @@ impl<'o> SimState<'o> {
         }
     }
 
-    // ----- SimCtx capabilities --------------------------------------------
-
-    pub(crate) fn spec(&self, job: JobId) -> &JobSpec {
-        &self.live(job).spec
-    }
-
-    pub(crate) fn held_nodes(&self, job: JobId) -> u32 {
-        self.live(job).alloc_nodes
-    }
-
-    pub(crate) fn phase_index(&self, job: JobId) -> usize {
-        self.live(job).phase_idx
-    }
-
-    pub(crate) fn last_wait(&self, job: JobId, now: SimTime) -> SimDuration {
-        now.saturating_since(self.live(job).queued_at)
-    }
-
-    pub(crate) fn free_classical_nodes(&self) -> Result<u32, SimError> {
-        Ok(self.cluster.free_nodes("classical")?)
-    }
-
-    pub(crate) fn queue_depth(&self) -> usize {
-        self.scheduler.pending_len()
-    }
-
-    pub(crate) fn device_count(&self) -> usize {
-        self.devices.len()
+    /// Queue wait of `job`'s most recent submission up to `now`.
+    fn last_wait(&self, job: JobId, now: SimTime) -> SimDuration {
+        now.saturating_since(self.live(job).attempt.queued_at)
     }
 
     /// The slowest capable device's mean job time for `kernel`, seconds.
@@ -2075,7 +2062,7 @@ impl<'o> SimState<'o> {
     /// timing must not drive planning for a kernel it can never run —
     /// falling back to all devices when none is capable (the simulation
     /// will error on such a kernel anyway; the estimate stays finite).
-    pub(crate) fn worst_case_device_secs(&self, kernel: &Kernel) -> f64 {
+    fn worst_case_device_secs(&self, kernel: &Kernel) -> f64 {
         let any_capable = self.devices.iter().any(|d| d.qubits() >= kernel.qubits());
         self.devices
             .iter()
@@ -2083,29 +2070,112 @@ impl<'o> SimState<'o> {
             .map(|d| d.timing().mean_job_secs(kernel.shots()))
             .fold(0.0_f64, f64::max)
     }
+}
 
-    /// Shrinks `job`'s allocation down to `target` nodes; returns nodes
-    /// released (0 when already at/below target or unallocated).
-    pub(crate) fn shrink_to(
-        &mut self,
-        job: JobId,
-        target: u32,
-        now: SimTime,
-    ) -> Result<u32, SimError> {
-        let (alloc, held) = {
-            let run = self.live(job);
-            (run.alloc, run.alloc_nodes)
+impl SimCtx<'_, '_> {
+    /// The current simulation time.
+    pub fn now(&self) -> SimTime {
+        self.now
+    }
+
+    /// The job's immutable specification.
+    pub fn spec(&self, job: JobId) -> &JobSpec {
+        &self.state.live(job).spec
+    }
+
+    /// Classical nodes the job currently holds (0 while queued).
+    pub fn held_nodes(&self, job: JobId) -> u32 {
+        self.state.live(job).usage.alloc_nodes
+    }
+
+    /// The job's current phase index.
+    pub fn phase_index(&self, job: JobId) -> usize {
+        self.state.live(job).progress.phase_idx
+    }
+
+    /// `true` if the job has a next phase and it is classical.
+    pub fn next_phase_is_classical(&self, job: JobId) -> bool {
+        let run = self.state.live(job);
+        matches!(
+            run.spec.phases().get(run.progress.phase_idx),
+            Some(Phase::Classical(_))
+        )
+    }
+
+    /// Queue wait of the job's most recent submission up to now.
+    pub fn last_wait(&self, job: JobId) -> SimDuration {
+        self.state.last_wait(job, self.now)
+    }
+
+    /// Currently free nodes in the classical partition.
+    ///
+    /// # Errors
+    ///
+    /// [`SimError::Cluster`] if the machine has no classical partition
+    /// (configuration inconsistency).
+    pub fn free_nodes(&self) -> Result<u32, SimError> {
+        Ok(self.state.cluster.free_nodes("classical")?)
+    }
+
+    /// Jobs waiting in the batch queue right now.
+    pub fn queue_depth(&self) -> usize {
+        self.state.scheduler.pending_len()
+    }
+
+    /// Physical QPU devices on the machine.
+    pub fn device_count(&self) -> usize {
+        self.state.devices.len()
+    }
+
+    /// Planning estimate of one quantum phase of `job`, seconds: the mean
+    /// over its kernels of the slowest capable device's mean job time.
+    /// Zero for jobs without quantum phases.
+    pub fn estimate_quantum_secs(&self, job: JobId) -> f64 {
+        let spec = self.spec(job);
+        let count = spec.kernels().count();
+        if count == 0 {
+            return 0.0;
+        }
+        let total: f64 = spec
+            .kernels()
+            .map(|kernel| self.state.worst_case_device_secs(kernel))
+            .sum();
+        total / count as f64
+    }
+
+    /// Mean duration of the job's classical phases, seconds (zero when it
+    /// has none).
+    pub fn mean_classical_secs(&self, job: JobId) -> f64 {
+        let spec = self.spec(job);
+        let classical = spec.phases().len() - spec.quantum_phase_count();
+        if classical == 0 {
+            0.0
+        } else {
+            spec.total_classical().as_secs_f64() / classical as f64
+        }
+    }
+
+    /// Shrinks the job's node allocation down to `target` nodes (no-op if
+    /// it already holds `target` or fewer, or holds no allocation).
+    /// Returns the number of nodes released.
+    ///
+    /// # Errors
+    ///
+    /// [`SimError::Cluster`] if the cluster rejects the shrink.
+    pub fn shrink_to(&mut self, job: JobId, target: u32) -> Result<u32, SimError> {
+        let (state, now) = (&mut *self.state, self.now);
+        let run = state.live(job);
+        let (Some(alloc), held) = (run.attempt.alloc, run.usage.alloc_nodes) else {
+            return Ok(0);
         };
-        let Some(alloc) = alloc else { return Ok(0) };
         if held <= target {
             return Ok(0);
         }
-        let released = self.cluster.shrink(alloc, "classical", target, now)?;
-        let run = self.live_mut(job);
-        run.set_alloc_nodes(now, target);
+        let released = state.cluster.shrink(alloc, "classical", target, now)?;
+        state.live_mut(job).usage.set_alloc_nodes(now, target);
         let count = released.len() as u32;
         emit!(
-            self,
+            state,
             now,
             SimEvent::AllocationChanged {
                 job,
@@ -2116,33 +2186,32 @@ impl<'o> SimState<'o> {
         Ok(count)
     }
 
-    /// Best-effort expansion of `job` toward `target` nodes; returns the
-    /// nodes granted (0 when the machine is busy or the job unallocated).
-    pub(crate) fn expand_toward(
-        &mut self,
-        job: JobId,
-        target: u32,
-        now: SimTime,
-    ) -> Result<u32, SimError> {
-        let (alloc, held) = {
-            let run = self.live(job);
-            (run.alloc, run.alloc_nodes)
+    /// Best-effort expansion of the job's node allocation toward `target`:
+    /// grants `min(free, target - held)` nodes, zero when the machine is
+    /// busy or the job holds no allocation. Returns the nodes granted.
+    ///
+    /// # Errors
+    ///
+    /// [`SimError::Cluster`] if the cluster rejects the expansion.
+    pub fn expand_toward(&mut self, job: JobId, target: u32) -> Result<u32, SimError> {
+        let (state, now) = (&mut *self.state, self.now);
+        let run = state.live(job);
+        let (Some(alloc), held) = (run.attempt.alloc, run.usage.alloc_nodes) else {
+            return Ok(0);
         };
-        let Some(alloc) = alloc else { return Ok(0) };
         if held >= target {
             return Ok(0);
         }
-        let free = self.cluster.free_nodes("classical")?;
+        let free = state.cluster.free_nodes("classical")?;
         let grant = free.min(target - held);
         if grant == 0 {
             return Ok(0);
         }
-        let added = self.cluster.expand(alloc, "classical", grant, now)?;
+        let added = state.cluster.expand(alloc, "classical", grant, now)?;
         let count = added.len() as u32;
-        let run = self.live_mut(job);
-        run.set_alloc_nodes(now, held + count);
+        state.live_mut(job).usage.set_alloc_nodes(now, held + count);
         emit!(
-            self,
+            state,
             now,
             SimEvent::AllocationChanged {
                 job,
@@ -2587,11 +2656,37 @@ mod tests {
         let mut sc = scenario(Strategy::CoSchedule);
         sc.devices = vec![Technology::NeutralAtom];
         sc.walltime_policy = WalltimePolicy::Kill { max_requeues: 0 };
-        let out = FacilitySim::run(&sc, &Workload::from_jobs(vec![job])).unwrap();
+
+        /// Records when each quantum phase ends.
+        #[derive(Debug, Default)]
+        struct QuantumEnds(Vec<SimTime>);
+        impl SimObserver for QuantumEnds {
+            fn on_event(&mut self, now: SimTime, event: &SimEvent<'_>) {
+                if let SimEvent::PhaseEnded {
+                    kind: PhaseKind::Quantum,
+                    ..
+                } = event
+                {
+                    self.0.push(now);
+                }
+            }
+        }
+        let mut ends = QuantumEnds::default();
+        let out = FacilitySim::run_observed(&sc, &Workload::from_jobs(vec![job]), &mut [&mut ends])
+            .unwrap();
         assert_eq!(out.stats.failed_count(), 1);
         assert_eq!(out.stats.records()[0].end, SimTime::from_secs(60));
+        // The kill closes the quantum phase it interrupts.
+        assert_eq!(ends.0, vec![SimTime::from_secs(60)]);
         // Device still shows the kernel's busy time (it could not abort).
         assert!(out.devices[0].busy_seconds > 0.0);
+    }
+
+    #[test]
+    fn job_run_stays_within_its_size_budget() {
+        // The live-job table boxes one `JobRun` per job in flight; grouping
+        // its state by lifetime must not grow it through padding.
+        assert!(std::mem::size_of::<JobRun>() <= 496);
     }
 
     #[test]

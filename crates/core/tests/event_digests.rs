@@ -200,7 +200,7 @@ const FENCES: [FenceCase; 7] = [
     ("co-schedule kill checkpoint", 120, 2723, "037cd4f5de0c3d30", "72f1a1734c307f6f"),
     ("workflow kill checkpoint", 120, 5602, "f10cabb140f2f83a", "2ff06f02dabc2a0d"),
     ("workflow kill degraded", 240, 11124, "333811608b83ed21", "0bc51615223c5c5b"),
-    ("adaptive hetero pin-first kill degraded", 120, 4988, "7b66062e4d509a80", "d75220c7863f5f21"),
+    ("adaptive hetero pin-first kill degraded", 120, 4993, "a6e73100a3821c1c", "d75220c7863f5f21"),
 ];
 
 /// The burst that opens a trickle: enough jobs to hold about a hundred

@@ -4,12 +4,14 @@
 //! recovery knobs), with or without walltime kills, the simulator never
 //! loses a job (every job finalizes exactly once, as completed or
 //! failed), never spends more retries or requeues than the plan's caps
-//! allow, and stays byte-deterministic for a fixed seed.
+//! allow, closes every phase it opens before the job moves on, and stays
+//! byte-deterministic for a fixed seed.
 //!
-//! The accounting properties also run at 1,000 cases, for release builds:
+//! The accounting and phase-pairing properties also run at 1,000 cases,
+//! for release builds:
 //! `cargo test --release -p hpcqc-core --test proptest_faults -- --ignored`.
 
-use hpcqc_core::observer::{SimEvent, SimObserver};
+use hpcqc_core::observer::{PhaseKind, SimEvent, SimObserver};
 use hpcqc_core::scenario::{Scenario, WalltimePolicy};
 use hpcqc_core::sim::FacilitySim;
 use hpcqc_core::strategy::Strategy;
@@ -233,6 +235,62 @@ fn assert_caps_hold(workload: &Workload, scenario: &Scenario, plan: &FaultPlan) 
     }
 }
 
+/// Checks phase pairing per job, keyed by name: every `PhaseStarted` is
+/// followed by its `PhaseEnded` (same kind and index) before the job's
+/// next `PhaseStarted`, `JobSubmitted` or `JobFinalized`.
+#[derive(Debug, Default)]
+struct PhasePairing {
+    open: std::collections::BTreeMap<String, (PhaseKind, usize)>,
+    violations: Vec<String>,
+}
+
+impl PhasePairing {
+    /// `name` moves on at `now` by `what`: no phase of it may be open.
+    fn expect_closed(&mut self, now: SimTime, name: &str, what: &str) {
+        if let Some((kind, index)) = self.open.remove(name) {
+            self.violations.push(format!(
+                "{name}: {what} at {now} with {kind:?} phase {index} open"
+            ));
+        }
+    }
+}
+
+impl SimObserver for PhasePairing {
+    fn on_event(&mut self, now: SimTime, event: &SimEvent<'_>) {
+        match event {
+            SimEvent::PhaseStarted {
+                name, kind, index, ..
+            } => {
+                self.expect_closed(now, name, "PhaseStarted");
+                self.open.insert(name.to_string(), (*kind, *index));
+            }
+            SimEvent::PhaseEnded {
+                name, kind, index, ..
+            } => {
+                let open = self.open.remove(*name);
+                if open != Some((*kind, *index)) {
+                    self.violations.push(format!(
+                        "{name}: PhaseEnded at {now} of {kind:?} phase {index}, which is not open"
+                    ));
+                }
+            }
+            SimEvent::JobSubmitted { name, .. } => self.expect_closed(now, name, "JobSubmitted"),
+            SimEvent::JobFinalized { record } => {
+                self.expect_closed(now, &record.name, "JobFinalized");
+            }
+            _ => {}
+        }
+    }
+}
+
+/// Every phase a job opens is closed before the job starts another phase,
+/// resubmits or finalizes: kills and fault requeues included.
+fn assert_phases_pair_up(workload: &Workload, scenario: &Scenario) {
+    let mut pairing = PhasePairing::default();
+    FacilitySim::run_observed(scenario, workload, &mut [&mut pairing]).expect("valid scenario");
+    assert!(pairing.violations.is_empty(), "{:?}", pairing.violations);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
@@ -279,6 +337,24 @@ proptest! {
 }
 
 proptest! {
+    // An abort that lands mid-kernel is rare here (superconducting kernels
+    // run for seconds), so the debug run takes more cases than the others:
+    // 256 of them still take well under a second.
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn phases_pair_up_under_kills_and_faults(
+        workload in workload_strategy(),
+        plan in plan_strategy(),
+        strategy in strategy_strategy(),
+        walltime in walltime_strategy(),
+        seed in any::<u64>(),
+    ) {
+        assert_phases_pair_up(&workload, &scenario_of(strategy, seed, &plan, walltime));
+    }
+}
+
+proptest! {
     #![proptest_config(ProptestConfig::with_cases(1_000))]
 
     /// Both accounting properties at 1,000 cases, for release builds (see
@@ -295,5 +371,18 @@ proptest! {
         let scenario = scenario_of(strategy, seed, &plan, walltime);
         assert_no_job_lost(&workload, &scenario, &plan);
         assert_caps_hold(&workload, &scenario, &plan);
+    }
+
+    /// The phase-pairing property at 1,000 cases, for release builds.
+    #[test]
+    #[ignore = "1,000 cases; run in release"]
+    fn phases_pair_up_at_depth(
+        workload in workload_strategy(),
+        plan in plan_strategy(),
+        strategy in strategy_strategy(),
+        walltime in walltime_strategy(),
+        seed in any::<u64>(),
+    ) {
+        assert_phases_pair_up(&workload, &scenario_of(strategy, seed, &plan, walltime));
     }
 }

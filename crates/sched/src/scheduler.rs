@@ -423,8 +423,6 @@ pub struct BatchScheduler {
     /// Each queued job's submit-time entry, by [`JobId::raw`].
     queued: QueuedTable,
     running: RunningSet,
-    total_started: u64,
-    total_finished: u64,
     last_holds: Vec<(JobId, HoldReason)>,
     /// The entries of `last_holds` whose reason differs from the one last
     /// reported for that job (see [`BatchScheduler::hold_changes`]).
@@ -448,8 +446,6 @@ impl BatchScheduler {
             pending: Vec::new(),
             queued: IdWindow::new(),
             running: IdMap::new(),
-            total_started: 0,
-            total_finished: 0,
             last_holds: Vec::new(),
             hold_changes: Vec::new(),
             since: Since::default(),
@@ -509,16 +505,6 @@ impl BatchScheduler {
     /// policy's preference order with the started jobs removed).
     pub fn pending(&self) -> &[PendingJob] {
         &self.pending
-    }
-
-    /// Jobs currently running.
-    pub fn running_len(&self) -> usize {
-        self.running.len()
-    }
-
-    /// Total jobs ever started.
-    pub fn total_started(&self) -> u64 {
-        self.total_started
     }
 
     /// The multifactor priority of a queued (or hypothetical) job at
@@ -662,7 +648,6 @@ impl BatchScheduler {
             f64::from(running.node_count) * now.saturating_since(running.started).as_secs_f64();
         self.priority
             .record_usage_by_id(running.user, node_seconds, now);
-        self.total_finished += 1;
         Some(running.job)
     }
 
@@ -946,7 +931,6 @@ impl BatchScheduler {
             kept += 1;
         }
         self.pending.truncate(kept);
-        self.total_started += started.len() as u64;
         let end = CycleEnd {
             now,
             version: cluster.version(),
@@ -1369,7 +1353,6 @@ impl BatchScheduler {
             self.last_holds
                 .retain(|(id, _)| queued.get(id.raw()).is_some());
         }
-        self.total_started += started.len() as u64;
         let end = CycleEnd {
             free: plan.free,
             any_fits,
@@ -1653,7 +1636,7 @@ mod tests {
         let second = s.try_schedule(&mut c, end);
         assert_eq!(second.len(), 1);
         assert_eq!(second[0].job, JobId::new(1));
-        assert_eq!(s.total_started(), 2);
+        assert_eq!(first.len() + second.len(), 2, "both jobs started once");
     }
 
     /// Submits `request` to an empty EASY scheduler on `cluster(10)` and

@@ -502,9 +502,10 @@ fn write_json_f64(out: &mut String, v: f64) {
 /// Strictly validates that `s` is one complete JSON value (RFC 8259
 /// syntax: objects, arrays, strings, numbers, booleans, null).
 ///
-/// The vendored `serde_json` subset has no dynamic `Value` type, so this
-/// checker is what the tests and the CI `trace-smoke` step use to assert
-/// that emitted traces parse.
+/// The vendored `serde_json` parser is lenient: it accepts raw control
+/// characters inside strings, which RFC 8259 forbids. This checker
+/// rejects them, so it is what the tests and the CI `trace-smoke` step
+/// use to assert that emitted traces parse.
 ///
 /// # Errors
 ///
@@ -755,6 +756,15 @@ mod tests {
         assert!(check_json("\"unterminated").is_err());
         assert!(check_json("{} trailing").is_err());
         assert!(check_json("01abc").is_err());
+    }
+
+    /// The reason `check_json` exists next to the vendored parser: should
+    /// `serde_json` ever reject this string, the validator can go.
+    #[test]
+    fn check_json_is_stricter_than_the_vendored_parser() {
+        let raw_control = "\"a\u{1}b\"";
+        assert!(check_json(raw_control).is_err());
+        assert!(serde_json::from_str::<serde::Value>(raw_control).is_ok());
     }
 
     #[test]
