@@ -882,31 +882,26 @@ impl<'o> SimState<'o> {
             if let Some(at) = now.checked_add(repair_in) {
                 self.events.schedule(at, Event::NodeRepair(node));
             }
-            // The owner's job is the live job holding that allocation.
+            // The owner's job is the live job holding that allocation. With
+            // checkpoint-restart it keeps its phase and re-does only the
+            // work since its last durable checkpoint.
+            let checkpointed = self.faults.checkpoint.is_some();
             let victim = owner.and_then(|alloc| {
-                self.jobs
+                let (raw, run) = self
+                    .jobs
                     .iter()
-                    .find(|(_, run)| run.attempt.alloc == Some(alloc))
-                    .map(|(raw, _)| JobId::new(raw))
+                    .find(|(_, r)| r.attempt.alloc == Some(alloc))?;
+                let rewind = run.attempt.classical_started.filter(|_| checkpointed);
+                let rewind = rewind.map(|started| {
+                    let from = run
+                        .progress
+                        .last_checkpoint_at
+                        .map_or(started, |c| c.max(started));
+                    run.attempt.classical_active_nodes * now.saturating_since(from).as_secs_f64()
+                });
+                Some((JobId::new(raw), rewind))
             });
-            if let Some(job) = victim {
-                // With checkpoint-restart the job keeps its phase and
-                // re-does only the work since its last durable checkpoint.
-                let run = self.live(job);
-                let attempt = &run.attempt;
-                let checkpoint_rewind = match (&self.faults.checkpoint, attempt.classical_started) {
-                    (Some(_), Some(started)) => {
-                        let from = run
-                            .progress
-                            .last_checkpoint_at
-                            .map_or(started, |c| c.max(started));
-                        Some(
-                            attempt.classical_active_nodes
-                                * now.saturating_since(from).as_secs_f64(),
-                        )
-                    }
-                    _ => None,
-                };
+            if let Some((job, checkpoint_rewind)) = victim {
                 self.requeue_after_fault(driver, job, checkpoint_rewind, now)?;
             }
         }
@@ -1336,15 +1331,9 @@ impl<'o> SimState<'o> {
                 return Ok(device);
             }
         }
-        let best = self
-            .devices
-            .iter()
-            .map(QpuDevice::qubits)
-            .max()
-            .unwrap_or(0);
         Err(SimError::Qpu(QpuError::KernelTooLarge {
             requested: need,
-            available: best,
+            available: self.most_qubits(),
         }))
     }
 
@@ -1597,7 +1586,6 @@ impl<'o> SimState<'o> {
             return;
         };
         let nodes = run.attempt.classical_active_nodes;
-        run.attempt.classical_active_nodes = 0.0;
         run.usage.node_seconds_used += nodes * now.saturating_since(started).as_secs_f64();
         let index = run.progress.phase_idx;
         emit!(
@@ -1684,12 +1672,7 @@ impl<'o> SimState<'o> {
             }
             // Distinguish "no device is large enough" from fleet-metadata
             // refusals (down devices, shot caps).
-            let best = self
-                .devices
-                .iter()
-                .map(QpuDevice::qubits)
-                .max()
-                .unwrap_or(0);
+            let best = self.most_qubits();
             return Err(SimError::Qpu(if best < kernel.qubits() {
                 QpuError::KernelTooLarge {
                     requested: kernel.qubits(),
@@ -1907,22 +1890,14 @@ impl<'o> SimState<'o> {
         // step's timer must not keep ticking into the next queue wait
         // (SLURM bills walltime per job step, not across the gaps), so
         // the release disarms the timer.
-        let alloc_taken = {
-            let run = self.live_mut(job);
-            run.attempt.kill_event = None;
-            run.attempt.alloc.take()
-        };
-        let Some(alloc) = alloc_taken else {
+        let run = self.live_mut(job);
+        run.attempt.kill_event = None;
+        let Some(alloc) = run.attempt.alloc.take() else {
             return Ok(());
         };
-        let (nodes, qpus) = {
-            let run = self.live_mut(job);
-            let nodes = run.usage.alloc_nodes;
-            let qpus = run.usage.qpu_alloc_units;
-            run.usage.set_alloc_nodes(now, 0);
-            run.usage.set_qpu_units(now, 0);
-            (nodes, qpus)
-        };
+        let (nodes, qpus) = (run.usage.alloc_nodes, run.usage.qpu_alloc_units);
+        run.usage.set_alloc_nodes(now, 0);
+        run.usage.set_qpu_units(now, 0);
         // Shared (virtual) tokens are tracked per-job only: they are not
         // an exclusive physical hold, so they never entered the exclusive
         // allocation integral and must not leave it either.
@@ -2050,6 +2025,15 @@ impl<'o> SimState<'o> {
             Some(_) => self.on_submit(driver, job, now),
             None => Ok(()),
         }
+    }
+
+    /// The qubit count of the largest device.
+    fn most_qubits(&self) -> u32 {
+        self.devices
+            .iter()
+            .map(QpuDevice::qubits)
+            .max()
+            .unwrap_or(0)
     }
 
     /// Queue wait of `job`'s most recent submission up to `now`.
