@@ -180,7 +180,9 @@ struct JobRun {
     progress: Progress,
 }
 
-/// One attempt of a job: from its submission to its completion or abort.
+/// One attempt of a job: from its (re)submission to its completion or
+/// abort. A per-step job keeps one attempt across its steps; a requeue
+/// replaces it.
 #[derive(Debug, Default)]
 struct Attempt {
     alloc: Option<AllocationId>,
