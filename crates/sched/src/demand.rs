@@ -13,21 +13,44 @@
 //! A [`Profile`] is a piecewise-constant map `time → free Demand`,
 //! constructed from the cluster's current free capacity plus the expected
 //! release times of running jobs; reservations carve capacity out of it.
+//!
+//! # Width
+//!
+//! Both types are generic over their lane count `N`, which defaults to
+//! [`MAX_SLOTS`]: `Demand` and `Profile` name that width, every public
+//! `Demand` constructor builds it, and the scheduler's
+//! [`availability_profile`](crate::BatchScheduler::availability_profile)
+//! returns it. The scheduler stores its demands and profiles at width 4
+//! while the machine has at most 4 slots, and at width [`MAX_SLOTS`]
+//! otherwise; 16 slots stay the limit. A lane past the machine's last
+//! slot is 0 at either width, so the arithmetic answers the same, and
+//! the narrow vector is 16 bytes, not 64, in every queued job, running
+//! job and profile segment.
 
 use hpcqc_cluster::alloc::AllocRequest;
 use hpcqc_cluster::cluster::Cluster;
 use hpcqc_cluster::gres::GresKind;
 use hpcqc_simcore::time::{SimDuration, SimTime};
 
-/// The number of resource slots a [`Demand`] holds. A cluster's slots
-/// past this many cannot be planned for: [`Demand::resolve`] rejects a
-/// request that needs one.
+/// The number of resource slots a [`Demand`] holds, and the most a
+/// machine can have planned: a cluster's slots past this many cannot be
+/// planned for, and [`Demand::resolve`] rejects a request that needs
+/// one. The scheduler stores demands at width 4 while the machine has at
+/// most 4 slots, and at this width otherwise (see
+/// [Width](self#width)).
 pub const MAX_SLOTS: usize = 16;
 
-/// A flat resource vector: units per cluster resource slot.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct Demand {
-    units: [u32; MAX_SLOTS],
+/// A flat resource vector: units per cluster resource slot, over `N`
+/// lanes (see [Width](self#width)).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Demand<const N: usize = MAX_SLOTS> {
+    units: [u32; N],
+}
+
+impl<const N: usize> Default for Demand<N> {
+    fn default() -> Self {
+        Demand { units: [0; N] }
+    }
 }
 
 impl Demand {
@@ -86,13 +109,32 @@ impl Demand {
     /// needs a slot past [`MAX_SLOTS`]. Amounts above the machine's total
     /// are not checked here (see [`Demand::capacity_of`]).
     pub fn resolve(request: &AllocRequest, cluster: &Cluster) -> Result<Self, String> {
+        Demand::resolve_in(request, cluster)
+    }
+
+    /// The currently free capacity of a cluster, as a demand vector.
+    pub fn free_of(cluster: &Cluster) -> Self {
+        Demand::free_in(cluster)
+    }
+
+    /// The total capacity of a cluster (failed nodes included), as a
+    /// demand vector.
+    pub fn capacity_of(cluster: &Cluster) -> Self {
+        Demand::capacity_in(cluster)
+    }
+}
+
+impl<const N: usize> Demand<N> {
+    /// [`Demand::resolve`] at width `N`: a slot past `N` lies beyond the
+    /// vector.
+    pub(crate) fn resolve_in(request: &AllocRequest, cluster: &Cluster) -> Result<Self, String> {
         let beyond = |slot: usize| {
             format!(
-                "{} lies beyond the {MAX_SLOTS} resource slots the scheduler tracks",
+                "{} lies beyond the {N} resource slots the scheduler tracks",
                 cluster.slot_label(slot)
             )
         };
-        let mut d = Demand::new();
+        let mut d = Demand::default();
         for g in request.groups() {
             if cluster.partition(&g.partition).is_none() {
                 return Err(format!("no partition `{}`", g.partition));
@@ -121,33 +163,43 @@ impl Demand {
         Ok(d)
     }
 
-    /// Adds `n` units to `slot`; `None` if the slot is past [`MAX_SLOTS`].
-    fn add_units(&mut self, slot: usize, n: u32) -> Option<()> {
-        let units = self.units.get_mut(slot)?;
-        *units = units.saturating_add(n);
-        Some(())
-    }
-
-    /// The currently free capacity of a cluster, as a demand vector.
-    pub fn free_of(cluster: &Cluster) -> Self {
-        let mut d = Demand::new();
+    /// [`Demand::free_of`] at width `N`.
+    pub(crate) fn free_in(cluster: &Cluster) -> Self {
+        let mut d = Demand::default();
         for (slot, units) in d.units.iter_mut().enumerate().take(cluster.slots().len()) {
             *units = cluster.slot_free(slot);
         }
         d
     }
 
-    /// The total capacity of a cluster (failed nodes included), as a
-    /// demand vector.
-    pub fn capacity_of(cluster: &Cluster) -> Self {
-        let mut d = Demand::new();
+    /// [`Demand::capacity_of`] at width `N`.
+    pub(crate) fn capacity_in(cluster: &Cluster) -> Self {
+        let mut d = Demand::default();
         for (units, slot) in d.units.iter_mut().zip(cluster.slots()) {
             *units = slot.capacity();
         }
         d
     }
 
-    /// Units in `slot`; 0 past [`MAX_SLOTS`].
+    /// The same units at width `M`, which must not be narrower than `N`
+    /// for the copy to keep them all.
+    pub(crate) fn widen<const M: usize>(&self) -> Demand<M> {
+        debug_assert!(M >= N, "widening {N} lanes to {M}");
+        let mut d = Demand::default();
+        for (wide, narrow) in d.units.iter_mut().zip(&self.units) {
+            *wide = *narrow;
+        }
+        d
+    }
+
+    /// Adds `n` units to `slot`; `None` if the slot is past the vector.
+    fn add_units(&mut self, slot: usize, n: u32) -> Option<()> {
+        let units = self.units.get_mut(slot)?;
+        *units = units.saturating_add(n);
+        Some(())
+    }
+
+    /// Units in `slot`; 0 past the vector.
     pub fn get(&self, slot: usize) -> u32 {
         self.units.get(slot).copied().unwrap_or(0)
     }
@@ -158,13 +210,13 @@ impl Demand {
     }
 
     /// Component-wise: does `self` (a free vector) cover `other` (a demand)?
-    pub fn covers(&self, other: &Demand) -> bool {
+    pub fn covers(&self, other: &Self) -> bool {
         self.first_short(other).is_none()
     }
 
     /// The first slot in which `self` (a free vector) falls short of
     /// `other` (a demand), if any.
-    pub(crate) fn first_short(&self, other: &Demand) -> Option<usize> {
+    pub(crate) fn first_short(&self, other: &Self) -> Option<usize> {
         self.units
             .iter()
             .zip(&other.units)
@@ -172,14 +224,14 @@ impl Demand {
     }
 
     /// Component-wise saturating subtraction (`self -= other`).
-    pub fn subtract(&mut self, other: &Demand) {
+    pub fn subtract(&mut self, other: &Self) {
         for (a, b) in self.units.iter_mut().zip(&other.units) {
             *a = a.saturating_sub(*b);
         }
     }
 
     /// Component-wise addition (`self += other`).
-    pub fn add(&mut self, other: &Demand) {
+    pub fn add(&mut self, other: &Self) {
         for (a, b) in self.units.iter_mut().zip(&other.units) {
             *a += b;
         }
@@ -224,12 +276,12 @@ impl Demand {
 /// instant, so every `fits`, `find_slot` and `free_at` before the
 /// horizon answers the same, and only the segment lists differ.
 #[derive(Debug, Clone, PartialEq)]
-pub struct Profile {
+pub struct Profile<const N: usize = MAX_SLOTS> {
     times: Vec<SimTime>,
-    free: Vec<Demand>,
+    free: Vec<Demand<N>>,
 }
 
-impl Profile {
+impl<const N: usize> Profile<N> {
     /// Builds the availability profile seen at `now`: current free capacity
     /// plus the capacity each running job returns at its expected end.
     ///
@@ -238,24 +290,26 @@ impl Profile {
     /// is optimistically assumed to finish imminently — re-planning happens
     /// on every completion event anyway, and real starts always re-validate
     /// against the live cluster).
-    pub fn build(now: SimTime, current_free: Demand, releases: &[(SimTime, Demand)]) -> Self {
+    pub fn build(now: SimTime, current_free: Demand<N>, releases: &[(SimTime, Demand<N>)]) -> Self {
         Profile::from_releases(now, current_free, releases.iter().map(|(t, d)| (*t, d)))
     }
 
-    /// [`Profile::build`] over any iterator of releases.
-    pub(crate) fn from_releases<'d>(
+    /// [`Profile::build`] over any iterator of releases, whose demands
+    /// may be narrower than the profile's.
+    pub(crate) fn from_releases<'d, const M: usize>(
         now: SimTime,
-        mut current_free: Demand,
-        releases: impl Iterator<Item = (SimTime, &'d Demand)>,
+        mut current_free: Demand<N>,
+        releases: impl Iterator<Item = (SimTime, &'d Demand<M>)>,
     ) -> Self {
-        let mut events: Vec<(SimTime, &Demand)> = releases.map(|(t, d)| (t.max(now), d)).collect();
+        let mut events: Vec<(SimTime, &Demand<M>)> =
+            releases.map(|(t, d)| (t.max(now), d)).collect();
         events.sort_by_key(|(t, _)| *t);
         let mut times = Vec::with_capacity(events.len() + 1);
         let mut free = Vec::with_capacity(events.len() + 1);
         times.push(now);
         free.push(current_free);
         for (t, d) in events {
-            current_free.add(d);
+            current_free.add(&d.widen());
             if times.last() == Some(&t) {
                 if let Some(slot) = free.last_mut() {
                     *slot = current_free;
@@ -274,12 +328,12 @@ impl Profile {
     }
 
     /// The free capacity at instant `t`.
-    pub fn free_at(&self, t: SimTime) -> &Demand {
+    pub fn free_at(&self, t: SimTime) -> &Demand<N> {
         &self.free[self.segment_at(t)]
     }
 
     /// `true` if `demand` fits everywhere in `[start, start + duration)`.
-    pub fn fits(&self, demand: &Demand, start: SimTime, duration: SimDuration) -> bool {
+    pub fn fits(&self, demand: &Demand<N>, start: SimTime, duration: SimDuration) -> bool {
         let end = start.saturating_add(duration);
         let first = self.segment_at(start);
         self.times[first..]
@@ -294,7 +348,7 @@ impl Profile {
     /// Candidate starts are segment boundaries (capacity only ever changes
     /// there), so the search is exact. Returns [`SimTime::MAX`] if the
     /// demand can never fit (it exceeds total capacity).
-    pub fn find_slot(&self, demand: &Demand, duration: SimDuration, from: SimTime) -> SimTime {
+    pub fn find_slot(&self, demand: &Demand<N>, duration: SimDuration, from: SimTime) -> SimTime {
         if demand.is_empty() {
             return from;
         }
@@ -314,7 +368,7 @@ impl Profile {
 
     /// Carves `demand` out of the profile over `[start, start + duration)`,
     /// splitting segments at the boundaries as needed.
-    pub fn reserve(&mut self, demand: &Demand, start: SimTime, duration: SimDuration) {
+    pub fn reserve(&mut self, demand: &Demand<N>, start: SimTime, duration: SimDuration) {
         let end = start.saturating_add(duration);
         self.split_at(start);
         if end < SimTime::MAX {

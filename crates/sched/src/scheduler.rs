@@ -12,7 +12,7 @@
 //! pays one queue wait per step, and that wait depends directly on the
 //! queue policy in force.
 
-use crate::demand::{Demand, Profile};
+use crate::demand::{Demand, Profile, MAX_SLOTS};
 use crate::policy::{Discipline, HoldReason, PolicySpec};
 use crate::priority::{PriorityCalculator, UserId};
 use crate::probe::{CyclePhase, CycleProbe, NoProbe};
@@ -111,15 +111,15 @@ pub const MAX_QUEUE_ID_SPAN: u64 = 1 << 24;
 
 /// The per-job table of queued entries: an [`IdWindow`] keyed by
 /// [`JobId::raw`], so a lookup is a subtraction, not a tree search.
-type QueuedTable = IdWindow<Queued>;
+type QueuedTable<const N: usize> = IdWindow<Queued<N>>;
 
 /// A queued job's submit-time entry: everything a cycle reads per job
 /// besides the [`PendingJob`] itself, resolved once at submit. Entries
 /// live in a [`QueuedTable`]; each costs one boxed value plus one slot.
 #[derive(Debug, Clone, Copy)]
-struct Queued {
+struct Queued<const N: usize> {
     /// The job's footprint per resource slot.
-    demand: Demand,
+    demand: Demand<N>,
     /// The job's interned fairshare user.
     user: UserId,
     /// The job's total node count (the priority's size term).
@@ -129,11 +129,23 @@ struct Queued {
     reported: Option<HoldReason>,
 }
 
+impl<const N: usize> Queued<N> {
+    /// The same entry at width `M ≥ N`.
+    fn widen<const M: usize>(&self) -> Queued<M> {
+        Queued {
+            demand: self.demand.widen(),
+            user: self.user,
+            nodes: self.nodes,
+            reported: self.reported,
+        }
+    }
+}
+
 /// The multifactor priority of `job` at `now`: from its submit-time entry
 /// when it is queued, else (a hypothetical job) from its own fields.
-fn job_priority(
+fn job_priority<const N: usize>(
     priority: &PriorityCalculator,
-    queued: &QueuedTable,
+    queued: &QueuedTable<N>,
     job: &PendingJob,
     now: SimTime,
 ) -> f64 {
@@ -223,19 +235,19 @@ impl Scoring {
 
 /// How a cycle left the scheduler and the cluster: what the next cycle
 /// needs to prove which of its verdicts it may keep (see
-/// [`BatchScheduler::try_schedule_probed`]'s cycle kinds).
+/// [`BatchScheduler::try_schedule_probed`]'s cycle kinds). The cycle's
+/// final live free vector, at the scheduler's width, is the lanes'
+/// [`free`](Lanes::free).
 #[derive(Debug, Clone, Copy)]
 struct CycleEnd {
     /// The cycle's instant.
     now: SimTime,
     /// The cluster's [`version`](Cluster::version) when the cycle ended.
     version: u64,
-    /// The cycle's final live free vector.
-    free: Demand,
     /// The cycle's [`Scoring::boosts`] flag, read before any start.
     qpu_boost: bool,
     /// Whether the demand of some job held after the cycle's last start
-    /// (every held job, if it started none) fitted `free`.
+    /// (every held job, if it started none) fitted the final free vector.
     any_fits: bool,
     /// Whether the cycle started a job.
     started: bool,
@@ -254,16 +266,16 @@ struct CycleEnd {
 
 impl CycleEnd {
     /// Whether `cluster` is as the cycle left it: its version, or else
-    /// its free vector, is the cycle's. A cluster whose version is the
-    /// cycle's has had no mutating call since, so only a moved version
-    /// costs the comparison.
-    fn left_as_is(&self, cluster: &Cluster) -> bool {
-        self.version == cluster.version() || self.free == Demand::free_of(cluster)
+    /// its free vector, is the cycle's final `free`. A cluster whose
+    /// version is the cycle's has had no mutating call since, so only a
+    /// moved version costs the comparison.
+    fn left_as_is<const N: usize>(&self, cluster: &Cluster, free: &Demand<N>) -> bool {
+        self.version == cluster.version() || *free == Demand::free_in(cluster)
     }
 }
 
 /// What happened since the last cycle: the one record from which
-/// [`BatchScheduler::kind`] picks the next cycle's [`Kind`]. Its
+/// [`Since::kind`] picks the next cycle's [`Kind`]. The scheduler's
 /// `submit`, `cancel` and `finished` feed it; every cycle resets it and
 /// records how it ended.
 #[derive(Debug, Clone, Copy, Default)]
@@ -280,7 +292,7 @@ struct Since {
     finished: bool,
 }
 
-/// The five kinds of cycle, as [`BatchScheduler::kind`] reads them off
+/// The five kinds of cycle, as [`Since::kind`] reads them off
 /// the change record (see
 /// [`try_schedule_probed`](BatchScheduler::try_schedule_probed)). Each
 /// fast kind carries the end of the cycle it builds on.
@@ -300,25 +312,44 @@ enum Kind {
 }
 
 #[derive(Debug, Clone)]
-struct Running {
+struct Running<const N: usize> {
     job: JobId,
     user: UserId,
-    demand: Demand,
+    demand: Demand<N>,
     expected_end: SimTime,
     node_count: u32,
     started: SimTime,
 }
 
+impl<const N: usize> Running<N> {
+    /// The same entry at width `M ≥ N`.
+    fn widen<const M: usize>(&self) -> Running<M> {
+        Running {
+            job: self.job,
+            user: self.user,
+            demand: self.demand.widen(),
+            expected_end: self.expected_end,
+            node_count: self.node_count,
+            started: self.started,
+        }
+    }
+}
+
 /// The running jobs, by allocation.
-type RunningSet = IdMap<AllocationId, Running>;
+type RunningSet<const N: usize> = IdMap<AllocationId, Running<N>>;
 
 /// The availability profile at `now`: `free` plus each running job's
-/// demand from its expected end. A cycle builds at most one, so the build
-/// stays out of line, off the admit and held steps that may call it
-/// (perfbench `deep-queue` ran ~1% slower with it inline).
+/// demand from its expected end, at `free`'s width. A cycle builds at
+/// most one, so the build stays out of line, off the admit and held steps
+/// that may call it (perfbench `deep-queue` ran ~1% slower with it
+/// inline).
 #[cold]
 #[inline(never)]
-fn profile_of(now: SimTime, free: Demand, running: &RunningSet) -> Profile {
+fn profile_of<const N: usize, const M: usize>(
+    now: SimTime,
+    free: Demand<N>,
+    running: &RunningSet<M>,
+) -> Profile<N> {
     Profile::from_releases(
         now,
         free,
@@ -330,18 +361,18 @@ fn profile_of(now: SimTime, free: Demand, running: &RunningSet) -> Profile {
 /// availability profile, built when a policy first reads it. FCFS never
 /// does, so its cycles build none.
 #[derive(Debug)]
-struct Plan {
+struct Plan<const N: usize> {
     now: SimTime,
     /// The cluster's free capacity, less what each start of the cycle
     /// allocates.
-    free: Demand,
+    free: Demand<N>,
     /// The profile at `now`, less every reservation of the cycle; `None`
     /// until first read.
-    profile: Option<Profile>,
+    profile: Option<Profile<N>>,
 }
 
-impl Plan {
-    fn new(now: SimTime, free: Demand) -> Self {
+impl<const N: usize> Plan<N> {
+    fn new(now: SimTime, free: Demand<N>) -> Self {
         Plan {
             now,
             free,
@@ -353,32 +384,31 @@ impl Plan {
     /// `running`, which already holds the cycle's starts: the profile
     /// built before them with each reserved (see
     /// [Building after starts](Profile#building-after-starts)).
-    fn profile(&mut self, running: &RunningSet) -> &mut Profile {
+    fn profile(&mut self, running: &RunningSet<N>) -> &mut Profile<N> {
         self.profile
             .get_or_insert_with(|| profile_of(self.now, self.free, running))
     }
 
     /// Starts `job`, which the admit `match` admitted, on the live
-    /// `cluster`: its submit-time `entry` leaves `queued`, the job joins
-    /// `running`, and its demand leaves the free vector and, once built,
-    /// the profile. A start the live cluster refuses (the admit `match`
-    /// said yes, but e.g. nodes failed) is held instead, blaming the
-    /// concrete shortage the allocator reported.
+    /// `cluster`: its submit-time `entry` leaves the queued table, the
+    /// job joins the running set, and its demand leaves the free vector
+    /// and, once built, the profile. A start the live cluster refuses
+    /// (the admit `match` said yes, but e.g. nodes failed) is held
+    /// instead, blaming the concrete shortage the allocator reported.
     fn start<P: CycleProbe + ?Sized>(
         &mut self,
         cluster: &mut Cluster,
-        queued: &mut QueuedTable,
-        running: &mut RunningSet,
+        lanes: &mut Lanes<N>,
         job: &PendingJob,
-        entry: &Queued,
+        entry: &Queued<N>,
         probe: &mut P,
     ) -> Result<AllocationId, HoldReason> {
         probe.phase_start(CyclePhase::Allocate);
         let granted = cluster.allocate(&job.request, self.now);
         probe.phase_end(CyclePhase::Allocate);
         let alloc = granted.map_err(|err| classify(&err))?;
-        queued.remove(job.id.raw());
-        running.insert(
+        lanes.queued.remove(job.id.raw());
+        lanes.running.insert(
             alloc,
             Running {
                 job: job.id,
@@ -415,24 +445,129 @@ impl Plan {
 /// queue drains. Ids may arrive in any order, but a submit that would
 /// stretch the table past [`MAX_QUEUE_ID_SPAN`] ids is rejected with
 /// [`SchedError::IdSpanExceeded`]; an empty queue accepts any id.
+///
+/// Each entry, running job and cycle stores its demands at the machine's
+/// width: 4 lanes while every cluster passed so far has at most 4
+/// resource slots, else [`MAX_SLOTS`] (see [Width](crate::demand#width)).
 #[derive(Debug)]
 pub struct BatchScheduler {
+    queue: Queue,
+    /// The queued and running jobs' demands and the last cycle's free
+    /// vector, at the machine's width.
+    width: Width,
+}
+
+/// The scheduler's width-independent state: its policy, the priority
+/// calculator, the queue, the last cycle's holds and the change record.
+#[derive(Debug)]
+struct Queue {
     spec: PolicySpec,
     priority: PriorityCalculator,
     pending: Vec<PendingJob>,
-    /// Each queued job's submit-time entry, by [`JobId::raw`].
-    queued: QueuedTable,
-    running: RunningSet,
     last_holds: Vec<(JobId, HoldReason)>,
     /// The entries of `last_holds` whose reason differs from the one last
     /// reported for that job (see [`BatchScheduler::hold_changes`]).
     hold_changes: Vec<(JobId, HoldReason)>,
-    /// What happened since the last cycle (see [`BatchScheduler::kind`]).
-    since: Since,
     /// The cycle's sort keys, each with its job's queue position; kept
     /// between cycles so that sorting allocates only when the queue
     /// outgrows every earlier one.
     keys: Vec<(OrderKey, usize)>,
+    /// What happened since the last cycle (see [`Since::kind`]).
+    since: Since,
+}
+
+/// The lanes the scheduler stores per demand while the machine has at
+/// most this many resource slots (see [`Width`]).
+const NARROW: usize = 4;
+
+/// The scheduler's width-dependent state, at `N` lanes per demand.
+#[derive(Debug, Default)]
+struct Lanes<const N: usize> {
+    /// Each queued job's submit-time entry, by [`JobId::raw`].
+    queued: QueuedTable<N>,
+    running: RunningSet<N>,
+    /// The last cycle's final live free vector, which its
+    /// [`CycleEnd`] refers to.
+    free: Demand<N>,
+}
+
+impl<const N: usize> Lanes<N> {
+    /// The same state at width `M ≥ N`. The queued table keeps the span
+    /// of ids that [`BatchScheduler::submit`] bounds.
+    fn widen<const M: usize>(&self) -> Lanes<M> {
+        let mut queued = IdWindow::new();
+        for (id, entry) in self.queued.iter() {
+            queued.insert(id, entry.widen());
+        }
+        // A retired id at the window's end still counts towards its span.
+        if let Some((oldest, entry)) = self.queued.iter().next() {
+            let newest = oldest + self.queued.slots() as u64 - 1;
+            if queued.get(newest).is_none() {
+                queued.insert(newest, entry.widen());
+                queued.remove(newest);
+            }
+        }
+        let mut running = IdMap::new();
+        running.extend(self.running.iter().map(|(alloc, r)| (alloc, r.widen())));
+        Lanes {
+            queued,
+            running,
+            free: self.free.widen(),
+        }
+    }
+
+    /// Whether a running job's expected end lies at or before `now`. If
+    /// none does, the availability profile at `now` reads the live free
+    /// vector until its first release, which lies after `now`.
+    fn release_due(&self, now: SimTime) -> bool {
+        self.running.values().any(|r| r.expected_end <= now)
+    }
+}
+
+/// The scheduler's width-dependent state at its width: [`NARROW`] lanes
+/// until a call passes a cluster with more slots than that, then
+/// [`MAX_SLOTS`]. Widening is lossless and never narrows, so no call
+/// fails for width.
+#[derive(Debug)]
+enum Width {
+    Narrow(Lanes<NARROW>),
+    Wide(Lanes<MAX_SLOTS>),
+}
+
+impl Width {
+    /// Whether the state is narrow and `cluster` has more slots than
+    /// that.
+    fn too_narrow_for(&self, cluster: &Cluster) -> bool {
+        matches!(self, Width::Narrow(_)) && cluster.slots().len() > NARROW
+    }
+
+    /// Widens the state in place if it is too narrow for `cluster`.
+    fn fit(&mut self, cluster: &Cluster) {
+        if self.too_narrow_for(cluster) {
+            self.widen();
+        }
+    }
+
+    /// Widens a narrow state to [`MAX_SLOTS`] lanes, out of line: the
+    /// copy's frame stays off the callers' paths.
+    #[cold]
+    #[inline(never)]
+    fn widen(&mut self) {
+        if let Width::Narrow(lanes) = self {
+            *self = Width::Wide(lanes.widen());
+        }
+    }
+}
+
+/// Evaluates `$body` with `$lanes` bound to the state in `$width`, at
+/// its width.
+macro_rules! at_width {
+    ($width:expr, $lanes:ident => $body:expr) => {
+        match $width {
+            Width::Narrow($lanes) => $body,
+            Width::Wide($lanes) => $body,
+        }
+    };
 }
 
 impl BatchScheduler {
@@ -441,26 +576,27 @@ impl BatchScheduler {
     /// [`PriorityCalculator`].
     pub fn new(spec: PolicySpec) -> Self {
         BatchScheduler {
-            spec,
-            priority: spec.calculator(),
-            pending: Vec::new(),
-            queued: IdWindow::new(),
-            running: IdMap::new(),
-            last_holds: Vec::new(),
-            hold_changes: Vec::new(),
-            since: Since::default(),
-            keys: Vec::new(),
+            queue: Queue {
+                spec,
+                priority: spec.calculator(),
+                pending: Vec::new(),
+                last_holds: Vec::new(),
+                hold_changes: Vec::new(),
+                keys: Vec::new(),
+                since: Since::default(),
+            },
+            width: Width::Narrow(Lanes::default()),
         }
     }
 
     /// The policy this scheduler runs.
     pub fn spec(&self) -> PolicySpec {
-        self.spec
+        self.queue.spec
     }
 
     /// Jobs currently queued.
     pub fn pending_len(&self) -> usize {
-        self.pending.len()
+        self.queue.pending.len()
     }
 
     /// Why each job still queued after the last scheduling cycle was held,
@@ -477,7 +613,7 @@ impl BatchScheduler {
     /// since it was last reported are
     /// [`hold_changes`](BatchScheduler::hold_changes).
     pub fn last_holds(&self) -> &[(JobId, HoldReason)] {
-        &self.last_holds
+        &self.queue.last_holds
     }
 
     /// The entries of [`last_holds`](BatchScheduler::last_holds) whose
@@ -497,20 +633,20 @@ impl BatchScheduler {
     /// [`cancel`](BatchScheduler::cancel) forgets the job's reported
     /// reason, so a resubmitted id is reported afresh.
     pub fn hold_changes(&self) -> &[(JobId, HoldReason)] {
-        &self.hold_changes
+        &self.queue.hold_changes
     }
 
     /// The queued jobs, in the order the policy last left them (after a
     /// [`try_schedule`](BatchScheduler::try_schedule) this is the
     /// policy's preference order with the started jobs removed).
     pub fn pending(&self) -> &[PendingJob] {
-        &self.pending
+        &self.queue.pending
     }
 
     /// The multifactor priority of a queued (or hypothetical) job at
     /// `now`, under this scheduler's weights and fairshare state.
     pub fn priority_of(&self, job: &PendingJob, now: SimTime) -> f64 {
-        job_priority(&self.priority, &self.queued, job, now)
+        at_width!(&self.width, lanes => job_priority(&self.queue.priority, &lanes.queued, job, now))
     }
 
     /// The free-capacity timeline a scheduling cycle at `now` would plan
@@ -519,7 +655,7 @@ impl BatchScheduler {
     /// backfill invariants from the outside (see
     /// `crates/sched/tests/proptest_sched.rs`).
     pub fn availability_profile(&self, cluster: &Cluster, now: SimTime) -> Profile {
-        profile_of(now, Demand::free_of(cluster), &self.running)
+        at_width!(&self.width, lanes => profile_of(now, Demand::free_of(cluster), &lanes.running))
     }
 
     /// Enqueues a job, resolving its request against `cluster` — the
@@ -535,45 +671,8 @@ impl BatchScheduler {
     /// id lies too far from the queued ones (see the memory model on
     /// [`BatchScheduler`]).
     pub fn submit(&mut self, job: PendingJob, cluster: &Cluster) -> Result<(), SchedError> {
-        if job.walltime.is_zero() {
-            return Err(SchedError::ZeroWalltime { job: job.id });
-        }
-        let id = job.id.raw();
-        if self.queued.get(id).is_some() {
-            return Err(SchedError::DuplicateJob { job: job.id });
-        }
-        // The front slot of a non-empty window is its oldest live id.
-        if let Some((oldest, _)) = self.queued.iter().next() {
-            let newest = oldest + self.queued.slots() as u64 - 1;
-            let span = (id.max(newest) - id.min(oldest)).saturating_add(1);
-            if span > MAX_QUEUE_ID_SPAN {
-                return Err(SchedError::IdSpanExceeded { job: job.id, span });
-            }
-        }
-        let impossible = |reason| SchedError::ImpossibleRequest {
-            job: job.id,
-            reason,
-        };
-        let demand = Demand::resolve(&job.request, cluster).map_err(impossible)?;
-        let capacity = Demand::capacity_of(cluster);
-        if let Some(slot) = capacity.first_short(&demand) {
-            return Err(impossible(format!(
-                "demand exceeds total machine capacity: {} requested {}, total {}",
-                cluster.slot_label(slot),
-                demand.get(slot),
-                capacity.get(slot)
-            )));
-        }
-        let entry = Queued {
-            demand,
-            user: self.priority.intern(&job.user),
-            nodes: job.request.total_nodes(),
-            reported: None,
-        };
-        self.queued.insert(id, entry);
-        self.pending.push(job);
-        self.since.submitted += 1;
-        Ok(())
+        self.width.fit(cluster);
+        at_width!(&mut self.width, lanes => self.queue.submit(lanes, job, cluster))
     }
 
     /// Removes a queued job, and its entries in
@@ -581,11 +680,12 @@ impl BatchScheduler {
     /// [`hold_changes`](BatchScheduler::hold_changes). Returns `true` if it
     /// was still pending.
     pub fn cancel(&mut self, job: JobId) -> bool {
-        self.pending.retain(|p| p.id != job);
-        self.last_holds.retain(|&(id, _)| id != job);
-        self.hold_changes.retain(|&(id, _)| id != job);
-        self.since.cancelled = true;
-        self.queued.remove(job.raw()).is_some()
+        let queue = &mut self.queue;
+        queue.pending.retain(|p| p.id != job);
+        queue.last_holds.retain(|&(id, _)| id != job);
+        queue.hold_changes.retain(|&(id, _)| id != job);
+        queue.since.cancelled = true;
+        at_width!(&mut self.width, lanes => lanes.queued.remove(job.raw()).is_some())
     }
 
     /// `true` if a scheduling cycle run now on `cluster` would start
@@ -634,21 +734,31 @@ impl BatchScheduler {
     /// keeps every verdict, not only the starts, so it also needs the
     /// queue's order unchanged and, unless the discipline is FCFS, no
     /// release due.
+    ///
+    /// A cluster with more slots than the scheduler's narrow state
+    /// stores is never settled: the next cycle widens the state first.
     pub fn is_settled(&self, cluster: &Cluster) -> bool {
-        matches!(self.recorded_kind(), Kind::Settled(end) if end.left_as_is(cluster))
+        !self.width.too_narrow_for(cluster)
+            && matches!(self.queue.since.recorded_kind(), Kind::Settled(end) if at_width!(
+                &self.width,
+                lanes => end.left_as_is(cluster, &lanes.free)
+            ))
     }
 
     /// Notifies the scheduler that the job backing `alloc` finished at
     /// `now` (the caller releases the cluster allocation itself). Charges
     /// fairshare usage. Returns the finished job's id if known.
     pub fn finished(&mut self, alloc: AllocationId, now: SimTime) -> Option<JobId> {
-        let running = self.running.remove(&alloc)?;
-        self.since.finished = true;
-        let node_seconds =
-            f64::from(running.node_count) * now.saturating_since(running.started).as_secs_f64();
-        self.priority
-            .record_usage_by_id(running.user, node_seconds, now);
-        Some(running.job)
+        let (job, user, node_seconds) = at_width!(&mut self.width, lanes => {
+            let running = lanes.running.remove(&alloc)?;
+            let ran = now.saturating_since(running.started).as_secs_f64();
+            (running.job, running.user, f64::from(running.node_count) * ran)
+        });
+        self.queue.since.finished = true;
+        self.queue
+            .priority
+            .record_usage_by_id(user, node_seconds, now);
+        Some(job)
     }
 
     /// Runs one scheduling cycle at `now`: the policy orders the queue,
@@ -732,26 +842,45 @@ impl BatchScheduler {
         now: SimTime,
         probe: &mut P,
     ) -> Vec<StartedJob> {
-        if self.pending.is_empty() {
+        if self.queue.pending.is_empty() {
             // Only a submit refills the queue, and a cycle after it plans
             // in full.
-            self.since = Since::default();
-            self.last_holds.clear();
-            self.hold_changes.clear();
+            self.queue.since = Since::default();
+            self.queue.last_holds.clear();
+            self.queue.hold_changes.clear();
             return Vec::new();
         }
         self.cycle(cluster, now, probe)
     }
 
+    /// [`try_schedule_probed`](BatchScheduler::try_schedule_probed) on a
+    /// non-empty queue, at the state's width. A simulation loop runs a
+    /// cycle after every event, most often on an empty queue: kept out of
+    /// line, this body's stack frame stays off that early return
+    /// (perfbench `qpu-stream` runs ~147 events per job and was ~1%
+    /// slower with the body inline).
+    #[inline(never)]
+    fn cycle<P: CycleProbe + ?Sized>(
+        &mut self,
+        cluster: &mut Cluster,
+        now: SimTime,
+        probe: &mut P,
+    ) -> Vec<StartedJob> {
+        self.width.fit(cluster);
+        at_width!(&mut self.width, lanes => self.queue.cycle(lanes, cluster, now, probe))
+    }
+}
+
+impl Since {
     /// The kind of the next cycle on `cluster`, read off the change
     /// record (see
     /// [`try_schedule_probed`](BatchScheduler::try_schedule_probed)). The
     /// conditions on the cycle's instant and on the queue's order are
     /// the cycle's to check; it plans in full when one fails.
-    fn kind(&self, cluster: &Cluster) -> Kind {
+    fn kind<const N: usize>(&self, cluster: &Cluster, free: &Demand<N>) -> Kind {
         match self.recorded_kind() {
             Kind::Settled(end) | Kind::FollowUp(end) | Kind::ReRun(end) | Kind::SubmitOnly(end)
-                if !end.left_as_is(cluster) =>
+                if !end.left_as_is(cluster, free) =>
             {
                 Kind::Full
             }
@@ -764,33 +893,80 @@ impl BatchScheduler {
     /// the comparison may rebuild a free vector, and a record that allows
     /// only a full cycle needs none.
     fn recorded_kind(&self) -> Kind {
-        let since = &self.since;
-        let Some(end) = since.end.filter(|_| !since.cancelled) else {
+        let Some(end) = self.end.filter(|_| !self.cancelled) else {
             return Kind::Full;
         };
-        match (end.started, since.submitted) {
+        match (end.started, self.submitted) {
             (false, 0) if !end.any_fits => Kind::Settled(end),
-            _ if since.finished => Kind::Full,
+            _ if self.finished => Kind::Full,
             (true, 0) => Kind::FollowUp(end),
             (false, 0) => Kind::ReRun(end),
             (false, _) => Kind::SubmitOnly(end),
             (true, _) => Kind::Full,
         }
     }
+}
 
-    /// [`try_schedule_probed`](BatchScheduler::try_schedule_probed) on a
-    /// non-empty queue. A simulation loop runs a cycle after every event,
-    /// most often on an empty queue: kept out of line, this body's stack
-    /// frame stays off that early return (perfbench `qpu-stream` runs
-    /// ~147 events per job and was ~1% slower with the body inline).
-    #[inline(never)]
-    fn cycle<P: CycleProbe + ?Sized>(
+impl Queue {
+    /// [`BatchScheduler::submit`] at width `N`.
+    fn submit<const N: usize>(
         &mut self,
+        lanes: &mut Lanes<N>,
+        job: PendingJob,
+        cluster: &Cluster,
+    ) -> Result<(), SchedError> {
+        if job.walltime.is_zero() {
+            return Err(SchedError::ZeroWalltime { job: job.id });
+        }
+        let id = job.id.raw();
+        if lanes.queued.get(id).is_some() {
+            return Err(SchedError::DuplicateJob { job: job.id });
+        }
+        // The front slot of a non-empty window is its oldest live id.
+        if let Some((oldest, _)) = lanes.queued.iter().next() {
+            let newest = oldest + lanes.queued.slots() as u64 - 1;
+            let span = (id.max(newest) - id.min(oldest)).saturating_add(1);
+            if span > MAX_QUEUE_ID_SPAN {
+                return Err(SchedError::IdSpanExceeded { job: job.id, span });
+            }
+        }
+        let impossible = |reason| SchedError::ImpossibleRequest {
+            job: job.id,
+            reason,
+        };
+        let demand = Demand::resolve_in(&job.request, cluster).map_err(impossible)?;
+        let capacity = Demand::capacity_in(cluster);
+        if let Some(slot) = capacity.first_short(&demand) {
+            return Err(impossible(format!(
+                "demand exceeds total machine capacity: {} requested {}, total {}",
+                cluster.slot_label(slot),
+                demand.get(slot),
+                capacity.get(slot)
+            )));
+        }
+        let entry = Queued {
+            demand,
+            user: self.priority.intern(&job.user),
+            nodes: job.request.total_nodes(),
+            reported: None,
+        };
+        lanes.queued.insert(id, entry);
+        self.pending.push(job);
+        self.since.submitted += 1;
+        Ok(())
+    }
+
+    /// [`BatchScheduler::cycle`] at width `N`, out of line: inlined into
+    /// the dispatch, both widths' bodies share one frame.
+    #[inline(never)]
+    fn cycle<const N: usize, P: CycleProbe + ?Sized>(
+        &mut self,
+        lanes: &mut Lanes<N>,
         cluster: &mut Cluster,
         now: SimTime,
         probe: &mut P,
     ) -> Vec<StartedJob> {
-        let kind = self.kind(cluster);
+        let kind = self.since.kind(cluster, &lanes.free);
         let since = std::mem::take(&mut self.since);
         self.keys.clear();
         let depth = self.pending.len();
@@ -814,15 +990,16 @@ impl BatchScheduler {
             Kind::FollowUp(end)
                 if end.now == now
                     && end.qpu_boost == scoring.boosts()
-                    && !(conservative && self.release_due(now)) =>
+                    && !(conservative && lanes.release_due(now)) =>
             {
-                let any_fits = self.follow_up_holds(cluster, &end, probe);
+                let any_fits =
+                    self.follow_up_holds(&lanes.queued, cluster, &end, &lanes.free, probe);
                 let end = CycleEnd {
                     any_fits,
                     started: false,
                     ..end
                 };
-                self.close(cluster, end, false);
+                self.close(lanes, cluster, end, false);
                 probe.cycle_end(0, self.pending.len());
                 return Vec::new();
             }
@@ -830,8 +1007,8 @@ impl BatchScheduler {
             Kind::Settled(end) | Kind::ReRun(end)
                 if !since.finished
                     && end.now <= now
-                    && !(profiled && self.release_due(now))
-                    && self.in_order(&scoring, now, depth) =>
+                    && !(profiled && lanes.release_due(now))
+                    && self.in_order(&lanes.queued, &scoring, now, depth) =>
             {
                 self.carry_holds(probe);
                 let end = CycleEnd {
@@ -839,23 +1016,23 @@ impl BatchScheduler {
                     qpu_boost: scoring.boosts(),
                     ..end
                 };
-                self.close(cluster, end, false);
+                self.close(lanes, cluster, end, false);
                 probe.cycle_end(0, depth);
                 return Vec::new();
             }
             Kind::SubmitOnly(end)
                 if !conservative
                     && end.now <= now
-                    && !(profiled && self.release_due(now))
-                    && self.in_order(&scoring, now, depth - since.submitted)
-                    && self.head_stays_first(&scoring, now) =>
+                    && !(profiled && lanes.release_due(now))
+                    && self.in_order(&lanes.queued, &scoring, now, depth - since.submitted)
+                    && self.head_stays_first(&lanes.queued, &scoring, now) =>
             {
                 let end = CycleEnd {
                     now,
                     qpu_boost: scoring.boosts(),
                     ..end
                 };
-                return self.submit_only(cluster, end, depth - since.submitted, probe);
+                return self.submit_only(lanes, cluster, end, depth - since.submitted, probe);
             }
             _ => {}
         }
@@ -863,9 +1040,9 @@ impl BatchScheduler {
         self.last_holds.clear();
         self.hold_changes.clear();
         probe.phase_start(CyclePhase::Order);
-        self.order(&scoring, now);
+        self.order(&lanes.queued, &scoring, now);
         probe.phase_end(CyclePhase::Order);
-        let mut plan = Plan::new(now, Demand::free_of(cluster));
+        let mut plan = Plan::new(now, Demand::free_in(cluster));
         let discipline = self.spec.discipline;
         // FCFS: a job was held, so every later one waits. The EASY arm:
         // the head was held and its shadow reserved.
@@ -886,31 +1063,28 @@ impl BatchScheduler {
             let job = &self.pending[i];
             // Every queued job got its entry at submit, and only a start
             // or a cancel removes it together with the job.
-            let Some(&entry) = self.queued.get(job.id.raw()) else {
+            let Some(&entry) = lanes.queued.get(job.id.raw()) else {
                 continue;
             };
             let demand = entry.demand;
             any_fits = any_fits || plan.free.covers(&demand);
             probe.phase_start(CyclePhase::Admit);
-            let admitted = admit(discipline, blocked, job, &demand, &mut plan, &self.running);
+            let admitted = admit(discipline, blocked, job, &demand, &mut plan, &lanes.running);
             probe.phase_end(CyclePhase::Admit);
             let reason = match admitted {
-                Admit::Start => {
-                    let (queued, running) = (&mut self.queued, &mut self.running);
-                    match plan.start(cluster, queued, running, job, &entry, probe) {
-                        Ok(alloc) => {
-                            started.push(StartedJob { job: job.id, alloc });
-                            any_fits = false;
-                            holds_ahead = self.last_holds.len();
-                            changes_ahead = self.hold_changes.len();
-                            continue;
-                        }
-                        Err(reason) => {
-                            refused = true;
-                            reason
-                        }
+                Admit::Start => match plan.start(cluster, lanes, job, &entry, probe) {
+                    Ok(alloc) => {
+                        started.push(StartedJob { job: job.id, alloc });
+                        any_fits = false;
+                        holds_ahead = self.last_holds.len();
+                        changes_ahead = self.hold_changes.len();
+                        continue;
                     }
-                }
+                    Err(reason) => {
+                        refused = true;
+                        reason
+                    }
+                },
                 verdict => hold_reason(verdict, cluster, &plan.free, &demand),
             };
             self.last_holds.push((job.id, reason));
@@ -923,7 +1097,7 @@ impl BatchScheduler {
                 job,
                 &demand,
                 &mut plan,
-                &self.running,
+                &lanes.running,
             ) {
                 shadow = at;
             }
@@ -931,10 +1105,10 @@ impl BatchScheduler {
             kept += 1;
         }
         self.pending.truncate(kept);
+        lanes.free = plan.free;
         let end = CycleEnd {
             now,
             version: cluster.version(),
-            free: plan.free,
             qpu_boost: scoring.boosts(),
             any_fits,
             started: !started.is_empty(),
@@ -942,7 +1116,7 @@ impl BatchScheduler {
             holds_ahead,
             changes_ahead,
         };
-        self.close(cluster, end, refused);
+        self.close(lanes, cluster, end, refused);
         probe.cycle_end(started.len(), self.pending.len());
         started
     }
@@ -950,10 +1124,16 @@ impl BatchScheduler {
     /// Closes a cycle that ended as `end`: one that started nothing
     /// commits the reasons it reported (see `hold_changes`), and `end`
     /// opens the change record, unless the cycle refused an allocation.
-    fn close(&mut self, cluster: &Cluster, end: CycleEnd, refused: bool) {
+    fn close<const N: usize>(
+        &mut self,
+        lanes: &mut Lanes<N>,
+        cluster: &Cluster,
+        end: CycleEnd,
+        refused: bool,
+    ) {
         if !end.started {
             for &(id, reason) in &self.hold_changes {
-                if let Some(entry) = self.queued.get_mut(id.raw()) {
+                if let Some(entry) = lanes.queued.get_mut(id.raw()) {
                     entry.reported = Some(reason);
                 }
             }
@@ -966,16 +1146,15 @@ impl BatchScheduler {
         }
     }
 
-    /// Whether a running job's expected end lies at or before `now`. If
-    /// none does, the availability profile at `now` reads the live free
-    /// vector until its first release, which lies after `now`.
-    fn release_due(&self, now: SimTime) -> bool {
-        self.running.values().any(|r| r.expected_end <= now)
-    }
-
     /// The order `match`'s sort key of `job` at `now` under `scoring`.
-    fn key_of(&self, scoring: &Scoring, job: &PendingJob, now: SimTime) -> OrderKey {
-        let multifactor = || job_priority(&self.priority, &self.queued, job, now);
+    fn key_of<const N: usize>(
+        &self,
+        queued: &QueuedTable<N>,
+        scoring: &Scoring,
+        job: &PendingJob,
+        now: SimTime,
+    ) -> OrderKey {
+        let multifactor = || job_priority(&self.priority, queued, job, now);
         let score = match scoring {
             Scoring::Plain => multifactor(),
             Scoring::Escalate(escalate_after_hours) => {
@@ -1002,12 +1181,18 @@ impl BatchScheduler {
     /// if none fell: those jobs are in the order a full cycle would sort
     /// them into, since the keys are a total order. The keys scored so
     /// far stay for [`order`](Self::order) to finish.
-    fn in_order(&mut self, scoring: &Scoring, now: SimTime, len: usize) -> bool {
+    fn in_order<const N: usize>(
+        &mut self,
+        queued: &QueuedTable<N>,
+        scoring: &Scoring,
+        now: SimTime,
+        len: usize,
+    ) -> bool {
         if len < 2 {
             return true;
         }
         for (i, job) in self.pending[..len].iter().enumerate() {
-            let key = self.key_of(scoring, job, now);
+            let key = self.key_of(queued, scoring, job, now);
             let rises = self.keys.last().is_none_or(|&(last, _)| last < key);
             self.keys.push((key, i));
             if !rises {
@@ -1018,9 +1203,9 @@ impl BatchScheduler {
     }
 
     /// Scores the queued jobs that have no key yet, at `now`.
-    fn score(&mut self, scoring: &Scoring, now: SimTime) {
+    fn score<const N: usize>(&mut self, queued: &QueuedTable<N>, scoring: &Scoring, now: SimTime) {
         for i in self.keys.len()..self.pending.len() {
-            let key = self.key_of(scoring, &self.pending[i], now);
+            let key = self.key_of(queued, scoring, &self.pending[i], now);
             self.keys.push((key, i));
         }
     }
@@ -1030,9 +1215,14 @@ impl BatchScheduler {
     /// sorts behind it: `in_order` found the old jobs in order, so the
     /// head's key is the least of theirs. The keys stay sorted for
     /// [`order`](Self::order) either way.
-    fn head_stays_first(&mut self, scoring: &Scoring, now: SimTime) -> bool {
+    fn head_stays_first<const N: usize>(
+        &mut self,
+        queued: &QueuedTable<N>,
+        scoring: &Scoring,
+        now: SimTime,
+    ) -> bool {
         // `in_order` scores nothing for a single old job: this scores it.
-        self.score(scoring, now);
+        self.score(queued, scoring, now);
         self.keys.sort();
         self.keys[0].1 == 0
     }
@@ -1042,28 +1232,28 @@ impl BatchScheduler {
     /// order with new submissions behind, nearly sorted, so the stable
     /// adaptive sort runs in about one pass; the jobs are then permuted
     /// in place. A queue of 0 or 1 jobs is left alone.
-    fn order(&mut self, scoring: &Scoring, now: SimTime) {
+    fn order<const N: usize>(&mut self, queued: &QueuedTable<N>, scoring: &Scoring, now: SimTime) {
         if self.pending.len() < 2 {
             return;
         }
         // `in_order` may have scored a prefix already, and
         // `head_stays_first` all.
-        self.score(scoring, now);
+        self.score(queued, scoring, now);
         self.keys.sort();
         permute(&mut self.keys, |a, b| self.pending.swap(a, b));
     }
 
     /// The same-instant follow-up (kind 2 of
     /// [`try_schedule_probed`](BatchScheduler::try_schedule_probed)) to
-    /// the starting cycle that ended as `end`: re-diagnoses the holds it
-    /// made before its last start, each for the binding shortage of
-    /// `end.free` against its demand, with [`HoldReason::PolicyHold`]
-    /// relabelled [`HoldReason::HeadShadow`] under every discipline but
-    /// FCFS, and keeps the reasons and the
+    /// the starting cycle that ended as `end` with free vector `free`:
+    /// re-diagnoses the holds it made before its last start, each for
+    /// the binding shortage of `free` against its demand, with
+    /// [`HoldReason::PolicyHold`] relabelled [`HoldReason::HeadShadow`]
+    /// under every discipline but FCFS, and keeps the reasons and the
     /// [`hold_changes`](BatchScheduler::hold_changes) entries of the
-    /// rest. Returns whether some held demand fits `end.free`.
+    /// rest. Returns whether some held demand fits `free`.
     ///
-    /// `end.free` is the final free vector `F` of the last cycle `C`,
+    /// `free` is the final free vector `F` of the last cycle `C`,
     /// which ran at this instant and started the jobs `S`; the queue is
     /// the jobs `H` it held, in its order. The record shows that nothing
     /// moved since, and the caller has checked that the idle-QPU flag is
@@ -1133,10 +1323,12 @@ impl BatchScheduler {
     /// reservation off a window that a job behind both then fits now:
     /// it starts (see the unit test
     /// `conservative_follow_up_with_a_release_due_starts_a_job`).
-    fn follow_up_holds<P: CycleProbe + ?Sized>(
+    fn follow_up_holds<const N: usize, P: CycleProbe + ?Sized>(
         &mut self,
+        queued: &QueuedTable<N>,
         cluster: &Cluster,
         end: &CycleEnd,
+        free: &Demand<N>,
         probe: &mut P,
     ) -> bool {
         let verdict = match self.spec.discipline {
@@ -1146,12 +1338,11 @@ impl BatchScheduler {
             | Discipline::PriorityBackfill { .. }
             | Discipline::QuantumAware { .. } => Admit::Reserved,
         };
-        let free = &end.free;
         let mut any_fits = end.any_fits;
         let listed = self.hold_changes.len();
         for i in 0..end.holds_ahead {
             let id = self.last_holds[i].0;
-            let Some(&entry) = self.queued.get(id.raw()) else {
+            let Some(&entry) = queued.get(id.raw()) else {
                 continue;
             };
             probe.phase_start(CyclePhase::Admit);
@@ -1262,8 +1453,9 @@ impl BatchScheduler {
     /// Conservative backfill takes the full path: a new job reserves a
     /// slot, which may move every later reservation, and so a later
     /// job's start.
-    fn submit_only<P: CycleProbe + ?Sized>(
+    fn submit_only<const N: usize, P: CycleProbe + ?Sized>(
         &mut self,
+        lanes: &mut Lanes<N>,
         cluster: &mut Cluster,
         end: CycleEnd,
         old: usize,
@@ -1277,11 +1469,11 @@ impl BatchScheduler {
         self.last_holds
             .extend(new.map(|job| (job.id, HoldReason::PolicyHold)));
         self.hold_changes.clear();
-        let mut plan = Plan::new(now, end.free);
+        let mut plan = Plan::new(now, lanes.free);
         // The head's shadow, reserved when a new job first reads the
         // profile.
         let head = &self.pending[0];
-        let mut shadow = self
+        let mut shadow = lanes
             .queued
             .get(head.id.raw())
             .filter(|_| end.shadow != SimTime::MAX)
@@ -1299,7 +1491,7 @@ impl BatchScheduler {
                 continue;
             }
             let job = &self.pending[i];
-            let Some(&entry) = self.queued.get(job.id.raw()) else {
+            let Some(&entry) = lanes.queued.get(job.id.raw()) else {
                 continue;
             };
             let demand = entry.demand;
@@ -1311,16 +1503,15 @@ impl BatchScheduler {
                 Admit::Reserved
             } else {
                 if let Some((head, walltime)) = shadow.take_if(|_| fits) {
-                    plan.profile(&self.running)
+                    plan.profile(&lanes.running)
                         .reserve(&head, end.shadow, walltime);
                 }
-                admit(discipline, true, job, &demand, &mut plan, &self.running)
+                admit(discipline, true, job, &demand, &mut plan, &lanes.running)
             };
             probe.phase_end(CyclePhase::Admit);
             let reason = match admitted {
                 Admit::Start => {
-                    let (queued, running) = (&mut self.queued, &mut self.running);
-                    match plan.start(cluster, queued, running, job, &entry, probe) {
+                    match plan.start(cluster, lanes, job, &entry, probe) {
                         Ok(alloc) => {
                             // Every earlier position holds a job or a start.
                             holds_ahead = p - started.len();
@@ -1347,21 +1538,21 @@ impl BatchScheduler {
             self.last_holds.swap(a, b);
         });
         if !started.is_empty() {
-            let queued = &self.queued;
+            let queued = &lanes.queued;
             self.pending
                 .retain(|job| queued.get(job.id.raw()).is_some());
             self.last_holds
                 .retain(|(id, _)| queued.get(id.raw()).is_some());
         }
+        lanes.free = plan.free;
         let end = CycleEnd {
-            free: plan.free,
             any_fits,
             started: !started.is_empty(),
             holds_ahead,
             changes_ahead,
             ..end
         };
-        self.close(cluster, end, refused);
+        self.close(lanes, cluster, end, refused);
         probe.cycle_end(started.len(), self.pending.len());
         started
     }
@@ -1401,13 +1592,13 @@ enum Admit {
 /// flag. Inlined into both cycle loops, which call it once per job they
 /// admit: as a call, perfbench `deep-queue` ran ~1.5% slower.
 #[inline(always)]
-fn admit(
+fn admit<const N: usize>(
     discipline: Discipline,
     blocked: bool,
     job: &PendingJob,
-    demand: &Demand,
-    plan: &mut Plan,
-    running: &RunningSet,
+    demand: &Demand<N>,
+    plan: &mut Plan<N>,
+    running: &RunningSet<N>,
 ) -> Admit {
     let now = plan.now;
     match discipline {
@@ -1454,13 +1645,13 @@ fn admit(
 /// The held `match`: updates the cycle's plan after `job` stays queued,
 /// whether admit held it or the live cluster refused its start. Returns
 /// the head's shadow when the EASY arm computes it.
-fn held(
+fn held<const N: usize>(
     discipline: Discipline,
     blocked: &mut bool,
     job: &PendingJob,
-    demand: &Demand,
-    plan: &mut Plan,
-    running: &RunningSet,
+    demand: &Demand<N>,
+    plan: &mut Plan<N>,
+    running: &RunningSet<N>,
 ) -> Option<SimTime> {
     match discipline {
         Discipline::Fcfs => {
@@ -1493,7 +1684,12 @@ fn held(
 /// the binding shortage of the live free vector `free` against its
 /// demand. A `Reserved` job the machine fits waits only on a reservation
 /// carved earlier in the cycle, and blames [`HoldReason::HeadShadow`].
-fn hold_reason(verdict: Admit, cluster: &Cluster, free: &Demand, demand: &Demand) -> HoldReason {
+fn hold_reason<const N: usize>(
+    verdict: Admit,
+    cluster: &Cluster,
+    free: &Demand<N>,
+    demand: &Demand<N>,
+) -> HoldReason {
     match (verdict, shortage(cluster, free, demand)) {
         (Admit::Reserved, HoldReason::PolicyHold) => HoldReason::HeadShadow,
         (_, reason) => reason,
@@ -1528,7 +1724,7 @@ fn permute(keys: &mut [(OrderKey, usize)], mut swap: impl FnMut(usize, usize)) {
 /// every few minutes as batch jobs drain; a co-scheduled QPU token is
 /// pinned for a whole hybrid campaign — attributing the scarcer,
 /// slower-recycling resource is what makes the wait ledger actionable.)
-fn shortage(cluster: &Cluster, free: &Demand, demand: &Demand) -> HoldReason {
+fn shortage<const N: usize>(cluster: &Cluster, free: &Demand<N>, demand: &Demand<N>) -> HoldReason {
     let mut reason = HoldReason::PolicyHold;
     for (slot, info) in cluster.slots().iter().enumerate() {
         if free.get(slot) < demand.get(slot) {
@@ -1547,6 +1743,16 @@ mod tests {
     use hpcqc_cluster::alloc::GroupRequest;
     use hpcqc_cluster::cluster::ClusterBuilder;
     use hpcqc_cluster::gres::GresKind;
+    use proptest::prelude::*;
+
+    /// The narrow state of `s`, which every machine of these tests
+    /// keeps.
+    fn narrow(s: &mut BatchScheduler) -> &mut Lanes<NARROW> {
+        match &mut s.width {
+            Width::Narrow(lanes) => lanes,
+            Width::Wide(_) => panic!("a machine of at most {NARROW} slots keeps the narrow state"),
+        }
+    }
 
     fn cluster(nodes: u32) -> Cluster {
         ClusterBuilder::new()
@@ -1719,7 +1925,7 @@ mod tests {
         assert!(err.to_string().contains("limit 16777216"), "{err}");
         let ids: Vec<u64> = s.pending().iter().map(|p| p.id.raw()).collect();
         assert_eq!(ids, vec![0]);
-        assert_eq!(s.queued.slots(), 1);
+        assert_eq!(narrow(&mut s).queued.slots(), 1);
         // One id past the span is rejected too, at either end.
         let err = s.submit(job(MAX_QUEUE_ID_SPAN, 1, 100, 2), &c).unwrap_err();
         assert!(
@@ -2413,40 +2619,44 @@ mod tests {
             s.submit(j.clone(), &c).unwrap();
         }
         let now = SimTime::from_secs(10);
-        let mut eager = s.availability_profile(&c, now);
-        let mut plan = Plan::new(now, Demand::free_of(&c));
-        let start = |plan: &mut Plan, s: &mut BatchScheduler, c: &mut Cluster, j: &PendingJob| {
-            let entry = *s.queued.get(j.id.raw()).unwrap();
-            let (queued, running) = (&mut s.queued, &mut s.running);
-            plan.start(c, queued, running, j, &entry, &mut NoProbe)
-                .unwrap();
+        let lanes = narrow(&mut s);
+        let mut eager = profile_of(now, Demand::free_in(&c), &lanes.running);
+        let mut plan = Plan::new(now, Demand::free_in(&c));
+        let start = |plan: &mut Plan<NARROW>,
+                     lanes: &mut Lanes<NARROW>,
+                     c: &mut Cluster,
+                     j: &PendingJob| {
+            let entry = *lanes.queued.get(j.id.raw()).unwrap();
+            plan.start(c, lanes, j, &entry, &mut NoProbe).unwrap();
             entry.demand
         };
         // FCFS reads only the free vector, so neither its starts nor its
         // holds build a profile.
-        let fcfs = |plan: &mut Plan, s: &BatchScheduler, blocked: bool, j: &PendingJob| {
-            let demand = s.queued.get(j.id.raw()).unwrap().demand;
-            admit(Discipline::Fcfs, blocked, j, &demand, plan, &s.running)
-        };
+        let fcfs =
+            |plan: &mut Plan<NARROW>, lanes: &Lanes<NARROW>, blocked: bool, j: &PendingJob| {
+                let demand = lanes.queued.get(j.id.raw()).unwrap().demand;
+                admit(Discipline::Fcfs, blocked, j, &demand, plan, &lanes.running)
+            };
         for j in &jobs[..2] {
-            assert_eq!(fcfs(&mut plan, &s, false, j), Admit::Start);
-            let demand = start(&mut plan, &mut s, &mut c, j);
+            assert_eq!(fcfs(&mut plan, lanes, false, j), Admit::Start);
+            let demand = start(&mut plan, lanes, &mut c, j);
             eager.reserve(&demand, now, j.walltime);
         }
-        assert_eq!(fcfs(&mut plan, &s, true, &jobs[2]), Admit::Hold);
+        assert_eq!(fcfs(&mut plan, lanes, true, &jobs[2]), Admit::Hold);
         assert!(
             plan.profile.is_none(),
             "starts before the first read build nothing"
         );
-        assert_eq!(plan.free, Demand::free_of(&c));
+        assert_eq!(plan.free, Demand::free_in(&c));
         // The first read builds the profile after the starts: the one
         // built before them, with each start reserved.
-        assert_eq!(plan.profile(&s.running), &eager);
+        assert_eq!(plan.profile(&lanes.running), &eager);
         // A start after the build is reserved into it.
-        let demand = start(&mut plan, &mut s, &mut c, &jobs[2]);
+        let demand = start(&mut plan, lanes, &mut c, &jobs[2]);
         eager.reserve(&demand, now, jobs[2].walltime);
         assert_eq!(plan.profile.as_ref(), Some(&eager));
-        assert_eq!(plan.profile(&s.running), &s.availability_profile(&c, now));
+        let rebuilt = profile_of(now, Demand::free_in(&c), &lanes.running);
+        assert_eq!(plan.profile(&lanes.running), &rebuilt);
     }
 
     #[test]
@@ -2459,5 +2669,308 @@ mod tests {
         let classical = c.node_slot("classical").unwrap();
         assert_eq!(p.free_at(SimTime::from_secs(50)).get(classical), 4);
         assert_eq!(p.free_at(SimTime::from_secs(100)).get(classical), 10);
+    }
+
+    #[test]
+    fn narrow_entries_stay_within_their_size_budget() {
+        // The narrow width exists to keep these small: a queued entry and
+        // a running job each carry one 16-byte demand, not a 64-byte one.
+        assert!(std::mem::size_of::<Queued<NARROW>>() <= 32);
+        assert!(std::mem::size_of::<Running<NARROW>>() <= 56);
+    }
+
+    #[test]
+    fn a_wider_machine_widens_the_state() {
+        let mut s = BatchScheduler::new(PolicySpec::easy());
+        s.submit(job(0, 2, 100, 0), &cluster(10)).unwrap();
+        assert!(matches!(s.width, Width::Narrow(_)), "3 slots stay narrow");
+        let mut b = ClusterBuilder::new();
+        for i in 0..=MAX_SLOTS {
+            b = b.partition(format!("p{i}"), 1);
+        }
+        let wide = b.build(SimTime::ZERO);
+        assert!(!s.is_settled(&wide), "a wider machine is never settled");
+        let last = AllocRequest::new().group(GroupRequest::nodes(format!("p{MAX_SLOTS}"), 1));
+        let err = s
+            .submit(
+                PendingJob {
+                    request: last,
+                    ..job(1, 1, 100, 0)
+                },
+                &wide,
+            )
+            .unwrap_err();
+        assert!(matches!(s.width, Width::Wide(_)));
+        assert!(
+            err.to_string().contains("beyond the 16 resource slots"),
+            "{err}"
+        );
+        // The job queued before the widening kept its demand.
+        assert_eq!(s.pending_len(), 1);
+        assert_eq!(
+            s.availability_profile(&cluster(10), SimTime::ZERO)
+                .free_at(SimTime::ZERO),
+            &Demand::from_units(&[10, 1, 1])
+        );
+    }
+
+    #[test]
+    fn wide_state_settles_past_sixteen_slots() {
+        // Past MAX_SLOTS slots the scheduler plans for the first 16, and
+        // the wide state settles there as on any other machine.
+        let mut b = ClusterBuilder::new().partition("classical", 1);
+        for i in 1..=MAX_SLOTS {
+            b = b.partition(format!("p{i}"), 1);
+        }
+        let mut c = b.build(SimTime::ZERO);
+        let mut s = BatchScheduler::new(PolicySpec::fcfs());
+        s.submit(job(0, 1, 100, 0), &c).unwrap();
+        s.submit(job(1, 1, 100, 0), &c).unwrap();
+        assert!(matches!(s.width, Width::Wide(_)));
+        assert_eq!(s.try_schedule(&mut c, SimTime::ZERO).len(), 1);
+        assert!(s.try_schedule(&mut c, SimTime::ZERO).is_empty());
+        assert!(s.is_settled(&c), "job 1 cannot fit until job 0 ends");
+    }
+
+    /// A step of [`narrow_against_wide`]: `(kind, pick, units, ticks,
+    /// rank)`.
+    type Step = (u8, u8, Vec<u32>, u64, u8);
+
+    /// A machine of `slots` resource slots, 1 to 4: node partitions `p0`,
+    /// `p1`, … of `sizes[i]` nodes and, with `gres`, a last slot of
+    /// `sizes[slots - 1]` QPUs on the node-less partition `q`.
+    fn small_machine(slots: usize, gres: bool, sizes: &[u32]) -> Cluster {
+        let partitions = slots - usize::from(gres);
+        let mut b = ClusterBuilder::new();
+        for (i, n) in sizes[..partitions].iter().enumerate() {
+            b = b.partition(format!("p{i}"), *n);
+        }
+        if gres {
+            b = b.partition_with_gres("q", 0, GresKind::qpu(), sizes[slots - 1]);
+        }
+        b.build(SimTime::ZERO)
+    }
+
+    /// `units[i]` of slot `i` of [`small_machine`].
+    fn small_request(slots: usize, gres: bool, units: &[u32]) -> AllocRequest {
+        let partitions = slots - usize::from(gres);
+        let mut request = AllocRequest::new();
+        for (i, n) in units[..partitions].iter().enumerate() {
+            if *n > 0 {
+                request = request.group(GroupRequest::nodes(format!("p{i}"), *n));
+            }
+        }
+        if gres && units[slots - 1] > 0 {
+            request = request.group(GroupRequest::gres("q", GresKind::qpu(), units[slots - 1]));
+        }
+        request
+    }
+
+    /// Drives two schedulers running `spec` on twin machines of `slots`
+    /// slots (see [`small_machine`]) through `steps`: the first keeps the
+    /// narrow state, the second widens just before step `widen_at` (0:
+    /// from the start). After every cycle they must agree on the starts
+    /// and their allocation ids, `last_holds`, `hold_changes`, the queue
+    /// order, `is_settled`, the span of queued ids and the availability
+    /// profile.
+    ///
+    /// A step of kind 0 to 2 submits a job of `units[i] % (size + 1)` in
+    /// each slot, or one past the slot's size for 11 (rejected by both),
+    /// for `ticks` × 50 s with QoS rank `rank`; 3 cancels the `pick`-th
+    /// queued job, or an id never queued; 4 finishes the `pick`-th
+    /// running job; 5 fails node `pick`, killing the job on it; 6
+    /// restores it; any other (and a 4, 5 or 6 with nothing to act on)
+    /// advances the clock by `pick % 4` × 25 s and runs a cycle.
+    fn narrow_against_wide(
+        spec: PolicySpec,
+        (slots, gres, sizes): (usize, bool, &[u32]),
+        steps: &[Step],
+        widen_at: usize,
+    ) {
+        let (mut nc, mut wc) = (
+            small_machine(slots, gres, sizes),
+            small_machine(slots, gres, sizes),
+        );
+        let (mut ns, mut ws) = (BatchScheduler::new(spec), BatchScheduler::new(spec));
+        let total_nodes = nc.nodes().len() as u32;
+        let mut running: Vec<AllocationId> = Vec::new();
+        let mut now = SimTime::ZERO;
+        let mut next_id = 0;
+        for (i, (kind, pick, units, ticks, rank)) in steps.iter().enumerate() {
+            if i == widen_at {
+                ws.width.widen();
+            }
+            let pick = *pick;
+            match kind {
+                0..=2 => {
+                    let units: Vec<u32> = units
+                        .iter()
+                        .zip(sizes)
+                        .map(|(u, size)| if *u == 11 { size + 1 } else { u % (size + 1) })
+                        .collect();
+                    let job = PendingJob {
+                        id: JobId::new(next_id),
+                        request: small_request(slots, gres, &units),
+                        walltime: SimDuration::from_secs(50 * ticks),
+                        submit: now,
+                        user: format!("u{}", rank % 3),
+                        qos_boost: f64::from(*rank) * 100.0,
+                    };
+                    next_id += 1;
+                    assert_eq!(ns.submit(job.clone(), &nc), ws.submit(job, &wc));
+                }
+                3 => {
+                    let pending = ns.pending();
+                    let id = pending
+                        .get(usize::from(pick) % (pending.len() + 1))
+                        .map_or(JobId::new(next_id), |job| job.id);
+                    assert_eq!(ns.cancel(id), ws.cancel(id));
+                }
+                4 if !running.is_empty() => {
+                    let alloc = running.swap_remove(usize::from(pick) % running.len());
+                    nc.release(alloc, now).unwrap();
+                    wc.release(alloc, now).unwrap();
+                    assert_eq!(ns.finished(alloc, now), ws.finished(alloc, now));
+                }
+                5 if total_nodes > 0 => {
+                    let node = hpcqc_cluster::ids::NodeId::new(u32::from(pick) % total_nodes);
+                    let hit = nc.fail_node(node).unwrap();
+                    assert_eq!(hit, wc.fail_node(node).unwrap());
+                    if let Some(alloc) = hit {
+                        running.retain(|a| *a != alloc);
+                        nc.release(alloc, now).unwrap();
+                        wc.release(alloc, now).unwrap();
+                        assert_eq!(ns.finished(alloc, now), ws.finished(alloc, now));
+                    }
+                }
+                6 if total_nodes > 0 => {
+                    let node = hpcqc_cluster::ids::NodeId::new(u32::from(pick) % total_nodes);
+                    nc.restore_node(node).unwrap();
+                    wc.restore_node(node).unwrap();
+                }
+                _ => {
+                    now += SimDuration::from_secs(25 * u64::from(pick % 4));
+                    assert_eq!(ns.is_settled(&nc), ws.is_settled(&wc));
+                    let started = ns.try_schedule(&mut nc, now);
+                    assert_eq!(started, ws.try_schedule(&mut wc, now), "{spec:?}");
+                    running.extend(started.iter().map(|st| st.alloc));
+                    assert_eq!(ns.last_holds(), ws.last_holds());
+                    assert_eq!(ns.hold_changes(), ws.hold_changes());
+                    assert_eq!(ns.pending(), ws.pending());
+                    assert_eq!(ns.is_settled(&nc), ws.is_settled(&wc));
+                    // The id window's span, which bounds the next submit.
+                    assert_eq!(
+                        at_width!(&ns.width, lanes => lanes.queued.slots()),
+                        at_width!(&ws.width, lanes => lanes.queued.slots())
+                    );
+                    assert_eq!(
+                        ns.availability_profile(&nc, now),
+                        ws.availability_profile(&wc, now)
+                    );
+                }
+            }
+        }
+        assert!(matches!(ns.width, Width::Narrow(_)));
+        assert!(widen_at >= steps.len() || matches!(ws.width, Width::Wide(_)));
+    }
+
+    fn all_policies() -> [PolicySpec; 5] {
+        [
+            PolicySpec::fcfs(),
+            PolicySpec::easy(),
+            PolicySpec::conservative(),
+            PolicySpec::priority_backfill(0.05),
+            PolicySpec::quantum_aware(1_000.0),
+        ]
+    }
+
+    fn step() -> impl Strategy<Value = Step> {
+        (
+            0u8..10,
+            0u8..16,
+            prop::collection::vec(0u32..12, 4),
+            1u64..8,
+            0u8..4,
+        )
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The narrow and the wide state agree on every machine of one to
+        /// four slots under all five policies (see
+        /// [`narrow_against_wide`]).
+        #[test]
+        fn narrow_state_matches_wide(
+            slots in 1usize..=4,
+            gres in any::<bool>(),
+            sizes in prop::collection::vec(1u32..5, 4),
+            steps in prop::collection::vec(step(), 1..60),
+        ) {
+            for spec in all_policies() {
+                narrow_against_wide(spec, (slots, gres, &sizes), &steps, 0);
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(1_000))]
+
+        /// The same property at 1,000 cases and longer step sequences, for
+        /// release builds:
+        /// `cargo test --release -p hpcqc-sched --lib -- --ignored narrow_state_matches_wide`.
+        #[test]
+        #[ignore = "1,000 cases; run in release"]
+        fn narrow_state_matches_wide_at_depth(
+            slots in 1usize..=4,
+            gres in any::<bool>(),
+            sizes in prop::collection::vec(1u32..5, 4),
+            steps in prop::collection::vec(step(), 1..120),
+        ) {
+            for spec in all_policies() {
+                narrow_against_wide(spec, (slots, gres, &sizes), &steps, 0);
+            }
+        }
+    }
+
+    #[test]
+    fn widening_mid_life_keeps_the_answers() {
+        // On four slots, the last a QPU pool: eight jobs queue, a cycle
+        // starts some, one finishes and a node fails; the second scheduler
+        // widens with jobs queued and running and a cycle's end on record,
+        // then both plan on through submits, a cancel and a repair.
+        let submit = |units: [u32; 4], ticks, rank| (0, 0, units.to_vec(), ticks, rank);
+        let cycle = |pick| (9, pick, vec![0; 4], 1, 0);
+        let mut steps = vec![
+            submit([2, 1, 0, 1], 4, 0),
+            submit([1, 2, 1, 1], 2, 3),
+            submit([3, 0, 1, 0], 6, 1),
+            submit([0, 1, 2, 2], 3, 2),
+            submit([1, 1, 1, 1], 1, 0),
+            submit([2, 2, 0, 0], 5, 1),
+            submit([0, 0, 1, 1], 2, 2),
+            submit([1, 0, 0, 1], 7, 3),
+            cycle(0),
+            cycle(0),
+            (4, 0, vec![0; 4], 1, 0),
+            (5, 1, vec![0; 4], 1, 0),
+            cycle(1),
+        ];
+        let widen_at = steps.len();
+        steps.extend([
+            cycle(2),
+            submit([1, 1, 0, 1], 2, 1),
+            (3, 1, vec![0; 4], 1, 0),
+            cycle(0),
+            (6, 1, vec![0; 4], 1, 0),
+            (4, 1, vec![0; 4], 1, 0),
+            cycle(1),
+            submit([3, 2, 2, 2], 1, 3),
+            cycle(3),
+            cycle(3),
+        ]);
+        for spec in all_policies() {
+            narrow_against_wide(spec, (4, true, &[3, 2, 2, 2]), &steps, widen_at);
+        }
     }
 }
