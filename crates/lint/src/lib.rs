@@ -18,8 +18,9 @@
 //!
 //! The scanner is a hand-rolled lexer (no `syn`, no new dependencies)
 //! that understands comments, strings, test regions (`#[cfg(test)]` /
-//! `#[test]`, plus `tests/`/`benches/` trees, which are never scanned)
-//! and inline suppressions:
+//! `#[test]`, the file of an out-of-line `#[cfg(test)] mod tests;` in
+//! full, plus `tests/`/`benches/` trees, which are never scanned) and
+//! inline suppressions:
 //!
 //! ```text
 //! // hpcqc-lint: allow(D004, reason = "id was checked live two lines up")
@@ -43,7 +44,7 @@ pub use rules::{Rule, ALL_RULES};
 pub use scan::scan_source;
 
 use std::io;
-use std::path::Path;
+use std::path::{Path, PathBuf};
 
 /// Scans the whole workspace rooted at `root` and returns the report.
 ///
@@ -55,16 +56,45 @@ pub fn scan_workspace(root: &Path) -> io::Result<Report> {
     let mut findings = Vec::new();
     let mut files = 0usize;
     for member in &members {
-        for path in &member.sources {
-            let src = std::fs::read_to_string(path)?;
+        let sources = member
+            .sources
+            .iter()
+            .map(|path| Ok((path, std::fs::read_to_string(path)?)))
+            .collect::<io::Result<Vec<_>>>()?;
+        // Each test module's path without extension: its file is that
+        // plus `.rs`, and its own modules live under it.
+        let test_modules: Vec<PathBuf> = sources
+            .iter()
+            .flat_map(|(path, src)| {
+                let dir = child_module_dir(path);
+                scan::test_modules(src)
+                    .into_iter()
+                    .map(move |name| dir.join(name))
+            })
+            .collect();
+        for (path, src) in &sources {
             let display = path
                 .strip_prefix(root)
                 .unwrap_or(path)
                 .display()
                 .to_string();
-            findings.extend(scan_source(&member.package, &display, &src));
+            let test_file = test_modules
+                .iter()
+                .any(|module| path.with_extension("") == *module || path.starts_with(module));
+            findings.extend(scan::scan_file(&member.package, &display, src, test_file));
             files += 1;
         }
     }
     Ok(Report::new(files, findings))
+}
+
+/// Where the out-of-line modules that `file` declares live: beside it
+/// for `lib.rs`, `main.rs` and `mod.rs`, else in the directory named
+/// after it.
+fn child_module_dir(file: &Path) -> PathBuf {
+    let dir = file.parent().unwrap_or(Path::new(""));
+    match file.file_stem().and_then(|stem| stem.to_str()) {
+        None | Some("lib" | "main" | "mod") => dir.to_path_buf(),
+        Some(stem) => dir.join(stem),
+    }
 }

@@ -22,9 +22,17 @@ struct Suppression {
 /// every finding, including suppressed ones (marked as such) and `S001`
 /// malformed-suppression findings.
 pub fn scan_source(package: &str, file: &str, src: &str) -> Vec<Finding> {
+    scan_file(package, file, src, false)
+}
+
+/// [`scan_source`], for a file that is test code in full when
+/// `test_file` holds (a module declared by [`test_modules`]): then only
+/// its malformed suppressions are findings.
+pub(crate) fn scan_file(package: &str, file: &str, src: &str, test_file: bool) -> Vec<Finding> {
     let lexed = lex(src);
     let test_regions = test_regions(&lexed.tokens);
-    let in_test = |line: u32| test_regions.iter().any(|&(a, b)| line >= a && line <= b);
+    let in_test =
+        |line: u32| test_file || test_regions.iter().any(|&(a, b)| line >= a && line <= b);
     let code_lines: Vec<u32> = {
         let mut lines: Vec<u32> = lexed.tokens.iter().map(|t| t.line).collect();
         lines.dedup();
@@ -141,6 +149,25 @@ fn rule_passes(package: &str, file: &str, tokens: &[Token], out: &mut Vec<Findin
             _ => {}
         }
     }
+}
+
+/// The out-of-line modules `src` declares as test code: every `mod
+/// <name>;` in a test region, such as `#[cfg(test)] mod tests;`. The
+/// file of such a module is test code in full, though nothing in it says
+/// so.
+pub(crate) fn test_modules(src: &str) -> Vec<String> {
+    let tokens = lex(src).tokens;
+    let regions = test_regions(&tokens);
+    tokens
+        .windows(3)
+        .filter(|w| w[0].is_ident("mod") && w[2].is_punct(";"))
+        .filter(|w| {
+            regions
+                .iter()
+                .any(|&(a, b)| w[0].line >= a && w[0].line <= b)
+        })
+        .filter_map(|w| w[1].ident().map(str::to_string))
+        .collect()
 }
 
 /// Line ranges (inclusive) covered by `#[cfg(test)]` items and `#[test]`
@@ -350,6 +377,20 @@ mod tests {
         let findings = scan("hpcqc-core", src);
         assert_eq!(findings.len(), 1, "{findings:?}");
         assert_eq!(findings[0].line, 2);
+    }
+
+    #[test]
+    fn test_modules_are_the_out_of_line_ones_in_test_regions() {
+        let src = r#"
+            mod engine;
+            #[cfg(test)]
+            mod tests;
+            #[cfg(test)]
+            mod inline {
+                mod nested;
+            }
+        "#;
+        assert_eq!(test_modules(src), ["tests", "nested"]);
     }
 
     #[test]

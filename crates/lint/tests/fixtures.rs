@@ -7,7 +7,7 @@
 //! walker scans only `src/` trees, so they never pollute the real lint
 //! report, and cargo never compiles non-top-level test files.
 
-use hpcqc_lint::{scan_source, Finding};
+use hpcqc_lint::{scan_source, scan_workspace, Finding};
 use std::path::Path;
 
 fn scan_fixture(package: &str, name: &str) -> Vec<Finding> {
@@ -121,4 +121,35 @@ fn suppression_without_reason_is_a_finding_and_does_not_suppress() {
         codes.contains(&"D004"),
         "the underlying violation must stay unsuppressed: {live:?}"
     );
+}
+
+#[test]
+fn out_of_line_test_module_is_test_code_in_full() {
+    // A one-crate workspace whose `tests.rs` is declared by
+    // `#[cfg(test)] mod tests;` in `lib.rs`, and whose `engine.rs` is
+    // not: the same unwrapping helper, outside any `#[test]`, is a D004
+    // only in the library file.
+    let root = std::env::temp_dir().join(format!("hpcqc-lint-test-module-{}", std::process::id()));
+    let src = root.join("src");
+    std::fs::create_dir_all(&src).unwrap();
+    let helper = "fn helper_that_unwraps() -> u8 {\n    Some(1).unwrap()\n}\n";
+    let files = [
+        ("Cargo.toml", "[package]\nname = \"hpcqc-core\"\n"),
+        ("src/lib.rs", "mod engine;\n#[cfg(test)]\nmod tests;\n"),
+        ("src/engine.rs", helper),
+        ("src/tests.rs", helper),
+    ];
+    for (name, text) in files {
+        std::fs::write(root.join(name), text).unwrap();
+    }
+    let report = scan_workspace(&root);
+    std::fs::remove_dir_all(&root).unwrap();
+    let live: Vec<(String, String, u32)> = report
+        .unwrap()
+        .findings
+        .iter()
+        .filter(|f| !f.suppressed)
+        .map(|f| (f.code.clone(), f.file.clone(), f.line))
+        .collect();
+    assert_eq!(live, [("D004".to_string(), "src/engine.rs".to_string(), 2)]);
 }
