@@ -11,7 +11,7 @@
 //!
 //! Drivers act through a [`SimCtx`] capability handle rather than raw
 //! simulator internals: cluster shrink/expand, device-timing estimates,
-//! queue introspection and walltime re-arming are the *only* levers, so a
+//! and job, queue and cluster introspection are the *only* levers, so a
 //! buggy driver cannot corrupt the simulator's accounting.
 //!
 //! ## Writing a driver
@@ -172,8 +172,8 @@ pub fn driver_for(strategy: &Strategy) -> Box<dyn StrategyDriver> {
 /// The capability handle a [`StrategyDriver`] acts through.
 ///
 /// Exposes exactly the levers a strategy may pull — job introspection,
-/// device-timing estimates, queue state, cluster shrink/expand on the
-/// job's own allocation, and walltime re-arming — and nothing else. All
+/// device-timing estimates, queue and free-node state, and cluster
+/// shrink/expand on the job's own allocation — and nothing else. All
 /// mutations keep the simulator's waste/usage integrals and observer
 /// stream consistent.
 #[derive(Debug)]
