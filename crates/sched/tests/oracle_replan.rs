@@ -23,7 +23,11 @@
 //!   time, each after a clock advance of up to two minutes and followed
 //!   by a cycle, as a simulation loop does, so that queues grow deep and
 //!   held and new jobs land both ahead of and behind the head (the QoS
-//!   boost is worth up to an hour of age).
+//!   boost is worth up to an hour of age);
+//! * a third, overrun-weighted mix keeps a running job going well past
+//!   its expected end while jobs trickle in behind the head, so that
+//!   most cycles see a release due, some fallen due since the last
+//!   cycle and some due long before it.
 //!
 //! After every cycle the two must agree on the starts, the allocation
 //! ids, `last_holds` and the queue order, and the library's
@@ -171,6 +175,9 @@ enum Action {
     /// Each job is submitted after the clock advances by its seconds
     /// (possibly none), and a cycle follows it.
     Trickle(Vec<(u64, JobSpec)>),
+    /// A running job, picked by this number, runs on until at least
+    /// this many seconds past its expected end.
+    Overrun(usize, u64),
 }
 
 fn action() -> impl Strategy<Value = Action> {
@@ -206,6 +213,28 @@ fn submit_weighted_action() -> impl Strategy<Value = Action> {
     ]
 }
 
+/// The overrun-weighted mix: running jobs outlive their expected ends
+/// by up to two hours, while the clock creeps past those ends and jobs
+/// trickle in behind the head.
+fn overrun_weighted_action() -> impl Strategy<Value = Action> {
+    let overrun =
+        || (0usize..8, 600u64..7_200).prop_map(|(pick, secs)| Action::Overrun(pick, secs));
+    let trickle = || prop::collection::vec((0u64..120, job_spec()), 1..6).prop_map(Action::Trickle);
+    prop_oneof![
+        overrun(),
+        overrun(),
+        trickle(),
+        trickle(),
+        prop::collection::vec(job_spec(), 1..6).prop_map(Action::Submit),
+        prop::collection::vec(job_spec(), 1..6).prop_map(Action::Submit),
+        (1u64..300).prop_map(Action::Advance),
+        (-1i64..=1).prop_map(Action::ToExpectedEnd),
+        (-1i64..=1).prop_map(Action::ToExpectedEnd),
+        (0usize..8).prop_map(Action::Release),
+        Just(Action::Nothing),
+    ]
+}
+
 /// One step: an action, then this many cycles at the instant it leaves.
 type Step = (Action, u8);
 
@@ -215,6 +244,10 @@ fn step() -> impl Strategy<Value = Step> {
 
 fn submit_weighted_step() -> impl Strategy<Value = Step> {
     (submit_weighted_action(), 1u8..3)
+}
+
+fn overrun_weighted_step() -> impl Strategy<Value = Step> {
+    (overrun_weighted_action(), 1u8..4)
 }
 
 /// Counts cycles and the phases in them.
@@ -382,6 +415,13 @@ impl Replay {
                 }
             }
             Action::Advance(secs) => self.advance(self.now + SimDuration::from_secs(*secs)),
+            Action::Overrun(pick, secs) => {
+                if !self.running.is_empty() {
+                    let index = pick % self.running.len();
+                    let (end, expected, _) = &mut self.running[index];
+                    *end = (*end).max(*expected + SimDuration::from_secs(*secs));
+                }
+            }
             Action::ToExpectedEnd(shift) => {
                 let next = self
                     .running
@@ -561,6 +601,36 @@ proptest! {
     #[ignore = "1,000 cases; run in release"]
     fn submit_only_cycles_match_the_reference_at_depth(
         steps in prop::collection::vec(submit_weighted_step(), 1..80),
+        policy_idx in 0usize..5,
+        fairshare in any::<bool>(),
+    ) {
+        replay(&steps, policies(fairshare)[policy_idx]);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn overrunning_jobs_match_the_reference(
+        steps in prop::collection::vec(overrun_weighted_step(), 1..90),
+        policy_idx in 0usize..5,
+        fairshare in any::<bool>(),
+    ) {
+        replay(&steps, policies(fairshare)[policy_idx]);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(1_000))]
+
+    /// The overrun-weighted oracle at four times the cases and longer
+    /// step sequences, for release builds (see
+    /// `fast_paths_match_the_reference_at_depth`).
+    #[test]
+    #[ignore = "1,000 cases; run in release"]
+    fn overrunning_jobs_match_the_reference_at_depth(
+        steps in prop::collection::vec(overrun_weighted_step(), 1..120),
         policy_idx in 0usize..5,
         fairshare in any::<bool>(),
     ) {
