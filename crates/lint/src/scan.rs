@@ -170,77 +170,156 @@ pub(crate) fn test_modules(src: &str) -> Vec<String> {
         .collect()
 }
 
-/// Line ranges (inclusive) covered by `#[cfg(test)]` items and `#[test]`
-/// functions. Detected by brace-matching from the attribute: everything
-/// from the attribute line to the item's closing brace (or `;`).
+/// Line ranges (inclusive) covered by test code: `#[test]` functions and
+/// items under a `cfg` that implies `test` (see [`implies_test`]), each
+/// from the attribute line to the item's closing brace (or `;`), or the
+/// whole file if an inner attribute at its top gates it so, as
+/// `#![cfg(test)]` does.
 fn test_regions(tokens: &[Token]) -> Vec<(u32, u32)> {
-    let mut regions = Vec::new();
+    let last_line = tokens.last().map_or(0, |t| t.line);
     let mut i = 0usize;
-    while i < tokens.len() {
-        if tokens[i].is_punct("#") && tokens.get(i + 1).is_some_and(|t| t.is_punct("[")) {
-            // Collect the attribute's tokens up to the matching `]`.
-            let start_line = tokens[i].line;
-            let mut j = i + 2;
-            let mut depth = 1u32;
-            let mut is_test_attr = false;
-            while j < tokens.len() && depth > 0 {
-                if tokens[j].is_punct("[") {
-                    depth += 1;
-                } else if tokens[j].is_punct("]") {
-                    depth -= 1;
-                } else if tokens[j].is_ident("test") {
-                    is_test_attr = true;
-                }
-                j += 1;
-            }
-            if is_test_attr {
-                // Skip any further attributes, then brace-match the item.
-                let mut k = j;
-                while k < tokens.len()
-                    && tokens[k].is_punct("#")
-                    && tokens.get(k + 1).is_some_and(|t| t.is_punct("["))
-                {
-                    let mut d = 1u32;
-                    k += 2;
-                    while k < tokens.len() && d > 0 {
-                        if tokens[k].is_punct("[") {
-                            d += 1;
-                        } else if tokens[k].is_punct("]") {
-                            d -= 1;
-                        }
-                        k += 1;
-                    }
-                }
-                let mut end_line = start_line;
-                let mut brace_depth = 0u32;
-                let mut entered = false;
-                while k < tokens.len() {
-                    if tokens[k].is_punct("{") {
-                        brace_depth += 1;
-                        entered = true;
-                    } else if tokens[k].is_punct("}") {
-                        brace_depth = brace_depth.saturating_sub(1);
-                        if entered && brace_depth == 0 {
-                            end_line = tokens[k].line;
-                            break;
-                        }
-                    } else if !entered && tokens[k].is_punct(";") {
-                        // Braceless item (e.g. `mod tests;`).
-                        end_line = tokens[k].line;
-                        break;
-                    }
-                    k += 1;
-                }
-                if k >= tokens.len() {
-                    end_line = tokens.last().map_or(start_line, |t| t.line);
-                }
-                regions.push((start_line, end_line));
-                i = k;
-            }
+    while let Some(attr) = attribute_at(tokens, i).filter(|a| a.inner) {
+        if marks_test(&tokens[attr.body.clone()]) {
+            return vec![(tokens[0].line, last_line)];
         }
-        i += 1;
+        i = attr.next;
+    }
+    let mut regions = Vec::new();
+    while i < tokens.len() {
+        let Some(attr) = attribute_at(tokens, i).filter(|a| !a.inner) else {
+            i += 1;
+            continue;
+        };
+        if !marks_test(&tokens[attr.body.clone()]) {
+            i = attr.next;
+            continue;
+        }
+        let start_line = tokens[i].line;
+        // Skip any further attributes, then brace-match the item.
+        let mut k = attr.next;
+        while let Some(next) = attribute_at(tokens, k) {
+            k = next.next;
+        }
+        let mut end_line = last_line;
+        let mut brace_depth = 0u32;
+        let mut entered = false;
+        while k < tokens.len() {
+            if tokens[k].is_punct("{") {
+                brace_depth += 1;
+                entered = true;
+            } else if tokens[k].is_punct("}") {
+                brace_depth = brace_depth.saturating_sub(1);
+                if entered && brace_depth == 0 {
+                    end_line = tokens[k].line;
+                    break;
+                }
+            } else if !entered && tokens[k].is_punct(";") {
+                // Braceless item (e.g. `mod tests;`).
+                end_line = tokens[k].line;
+                break;
+            }
+            k += 1;
+        }
+        regions.push((start_line, end_line));
+        i = k + 1;
     }
     regions
+}
+
+/// An attribute: `#[...]`, or `#![...]` if `inner`.
+#[derive(Debug)]
+struct Attribute {
+    inner: bool,
+    /// The tokens between the brackets.
+    body: std::ops::Range<usize>,
+    /// The index just past the closing bracket.
+    next: usize,
+}
+
+/// The attribute that starts at `tokens[i]`, if one does.
+fn attribute_at(tokens: &[Token], i: usize) -> Option<Attribute> {
+    if !tokens.get(i)?.is_punct("#") {
+        return None;
+    }
+    let inner = tokens.get(i + 1)?.is_punct("!");
+    let open = i + 1 + usize::from(inner);
+    if !tokens.get(open)?.is_punct("[") {
+        return None;
+    }
+    let close = matching(tokens, open, "[", "]");
+    Some(Attribute {
+        inner,
+        body: open + 1..close,
+        next: (close + 1).min(tokens.len()),
+    })
+}
+
+/// The index of the bracket that closes the one at `tokens[open]`, or
+/// the end of `tokens` if none does.
+fn matching(tokens: &[Token], open: usize, left: &str, right: &str) -> usize {
+    let mut depth = 0u32;
+    for (k, tok) in tokens.iter().enumerate().skip(open) {
+        if tok.is_punct(left) {
+            depth += 1;
+        } else if tok.is_punct(right) {
+            depth -= 1;
+            if depth == 0 {
+                return k;
+            }
+        }
+    }
+    tokens.len()
+}
+
+/// Whether an attribute with this body marks test code: `test`, or a
+/// `cfg` whose predicate [`implies_test`]. `cfg_attr(test, ...)` only
+/// adds attributes under test, so it marks nothing.
+fn marks_test(body: &[Token]) -> bool {
+    match body {
+        [only] => only.is_ident("test"),
+        [cfg, open, predicate @ .., close]
+            if cfg.is_ident("cfg") && open.is_punct("(") && close.is_punct(")") =>
+        {
+            implies_test(predicate)
+        }
+        _ => false,
+    }
+}
+
+/// Whether a `cfg` predicate holds only under `test`: `test` itself, an
+/// `all(...)` with such an argument, or an `any(...)` whose every
+/// argument is one. `not(...)` and every other predicate do not.
+fn implies_test(predicate: &[Token]) -> bool {
+    match predicate {
+        [only] => only.is_ident("test"),
+        [op, open, args @ .., close] if open.is_punct("(") && close.is_punct(")") => {
+            let args: Vec<&[Token]> = arguments(args).collect();
+            if op.is_ident("all") {
+                args.into_iter().any(implies_test)
+            } else if op.is_ident("any") {
+                !args.is_empty() && args.into_iter().all(implies_test)
+            } else {
+                false
+            }
+        }
+        _ => false,
+    }
+}
+
+/// The comma-separated arguments of a predicate list, split at the
+/// commas outside any parentheses; an empty list has none.
+fn arguments(tokens: &[Token]) -> impl Iterator<Item = &[Token]> {
+    let mut depth = 0u32;
+    tokens
+        .split(move |tok| {
+            if tok.is_punct("(") {
+                depth += 1;
+            } else if tok.is_punct(")") {
+                depth = depth.saturating_sub(1);
+            }
+            depth == 0 && tok.is_punct(",")
+        })
+        .filter(|arg| !arg.is_empty())
 }
 
 /// Parses `hpcqc-lint: allow(...)` directives out of the comment stream.
@@ -391,6 +470,36 @@ mod tests {
             }
         "#;
         assert_eq!(test_modules(src), ["tests", "nested"]);
+    }
+
+    #[test]
+    fn only_a_cfg_that_implies_test_marks_test_code() {
+        let helper = "fn helper() -> u8 { Some(1).unwrap() }";
+        for (attr, marks) in [
+            ("#[test]", true),
+            ("#[cfg(test)]", true),
+            ("#[cfg(all(unix, test))]", true),
+            ("#[cfg(any(test, all(test, unix)))]", true),
+            ("#[cfg(not(test))]", false),
+            ("#[cfg(any(test, feature = \"x\"))]", false),
+            ("#[cfg(all(not(test), unix))]", false),
+            ("#[cfg_attr(test, allow(dead_code))]", false),
+            ("#[tokio::test]", false),
+        ] {
+            let findings = scan("hpcqc-core", &format!("{attr}\n{helper}\n"));
+            assert_eq!(findings.is_empty(), marks, "{attr}: {findings:?}");
+        }
+        assert!(test_modules("#[cfg(not(test))]\nmod name;\n").is_empty());
+    }
+
+    #[test]
+    fn a_file_gated_on_test_is_test_code_in_full() {
+        let src = "//! Helpers.\n#![allow(dead_code)]\n#![cfg(test)]\n\
+                   fn helper() -> u8 { Some(1).unwrap() }\nmod more;\n";
+        assert!(scan("hpcqc-core", src).is_empty());
+        assert_eq!(test_modules(src), ["more"]);
+        let later = "fn f() -> u8 { Some(1).unwrap() }\n#![cfg(test)]\n";
+        assert_eq!(scan("hpcqc-core", later).len(), 1, "not at the top");
     }
 
     #[test]

@@ -63,5 +63,5 @@ pub use policy::{
     POLICY_FORMS,
 };
 pub use priority::{PriorityCalculator, PriorityWeights, UserId};
-pub use probe::{CyclePhase, CycleProbe, NoProbe};
+pub use probe::{CycleKind, CyclePhase, CycleProbe, NoProbe};
 pub use scheduler::{BatchScheduler, PendingJob, SchedError, StartedJob, MAX_QUEUE_ID_SPAN};

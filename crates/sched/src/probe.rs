@@ -4,8 +4,8 @@
 //! *outside*: it is told when a cycle begins (and how deep the queue is),
 //! when each internal phase — queue ordering, admission decisions, live
 //! cluster allocation — starts and stops, and how the cycle ended (jobs
-//! started vs held). The simulation loop also reports each cycle it skips
-//! because the scheduler is settled. The scheduler itself never reads a
+//! started vs held), and which kind of cycle it was. The simulation loop
+//! also reports each cycle it skips because the scheduler is settled. The scheduler itself never reads a
 //! clock; a probe that wants wall-clock timings takes them in its own
 //! crate (see `hpcqc-trace`'s `SchedProfiler`), so the deterministic core
 //! stays free of wall time. The cycle is generic over its probe, so the
@@ -61,6 +61,42 @@ impl CyclePhase {
     }
 }
 
+/// The kind of a planned cycle (see the cycle kinds of
+/// [`try_schedule_probed`](crate::scheduler::BatchScheduler::try_schedule_probed)):
+/// one of the three fast kinds, or a full plan. A cycle whose fast kind's
+/// conditions fail plans in full, and is `Full`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub enum CycleKind {
+    /// A same-instant follow-up to a cycle that started jobs.
+    FollowUp,
+    /// A clock-only re-run of a cycle that started nothing.
+    ReRun,
+    /// A cycle that admits only the jobs submitted since the last one.
+    SubmitOnly,
+    /// A cycle that orders the queue and admits every job.
+    Full,
+}
+
+impl CycleKind {
+    /// Every kind, in the order profiler reports list them.
+    pub const ALL: [CycleKind; 4] = [
+        CycleKind::FollowUp,
+        CycleKind::ReRun,
+        CycleKind::SubmitOnly,
+        CycleKind::Full,
+    ];
+
+    /// Short label used in profiler reports.
+    pub fn name(self) -> &'static str {
+        match self {
+            CycleKind::FollowUp => "follow-up",
+            CycleKind::ReRun => "re-run",
+            CycleKind::SubmitOnly => "submit-only",
+            CycleKind::Full => "full",
+        }
+    }
+}
+
 /// Observes planning cycles. All hooks have empty defaults, so a probe
 /// implements only what it measures.
 pub trait CycleProbe: std::fmt::Debug {
@@ -68,6 +104,12 @@ pub trait CycleProbe: std::fmt::Debug {
     /// `queue_depth` jobs pending.
     fn cycle_start(&mut self, now: SimTime, queue_depth: usize) {
         let _ = (now, queue_depth);
+    }
+
+    /// The cycle that began takes `kind`. Called once per cycle, after
+    /// [`cycle_start`](CycleProbe::cycle_start) and before any phase.
+    fn cycle_kind(&mut self, kind: CycleKind) {
+        let _ = kind;
     }
 
     /// An internal phase segment begins.
@@ -115,9 +157,16 @@ mod tests {
     }
 
     #[test]
+    fn kind_names_are_stable() {
+        let names = CycleKind::ALL.map(CycleKind::name);
+        assert_eq!(names, ["follow-up", "re-run", "submit-only", "full"]);
+    }
+
+    #[test]
     fn no_probe_defaults_are_callable() {
         let mut p = NoProbe;
         p.cycle_start(SimTime::ZERO, 3);
+        p.cycle_kind(CycleKind::Full);
         p.phase_start(CyclePhase::Order);
         p.phase_end(CyclePhase::Order);
         p.cycle_end(1, 2);

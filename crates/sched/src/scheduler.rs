@@ -15,7 +15,7 @@
 use crate::demand::{Demand, Profile, MAX_SLOTS};
 use crate::policy::{Discipline, HoldReason, PolicySpec};
 use crate::priority::{PriorityCalculator, UserId};
-use crate::probe::{CyclePhase, CycleProbe, NoProbe};
+use crate::probe::{CycleKind, CyclePhase, CycleProbe, NoProbe};
 use hpcqc_cluster::alloc::AllocRequest;
 use hpcqc_cluster::cluster::Cluster;
 use hpcqc_cluster::error::ClusterError;
@@ -260,7 +260,9 @@ struct CycleEnd {
     changes_ahead: usize,
     /// The slot the EASY arm reserved for the head, the queue's first
     /// held job: its shadow, or [`SimTime::MAX`] if it never fits, and
-    /// under FCFS and conservative backfill.
+    /// under FCFS and conservative backfill. The fast kinds keep it;
+    /// once the clock has passed it, the head's slot is the cycle's
+    /// instant (see the cycle kinds).
     shadow: SimTime,
 }
 
@@ -522,6 +524,15 @@ impl<const N: usize> Lanes<N> {
     fn release_due(&self, now: SimTime) -> bool {
         self.running.values().any(|r| r.expected_end <= now)
     }
+
+    /// Whether a running job's expected end lies in `(since, now]`. If
+    /// none does, the availability profile reads the same from `since`
+    /// to `now`.
+    fn released_since(&self, since: SimTime, now: SimTime) -> bool {
+        self.running
+            .values()
+            .any(|r| since < r.expected_end && r.expected_end <= now)
+    }
 }
 
 /// The scheduler's width-dependent state at its width: [`NARROW`] lanes
@@ -732,8 +743,10 @@ impl BatchScheduler {
     /// order the queue sorts into now. If nothing finished, that cycle
     /// may be a clock-only re-run, whose proof is the stronger one: it
     /// keeps every verdict, not only the starts, so it also needs the
-    /// queue's order unchanged and, unless the discipline is FCFS, no
-    /// release due.
+    /// queue's order unchanged and no verdict moved with the clock: under
+    /// conservative backfill no release due, and under the EASY arm the
+    /// head's kept shadow after `now` or no running job's expected end
+    /// fallen due since the settled cycle.
     ///
     /// A cluster with more slots than the scheduler's narrow state
     /// stores is never settled: the next cycle widens the state first.
@@ -809,25 +822,50 @@ impl BatchScheduler {
     ///    first hold, it re-diagnoses nothing.
     /// 3. *Clock-only re-run*: `C` started nothing, and nothing was
     ///    submitted or finished since. With the queue, scored at `now`,
-    ///    still in `C`'s order (checked in one pass, no sort) and, unless
-    ///    the discipline is FCFS, no release due, it keeps `C`'s holds
-    ///    (see `carry_holds`).
+    ///    still in `C`'s order (checked in one pass, no sort) and no
+    ///    verdict moved with the clock (below), it keeps `C`'s holds (see
+    ///    `carry_holds`).
     /// 4. *Submit-only*: as a re-run, but jobs were submitted since onto
     ///    `C`'s queue, which was not empty. With the old jobs still in
     ///    `C`'s order, every new job sorting behind `C`'s head, any
-    ///    discipline but conservative and, unless it is FCFS, no release
-    ///    due, it admits only the new jobs, at their places in the sorted
-    ///    queue (see `submit_only`).
+    ///    discipline but conservative and no verdict moved with the
+    ///    clock, it admits only the new jobs, at their places in the
+    ///    sorted queue (see `submit_only`).
     /// 5. *Full*: anything else, or a kind whose conditions fail. It
     ///    scores and sorts the queue, then admits every job.
     ///
-    /// *No release due* means that no running job's expected end lies at
-    /// or before `now`. Then the profile at `now` reads `F` until the
-    /// first release `e > now`, and from `now` on it agrees with the
-    /// profile of any earlier cycle over the same running set: a demand
-    /// that `F` does not cover fits in neither before `e`, so its earliest
-    /// slot is the same in both. Only a plan that reads the profile needs
-    /// this: FCFS reads `F` and the queue order alone.
+    /// *No verdict moved with the clock* depends on what the plan reads.
+    /// Let `C` run at `t0 ≤ now` with profile `P0`, and let `Pn` be the
+    /// profile at `now`. Nothing finished since, so both are built over
+    /// the same running set, and `Pn` equals `P0` on `[now, ∞)`: each
+    /// counts a release from its job's expected end, or from its own
+    /// instant if that end is past.
+    ///
+    /// * FCFS reads `F` and the queue order alone, never the profile, so
+    ///   nothing moves.
+    /// * Conservative backfill needs no release due: no running job's
+    ///   expected end lies at or before `now`. Then `Pn` reads `F` until
+    ///   the first release `e > now`, and so does `P0` from `now` on: a
+    ///   demand that `F` does not cover fits in neither before `e`, so
+    ///   its earliest slot is the same in both.
+    /// * The EASY arm needs the head's kept shadow after `now`, or no
+    ///   running job's expected end in `(t0, now]`. Let `s` be the
+    ///   head's slot in `C`: the kept shadow, or `t0` if the shadow lies
+    ///   before it; so the shadow lies after `now` exactly when `s`
+    ///   does. An unreserved profile
+    ///   only rises over time, so the head, which `P0` fits from `s` on,
+    ///   fits `Pn` from `max(s, now)` on and nowhere earlier: that is its
+    ///   slot, and the cycle reserves it there. A backfill candidate `j`
+    ///   with walltime `w` that `F` covers did not fit `P0` less the
+    ///   head's reservation over `[t0, t0 + w)`. `P0` covers `F` and so
+    ///   `j` everywhere, so `j` fell short at some `τ ≥ s` inside the
+    ///   reservation. If `s > now`, the reservation stays put and `τ`
+    ///   lies in `[now, now + w)`: `j` is short at `τ` again. Otherwise
+    ///   no expected end lies in `(t0, now]`, so `P0` is flat on
+    ///   `[t0, now]`, `s` is `t0`, and the reservation shifts to `now`. If
+    ///   `τ ≥ now`, both reservations cover it and `j` is short at `τ`;
+    ///   if `τ < now`, `P0` reads at `now` what it read at `τ`, and `j`
+    ///   is short at `now`. Either way `j` is held again.
     ///
     /// Each fast kind proves its starts, holds and hold changes equal to
     /// the full cycle's, case by case over the three `match`es (order,
@@ -971,27 +1009,29 @@ impl Queue {
         self.keys.clear();
         let depth = self.pending.len();
         probe.cycle_start(now, depth);
-        let scoring = Scoring::of(self.spec.discipline, cluster);
-        // Whether the plan reads the profile: FCFS does not, so a release
-        // due by now leaves its verdicts alone (see the cycle kinds).
-        // Conservative slots read such a release even at the last cycle's
-        // instant, which the EASY arm's do not (see `follow_up_holds`),
-        // and a job that joins its queue may move every later
-        // reservation, which the other arms' plans never do (see
-        // `submit_only`).
-        let (profiled, conservative) = match self.spec.discipline {
-            Discipline::Fcfs => (false, false),
-            Discipline::ConservativeBackfill => (true, true),
+        let discipline = self.spec.discipline;
+        let scoring = Scoring::of(discipline, cluster);
+        // Whether the clock may have moved a verdict of the cycle that
+        // ended as `end` (see the cycle kinds). FCFS reads no profile.
+        // The EASY arm's verdicts move only with the head's shadow at or
+        // before `now` and a release fallen due since, so never in a
+        // follow-up, at `end`'s instant. Conservative slots read any
+        // release due, even at the last cycle's instant (see
+        // `follow_up_holds`).
+        let moved = |end: &CycleEnd, lanes: &Lanes<N>| match discipline {
+            Discipline::Fcfs => false,
+            Discipline::ConservativeBackfill => lanes.release_due(now),
             Discipline::EasyBackfill
             | Discipline::PriorityBackfill { .. }
-            | Discipline::QuantumAware { .. } => (true, false),
+            | Discipline::QuantumAware { .. } => {
+                end.shadow <= now && lanes.released_since(end.now, now)
+            }
         };
         match kind {
             Kind::FollowUp(end)
-                if end.now == now
-                    && end.qpu_boost == scoring.boosts()
-                    && !(conservative && lanes.release_due(now)) =>
+                if end.now == now && end.qpu_boost == scoring.boosts() && !moved(&end, lanes) =>
             {
+                probe.cycle_kind(CycleKind::FollowUp);
                 let any_fits =
                     self.follow_up_holds(&lanes.queued, cluster, &end, &lanes.free, probe);
                 let end = CycleEnd {
@@ -1007,9 +1047,10 @@ impl Queue {
             Kind::Settled(end) | Kind::ReRun(end)
                 if !since.finished
                     && end.now <= now
-                    && !(profiled && lanes.release_due(now))
+                    && !moved(&end, lanes)
                     && self.in_order(&lanes.queued, &scoring, now, depth) =>
             {
+                probe.cycle_kind(CycleKind::ReRun);
                 self.carry_holds(probe);
                 let end = CycleEnd {
                     now,
@@ -1020,13 +1061,17 @@ impl Queue {
                 probe.cycle_end(0, depth);
                 return Vec::new();
             }
+            // A job that joins conservative's queue may move every later
+            // reservation, which the other arms' plans never do (see
+            // `submit_only`).
             Kind::SubmitOnly(end)
-                if !conservative
+                if discipline != Discipline::ConservativeBackfill
                     && end.now <= now
-                    && !(profiled && lanes.release_due(now))
+                    && !moved(&end, lanes)
                     && self.in_order(&lanes.queued, &scoring, now, depth - since.submitted)
                     && self.head_stays_first(&lanes.queued, &scoring, now) =>
             {
+                probe.cycle_kind(CycleKind::SubmitOnly);
                 let end = CycleEnd {
                     now,
                     qpu_boost: scoring.boosts(),
@@ -1037,13 +1082,13 @@ impl Queue {
             _ => {}
         }
 
+        probe.cycle_kind(CycleKind::Full);
         self.last_holds.clear();
         self.hold_changes.clear();
         probe.phase_start(CyclePhase::Order);
         self.order(&lanes.queued, &scoring, now);
         probe.phase_end(CyclePhase::Order);
         let mut plan = Plan::new(now, Demand::free_in(cluster));
-        let discipline = self.spec.discipline;
         // FCFS: a job was held, so every later one waits. The EASY arm:
         // the head was held and its shadow reserved.
         let mut blocked = false;
@@ -1374,30 +1419,30 @@ impl Queue {
     /// The last cycle `C`, at `t0 ≤ now`, started nothing and held the
     /// queue in its order; the record shows that only the clock moved
     /// since, and the caller has checked that the queue scored at `now`
-    /// is still in that order and, unless the discipline is FCFS, that no
-    /// release is due. Fairshare decay, aging escalation and the idle-QPU
-    /// flag are time's only effects on the order, and the check reads
-    /// them all.
+    /// is still in that order and that no verdict moved with the clock
+    /// (see the cycle kinds). Fairshare decay, aging escalation and the
+    /// idle-QPU flag are time's only effects on the order, and the check
+    /// reads them all.
     ///
     /// Why this is the full cycle's verdict. `C` started nothing, so its
     /// live free vector was the cluster's `F` throughout, as it is now.
-    /// Its profile was built at `t0` and the full cycle's at `now` from
-    /// the same running set, and with no release due they agree from
-    /// `now` on, the first release `e` lying after `now`. By the admit
-    /// `match`'s arm:
+    /// Its profile `P0` was built at `t0` and the full cycle's `Pn` at
+    /// `now` from the same running set. By the admit `match`'s arm:
     ///
     /// * FCFS reads only `F` and the order, never the profile, so a
     ///   release due changes none of its verdicts.
-    /// * The EASY arm: `C`'s first job was the head, short of `F`, so it
-    ///   fits nowhere before `e`; the profiles agree from there, so its
-    ///   shadow is `C`'s. A later job that `F` covers did not fit `C`'s
-    ///   reserved profile over `[t0, t0 + w)`, and the profile was `F`
-    ///   before `e`, so it fell short at some `τ ≥ e > now`, inside
-    ///   `[now, now + w)`: it does not fit now either.
-    /// * Conservative: `C` reserved every job at a slot after `t0`,
-    ///   since its capacity at `t0` was `F`; by the same argument no job
-    ///   fits at `now`, and the breakpoints and capacities after `now`
-    ///   are `C`'s, so each slot and reservation is `C`'s.
+    /// * The EASY arm: `C`'s first job was the head, short of `F`, so
+    ///   the full cycle holds it and reserves it at `max(s, now)`, `s`
+    ///   being `C`'s shadow, which this cycle keeps. Every later job
+    ///   that `F` covers falls short of `Pn` less that reservation
+    ///   again: at the instant it fell short in `C`, or, if that instant
+    ///   has passed, at `now` (see the cycle kinds).
+    /// * Conservative: with no release due, `Pn` reads `F` until the
+    ///   first release `e > now`, and equals `P0` from `now` on. `C`
+    ///   reserved every job at a slot after `t0`, since its capacity at
+    ///   `t0` was `F`; so no job fits at `now`, and the breakpoints and
+    ///   capacities after `now` are `C`'s, so each slot and reservation
+    ///   is `C`'s.
     ///
     /// So the held `match` repeats `C`'s, nothing starts, and each
     /// reason, a function of the verdict, `F` and the demand, is `C`'s.
@@ -1421,8 +1466,8 @@ impl Queue {
     /// The last cycle `C`, at `t0 ≤ now`, started nothing and held the
     /// first `old` queued jobs in its order, with free vector `F`. The
     /// record shows that only submits came since, and the caller has
-    /// checked that the old jobs, scored at `now`, keep `C`'s order and,
-    /// unless the discipline is FCFS, that no release is due; it has
+    /// checked that the old jobs, scored at `now`, keep `C`'s order and
+    /// that no verdict moved with the clock (see the cycle kinds); it has
     /// sorted every key into `keys`, and `C`'s head `h` is first. The
     /// discipline is not conservative.
     ///
@@ -1435,15 +1480,17 @@ impl Queue {
     /// * FCFS holds `h` and blocks; every later job is held for its
     ///   shortage of `F`, and nothing starts. No profile is read, so a
     ///   release due changes nothing.
-    /// * The EASY arm holds `h`, and the held `match` reserves its
-    ///   shadow, `C`'s: `h` fits nowhere before the first release, and
-    ///   the profiles at `t0` and at `now` agree from there on (see the
-    ///   cycle kinds). After `h` the held `match` reserves nothing, so
-    ///   each later job is admitted against `F` and that profile, both
-    ///   less the jobs started before it. An old job did not fit `C`'s
-    ///   profile, by the re-run's argument (see `carry_holds`), and the
-    ///   full cycle's lies lower still: it is `Reserved` again. A new
-    ///   job gets exactly the verdict `admit` gives it here.
+    /// * The EASY arm holds `h`, and the held `match` reserves it at
+    ///   `max(s, now)`, `s` being `C`'s shadow: the profile at `now`
+    ///   equals `C`'s from `now` on, and an unreserved profile only rises
+    ///   (see the cycle kinds). This cycle reserves it there and keeps
+    ///   `s`. After `h` the held `match` reserves nothing, so each later
+    ///   job is admitted against `F` and that profile, both less the jobs
+    ///   started before it. An old job falls short of the full cycle's
+    ///   profile before any start, by the re-run's argument (see
+    ///   `carry_holds`), and the profile after a start lies lower still:
+    ///   it is `Reserved` again. A new job gets exactly the verdict
+    ///   `admit` gives it here.
     ///
     /// So the starts are the full cycle's, and so is every new job's
     /// reason. An old job ahead of every start sees `F`, as in `C`, and
@@ -1471,7 +1518,8 @@ impl Queue {
         self.hold_changes.clear();
         let mut plan = Plan::new(now, lanes.free);
         // The head's shadow, reserved when a new job first reads the
-        // profile.
+        // profile: `C`'s, or `now` once the clock has passed it.
+        let at = end.shadow.max(now);
         let head = &self.pending[0];
         let mut shadow = lanes
             .queued
@@ -1503,8 +1551,7 @@ impl Queue {
                 Admit::Reserved
             } else {
                 if let Some((head, walltime)) = shadow.take_if(|_| fits) {
-                    plan.profile(&lanes.running)
-                        .reserve(&head, end.shadow, walltime);
+                    plan.profile(&lanes.running).reserve(&head, at, walltime);
                 }
                 admit(discipline, true, job, &demand, &mut plan, &lanes.running)
             };
@@ -2542,6 +2589,162 @@ mod tests {
             ]
         );
         assert_full_plan_agrees(&mut c, &mut s, at);
+    }
+
+    /// EASY with job 10 still running past its expected end (t=100), on
+    /// [`held_behind_a_shadow`]'s queue. The expected end fell due since
+    /// the cycle at t=0, and the head's shadow lies at or before t=150,
+    /// so the cycle there plans in full, and the shadow moves to t=150.
+    /// From then on no expected end falls due: the cycle at t=200 is a
+    /// clock-only re-run, and at t=201 job 5 (2 nodes), submitted behind
+    /// the head, is admitted alone. It fits the 4 free nodes but not
+    /// around the head's slot at t=201.
+    #[test]
+    fn easy_takes_the_fast_kinds_past_an_overdue_end() {
+        let (mut c, mut s) = held_behind_a_shadow();
+        let mut orders = Orders::default();
+        let at = SimTime::from_secs(150);
+        assert!(s.try_schedule_probed(&mut c, at, &mut orders).is_empty());
+        assert_eq!(orders.0, 1, "job 10's expected end fell due since");
+        let at = SimTime::from_secs(200);
+        assert!(s.try_schedule_probed(&mut c, at, &mut orders).is_empty());
+        assert_eq!(orders.0, 1, "a clock-only re-run");
+        assert_full_plan_agrees(&mut c, &mut s, at);
+        s.submit(ranked(5, 2, 50, 100.0), &c).unwrap();
+        let at = SimTime::from_secs(201);
+        let mut orders = Orders::default();
+        assert!(s.try_schedule_probed(&mut c, at, &mut orders).is_empty());
+        assert_eq!(orders.0, 0, "a submit-only cycle");
+        assert_eq!(s.hold_changes(), &[(JobId::new(5), HoldReason::HeadShadow)]);
+        assert_full_plan_agrees(&mut c, &mut s, at);
+    }
+
+    /// EASY on `cluster(10)`: jobs 0 (4 nodes, due at t=100) and 1 (2
+    /// nodes, due at t=200) run past their expected ends. At t=0 head
+    /// job 2 (8 nodes) is held with its shadow at t=100, and job 3 (2
+    /// nodes for 2,000 s) does not fit around it. Each later cycle finds
+    /// an expected end fallen due since the last one, with the shadow
+    /// behind it, and plans in full. At t=250 the profile holds all 10
+    /// nodes, the head's slot leaves 2 of them, and job 3 starts.
+    #[test]
+    fn easy_plans_in_full_after_a_release_falls_due() {
+        let mut c = cluster(10);
+        let mut s = BatchScheduler::new(PolicySpec::easy());
+        s.submit(ranked(0, 4, 100, 500.0), &c).unwrap();
+        s.submit(ranked(1, 2, 200, 400.0), &c).unwrap();
+        s.submit(ranked(2, 8, 1_000, 300.0), &c).unwrap();
+        s.submit(ranked(3, 2, 2_000, 0.0), &c).unwrap();
+        assert_eq!(s.try_schedule(&mut c, SimTime::ZERO).len(), 2);
+        assert!(s.try_schedule(&mut c, SimTime::ZERO).is_empty());
+        let mut orders = Orders::default();
+        let at = SimTime::from_secs(150);
+        assert!(s.try_schedule_probed(&mut c, at, &mut orders).is_empty());
+        assert_eq!(orders.0, 1, "job 0's expected end fell due since");
+        assert_eq!(
+            s.last_holds(),
+            &[
+                (JobId::new(2), HoldReason::InsufficientNodes),
+                (JobId::new(3), HoldReason::HeadShadow)
+            ]
+        );
+        let started = s.try_schedule_probed(&mut c, SimTime::from_secs(250), &mut orders);
+        assert_eq!(orders.0, 2, "job 1's expected end fell due since");
+        assert_eq!(started.len(), 1);
+        assert_eq!(started[0].job, JobId::new(3));
+    }
+
+    /// Conservative on `cluster(10)`: job 0 (6 nodes, due at t=100) runs
+    /// past its expected end. At t=0 job 1 (8 nodes for 50 s) is
+    /// reserved at t=100 and job 2 (4 nodes for 200 s) at t=150. At
+    /// t=120 the profile holds all 10 nodes: job 1's slot is now, which
+    /// the 4 free nodes do not cover, so it is held without a
+    /// reservation, and job 2 starts. Conservative keeps no head shadow
+    /// (its recorded one is `SimTime::MAX`), so only the release guard
+    /// sends these re-runs to a full plan.
+    #[test]
+    fn conservative_re_runs_plan_in_full_with_a_release_due() {
+        let mut c = cluster(10);
+        let mut s = BatchScheduler::new(PolicySpec::conservative());
+        s.submit(ranked(0, 6, 100, 500.0), &c).unwrap();
+        s.submit(ranked(1, 8, 50, 300.0), &c).unwrap();
+        s.submit(ranked(2, 4, 200, 200.0), &c).unwrap();
+        assert_eq!(s.try_schedule(&mut c, SimTime::ZERO).len(), 1);
+        assert!(s.try_schedule(&mut c, SimTime::ZERO).is_empty());
+        let mut orders = Orders::default();
+        let at = SimTime::from_secs(120);
+        let started = s.try_schedule_probed(&mut c, at, &mut orders);
+        assert_eq!(orders.0, 1);
+        assert_eq!(started.len(), 1);
+        assert_eq!(started[0].job, JobId::new(2));
+        assert!(s.try_schedule(&mut c, at).is_empty());
+        // Job 0's expected end fell due before the last cycle, and is
+        // still due.
+        let at = SimTime::from_secs(130);
+        assert!(s.try_schedule_probed(&mut c, at, &mut orders).is_empty());
+        assert_eq!(orders.0, 2, "a release is due");
+    }
+
+    /// EASY on `cluster(10)`: job 0 (6 nodes, due at t=100) runs past its
+    /// expected end, and head job 1 (8 nodes for 30 s) takes its shadow
+    /// at t=150 in a full plan. At t=200 no expected end fell due since,
+    /// so job 2 (4 nodes), submitted behind the head, is admitted alone.
+    /// The head's slot is now t=200, not the kept t=150: it leaves 2
+    /// nodes over job 2's window, so job 2 is held. A slot kept at t=150
+    /// would have ended at t=180 and let job 2 start.
+    #[test]
+    fn submit_only_reserves_the_head_at_now_once_past_its_shadow() {
+        let mut c = cluster(10);
+        let mut s = BatchScheduler::new(PolicySpec::easy());
+        s.submit(ranked(0, 6, 100, 500.0), &c).unwrap();
+        s.submit(ranked(1, 8, 30, 300.0), &c).unwrap();
+        assert_eq!(s.try_schedule(&mut c, SimTime::ZERO).len(), 1);
+        assert!(s.try_schedule(&mut c, SimTime::ZERO).is_empty());
+        let mut orders = Orders::default();
+        assert!(s
+            .try_schedule_probed(&mut c, SimTime::from_secs(150), &mut orders)
+            .is_empty());
+        assert_eq!(orders.0, 1, "job 0's expected end fell due since");
+        s.submit(ranked(2, 4, 100, 100.0), &c).unwrap();
+        let at = SimTime::from_secs(200);
+        assert!(s.try_schedule_probed(&mut c, at, &mut orders).is_empty());
+        assert_eq!(orders.0, 1, "a submit-only cycle");
+        assert_eq!(
+            s.last_holds(),
+            &[
+                (JobId::new(1), HoldReason::InsufficientNodes),
+                (JobId::new(2), HoldReason::HeadShadow)
+            ]
+        );
+        assert_full_plan_agrees(&mut c, &mut s, at);
+    }
+
+    /// Records the kind of each planned cycle.
+    #[derive(Debug, Default)]
+    struct Kinds(Vec<CycleKind>);
+
+    impl CycleProbe for Kinds {
+        fn cycle_kind(&mut self, kind: CycleKind) {
+            self.0.push(kind);
+        }
+    }
+
+    /// On [`held_behind_a_shadow`]'s queue: a re-run; then a submit-only
+    /// cycle that starts job 4 (2 nodes, ends before the shadow); its
+    /// follow-up; then a job that sorts ahead of the head, whose
+    /// submit-only candidate plans in full.
+    #[test]
+    fn each_cycle_reports_the_kind_it_took() {
+        let (mut c, mut s) = held_behind_a_shadow();
+        let mut kinds = Kinds::default();
+        let at = SimTime::from_secs(1);
+        assert!(s.try_schedule_probed(&mut c, at, &mut kinds).is_empty());
+        s.submit(ranked(4, 2, 50, 50.0), &c).unwrap();
+        assert_eq!(s.try_schedule_probed(&mut c, at, &mut kinds).len(), 1);
+        assert!(s.try_schedule_probed(&mut c, at, &mut kinds).is_empty());
+        s.submit(ranked(2, 2, 50, 1_000.0), &c).unwrap();
+        assert_eq!(s.try_schedule_probed(&mut c, at, &mut kinds).len(), 1);
+        use CycleKind::{FollowUp, Full, ReRun, SubmitOnly};
+        assert_eq!(kinds.0, [ReRun, SubmitOnly, FollowUp, Full]);
     }
 
     #[test]

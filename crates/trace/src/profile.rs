@@ -4,8 +4,8 @@
 //! [`CycleProbe`] hook (`hpcqc-sched::probe`) and measures, per planning
 //! cycle, where the scheduler's *wall* time goes: queue ordering, policy
 //! admission, live-cluster allocation. It also folds in the cycle-level
-//! stats the probe reports for free — queue depth and jobs started vs
-//! held.
+//! stats the probe reports for free — queue depth, jobs started vs
+//! held, and how many cycles took each kind.
 //!
 //! It reads the clock only around each cycle, its ordering and each
 //! allocation: a cycle reports one admission per queued job, and two
@@ -21,7 +21,7 @@
 //! D001 suppression the observability layer adds.
 
 use hpcqc_metrics::report::Table;
-use hpcqc_sched::probe::{CyclePhase, CycleProbe};
+use hpcqc_sched::probe::{CycleKind, CyclePhase, CycleProbe};
 use hpcqc_simcore::time::SimTime;
 use std::time::Instant;
 
@@ -65,6 +65,8 @@ pub struct SchedProfiler {
     queue_depth_max: usize,
     jobs_started: u64,
     jobs_held_sum: u128,
+    /// Cycles per [`CycleKind`], in [`CycleKind::ALL`] order.
+    kinds: [u64; 4],
 }
 
 impl SchedProfiler {
@@ -84,6 +86,12 @@ impl SchedProfiler {
     /// settled (nothing could start and no hold could change).
     pub fn skipped(&self) -> u64 {
         self.skipped
+    }
+
+    /// How many planning cycles took `kind`. The counts of every kind
+    /// sum to [`cycles`](SchedProfiler::cycles).
+    pub fn kind_count(&self, kind: CycleKind) -> u64 {
+        self.kinds[kind as usize]
     }
 
     /// Total jobs started across all observed cycles.
@@ -136,10 +144,15 @@ impl SchedProfiler {
             return "scheduler profile: no planning cycles observed".to_string();
         }
         let cycles = self.cycles as f64;
+        let kinds: Vec<String> = CycleKind::ALL
+            .iter()
+            .map(|&kind| format!("{} {}", kind.name(), self.kind_count(kind)))
+            .collect();
         format!(
             "scheduler profile: {} planning cycles ({} skipped as settled), {:.3} ms wall \
              (mean {:.2} us/cycle, max {:.2} us)\n\
-             queue depth mean {:.1} max {}; jobs started {}, held per cycle mean {:.1}\n{}",
+             queue depth mean {:.1} max {}; jobs started {}, held per cycle mean {:.1}\n\
+             cycle kinds: {}\n{}",
             self.cycles,
             self.skipped,
             self.cycle_ns_total as f64 / 1e6,
@@ -149,6 +162,7 @@ impl SchedProfiler {
             self.queue_depth_max,
             self.jobs_started,
             self.jobs_held_sum as f64 / cycles,
+            kinds.join(", "),
             self.table().to_markdown(),
         )
     }
@@ -160,6 +174,10 @@ impl CycleProbe for SchedProfiler {
         self.queue_depth_sum += queue_depth as u128;
         self.queue_depth_max = self.queue_depth_max.max(queue_depth);
         self.cycle_begun = Some(wall_now());
+    }
+
+    fn cycle_kind(&mut self, kind: CycleKind) {
+        self.kinds[kind as usize] += 1;
     }
 
     fn phase_start(&mut self, phase: CyclePhase) {
@@ -216,6 +234,26 @@ mod tests {
         assert_eq!(p.jobs_started(), 2);
         assert_eq!(p.queue_depth_max, 5);
         assert!(p.total_ns() > 0);
+    }
+
+    #[test]
+    fn counts_each_cycle_kind_on_its_own_line() {
+        let mut p = SchedProfiler::new();
+        for kind in [CycleKind::Full, CycleKind::ReRun, CycleKind::Full] {
+            p.cycle_start(SimTime::ZERO, 2);
+            p.cycle_kind(kind);
+            p.cycle_end(0, 2);
+        }
+        let total: u64 = CycleKind::ALL.iter().map(|&k| p.kind_count(k)).sum();
+        assert_eq!(total, p.cycles());
+        assert_eq!(p.kind_count(CycleKind::Full), 2);
+        let summary = p.summary();
+        assert!(
+            summary
+                .lines()
+                .any(|line| line == "cycle kinds: follow-up 0, re-run 1, submit-only 0, full 2"),
+            "{summary}"
+        );
     }
 
     #[test]

@@ -68,8 +68,8 @@ pub mod prelude {
     pub use hpcqc_metrics::{fmt_pct, fmt_secs, GanttRecorder, JobStats, Table};
     pub use hpcqc_qpu::{AccessMode, Kernel, QpuDevice, Technology};
     pub use hpcqc_sched::{
-        BatchScheduler, CyclePhase, CycleProbe, Discipline, HoldReason, NoProbe, PendingJob,
-        PolicySpec, PriorityCalculator, PriorityWeights,
+        BatchScheduler, CycleKind, CyclePhase, CycleProbe, Discipline, HoldReason, NoProbe,
+        PendingJob, PolicySpec, PriorityCalculator, PriorityWeights,
     };
     pub use hpcqc_simcore::{Dist, SimDuration, SimRng, SimTime};
     pub use hpcqc_sweep::{
