@@ -246,7 +246,7 @@ fn attribute_at(tokens: &[Token], i: usize) -> Option<Attribute> {
     if !tokens.get(open)?.is_punct("[") {
         return None;
     }
-    let close = matching(tokens, open, "[", "]");
+    let close = closing_bracket(tokens, open);
     Some(Attribute {
         inner,
         body: open + 1..close,
@@ -254,14 +254,14 @@ fn attribute_at(tokens: &[Token], i: usize) -> Option<Attribute> {
     })
 }
 
-/// The index of the bracket that closes the one at `tokens[open]`, or
-/// the end of `tokens` if none does.
-fn matching(tokens: &[Token], open: usize, left: &str, right: &str) -> usize {
+/// The index of the `]` that closes the `[` at `tokens[open]`, or the
+/// end of `tokens` if none does.
+fn closing_bracket(tokens: &[Token], open: usize) -> usize {
     let mut depth = 0u32;
     for (k, tok) in tokens.iter().enumerate().skip(open) {
-        if tok.is_punct(left) {
+        if tok.is_punct("[") {
             depth += 1;
-        } else if tok.is_punct(right) {
+        } else if tok.is_punct("]") {
             depth -= 1;
             if depth == 0 {
                 return k;

@@ -5,12 +5,13 @@
 //! when each internal phase — queue ordering, admission decisions, live
 //! cluster allocation — starts and stops, and how the cycle ended (jobs
 //! started vs held), and which kind of cycle it was. The simulation loop
-//! also reports each cycle it skips because the scheduler is settled. The scheduler itself never reads a
-//! clock; a probe that wants wall-clock timings takes them in its own
-//! crate (see `hpcqc-trace`'s `SchedProfiler`), so the deterministic core
-//! stays free of wall time. The cycle is generic over its probe, so the
-//! no-op default ([`NoProbe`]) compiles every hook away; a `&mut dyn
-//! CycleProbe` costs two virtual calls per queued job.
+//! also reports each cycle it skips because the scheduler is settled. The
+//! scheduler itself never reads a clock; a probe that wants wall-clock
+//! timings takes them in its own crate (see `hpcqc-trace`'s
+//! `SchedProfiler`), so the deterministic core stays free of wall time.
+//! The cycle is generic over its probe, so the no-op default
+//! ([`NoProbe`]) compiles every hook away; a `&mut dyn CycleProbe` costs
+//! two virtual calls per queued job.
 //!
 //! [`BatchScheduler::try_schedule`]: crate::scheduler::BatchScheduler::try_schedule
 
@@ -65,7 +66,7 @@ impl CyclePhase {
 /// [`try_schedule_probed`](crate::scheduler::BatchScheduler::try_schedule_probed)):
 /// one of the three fast kinds, or a full plan. A cycle whose fast kind's
 /// conditions fail plans in full, and is `Full`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CycleKind {
     /// A same-instant follow-up to a cycle that started jobs.
     FollowUp,
