@@ -666,3 +666,44 @@ fn every_policy_takes_every_kind_it_supports() {
         }
     }
 }
+
+/// A running job outlives its expected end, and the head's shadow moves
+/// with the clock. Job A (half the `cpu` nodes for 100 s) starts, and
+/// the head, H (three quarters of them for 60 s), waits for A's
+/// expected end. A runs on past it. At t=150 that end has fallen due
+/// since the last cycle, with H's shadow behind it, so every profiling
+/// policy plans in full, and H's slot moves to t=150. At t=250 no
+/// expected end fell due since, so the EASY arm and FCFS admit the new
+/// job N (half the nodes) alone; N fits the free half, but not beside H
+/// reserved at t=250, and is held. Conservative plans both cycles in
+/// full, and FCFS, which reads no profile, also re-runs at t=150.
+#[test]
+fn an_overrunning_job_keeps_the_easy_fast_kinds() {
+    let half: JobSpec = (vec![(0, 50, vec![])], 0, 100, 100, 0, 0);
+    let head: JobSpec = (vec![(0, 75, vec![])], 0, 60, 100, 2, 1);
+    let steps = [
+        (Action::Submit(vec![half.clone()]), 1),
+        (Action::Submit(vec![head]), 1),
+        (Action::Overrun(0, 3_600), 0),
+        (Action::Advance(150), 1),
+        (Action::Trickle(vec![(100, half)]), 0),
+    ];
+    for fairshare in [false, true] {
+        for policy in policies(fairshare) {
+            let (re_runs, submit_onlys) = match policy.discipline {
+                Discipline::Fcfs => (1, 1),
+                Discipline::ConservativeBackfill => (0, 0),
+                _ => (0, 1),
+            };
+            assert_eq!(
+                replay(&steps, policy),
+                FastPaths {
+                    follow_ups: 0,
+                    re_runs,
+                    submit_onlys,
+                },
+                "{policy}"
+            );
+        }
+    }
+}
